@@ -64,6 +64,7 @@ class WeightedGraph:
         self.degrees = np.diff(A.indptr)
         self.max_degree = int(self.degrees.max())
         self._dist = None
+        self._diameter = None
         self._rev_edges = None
         self._oracle = None
         self._geometry = None
@@ -81,7 +82,11 @@ class WeightedGraph:
 
     @property
     def diameter(self):
-        return int(self.dist.max())
+        """Largest distance, reduced from `dist` once (the graph is
+        immutable)."""
+        if self._diameter is None:
+            self._diameter = int(self.dist.max())
+        return self._diameter
 
     def total_volume(self):
         return float(self.m.sum())

@@ -59,11 +59,11 @@ from .operators import (
     mean_project,
     tx_norms,
 )
-from .quadratic import SpaceTimeFunction, default_l_max, quad_norm
+from .quadratic import SpaceTimeFunction, default_l_max, quad_norm, t1_norm
 from .tentspace import (
     TentAtom,
     atomic_decompose,
-    eta_coefficients,
+    horner_synthesis,
     reproducing_l_max,
 )
 
@@ -221,21 +221,6 @@ def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=1e-9,
 
 # -- synthesized molecules from tent atoms ---------------------------------
 
-def _horner_profile_sum(g: WeightedGraph, values: np.ndarray, coeffs, prefix):
-    """sum_l coeffs[l-1] P^{l-1} prefix(values[:, l-1]).
-
-    Applying the (level-independent) prefix before the Horner scan keeps
-    partial sums at the output scale; it is evaluated on all levels at
-    once, so the scan costs one matvec per level.
-    """
-    W = markov_matrix(g)
-    U = prefix(values) * coeffs[None, :]
-    acc = np.zeros(g.n)
-    for l in range(values.shape[1], 0, -1):
-        acc = W @ acc + U[:, l - 1]
-    return acc
-
-
 def synthesis_eta(M: int, beta: float, eps: float, d0: float) -> int:
     """Integer eta with eta >= d0/4 + eps/2 + beta + M + 1 > eta - 1."""
     return math.ceil(d0 / 4.0 + eps / 2.0 + beta) + M + 1
@@ -258,6 +243,11 @@ def make_molecule_from_tent_atom(A: TentAtom, M: int, beta: float, eps: float,
     a = [I - (I + s Delta)^{-1}]^M b = pi_{eta, beta}(A).  Both are
     divided by the measured annulus excess (kept in norm_constant) so
     the returned molecule validates as-is.
+
+    The sum runs over the levels l - 1 < top, where top is one past the
+    atom's last nonzero level (see `horner_synthesis`).  Levels above it
+    add exact zeros, so b, a and norm_constant do not depend on how far
+    the atom's array extends past its tent, i.e. on l_max.
     """
     g = A.ball.graph
     if d0 is None:
@@ -282,10 +272,7 @@ def make_molecule_from_tent_atom(A: TentAtom, M: int, beta: float, eps: float,
             v = (v + s * (v - apply_P(g, v))) / s
         return v
 
-    count = A.values.values.shape[1]
-    c = eta_coefficients(eta, count)
-    coeffs = c / (np.arange(1, count + 1, dtype=float) ** beta)
-    b = _horner_profile_sum(g, A.values.values, coeffs, prefix)
+    b = horner_synthesis(g, A.values.values, eta, beta, prefix)
     a = b.copy()
     for _ in range(M):
         a = a - resolvent_apply(g, a, s, 1.0)
@@ -330,10 +317,7 @@ def make_form_molecule_from_tent_atom(A: TentAtom, M: int, eps: float,
         v = resolvent_exact(g, v, s, -(M + 0.5))  # ((I + s Delta))^{M+1/2}
         return v / s ** (M + 0.5)
 
-    count = A.values.values.shape[1]
-    c = eta_coefficients(eta, count)
-    coeffs = c / np.sqrt(np.arange(1, count + 1, dtype=float))
-    b = _horner_profile_sum(g, A.values.values, coeffs, prefix)
+    b = horner_synthesis(g, A.values.values, eta, 0.5, prefix)
     v = b.copy()
     for _ in range(M):
         v = v - apply_P(g, v)
@@ -459,7 +443,9 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
         raise NonConvergent(
             f"molecular reconstruction residual {l2_res:.3e} above {tol:.3e}"
         )
-    qn = quad_norm(g, f, beta, l_max)
+    # F(., l)^2 / (l+1) is the Lusin weight of f at level l, so the
+    # quadratic norm ||L_beta f||_1 is the T^1_2 norm of the profile
+    qn = t1_norm(g, F)
     return MolecularDecomposition(
         coefficients,
         float(sum(abs(l) for l, _ in coefficients)),

@@ -42,8 +42,11 @@ def inner(g: WeightedGraph, f, h) -> float:
 
 
 def mean_project(g: WeightedGraph, f):
-    """Remove the m-mean, i.e. project onto the orthogonal of ker Delta."""
+    """Remove the m-mean, i.e. project onto the orthogonal of ker Delta;
+    an (n, k) block is projected column by column."""
     f = np.asarray(f, dtype=float)
+    if f.ndim == 2:
+        return f - (g.m @ f) / g.total_volume()
     return f - inner(g, f, np.ones(g.n)) / g.total_volume()
 
 

@@ -112,24 +112,25 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
     vals = F.values
     l_max = F.l_max
     AF = tent_functional(g, F)
-    if not np.any(vals != 0.0):
+    nonzero = vals != 0.0
+    if not nonzero.any():
         return TentDecomposition([], 0.0, 0.0)
     pos = AF[AF > 0]
     k_lo = math.floor(math.log2(pos.min())) - 1
     k_hi = math.ceil(math.log2(AF.max()))
     coefficients = []
     reconstruction = np.zeros_like(vals)
-    level_masks = {}
+    # the slab of level k is tent(O_k) minus tent(O_{k+1}); each tent is
+    # built once and handed on, and O_{k_hi + 1} is empty, so is its tent
+    O_next = AF > 2.0 ** k_lo
+    tent_next = tent_mask(g, O_next, l_max)
     for k in range(k_lo, k_hi + 1):
-        level_masks[k] = AF > 2.0 ** k
-    tents = {k: tent_mask(g, level_masks[k], l_max) for k in level_masks}
-    empty = np.zeros((g.n, l_max + 1), dtype=bool)
-    for k in range(k_lo, k_hi + 1):
-        upper = tents.get(k + 1, empty)
-        slab = tents[k] & ~upper & (vals != 0.0)
+        O, tent_k = O_next, tent_next
+        O_next = AF > 2.0 ** (k + 1)
+        tent_next = tent_mask(g, O_next, l_max)
+        slab = tent_k & ~tent_next & nonzero
         if not slab.any():
             continue
-        O = level_masks[k]
         if O.all():
             centers = [0]
             radii = [float(g.diameter + 1)]
@@ -151,17 +152,19 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
             reach = g.dist[centers[i], ys] + np.floor(np.sqrt(ls)) + 1.0
             R = float(max(radii[i], reach.max()))
             atom_ball = ball(g, centers[i], R)
-            piece = np.zeros_like(vals)
-            piece[ys, ls] = vals[ys, ls]
-            stf = SpaceTimeFunction(g, piece)
-            t22 = stf.t22_norm()
+            # the piece is F on its own (ys, ls) entries and zero elsewhere,
+            # so its T^2_2 norm is a sum over those entries alone
+            v = vals[ys, ls]
+            t22 = math.sqrt(float(np.sum(v ** 2 / (ls + 1.0) * g.m[ys])))
             if t22 == 0.0:
                 continue
             lam = t22 * math.sqrt(atom_ball.volume)
-            atom = TentAtom(atom_ball, SpaceTimeFunction(g, piece / lam),
+            piece = np.zeros(vals.shape)  # calloc: untouched pages stay free
+            piece[ys, ls] = v / lam
+            atom = TentAtom(atom_ball, SpaceTimeFunction(g, piece),
                             1.0 / math.sqrt(atom_ball.volume))
             coefficients.append((lam, atom))
-            reconstruction += piece
+            reconstruction[ys, ls] += v
     residual = SpaceTimeFunction(g, vals - reconstruction).t22_norm()
     if residual > tol:
         raise NonConvergent(
@@ -182,19 +185,47 @@ def eta_coefficients(eta: int, count: int) -> np.ndarray:
     return out
 
 
+def top_level(values: np.ndarray) -> int:
+    """Number of levels up to the last one holding a nonzero entry
+    (0 for an all-zero space-time function)."""
+    live = np.flatnonzero(values.any(axis=0))
+    return int(live[-1]) + 1 if live.size else 0
+
+
+def horner_synthesis(g: WeightedGraph, values: np.ndarray, eta: int,
+                     beta: float, prefix) -> np.ndarray:
+    """sum_{l=1..top} (c_l^eta / l^beta) P^{l-1} prefix(values[:, l-1]).
+
+    Only the levels l - 1 < top = top_level(values) are visited: the
+    coefficient table and the prefix are evaluated on those columns,
+    and the Horner scan starts at level top.  This is exact, not an
+    approximation: the prefix is linear and column-wise, so a zero
+    level contributes a zero column, and the scan over the levels above
+    top only ever carries the zero vector.  A tent atom over B(x, R)
+    lives at levels k < R^2, so top is usually far below the horizon.
+
+    Applying the (level-independent) prefix to all visited levels at
+    once keeps partial sums at the output scale (the raw sum is badly
+    conditioned) and leaves one matvec per level for the scan.
+    """
+    top = top_level(values)
+    acc = np.zeros(g.n)
+    if top == 0:
+        return acc
+    coeffs = eta_coefficients(eta, top) / np.arange(1, top + 1, dtype=float) ** beta
+    U = prefix(values[:, :top]) * coeffs[None, :]
+    W = markov_matrix(g)
+    for l in range(top, 0, -1):
+        acc = W @ acc + U[:, l - 1]
+    return acc
+
+
 def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
                  beta: float, tol=1e-10) -> np.ndarray:
     """Synthesis sum_{l>=1} (c_l^eta / l^beta)
-    Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1).
-
-    The prefix operator is applied per level so partial sums stay at
-    the scale of the result (the raw sum is badly conditioned).
-    """
+    Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1), via `horner_synthesis`."""
     if eta < beta:
         raise ValueError("eta must be >= beta")
-    vals = F.values
-    count = vals.shape[1]
-    c = eta_coefficients(eta, count)
     exp = eta - beta
     integer_exp = float(exp).is_integer()
 
@@ -210,11 +241,7 @@ def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
             v = delta_power(g, v, exp, tol)
         return v
 
-    W = markov_matrix(g)
-    acc = np.zeros(g.n)
-    for l in range(count, 0, -1):
-        acc = W @ acc + (c[l - 1] / float(l) ** beta) * prefix(vals[:, l - 1])
-    return acc
+    return horner_synthesis(g, F.values, eta, beta, prefix)
 
 
 def reproducing_l_max(g: WeightedGraph, eta: int, tol: float,

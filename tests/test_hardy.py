@@ -21,6 +21,7 @@ from graphhardy.hardy import (
     make_form_molecule_from_tent_atom,
     make_molecule_from_tent_atom,
     molecular_decompose,
+    pipeline_l_max,
     synthesis_eta,
     validate_molecule,
 )
@@ -32,9 +33,10 @@ from graphhardy.operators import (
     lp_norm_forms,
     random_mean_zero,
 )
-from graphhardy.quadratic import SpaceTimeFunction
+from graphhardy.quadratic import SpaceTimeFunction, quad_norm
 from graphhardy.riesz import molecule_suite
-from graphhardy.tentspace import TentAtom, eta_coefficients, tent
+from graphhardy.tentspace import TentAtom, eta_coefficients, tent, top_level
+from graphhardy.zoo import by_name
 
 
 def _delta_atom(g, y, M):
@@ -119,6 +121,64 @@ def test_zero_atom_zero_molecule(cycle16):
                  1.0 / math.sqrt(B.volume))
     mol = make_molecule_from_tent_atom(A, 1, 1.0, 1.0)
     assert lp_norm(cycle16, np.asarray(mol.a), 2) == 0.0
+
+
+def test_zero_atom_zero_form_molecule(cycle16):
+    B = ball(cycle16, 0, 2)
+    A = TentAtom(B, SpaceTimeFunction(cycle16, np.zeros((cycle16.n, 5))),
+                 1.0 / math.sqrt(B.volume))
+    mol = make_form_molecule_from_tent_atom(A, 1, 1.0)
+    assert lp_norm(cycle16, mol.b, 2) == 0.0
+    assert lp_norm_forms(cycle16, mol.a, 2) == 0.0
+
+
+def _synthesize(kind, A):
+    if kind == "bz2":
+        return make_molecule_from_tent_atom(A, 1, 1.0, 1.0)
+    return make_form_molecule_from_tent_atom(A, 1, 1.0)
+
+
+def _a_data(mol):
+    return mol.a.data if mol.kind == "form" else np.asarray(mol.a)
+
+
+@pytest.mark.parametrize("kind", ["bz2", "form"])
+def test_synthesis_truncation_invariant(cycle32, kind):
+    # an atom over B(5, 3) lives at levels k < 9; padding its array with
+    # zero levels (a larger l_max) must not change a single bit
+    B = ball(cycle32, 5, 3)
+    live = tent(B, 8)
+    rng = np.random.default_rng(7)
+    base = np.where(live, rng.standard_normal(live.shape), 0.0)
+    base /= SpaceTimeFunction(cycle32, base).t22_norm() * math.sqrt(B.volume)
+    k = top_level(base) - 1
+    assert k == 8
+    mols = []
+    for l_max in (k + 5, k + 500):
+        vals = np.zeros((cycle32.n, l_max + 1))
+        vals[:, :k + 1] = base
+        A = TentAtom(B, SpaceTimeFunction(cycle32, vals), 1.0 / math.sqrt(B.volume))
+        assert A.validate()
+        mols.append(_synthesize(kind, A))
+    short, long = mols
+    assert np.array_equal(short.b, long.b)
+    assert np.array_equal(_a_data(short), _a_data(long))
+    assert short.norm_constant == long.norm_constant
+    assert validate_molecule(long).ok
+
+
+@pytest.mark.parametrize("name", ["lazy_cycle_32", "lazy_torus_16"])
+def test_molecular_quad_norm_matches_lusin(name):
+    # the reported quad_norm comes from the heat profile; it must equal
+    # the direct ||L_beta f||_1 over the same horizon
+    g = by_name(name)
+    f = random_mean_zero(g, np.random.default_rng(11))
+    dec = molecular_decompose(g, f, 1, 1.0, 1.0, tol=1e-8)
+    d0 = cached_geometry(g).d0_estimate
+    eta = synthesis_eta(1, 1.0, 1.0, d0)
+    l_max = pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2))
+    direct = quad_norm(g, f, 1.0, l_max)
+    assert abs(dec.quad_norm - direct) <= 1e-12 * direct
 
 
 def test_molecule_constant_stable_across_centers(cycle32):

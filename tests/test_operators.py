@@ -151,6 +151,14 @@ def test_mean_project(cycle16, rng):
     assert abs(inner(cycle16, g2, np.ones(cycle16.n))) < 1e-10
 
 
+def test_mean_project_block_is_columnwise(torus8, rng):
+    block = rng.standard_normal((torus8.n, 3))
+    out = mean_project(torus8, block)
+    for j in range(3):
+        np.testing.assert_allclose(out[:, j], mean_project(torus8, block[:, j]),
+                                   atol=1e-14)
+
+
 def test_kernel_cap():
     import graphhardy.zoo as zoo
 

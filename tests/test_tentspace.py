@@ -17,6 +17,7 @@ from graphhardy.tentspace import (
     reproducing_l_max,
     tent,
     tent_mask,
+    top_level,
 )
 
 
@@ -53,6 +54,56 @@ def test_atoms_validate_and_reconstruct(cycle32, rng):
         rec += lam * atom.values.values
     gap = SpaceTimeFunction(cycle32, F.values - rec).t22_norm()
     assert gap <= 1e-12
+
+
+def test_atom_coefficients_match_dense_norm(cycle32, torus8, rng):
+    # lambda comes from the entries each atom owns; it must agree with
+    # the dense T^2_2 norm of the piece, and the pieces must tile F
+    for g in (cycle32, torus8):
+        f = random_mean_zero(g, rng)
+        d0 = cached_geometry(g).d0_estimate
+        eta = synthesis_eta(1, 1.0, 1.0, d0)
+        l_max = pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2))
+        F = heat_profile(g, f, 1.0, l_max)
+        dec = atomic_decompose(g, F, tol=1e-8)
+        assert dec.residual_t22 <= 1e-8
+        covered = np.zeros(F.values.shape, dtype=int)
+        for lam, atom in dec.coefficients:
+            owned = atom.values.values != 0.0
+            piece = np.where(owned, F.values, 0.0)
+            dense = SpaceTimeFunction(g, piece).t22_norm() * math.sqrt(atom.ball.volume)
+            assert abs(lam - dense) <= 1e-12 * dense
+            covered += owned
+        assert covered.max() == 1
+        assert np.array_equal(covered == 1, F.values != 0.0)
+
+
+def _full_scan_synthesis(g, vals, eta, beta):
+    # every level visited: prefix on all columns, Horner from the horizon
+    U = vals
+    for _ in range(eta):
+        U = U + apply_P(g, U)
+    for _ in range(int(eta - beta)):
+        U = U - apply_P(g, U)
+    count = vals.shape[1]
+    U = U * (eta_coefficients(eta, count)
+             / np.arange(1, count + 1, dtype=float) ** beta)[None, :]
+    acc = np.zeros(g.n)
+    for l in range(count, 0, -1):
+        acc = apply_P(g, acc) + U[:, l - 1]
+    return acc
+
+
+def test_horner_synthesis_stops_at_top_level(cycle16, rng):
+    # zero levels above the top one contribute nothing, bit for bit
+    vals = np.zeros((cycle16.n, 30))
+    vals[:, :6] = rng.standard_normal((cycle16.n, 6))
+    assert top_level(vals) == 6
+    out = pi_synthesis(cycle16, SpaceTimeFunction(cycle16, vals), 3, 1.0)
+    assert np.array_equal(out, _full_scan_synthesis(cycle16, vals, 3, 1.0))
+    zero = np.zeros((cycle16.n, 4))
+    assert top_level(zero) == 0
+    assert not pi_synthesis(cycle16, SpaceTimeFunction(cycle16, zero), 3, 1.0).any()
 
 
 def test_decompose_zero(cycle16):
