@@ -16,7 +16,6 @@ from .calculus import (
     reproducing_check,
     resolvent,
     spectral,
-    spectral_apply,
 )
 from .graphs import (
     Annulus,
@@ -70,7 +69,7 @@ from .quadratic import (
     quad_norm_forms,
     tent_functional,
 )
-from .riesz import RieszResult, h2_project, riesz, riesz_h1_experiment
+from .riesz import RieszResult, h2_project, riesz as riesz_transform, riesz_h1_experiment
 from .tentspace import TentAtom, TentDecomposition, atomic_decompose, pi_synthesis, tent
 from . import zoo
 

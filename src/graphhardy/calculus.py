@@ -4,7 +4,9 @@ Two evaluation paths coexist.  The spectral oracle (dense
 eigendecomposition of the m-symmetrized walk) is exact and serves as
 the reference on desk-scale graphs; truncated power series are the
 scalable path and always carry an explicit tail bound, so the two can
-be compared at `tail_bound + eps`.
+be compared at `tail_bound + eps`.  `delta_power_apply` (for Delta^beta)
+and `resolvent_apply` (for (I + s Delta)^{-power}) are the only places
+that choose between them.
 
 On a finite connected graph ker Delta is the constants, so the
 operators with a singularity at the spectral point 1 (inverse square
@@ -22,7 +24,7 @@ import scipy.linalg
 
 from .errors import BadTuple, KernelComponent, NonConvergent, OverlappingSets
 from .graphs import WeightedGraph
-from .operators import apply_P, gradient, inner, lp_norm, markov_matrix, mean_project
+from .operators import apply_P, gradient, inner, lp_norm, mean_project, powers
 
 ORACLE_MAX_N = 2048
 KERNEL_REL_TOL = 1e-8
@@ -90,10 +92,6 @@ def spectral(g: WeightedGraph) -> SpectralOracle:
     return g._oracle
 
 
-def spectral_apply(oracle: SpectralOracle, phi, f):
-    return oracle.apply(phi, f)
-
-
 def has_oracle(g: WeightedGraph) -> bool:
     return g.n <= ORACLE_MAX_N
 
@@ -135,11 +133,9 @@ class SeriesOperator:
 
     def apply(self, f):
         """Evaluate on a vector or a stacked batch (n, k)."""
-        W = markov_matrix(self.graph)
-        vec = np.asarray(f, dtype=float)
-        acc = self.coeffs[0] * vec
-        for c in self.coeffs[1:]:
-            vec = W @ vec
+        terms = powers(self.graph, f, self.truncation)
+        acc = self.coeffs[0] * next(terms)
+        for c, vec in zip(self.coeffs[1:], terms):
             if c != 0.0:
                 acc = acc + c * vec
         return acc
@@ -258,6 +254,13 @@ def delta_power_exact(g: WeightedGraph, f, beta: float):
     return spectral(g).apply(lambda lam: np.maximum(1.0 - lam, 0.0) ** beta, f)
 
 
+def delta_power_apply(g: WeightedGraph, f, beta: float, tol=1e-10):
+    """Delta^beta with automatic path choice (oracle when affordable)."""
+    if has_oracle(g):
+        return delta_power_exact(g, f, beta)
+    return delta_power(g, f, beta, tol)
+
+
 def delta_inv_sqrt_exact(g: WeightedGraph, f):
     """Delta^{-1/2} f on the mean-zero subspace (spectral)."""
     def phi(lam):
@@ -307,11 +310,7 @@ def reproducing_check(g: WeightedGraph, f, beta: float, N: int,
     sum_{k<=N} a_k Delta^beta P^k f against f (mean-zero input)."""
     ft = require_mean_zero(g, f)
     acc = reproducing_series(g, beta, N).apply(ft)
-    if has_oracle(g):
-        out = delta_power_exact(g, acc, beta)
-    else:
-        out = delta_power(g, acc, beta, tol)
-    return lp_norm(g, out - ft, 2)
+    return lp_norm(g, delta_power_apply(g, acc, beta, tol) - ft, 2)
 
 
 # -- molecule generators A_s ------------------------------------------------
@@ -355,11 +354,8 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
         return out
     if isinstance(kind, QsKind):
         acc = np.zeros_like(out)
-        vec = out
-        W = markov_matrix(g)
-        for _ in range(kind.s):
+        for vec in powers(g, out, kind.s - 1):
             acc += vec
-            vec = W @ vec
         return acc / kind.s
     raise TypeError(f"unknown A_s kind: {kind!r}")
 
@@ -382,10 +378,7 @@ def _family_resolvent(g, f, s, M):
 
 
 def _family_resolvent_diff(g, f, s, M):
-    out = f
-    for _ in range(M):
-        out = out - resolvent_apply(g, out, int(s), 1.0)
-    return out
+    return a_s(g, f, BZ2Kind(int(s), M))
 
 
 def _family_grad_heat(g, f, s, M):

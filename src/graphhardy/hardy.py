@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (
+    BZ2Kind,
+    a_s,
     delta_inv_sqrt_exact,
     delta_inverse_exact,
-    delta_power,
-    delta_power_exact,
-    has_oracle,
+    delta_power_apply,
     require_mean_zero,
     resolvent_apply,
     resolvent_exact,
@@ -46,7 +46,7 @@ from .errors import (
     SizeBoundViolated,
     ValidationFailed,
 )
-from .graphs import Ball, WeightedGraph, annulus, ball, cached_geometry
+from .graphs import Ball, WeightedGraph, annuli_covering_range, ball, cached_geometry
 from .operators import (
     EdgeFunction,
     apply_P,
@@ -55,14 +55,16 @@ from .operators import (
     inner,
     lp_norm,
     lp_norm_forms,
-    markov_matrix,
     mean_project,
+    powers,
     tx_norms,
 )
 from .quadratic import SpaceTimeFunction, default_l_max, quad_norm, t1_norm
+from .riesz import h2_project
 from .tentspace import (
     TentAtom,
     atomic_decompose,
+    heat_prefix,
     horner_synthesis,
     reproducing_l_max,
 )
@@ -98,17 +100,6 @@ class ValidationReport:
     a_annulus_excess: float
 
 
-def _molecule_rings(mol: Molecule):
-    out = []
-    j = 1
-    while True:
-        out.append((j, annulus(mol.ball, j)))
-        if 2 ** (j + 1) * mol.ball.radius > mol.graph.diameter:
-            break
-        j += 1
-    return out
-
-
 def _restricted_l2(g, f, mask):
     return math.sqrt(float(np.sum(f[mask] ** 2 * g.m[mask]))) if mask.any() else 0.0
 
@@ -124,10 +115,7 @@ def rederive_molecule(mol: Molecule):
             out = out - apply_P(g, out, t)
         return out
     if mol.kind == "bz2":
-        out = np.asarray(mol.b, dtype=float)
-        for _ in range(mol.M):
-            out = out - resolvent_apply(g, out, mol.s, 1.0)
-        return out
+        return a_s(g, mol.b, BZ2Kind(mol.s, mol.M))
     if mol.kind == "bz2_tuple":
         # variant normalization: product of single resolvent differences
         out = np.asarray(mol.b, dtype=float)
@@ -177,6 +165,11 @@ def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=1e-9,
             if t < mol.s:
                 tuple_warning = True
 
+    # (ring, size bound) for every annulus; atoms are checked on the ball
+    rings = [] if math.isinf(mol.eps) else [
+        (ring, 2.0 ** (-ring.j * mol.eps) * mol.ball.scaled(2 ** ring.j).volume ** -0.5)
+        for ring in annuli_covering_range(mol.ball)
+    ]
     violations = []
     profile = []
     if math.isinf(mol.eps):
@@ -189,13 +182,11 @@ def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=1e-9,
             violations.append((0, stray, 0.0))
         if norm_b > bound * (1.0 + size_tol):
             violations.append((1, norm_b, bound))
-    else:
-        for j, ring in _molecule_rings(mol):
-            measured = _restricted_l2(g, np.asarray(mol.b), ring.mask)
-            bound = 2.0 ** (-j * mol.eps) * mol.ball.scaled(2 ** j).volume ** -0.5
-            profile.append(measured)
-            if measured > bound * (1.0 + size_tol):
-                violations.append((j, measured, bound))
+    for ring, bound in rings:
+        measured = _restricted_l2(g, np.asarray(mol.b), ring.mask)
+        profile.append(measured)
+        if measured > bound * (1.0 + size_tol):
+            violations.append((ring.j, measured, bound))
     if violations and raise_on_fail:
         j, measured, bound = violations[0]
         raise SizeBoundViolated(j, measured, bound)
@@ -207,12 +198,9 @@ def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=1e-9,
         l1 = lp_norm(g, a_ref, 1)
         level = np.abs(np.asarray(a_ref))
     excess = 0.0
-    if not math.isinf(mol.eps):
-        for j, ring in _molecule_rings(mol):
-            measured = _restricted_l2(g, level, ring.mask)
-            bound = 2.0 ** (-j * mol.eps) * mol.ball.scaled(2 ** j).volume ** -0.5
-            if bound > 0:
-                excess = max(excess, measured / bound)
+    for ring, bound in rings:
+        if bound > 0:
+            excess = max(excess, _restricted_l2(g, level, ring.mask) / bound)
 
     ok = fact_err <= fact_tol and not violations
     return ValidationReport(ok, fact_err, violations, tuple_warning, l1,
@@ -220,6 +208,27 @@ def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=1e-9,
 
 
 # -- synthesized molecules from tent atoms ---------------------------------
+
+def _normalized(mol: Molecule, fact_tol) -> Molecule:
+    """Set a = rederive_molecule(mol), divide b and a by the measured
+    annulus excess of b (kept in norm_constant) and revalidate, so the
+    returned molecule validates as-is."""
+    mol.a = rederive_molecule(mol)
+    excess = 1.0
+    for _, measured, bound in validate_molecule(mol, raise_on_fail=False).size_violations:
+        if bound > 0:
+            excess = max(excess, measured / bound * (1.0 + 1e-12))
+    mol.b = mol.b / excess
+    mol.a = mol.a / excess
+    mol.norm_constant = excess
+    report = validate_molecule(mol, fact_tol=fact_tol, raise_on_fail=False)
+    if not report.ok:
+        raise ValidationFailed(
+            f"synthesized {mol.kind} molecule fails validation: fact_err = "
+            f"{report.factorization_error:.3e}, violations = {report.size_violations}"
+        )
+    return mol
+
 
 def synthesis_eta(M: int, beta: float, eps: float, d0: float) -> int:
     """Integer eta with eta >= d0/4 + eps/2 + beta + M + 1 > eta - 1."""
@@ -257,42 +266,16 @@ def make_molecule_from_tent_atom(A: TentAtom, M: int, beta: float, eps: float,
     r = int(round(A.ball.radius))
     s = max(1, r * r)
     eta = synthesis_eta(M, beta, eps, d0)
-    exp = eta - beta - M
-    integer_exp = float(exp).is_integer()
 
     def prefix(v):
-        for _ in range(eta):
-            v = v + apply_P(g, v)
-        if integer_exp:
-            for _ in range(int(exp)):
-                v = v - apply_P(g, v)
-        else:
-            v = delta_power_exact(g, v, exp)
+        v = heat_prefix(g, v, eta, eta - beta - M)
         for _ in range(M):
             v = (v + s * (v - apply_P(g, v))) / s
         return v
 
     b = horner_synthesis(g, A.values.values, eta, beta, prefix)
-    a = b.copy()
-    for _ in range(M):
-        a = a - resolvent_apply(g, a, s, 1.0)
-
-    mol_ball = ball(g, A.ball.center, r)
-    mol = Molecule("bz2", M, eps, s, mol_ball, b, a)
-    excess = 1.0
-    for j, measured, bound in validate_molecule(mol, raise_on_fail=False).size_violations:
-        if bound > 0:
-            excess = max(excess, measured / bound * (1.0 + 1e-12))
-    mol.b = b / excess
-    mol.a = a / excess
-    mol.norm_constant = excess
-    report = validate_molecule(mol, fact_tol=fact_tol, raise_on_fail=False)
-    if not report.ok:
-        raise ValidationFailed(
-            f"synthesized molecule fails validation: fact_err = "
-            f"{report.factorization_error:.3e}, violations = {report.size_violations}"
-        )
-    return mol
+    mol = Molecule("bz2", M, eps, s, ball(g, A.ball.center, r), b, None)
+    return _normalized(mol, fact_tol)
 
 
 def make_form_molecule_from_tent_atom(A: TentAtom, M: int, eps: float,
@@ -310,36 +293,13 @@ def make_form_molecule_from_tent_atom(A: TentAtom, M: int, eps: float,
         raise ValueError("eta too small for the form pre-image")
 
     def prefix(v):
-        for _ in range(eta):
-            v = v + apply_P(g, v)
-        for _ in range(int(exp)):
-            v = v - apply_P(g, v)
+        v = heat_prefix(g, v, eta, exp)
         v = resolvent_exact(g, v, s, -(M + 0.5))  # ((I + s Delta))^{M+1/2}
         return v / s ** (M + 0.5)
 
     b = horner_synthesis(g, A.values.values, eta, 0.5, prefix)
-    v = b.copy()
-    for _ in range(M):
-        v = v - apply_P(g, v)
-    v = resolvent_apply(g, v, s, M + 0.5)
-    a = differential(g, s ** (M + 0.5) * v)
-
-    mol_ball = ball(g, A.ball.center, r)
-    mol = Molecule("form", M, eps, s, mol_ball, b, a)
-    excess = 1.0
-    for j, measured, bound in validate_molecule(mol, raise_on_fail=False).size_violations:
-        if bound > 0:
-            excess = max(excess, measured / bound * (1.0 + 1e-12))
-    mol.b = b / excess
-    mol.a = EdgeFunction(g, a.data / excess)
-    mol.norm_constant = excess
-    report = validate_molecule(mol, fact_tol=fact_tol, raise_on_fail=False)
-    if not report.ok:
-        raise ValidationFailed(
-            f"synthesized form molecule fails validation: fact_err = "
-            f"{report.factorization_error:.3e}, violations = {report.size_violations}"
-        )
-    return mol
+    mol = Molecule("form", M, eps, s, ball(g, A.ball.center, r), b, None)
+    return _normalized(mol, fact_tol)
 
 
 # -- molecular decompositions ------------------------------------------------
@@ -383,28 +343,17 @@ class MolecularDecomposition:
 
 def heat_profile(g: WeightedGraph, f, beta: float, l_max: int) -> SpaceTimeFunction:
     """F(., l) = [(l+1) Delta]^beta P^l f for l = 0..l_max."""
-    if has_oracle(g):
-        u = delta_power_exact(g, f, beta)
-    else:
-        u = delta_power(g, f, beta)
-    W = markov_matrix(g)
     vals = np.empty((g.n, l_max + 1))
-    for l in range(l_max + 1):
+    for l, u in enumerate(powers(g, delta_power_apply(g, f, beta), l_max)):
         vals[:, l] = (l + 1.0) ** beta * u
-        if l < l_max:
-            u = W @ u
     return SpaceTimeFunction(g, vals)
 
 
 def form_profile(g: WeightedGraph, w, l_max: int) -> SpaceTimeFunction:
     """F(., l) = sqrt(l+1) P^l w (w = d*G for the forms pipeline)."""
-    W = markov_matrix(g)
     vals = np.empty((g.n, l_max + 1))
-    u = np.asarray(w, dtype=float)
-    for l in range(l_max + 1):
+    for l, u in enumerate(powers(g, w, l_max)):
         vals[:, l] = math.sqrt(l + 1.0) * u
-        if l < l_max:
-            u = W @ u
     return SpaceTimeFunction(g, vals)
 
 
@@ -456,11 +405,8 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
 
 
 def is_exact_form(g: WeightedGraph, F: EdgeFunction, tol=1e-8) -> bool:
-    w = divergence(g, F)
-    w = mean_project(g, w)
-    u = delta_inverse_exact(g, w, 1.0)
-    dd = differential(g, u)
-    return lp_norm_forms(g, dd - F, 2) <= tol * max(1.0, lp_norm_forms(g, F, 2))
+    gap = lp_norm_forms(g, h2_project(g, F) - F, 2)
+    return gap <= tol * max(1.0, lp_norm_forms(g, F, 2))
 
 
 def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
@@ -560,22 +506,14 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     best = (-1.0, None)
     policies = set()
     if kind == "bz1":
-        kmax = 2 * s_max * M
-        PK = np.empty((g.n, kmax + 1))
-        PK[:, 0] = f
-        W = markov_matrix(g)
-        for k in range(1, kmax + 1):
-            PK[:, k] = W @ PK[:, k - 1]
+        PK = np.column_stack(list(powers(g, f, 2 * s_max * M)))
     rng = np.random.default_rng(seed)
     for s in range(1, s_max + 1):
         r = math.ceil(math.sqrt(s))
         mask = D < r
         vols = mask @ g.m
         if kind == "bz2":
-            u = f.copy()
-            for _ in range(M):
-                u = u - resolvent_apply(g, u, s, 1.0)
-            candidates = [((), u)]
+            candidates = [((), a_s(g, f, BZ2Kind(s, M)))]
             policies.add("exhaustive")
         elif kind == "bz1":
             exhaustive = s ** M <= TUPLE_EXHAUSTIVE_CAP
@@ -612,18 +550,10 @@ def m0_norm(g: WeightedGraph, phi, M: int, eps: float, x0: int,
     if phi_tilde is None:
         phi_tilde = require_mean_zero(g, phi)
         phi_tilde = delta_inverse_exact(g, phi_tilde, float(M))
-    out = 0.0
-    j = 1
-    while True:
-        ring = annulus(g_ball, j)
-        term = (2.0 ** (j * eps)
-                * math.sqrt(g_ball.scaled(2 ** j).volume)
-                * _restricted_l2(g, np.asarray(phi_tilde), ring.mask))
-        out = max(out, term)
-        if 2 ** (j + 1) * g_ball.radius > g.diameter:
-            break
-        j += 1
-    return out
+    return max(2.0 ** (ring.j * eps)
+               * math.sqrt(g_ball.scaled(2 ** ring.j).volume)
+               * _restricted_l2(g, np.asarray(phi_tilde), ring.mask)
+               for ring in annuli_covering_range(g_ball))
 
 
 def duality_pairing(g: WeightedGraph, f, decomp: MolecularDecomposition) -> float:

@@ -78,6 +78,22 @@ def apply_P(g: WeightedGraph, f, k: int = 1):
     return out
 
 
+def powers(g: WeightedGraph, f, L: int):
+    """Yield P^0 f, P^1 f, ..., P^L f with exactly L sparse products, and
+    nothing when L < 0; accepts (n,) or (n, batch).
+
+    The one home of the power sequence: outside this module only the
+    Horner scan of synthesis steps the Markov matrix itself."""
+    if L < 0:
+        return
+    W = markov_matrix(g)
+    u = np.asarray(f, dtype=float)
+    yield u
+    for _ in range(L):
+        u = W @ u
+        yield u
+
+
 def laplacian(g: WeightedGraph, f):
     return np.asarray(f, dtype=float) - apply_P(g, f)
 
@@ -174,6 +190,9 @@ class EdgeFunction:
         return EdgeFunction(self.graph, self.data * scalar)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return EdgeFunction(self.graph, self.data / scalar)
 
 
 def zero_form(g: WeightedGraph) -> EdgeFunction:

@@ -18,8 +18,7 @@ import numpy as np
 from .calculus import (
     delta_inv_sqrt,
     delta_inv_sqrt_exact,
-    delta_power,
-    delta_power_exact,
+    delta_power_apply,
     has_oracle,
     require_mean_zero,
     spectral,
@@ -28,30 +27,18 @@ from .errors import KernelComponent
 from .graphs import WeightedGraph
 from .operators import (
     EdgeFunction,
+    apply_P,
     divergence,
     inner,
     lp_norm,
-    markov_matrix,
     mean_project,
+    powers,
 )
 
 
 def default_l_max(g: WeightedGraph) -> int:
     """Smallest horizon at which every parabolic cone saturates."""
     return g.diameter ** 2 + 1
-
-
-def cone_members(g: WeightedGraph, x: int, l_max: int):
-    """Parabolic cone {(y, l) : d(x, y)^2 <= l <= l_max}; (x, 0) always
-    belongs."""
-    return [(int(y), l) for l in range(l_max + 1)
-            for y in np.where(g.dist[x] ** 2 <= l)[0]]
-
-
-def cone_members_tilde(g: WeightedGraph, x: int, k_max: int):
-    """Linear cone {(y, k) : d(x, y) <= k <= k_max}."""
-    return [(int(y), k) for k in range(k_max + 1)
-            for y in np.where(g.dist[x] <= k)[0]]
 
 
 @dataclass
@@ -97,18 +84,11 @@ def _cone_accumulate(g: WeightedGraph, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _heat_weights(g, f, beta, l_max, exact):
+def _heat_weights(g, f, beta, l_max):
     """(l+1)^{2 beta - 1} |Delta^beta P^l f(y)|^2 m(y) for l = 0..l_max."""
-    if exact:
-        u = delta_power_exact(g, f, beta)
-    else:
-        u = delta_power(g, f, beta)
-    W = markov_matrix(g)
     out = np.empty((g.n, l_max + 1))
-    for l in range(l_max + 1):
+    for l, u in enumerate(powers(g, delta_power_apply(g, f, beta), l_max)):
         out[:, l] = (l + 1.0) ** (2 * beta - 1) * u * u * g.m
-        if l < l_max:
-            u = W @ u
     return out
 
 
@@ -122,7 +102,7 @@ def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
     """
     if l_max is None:
         l_max = default_l_max(g)
-    w = _heat_weights(g, f, beta, l_max, exact=has_oracle(g))
+    w = _heat_weights(g, f, beta, l_max)
     return np.sqrt(_cone_accumulate(g, w))
 
 
@@ -169,18 +149,12 @@ def lusin_tilde(g: WeightedGraph, f, beta: float, k_max=None) -> np.ndarray:
     """
     if k_max is None:
         k_max = g.diameter + 1
-    if has_oracle(g):
-        u = delta_power_exact(g, f, beta)
-    else:
-        u = delta_power(g, f, beta)
-    W = markov_matrix(g)
+    u = delta_power_apply(g, f, beta)
     D = g.dist
     out = np.zeros(g.n)
-    steps_done = 0
     for k in range(k_max + 1):
-        while steps_done < k * k:
-            u = W @ u
-            steps_done += 1
+        if k:
+            u = apply_P(g, u, 2 * k - 1)  # P^{(k-1)^2} -> P^{k^2}
         scale = float(max(k, 1)) ** (2 * beta)
         # 1/(k+1) folded into w; the volume V(x, k+1) is (mask @ m)
         w = (scale * u * g.m) ** 2 / (k + 1.0)
@@ -194,16 +168,10 @@ def g_littlewood(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
     G_beta f(x)^2 = sum_{l=1..L} l^{2b-1} |Delta^b P^{l-1} f(x)|^2."""
     if l_max is None:
         l_max = default_l_max(g)
-    if has_oracle(g):
-        u = delta_power_exact(g, f, beta)
-    else:
-        u = delta_power(g, f, beta)
-    W = markov_matrix(g)
     acc = np.zeros(g.n)
-    for l in range(1, l_max + 1):
+    u0 = delta_power_apply(g, f, beta)
+    for l, u in enumerate(powers(g, u0, l_max - 1), start=1):
         acc += float(l) ** (2 * beta - 1) * u * u
-        if l < l_max:
-            u = W @ u
     return np.sqrt(acc)
 
 

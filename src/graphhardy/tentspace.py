@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import delta_power, delta_power_exact, has_oracle, spectral
+from .calculus import delta_power_apply, spectral
 from .errors import NonConvergent
 from .graphs import Ball, WeightedGraph, ball
 from .operators import apply_P, markov_matrix
@@ -220,28 +220,31 @@ def horner_synthesis(g: WeightedGraph, values: np.ndarray, eta: int,
     return acc
 
 
+def heat_prefix(g: WeightedGraph, V: np.ndarray, eta: int, exp: float,
+                tol=1e-10) -> np.ndarray:
+    """Delta^exp (I + P)^eta V, column by column on an (n, k) block.
+
+    The common head of every synthesis prefix.  An integer exp is
+    applied as exp factors V - P V (never through the oracle, so it is
+    the same on every graph size); a fractional exp goes through
+    `delta_power_apply`."""
+    for _ in range(eta):
+        V = V + apply_P(g, V)
+    if not float(exp).is_integer():
+        return delta_power_apply(g, V, exp, tol)
+    for _ in range(int(exp)):
+        V = V - apply_P(g, V)
+    return V
+
+
 def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
                  beta: float, tol=1e-10) -> np.ndarray:
     """Synthesis sum_{l>=1} (c_l^eta / l^beta)
     Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1), via `horner_synthesis`."""
     if eta < beta:
         raise ValueError("eta must be >= beta")
-    exp = eta - beta
-    integer_exp = float(exp).is_integer()
-
-    def prefix(v):
-        for _ in range(eta):
-            v = v + apply_P(g, v)
-        if integer_exp:
-            for _ in range(int(exp)):
-                v = v - apply_P(g, v)
-        elif has_oracle(g):
-            v = delta_power_exact(g, v, exp)
-        else:
-            v = delta_power(g, v, exp, tol)
-        return v
-
-    return horner_synthesis(g, F.values, eta, beta, prefix)
+    return horner_synthesis(g, F.values, eta, beta,
+                            lambda V: heat_prefix(g, V, eta, eta - beta, tol))
 
 
 def reproducing_l_max(g: WeightedGraph, eta: int, tol: float,

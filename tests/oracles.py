@@ -18,6 +18,19 @@ def _ball_volume(g, x, r):
     return sum(float(g.m[y]) for y in range(g.n) if g.dist[x, y] < r)
 
 
+def cone_members(g, x, l_max):
+    """Parabolic cone {(y, l) : d(x, y)^2 <= l <= l_max}; (x, 0) always
+    belongs."""
+    return [(int(y), l) for l in range(l_max + 1)
+            for y in np.where(g.dist[x] ** 2 <= l)[0]]
+
+
+def cone_members_tilde(g, x, k_max):
+    """Linear cone {(y, k) : d(x, y) <= k <= k_max}."""
+    return [(int(y), k) for k in range(k_max + 1)
+            for y in np.where(g.dist[x] <= k)[0]]
+
+
 def naive_lusin(g, f, beta, l_max):
     levels = [delta_power_exact(g, f, beta)]
     for _ in range(l_max):

@@ -10,6 +10,7 @@ from graphhardy.calculus import (
     a_s,
     binomial_coefficients,
     delta_power,
+    delta_power_apply,
     delta_power_exact,
     delta_power_series,
     exp_decay_bound,
@@ -23,7 +24,6 @@ from graphhardy.calculus import (
     resolvent_exact,
     resolvent_frac_series,
     spectral,
-    spectral_apply,
 )
 from graphhardy.errors import BadTuple, KernelComponent, OverlappingSets
 from graphhardy.graphs import geometry_report
@@ -44,7 +44,7 @@ def test_oracle_reproduces_P(cycle16):
     for i in range(cycle16.n):
         ei = np.eye(cycle16.n)[i]
         np.testing.assert_allclose(
-            spectral_apply(o, lambda lam: lam, ei), apply_P(cycle16, ei), atol=1e-10
+            o.apply(lambda lam: lam, ei), apply_P(cycle16, ei), atol=1e-10
         )
 
 
@@ -59,17 +59,17 @@ def test_oracle_spectrum_range(cycle16, torus8, k2l):
 def test_spectral_apply_k2l(k2l, f0):
     o = spectral(k2l)
     np.testing.assert_allclose(
-        spectral_apply(o, lambda lam: lam, [1.0, 0.0]), [0.5, 0.5], atol=1e-12
+        o.apply(lambda lam: lam, [1.0, 0.0]), [0.5, 0.5], atol=1e-12
     )
     np.testing.assert_allclose(
-        spectral_apply(o, lambda lam: np.sqrt(1 - lam), f0), f0, atol=1e-12
+        o.apply(lambda lam: np.sqrt(1 - lam), f0), f0, atol=1e-12
     )
 
 
 def test_spectral_singular_needs_mean_zero(k2l):
     o = spectral(k2l)
     with pytest.raises(KernelComponent):
-        spectral_apply(o, lambda lam: (1 - lam) ** -0.5, np.array([1.0, 1.0]))
+        o.apply(lambda lam: (1 - lam) ** -0.5, np.array([1.0, 1.0]))
 
 
 def test_binomial_coefficients_sqrt():
@@ -199,6 +199,14 @@ def test_reproducing_gap_prediction(cycle16, rng):
     err = reproducing_check(cycle16, f, 0.5, N)
     assert err <= 1e-6 * lp_norm(cycle16, f, 2)
     assert lam < 1.0
+
+
+def test_delta_power_apply_uses_oracle_when_affordable(torus8, rng):
+    f = rng.standard_normal(torus8.n)
+    for beta in (0.5, 1.0, 1.5):
+        np.testing.assert_array_equal(
+            delta_power_apply(torus8, f, beta), delta_power_exact(torus8, f, beta)
+        )
 
 
 def test_finite_propagation(cycle32):

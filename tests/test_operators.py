@@ -15,6 +15,7 @@ from graphhardy.operators import (
     lp_norm,
     lp_norm_forms,
     mean_project,
+    powers,
     random_mean_zero,
     save_edge_csv,
     save_vertex_csv,
@@ -32,6 +33,21 @@ def test_apply_P_stochastic(cycle16, rng):
     ones = np.ones(cycle16.n)
     for k in (1, 5, 17):
         np.testing.assert_allclose(apply_P(cycle16, ones, k), ones)
+
+
+def test_powers_match_apply_P(cycle16, rng):
+    for f in (rng.standard_normal(cycle16.n), rng.standard_normal((cycle16.n, 3))):
+        seq = list(powers(cycle16, f, 9))
+        assert len(seq) == 10
+        for l, u in enumerate(seq):
+            assert u.shape == f.shape
+            np.testing.assert_array_equal(u, apply_P(cycle16, f, l))
+    assert list(powers(cycle16, np.ones(cycle16.n), -1)) == []
+
+
+def test_edge_function_division(cycle8, rng):
+    F = differential(cycle8, rng.standard_normal(cycle8.n))
+    np.testing.assert_array_equal((F / 3.0).data, F.data / 3.0)
 
 
 def test_contraction(cycle16, torus8, rng):

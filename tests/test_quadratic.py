@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from oracles import (
+    cone_members,
+    cone_members_tilde,
     naive_g_littlewood,
     naive_lusin,
     naive_lusin_tilde,
     naive_tent_functional,
 )
 
-from graphhardy.calculus import BZ1Kind, a_s, spectral_apply, spectral
+from graphhardy import calculus
+from graphhardy.calculus import BZ1Kind, a_s, spectral
 from graphhardy.errors import KernelComponent
+from graphhardy.hardy import heat_profile
 from graphhardy.operators import (
     EdgeFunction,
     differential,
@@ -144,7 +148,7 @@ def test_quad_norm_forms_matches_function_version(cycle16, rng):
     F = differential(cycle16, h)
     lhs = quad_norm_forms(cycle16, F, 1.0)
     o = spectral(cycle16)
-    half = spectral_apply(o, lambda lam: np.sqrt(np.maximum(1 - lam, 0)), h)
+    half = o.apply(lambda lam: np.sqrt(np.maximum(1 - lam, 0)), h)
     rhs = quad_norm(cycle16, half, 1.0)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -189,7 +193,7 @@ def test_offdiagonal_decay_resolvent(torus12):
 
     def op(f):
         sym = lambda lam: (s * (1 - lam) / (1 + s * (1 - lam))) ** (M + 0.5)
-        return spectral_apply(spectral(torus12), sym, f)
+        return spectral(torus12).apply(sym, f)
 
     F = [0]
     f = np.zeros(torus12.n)
@@ -222,9 +226,24 @@ def test_lusin_tail_bound_controls_truncation(cycle16, rng):
     assert lusin_tail_bound(cycle16, f, 1.0, 1200) < 1e-8
 
 
-def test_cone_membership(cycle16):
-    from graphhardy.quadratic import cone_members, cone_members_tilde
+def test_series_path_matches_oracle_path(cycle32, rng, monkeypatch):
+    # above the oracle cap Delta^beta runs through the truncated series;
+    # at beta = 1 that series is exact, so both paths agree to rounding
+    f = random_mean_zero(cycle32, rng)
+    l_max = default_l_max(cycle32)
 
+    def run():
+        return (heat_profile(cycle32, f, 1.0, l_max).values,
+                lusin(cycle32, f, 1.0), g_littlewood(cycle32, f, 1.0))
+
+    oracle = run()
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    assert not calculus.has_oracle(cycle32)
+    for want, got in zip(oracle, run()):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_cone_membership(cycle16):
     pairs = cone_members(cycle16, 3, 6)
     assert (3, 0) in pairs
     for y, l in pairs:

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import graphhardy
 from graphhardy.errors import KernelComponent
 from graphhardy.operators import (
     EdgeFunction,
@@ -145,6 +147,11 @@ def test_riesz_experiment_chain_and_ratio(cycle32):
     assert math.isfinite(rep.max_ratio)
     grads = [e.grad_l1 for e in rep.entries]
     assert max(grads) / min(grads) <= 10.0
+
+
+def test_package_riesz_is_the_module():
+    assert graphhardy.riesz is sys.modules["graphhardy.riesz"]
+    assert graphhardy.riesz_transform is graphhardy.riesz.riesz
 
 
 def test_thread_cap_env(monkeypatch):
