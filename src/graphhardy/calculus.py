@@ -4,9 +4,19 @@ Two evaluation paths coexist.  The spectral oracle (dense
 eigendecomposition of the m-symmetrized walk) is exact and serves as
 the reference on desk-scale graphs; truncated power series are the
 scalable path and always carry an explicit tail bound, so the two can
-be compared at `tail_bound + eps`.  `delta_power_apply` (for Delta^beta)
-and `resolvent_apply` (for (I + s Delta)^{-power}) are the only places
-that choose between them.
+be compared at `tail_bound + eps`.  `delta_power_apply` (for Delta^beta),
+`resolvent_apply` (for (I + s Delta)^{-power}) and `sweep_apply` (for a
+symbol at every scale of a sweep) are the only places that choose
+between them.
+
+Scale sweeps (the sup over s of the BMO norm, the Davies-Gaffney decay
+curves) are evaluated as one block, one column per scale: the oracle
+applies an (n_eig, S) symbol table in one pass, and the series path
+applies an (N_max + 1, S) coefficient table, each column zero past its
+own truncation N_s, during one walk of the power sequence up to
+N_max = max_s N_s.  An M-fold composition of a truncated series is the
+same polynomial in P as the M-th convolution power of its coefficients,
+so it becomes one column too.
 
 On a finite connected graph ker Delta is the constants, so the
 operators with a singularity at the spectral point 1 (inverse square
@@ -15,6 +25,7 @@ root, reproducing sums) act on the m-mean-zero subspace only.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,7 +71,8 @@ class SpectralOracle:
         return float(np.abs(self.eigenvalues[:-1]).max())
 
     def apply(self, phi, f):
-        """phi(P) f for a scalar function phi on the spectrum.
+        """phi(P) f for a scalar function phi on the spectrum; a phi that
+        returns an (n_eig, S) table gives an (n, S) block for a vector f.
 
         Raises KernelComponent when phi is singular at an eigenvalue on
         which f has a non-negligible component.
@@ -69,19 +81,23 @@ class SpectralOracle:
         coeff = self.basis.T @ ((f.T * self.sqrt_m).T)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = np.asarray(phi(self.eigenvalues), dtype=float)
+        table = vals.ndim == 2
+        if table and f.ndim != 1:
+            raise ValueError("a symbol table applies to a single vector")
         bad = ~np.isfinite(vals)
         if bad.any():
-            comp = np.abs(coeff[bad])
+            rows = bad.any(axis=1) if table else bad
+            comp = np.abs(coeff[rows])
             scale = max(np.abs(coeff).max(initial=0.0), 1e-300)
             if comp.max(initial=0.0) > KERNEL_REL_TOL * scale:
                 raise KernelComponent(
                     "input has a component where the symbol is singular"
                 )
             coeff = coeff.copy()
-            coeff[bad] = 0.0
+            coeff[rows] = 0.0
             vals = vals.copy()
             vals[bad] = 0.0
-        out = self.basis @ (coeff.T * vals).T
+        out = self.basis @ (coeff[:, None] * vals if table else (coeff.T * vals).T)
         return (out.T / self.sqrt_m).T
 
 
@@ -118,27 +134,53 @@ def binomial_coefficients(exponent: float, count: int):
     return out
 
 
+# Powers P^k f stacked per GEMM when a coefficient table is applied.
+TABLE_CHUNK = 64
+
+
 @dataclass
 class SeriesOperator:
-    """Sum_k coeff_k P^k truncated at N with a certified tail bound."""
+    """Sum_k coeff_k P^k truncated at N with a certified tail bound.
+
+    `coeffs` is either one coefficient vector or a table of shape
+    (N_max + 1, S), one column per scale, each zero past its own
+    truncation; a table carries one tail bound per column."""
 
     graph: WeightedGraph
     kind: str
     coeffs: np.ndarray = field(repr=False)
-    tail_bound: float
+    tail_bound: object          # float, or an (S,) array for a table
 
     @property
     def truncation(self) -> int:
         return len(self.coeffs) - 1
 
     def apply(self, f):
-        """Evaluate on a vector or a stacked batch (n, k)."""
+        """Evaluate on a vector or a stacked batch (n, k); a table takes
+        a vector and returns an (n, S) block."""
         terms = powers(self.graph, f, self.truncation)
+        if self.coeffs.ndim == 2:
+            if np.ndim(f) != 1:
+                raise ValueError("a coefficient table applies to a single vector")
+            acc = 0.0    # TABLE_CHUNK powers at a time, one GEMM each
+            for start in range(0, len(self.coeffs), TABLE_CHUNK):
+                block = np.stack(list(itertools.islice(terms, TABLE_CHUNK)))
+                acc += block.T @ self.coeffs[start:start + len(block)]
+            return acc
         acc = self.coeffs[0] * next(terms)
         for c, vec in zip(self.coeffs[1:], terms):
             if c != 0.0:
                 acc = acc + c * vec
         return acc
+
+
+def series_table(g: WeightedGraph, kind: str, columns) -> SeriesOperator:
+    """One table from (coefficients, tail bound) pairs, one column each,
+    zero-padded to the longest."""
+    C = np.zeros((max(len(c) for c, _ in columns), len(columns)))
+    for j, (c, _) in enumerate(columns):
+        C[:len(c), j] = c
+    return SeriesOperator(g, kind, C, np.array([t for _, t in columns]))
 
 
 def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
@@ -295,8 +337,42 @@ def resolvent_exact(g: WeightedGraph, f, s: int, power=1.0):
     return spectral(g).apply(lambda lam: (1.0 + s * (1.0 - lam)) ** (-power), f)
 
 
-def resolvent_apply(g: WeightedGraph, f, s: int, power=1.0, tol=1e-12):
-    """Resolvent with automatic path choice (oracle when affordable)."""
+def sweep_apply(g: WeightedGraph, f, s_values, symbol, column):
+    """phi_s(P) f for every s in s_values as an (n, S) block, with
+    automatic path choice: one oracle apply of the (n_eig, S) table
+    symbol(lam[:, None], s) when affordable, else one series table whose
+    column j is column(s_j) = (coefficients, tail bound)."""
+    if has_oracle(g):
+        s_arr = np.asarray(s_values, dtype=float)
+        return spectral(g).apply(lambda lam: symbol(lam[:, None], s_arr), f)
+    kind = f"sweep({len(s_values)})"
+    return series_table(g, kind, [column(int(s)) for s in s_values]).apply(f)
+
+
+def _resolvent_column(g: WeightedGraph, s: int, power, tol):
+    """(I + s Delta)^{-power} as one table column: for an integer power
+    M the M-fold Neumann composition of `resolvent`, i.e. the M-th
+    convolution power of the step's coefficients (tail bound M times the
+    step's, every factor being a contraction); the (1 - z)^{-power}
+    series otherwise."""
+    if float(power).is_integer():
+        M = int(power)
+        step = resolvent_step_series(g, s, tol / max(M, 1))
+        col = np.ones(1)
+        for _ in range(M):
+            col = np.convolve(col, step.coeffs)
+        return col, M * step.tail_bound
+    op = resolvent_frac_series(g, s, power, tol)
+    return op.coeffs, op.tail_bound
+
+
+def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
+    """Resolvent with automatic path choice (oracle when affordable); a
+    sequence of scales gives an (n, S) block, one column per scale."""
+    if np.ndim(s):
+        return sweep_apply(
+            g, f, s, lambda lam, t: (1.0 + t * (1.0 - lam)) ** (-power),
+            lambda t: _resolvent_column(g, t, power, tol))
     if has_oracle(g):
         return resolvent_exact(g, f, s, power)
     if float(power).is_integer():
@@ -328,7 +404,7 @@ class BZ1Kind:
 
 @dataclass(frozen=True)
 class BZ2Kind:
-    s: int
+    s: object                  # int, or a tuple of ints for a sweep
     M: int
 
 
@@ -341,13 +417,22 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
     """Apply a molecule-generating operator.
 
     BZ1: (I - P^{s_1}) ... (I - P^{s_M});  BZ2: [I - (I+s Delta)^{-1}]^M;
-    Qs: the Cesaro average (1/s) sum_{k<s} P^k.
+    Qs: the Cesaro average (1/s) sum_{k<s} P^k.  A BZ2 kind whose s is a
+    sequence gives an (n, S) block, one column per scale.
     """
     out = np.asarray(f, dtype=float)
     if isinstance(kind, BZ1Kind):
         for t in kind.times:
             out = out - apply_P(g, out, t)
         return out
+    if isinstance(kind, BZ2Kind) and np.ndim(kind.s):
+        # [I - R]^M = I + sum_{j>=1} C(M, j) (-R)^j: the identity part is
+        # added exactly, so where f vanishes the block is as accurate as R f
+        def symbol(lam, t):
+            r = (1.0 + t * (1.0 - lam)) ** -1.0
+            return sum(math.comb(kind.M, j) * (-r) ** j for j in range(1, kind.M + 1))
+        return out[:, None] + sweep_apply(
+            g, out, kind.s, symbol, lambda t: _bz2_column(g, t, kind.M, tol))
     if isinstance(kind, BZ2Kind):
         for _ in range(kind.M):
             out = out - resolvent_apply(g, out, kind.s, 1.0, tol)
@@ -360,39 +445,68 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
     raise TypeError(f"unknown A_s kind: {kind!r}")
 
 
+def _bz2_column(g: WeightedGraph, s: int, M: int, tol):
+    """[I - R_N]^M - I = sum_{j>=1} C(M, j) (-R_N)^j as one table column,
+    R_N the resolvent step truncated as in `resolvent`; with ||I - R|| <= 1
+    and ||I - R_N|| <= 2 the tail bound is (2^M - 1) times the step's."""
+    step = resolvent_step_series(g, s, tol)
+    col = np.zeros(M * step.truncation + 1)
+    term = np.ones(1)
+    for j in range(1, M + 1):
+        term = np.convolve(term, -step.coeffs)
+        col[:len(term)] += math.comb(M, j) * term
+    return col, (2.0 ** M - 1.0) * step.tail_bound
+
+
 # -- Davies-Gaffney decay fits ----------------------------------------------
 
+def _heat_sweep(g, f, s_values):
+    """P^s f for every s as an (n, S) block from one power pass."""
+    steps = np.array([int(s) for s in s_values], dtype=int)
+    if steps.min() < 0:
+        raise ValueError("s must be >= 0")
+    out = np.empty((g.n, len(steps)))
+    for k, u in enumerate(powers(g, f, int(steps.max()))):
+        out[:, steps == k] = u[:, None]
+    return out
+
+
+def _gradient_columns(g, U, weights):
+    return np.column_stack([w * gradient(g, u) for w, u in zip(weights, U.T)])
+
+
 def _family_heat(g, f, s, M):
-    return apply_P(g, f, int(s))
+    return _heat_sweep(g, f, s)
 
 
 def _family_delta_heat(g, f, s, M):
-    out = apply_P(g, f, int(s))
+    out = _heat_sweep(g, f, s)
     for _ in range(M):
-        out = s * (out - apply_P(g, out))
+        out = np.asarray(s, dtype=float) * (out - apply_P(g, out))
     return out
 
 
 def _family_resolvent(g, f, s, M):
-    return resolvent_apply(g, f, int(s), float(M))
+    return resolvent_apply(g, f, [int(t) for t in s], float(M))
 
 
 def _family_resolvent_diff(g, f, s, M):
-    return a_s(g, f, BZ2Kind(int(s), M))
+    return a_s(g, f, BZ2Kind(tuple(int(t) for t in s), M))
 
 
 def _family_grad_heat(g, f, s, M):
-    return math.sqrt(s) * gradient(g, apply_P(g, f, int(s)))
+    return _gradient_columns(g, _heat_sweep(g, f, s), [math.sqrt(t) for t in s])
 
 
 def _family_grad_resolvent(g, f, s, M):
-    out = resolvent_apply(g, f, int(s), M + 0.5)
+    out = resolvent_apply(g, f, [int(t) for t in s], M + 0.5)
     for _ in range(M):
         out = out - apply_P(g, out)
-    return s ** (M + 0.5) * gradient(g, out)
+    return _gradient_columns(g, out, [t ** (M + 0.5) for t in s])
 
 
-# family name -> (apply(g, f, s, M), decay exponent eta)
+# family name -> (apply(g, f, s_values, M) -> (n, S) block, one column
+# per scale; decay exponent eta)
 FAMILIES = {
     "heat": (_family_heat, 1.0),
     "delta_heat": (_family_delta_heat, 1.0),
@@ -437,7 +551,8 @@ def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit
     and fit log ratio = log C - c (d(E,F)^2 / s)^eta.
 
     Exact zeros (finite propagation speed) are dropped from the fit but
-    kept in the recorded curve.
+    kept in the recorded curve.  s_range may be any iterable (it is read
+    once); all its scales are evaluated as one block.
     """
     E = np.asarray(list(E), dtype=int)
     F = np.asarray(list(F), dtype=int)
@@ -448,12 +563,10 @@ def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit
     f = np.zeros(g.n)
     f[F] = 1.0
     f /= lp_norm(g, f, 2)
-    ratios = []
-    for s in s_range:
-        u = apply_fn(g, f, s, M)
-        ratios.append(float(np.sqrt(np.sum(u[E] ** 2 * g.m[E]))))
-    ratios = np.array(ratios)
-    s_arr = np.asarray(list(s_range), dtype=float)
+    s_values = list(s_range)
+    U = apply_fn(g, f, s_values, M) if s_values else np.empty((g.n, 0))
+    ratios = np.array([float(np.sqrt(np.sum(u[E] ** 2 * g.m[E]))) for u in U.T])
+    s_arr = np.asarray(s_values, dtype=float)
     pos = ratios > 0
     if pos.sum() >= 2:
         y = np.log(ratios[pos])

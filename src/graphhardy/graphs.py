@@ -224,6 +224,13 @@ def ball(g: WeightedGraph, x: int, r) -> Ball:
     return Ball(g, x, r, mask, g.volume(mask))
 
 
+def ball_matrix(g: WeightedGraph, r) -> sp.csr_matrix:
+    """Sparse 0/1 matrix whose row x is the indicator of the strict ball
+    B(x, r), so (B @ (u m))(x) is the mass of u m on B(x, r)."""
+    rows, cols = np.nonzero(g.dist < r)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+
+
 @dataclass
 class Annulus:
     """C_j(B) = 2^{j+1} B \\ 2^j B for j >= 2, and C_1(B) = 4B."""

@@ -46,7 +46,14 @@ from .errors import (
     SizeBoundViolated,
     ValidationFailed,
 )
-from .graphs import Ball, WeightedGraph, annuli_covering_range, ball, cached_geometry
+from .graphs import (
+    Ball,
+    WeightedGraph,
+    annuli_covering_range,
+    ball,
+    ball_matrix,
+    cached_geometry,
+)
 from .operators import (
     EdgeFunction,
     apply_P,
@@ -131,7 +138,39 @@ def rederive_molecule(mol: Molecule):
     raise ValueError(f"unknown molecule kind {mol.kind!r}")
 
 
-def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=1e-9,
+SIZE_TOL = 1e-9
+
+
+def _size_profile(mol: Molecule, size_tol=SIZE_TOL):
+    """(rings, violations, profile) of b: every annulus with its size
+    bound, the (j, measured, bound) entries that exceed it and the
+    measured masses; atoms are checked on the ball instead."""
+    g = mol.graph
+    rings = [] if math.isinf(mol.eps) else [
+        (ring, 2.0 ** (-ring.j * mol.eps) * mol.ball.scaled(2 ** ring.j).volume ** -0.5)
+        for ring in annuli_covering_range(mol.ball)
+    ]
+    violations = []
+    profile = []
+    if math.isinf(mol.eps):
+        outside = ~mol.ball.mask
+        stray = float(np.abs(np.asarray(mol.b)[outside]).max(initial=0.0))
+        norm_b = lp_norm(g, mol.b, 2)
+        bound = mol.ball.volume ** -0.5
+        profile.append(norm_b)
+        if stray > 0.0:
+            violations.append((0, stray, 0.0))
+        if norm_b > bound * (1.0 + size_tol):
+            violations.append((1, norm_b, bound))
+    for ring, bound in rings:
+        measured = _restricted_l2(g, np.asarray(mol.b), ring.mask)
+        profile.append(measured)
+        if measured > bound * (1.0 + size_tol):
+            violations.append((ring.j, measured, bound))
+    return rings, violations, profile
+
+
+def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=SIZE_TOL,
                       raise_on_fail=True) -> ValidationReport:
     """Check factorization, annulus size bounds and measure the L^1 mass.
 
@@ -165,28 +204,7 @@ def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=1e-9,
             if t < mol.s:
                 tuple_warning = True
 
-    # (ring, size bound) for every annulus; atoms are checked on the ball
-    rings = [] if math.isinf(mol.eps) else [
-        (ring, 2.0 ** (-ring.j * mol.eps) * mol.ball.scaled(2 ** ring.j).volume ** -0.5)
-        for ring in annuli_covering_range(mol.ball)
-    ]
-    violations = []
-    profile = []
-    if math.isinf(mol.eps):
-        outside = ~mol.ball.mask
-        stray = float(np.abs(np.asarray(mol.b)[outside]).max(initial=0.0))
-        norm_b = lp_norm(g, mol.b, 2)
-        bound = mol.ball.volume ** -0.5
-        profile.append(norm_b)
-        if stray > 0.0:
-            violations.append((0, stray, 0.0))
-        if norm_b > bound * (1.0 + size_tol):
-            violations.append((1, norm_b, bound))
-    for ring, bound in rings:
-        measured = _restricted_l2(g, np.asarray(mol.b), ring.mask)
-        profile.append(measured)
-        if measured > bound * (1.0 + size_tol):
-            violations.append((ring.j, measured, bound))
+    rings, violations, profile = _size_profile(mol, size_tol)
     if violations and raise_on_fail:
         j, measured, bound = violations[0]
         raise SizeBoundViolated(j, measured, bound)
@@ -215,7 +233,8 @@ def _normalized(mol: Molecule, fact_tol) -> Molecule:
     returned molecule validates as-is."""
     mol.a = rederive_molecule(mol)
     excess = 1.0
-    for _, measured, bound in validate_molecule(mol, raise_on_fail=False).size_violations:
+    _, violations, _ = _size_profile(mol)
+    for _, measured, bound in violations:
         if bound > 0:
             excess = max(excess, measured / bound * (1.0 + 1e-12))
     mol.b = mol.b / excess
@@ -470,22 +489,23 @@ class BmoReport:
         )
 
 
-def _bz1_apply_from_powers(PK: np.ndarray, f, times) -> np.ndarray:
-    """(I - P^{s_1})...(I - P^{s_M}) f via precomputed P^k f columns."""
-    out = np.zeros_like(f)
-    M = len(times)
+def _bz1_block(PK: np.ndarray, tuples) -> np.ndarray:
+    """(I - P^{s_1})...(I - P^{s_M}) f for each tuple, one column each,
+    from the precomputed P^k f columns of PK."""
+    M = len(tuples[0])
+    T = np.array(tuples, dtype=int).reshape(len(tuples), M)
+    out = np.zeros((PK.shape[0], len(tuples)))
     for bits in range(1 << M):
-        k = 0
-        sign = 1.0
-        for i in range(M):
-            if bits >> i & 1:
-                k += times[i]
-                sign = -sign
-        out += sign * PK[:, k]
+        chosen = [(bits >> i) & 1 for i in range(M)]
+        sign = -1.0 if sum(chosen) % 2 else 1.0
+        out += sign * PK[:, T @ np.array(chosen, dtype=int)]
     return out
 
 
 TUPLE_EXHAUSTIVE_CAP = 4096
+# Candidates whose local masses are computed together; bounds the block
+# (n, BMO_BLOCK) however many tuples an exhaustive enumeration yields.
+BMO_BLOCK = 256
 
 
 def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
@@ -496,26 +516,35 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     bz1 tuples are enumerated exhaustively while s^M <= 4096, otherwise
     the endpoint tuples plus 32 seeded samples are used;
     `tuple_policy` in {"auto", "exhaustive", "sampled"} overrides.
+    The bz2 candidates of every s come from one sweep; local masses are
+    taken with one sparse ball matrix per radius, on blocks of at most
+    BMO_BLOCK candidates, walked in order (the first strict maximum wins).
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     if tuple_policy not in ("auto", "exhaustive", "sampled"):
         raise ValueError("tuple_policy must be auto, exhaustive or sampled")
+    if kind not in ("bz1", "bz2"):
+        raise ValueError("kind must be 'bz1' or 'bz2'")
     f = np.asarray(f, dtype=float)
-    D = g.dist
     best = (-1.0, None)
     policies = set()
+    balls = {}
     if kind == "bz1":
         PK = np.column_stack(list(powers(g, f, 2 * s_max * M)))
+    else:
+        A = a_s(g, f, BZ2Kind(tuple(range(1, s_max + 1)), M))
     rng = np.random.default_rng(seed)
     for s in range(1, s_max + 1):
         r = math.ceil(math.sqrt(s))
-        mask = D < r
-        vols = mask @ g.m
+        if r not in balls:
+            B = ball_matrix(g, r)
+            balls[r] = (B, B @ g.m)
+        B, vols = balls[r]
         if kind == "bz2":
-            candidates = [((), a_s(g, f, BZ2Kind(s, M)))]
+            tuples = [()]
             policies.add("exhaustive")
-        elif kind == "bz1":
+        else:
             exhaustive = s ** M <= TUPLE_EXHAUSTIVE_CAP
             if tuple_policy != "auto":
                 exhaustive = tuple_policy == "exhaustive"
@@ -528,16 +557,16 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
                            for _ in range(32)]
                 tuples = corner + sampled
                 policies.add("sampled")
-            candidates = ((t, _bz1_apply_from_powers(PK, f, t)) for t in tuples)
-        else:
-            raise ValueError("kind must be 'bz1' or 'bz2'")
-        for times, u in candidates:
-            local = (mask @ (u * u * g.m)) / vols
-            x = int(np.argmax(local))
-            val = math.sqrt(float(local[x]))
-            if val > best[0]:
-                best = (val, {"s": s, "times": list(times), "center": x,
-                              "radius": r})
+        tuples = iter(tuples)
+        while chunk := list(itertools.islice(tuples, BMO_BLOCK)):
+            U = A[:, s - 1:s] if kind == "bz2" else _bz1_block(PK, chunk)
+            local = (B @ (U * U * g.m[:, None])) / vols[:, None]
+            xs = np.argmax(local, axis=0)
+            vals = np.sqrt(local[xs, np.arange(len(chunk))])
+            j = int(np.argmax(vals))
+            if vals[j] > best[0]:
+                best = (float(vals[j]), {"s": s, "times": list(chunk[j]),
+                                         "center": int(xs[j]), "radius": r})
     policy = "+".join(sorted(policies))
     return BmoReport(kind, M, best[0], best[1], policy)
 

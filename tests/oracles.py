@@ -6,12 +6,13 @@ from scratch; the optimized cone iteration in the package is checked
 against these.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from graphhardy.calculus import delta_power_exact
-from graphhardy.operators import apply_P
+from graphhardy.calculus import BZ2Kind, a_s, delta_power_exact, resolvent_apply
+from graphhardy.operators import apply_P, gradient, powers
 
 
 def _ball_volume(g, x, r):
@@ -107,3 +108,67 @@ def naive_tent_members(g, ball_mask, l_max):
             if d * d > k:
                 out.add((y, k))
     return out
+
+
+def family_per_s(g, family, f, s, M):
+    """One Davies-Gaffney family at one scale, by scalar calls (the
+    per-scale reference for the sweeps of `calculus.FAMILIES`)."""
+    if family in ("heat", "delta_heat", "grad_heat"):
+        out = apply_P(g, f, int(s))
+        if family == "delta_heat":
+            for _ in range(M):
+                out = s * (out - apply_P(g, out))
+        if family == "grad_heat":
+            out = math.sqrt(s) * gradient(g, out)
+        return out
+    if family == "resolvent":
+        return resolvent_apply(g, f, int(s), float(M))
+    if family == "resolvent_diff":
+        return a_s(g, f, BZ2Kind(int(s), M))
+    if family == "grad_resolvent":
+        out = resolvent_apply(g, f, int(s), M + 0.5)
+        for _ in range(M):
+            out = out - apply_P(g, out)
+        return s ** (M + 0.5) * gradient(g, out)
+    raise ValueError(family)
+
+
+def bmo_norm_per_s(g, f, kind, M, s_max, tuple_policy="auto", seed=0):
+    """(value, argmax) of `hardy.bmo_norm` one scale and one candidate
+    at a time: a scalar `a_s` per s for bz2, a dense ball mask per s."""
+    f = np.asarray(f, dtype=float)
+    best = (-1.0, None)
+    PK = np.column_stack(list(powers(g, f, 2 * s_max * M)))
+    rng = np.random.default_rng(seed)
+    for s in range(1, s_max + 1):
+        r = math.ceil(math.sqrt(s))
+        mask = g.dist < r
+        vols = mask @ g.m
+        if kind == "bz2":
+            candidates = [((), a_s(g, f, BZ2Kind(s, M)))]
+        else:
+            exhaustive = s ** M <= 4096
+            if tuple_policy != "auto":
+                exhaustive = tuple_policy == "exhaustive"
+            if exhaustive:
+                tuples = itertools.product(range(s, 2 * s + 1), repeat=M)
+            else:
+                corner = list(itertools.product((s, 2 * s), repeat=M))
+                sampled = [tuple(rng.integers(s, 2 * s + 1, size=M))
+                           for _ in range(32)]
+                tuples = corner + sampled
+            candidates = []
+            for times in tuples:
+                u = np.zeros_like(f)
+                for bits in range(1 << M):
+                    chosen = [i for i in range(M) if bits >> i & 1]
+                    u += (-1.0) ** len(chosen) * PK[:, sum(times[i] for i in chosen)]
+                candidates.append((times, u))
+        for times, u in candidates:
+            local = (mask @ (u * u * g.m)) / vols
+            x = int(np.argmax(local))
+            val = math.sqrt(float(local[x]))
+            if val > best[0]:
+                best = (val, {"s": s, "times": list(times), "center": x,
+                              "radius": r})
+    return best

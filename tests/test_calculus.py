@@ -228,6 +228,16 @@ def test_gaffney_cycle():
     assert fit0.ratios == [0.0, 0.0, 0.0]
 
 
+def test_gaffney_reads_s_range_once(cycle32):
+    fit = gaffney_fit(cycle32, "heat", [16], [0], (s for s in [4, 8, 16]))
+    ref = gaffney_fit(cycle32, "heat", [16], [0], [4, 8, 16])
+    assert fit.s_values == [4.0, 8.0, 16.0]
+    assert fit.ratios == ref.ratios and fit.n_points == ref.n_points == 1
+    fit = gaffney_fit(cycle32, "heat", [16], [0], (s for s in [20, 40, 80]))
+    assert fit.s_values == [20.0, 40.0, 80.0] and fit.n_points == 3
+    assert fit.c > 0
+
+
 def test_gaffney_resolvent_torus(torus12):
     E = [6 * 12 + 6]
     fit = gaffney_fit(torus12, "resolvent", E, [0], [1, 2, 4, 8, 16, 32])

@@ -115,6 +115,24 @@ def test_make_molecule_k2l_matches_direct_sum(k2l):
     assert validate_molecule(mol).ok
 
 
+@pytest.mark.parametrize("make", [
+    lambda A: make_molecule_from_tent_atom(A, 1, 1.0, 1.0),
+    lambda A: make_form_molecule_from_tent_atom(A, 1, 1.0),
+])
+def test_synthesis_derives_a_twice(monkeypatch, cycle32, make):
+    # once to set a, once in the final validation; the excess of b is
+    # measured without rederiving
+    from graphhardy import hardy
+
+    calls = []
+    rederive = hardy.rederive_molecule
+    monkeypatch.setattr(hardy, "rederive_molecule",
+                        lambda mol: calls.append(mol) or rederive(mol))
+    mol = make(_unit_tent_atom(cycle32, 5, 4, 20))
+    assert len(calls) == 2 and all(c is mol for c in calls)
+    assert mol.norm_constant > 1.0
+
+
 def test_zero_atom_zero_molecule(cycle16):
     B = ball(cycle16, 0, 2)
     A = TentAtom(B, SpaceTimeFunction(cycle16, np.zeros((cycle16.n, 5))),
