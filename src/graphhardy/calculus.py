@@ -137,6 +137,9 @@ def binomial_coefficients(exponent: float, count: int):
 # Powers P^k f stacked per GEMM when a coefficient table is applied.
 TABLE_CHUNK = 64
 
+# Coefficients of a fractional resolvent series built per vectorized step.
+FRAC_CHUNK = 2048
+
 
 @dataclass
 class SeriesOperator:
@@ -253,28 +256,36 @@ def resolvent_step_series(g: WeightedGraph, s: int, tol: float,
 
 def resolvent_frac_series(g: WeightedGraph, s: int, power: float, tol: float,
                           n_max=2000000) -> SeriesOperator:
-    """(I + s Delta)^{-power} via the (1 - z)^{-power} series."""
+    """(I + s Delta)^{-power} via the (1 - z)^{-power} series.
+
+    c_k = (1+s)^{-power} a_k q^k with q = s/(1+s) and a_k the
+    coefficients of (1 - z)^{-power}; N is the first k >= 1 whose
+    certified tail pref a_{k+1} q^{k+1} / (1 - rho_k), with
+    rho_k = sup_{j >= k+1} q (j+power)/(j+1), is <= tol.  The a_k are
+    built FRAC_CHUNK at a time by a running product.
+    """
     if s < 1:
         raise ValueError("s must be >= 1")
     q = s / (1.0 + s)
     pref = (1.0 + s) ** (-power)
-    a = 1.0
-    coeffs = [pref * a]
-    k = 0
+    chunks = [np.array([pref])]
+    a, start = 1.0, 1
     while True:
-        a = a * (k + power) / (k + 1)
-        k += 1
-        coeffs.append(pref * a * q ** k)
-        # tail ratio sup_{j >= k+1} q (j+power)/(j+1)
-        rho = q * max((k + 1 + power) / (k + 2), 1.0)
-        if rho < 1.0:
-            a_next = a * (k + power) / (k + 1)
-            tail = pref * a_next * q ** (k + 1) / (1.0 - rho)
-            if tail <= tol:
-                break
-        if k > n_max:
+        k = np.arange(start, min(start + FRAC_CHUNK, n_max + 2), dtype=float)
+        if not len(k):
             raise NonConvergent(f"resolvent_frac: tol {tol} unreachable")
-    return SeriesOperator(g, f"resolvent_frac({s},{power})", np.array(coeffs), tail)
+        ak = a * np.cumprod((k - 1.0 + power) / k)
+        rho = q * np.maximum((k + 1.0 + power) / (k + 2.0), 1.0)
+        with np.errstate(divide="ignore"):
+            tail = pref * (ak * (k + power) / (k + 1.0)) * q ** (k + 1.0) / (1.0 - rho)
+        hit = np.flatnonzero((rho < 1.0) & (tail <= tol))
+        stop = hit[0] + 1 if len(hit) else len(k)
+        chunks.append(pref * ak[:stop] * q ** k[:stop])
+        if len(hit):
+            coeffs = np.concatenate(chunks)
+            return SeriesOperator(g, f"resolvent_frac({s},{power})", coeffs,
+                                  float(tail[hit[0]]))
+        a, start = ak[-1], start + len(k)
 
 
 def reproducing_series(g: WeightedGraph, beta: float, N: int) -> SeriesOperator:

@@ -21,6 +21,17 @@ from .errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
 # enumeration to sampling.
 N_EXHAUSTIVE = 2000
 
+# Tables built from `dist` a block of rows at a time hold about this many
+# entries per block, so none of them needs an n x n temporary.
+ROW_BLOCK_ENTRIES = 1 << 18
+
+
+def row_blocks(rows, n):
+    """Consecutive slices of `rows` holding about ROW_BLOCK_ENTRIES / n
+    rows of an n-column table each."""
+    step = max(1, ROW_BLOCK_ENTRIES // n)
+    return [rows[lo:lo + step] for lo in range(0, len(rows), step)]
+
 
 class WeightedGraph:
     """Connected weighted graph with cached metric structure.
@@ -65,6 +76,7 @@ class WeightedGraph:
         self.max_degree = int(self.degrees.max())
         self._dist = None
         self._diameter = None
+        self._ball_volumes = None
         self._rev_edges = None
         self._oracle = None
         self._geometry = None
@@ -87,6 +99,25 @@ class WeightedGraph:
         if self._diameter is None:
             self._diameter = int(self.dist.max())
         return self._diameter
+
+    @property
+    def ball_volumes(self):
+        """V[x, r] = m({y : d(x, y) <= r}), the volume of B(x, r + 1), for
+        r = 0..diameter (the last column is the total volume), built once
+        from shell masses with one bincount per block of rows.  Two
+        threads building it at once only repeat the same work."""
+        if self._ball_volumes is None:
+            width = self.diameter + 1
+            V = np.empty((self.n, width))
+            for rows in row_blocks(np.arange(self.n), self.n):
+                b = len(rows)
+                cells = self.dist[rows].astype(np.intp)
+                cells += np.arange(b)[:, None] * width
+                shells = np.bincount(cells.ravel(), weights=np.tile(self.m, b),
+                                     minlength=b * width)
+                V[rows] = np.cumsum(shells.reshape(b, width), axis=1)
+            self._ball_volumes = V
+        return self._ball_volumes
 
     def total_volume(self):
         return float(self.m.sum())

@@ -66,7 +66,7 @@ from .operators import (
     powers,
     tx_norms,
 )
-from .quadratic import SpaceTimeFunction, default_l_max, quad_norm, t1_norm
+from .quadratic import SpaceTimeFunction, default_l_max, quad_norm
 from .riesz import h2_project
 from .tentspace import (
     TentAtom,
@@ -413,7 +413,7 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
         )
     # F(., l)^2 / (l+1) is the Lusin weight of f at level l, so the
     # quadratic norm ||L_beta f||_1 is the T^1_2 norm of the profile
-    qn = t1_norm(g, F)
+    qn = tdec.t1_norm
     return MolecularDecomposition(
         coefficients,
         float(sum(abs(l) for l, _ in coefficients)),

@@ -21,7 +21,7 @@ import numpy as np
 from .calculus import delta_power_apply, spectral
 from .errors import NonConvergent
 from .graphs import Ball, WeightedGraph, ball
-from .operators import apply_P, markov_matrix
+from .operators import apply_P, lp_norm, markov_matrix
 from .quadratic import SpaceTimeFunction, tent_functional
 
 
@@ -63,6 +63,7 @@ class TentDecomposition:
     coefficients: list  # (lambda_i, TentAtom)
     residual_t22: float
     sum_abs_lambda: float
+    t1_norm: float = 0.0  # ||A F||_1 of the decomposed F
 
     def to_json(self):
         return json.dumps(
@@ -112,9 +113,10 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
     vals = F.values
     l_max = F.l_max
     AF = tent_functional(g, F)
+    t1 = lp_norm(g, AF, 1)
     nonzero = vals != 0.0
     if not nonzero.any():
-        return TentDecomposition([], 0.0, 0.0)
+        return TentDecomposition([], 0.0, 0.0, t1)
     pos = AF[AF > 0]
     k_lo = math.floor(math.log2(pos.min())) - 1
     k_hi = math.ceil(math.log2(AF.max()))
@@ -171,7 +173,7 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
             f"tent decomposition residual {residual:.3e} above tol {tol:.3e}"
         )
     sum_abs = float(sum(abs(lam) for lam, _ in coefficients))
-    return TentDecomposition(coefficients, float(residual), sum_abs)
+    return TentDecomposition(coefficients, float(residual), sum_abs, t1)
 
 
 # -- synthesis ----------------------------------------------------------------

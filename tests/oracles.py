@@ -40,9 +40,9 @@ def naive_lusin(g, f, beta, l_max):
     for x in range(g.n):
         acc = 0.0
         for l in range(l_max + 1):
+            vol = _ball_volume(g, x, math.ceil(math.sqrt(l + 1)))
             for y in range(g.n):
                 if g.dist[x, y] ** 2 <= l:
-                    vol = _ball_volume(g, x, math.ceil(math.sqrt(l + 1)))
                     acc += ((l + 1) ** (2 * beta - 1) / vol
                             * levels[l][y] ** 2 * g.m[y])
         out[x] = math.sqrt(acc)
@@ -64,9 +64,9 @@ def naive_lusin_tilde(g, f, beta, k_max):
         acc = 0.0
         for k in range(k_max + 1):
             scale = float(max(k, 1)) ** (2 * beta)
+            vol = _ball_volume(g, x, k + 1)
             for y in range(g.n):
                 if g.dist[x, y] <= k:
-                    vol = _ball_volume(g, x, k + 1)
                     acc += (scale * powers[k][y] * g.m[y]) ** 2 / ((k + 1) * vol)
         out[x] = math.sqrt(acc)
     return out
@@ -87,9 +87,9 @@ def naive_tent_functional(g, F):
     for x in range(g.n):
         acc = 0.0
         for k in range(vals.shape[1]):
+            vol = _ball_volume(g, x, math.ceil(math.sqrt(k + 1)))
             for y in range(g.n):
                 if g.dist[x, y] ** 2 <= k:
-                    vol = _ball_volume(g, x, math.ceil(math.sqrt(k + 1)))
                     acc += vals[y, k] ** 2 * g.m[y] / ((k + 1) * vol)
         out[x] = math.sqrt(acc)
     return out
@@ -108,6 +108,28 @@ def naive_tent_members(g, ball_mask, l_max):
             if d * d > k:
                 out.add((y, k))
     return out
+
+
+def resolvent_frac_coefficients(s, power, tol):
+    """(coefficients, tail bound) of `calculus.resolvent_frac_series`, one
+    term at a time: the truncation is the first k >= 1 whose certified
+    tail is <= tol."""
+    q = s / (1.0 + s)
+    pref = (1.0 + s) ** (-power)
+    a = 1.0
+    coeffs = [pref * a]
+    k = 0
+    while True:
+        a = a * (k + power) / (k + 1)
+        k += 1
+        coeffs.append(pref * a * q ** k)
+        # tail ratio sup_{j >= k+1} q (j+power)/(j+1)
+        rho = q * max((k + 1 + power) / (k + 2), 1.0)
+        if rho < 1.0:
+            a_next = a * (k + power) / (k + 1)
+            tail = pref * a_next * q ** (k + 1) / (1.0 - rho)
+            if tail <= tol:
+                return np.array(coeffs), tail
 
 
 def family_per_s(g, family, f, s, M):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import resolvent_frac_coefficients
 
 from graphhardy.calculus import (
     BZ1Kind,
@@ -141,6 +142,18 @@ def test_resolvent_frac_series(cycle16, rng):
         exact = resolvent_exact(cycle16, f, s, power)
         err = lp_norm(cycle16, op.apply(f) - exact, 2)
         assert err <= (op.tail_bound + 1e-9) * lp_norm(cycle16, f, 2)
+
+
+@pytest.mark.parametrize("power", [0.5, 1.5])
+@pytest.mark.parametrize("s", [1, 40, 512])
+def test_resolvent_frac_series_matches_loop(cycle16, s, power):
+    # the chunked running product keeps the term-by-term truncation and
+    # stays within a few dozen roundings of the loop's coefficients
+    want, tail = resolvent_frac_coefficients(s, power, 1e-12)
+    op = resolvent_frac_series(cycle16, s, power, 1e-12)
+    assert op.truncation == len(want) - 1
+    np.testing.assert_allclose(op.coeffs, want, rtol=2e-14, atol=0)
+    assert op.tail_bound == pytest.approx(tail, rel=2e-14, abs=0)
 
 
 def test_a_s_kills_constants(cycle16):

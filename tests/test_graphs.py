@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphhardy import zoo
+from graphhardy import graphs, zoo
 from graphhardy.errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
 from graphhardy.graphs import (
     annuli,
@@ -86,6 +86,28 @@ def test_ball_volume_monotone(cycle16):
     for r in range(1, cycle16.diameter + 1):
         if vols[r - 1] < total:
             assert vols[r] > vols[r - 1]
+
+
+@pytest.mark.parametrize("block_rows", [3, None])
+@pytest.mark.parametrize("build", [
+    zoo.k2l,
+    lambda: zoo.lazy_torus_2d(6),
+    lambda: zoo.random_weights(zoo.lazy_cycle(16), 2),
+    lambda: zoo.binary_tree(4),
+    lambda: zoo.lazy_path(12),
+], ids=["k2l", "torus6", "jittered_cycle16", "tree4", "path12"])
+def test_ball_volumes_match_balls(build, block_rows, monkeypatch):
+    # V[x, r] is the volume of the strict ball B(x, r + 1), built in row
+    # blocks (3 rows each, or the default size)
+    g = build()
+    if block_rows:
+        monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", block_rows * g.n)
+    V = g.ball_volumes
+    assert V.shape == (g.n, g.diameter + 1)
+    want = [[ball(g, x, r + 1).volume for r in range(g.diameter + 1)]
+            for x in range(g.n)]
+    np.testing.assert_allclose(V, want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(V[:, -1], g.total_volume(), rtol=1e-14)
 
 
 def test_annuli_k2l(k2l):

@@ -1,6 +1,6 @@
-"""One home per decision: the raw Markov matrix (hence every P^l loop)
-and the oracle/series choice may be reached only from the modules and
-functions listed here."""
+"""One home per decision: the raw Markov matrix (hence every P^l loop),
+the oracle/series choice and the cone sum may be reached only from the
+modules and functions listed here."""
 
 import ast
 from pathlib import Path
@@ -14,6 +14,8 @@ ALLOWED = {
     "markov_matrix": ({"operators"}, {"tentspace.horner_synthesis"}),
     "has_oracle": ({"calculus"}, {"quadratic.lusin_tail_bound",
                                   "quadratic.quad_norm_forms"}),
+    "_cone_accumulate": (set(), {"quadratic.lusin", "quadratic.lusin_tilde",
+                                 "quadratic.tent_functional"}),
 }
 
 
@@ -49,6 +51,7 @@ def test_scanner_sees_calls():
     found = _all_calls()
     assert ("markov_matrix", "tentspace.horner_synthesis") in found
     assert ("has_oracle", "quadratic.quad_norm_forms") in found
+    assert ("_cone_accumulate", "quadratic.lusin_tilde") in found
 
 
 @pytest.mark.parametrize("callee", sorted(ALLOWED))

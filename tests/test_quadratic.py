@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from oracles import (
     naive_tent_functional,
 )
 
-from graphhardy import calculus
+from graphhardy import calculus, graphs, zoo
 from graphhardy.calculus import BZ1Kind, a_s, spectral
 from graphhardy.errors import KernelComponent
 from graphhardy.hardy import heat_profile
@@ -23,7 +24,9 @@ from graphhardy.operators import (
     random_mean_zero,
 )
 from graphhardy.quadratic import (
+    SHARED_PROFILE_MIN,
     SpaceTimeFunction,
+    _profile_groups,
     default_l_max,
     g_littlewood,
     lusin,
@@ -133,6 +136,88 @@ def test_tent_functional_matches_naive(cycle16, rng):
     np.testing.assert_allclose(
         tent_functional(cycle16, F), naive_tent_functional(cycle16, F), atol=1e-12
     )
+
+
+# Graphs whose centres take the shared-profile tail tables, the per-radius
+# masked sums, or both, with the number of rows each path takes.
+CONE_GRAPHS = {
+    "torus6": (lambda: zoo.lazy_torus_2d(6), (36, 0)),
+    "jittered_cycle16": (lambda: zoo.random_weights(zoo.lazy_cycle(16), 2), (0, 16)),
+    "tree4": (lambda: zoo.binary_tree(4), (28, 3)),
+    # mirror-image centres share a profile in pairs only
+    "path12": (lambda: zoo.lazy_path(12), (0, 12)),
+}
+# l_max below the diameter, and far above diam^2 (cone radii past the
+# diameter fold into the whole graph)
+HORIZONS = {"short": lambda d: d - 1, "long": lambda d: 3 * d * d + 7}
+
+
+@pytest.fixture(scope="module", params=sorted(CONE_GRAPHS))
+def cone_graph(request):
+    build, rows = CONE_GRAPHS[request.param]
+    return build(), rows
+
+
+def test_cone_graphs_take_their_paths(cone_graph):
+    g, (shared, rare) = cone_graph
+    sizes = [len(rows) for rows in _profile_groups(g.ball_volumes)]
+    assert sum(k for k in sizes if k >= SHARED_PROFILE_MIN) == shared
+    assert sum(k for k in sizes if k < SHARED_PROFILE_MIN) == rare
+
+
+@pytest.mark.parametrize("horizon", sorted(HORIZONS))
+def test_lusin_matches_naive_across_profiles(cone_graph, horizon):
+    g, _ = cone_graph
+    l_max = HORIZONS[horizon](g.diameter)
+    f = random_mean_zero(g, np.random.default_rng(3))
+    for beta in (1.0, 0.5):
+        np.testing.assert_allclose(lusin(g, f, beta, l_max),
+                                   naive_lusin(g, f, beta, l_max), atol=1e-12)
+
+
+@pytest.mark.parametrize("horizon", sorted(HORIZONS))
+def test_lusin_tilde_matches_naive_across_profiles(cone_graph, horizon):
+    # the linear cone has radius k, so "long" runs k far past the diameter
+    g, _ = cone_graph
+    k_max = g.diameter - 1 if horizon == "short" else 3 * g.diameter + 2
+    f = random_mean_zero(g, np.random.default_rng(4))
+    np.testing.assert_allclose(lusin_tilde(g, f, 1.0, k_max),
+                               naive_lusin_tilde(g, f, 1.0, k_max), atol=1e-12)
+
+
+@pytest.mark.parametrize("horizon", sorted(HORIZONS))
+def test_tent_functional_matches_naive_across_profiles(cone_graph, horizon):
+    g, _ = cone_graph
+    l_max = HORIZONS[horizon](g.diameter)
+    vals = np.random.default_rng(5).standard_normal((g.n, l_max + 1))
+    F = SpaceTimeFunction(g, vals)
+    np.testing.assert_allclose(tent_functional(g, F),
+                               naive_tent_functional(g, F), atol=1e-12)
+
+
+def test_cone_sums_in_small_row_blocks(monkeypatch):
+    # both paths split their centres into row blocks of two
+    g = zoo.binary_tree(4)
+    monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", 2 * g.n)
+    f = random_mean_zero(g, np.random.default_rng(7))
+    np.testing.assert_allclose(lusin(g, f, 1.0, 70), naive_lusin(g, f, 1.0, 70),
+                               atol=1e-12)
+
+
+def test_lusin_streams_its_weights():
+    # the cone weights are summed per radius while P^l f is walked, so a
+    # long horizon allocates less than one (n, l_max + 1) array
+    g = zoo.lazy_torus_2d(16)
+    f = random_mean_zero(g, np.random.default_rng(6))
+    lusin(g, f, 1.0, 8)  # fills the metric, volume and oracle caches
+    l_max = 2000
+    tracemalloc.start()
+    try:
+        lusin(g, f, 1.0, l_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * (l_max + 1) * 8
 
 
 def test_quad_norm_forms_k2l(k2l, f0):
