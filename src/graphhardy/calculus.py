@@ -33,12 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import BadTuple, KernelComponent, NonConvergent, OverlappingSets
+from .errors import BadTuple, KernelComponent, NonConvergent, OverlappingSets, PeriodicWalk
 from .graphs import WeightedGraph
 from .operators import apply_P, gradient, inner, lp_norm, mean_project, powers
 
 ORACLE_MAX_N = 2048
 KERNEL_REL_TOL = 1e-8
+# Spectral points within this distance of 1 count as 1.
+SPECTRAL_ONE_TOL = 1e-12
 
 
 # -- spectral oracle -----------------------------------------------------
@@ -61,7 +63,7 @@ class SpectralOracle:
         eigs, U = scipy.linalg.eigh(np.asarray(S.todense()))
         # stochasticity puts the top of the spectrum at exactly 1
         eigs = np.minimum(eigs, 1.0)
-        eigs[eigs > 1.0 - 1e-12] = 1.0
+        eigs[eigs > 1.0 - SPECTRAL_ONE_TOL] = 1.0
         self.eigenvalues = eigs
         self.basis = U
 
@@ -187,12 +189,21 @@ def series_table(g: WeightedGraph, kind: str, columns) -> SeriesOperator:
 
 
 def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
+    """lambda_star, the spectral radius of P on mean-zero functions: the
+    oracle's unless one is supplied.  A supplied value outside [0, 1)
+    raises ValueError; a value within SPECTRAL_ONE_TOL of 1 means a
+    periodic walk and raises PeriodicWalk."""
     if lambda_star is None:
         if not has_oracle(g):
             raise ValueError("supply lambda_star for graphs beyond the oracle cap")
         lambda_star = spectral(g).lambda_star
-    if not 0.0 <= lambda_star < 1.0:
+    elif not 0.0 <= lambda_star < 1.0:
         raise ValueError("lambda_star must lie in [0, 1)")
+    if 1.0 - lambda_star <= SPECTRAL_ONE_TOL:
+        raise PeriodicWalk(
+            f"lambda_star = {lambda_star!r}: the walk is periodic, so no "
+            "series in P converges on mean-zero functions"
+        )
     return float(lambda_star)
 
 

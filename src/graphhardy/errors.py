@@ -26,6 +26,12 @@ class NonConvergent(GraphHardyError):
     """A truncated series could not reach the requested tolerance."""
 
 
+class PeriodicWalk(GraphHardyError):
+    """The walk is periodic (lambda_star = 1 on the mean-zero subspace,
+    e.g. a bipartite graph without loops), so no power series in P
+    converges there."""
+
+
 class BadTuple(GraphHardyError):
     """Iterate tuple outside the admissible range [s, 2s]."""
 

@@ -408,7 +408,8 @@ def geometry_report(g: WeightedGraph, p_diag=None, n_exhaustive=N_EXHAUSTIVE,
     The doubling constant is sup over (x, r) of V(x, 2r)/V(x, r); the
     exponent is an OLS fit of log mean-ratio against log lambda for
     lambda in {2, 4, 8} over all feasible (x, r) with lambda * r <= diam.
-    `p_diag` supplies p(x, x); by default mu_xx / m(x)^2.
+    The volumes are rows of `ball_volumes`.  `p_diag` supplies p(x, x);
+    by default mu_xx / m(x)^2.
     """
     if p_diag is None:
         diag = g.adjacency.diagonal()
@@ -426,12 +427,9 @@ def geometry_report(g: WeightedGraph, p_diag=None, n_exhaustive=N_EXHAUSTIVE,
         policy = f"sampled({len(centers)})"
 
     diam = g.diameter
-    D = g.dist[centers]
     radii = np.arange(1, max(diam, 1) + 2)
     # V[c, r-1] = volume of B(centers[c], r); last column saturates at Gamma
-    vols = np.empty((len(centers), len(radii)))
-    for k, r in enumerate(radii):
-        vols[:, k] = (D < r) @ g.m
+    vols = g.ball_volumes[centers][:, np.minimum(radii - 1, diam)]
     doubling = 1.0
     for r in range(1, max(diam, 1) + 1):
         ratio = vols[:, min(2 * r, len(radii)) - 1] / vols[:, r - 1]

@@ -273,9 +273,9 @@ def make_molecule_from_tent_atom(A: TentAtom, M: int, beta: float, eps: float,
     the returned molecule validates as-is.
 
     The sum runs over the levels l - 1 < top, where top is one past the
-    atom's last nonzero level (see `horner_synthesis`).  Levels above it
-    add exact zeros, so b, a and norm_constant do not depend on how far
-    the atom's array extends past its tent, i.e. on l_max.
+    atom's last entry (see `horner_synthesis`).  Levels above it add
+    exact zeros, so b, a and norm_constant do not depend on the atom's
+    l_max.
     """
     g = A.ball.graph
     if d0 is None:
@@ -292,7 +292,7 @@ def make_molecule_from_tent_atom(A: TentAtom, M: int, beta: float, eps: float,
             v = (v + s * (v - apply_P(g, v))) / s
         return v
 
-    b = horner_synthesis(g, A.values.values, eta, beta, prefix)
+    b = horner_synthesis(g, A.values, eta, beta, prefix)
     mol = Molecule("bz2", M, eps, s, ball(g, A.ball.center, r), b, None)
     return _normalized(mol, fact_tol)
 
@@ -316,7 +316,7 @@ def make_form_molecule_from_tent_atom(A: TentAtom, M: int, eps: float,
         v = resolvent_exact(g, v, s, -(M + 0.5))  # ((I + s Delta))^{M+1/2}
         return v / s ** (M + 0.5)
 
-    b = horner_synthesis(g, A.values.values, eta, 0.5, prefix)
+    b = horner_synthesis(g, A.values, eta, 0.5, prefix)
     mol = Molecule("form", M, eps, s, ball(g, A.ball.center, r), b, None)
     return _normalized(mol, fact_tol)
 
@@ -386,9 +386,10 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
     """Molecular representation of a mean-zero f in L^2.
 
     Heat profile -> tent atoms -> one bz2 molecule per atom.  The
-    horizon is chosen from the spectral gap so the reproducing sum
-    meets tol/2, and the tent partition is exact, so the final L^2
-    residual lands below tol.
+    horizon comes from the one scalar lambda_star (`reproducing_l_max`)
+    so the reproducing sum meets tol/2, and the tent partition is
+    exact, so the final L^2 residual lands below tol.  A periodic walk
+    raises PeriodicWalk before any profile is built.
     """
     f = require_mean_zero(g, f)
     d0 = cached_geometry(g).d0_estimate

@@ -8,6 +8,15 @@ centers largest-ball-first then ascending vertex index) so runs are
 reproducible.  Every emitted atom satisfies the support and size
 conditions exactly, and the pieces partition the support of F, so the
 reconstruction residual is at rounding level.
+
+At a vertex y the tent over O holds the levels l < d(y, O^c)^2, so the
+slab tent(O_k) minus tent(O_{k+1}) is one run of levels per vertex,
+[ceil(d_{k+1}(y)^2), ceil(d_k(y)^2)).  The decomposition builds each
+slab from those runs, splits it among the Whitney balls by one stable
+sort of its vertices, and keeps every atom as its own (ys, ls, vals)
+entries (`SpaceTimeEntries`): no (n, l_max + 1) array is formed per
+level or per atom, and synthesis scatters an atom only into the
+(n, top) block below its last level.
 """
 
 from __future__ import annotations
@@ -18,20 +27,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import delta_power_apply, spectral
+from .calculus import _mean_zero_radius, delta_power_apply
 from .errors import NonConvergent
 from .graphs import Ball, WeightedGraph, ball
 from .operators import apply_P, lp_norm, markov_matrix
 from .quadratic import SpaceTimeFunction, tent_functional
 
+# Entries handled per vectorized step where an entry needs a float
+# temporary, so a large piece never holds a second full-length array.
+ENTRY_CHUNK = 1 << 15
+
+
+def _tent_depth(g: WeightedGraph, set_mask: np.ndarray) -> np.ndarray:
+    """d(y, O^c) for every vertex y, with d(y, emptyset) = +inf."""
+    comp = ~set_mask
+    if not comp.any():
+        return np.full(g.n, np.inf)
+    return g.dist[:, comp].min(axis=1)
+
+
+def _tent_height(depth: np.ndarray, l_max: int) -> np.ndarray:
+    """Number of tent levels at each vertex: d^2 > l iff l < ceil(d^2),
+    clipped to the l_max + 1 levels there are."""
+    return np.minimum(np.ceil(depth ** 2), l_max + 1).astype(np.int64)
+
 
 def tent_mask(g: WeightedGraph, set_mask: np.ndarray, l_max: int) -> np.ndarray:
     """(y, k) membership of the tent over a vertex set O,
     d(y, O^c)^2 > k, with d(y, emptyset) = +inf."""
-    comp = ~set_mask
-    if not comp.any():
-        return np.ones((g.n, l_max + 1), dtype=bool)
-    d_out = g.dist[:, comp].min(axis=1)
+    d_out = _tent_depth(g, set_mask)
     k = np.arange(l_max + 1)
     return (d_out[:, None] ** 2) > k[None, :]
 
@@ -41,20 +65,63 @@ def tent(b: Ball, l_max: int) -> np.ndarray:
 
 
 @dataclass
+class SpaceTimeEntries:
+    """A space-time function on levels 0..l_max kept as its nonzero
+    entries F(ys[i], ls[i]) = vals[i], in row-major order (int32
+    indices, so an entry costs 16 bytes)."""
+
+    graph: WeightedGraph
+    ys: np.ndarray = field(repr=False)
+    ls: np.ndarray = field(repr=False)
+    vals: np.ndarray = field(repr=False)
+    l_max: int
+
+    @classmethod
+    def of(cls, F: SpaceTimeFunction) -> "SpaceTimeEntries":
+        ys, ls = np.nonzero(F.values)
+        return cls(F.graph, ys.astype(np.int32), ls.astype(np.int32),
+                   F.values[ys, ls], F.l_max)
+
+    @property
+    def top(self) -> int:
+        """One past the last level holding an entry (0 without entries)."""
+        return int(self.ls.max()) + 1 if self.ls.size else 0
+
+    def block(self, width: int) -> np.ndarray:
+        """The levels below `width` as a dense (n, width) array."""
+        out = np.zeros((self.graph.n, width))
+        out[self.ys, self.ls] = self.vals
+        return out
+
+    @property
+    def values(self) -> np.ndarray:
+        """Dense (n, l_max + 1) view, built on each access."""
+        return self.block(self.l_max + 1)
+
+    def t22_norm(self) -> float:
+        g = self.graph
+        return math.sqrt(float(np.sum(self.vals ** 2 / (self.ls + 1.0) * g.m[self.ys])))
+
+
+@dataclass
 class TentAtom:
     """Space-time function supported in the tent of `ball` with
-    ||A||_{T^2_2}^2 <= 1/V(ball)."""
+    ||A||_{T^2_2}^2 <= 1/V(ball), kept as its entries (a dense
+    SpaceTimeFunction passed in is converted)."""
 
     ball: Ball
-    values: SpaceTimeFunction = field(repr=False)
+    values: SpaceTimeEntries = field(repr=False)
     t22_norm: float
 
+    def __post_init__(self):
+        if isinstance(self.values, SpaceTimeFunction):
+            self.values = SpaceTimeEntries.of(self.values)
+
     def validate(self, norm_tol=1e-12):
-        g = self.ball.graph
-        inside = tent(self.ball, self.values.l_max)
-        support_ok = not np.any((self.values.values != 0.0) & ~inside)
-        norm = self.values.t22_norm()
-        norm_ok = norm ** 2 <= (1.0 + norm_tol) / self.ball.volume
+        e = self.values
+        depth = _tent_depth(self.ball.graph, self.ball.mask)
+        support_ok = bool(np.all(depth[e.ys] ** 2 > e.ls))
+        norm_ok = e.t22_norm() ** 2 <= (1.0 + norm_tol) / self.ball.volume
         return support_ok and norm_ok
 
 
@@ -84,12 +151,11 @@ class TentDecomposition:
         )
 
 
-def _whitney_balls(g: WeightedGraph, level_mask: np.ndarray):
-    """Greedy ball cover of a proper subset: centers taken
-    largest-distance-to-complement first, ties by vertex index."""
-    comp = ~level_mask
-    rho = g.dist[:, comp].min(axis=1)
-    verts = np.where(level_mask)[0]
+def _whitney_balls(g: WeightedGraph, rho: np.ndarray):
+    """Greedy ball cover of the proper subset O = {rho > 0}, where
+    rho = d(., O^c): centers taken largest rho first, ties by vertex
+    index."""
+    verts = np.flatnonzero(rho > 0)
     order = verts[np.lexsort((verts, -rho[verts]))]
     covered = np.zeros(g.n, dtype=bool)
     centers, radii = [], []
@@ -100,6 +166,29 @@ def _whitney_balls(g: WeightedGraph, level_mask: np.ndarray):
         radii.append(float(rho[x]))
         covered |= g.dist[x] < rho[x]
     return centers, radii
+
+
+def _runs(verts: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+    """int32 entries (y, l) with l in [starts[j], starts[j] + counts[j])
+    at y = verts[j], in row-major order."""
+    ys = np.repeat(verts.astype(np.int32), counts)
+    ls = np.arange(len(ys), dtype=np.int32)
+    ls -= np.repeat((np.cumsum(counts) - counts - starts).astype(np.int32), counts)
+    return ys, ls
+
+
+def _piece_norm(g: WeightedGraph, terms: np.ndarray, ys, ls, center: int):
+    """(T^2_2 norm, max of d(center, y) + floor(sqrt(l)) + 1) of the
+    entries held in `terms` at (ys, ls).  `terms` is overwritten with
+    m(y) F(y, l)^2 / (l + 1) a chunk at a time and summed in entry
+    order."""
+    reach = 0.0
+    for lo in range(0, len(terms), ENTRY_CHUNK):
+        sl = slice(lo, lo + ENTRY_CHUNK)
+        y, l = ys[sl], ls[sl]
+        terms[sl] = terms[sl] ** 2 / (l + 1.0) * g.m[y]
+        reach = max(reach, float((g.dist[center, y] + np.floor(np.sqrt(l)) + 1.0).max()))
+    return math.sqrt(float(np.sum(terms))), reach
 
 
 def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
@@ -114,60 +203,71 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
     l_max = F.l_max
     AF = tent_functional(g, F)
     t1 = lp_norm(g, AF, 1)
-    nonzero = vals != 0.0
-    if not nonzero.any():
+    nonzero = np.count_nonzero(vals)
+    if not nonzero:
         return TentDecomposition([], 0.0, 0.0, t1)
     pos = AF[AF > 0]
     k_lo = math.floor(math.log2(pos.min())) - 1
     k_hi = math.ceil(math.log2(AF.max()))
     coefficients = []
-    reconstruction = np.zeros_like(vals)
-    # the slab of level k is tent(O_k) minus tent(O_{k+1}); each tent is
-    # built once and handed on, and O_{k_hi + 1} is empty, so is its tent
-    O_next = AF > 2.0 ** k_lo
-    tent_next = tent_mask(g, O_next, l_max)
+    covered = 0
+    # the slab of level k holds, at each vertex, the tent levels of O_k
+    # above those of O_{k+1}; O_{k_hi + 1} is empty, so is its tent
+    depth_next = _tent_depth(g, AF > 2.0 ** k_lo)
     for k in range(k_lo, k_hi + 1):
-        O, tent_k = O_next, tent_next
-        O_next = AF > 2.0 ** (k + 1)
-        tent_next = tent_mask(g, O_next, l_max)
-        slab = tent_k & ~tent_next & nonzero
-        if not slab.any():
+        depth = depth_next
+        depth_next = _tent_depth(g, AF > 2.0 ** (k + 1))
+        lo = _tent_height(depth_next, l_max)
+        counts = _tent_height(depth, l_max) - lo
+        verts = np.flatnonzero(counts)
+        if not verts.size:
             continue
-        if O.all():
+        if np.isinf(depth).all():  # O_k is the whole graph
             centers = [0]
             radii = [float(g.diameter + 1)]
-            assign_of = np.zeros(g.n, dtype=int)
+            owner = np.zeros(len(verts), dtype=int)
         else:
-            centers, radii = _whitney_balls(g, O)
+            centers, radii = _whitney_balls(g, depth)
             assign_of = np.full(g.n, -1, dtype=int)
             # first selected ball containing the vertex
             for i in reversed(range(len(centers))):
                 assign_of[g.dist[centers[i]] < radii[i]] = i
-        slab_y, slab_l = np.nonzero(slab)
-        owner = assign_of[slab_y]
+            owner = assign_of[verts]
+        # group the slab's vertices by owner; each group stays in vertex
+        # order, so its entries come out row-major
+        order = np.argsort(owner, kind="stable")
+        verts, owner = verts[order], owner[order]
+        bounds = np.searchsorted(owner, np.arange(len(centers) + 1))
         for i in range(len(centers)):
-            sel = owner == i
-            if not sel.any():
+            vs = verts[bounds[i]:bounds[i + 1]]
+            if not vs.size:
                 continue
-            ys, ls = slab_y[sel], slab_l[sel]
-            # radius large enough that every assigned (y, l) sits in the tent
-            reach = g.dist[centers[i], ys] + np.floor(np.sqrt(ls)) + 1.0
-            R = float(max(radii[i], reach.max()))
-            atom_ball = ball(g, centers[i], R)
-            # the piece is F on its own (ys, ls) entries and zero elsewhere,
-            # so its T^2_2 norm is a sum over those entries alone
+            ys, ls = _runs(vs, lo[vs], counts[vs])
             v = vals[ys, ls]
-            t22 = math.sqrt(float(np.sum(v ** 2 / (ls + 1.0) * g.m[ys])))
+            keep = v != 0.0
+            if not keep.all():
+                ys, ls, v = ys[keep], ls[keep], v[keep]
+            t22, reach = _piece_norm(g, v, ys, ls, centers[i])
+            del v, keep  # the terms go before the piece is gathered
             if t22 == 0.0:
                 continue
+            # radius large enough that every entry sits in the tent
+            atom_ball = ball(g, centers[i], max(radii[i], reach))
             lam = t22 * math.sqrt(atom_ball.volume)
-            piece = np.zeros(vals.shape)  # calloc: untouched pages stay free
-            piece[ys, ls] = v / lam
-            atom = TentAtom(atom_ball, SpaceTimeFunction(g, piece),
+            piece = vals[ys, ls]
+            piece /= lam
+            atom = TentAtom(atom_ball, SpaceTimeEntries(g, ys, ls, piece, l_max),
                             1.0 / math.sqrt(atom_ball.volume))
             coefficients.append((lam, atom))
-            reconstruction[ys, ls] += v
-    residual = SpaceTimeFunction(g, vals - reconstruction).t22_norm()
+            covered += len(piece)
+    # every nonzero entry lies in at most one atom, so the atoms cover F
+    # exactly when their entries add up to its nonzero count
+    residual = 0.0
+    if covered < nonzero:
+        mask = np.zeros(vals.shape, dtype=bool)
+        for _, atom in coefficients:
+            mask[atom.values.ys, atom.values.ls] = True
+        residual = SpaceTimeFunction(g, np.where(mask, 0.0, vals)).t22_norm()
     if residual > tol:
         raise NonConvergent(
             f"tent decomposition residual {residual:.3e} above tol {tol:.3e}"
@@ -187,35 +287,30 @@ def eta_coefficients(eta: int, count: int) -> np.ndarray:
     return out
 
 
-def top_level(values: np.ndarray) -> int:
-    """Number of levels up to the last one holding a nonzero entry
-    (0 for an all-zero space-time function)."""
-    live = np.flatnonzero(values.any(axis=0))
-    return int(live[-1]) + 1 if live.size else 0
-
-
-def horner_synthesis(g: WeightedGraph, values: np.ndarray, eta: int,
+def horner_synthesis(g: WeightedGraph, entries: SpaceTimeEntries, eta: int,
                      beta: float, prefix) -> np.ndarray:
-    """sum_{l=1..top} (c_l^eta / l^beta) P^{l-1} prefix(values[:, l-1]).
+    """sum_{l=1..top} (c_l^eta / l^beta) P^{l-1} prefix(F(., l-1)) for the
+    space-time function F held in `entries`.
 
-    Only the levels l - 1 < top = top_level(values) are visited: the
-    coefficient table and the prefix are evaluated on those columns,
-    and the Horner scan starts at level top.  This is exact, not an
-    approximation: the prefix is linear and column-wise, so a zero
-    level contributes a zero column, and the scan over the levels above
-    top only ever carries the zero vector.  A tent atom over B(x, R)
-    lives at levels k < R^2, so top is usually far below the horizon.
+    Only the levels l - 1 < top = `entries.top` are visited: the entries
+    are scattered into an (n, top) block, the coefficient table and the
+    prefix are evaluated on its columns, and the Horner scan starts at
+    level top.  This is exact, not an approximation: the prefix is
+    linear and column-wise, so a zero level contributes a zero column,
+    and the scan over the levels above top only ever carries the zero
+    vector.  A tent atom over B(x, R) lives at levels k < R^2, so top is
+    usually far below the horizon.
 
     Applying the (level-independent) prefix to all visited levels at
     once keeps partial sums at the output scale (the raw sum is badly
     conditioned) and leaves one matvec per level for the scan.
     """
-    top = top_level(values)
+    top = entries.top
     acc = np.zeros(g.n)
     if top == 0:
         return acc
     coeffs = eta_coefficients(eta, top) / np.arange(1, top + 1, dtype=float) ** beta
-    U = prefix(values[:, :top]) * coeffs[None, :]
+    U = prefix(entries.block(top)) * coeffs[None, :]
     W = markov_matrix(g)
     for l in range(top, 0, -1):
         acc = W @ acc + U[:, l - 1]
@@ -245,24 +340,32 @@ def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
     Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1), via `horner_synthesis`."""
     if eta < beta:
         raise ValueError("eta must be >= beta")
-    return horner_synthesis(g, F.values, eta, beta,
+    return horner_synthesis(g, SpaceTimeEntries.of(F), eta, beta,
                             lambda V: heat_prefix(g, V, eta, eta - beta, tol))
 
 
 def reproducing_l_max(g: WeightedGraph, eta: int, tol: float,
                       n_cap=200000) -> int:
     """Horizon L with || sum_{k<=L} c_{k+1} (I-P^2)^eta P^{2k} f - f ||
-    <= tol ||f|| on the mean-zero subspace (computed spectrally)."""
-    lams = spectral(g).eigenvalues[:-1]
-    z = lams * lams
+    <= tol ||f|| on the mean-zero subspace, from one scalar.
+
+    At an eigenvalue lambda of P the error is
+    1 - (1-z)^eta sum_{k<=L} c_k z^k with z = lambda^2.  It lies in
+    [0, 1] and increases in z (its derivative is
+    -(L+eta) c_L z^L (1-z)^(eta-1)), so its sup over the mean-zero
+    spectrum is its value at z = lambda_star^2, and L comes from a
+    scalar loop.  A periodic walk (lambda_star = 1) raises PeriodicWalk
+    before the loop starts.
+    """
+    lam = _mean_zero_radius(g)
+    z = lam * lam
     front = (1.0 - z) ** eta
-    partial = np.zeros_like(z)
+    partial = 0.0
     c = 1.0
-    zpow = np.ones_like(z)
+    zpow = 1.0
     for k in range(n_cap):
         partial += c * zpow
-        err = np.abs(1.0 - front * partial).max()
-        if err <= tol:
+        if abs(1.0 - front * partial) <= tol:
             return k
         c = c * (k + eta) / (k + 1)
         zpow *= z

@@ -11,8 +11,12 @@ import math
 
 import numpy as np
 
-from graphhardy.calculus import BZ2Kind, a_s, delta_power_exact, resolvent_apply
-from graphhardy.operators import apply_P, gradient, powers
+from graphhardy.calculus import BZ2Kind, a_s, delta_power_exact, resolvent_apply, spectral
+from graphhardy.errors import NonConvergent
+from graphhardy.graphs import ball
+from graphhardy.operators import apply_P, gradient, lp_norm, powers
+from graphhardy.quadratic import SpaceTimeFunction, tent_functional
+from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
 
 
 def _ball_volume(g, x, r):
@@ -194,3 +198,147 @@ def bmo_norm_per_s(g, f, kind, M, s_max, tuple_policy="auto", seed=0):
                 best = (val, {"s": s, "times": list(times), "center": x,
                               "radius": r})
     return best
+
+
+def top_level(values):
+    """Number of levels up to the last one of a dense (n, L + 1) array
+    holding a nonzero entry (0 for an all-zero array)."""
+    live = np.flatnonzero(values.any(axis=0))
+    return int(live[-1]) + 1 if live.size else 0
+
+
+def reproducing_l_max_spectrum(g, eta, tol, n_cap=200000):
+    """`tentspace.reproducing_l_max` with the error evaluated at every
+    mean-zero eigenvalue of the oracle, one array per step."""
+    lams = spectral(g).eigenvalues[:-1]
+    z = lams * lams
+    front = (1.0 - z) ** eta
+    partial = np.zeros_like(z)
+    c = 1.0
+    zpow = np.ones_like(z)
+    for k in range(n_cap):
+        partial += c * zpow
+        err = np.abs(1.0 - front * partial).max()
+        if err <= tol:
+            return k
+        c = c * (k + eta) / (k + 1)
+        zpow *= z
+    raise NonConvergent(f"reproducing horizon beyond {n_cap}")
+
+
+def _whitney_balls_dense(g, level_mask):
+    comp = ~level_mask
+    rho = g.dist[:, comp].min(axis=1)
+    verts = np.where(level_mask)[0]
+    order = verts[np.lexsort((verts, -rho[verts]))]
+    covered = np.zeros(g.n, dtype=bool)
+    centers, radii = [], []
+    for x in order:
+        if covered[x]:
+            continue
+        centers.append(int(x))
+        radii.append(float(rho[x]))
+        covered |= g.dist[x] < rho[x]
+    return centers, radii
+
+
+def atomic_decompose_dense(g, F, tol=1e-8):
+    """`tentspace.atomic_decompose` with dense per-level tent masks and
+    slabs, one (n, l_max + 1) array per atom, one owner mask per Whitney
+    ball and the residual from a float reconstruction."""
+    vals = F.values
+    l_max = F.l_max
+    AF = tent_functional(g, F)
+    t1 = lp_norm(g, AF, 1)
+    nonzero = vals != 0.0
+    if not nonzero.any():
+        return TentDecomposition([], 0.0, 0.0, t1)
+    pos = AF[AF > 0]
+    k_lo = math.floor(math.log2(pos.min())) - 1
+    k_hi = math.ceil(math.log2(AF.max()))
+    coefficients = []
+    reconstruction = np.zeros_like(vals)
+    O_next = AF > 2.0 ** k_lo
+    tent_next = tent_mask(g, O_next, l_max)
+    for k in range(k_lo, k_hi + 1):
+        O, tent_k = O_next, tent_next
+        O_next = AF > 2.0 ** (k + 1)
+        tent_next = tent_mask(g, O_next, l_max)
+        slab = tent_k & ~tent_next & nonzero
+        if not slab.any():
+            continue
+        if O.all():
+            centers = [0]
+            radii = [float(g.diameter + 1)]
+            assign_of = np.zeros(g.n, dtype=int)
+        else:
+            centers, radii = _whitney_balls_dense(g, O)
+            assign_of = np.full(g.n, -1, dtype=int)
+            for i in reversed(range(len(centers))):
+                assign_of[g.dist[centers[i]] < radii[i]] = i
+        slab_y, slab_l = np.nonzero(slab)
+        owner = assign_of[slab_y]
+        for i in range(len(centers)):
+            sel = owner == i
+            if not sel.any():
+                continue
+            ys, ls = slab_y[sel], slab_l[sel]
+            reach = g.dist[centers[i], ys] + np.floor(np.sqrt(ls)) + 1.0
+            R = float(max(radii[i], reach.max()))
+            atom_ball = ball(g, centers[i], R)
+            v = vals[ys, ls]
+            t22 = math.sqrt(float(np.sum(v ** 2 / (ls + 1.0) * g.m[ys])))
+            if t22 == 0.0:
+                continue
+            lam = t22 * math.sqrt(atom_ball.volume)
+            piece = np.zeros(vals.shape)
+            piece[ys, ls] = v / lam
+            atom = TentAtom(atom_ball, SpaceTimeFunction(g, piece),
+                            1.0 / math.sqrt(atom_ball.volume))
+            coefficients.append((lam, atom))
+            reconstruction[ys, ls] += v
+    residual = SpaceTimeFunction(g, vals - reconstruction).t22_norm()
+    if residual > tol:
+        raise NonConvergent(
+            f"tent decomposition residual {residual:.3e} above tol {tol:.3e}"
+        )
+    sum_abs = float(sum(abs(lam) for lam, _ in coefficients))
+    return TentDecomposition(coefficients, float(residual), sum_abs, t1)
+
+
+def geometry_report_masks(g, n_exhaustive=2000, sample_size=256, seed=0):
+    """(doubling constant, growth exponent, enumeration policy) of
+    `graphs.geometry_report`, with the volume table built from one dense
+    ball mask per radius."""
+    if g.n <= n_exhaustive:
+        centers = np.arange(g.n)
+        policy = "exhaustive"
+    else:
+        rng = np.random.default_rng(seed)
+        centers = rng.choice(g.n, size=min(sample_size, g.n), replace=False)
+        policy = f"sampled({len(centers)})"
+    diam = g.diameter
+    D = g.dist[centers]
+    radii = np.arange(1, max(diam, 1) + 2)
+    vols = np.empty((len(centers), len(radii)))
+    for k, r in enumerate(radii):
+        vols[:, k] = (D < r) @ g.m
+    doubling = 1.0
+    for r in range(1, max(diam, 1) + 1):
+        ratio = vols[:, min(2 * r, len(radii)) - 1] / vols[:, r - 1]
+        doubling = max(doubling, float(ratio.max()))
+    lams, logs = [], []
+    for lam in (2, 4, 8):
+        feasible = [r for r in radii if lam * r <= diam and r >= 2]
+        if not feasible:
+            continue
+        ratios = [vols[:, lam * r - 1] / vols[:, r - 1] for r in feasible]
+        lams.append(np.log(lam))
+        logs.append(np.log(np.mean(np.concatenate(ratios))))
+    if len(lams) >= 2:
+        d0 = float(max(np.polyfit(lams, logs, 1)[0], 0.0))
+    elif len(lams) == 1:
+        d0 = float(max(logs[0] / lams[0], 0.0))
+    else:
+        d0 = 0.0
+    return doubling, d0, policy

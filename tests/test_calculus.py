@@ -26,8 +26,8 @@ from graphhardy.calculus import (
     resolvent_frac_series,
     spectral,
 )
-from graphhardy.errors import BadTuple, KernelComponent, OverlappingSets
-from graphhardy.graphs import geometry_report
+from graphhardy.errors import BadTuple, KernelComponent, OverlappingSets, PeriodicWalk
+from graphhardy.graphs import build_graph, geometry_report
 from graphhardy.operators import (
     apply_P,
     gradient,
@@ -360,3 +360,19 @@ def test_delta_power_half_indicator(cycle16):
     approx = delta_power(cycle16, f, 0.5, tol=1e-9)
     exact = delta_power_exact(cycle16, f, 0.5)
     assert lp_norm(cycle16, approx - exact, 2) <= 1e-8
+
+
+def test_lambda_star_range_and_periodicity(cycle16):
+    # a supplied lambda_star outside [0, 1) is a bad argument; one within
+    # rounding of 1 is a periodic walk, and so is the oracle's on a
+    # bipartite graph without loops
+    for bad in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            delta_power_series(cycle16, 0.5, 1e-8, lambda_star=bad)
+    with pytest.raises(PeriodicWalk):
+        delta_power_series(cycle16, 0.5, 1e-8, lambda_star=1.0 - 1e-13)
+    with pytest.raises(PeriodicWalk):
+        inv_sqrt_series(cycle16, 1e-8, lambda_star=1.0 - 1e-13)
+    square = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+    with pytest.raises(PeriodicWalk):
+        delta_power_series(square, 0.5, 1e-8)

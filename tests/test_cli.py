@@ -105,6 +105,17 @@ def test_nonconvergent_exit_code(tmp_path, capsys, f0_csv):
     assert code == 3
 
 
+def test_periodic_walk_exit_code(tmp_path, capsys):
+    # a bipartite graph without loops has a periodic walk: refused with
+    # the validation-failure code
+    g_path = tmp_path / "square.txt"
+    g_path.write_text("0 1 1.0\n1 2 1.0\n2 3 1.0\n3 0 1.0\n")
+    f_path = tmp_path / "f.csv"
+    f_path.write_text("vertex,value\n0,1.0\n1,0.0\n2,-1.0\n3,0.0\n")
+    assert main(["decompose", str(g_path), "--f", str(f_path)]) == 1
+    assert "periodic" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "graphhardy.cli", "geometry", "k2l"],

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import geometry_report_masks
+
 from graphhardy import graphs, zoo
 from graphhardy.errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
 from graphhardy.graphs import (
@@ -260,3 +262,26 @@ def test_geometry_accepts_p_diag(cycle16):
     diag = cycle16.adjacency.diagonal()
     rep = geometry_report(cycle16, p_diag=lambda x: diag[x] / cycle16.m[x] ** 2)
     assert rep.eps_LB == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("g, kwargs, exact", [
+    (zoo.lazy_cycle(16), {}, True),
+    (zoo.lazy_torus_2d(8), {}, True),
+    (zoo.lazy_torus_2d(8), {"n_exhaustive": 10, "sample_size": 20, "seed": 3}, True),
+    (zoo.binary_tree(4), {"n_exhaustive": 4, "sample_size": 9, "seed": 1}, True),
+    (zoo.random_weights(zoo.lazy_torus_2d(8), 3), {}, False),
+])
+def test_geometry_report_matches_ball_masks(g, kwargs, exact):
+    # the report reads its volume table off `ball_volumes`; the reference
+    # builds it from one dense ball mask per radius.  Same doubling
+    # constant and growth exponent: bit for bit on unweighted fixtures, to
+    # rounding once the weights are jittered (the volumes differ in the
+    # last bit there)
+    rep = geometry_report(g, **kwargs)
+    doubling, d0, policy = geometry_report_masks(g, **kwargs)
+    assert rep.enumeration_policy == policy
+    if exact:
+        assert (rep.doubling_constant, rep.d0_estimate) == (doubling, d0)
+    else:
+        assert rep.doubling_constant == pytest.approx(doubling, rel=1e-12)
+        assert rep.d0_estimate == pytest.approx(d0, rel=1e-12, abs=1e-14)

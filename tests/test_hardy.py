@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+
+from oracles import top_level
 
 from graphhardy.calculus import (
     BZ1Kind,
@@ -10,8 +13,8 @@ from graphhardy.calculus import (
     a_s,
     delta_power_exact,
 )
-from graphhardy.errors import NotExactForm, SizeBoundViolated
-from graphhardy.graphs import ball, cached_geometry
+from graphhardy.errors import NotExactForm, PeriodicWalk, SizeBoundViolated
+from graphhardy.graphs import ball, build_graph, cached_geometry
 from graphhardy.hardy import (
     Molecule,
     bmo_norm,
@@ -35,7 +38,7 @@ from graphhardy.operators import (
 )
 from graphhardy.quadratic import SpaceTimeFunction, quad_norm
 from graphhardy.riesz import molecule_suite
-from graphhardy.tentspace import TentAtom, eta_coefficients, tent, top_level
+from graphhardy.tentspace import TentAtom, eta_coefficients, tent
 from graphhardy.zoo import by_name
 
 
@@ -421,3 +424,14 @@ def test_atom_tuple_below_s_flagged_not_rejected(cycle16):
     rep = validate_molecule(mol)
     assert rep.ok
     assert rep.atom_tuple_warning
+
+
+def test_periodic_walk_is_refused_at_once():
+    # the loop-free 4-cycle is bipartite: -1 is an eigenvalue of P, so
+    # lambda_star = 1 and no reproducing horizon exists
+    g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+    f = np.array([1.0, 0.0, -1.0, 0.0])
+    t0 = time.perf_counter()
+    with pytest.raises(PeriodicWalk):
+        molecular_decompose(g, f, 1, 1.0, 1.0, tol=1e-8)
+    assert time.perf_counter() - t0 < 0.5

@@ -1,6 +1,6 @@
 """One home per decision: the raw Markov matrix (hence every P^l loop),
-the oracle/series choice and the cone sum may be reached only from the
-modules and functions listed here."""
+the oracle/series choice, the cone sum and the dense tent mask may be
+reached only from the modules and functions listed here."""
 
 import ast
 from pathlib import Path
@@ -16,6 +16,8 @@ ALLOWED = {
                                   "quadratic.quad_norm_forms"}),
     "_cone_accumulate": (set(), {"quadratic.lusin", "quadratic.lusin_tilde",
                                  "quadratic.tent_functional"}),
+    # the decomposition works on per-vertex tent depths, never on masks
+    "tent_mask": (set(), {"tentspace.tent"}),
 }
 
 
@@ -52,6 +54,7 @@ def test_scanner_sees_calls():
     assert ("markov_matrix", "tentspace.horner_synthesis") in found
     assert ("has_oracle", "quadratic.quad_norm_forms") in found
     assert ("_cone_accumulate", "quadratic.lusin_tilde") in found
+    assert ("tent_mask", "tentspace.tent") in found
 
 
 @pytest.mark.parametrize("callee", sorted(ALLOWED))

@@ -1,15 +1,31 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from oracles import naive_tent_members
+from oracles import (
+    atomic_decompose_dense,
+    naive_tent_members,
+    reproducing_l_max_spectrum,
+    top_level,
+)
 
+from graphhardy import tentspace, zoo
 from graphhardy.graphs import ball
-from graphhardy.hardy import heat_profile, pipeline_l_max, synthesis_eta
+from graphhardy.hardy import form_profile, heat_profile, pipeline_l_max, synthesis_eta
 from graphhardy.graphs import cached_geometry
-from graphhardy.operators import apply_P, lp_norm, random_mean_zero
+from graphhardy.operators import (
+    apply_P,
+    differential,
+    divergence,
+    lp_norm,
+    random_mean_zero,
+)
 from graphhardy.quadratic import SpaceTimeFunction, t1_norm
 from graphhardy.tentspace import (
+    SpaceTimeEntries,
     TentAtom,
     atomic_decompose,
     eta_coefficients,
@@ -17,7 +33,6 @@ from graphhardy.tentspace import (
     reproducing_l_max,
     tent,
     tent_mask,
-    top_level,
 )
 
 
@@ -99,6 +114,7 @@ def test_horner_synthesis_stops_at_top_level(cycle16, rng):
     vals = np.zeros((cycle16.n, 30))
     vals[:, :6] = rng.standard_normal((cycle16.n, 6))
     assert top_level(vals) == 6
+    assert SpaceTimeEntries.of(SpaceTimeFunction(cycle16, vals)).top == 6
     out = pi_synthesis(cycle16, SpaceTimeFunction(cycle16, vals), 3, 1.0)
     assert np.array_equal(out, _full_scan_synthesis(cycle16, vals, 3, 1.0))
     zero = np.zeros((cycle16.n, 4))
@@ -186,3 +202,124 @@ def test_reproducing_l_max_monotone(cycle16):
     n1 = reproducing_l_max(cycle16, 2, 1e-4)
     n2 = reproducing_l_max(cycle16, 2, 1e-8)
     assert n2 >= n1
+
+
+@functools.lru_cache(maxsize=None)
+def _zoo_graph(name):
+    if name == "jittered_cycle_16":
+        return zoo.random_weights(zoo.lazy_cycle(16), 2)
+    return zoo.by_name(name)
+
+
+@pytest.mark.parametrize("name", ["lazy_torus_24", "lazy_cycle_128",
+                                  "binary_tree_4", "lazy_path_9"])
+def test_reproducing_l_max_matches_spectrum(name):
+    # the scalar loop at lambda_star gives the horizon of the loop over
+    # every mean-zero eigenvalue
+    g = _zoo_graph(name)
+    for eta in (2, 3, 5):
+        for tol in (1e-6, 1e-10):
+            assert reproducing_l_max(g, eta, tol) == reproducing_l_max_spectrum(g, eta, tol)
+
+
+def _assert_same_decomposition(got, want):
+    assert got.residual_t22 == want.residual_t22
+    assert got.t1_norm == want.t1_norm
+    assert got.sum_abs_lambda == want.sum_abs_lambda
+    assert len(got.coefficients) == len(want.coefficients)
+    for (lam, atom), (lam_ref, ref) in zip(got.coefficients, want.coefficients):
+        assert lam == lam_ref
+        assert atom.ball.center == ref.ball.center
+        assert atom.ball.radius == ref.ball.radius
+        assert atom.ball.volume == ref.ball.volume
+        assert np.array_equal(atom.ball.mask, ref.ball.mask)
+        assert atom.t22_norm == ref.t22_norm
+        assert np.array_equal(atom.values.values, ref.values.values)
+
+
+@pytest.mark.parametrize("name", ["lazy_torus_6", "lazy_cycle_16", "lazy_path_12",
+                                  "binary_tree_4", "jittered_cycle_16"])
+@pytest.mark.parametrize("profile", ["heat_1", "heat_half", "form"])
+def test_atomic_decompose_matches_dense_reference(name, profile):
+    g = _zoo_graph(name)
+    f = random_mean_zero(g, np.random.default_rng(4))
+    eta = synthesis_eta(1, 1.0, 1.0, cached_geometry(g).d0_estimate)
+    l_max = pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2))
+    if profile == "form":
+        F = form_profile(g, divergence(g, differential(g, f)), l_max)
+    else:
+        F = heat_profile(g, f, 1.0 if profile == "heat_1" else 0.5, l_max)
+    dec = atomic_decompose(g, F)
+    assert dec.coefficients
+    _assert_same_decomposition(dec, atomic_decompose_dense(g, F))
+
+
+def test_atomic_decompose_in_small_chunks_matches_dense_reference(monkeypatch):
+    # pieces longer than ENTRY_CHUNK are normed chunk by chunk; the sum
+    # still runs over all their terms at once, so nothing changes
+    monkeypatch.setattr(tentspace, "ENTRY_CHUNK", 7)
+    g = zoo.lazy_torus_2d(6)
+    f = random_mean_zero(g, np.random.default_rng(5))
+    F = heat_profile(g, f, 1.0, 60)
+    _assert_same_decomposition(atomic_decompose(g, F), atomic_decompose_dense(g, F))
+
+
+def test_atomic_decompose_uncovered_entries_match_dense_reference():
+    # entries whose tent functional underflows lie in no tent, so the
+    # atoms miss them and the residual comes from the coverage mask; the
+    # one at (5, 1) keeps a nonzero T^2_2 norm (no division by a ball
+    # volume there), so the residual is not 0
+    g = zoo.lazy_path(12)
+    vals = np.zeros((g.n, 6))
+    vals[11, :4] = [1.0, -2.0, 0.5, 3.0]
+    vals[0, :4] = 1e-200
+    vals[1, 2] = -3e-170
+    vals[5, 1] = 3e-162
+    F = SpaceTimeFunction(g, vals)
+    dec = atomic_decompose(g, F)
+    owned = sum(len(atom.values.vals) for _, atom in dec.coefficients)
+    assert owned < np.count_nonzero(vals)
+    assert dec.residual_t22 > 0.0
+    _assert_same_decomposition(dec, atomic_decompose_dense(g, F))
+
+
+def test_atomic_decompose_memory_is_independent_of_atom_count():
+    # the atoms hold their own entries: at the pipeline horizon the
+    # decomposition peaks below three (n, l_max + 1) arrays, where one
+    # dense array per atom would take one per atom
+    g = zoo.lazy_cycle(64)
+    f = random_mean_zero(g, np.random.default_rng(0))
+    eta = synthesis_eta(1, 1.0, 1.0, cached_geometry(g).d0_estimate)
+    F = heat_profile(g, f, 1.0, pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2)))
+    atomic_decompose(g, F)  # fills the metric and volume caches
+    tracemalloc.start()
+    try:
+        dec = atomic_decompose(g, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.coefficients) > 3
+    assert peak < 3 * F.values.nbytes
+
+
+def test_tent_atom_entries_round_trip(cycle16):
+    # a dense atom is kept as its nonzero entries, row-major, and the
+    # dense view gives the array back
+    b = ball(cycle16, 3, 2)
+    vals = np.where(tent(b, 8), 0.25, 0.0)
+    vals[3, 1] = 0.0
+    atom = TentAtom(b, SpaceTimeFunction(cycle16, vals), 1.0)
+    e = atom.values
+    assert isinstance(e, SpaceTimeEntries)
+    assert e.ys.dtype == np.int32 and e.ls.dtype == np.int32
+    assert len(e.vals) == np.count_nonzero(vals)
+    assert np.all(np.diff(e.ys.astype(int) * (e.l_max + 1) + e.ls) > 0)
+    assert np.array_equal(e.values, vals)
+    assert e.top == top_level(vals)
+    assert e.t22_norm() == pytest.approx(SpaceTimeFunction(cycle16, vals).t22_norm(),
+                                         rel=1e-14)
+    # validate checks the support entry by entry
+    assert atom.validate(norm_tol=math.inf)
+    outside = vals.copy()
+    outside[0, 0] = 1.0
+    assert not TentAtom(b, SpaceTimeFunction(cycle16, outside), 1.0).validate(norm_tol=math.inf)
