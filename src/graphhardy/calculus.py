@@ -1,16 +1,21 @@
 """Functional calculus for Delta = I - P.
 
-Two evaluation paths coexist.  The spectral oracle (dense
-eigendecomposition of the m-symmetrized walk) is exact and serves as
-the reference on desk-scale graphs; truncated power series are the
-scalable path and always carry an explicit tail bound, so the two can
-be compared at `tail_bound + eps`.  `delta_power_apply` (for Delta^beta),
-`resolvent_apply` (for (I + s Delta)^{-power}) and `sweep_apply` (for a
-symbol at every scale of a sweep) are the only places that choose
-between them.
+Each operator phi(P) is described once, by a pair:
 
-Scale sweeps (the sup over s of the BMO norm, the Davies-Gaffney decay
-curves) are evaluated as one block, one column per scale: the oracle
+* an oracle symbol `symbol(lam, s)`, phi_s on the spectrum of P, applied
+  exactly by the spectral oracle (dense eigendecomposition of the
+  m-symmetrized walk), the reference on desk-scale graphs;
+* a series column generator `column(s) -> (coeffs, tail_bound)`, the
+  coefficients of sum_k c_k P^k truncated with a certified bound on the
+  discarded tail, the scalable path; the two agree to `tail_bound + eps`.
+
+`phi_apply` is the one place that chooses between them, and
+`delta_power_apply` (Delta^beta for every real beta), `resolvent_apply`
+((I + s Delta)^{-power}) and `a_s` reach it with their pair.  Every
+(1 - z)^beta series takes its coefficients from `_binomial_chunks`.
+
+A sequence of scales (the sup over s of the BMO norm, the Davies-Gaffney
+decay curves) is evaluated as one block, one column per scale: the oracle
 applies an (n_eig, S) symbol table in one pass, and the series path
 applies an (N_max + 1, S) coefficient table, each column zero past its
 own truncation N_s, during one walk of the power sequence up to
@@ -19,8 +24,8 @@ same polynomial in P as the M-th convolution power of its coefficients,
 so it becomes one column too.
 
 On a finite connected graph ker Delta is the constants, so the
-operators with a singularity at the spectral point 1 (inverse square
-root, reproducing sums) act on the m-mean-zero subspace only.
+operators with a singularity at the spectral point 1 (negative powers of
+Delta, reproducing sums) act on the m-mean-zero subspace only.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import BadTuple, KernelComponent, NonConvergent, OverlappingSets, PeriodicWalk
+from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
+                     OverlappingSets, PeriodicWalk)
 from .graphs import WeightedGraph
 from .operators import apply_P, gradient, inner, lp_norm, mean_project, powers
 
@@ -41,6 +47,8 @@ ORACLE_MAX_N = 2048
 KERNEL_REL_TOL = 1e-8
 # Spectral points within this distance of 1 count as 1.
 SPECTRAL_ONE_TOL = 1e-12
+# Longest truncated series built before NonConvergent is raised.
+SERIES_MAX_N = 2_000_000
 
 
 # -- spectral oracle -----------------------------------------------------
@@ -54,7 +62,7 @@ class SpectralOracle:
 
     def __init__(self, g: WeightedGraph):
         if g.n > ORACLE_MAX_N:
-            raise ValueError(
+            raise OracleCapExceeded(
                 f"n = {g.n} too large for the dense oracle (cap {ORACLE_MAX_N})"
             )
         self.graph = g
@@ -127,20 +135,52 @@ def require_mean_zero(g: WeightedGraph, f):
 
 # -- truncated series ------------------------------------------------------
 
-def binomial_coefficients(exponent: float, count: int):
-    """Taylor coefficients of (1 - z)^exponent, sign included."""
-    out = np.empty(count)
-    out[0] = 1.0
-    for k in range(count - 1):
-        out[k + 1] = out[k] * (k - exponent) / (k + 1)
-    return out
-
-
 # Powers P^k f stacked per GEMM when a coefficient table is applied.
 TABLE_CHUNK = 64
 
-# Coefficients of a fractional resolvent series built per vectorized step.
-FRAC_CHUNK = 2048
+# Binomial coefficients built per vectorized step of the running product.
+BINOMIAL_CHUNK = 2048
+
+
+def _binomial_chunks(beta: float):
+    """(k, b_k) for k = 1, 2, ..., BINOMIAL_CHUNK at a time, where b_k are
+    the Taylor coefficients of (1 - z)^beta (b_0 = 1), by a running
+    product."""
+    b, start = 1.0, 1
+    while True:
+        k = np.arange(start, start + BINOMIAL_CHUNK, dtype=float)
+        bk = b * np.cumprod((k - 1.0 - beta) / k)
+        yield k, bk
+        b, start = bk[-1], start + BINOMIAL_CHUNK
+
+
+def binomial_coefficients(exponent: float, count: int):
+    """Taylor coefficients of (1 - z)^exponent, sign included."""
+    chunks = itertools.islice(_binomial_chunks(exponent), -(-(count - 1) // BINOMIAL_CHUNK))
+    return np.concatenate([np.ones(1)] + [bk for _, bk in chunks])[:count]
+
+
+def binomial_series(beta: float, q: float, tol: float, pref=1.0):
+    """(b_0..b_N, tail bound) for the Taylor coefficients b_k of
+    (1 - z)^beta, with N the first k >= 1 whose certified weighted tail
+    pref |b_{k+1}| q^{k+1} / (1 - rho_k) >= pref sum_{j>k} |b_j| q^j is
+    <= tol.  Once k + 1 > beta the ratios |b_{j+1} / b_j| = (j - beta) /
+    (j + 1), j > k, are monotone toward 1, so their sup is
+    max((k + 1 - beta) / (k + 2), 1) and rho_k is q times it.  Raises
+    NonConvergent past SERIES_MAX_N."""
+    chunks = [np.ones(1)]
+    for k, bk in _binomial_chunks(beta):
+        rho = q * np.maximum((k + 1.0 - beta) / (k + 2.0), 1.0)
+        with np.errstate(divide="ignore"):
+            tail = pref * np.abs(bk * (k - beta) / (k + 1.0)) * q ** (k + 1.0) / (1.0 - rho)
+        hit = np.flatnonzero((k + 1.0 > beta) & (rho < 1.0) & (tail <= tol))
+        if len(hit) and k[hit[0]] <= SERIES_MAX_N:
+            chunks.append(bk[:hit[0] + 1])
+            return np.concatenate(chunks), float(tail[hit[0]])
+        if k[-1] >= SERIES_MAX_N:
+            raise NonConvergent(
+                f"(1 - z)^{beta}: tol {tol} unreachable at N = {SERIES_MAX_N}")
+        chunks.append(bk)
 
 
 @dataclass
@@ -190,12 +230,13 @@ def series_table(g: WeightedGraph, kind: str, columns) -> SeriesOperator:
 
 def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
     """lambda_star, the spectral radius of P on mean-zero functions: the
-    oracle's unless one is supplied.  A supplied value outside [0, 1)
-    raises ValueError; a value within SPECTRAL_ONE_TOL of 1 means a
-    periodic walk and raises PeriodicWalk."""
+    oracle's unless one is supplied (OracleCapExceeded above the cap).
+    A supplied value outside [0, 1) raises ValueError; a value within
+    SPECTRAL_ONE_TOL of 1 means a periodic walk and raises PeriodicWalk."""
     if lambda_star is None:
         if not has_oracle(g):
-            raise ValueError("supply lambda_star for graphs beyond the oracle cap")
+            raise OracleCapExceeded(
+                f"n = {g.n} is above the oracle cap {ORACLE_MAX_N}: supply lambda_star")
         lambda_star = spectral(g).lambda_star
     elif not 0.0 <= lambda_star < 1.0:
         raise ValueError("lambda_star must lie in [0, 1)")
@@ -207,177 +248,63 @@ def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
     return float(lambda_star)
 
 
-def delta_power_series(g: WeightedGraph, beta: float, tol: float,
-                       lambda_star=None, n_max=200000) -> SeriesOperator:
-    """(I - P)^beta as sum b_k P^k, geometric tail on the mean-zero subspace."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    if float(beta).is_integer():
-        N = int(beta)
-        coeffs = binomial_coefficients(beta, N + 1)
-        return SeriesOperator(g, f"delta_pow({beta})", coeffs, 0.0)
-    lam = _mean_zero_radius(g, lambda_star)
-    b = 1.0
-    k = 0
-    # |b_k| decreases once k > beta; tail <= |b_{N+1}| lam^{N+1} / (1 - lam)
-    coeffs = [b]
-    while True:
-        b = b * (k - beta) / (k + 1)
-        k += 1
-        coeffs.append(b)
-        if k > beta + 1 and abs(b) * lam ** k / (1.0 - lam) <= tol:
-            break
-        if k > n_max:
-            raise NonConvergent(f"delta_power: tol {tol} unreachable at N = {n_max}")
-    tail = abs(b) * lam ** k / (1.0 - lam)
-    return SeriesOperator(g, f"delta_pow({beta})", np.array(coeffs), tail)
+# -- one description per operator: oracle symbol and series column ----------
+
+def _delta_power_symbol(lam, beta: float):
+    """Delta^beta on the spectrum: max(1 - lam, 0)^beta, infinite at the
+    constants (lam = 1) when beta < 0."""
+    return np.maximum(1.0 - lam, 0.0) ** beta
 
 
-def inv_sqrt_series(g: WeightedGraph, tol: float, lambda_star=None,
-                    n_max=2000000) -> SeriesOperator:
-    """(I - P)^{-1/2} on the mean-zero subspace, coefficients of (1-z)^{-1/2}."""
-    lam = _mean_zero_radius(g, lambda_star)
-    a = 1.0
-    k = 0
-    coeffs = [a]
-    while True:
-        a = a * (k + 0.5) / (k + 1)
-        k += 1
-        coeffs.append(a)
-        if a * lam ** k / (1.0 - lam) <= tol:
-            break
-        if k > n_max:
-            raise NonConvergent(f"inv_sqrt: tol {tol} unreachable at N = {n_max}")
-    tail = a * lam ** k / (1.0 - lam)
-    return SeriesOperator(g, "inv_sqrt", np.array(coeffs), tail)
+def _delta_power_column(g: WeightedGraph, beta: float, tol: float, lambda_star=None):
+    """(I - P)^beta as sum b_k P^k on the mean-zero subspace: a finite sum
+    for an integer beta >= 0, else truncated with the geometric weight
+    q = lambda_star."""
+    if beta >= 0 and float(beta).is_integer():
+        return binomial_coefficients(beta, int(beta) + 1), 0.0
+    return binomial_series(beta, _mean_zero_radius(g, lambda_star), tol)
 
 
-def resolvent_step_series(g: WeightedGraph, s: int, tol: float,
-                          n_max=2000000) -> SeriesOperator:
+def _resolvent_symbol(lam, s, power: float):
+    """(I + s Delta)^{-power} on the spectrum."""
+    return (1.0 + s * (1.0 - lam)) ** (-power)
+
+
+def resolvent_step_series(g: WeightedGraph, s: int, tol: float) -> SeriesOperator:
     """(I + s Delta)^{-1} = sum_k (1/(1+s)) (s/(1+s))^k P^k."""
     if s < 1:
         raise ValueError("s must be >= 1")
     q = s / (1.0 + s)
     N = max(0, math.ceil(math.log(tol) / math.log(q)))
-    if N > n_max:
-        raise NonConvergent(f"resolvent: tol {tol} needs N = {N} > {n_max}")
+    if N > SERIES_MAX_N:
+        raise NonConvergent(f"resolvent: tol {tol} needs N = {N} > {SERIES_MAX_N}")
     coeffs = (1.0 / (1.0 + s)) * q ** np.arange(N + 1)
     return SeriesOperator(g, f"resolvent({s})", coeffs, q ** (N + 1))
 
 
-def resolvent_frac_series(g: WeightedGraph, s: int, power: float, tol: float,
-                          n_max=2000000) -> SeriesOperator:
-    """(I + s Delta)^{-power} via the (1 - z)^{-power} series.
-
-    c_k = (1+s)^{-power} a_k q^k with q = s/(1+s) and a_k the
-    coefficients of (1 - z)^{-power}; N is the first k >= 1 whose
-    certified tail pref a_{k+1} q^{k+1} / (1 - rho_k), with
-    rho_k = sup_{j >= k+1} q (j+power)/(j+1), is <= tol.  The a_k are
-    built FRAC_CHUNK at a time by a running product.
-    """
+def resolvent_frac_series(g: WeightedGraph, s: int, power: float,
+                          tol: float) -> SeriesOperator:
+    """(I + s Delta)^{-power} for power > 0 via the (1 - z)^{-power} series:
+    c_k = (1+s)^{-power} a_k q^k with q = s/(1+s) and a_k, N and the
+    tail bound from `binomial_series`."""
     if s < 1:
         raise ValueError("s must be >= 1")
+    if power <= 0:
+        raise ValueError("power must be > 0")
     q = s / (1.0 + s)
     pref = (1.0 + s) ** (-power)
-    chunks = [np.array([pref])]
-    a, start = 1.0, 1
-    while True:
-        k = np.arange(start, min(start + FRAC_CHUNK, n_max + 2), dtype=float)
-        if not len(k):
-            raise NonConvergent(f"resolvent_frac: tol {tol} unreachable")
-        ak = a * np.cumprod((k - 1.0 + power) / k)
-        rho = q * np.maximum((k + 1.0 + power) / (k + 2.0), 1.0)
-        with np.errstate(divide="ignore"):
-            tail = pref * (ak * (k + power) / (k + 1.0)) * q ** (k + 1.0) / (1.0 - rho)
-        hit = np.flatnonzero((rho < 1.0) & (tail <= tol))
-        stop = hit[0] + 1 if len(hit) else len(k)
-        chunks.append(pref * ak[:stop] * q ** k[:stop])
-        if len(hit):
-            coeffs = np.concatenate(chunks)
-            return SeriesOperator(g, f"resolvent_frac({s},{power})", coeffs,
-                                  float(tail[hit[0]]))
-        a, start = ak[-1], start + len(k)
-
-
-def reproducing_series(g: WeightedGraph, beta: float, N: int) -> SeriesOperator:
-    """sum_{k<=N} a_k P^k with a_k the coefficients of (1-z)^{-beta}."""
-    coeffs = binomial_coefficients(-beta, N + 1)
-    return SeriesOperator(g, f"reproducing({beta},{N})", coeffs, math.inf)
-
-
-# -- operation-level wrappers ---------------------------------------------
-
-def delta_power(g: WeightedGraph, f, beta: float, tol=1e-10, lambda_star=None):
-    """Delta^beta f; the constant part is annihilated exactly first."""
-    ft = mean_project(g, f)
-    op = delta_power_series(g, beta, tol, lambda_star=lambda_star)
-    return op.apply(ft)
-
-
-def delta_power_exact(g: WeightedGraph, f, beta: float):
-    return spectral(g).apply(lambda lam: np.maximum(1.0 - lam, 0.0) ** beta, f)
-
-
-def delta_power_apply(g: WeightedGraph, f, beta: float, tol=1e-10):
-    """Delta^beta with automatic path choice (oracle when affordable)."""
-    if has_oracle(g):
-        return delta_power_exact(g, f, beta)
-    return delta_power(g, f, beta, tol)
-
-
-def delta_inv_sqrt_exact(g: WeightedGraph, f):
-    """Delta^{-1/2} f on the mean-zero subspace (spectral)."""
-    def phi(lam):
-        with np.errstate(divide="ignore"):
-            return np.where(lam >= 1.0, np.inf, (1.0 - lam) ** -0.5)
-    return spectral(g).apply(phi, f)
-
-
-def delta_inv_sqrt(g: WeightedGraph, f, tol=1e-10, lambda_star=None):
-    """Series path for Delta^{-1/2}; requires a mean-zero input."""
-    ft = require_mean_zero(g, f)
-    return inv_sqrt_series(g, tol, lambda_star=lambda_star).apply(ft)
-
-
-def delta_inverse_exact(g: WeightedGraph, f, power=1.0):
-    def phi(lam):
-        with np.errstate(divide="ignore"):
-            return np.where(lam >= 1.0, np.inf, (1.0 - lam) ** -power)
-    return spectral(g).apply(phi, f)
-
-
-def resolvent(g: WeightedGraph, f, s: int, M: int = 1, tol=1e-12):
-    """(I + s Delta)^{-M} f via the Neumann series composed M times."""
-    op = resolvent_step_series(g, s, tol / max(M, 1))
-    out = np.asarray(f, dtype=float)
-    for _ in range(M):
-        out = op.apply(out)
-    return out
-
-
-def resolvent_exact(g: WeightedGraph, f, s: int, power=1.0):
-    return spectral(g).apply(lambda lam: (1.0 + s * (1.0 - lam)) ** (-power), f)
-
-
-def sweep_apply(g: WeightedGraph, f, s_values, symbol, column):
-    """phi_s(P) f for every s in s_values as an (n, S) block, with
-    automatic path choice: one oracle apply of the (n_eig, S) table
-    symbol(lam[:, None], s) when affordable, else one series table whose
-    column j is column(s_j) = (coefficients, tail bound)."""
-    if has_oracle(g):
-        s_arr = np.asarray(s_values, dtype=float)
-        return spectral(g).apply(lambda lam: symbol(lam[:, None], s_arr), f)
-    kind = f"sweep({len(s_values)})"
-    return series_table(g, kind, [column(int(s)) for s in s_values]).apply(f)
+    a, tail = binomial_series(-power, q, tol, pref)
+    return SeriesOperator(g, f"resolvent_frac({s},{power})",
+                          pref * a * q ** np.arange(len(a), dtype=float), tail)
 
 
 def _resolvent_column(g: WeightedGraph, s: int, power, tol):
     """(I + s Delta)^{-power} as one table column: for an integer power
-    M the M-fold Neumann composition of `resolvent`, i.e. the M-th
-    convolution power of the step's coefficients (tail bound M times the
+    M the M-fold Neumann composition of the step series, i.e. the M-th
+    convolution power of its coefficients (tail bound M times the
     step's, every factor being a contraction); the (1 - z)^{-power}
     series otherwise."""
-    if float(power).is_integer():
+    if power >= 0 and float(power).is_integer():
         M = int(power)
         step = resolvent_step_series(g, s, tol / max(M, 1))
         col = np.ones(1)
@@ -388,18 +315,87 @@ def _resolvent_column(g: WeightedGraph, s: int, power, tol):
     return op.coeffs, op.tail_bound
 
 
-def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
-    """Resolvent with automatic path choice (oracle when affordable); a
-    sequence of scales gives an (n, S) block, one column per scale."""
-    if np.ndim(s):
-        return sweep_apply(
-            g, f, s, lambda lam, t: (1.0 + t * (1.0 - lam)) ** (-power),
-            lambda t: _resolvent_column(g, t, power, tol))
+# -- the one oracle/series choice --------------------------------------------
+
+def phi_apply(g: WeightedGraph, f, s, symbol, column):
+    """phi_s(P) f: the oracle applies symbol(lam, s) when affordable, the
+    series path the coefficients of column(s) = (coeffs, tail_bound).
+
+    A scalar s (None for an operator without a scale) takes a vector or
+    an (n, k) block.  A sequence of scales takes a vector and gives an
+    (n, S) block, one column per scale: one oracle apply of the table
+    symbol(lam[:, None], s), or one series table of the columns.
+    """
+    sweep = np.ndim(s) > 0
+    if sweep:
+        s = np.asarray(s, dtype=float)
     if has_oracle(g):
-        return resolvent_exact(g, f, s, power)
-    if float(power).is_integer():
-        return resolvent(g, f, s, int(power), tol)
-    return resolvent_frac_series(g, s, power, tol).apply(f)
+        return spectral(g).apply(lambda lam: symbol(lam[:, None] if sweep else lam, s), f)
+    if sweep:
+        return series_table(g, f"sweep({len(s)})", [column(int(t)) for t in s]).apply(f)
+    return SeriesOperator(g, "phi", *column(s)).apply(f)
+
+
+def delta_power_apply(g: WeightedGraph, f, beta: float, tol=1e-10):
+    """Delta^beta f for any real beta, with automatic path choice.  A
+    negative beta is singular at the constants, so f must have m-mean
+    zero (KernelComponent otherwise)."""
+    if beta < 0:
+        require_mean_zero(g, f)
+    return phi_apply(g, f, None, lambda lam, _: _delta_power_symbol(lam, beta),
+                     lambda _: _delta_power_column(g, beta, tol))
+
+
+def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
+    """(I + s Delta)^{-power} f with automatic path choice; a sequence of
+    scales gives an (n, S) block, one column per scale."""
+    return phi_apply(g, f, s, lambda lam, t: _resolvent_symbol(lam, t, power),
+                     lambda t: _resolvent_column(g, t, power, tol))
+
+
+# -- single-path names ---------------------------------------------------------
+
+def delta_power_exact(g: WeightedGraph, f, beta: float):
+    return spectral(g).apply(lambda lam: _delta_power_symbol(lam, beta), f)
+
+
+def delta_inv_sqrt_exact(g: WeightedGraph, f):
+    """Delta^{-1/2} f on the mean-zero subspace (spectral)."""
+    return delta_power_exact(g, f, -0.5)
+
+
+def resolvent_exact(g: WeightedGraph, f, s: int, power=1.0):
+    return spectral(g).apply(lambda lam: _resolvent_symbol(lam, s, power), f)
+
+
+def delta_power_series(g: WeightedGraph, beta: float, tol: float,
+                       lambda_star=None) -> SeriesOperator:
+    return SeriesOperator(g, f"delta_pow({beta})",
+                          *_delta_power_column(g, beta, tol, lambda_star))
+
+
+def inv_sqrt_series(g: WeightedGraph, tol: float, lambda_star=None) -> SeriesOperator:
+    """(I - P)^{-1/2} on the mean-zero subspace."""
+    return delta_power_series(g, -0.5, tol, lambda_star)
+
+
+def reproducing_series(g: WeightedGraph, beta: float, N: int) -> SeriesOperator:
+    """sum_{k<=N} a_k P^k with a_k the coefficients of (1-z)^{-beta}."""
+    coeffs = binomial_coefficients(-beta, N + 1)
+    return SeriesOperator(g, f"reproducing({beta},{N})", coeffs, math.inf)
+
+
+def delta_power(g: WeightedGraph, f, beta: float, tol=1e-10, lambda_star=None):
+    """Series path for Delta^beta; the constant part is annihilated exactly
+    first (a negative beta requires a mean-zero f)."""
+    ft = require_mean_zero(g, f) if beta < 0 else mean_project(g, f)
+    return delta_power_series(g, beta, tol, lambda_star).apply(ft)
+
+
+def resolvent(g: WeightedGraph, f, s: int, M: int = 1, tol=1e-12):
+    """Series path for (I + s Delta)^{-M} f: the Neumann series composed
+    M times, applied as one column."""
+    return SeriesOperator(g, f"resolvent({s})", *_resolvent_column(g, s, M, tol)).apply(f)
 
 
 def reproducing_check(g: WeightedGraph, f, beta: float, N: int,
@@ -429,6 +425,10 @@ class BZ2Kind:
     s: object                  # int, or a tuple of ints for a sweep
     M: int
 
+    def __post_init__(self):
+        if self.M < 1:
+            raise BadTuple(f"M = {self.M} < 1")
+
 
 @dataclass(frozen=True)
 class QsKind:
@@ -451,9 +451,9 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
         # [I - R]^M = I + sum_{j>=1} C(M, j) (-R)^j: the identity part is
         # added exactly, so where f vanishes the block is as accurate as R f
         def symbol(lam, t):
-            r = (1.0 + t * (1.0 - lam)) ** -1.0
+            r = _resolvent_symbol(lam, t, 1.0)
             return sum(math.comb(kind.M, j) * (-r) ** j for j in range(1, kind.M + 1))
-        return out[:, None] + sweep_apply(
+        return out[:, None] + phi_apply(
             g, out, kind.s, symbol, lambda t: _bz2_column(g, t, kind.M, tol))
     if isinstance(kind, BZ2Kind):
         for _ in range(kind.M):
@@ -580,6 +580,8 @@ def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit
     F = np.asarray(list(F), dtype=int)
     if np.intersect1d(E, F).size:
         raise OverlappingSets("E and F must be disjoint")
+    if M < 1:
+        raise ValueError("M must be >= 1")
     apply_fn, eta = FAMILIES[family]
     d_EF = float(g.dist[np.ix_(E, F)].min())
     f = np.zeros(g.n)

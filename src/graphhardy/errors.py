@@ -26,6 +26,11 @@ class NonConvergent(GraphHardyError):
     """A truncated series could not reach the requested tolerance."""
 
 
+class OracleCapExceeded(GraphHardyError):
+    """The graph is above the dense-oracle cap and the computation needs
+    the oracle (or a lambda_star it would supply)."""
+
+
 class PeriodicWalk(GraphHardyError):
     """The walk is periodic (lambda_star = 1 on the mean-zero subspace,
     e.g. a bipartite graph without loops), so no power series in P

@@ -29,16 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (
-    BZ2Kind,
-    a_s,
-    delta_inv_sqrt_exact,
-    delta_inverse_exact,
-    delta_power_apply,
-    require_mean_zero,
-    resolvent_apply,
-    resolvent_exact,
-)
+from .calculus import BZ2Kind, a_s, delta_power_apply, require_mean_zero, resolvent_apply
 from .errors import (
     FactorizationMismatch,
     NonConvergent,
@@ -313,7 +304,7 @@ def make_form_molecule_from_tent_atom(A: TentAtom, M: int, eps: float,
 
     def prefix(v):
         v = heat_prefix(g, v, eta, exp)
-        v = resolvent_exact(g, v, s, -(M + 0.5))  # ((I + s Delta))^{M+1/2}
+        v = resolvent_apply(g, v, s, -(M + 0.5))  # (I + s Delta)^{M+1/2}
         return v / s ** (M + 0.5)
 
     b = horner_synthesis(g, A.values, eta, 0.5, prefix)
@@ -457,7 +448,7 @@ def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
         raise NonConvergent(
             f"form reconstruction residual {l2_res:.3e} above {tol:.3e}"
         )
-    qn = quad_norm(g, delta_inv_sqrt_exact(g, mean_project(g, w)), 0.5, l_max)
+    qn = quad_norm(g, delta_power_apply(g, mean_project(g, w), -0.5), 0.5, l_max)
     return MolecularDecomposition(
         coefficients,
         float(sum(abs(l) for l, _ in coefficients)),
@@ -578,8 +569,7 @@ def m0_norm(g: WeightedGraph, phi, M: int, eps: float, x0: int,
     ||phi_tilde||_{L^2(C_j(B_0))} with B_0 = {x0} and phi = Delta^M phi_tilde."""
     g_ball = ball(g, x0, 1)
     if phi_tilde is None:
-        phi_tilde = require_mean_zero(g, phi)
-        phi_tilde = delta_inverse_exact(g, phi_tilde, float(M))
+        phi_tilde = delta_power_apply(g, require_mean_zero(g, phi), -float(M))
     return max(2.0 ** (ring.j * eps)
                * math.sqrt(g_ball.scaled(2 ** ring.j).volume)
                * _restricted_l2(g, np.asarray(phi_tilde), ring.mask)

@@ -23,15 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (
-    delta_inv_sqrt,
-    delta_inv_sqrt_exact,
-    delta_power_apply,
-    has_oracle,
-    require_mean_zero,
-    spectral,
-)
-from .errors import KernelComponent
+from .calculus import delta_power_apply, has_oracle, spectral
+from .errors import KernelComponent, OracleCapExceeded
 from .graphs import WeightedGraph, row_blocks
 from .operators import (
     EdgeFunction,
@@ -155,7 +148,7 @@ def lusin_tail_bound(g: WeightedGraph, f, beta: float, l_max: int,
     spectrally until the geometric terms are negligible.
     """
     if not has_oracle(g):
-        raise ValueError("tail bound needs the spectral oracle")
+        raise OracleCapExceeded("tail bound needs the spectral oracle")
     o = spectral(g)
     lam = o.eigenvalues[:-1]
     coeff = o.basis.T @ (mean_project(g, f) * np.sqrt(g.m))
@@ -230,9 +223,5 @@ def quad_norm_forms(g: WeightedGraph, F: EdgeFunction, beta: float,
     total = abs(inner(g, h, np.ones(g.n)))
     if total > 1e-8 * max(lp_norm(g, h, 2), 1e-300) * math.sqrt(g.total_volume()):
         raise KernelComponent("d*F has a nonzero mean: antisymmetry violated")
-    h = require_mean_zero(g, h)
-    if has_oracle(g):
-        u = delta_inv_sqrt_exact(g, h)
-    else:
-        u = delta_inv_sqrt(g, h, tol)
-    return quad_norm(g, u, beta, l_max)
+    h = mean_project(g, h)  # the test above is require_mean_zero's
+    return quad_norm(g, delta_power_apply(g, h, -0.5, tol), beta, l_max)

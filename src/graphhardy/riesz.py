@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (
-    BZ1Kind,
-    BZ2Kind,
-    delta_inv_sqrt_exact,
-    delta_inverse_exact,
-    require_mean_zero,
-    a_s,
-)
+from .calculus import BZ1Kind, BZ2Kind, a_s, delta_power_apply, require_mean_zero
 from .graphs import WeightedGraph, ball
 from .operators import (
     EdgeFunction,
@@ -65,7 +58,7 @@ def riesz(g: WeightedGraph, f, l_max=None) -> RieszResult:
     """d Delta^{-1/2} f for a mean-zero f, with the L^2/L^1/H^1 norms
     of both sides attached."""
     f = require_mean_zero(g, f)
-    half = delta_inv_sqrt_exact(g, f)
+    half = delta_power_apply(g, f, -0.5)
     out = differential(g, half)
     grad = gradient(g, half)
     return RieszResult(
@@ -84,7 +77,7 @@ def h2_project(g: WeightedGraph, F: EdgeFunction) -> EdgeFunction:
     """d Delta^{-1} d* F: the orthogonal projector onto exact forms."""
     w = divergence(g, F)
     w = mean_project(g, w)  # zero mean by antisymmetry; drop rounding dust
-    u = delta_inverse_exact(g, w, 1.0)
+    u = delta_power_apply(g, w, -1.0)
     return differential(g, u)
 
 

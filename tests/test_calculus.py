@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from oracles import resolvent_frac_coefficients
 
+from graphhardy import calculus
 from graphhardy.calculus import (
+    FAMILIES,
     BZ1Kind,
     BZ2Kind,
     QsKind,
     a_s,
     binomial_coefficients,
+    binomial_series,
+    delta_inv_sqrt_exact,
     delta_power,
     delta_power_apply,
     delta_power_exact,
@@ -22,11 +26,19 @@ from graphhardy.calculus import (
     reproducing_check,
     require_mean_zero,
     resolvent,
+    resolvent_apply,
     resolvent_exact,
     resolvent_frac_series,
+    resolvent_step_series,
     spectral,
 )
-from graphhardy.errors import BadTuple, KernelComponent, OverlappingSets, PeriodicWalk
+from graphhardy.errors import (
+    BadTuple,
+    KernelComponent,
+    NonConvergent,
+    OverlappingSets,
+    PeriodicWalk,
+)
 from graphhardy.graphs import build_graph, geometry_report
 from graphhardy.operators import (
     apply_P,
@@ -110,10 +122,8 @@ def test_series_tail_bound_honest(cycle16, rng):
 
 
 def test_inv_sqrt_series_matches_oracle(cycle16, rng):
-    from graphhardy.calculus import delta_inv_sqrt, delta_inv_sqrt_exact
-
     f = random_mean_zero(cycle16, rng)
-    approx = delta_inv_sqrt(cycle16, f, tol=1e-10)
+    approx = delta_power(cycle16, f, -0.5, tol=1e-10)
     exact = delta_inv_sqrt_exact(cycle16, f)
     assert lp_norm(cycle16, approx - exact, 2) <= inv_sqrt_series(cycle16, 1e-10).tail_bound + 1e-9
 
@@ -376,3 +386,90 @@ def test_lambda_star_range_and_periodicity(cycle16):
     square = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
     with pytest.raises(PeriodicWalk):
         delta_power_series(square, 0.5, 1e-8)
+
+
+@pytest.mark.parametrize("beta,q,tol", [
+    (beta, q, 1e-8) for beta in (0.5, 1.5, -0.5, -1.5, -2.5) for q in (0.5, 0.9, 0.99)
+] + [(9.5, 0.5, 30.0)])
+def test_binomial_series_tail_is_certified(beta, q, tol):
+    # the declared tail dominates the true weighted tail: below beta = -1
+    # the coefficients grow, and for k + 1 < beta the ratios |b_{j+1}/b_j|
+    # can exceed 1, so neither the geometric ratio q alone nor an early
+    # stop would be certified
+    b, tail = binomial_series(beta, q, tol)
+    N = len(b) - 1
+    full = binomial_coefficients(beta, 40 * N + 2000)
+    np.testing.assert_array_equal(b, full[:N + 1])
+    weights = np.abs(full) * q ** np.arange(len(full))
+    assert weights[N + 1:].sum() <= tail <= tol
+
+
+def test_negative_powers_of_delta(cycle16, rng, monkeypatch):
+    # one symbol and one series for every real beta; below -1 the
+    # coefficients of (1 - z)^beta grow, and the tail bound still holds
+    f = random_mean_zero(cycle16, rng)
+    norm = lp_norm(cycle16, f, 2)
+    for beta in (-0.5, -1.0, -1.5, -2.5):
+        exact = delta_power_exact(cycle16, f, beta)
+        np.testing.assert_array_equal(delta_power_apply(cycle16, f, beta), exact)
+        op = delta_power_series(cycle16, beta, 1e-10)
+        err = lp_norm(cycle16, op.apply(mean_project(cycle16, f)) - exact, 2)
+        assert err <= (op.tail_bound + 1e-9) * norm, beta
+        approx = delta_power(cycle16, f, beta, tol=1e-10)
+        assert lp_norm(cycle16, approx - exact, 2) <= (op.tail_bound + 1e-9) * norm
+    np.testing.assert_array_equal(delta_power_apply(cycle16, f, -0.5),
+                                  delta_inv_sqrt_exact(cycle16, f))
+    for beta in (-0.5, -2.0):
+        with pytest.raises(KernelComponent):
+            delta_power_apply(cycle16, np.ones(cycle16.n), beta)
+        with pytest.raises(KernelComponent):
+            delta_power(cycle16, np.ones(cycle16.n), beta)
+    # the input is checked before a path is chosen
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    with pytest.raises(KernelComponent):
+        delta_power_apply(cycle16, np.ones(cycle16.n), -0.5)
+
+
+def test_resolvent_series_needs_a_positive_power(cycle16, monkeypatch):
+    # a power <= 0 is a positive power of I + s Delta, which no
+    # (1 - z)^{-power} tail bound certifies
+    for power in (-0.5, 0.0):
+        with pytest.raises(ValueError):
+            resolvent_frac_series(cycle16, 4, power, 1e-10)
+    f = random_mean_zero(cycle16, np.random.default_rng(1))
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    for power in (-0.5, -1.0, -1.5):
+        with pytest.raises(ValueError):
+            resolvent_apply(cycle16, f, 4, power)
+        with pytest.raises(ValueError):
+            resolvent_apply(cycle16, f, [2, 4], power)
+
+
+def test_series_length_cap(cycle16, monkeypatch):
+    monkeypatch.setattr(calculus, "SERIES_MAX_N", 50)
+    for beta in (0.5, -0.5, -1.5):
+        with pytest.raises(NonConvergent):
+            delta_power_series(cycle16, beta, 1e-10)
+    with pytest.raises(NonConvergent):
+        resolvent_step_series(cycle16, 8, 1e-12)
+    with pytest.raises(NonConvergent):
+        resolvent_frac_series(cycle16, 8, 1.5, 1e-12)
+    # an integer power is a finite sum, and a loose tolerance fits the cap
+    assert delta_power_series(cycle16, 2.0, 1e-12).truncation == 2
+    assert delta_power_series(cycle16, 0.5, 1e-2).truncation <= 50
+
+
+@pytest.mark.parametrize("path", ["oracle", "series"])
+def test_bz2_needs_M_at_least_one(path, torus8, monkeypatch):
+    if path == "series":
+        monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    f = random_mean_zero(torus8, np.random.default_rng(2))
+    for M in (0, -1):
+        with pytest.raises(BadTuple):
+            BZ2Kind(4, M)
+        with pytest.raises(BadTuple):
+            a_s(torus8, f, BZ2Kind((2, 4, 8), M))
+        for family in sorted(FAMILIES):
+            with pytest.raises(ValueError):
+                gaffney_fit(torus8, family, [36], [0], [2, 4, 8], M=M)
+    assert a_s(torus8, f, BZ2Kind((2, 4, 8), 1)).shape == (torus8.n, 3)

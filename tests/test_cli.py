@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from graphhardy import calculus
 from graphhardy.cli import main
 from graphhardy.operators import save_vertex_csv
 from graphhardy.zoo import k2l, lazy_cycle
@@ -130,3 +131,16 @@ def test_graph_file_input(tmp_path, capsys):
     p.write_text(json.dumps({"edges": [[0, 0, 1], [1, 1, 1], [0, 1, 1]]}))
     assert main(["geometry", str(p)]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 2
+
+
+def test_gaffney_rejects_M_below_one(capsys):
+    argv = ["gaffney", "lazy_torus_8", "--family", "resolvent_diff",
+            "--E", "4,4", "--F", "0,0", "--s", "2,4,8", "--M", "0"]
+    assert main(argv) == 1
+    assert "M must be >= 1" in capsys.readouterr().err
+
+
+def test_above_the_oracle_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    assert main(["riesz", "lazy_cycle_16", "--n", "2"]) == 1
+    assert "oracle cap" in capsys.readouterr().err

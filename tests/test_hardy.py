@@ -6,6 +6,7 @@ import pytest
 
 from oracles import top_level
 
+from graphhardy import calculus
 from graphhardy.calculus import (
     BZ1Kind,
     BZ2Kind,
@@ -13,7 +14,12 @@ from graphhardy.calculus import (
     a_s,
     delta_power_exact,
 )
-from graphhardy.errors import NotExactForm, PeriodicWalk, SizeBoundViolated
+from graphhardy.errors import (
+    NotExactForm,
+    OracleCapExceeded,
+    PeriodicWalk,
+    SizeBoundViolated,
+)
 from graphhardy.graphs import ball, build_graph, cached_geometry
 from graphhardy.hardy import (
     Molecule,
@@ -36,10 +42,10 @@ from graphhardy.operators import (
     lp_norm_forms,
     random_mean_zero,
 )
-from graphhardy.quadratic import SpaceTimeFunction, quad_norm
-from graphhardy.riesz import molecule_suite
+from graphhardy.quadratic import SpaceTimeFunction, lusin_tail_bound, quad_norm
+from graphhardy.riesz import molecule_suite, riesz as riesz_transform
 from graphhardy.tentspace import TentAtom, eta_coefficients, tent
-from graphhardy.zoo import by_name
+from graphhardy.zoo import by_name, lazy_cycle
 
 
 def _delta_atom(g, y, M):
@@ -435,3 +441,21 @@ def test_periodic_walk_is_refused_at_once():
     with pytest.raises(PeriodicWalk):
         molecular_decompose(g, f, 1, 1.0, 1.0, tol=1e-8)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_above_the_oracle_cap_is_a_typed_error(monkeypatch):
+    # whatever needs the oracle, or the lambda_star it supplies, refuses a
+    # graph above the cap with OracleCapExceeded
+    g = lazy_cycle(16)
+    f = random_mean_zero(g, np.random.default_rng(0))
+    F = differential(g, f)
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    calls = (
+        lambda: riesz_transform(g, f),
+        lambda: molecular_decompose(g, f, 1, 1.0, 1.0),
+        lambda: form_molecular_decompose(g, F, 1, 1.0),
+        lambda: lusin_tail_bound(g, f, 1.0, 100),
+    )
+    for call in calls:
+        with pytest.raises(OracleCapExceeded):
+            call()

@@ -1,6 +1,7 @@
 """One home per decision: the raw Markov matrix (hence every P^l loop),
-the oracle/series choice, the cone sum and the dense tent mask may be
-reached only from the modules and functions listed here."""
+the oracle/series choice, the spectral oracle, the cone sum and the dense
+tent mask may be reached only from the modules and functions listed
+here."""
 
 import ast
 from pathlib import Path
@@ -12,8 +13,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "graphhardy"
 # callee -> (modules where any call is allowed, "module.function" allowed)
 ALLOWED = {
     "markov_matrix": ({"operators"}, {"tentspace.horner_synthesis"}),
-    "has_oracle": ({"calculus"}, {"quadratic.lusin_tail_bound",
-                                  "quadratic.quad_norm_forms"}),
+    "has_oracle": (set(), {"calculus.phi_apply", "calculus._mean_zero_radius",
+                           "quadratic.lusin_tail_bound"}),
+    "spectral": ({"calculus"}, {"quadratic.lusin_tail_bound"}),
     "_cone_accumulate": (set(), {"quadratic.lusin", "quadratic.lusin_tilde",
                                  "quadratic.tent_functional"}),
     # the decomposition works on per-vertex tent depths, never on masks
@@ -52,7 +54,7 @@ def _all_calls():
 def test_scanner_sees_calls():
     found = _all_calls()
     assert ("markov_matrix", "tentspace.horner_synthesis") in found
-    assert ("has_oracle", "quadratic.quad_norm_forms") in found
+    assert ("has_oracle", "quadratic.lusin_tail_bound") in found
     assert ("_cone_accumulate", "quadratic.lusin_tilde") in found
     assert ("tent_mask", "tentspace.tent") in found
 
