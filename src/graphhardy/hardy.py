@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import BZ2Kind, a_s, delta_power_apply, require_mean_zero, resolvent_apply
+from .calculus import (BZ2Kind, _mean_zero_radius, a_s, delta_power_apply,
+                       require_mean_zero, resolvent_apply)
 from .errors import (
     FactorizationMismatch,
     NonConvergent,
@@ -380,9 +381,11 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
     horizon comes from the one scalar lambda_star (`reproducing_l_max`)
     so the reproducing sum meets tol/2, and the tent partition is
     exact, so the final L^2 residual lands below tol.  A periodic walk
-    raises PeriodicWalk before any profile is built.
+    (PeriodicWalk) or a graph above the oracle cap (OracleCapExceeded)
+    is refused before the geometry or any profile is built, whatever f.
     """
     f = require_mean_zero(g, f)
+    _mean_zero_radius(g)
     d0 = cached_geometry(g).d0_estimate
     eta = synthesis_eta(M, beta, eps, d0)
     norm_f = lp_norm(g, f, 2)

@@ -28,12 +28,21 @@ KERNEL_L_CAP = 4096
 
 # -- vertex functions ---------------------------------------------------
 
-def lp_norm(g: WeightedGraph, f, p=2) -> float:
-    """m-weighted L^p norm of a vertex function."""
+def per_row(w, f):
+    """The vector w shaped to scale the rows of f: f itself when f is a
+    vector, each column when f is an (n, k) block."""
+    return np.reshape(w, (-1,) + (1,) * (np.ndim(f) - 1))
+
+
+def lp_norm(g: WeightedGraph, f, p=2):
+    """m-weighted L^p norm of a vertex function; the (k,) norms of the
+    columns of an (n, k) block."""
     f = np.asarray(f, dtype=float)
     if p == np.inf:
-        return float(np.abs(f).max(initial=0.0))
-    return float(np.sum(np.abs(f) ** p * g.m) ** (1.0 / p))
+        norm = np.abs(f).max(axis=0, initial=0.0)
+    else:
+        norm = np.sum(np.abs(f) ** p * per_row(g.m, f), axis=0) ** (1.0 / p)
+    return float(norm) if f.ndim == 1 else norm
 
 
 def inner(g: WeightedGraph, f, h) -> float:
@@ -100,11 +109,13 @@ def laplacian(g: WeightedGraph, f):
 
 def gradient(g: WeightedGraph, f):
     """Length of the gradient,
-    grad f(x) = ((1/2) sum_y p(x,y) |f(y)-f(x)|^2 m(y))^(1/2)."""
+    grad f(x) = ((1/2) sum_y p(x,y) |f(y)-f(x)|^2 m(y))^(1/2);
+    accepts (n,) or (n, batch)."""
     f = np.asarray(f, dtype=float)
     A = g.adjacency
-    quad = A @ (f * f) - 2.0 * f * (A @ f) + f * f * g.m
-    return np.sqrt(np.maximum(quad, 0.0) / (2.0 * g.m))
+    m = per_row(g.m, f)
+    quad = A @ (f * f) - 2.0 * f * (A @ f) + f * f * m
+    return np.sqrt(np.maximum(quad, 0.0) / (2.0 * m))
 
 
 # -- kernel iterates -----------------------------------------------------
@@ -158,14 +169,15 @@ def kernel_compose(a: KernelMatrix, b: KernelMatrix) -> KernelMatrix:
 
 @dataclass
 class EdgeFunction:
-    """Antisymmetric function on directed edges, stored in CSR slot order."""
+    """Antisymmetric function on directed edges, stored in CSR slot order;
+    (nnz, k) data holds k forms, one per column."""
 
     graph: WeightedGraph
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != (self.graph.adjacency.nnz,):
+        if self.data.ndim > 2 or self.data.shape[:1] != (self.graph.adjacency.nnz,):
             raise ValueError("edge data must align with the adjacency slots")
 
     def antisymmetry_defect(self) -> float:
@@ -200,17 +212,19 @@ def zero_form(g: WeightedGraph) -> EdgeFunction:
 
 
 def differential(g: WeightedGraph, f) -> EdgeFunction:
-    """d f(x, y) = f(x) - f(y) on every directed edge."""
+    """d f(x, y) = f(x) - f(y) on every directed edge; an (n, k) block
+    gives k forms."""
     f = np.asarray(f, dtype=float)
     return EdgeFunction(g, f[g.edge_rows] - f[g.edge_cols])
 
 
 def divergence(g: WeightedGraph, F: EdgeFunction):
-    """d* F(x) = sum_y p(x, y) F(x, y) m(y) = (1/m(x)) sum_y mu_xy F(x, y)."""
-    weighted = g.adjacency.data * F.data
+    """d* F(x) = sum_y p(x, y) F(x, y) m(y) = (1/m(x)) sum_y mu_xy F(x, y);
+    k forms give an (n, k) block."""
+    weighted = per_row(g.adjacency.data, F.data) * F.data
     sums = np.add.reduceat(weighted, g.adjacency.indptr[:-1])
     sums[np.diff(g.adjacency.indptr) == 0] = 0.0
-    return sums / g.m
+    return sums / per_row(g.m, sums)
 
 
 def tx_norms(g: WeightedGraph, F: EdgeFunction):

@@ -5,8 +5,9 @@ d(x,y)^2 <= l iff d(x,y) <= floor(sqrt(l)), the levels l in
 [rho^2, (rho+1)^2) share the spatial ball {d <= rho}, which is exactly
 the strict ball of radius ceil(sqrt(l+1)).  Every cone sum below first
 groups its weights by that radius into an (n, R) table W (`lusin` while
-it walks the power sequence, so no (n, l_max + 1) array is formed) and
-hands W to `_cone_accumulate`.  With V = `WeightedGraph.ball_volumes`,
+it walks the power sequence, so no (n, l_max + 1) array is formed; an
+(n, R, k) table for a block of k inputs) and hands W to
+`_cone_accumulate`.  With V = `WeightedGraph.ball_volumes`,
 
     out[x] = sum_y T_x[y, d(x, y)],  T_x[y, r] = sum_{rho >= r} W[y, rho] / V[x, rho],
 
@@ -23,16 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import delta_power_apply, has_oracle, spectral
-from .errors import KernelComponent, OracleCapExceeded
+from .calculus import delta_power_apply, has_oracle, require_mean_zero, spectral
+from .errors import OracleCapExceeded
 from .graphs import WeightedGraph, row_blocks
 from .operators import (
     EdgeFunction,
     apply_P,
     divergence,
-    inner,
     lp_norm,
     mean_project,
+    per_row,
     powers,
 )
 
@@ -87,35 +88,39 @@ def _cone_accumulate(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
     V(x, rho) = m({d(x, .) <= rho}) and column rho of W carries every
     factor of the cone levels [rho^2, (rho+1)^2) except the volume
     divisor.  Radii past the diameter see the whole graph, so they are
-    folded into the radius `diameter`."""
+    folded into the radius `diameter`.  (n, R, k) weights give an (n, k)
+    block: k columns read each tail table with one gather."""
     n = g.n
     width = g.diameter + 1
+    cols = W.shape[2:]
+    W = W.reshape(n, W.shape[1], -1)
     if W.shape[1] > width:
-        W = np.column_stack((W[:, :width - 1], W[:, width - 1:].sum(axis=1)))
-    R = W.shape[1]
+        W = np.concatenate((W[:, :width - 1], W[:, width - 1:].sum(axis=1, keepdims=True)),
+                           axis=1)
+    R, k = W.shape[1:]
     V = g.ball_volumes
-    out = np.empty(n)
+    out = np.empty((n, k))
     rare = []
     offsets = np.arange(n) * width
     for rows in _profile_groups(V):
         if len(rows) < SHARED_PROFILE_MIN:
             rare.append(rows)
             continue
-        T = np.zeros((n, width))
-        T[:, :R] = np.cumsum((W / V[rows[0], :R])[:, ::-1], axis=1)[:, ::-1]
-        T = T.ravel()
-        for block in row_blocks(rows, n):
+        T = np.zeros((n, width, k))
+        T[:, :R] = np.cumsum((W / V[rows[0], :R, None])[:, ::-1], axis=1)[:, ::-1]
+        T = T.reshape(n * width, k)
+        for block in row_blocks(rows, n * k):
             cells = g.dist[block].astype(np.intp)
             cells += offsets
-            out[block] = T[cells].sum(axis=1)
+            out[block] = np.take(T, cells, axis=0).sum(axis=1)
     rare = np.concatenate(rare) if rare else np.empty(0, dtype=np.intp)
     for block in row_blocks(rare, n):
         D = g.dist[block]
-        acc = np.zeros(len(block))
+        acc = np.zeros((len(block), k))
         for rho in range(R):
-            acc += ((D <= rho) @ W[:, rho]) / V[block, rho]
+            acc += ((D <= rho) @ W[:, rho]) / V[block, rho, None]
         out[block] = acc
-    return out
+    return out.reshape((n,) + cols)
 
 
 def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
@@ -125,17 +130,21 @@ def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
         (l+1)^{2b-1} / V(x, sqrt(l+1)) |Delta^b P^l f(y)|^2 m(y).
 
     ||L_beta f||_1 is the quadratic H^1 norm.  The weights are summed per
-    cone radius floor(sqrt(l)) while the power sequence is walked.
+    cone radius floor(sqrt(l)) while the power sequence is walked; an
+    (n, k) block of inputs walks it once and gives an (n, k) block.
     """
     if l_max is None:
         l_max = default_l_max(g)
-    W = np.zeros((math.isqrt(l_max) + 1, g.n))
+    W = np.zeros((math.isqrt(l_max) + 1,) + np.shape(f))
     for l, u in enumerate(powers(g, delta_power_apply(g, f, beta), l_max)):
         W[math.isqrt(l)] += (l + 1.0) ** (2 * beta - 1) * u * u
-    return np.sqrt(_cone_accumulate(g, (W * g.m).T))
+    W = np.moveaxis(W, 0, 1)
+    return np.sqrt(_cone_accumulate(g, W * per_row(g.m, W)))
 
 
-def quad_norm(g: WeightedGraph, f, beta: float = 1.0, l_max=None) -> float:
+def quad_norm(g: WeightedGraph, f, beta: float = 1.0, l_max=None):
+    """||L_beta f||_1; the (k,) norms of the columns of an (n, k) block,
+    from one walk of the power sequence."""
     return lp_norm(g, lusin(g, f, beta, l_max), 1)
 
 
@@ -215,13 +224,15 @@ def t1_norm(g: WeightedGraph, F: SpaceTimeFunction) -> float:
     return lp_norm(g, tent_functional(g, F), 1)
 
 
+def form_potential(g: WeightedGraph, F: EdgeFunction, tol=1e-10):
+    """Delta^{-1/2} d* F, whose quadratic norm is that of the exact 1-form F;
+    k forms give an (n, k) block.  d* F has zero mean by antisymmetry, so
+    a nonzero mean raises KernelComponent."""
+    return delta_power_apply(g, require_mean_zero(g, divergence(g, F)), -0.5, tol)
+
+
 def quad_norm_forms(g: WeightedGraph, F: EdgeFunction, beta: float,
-                    l_max=None, tol=1e-10) -> float:
+                    l_max=None, tol=1e-10):
     """H^1 quadratic norm of an exact 1-form,
     ||L_beta [Delta^{-1/2} d* F]||_1."""
-    h = divergence(g, F)
-    total = abs(inner(g, h, np.ones(g.n)))
-    if total > 1e-8 * max(lp_norm(g, h, 2), 1e-300) * math.sqrt(g.total_volume()):
-        raise KernelComponent("d*F has a nonzero mean: antisymmetry violated")
-    h = mean_project(g, h)  # the test above is require_mean_zero's
-    return quad_norm(g, delta_power_apply(g, h, -0.5, tol), beta, l_max)
+    return quad_norm(g, form_potential(g, F, tol), beta, l_max)

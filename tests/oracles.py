@@ -3,19 +3,22 @@
 Everything here is written as literal double loops over vertices and
 time levels, recomputing distances, ball volumes and cone membership
 from scratch; the optimized cone iteration in the package is checked
-against these.
+against these.  `CountingCSR` counts the sparse products a computation
+makes, for tests that pin how often the power sequence is walked.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from graphhardy.calculus import BZ2Kind, a_s, delta_power_exact, resolvent_apply, spectral
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import ball
-from graphhardy.operators import apply_P, gradient, lp_norm, powers
+from graphhardy.operators import apply_P, gradient, lp_norm, markov_matrix, powers
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
+from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
 
 
@@ -198,6 +201,42 @@ def bmo_norm_per_s(g, f, kind, M, s_max, tuple_policy="auto", seed=0):
                 best = (val, {"s": s, "times": list(times), "center": x,
                               "radius": r})
     return best
+
+
+def riesz_entries_per_input(g, suite, l_max=None):
+    """The entries of `riesz.riesz_h1_experiment`, one `riesz` call per
+    input."""
+    entries = []
+    for label, f in suite:
+        res = riesz(g, f, l_max)
+        denom = res.h1_quad_input
+        ratio = res.norm_l1_gradient / denom if denom > 0 else math.inf
+        gap = abs(res.h1_quad_output - res.h1_quad_input)
+        entries.append(RieszSuiteEntry(label, res.h1_quad_input, res.h1_quad_output,
+                                       res.norm_l1_gradient, ratio,
+                                       gap / denom if denom > 0 else gap))
+    return entries
+
+
+class CountingCSR(sp.csr_matrix):
+    """csr_matrix counting its products with dense operands."""
+
+    products = 0
+
+    def _matmul_vector(self, other):
+        self.products += 1
+        return super()._matmul_vector(other)
+
+    def _matmul_multivector(self, other):
+        self.products += 1
+        return super()._matmul_multivector(other)
+
+
+def counting_markov(g):
+    """Swap the cached Markov matrix of g for a CountingCSR and return it."""
+    W = markov_matrix(g)
+    g._markov = CountingCSR((W.data, W.indices, W.indptr), shape=W.shape)
+    return g._markov
 
 
 def top_level(values):

@@ -79,10 +79,18 @@ def test_spectral_apply_k2l(k2l, f0):
     )
 
 
-def test_spectral_singular_needs_mean_zero(k2l):
+def test_spectral_singular_needs_mean_zero(k2l, cycle16):
     o = spectral(k2l)
     with pytest.raises(KernelComponent):
         o.apply(lambda lam: (1 - lam) ** -0.5, np.array([1.0, 1.0]))
+    # each column of a block is judged against its own size: a small
+    # constant column beside a large mean-zero one still raises
+    F = np.column_stack((random_mean_zero(cycle16, np.random.default_rng(0)),
+                         np.full(cycle16.n, 1e-9)))
+    with pytest.raises(KernelComponent):
+        delta_power_exact(cycle16, F, -0.5)
+    np.testing.assert_allclose(delta_power_exact(cycle16, F[:, :1], -0.5)[:, 0],
+                               delta_power_exact(cycle16, F[:, 0], -0.5), rtol=1e-12)
 
 
 def test_binomial_coefficients_sqrt():
@@ -473,3 +481,45 @@ def test_bz2_needs_M_at_least_one(path, torus8, monkeypatch):
             with pytest.raises(ValueError):
                 gaffney_fit(torus8, family, [36], [0], [2, 4, 8], M=M)
     assert a_s(torus8, f, BZ2Kind((2, 4, 8), 1)).shape == (torus8.n, 3)
+
+
+def test_require_mean_zero_checks_each_column(cycle16):
+    # a block is the column loop; a zero column passes; one column with a
+    # constant part raises
+    g = cycle16
+    F = random_mean_zero(g, np.random.default_rng(3), size=4)
+    F[:, 2] = 0.0
+    out = require_mean_zero(g, F)
+    assert out.shape == F.shape
+    for j in range(4):
+        np.testing.assert_allclose(out[:, j], require_mean_zero(g, F[:, j]),
+                                   rtol=0, atol=1e-15)
+    assert not out[:, 2].any()
+    bad = F.copy()
+    bad[:, 3] += 1e-3
+    with pytest.raises(KernelComponent):
+        require_mean_zero(g, bad)
+    # the small column is judged against its own norm, not the block's
+    F[:, 1] *= 1e-12
+    F[:, 1] += 1e-15
+    with pytest.raises(KernelComponent):
+        require_mean_zero(g, F)
+
+
+def test_negative_powers_take_blocks(cycle16):
+    # Delta^beta, beta < 0, applies to an (n, k) block as to each column,
+    # on the oracle and on the series path
+    g = cycle16
+    F = random_mean_zero(g, np.random.default_rng(4), size=3)
+    lam = spectral(g).lambda_star
+    for beta in (-0.5, -1.0):
+        U = delta_power_apply(g, F, beta)
+        S = delta_power(g, F, beta, lambda_star=lam)
+        for j in range(3):
+            np.testing.assert_allclose(U[:, j], delta_power_apply(g, F[:, j], beta),
+                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(S[:, j], delta_power(g, F[:, j], beta, lambda_star=lam),
+                                       rtol=1e-12, atol=1e-14)
+    F[:, 1] += 1.0
+    with pytest.raises(KernelComponent):
+        delta_power_apply(g, F, -0.5)

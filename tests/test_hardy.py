@@ -6,7 +6,7 @@ import pytest
 
 from oracles import top_level
 
-from graphhardy import calculus
+from graphhardy import calculus, hardy
 from graphhardy.calculus import (
     BZ1Kind,
     BZ2Kind,
@@ -45,7 +45,7 @@ from graphhardy.operators import (
 from graphhardy.quadratic import SpaceTimeFunction, lusin_tail_bound, quad_norm
 from graphhardy.riesz import molecule_suite, riesz as riesz_transform
 from graphhardy.tentspace import TentAtom, eta_coefficients, tent
-from graphhardy.zoo import by_name, lazy_cycle
+from graphhardy.zoo import by_name, lazy_cycle, lazy_torus_2d
 
 
 def _delta_atom(g, y, M):
@@ -441,6 +441,26 @@ def test_periodic_walk_is_refused_at_once():
     with pytest.raises(PeriodicWalk):
         molecular_decompose(g, f, 1, 1.0, 1.0, tol=1e-8)
     assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("graph,error", [
+    (lambda: lazy_torus_2d(50), OracleCapExceeded),
+    (lambda: build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]),
+     PeriodicWalk),
+])
+def test_decompose_refuses_before_the_geometry(graph, error, monkeypatch):
+    # the lambda_star check comes first, so a graph without a reproducing
+    # horizon never builds its geometry, even for a zero input
+    g = graph()
+
+    def no_geometry(_):
+        raise AssertionError("geometry built before the refusal")
+
+    monkeypatch.setattr(hardy, "cached_geometry", no_geometry)
+    f = random_mean_zero(g, np.random.default_rng(1))
+    for x in (f, np.zeros(g.n)):
+        with pytest.raises(error):
+            molecular_decompose(g, x, 1, 1.0, 1.0)
 
 
 def test_above_the_oracle_cap_is_a_typed_error(monkeypatch):

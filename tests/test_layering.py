@@ -65,3 +65,18 @@ def test_calls_stay_in_their_home(callee):
     stray = sorted({where for name, where in _all_calls() if name == callee
                     and where.split(".")[0] not in modules and where not in functions})
     assert stray == [], f"{callee}( called outside its home: {stray}"
+
+
+def test_no_threads_in_the_package():
+    # blocks, not worker pools: no module starts threads
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.stem, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add((path.stem, node.module))
+    assert ("riesz", "json") in imported
+    stray = sorted((mod, name) for mod, name in imported
+                   if name.split(".")[0] in ("concurrent", "threading"))
+    assert stray == [], f"thread imports in the package: {stray}"

@@ -175,6 +175,28 @@ def test_mean_project_block_is_columnwise(torus8, rng):
                                    atol=1e-14)
 
 
+def test_first_order_ops_take_blocks(torus8, rng):
+    # d, d*, the gradient and the L^p norms act column by column
+    g = torus8
+    block = rng.standard_normal((g.n, 3))
+    F = differential(g, block)
+    h = divergence(g, F)
+    grad = gradient(g, block)
+    assert F.data.shape == (g.adjacency.nnz, 3) and h.shape == grad.shape == (g.n, 3)
+    for j in range(3):
+        Fj = differential(g, block[:, j])
+        np.testing.assert_array_equal(F.data[:, j], Fj.data)
+        np.testing.assert_allclose(h[:, j], divergence(g, Fj), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(grad[:, j], gradient(g, block[:, j]), rtol=1e-14)
+        for p in (1, 2, np.inf):
+            assert lp_norm(g, block, p)[j] == pytest.approx(lp_norm(g, block[:, j], p),
+                                                            rel=1e-14)
+    with pytest.raises(ValueError):
+        EdgeFunction(g, np.zeros((g.adjacency.nnz, 2, 2)))
+    with pytest.raises(ValueError):
+        EdgeFunction(g, np.zeros((g.adjacency.nnz + 1, 2)))
+
+
 def test_kernel_cap():
     import graphhardy.zoo as zoo
 

@@ -337,3 +337,25 @@ def test_cone_membership(cycle16):
     assert (3, 0) in tpairs
     for y, k in tpairs:
         assert cycle16.dist[3, y] <= k
+
+
+@pytest.mark.parametrize("path", ["oracle", "series"])
+@pytest.mark.parametrize("horizon", sorted(HORIZONS))
+def test_block_quad_norm_equals_columns(cone_graph, horizon, path, monkeypatch):
+    # an (n, k) block walks the power sequence once and gathers its k
+    # columns from each tail table (or the masked sums); each column is
+    # the vector call
+    if path == "series":
+        monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    g, _ = cone_graph
+    l_max = HORIZONS[horizon](g.diameter)
+    F = random_mean_zero(g, np.random.default_rng(6), size=4)
+    F[:, 1] = 0.0
+    L = lusin(g, F, 1.0, l_max)
+    Q = quad_norm(g, F, 1.0, l_max)
+    assert L.shape == F.shape and Q.shape == (4,)
+    for j in range(4):
+        col = lusin(g, F[:, j], 1.0, l_max)
+        np.testing.assert_allclose(L[:, j], col, rtol=1e-12, atol=1e-14 * col.max(initial=0.0))
+        assert Q[j] == pytest.approx(quad_norm(g, F[:, j], 1.0, l_max), rel=1e-12)
+    assert Q[1] == 0.0

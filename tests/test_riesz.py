@@ -3,8 +3,10 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import counting_markov, riesz_entries_per_input
 
 import graphhardy
+from graphhardy import riesz as riesz_module
 from graphhardy.errors import KernelComponent
 from graphhardy.operators import (
     EdgeFunction,
@@ -15,6 +17,7 @@ from graphhardy.operators import (
     random_mean_zero,
     tx_norms,
 )
+from graphhardy.quadratic import default_l_max
 from graphhardy.riesz import (
     gradient_matches_fiber_norms,
     h2_project,
@@ -24,6 +27,7 @@ from graphhardy.riesz import (
     riesz_h1_experiment,
     thread_cap,
 )
+from graphhardy.zoo import lazy_cycle, random_weights
 
 
 def test_riesz_k2l(k2l, f0):
@@ -170,3 +174,93 @@ def test_adjoint_isometry_on_exact_forms(cycle32, rng):
     F = h2_project(cycle32, EdgeFunction(cycle32, data))
     u = delta_inv_sqrt_exact(cycle32, divergence(cycle32, F))
     assert abs(lp_norm(cycle32, u, 2) - lp_norm_forms(cycle32, F, 2)) <= 1e-9
+
+
+def _assert_matches_per_input(g, suite, l_max=None):
+    rep = riesz_h1_experiment(g, suite, l_max)
+    loop = riesz_entries_per_input(g, suite, l_max)
+    assert [e.label for e in rep.entries] == [e.label for e in loop]
+    for name in ("h1_quad_input", "h1_quad_output", "grad_l1", "ratio"):
+        np.testing.assert_allclose([getattr(e, name) for e in rep.entries],
+                                   [getattr(e, name) for e in loop], rtol=1e-12,
+                                   err_msg=name)
+    # the chain gap is a rounding-level difference of two equal norms,
+    # already relative to the input norm
+    np.testing.assert_allclose([e.chain_gap for e in rep.entries],
+                               [e.chain_gap for e in loop], rtol=0, atol=1e-12)
+    ratios = [e.ratio for e in rep.entries if math.isfinite(e.ratio)]
+    assert rep.max_ratio == max(ratios, default=0.0)
+    assert rep.min_ratio == min(ratios, default=0.0)
+    assert rep.max_chain_gap == max((e.chain_gap for e in rep.entries), default=0.0)
+    return rep
+
+
+def test_experiment_matches_per_input_cycle32_bz1(cycle32):
+    suite = molecule_suite(cycle32, (1, 4, 16, 64), kind="bz1", M=1,
+                           centers=range(0, 32, 4))
+    _assert_matches_per_input(cycle32, suite)
+
+
+def test_experiment_matches_per_input_torus_bz2(torus8):
+    suite = molecule_suite(torus8, (1, 4, 16), kind="bz2", M=2, centers=range(0, 64, 5))
+    _assert_matches_per_input(torus8, suite)
+
+
+def test_experiment_matches_per_input_masked_cones():
+    # jittered weights leave every centre with its own ball-volume profile,
+    # so the cone sums take the masked per-radius path
+    g = random_weights(lazy_cycle(16), 2)
+    suite = molecule_suite(g, (1, 4, 16), kind="bz1", M=1, centers=range(0, 16, 2))
+    _assert_matches_per_input(g, suite)
+
+
+@pytest.mark.parametrize("cap,value,blocks", [
+    ("RIESZ_BLOCK", 4, 3),
+    # 2 n (diameter + 1) = 288 table entries per input on lazy_cycle(16)
+    ("RIESZ_TABLE_ENTRIES", 3 * 288, 4),
+    ("RIESZ_TABLE_ENTRIES", 1, 11),
+])
+def test_experiment_runs_in_blocks(monkeypatch, cap, value, blocks):
+    # 11 inputs, a zero input (infinite ratio) among them, one power walk
+    # per block
+    monkeypatch.setattr(riesz_module, cap, value)
+    g = lazy_cycle(16)
+    suite = molecule_suite(g, (1, 4), centers=range(0, 16, 3))[:10]
+    suite.insert(5, ("zero", np.zeros(g.n)))
+    rep = _assert_matches_per_input(g, suite)
+    assert len(rep.entries) == 11 and rep.entries[5].ratio == math.inf
+    W = counting_markov(g)
+    riesz_h1_experiment(g, suite)
+    assert W.products == blocks * default_l_max(g)
+
+
+@pytest.mark.parametrize("l_max", [40, 200])
+def test_experiment_explicit_horizon(cycle16, l_max):
+    # below the default horizon, and far above it (radii past the diameter)
+    suite = molecule_suite(cycle16, (1, 4, 16), centers=range(0, 16, 4))
+    _assert_matches_per_input(cycle16, suite, l_max)
+
+
+def test_experiment_empty_suite(cycle16):
+    rep = riesz_h1_experiment(cycle16, [])
+    assert rep.entries == []
+    assert rep.max_ratio == rep.min_ratio == rep.max_chain_gap == 0.0
+
+
+def test_experiment_rejects_a_non_mean_zero_input(cycle16):
+    suite = molecule_suite(cycle16, (1, 4), centers=range(0, 16, 4))
+    suite.append(("one", np.ones(cycle16.n)))
+    with pytest.raises(KernelComponent):
+        riesz_h1_experiment(cycle16, suite)
+
+
+def test_experiment_walks_the_power_sequence_once():
+    # on the oracle path the whole 32-input suite costs one power walk of
+    # the stacked inputs and their h; one riesz call per input makes two
+    # walks each
+    g = lazy_cycle(32)
+    suite = molecule_suite(g, (1, 4, 16, 64), centers=range(0, 32, 4))
+    W = counting_markov(g)
+    riesz_h1_experiment(g, suite)
+    assert len(suite) == 32
+    assert W.products == default_l_max(g)

@@ -3,9 +3,8 @@ calls on both evaluation paths, from one walk of the power sequence."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from oracles import bmo_norm_per_s, family_per_s
+from oracles import bmo_norm_per_s, counting_markov, family_per_s
 
 from graphhardy import calculus
 from graphhardy.calculus import (
@@ -16,7 +15,7 @@ from graphhardy.calculus import (
     resolvent_step_series,
 )
 from graphhardy.hardy import bmo_norm
-from graphhardy.operators import markov_matrix, random_mean_zero
+from graphhardy.operators import random_mean_zero
 from graphhardy.zoo import lazy_cycle, lazy_torus_2d
 
 S_VALUES = [1, 2, 5, 9, 16]
@@ -101,31 +100,11 @@ def test_bmo_norm_block_cap(cycle16):
     assert rep.argmax == argmax
 
 
-class CountingCSR(sp.csr_matrix):
-    """csr_matrix counting its products with dense operands."""
-
-    products = 0
-
-    def _matmul_vector(self, other):
-        self.products += 1
-        return super()._matmul_vector(other)
-
-    def _matmul_multivector(self, other):
-        self.products += 1
-        return super()._matmul_multivector(other)
-
-
-def _counting_graph(g):
-    W = markov_matrix(g)
-    g._markov = CountingCSR((W.data, W.indices, W.indptr), shape=W.shape)
-    return g._markov
-
-
 @pytest.mark.parametrize("M", [1, 2])
 def test_sweeps_walk_the_power_sequence_once(monkeypatch, M):
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     g = lazy_cycle(16)
-    W = _counting_graph(g)
+    W = counting_markov(g)
     f = random_mean_zero(g, np.random.default_rng(8))
     lengths = [M * resolvent_step_series(g, s, 1e-12 / M).truncation for s in S_VALUES]
     resolvent_apply(g, f, S_VALUES, float(M))
