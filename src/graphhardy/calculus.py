@@ -5,23 +5,31 @@ Each operator phi(P) is described once, by a pair:
 * an oracle symbol `symbol(lam, s)`, phi_s on the spectrum of P, applied
   exactly by the spectral oracle (dense eigendecomposition of the
   m-symmetrized walk), the reference on desk-scale graphs;
-* a series column generator `column(s) -> (coeffs, tail_bound)`, the
-  coefficients of sum_k c_k P^k truncated with a certified bound on the
-  discarded tail, the scalable path; the two agree to `tail_bound + eps`.
+* a series column generator `column(s) -> (coeffs, tail_bound[, basis])`,
+  the coefficients of sum_k c_k B_k(P) truncated with a certified bound
+  on the discarded tail, the scalable path; the two agree to
+  `tail_bound + eps`.
 
-`phi_apply` is the one place that chooses between them, and
+The series come in two bases.  Delta^beta is a power series in P, the
+(1 - z)^beta series of `_binomial_chunks`: its symbol is singular at
+z = 1, on the spectrum, so it converges with weight lambda_star on the
+mean-zero subspace only.  The resolvent families (I + s Delta)^{-power}
+and [I - (I + s Delta)^{-1}]^M are Chebyshev series in T_k(P): their
+symbols are analytic off z = 1 + 1/s, outside the spectrum's [-1, 1], so
+their interpolants converge on all of [-1, 1] at a rate of about
+1 + sqrt(2/s) per term (`chebyshev_series`), with no lambda_star, where
+the Taylor series in P converged at s/(1+s).
+
+`phi_apply` is the one place that chooses between oracle and series, and
 `delta_power_apply` (Delta^beta for every real beta), `resolvent_apply`
-((I + s Delta)^{-power}) and `a_s` reach it with their pair.  Every
-(1 - z)^beta series takes its coefficients from `_binomial_chunks`.
+((I + s Delta)^{-power}) and `a_s` reach it with their pair.
 
 A sequence of scales (the sup over s of the BMO norm, the Davies-Gaffney
 decay curves) is evaluated as one block, one column per scale: the oracle
 applies an (n_eig, S) symbol table in one pass, and the series path
-applies an (N_max + 1, S) coefficient table, each column zero past its
-own truncation N_s, during one walk of the power sequence up to
-N_max = max_s N_s.  An M-fold composition of a truncated series is the
-same polynomial in P as the M-th convolution power of its coefficients,
-so it becomes one column too.
+applies an (N_max + 1, S) coefficient table in one basis, each column
+zero past its own truncation N_s, during one walk of the basis sequence
+up to N_max = max_s N_s.
 
 On a finite connected graph ker Delta is the constants, so the
 operators with a singularity at the spectral point 1 (negative powers of
@@ -41,7 +49,7 @@ import scipy.linalg
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk)
 from .graphs import WeightedGraph
-from .operators import apply_P, gradient, lp_norm, mean_project, powers
+from .operators import apply_P, chebyshev, gradient, lp_norm, mean_project, powers
 
 ORACLE_MAX_N = 2048
 KERNEL_REL_TOL = 1e-8
@@ -183,18 +191,32 @@ def binomial_series(beta: float, q: float, tol: float, pref=1.0):
         chunks.append(bk)
 
 
+POWER, CHEBYSHEV = "power", "chebyshev"
+# basis name -> generator of its terms B_0(P) f .. B_N(P) f
+_BASIS_TERMS = {POWER: powers, CHEBYSHEV: chebyshev}
+
+
 @dataclass
 class SeriesOperator:
-    """Sum_k coeff_k P^k truncated at N with a certified tail bound.
+    """Sum_k coeff_k B_k(P) truncated at N with a certified tail bound,
+    where the basis B_k is P^k ("power") or the Chebyshev polynomial
+    T_k(P) ("chebyshev").
 
     `coeffs` is either one coefficient vector or a table of shape
     (N_max + 1, S), one column per scale, each zero past its own
-    truncation; a table carries one tail bound per column."""
+    truncation; a table carries one tail bound per column.
+
+    Every tail bound holds in the L^2(m) operator norm: P is self-adjoint
+    on L^2(m) with spectrum in [-1, 1], so ||phi(P) - p_N(P)|| is the
+    largest |phi - p_N| on that spectrum.  A Chebyshev bound holds on all
+    of [-1, 1]; a power-series bound holds where |z| <= q, i.e. on the
+    subspace whose spectral radius q it was built with."""
 
     graph: WeightedGraph
     kind: str
     coeffs: np.ndarray = field(repr=False)
     tail_bound: object          # float, or an (S,) array for a table
+    basis: str = POWER
 
     @property
     def truncation(self) -> int:
@@ -203,11 +225,11 @@ class SeriesOperator:
     def apply(self, f):
         """Evaluate on a vector or a stacked batch (n, k); a table takes
         a vector and returns an (n, S) block."""
-        terms = powers(self.graph, f, self.truncation)
+        terms = _BASIS_TERMS[self.basis](self.graph, f, self.truncation)
         if self.coeffs.ndim == 2:
             if np.ndim(f) != 1:
                 raise ValueError("a coefficient table applies to a single vector")
-            acc = 0.0    # TABLE_CHUNK powers at a time, one GEMM each
+            acc = 0.0    # TABLE_CHUNK terms at a time, one GEMM each
             for start in range(0, len(self.coeffs), TABLE_CHUNK):
                 block = np.stack(list(itertools.islice(terms, TABLE_CHUNK)))
                 acc += block.T @ self.coeffs[start:start + len(block)]
@@ -220,12 +242,53 @@ class SeriesOperator:
 
 
 def series_table(g: WeightedGraph, kind: str, columns) -> SeriesOperator:
-    """One table from (coefficients, tail bound) pairs, one column each,
-    zero-padded to the longest."""
-    C = np.zeros((max(len(c) for c, _ in columns), len(columns)))
-    for j, (c, _) in enumerate(columns):
-        C[:len(c), j] = c
-    return SeriesOperator(g, kind, C, np.array([t for _, t in columns]))
+    """One table from (coefficients, tail bound[, basis]) columns, one
+    per scale, zero-padded to the longest; all share one basis (power
+    when none is named)."""
+    bases = {c[2] if len(c) > 2 else POWER for c in columns}
+    if len(bases) != 1:
+        raise ValueError(f"one basis per table, got {sorted(bases)}")
+    C = np.zeros((max(len(c[0]) for c in columns), len(columns)))
+    for j, c in enumerate(columns):
+        C[:len(c[0]), j] = c[0]
+    return SeriesOperator(g, kind, C, np.array([c[1] for c in columns]), bases.pop())
+
+
+# Ellipse parameters tried by `chebyshev_series`, as fractions of the way
+# from 1 to the largest admissible rho; the best one lies close to the
+# pole, so the grid is geometric in the distance to it.
+_RHO_FRACTIONS = 1.0 - np.geomspace(1e-4, 1.0, 256, endpoint=False)
+
+
+def chebyshev_series(symbol, sup, pole: float, tol: float):
+    """(c_0..c_N, tail bound, CHEBYSHEV): the degree-N interpolant
+    sum_k c_k T_k of symbol at the N + 1 Chebyshev points cos(j pi / N).
+
+    symbol must be analytic inside every Bernstein ellipse E_rho (foci
+    -1 and 1, semi-axis sum rho) whose right vertex
+    x_rho = (rho + 1/rho)/2 lies left of the real pole > 1, and sup(x_rho)
+    must bound |symbol| on E_rho.  Then the interpolant is within
+    4 sup(x_rho) rho^{-N} / (rho - 1) of symbol on [-1, 1] (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 8.2); rho is
+    taken from a grid below pole + sqrt(pole^2 - 1) to make N the smallest
+    with that bound <= tol, and the tail bound is the least over the grid
+    at that N.  Raises NonConvergent past SERIES_MAX_N."""
+    rho = 1.0 + (pole + math.sqrt((pole - 1.0) * (pole + 1.0)) - 1.0) * _RHO_FRACTIONS
+    front = 4.0 * sup(0.5 * (rho + 1.0 / rho)) / (rho - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        degrees = np.maximum(np.ceil(np.log(front / tol) / np.log(rho)), 1.0)
+        degrees[front * rho ** -degrees > tol] += 1.0    # rounded onto the boundary
+    N = degrees.min()
+    if not N <= SERIES_MAX_N:
+        raise NonConvergent(f"Chebyshev series: tol {tol} needs N > {SERIES_MAX_N}")
+    N = int(N)
+    tail = float(np.min(front * rho ** -N))
+    vals = symbol(np.cos(np.pi * np.arange(N + 1) / N))
+    # the interpolant's coefficients are a DCT-I of the values, taken as
+    # the real FFT of their even extension
+    c = np.fft.rfft(np.concatenate((vals, vals[-2:0:-1]))).real / N
+    c[[0, N]] /= 2.0
+    return c, tail, CHEBYSHEV
 
 
 def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
@@ -270,56 +333,56 @@ def _resolvent_symbol(lam, s, power: float):
     return (1.0 + s * (1.0 - lam)) ** (-power)
 
 
-def resolvent_step_series(g: WeightedGraph, s: int, tol: float) -> SeriesOperator:
-    """(I + s Delta)^{-1} = sum_k (1/(1+s)) (s/(1+s))^k P^k."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    q = s / (1.0 + s)
-    N = max(0, math.ceil(math.log(tol) / math.log(q)))
-    if N > SERIES_MAX_N:
-        raise NonConvergent(f"resolvent: tol {tol} needs N = {N} > {SERIES_MAX_N}")
-    coeffs = (1.0 / (1.0 + s)) * q ** np.arange(N + 1)
-    return SeriesOperator(g, f"resolvent({s})", coeffs, q ** (N + 1))
+def _bz2_symbol(lam, s, M: int):
+    """[I - (I + s Delta)^{-1}]^M - I = sum_{j>=1} C(M, j) (-R)^j on the
+    spectrum: without the identity part, so it is as accurate as R."""
+    r = _resolvent_symbol(lam, s, 1.0)
+    return sum(math.comb(M, j) * (-r) ** j for j in range(1, M + 1))
 
 
-def resolvent_frac_series(g: WeightedGraph, s: int, power: float,
-                          tol: float) -> SeriesOperator:
-    """(I + s Delta)^{-power} for power > 0 via the (1 - z)^{-power} series:
-    c_k = (1+s)^{-power} a_k q^k with q = s/(1+s) and a_k, N and the
-    tail bound from `binomial_series`."""
+def _resolvent_column(s, power, tol):
+    """(I + s Delta)^{-power}, power > 0, as one Chebyshev column.  The
+    symbol (1 + s(1 - x))^{-power} is analytic off its one singularity
+    x = 1 + 1/s, and on E_rho its modulus is at most its value at x_rho,
+    the point of E_rho nearest the singularity."""
     if s < 1:
         raise ValueError("s must be >= 1")
     if power <= 0:
         raise ValueError("power must be > 0")
-    q = s / (1.0 + s)
-    pref = (1.0 + s) ** (-power)
-    a, tail = binomial_series(-power, q, tol, pref)
+
+    def symbol(x):
+        return _resolvent_symbol(x, s, power)
+    return chebyshev_series(symbol, symbol, 1.0 + 1.0 / s, tol)
+
+
+def _bz2_column(s, M: int, tol):
+    """[I - (I + s Delta)^{-1}]^M - I as one Chebyshev column; with
+    |R| <= R(x_rho) on E_rho its modulus there is at most
+    (1 + R(x_rho))^M - 1."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    return chebyshev_series(
+        lambda x: _bz2_symbol(x, s, M),
+        lambda x: (1.0 + _resolvent_symbol(x, s, 1.0)) ** M - 1.0, 1.0 + 1.0 / s, tol)
+
+
+def resolvent_step_series(g: WeightedGraph, s, tol: float) -> SeriesOperator:
+    """(I + s Delta)^{-1} on the series path."""
+    return SeriesOperator(g, f"resolvent({s})", *_resolvent_column(s, 1.0, tol))
+
+
+def resolvent_frac_series(g: WeightedGraph, s, power: float,
+                          tol: float) -> SeriesOperator:
+    """(I + s Delta)^{-power}, power > 0, on the series path."""
     return SeriesOperator(g, f"resolvent_frac({s},{power})",
-                          pref * a * q ** np.arange(len(a), dtype=float), tail)
-
-
-def _resolvent_column(g: WeightedGraph, s: int, power, tol):
-    """(I + s Delta)^{-power} as one table column: for an integer power
-    M the M-fold Neumann composition of the step series, i.e. the M-th
-    convolution power of its coefficients (tail bound M times the
-    step's, every factor being a contraction); the (1 - z)^{-power}
-    series otherwise."""
-    if power >= 0 and float(power).is_integer():
-        M = int(power)
-        step = resolvent_step_series(g, s, tol / max(M, 1))
-        col = np.ones(1)
-        for _ in range(M):
-            col = np.convolve(col, step.coeffs)
-        return col, M * step.tail_bound
-    op = resolvent_frac_series(g, s, power, tol)
-    return op.coeffs, op.tail_bound
+                          *_resolvent_column(s, power, tol))
 
 
 # -- the one oracle/series choice --------------------------------------------
 
 def phi_apply(g: WeightedGraph, f, s, symbol, column):
     """phi_s(P) f: the oracle applies symbol(lam, s) when affordable, the
-    series path the coefficients of column(s) = (coeffs, tail_bound).
+    series path the coefficients of column(s) = (coeffs, tail_bound[, basis]).
 
     A scalar s (None for an operator without a scale) takes a vector or
     an (n, k) block.  A sequence of scales takes a vector and gives an
@@ -332,7 +395,7 @@ def phi_apply(g: WeightedGraph, f, s, symbol, column):
     if has_oracle(g):
         return spectral(g).apply(lambda lam: symbol(lam[:, None] if sweep else lam, s), f)
     if sweep:
-        return series_table(g, f"sweep({len(s)})", [column(int(t)) for t in s]).apply(f)
+        return series_table(g, f"sweep({len(s)})", [column(t) for t in s]).apply(f)
     return SeriesOperator(g, "phi", *column(s)).apply(f)
 
 
@@ -350,7 +413,7 @@ def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
     """(I + s Delta)^{-power} f with automatic path choice; a sequence of
     scales gives an (n, S) block, one column per scale."""
     return phi_apply(g, f, s, lambda lam, t: _resolvent_symbol(lam, t, power),
-                     lambda t: _resolvent_column(g, t, power, tol))
+                     lambda t: _resolvent_column(t, power, tol))
 
 
 # -- single-path names ---------------------------------------------------------
@@ -393,9 +456,8 @@ def delta_power(g: WeightedGraph, f, beta: float, tol=1e-10, lambda_star=None):
 
 
 def resolvent(g: WeightedGraph, f, s: int, M: int = 1, tol=1e-12):
-    """Series path for (I + s Delta)^{-M} f: the Neumann series composed
-    M times, applied as one column."""
-    return SeriesOperator(g, f"resolvent({s})", *_resolvent_column(g, s, M, tol)).apply(f)
+    """Series path for (I + s Delta)^{-M} f, applied as one column."""
+    return SeriesOperator(g, f"resolvent({s})", *_resolvent_column(s, M, tol)).apply(f)
 
 
 def reproducing_check(g: WeightedGraph, f, beta: float, N: int,
@@ -422,7 +484,7 @@ class BZ1Kind:
 
 @dataclass(frozen=True)
 class BZ2Kind:
-    s: object                  # int, or a tuple of ints for a sweep
+    s: object                  # a scale, or a tuple of scales for a sweep
     M: int
 
     def __post_init__(self):
@@ -448,13 +510,11 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
             out = out - apply_P(g, out, t)
         return out
     if isinstance(kind, BZ2Kind) and np.ndim(kind.s):
-        # [I - R]^M = I + sum_{j>=1} C(M, j) (-R)^j: the identity part is
-        # added exactly, so where f vanishes the block is as accurate as R f
-        def symbol(lam, t):
-            r = _resolvent_symbol(lam, t, 1.0)
-            return sum(math.comb(kind.M, j) * (-r) ** j for j in range(1, kind.M + 1))
+        # the identity part is added exactly, so where f vanishes the
+        # block is as accurate as R f
         return out[:, None] + phi_apply(
-            g, out, kind.s, symbol, lambda t: _bz2_column(g, t, kind.M, tol))
+            g, out, kind.s, lambda lam, t: _bz2_symbol(lam, t, kind.M),
+            lambda t: _bz2_column(t, kind.M, tol))
     if isinstance(kind, BZ2Kind):
         for _ in range(kind.M):
             out = out - resolvent_apply(g, out, kind.s, 1.0, tol)
@@ -465,19 +525,6 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
             acc += vec
         return acc / kind.s
     raise TypeError(f"unknown A_s kind: {kind!r}")
-
-
-def _bz2_column(g: WeightedGraph, s: int, M: int, tol):
-    """[I - R_N]^M - I = sum_{j>=1} C(M, j) (-R_N)^j as one table column,
-    R_N the resolvent step truncated as in `resolvent`; with ||I - R|| <= 1
-    and ||I - R_N|| <= 2 the tail bound is (2^M - 1) times the step's."""
-    step = resolvent_step_series(g, s, tol)
-    col = np.zeros(M * step.truncation + 1)
-    term = np.ones(1)
-    for j in range(1, M + 1):
-        term = np.convolve(term, -step.coeffs)
-        col[:len(term)] += math.comb(M, j) * term
-    return col, (2.0 ** M - 1.0) * step.tail_bound
 
 
 # -- Davies-Gaffney decay fits ----------------------------------------------

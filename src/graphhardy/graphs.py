@@ -81,6 +81,7 @@ class WeightedGraph:
         self._oracle = None
         self._geometry = None
         self._markov = None
+        self._aperiodic = None
 
     # -- metric -------------------------------------------------------
 
@@ -118,6 +119,20 @@ class WeightedGraph:
                 V[rows] = np.cumsum(shells.reshape(b, width), axis=1)
             self._ball_volumes = V
         return self._ball_volumes
+
+    @property
+    def aperiodic(self):
+        """Whether the walk is aperiodic.  A connected reversible walk has
+        period 1 or 2: a loop makes it 1, and without loops it is 2 exactly
+        when every edge joins vertices of opposite distance parity from
+        vertex 0 (the graph is bipartite)."""
+        if self._aperiodic is None:
+            if self.adjacency.diagonal().any():
+                self._aperiodic = True
+            else:
+                parity = self.dist[0].astype(np.intp) % 2
+                self._aperiodic = bool(np.any(parity[self.edge_rows] == parity[self.edge_cols]))
+        return self._aperiodic
 
     def total_volume(self):
         return float(self.m.sum())

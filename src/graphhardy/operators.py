@@ -103,6 +103,25 @@ def powers(g: WeightedGraph, f, L: int):
         yield u
 
 
+def chebyshev(g: WeightedGraph, f, N: int):
+    """Yield T_0(P) f, T_1(P) f, ..., T_N(P) f, the Chebyshev polynomials
+    of the first kind in P, with exactly N sparse products
+    (T_{k+1} = 2 P T_k - T_{k-1}), and nothing when N < 0; accepts (n,)
+    or (n, batch)."""
+    if N < 0:
+        return
+    W = markov_matrix(g)
+    prev = np.asarray(f, dtype=float)
+    yield prev
+    if N == 0:
+        return
+    u = W @ prev
+    yield u
+    for _ in range(N - 1):
+        prev, u = u, 2.0 * (W @ u) - prev
+        yield u
+
+
 def laplacian(g: WeightedGraph, f):
     return np.asarray(f, dtype=float) - apply_P(g, f)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import delta_power_apply, has_oracle, require_mean_zero, spectral
-from .errors import OracleCapExceeded
+from .errors import OracleCapExceeded, PeriodicWalk
 from .graphs import WeightedGraph, row_blocks
 from .operators import (
     EdgeFunction,
@@ -131,8 +131,13 @@ def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
 
     ||L_beta f||_1 is the quadratic H^1 norm.  The weights are summed per
     cone radius floor(sqrt(l)) while the power sequence is walked; an
-    (n, k) block of inputs walks it once and gives an (n, k) block.
+    (n, k) block of inputs walks it once and gives an (n, k) block.  A
+    periodic walk raises PeriodicWalk: its P^l f keeps oscillating, so the
+    sum depends on the horizon.
     """
+    if not g.aperiodic:
+        raise PeriodicWalk("the walk is periodic, so P^l f does not settle "
+                           "and the cone sum depends on its horizon")
     if l_max is None:
         l_max = default_l_max(g)
     W = np.zeros((math.isqrt(l_max) + 1,) + np.shape(f))

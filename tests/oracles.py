@@ -13,7 +13,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from graphhardy.calculus import BZ2Kind, a_s, delta_power_exact, resolvent_apply, spectral
+from graphhardy.calculus import (BZ2Kind, a_s, binomial_series, delta_power_exact,
+                                 resolvent_apply, spectral)
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import ball
 from graphhardy.operators import apply_P, gradient, lp_norm, markov_matrix, powers
@@ -118,9 +119,11 @@ def naive_tent_members(g, ball_mask, l_max):
 
 
 def resolvent_frac_coefficients(s, power, tol):
-    """(coefficients, tail bound) of `calculus.resolvent_frac_series`, one
-    term at a time: the truncation is the first k >= 1 whose certified
-    tail is <= tol."""
+    """(coefficients, tail bound) of the Taylor series of
+    (I + s Delta)^{-power} = (1+s)^{-power} (1 - q P)^{-power},
+    q = s/(1+s), one term at a time: the truncation is the first k >= 1
+    whose certified tail is <= tol (`calculus.binomial_series` at beta =
+    -power, weight q and prefactor (1+s)^{-power}, term by term)."""
     q = s / (1.0 + s)
     pref = (1.0 + s) ** (-power)
     a = 1.0
@@ -137,6 +140,19 @@ def resolvent_frac_coefficients(s, power, tol):
             tail = pref * a_next * q ** (k + 1) / (1.0 - rho)
             if tail <= tol:
                 return np.array(coeffs), tail
+
+
+def taylor_resolvent_degree(s, power, tol):
+    """Degree of the Taylor series in P that summed (I + s Delta)^{-power}
+    before Chebyshev columns, q = s/(1+s): for an integer power M, M
+    Neumann steps each truncated at the first N with q^N <= tol / M; else
+    the (1 - qz)^{-power} series of `binomial_series` (pinned to
+    `resolvent_frac_coefficients` in the calculus tests)."""
+    q = s / (1.0 + s)
+    if float(power).is_integer():
+        M = int(power)
+        return M * max(0, math.ceil(math.log(tol / M) / math.log(q)))
+    return len(binomial_series(-power, q, tol, (1.0 + s) ** (-power))[0]) - 1
 
 
 def family_per_s(g, family, f, s, M):

@@ -165,13 +165,16 @@ def test_resolvent_frac_series(cycle16, rng):
 @pytest.mark.parametrize("power", [0.5, 1.5])
 @pytest.mark.parametrize("s", [1, 40, 512])
 def test_resolvent_frac_series_matches_loop(cycle16, s, power):
-    # the chunked running product keeps the term-by-term truncation and
-    # stays within a few dozen roundings of the loop's coefficients
+    # the chunked running product of binomial_series (which serves
+    # Delta^beta) keeps the term-by-term truncation of the weighted
+    # (1 - z)^{-power} series and stays within a few dozen roundings of
+    # the loop's coefficients
     want, tail = resolvent_frac_coefficients(s, power, 1e-12)
-    op = resolvent_frac_series(cycle16, s, power, 1e-12)
-    assert op.truncation == len(want) - 1
-    np.testing.assert_allclose(op.coeffs, want, rtol=2e-14, atol=0)
-    assert op.tail_bound == pytest.approx(tail, rel=2e-14, abs=0)
+    q, pref = s / (1.0 + s), (1.0 + s) ** (-power)
+    a, got_tail = binomial_series(-power, q, 1e-12, pref)
+    assert len(a) == len(want)
+    np.testing.assert_allclose(pref * a * q ** np.arange(len(a)), want, rtol=2e-14, atol=0)
+    assert got_tail == pytest.approx(tail, rel=2e-14, abs=0)
 
 
 def test_a_s_kills_constants(cycle16):

@@ -115,6 +115,8 @@ def test_periodic_walk_exit_code(tmp_path, capsys):
     f_path.write_text("vertex,value\n0,1.0\n1,0.0\n2,-1.0\n3,0.0\n")
     assert main(["decompose", str(g_path), "--f", str(f_path)]) == 1
     assert "periodic" in capsys.readouterr().err
+    assert main(["quadnorm", str(g_path), "--f", str(f_path)]) == 1
+    assert "periodic" in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -285,3 +285,16 @@ def test_geometry_report_matches_ball_masks(g, kwargs, exact):
     else:
         assert rep.doubling_constant == pytest.approx(doubling, rel=1e-12)
         assert rep.d0_estimate == pytest.approx(d0, rel=1e-12, abs=1e-14)
+
+
+def test_aperiodic():
+    # period 2 exactly for a loop-free bipartite graph; one loop or one
+    # odd cycle makes the walk aperiodic
+    square = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]
+    assert not build_graph(square).aperiodic
+    assert build_graph(square + [(2, 2, 0.5)]).aperiodic
+    assert build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]).aperiodic
+    assert not build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).aperiodic
+    assert build_graph([(7, 7, 1.0)]).aperiodic
+    for g in (zoo.k2l(), zoo.lazy_cycle(8), zoo.lazy_torus_2d(4)):
+        assert g.aperiodic

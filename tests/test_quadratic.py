@@ -15,12 +15,13 @@ from oracles import (
 
 from graphhardy import calculus, graphs, zoo
 from graphhardy.calculus import BZ1Kind, a_s, spectral
-from graphhardy.errors import KernelComponent
+from graphhardy.errors import KernelComponent, PeriodicWalk
 from graphhardy.hardy import heat_profile
 from graphhardy.operators import (
     EdgeFunction,
     differential,
     lp_norm,
+    mean_project,
     random_mean_zero,
 )
 from graphhardy.quadratic import (
@@ -359,3 +360,15 @@ def test_block_quad_norm_equals_columns(cone_graph, horizon, path, monkeypatch):
         np.testing.assert_allclose(L[:, j], col, rtol=1e-12, atol=1e-14 * col.max(initial=0.0))
         assert Q[j] == pytest.approx(quad_norm(g, F[:, j], 1.0, l_max), rel=1e-12)
     assert Q[1] == 0.0
+
+
+def test_periodic_walk_is_refused():
+    # on the loop-free 4-cycle P^l f oscillates for ever, and the cone sum
+    # used to return a horizon-dependent 18.54 for this input
+    g = graphs.build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+    f = np.zeros(g.n)
+    f[0] = 1.0
+    f = mean_project(g, f)
+    for fn in (lusin, quad_norm):
+        with pytest.raises(PeriodicWalk):
+            fn(g, f, 1.0)

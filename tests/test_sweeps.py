@@ -12,7 +12,7 @@ from graphhardy.calculus import (
     BZ2Kind,
     a_s,
     resolvent_apply,
-    resolvent_step_series,
+    resolvent_frac_series,
 )
 from graphhardy.hardy import bmo_norm
 from graphhardy.operators import random_mean_zero
@@ -106,13 +106,14 @@ def test_sweeps_walk_the_power_sequence_once(monkeypatch, M):
     g = lazy_cycle(16)
     W = counting_markov(g)
     f = random_mean_zero(g, np.random.default_rng(8))
-    lengths = [M * resolvent_step_series(g, s, 1e-12 / M).truncation for s in S_VALUES]
+    lengths = [resolvent_frac_series(g, s, M, 1e-12).truncation for s in S_VALUES]
     resolvent_apply(g, f, S_VALUES, float(M))
     assert W.products == max(lengths) < sum(lengths)
 
     W.products = 0
     bmo_norm(g, f, "bz2", M, 16)
-    assert W.products == M * resolvent_step_series(g, 16, 1e-12).truncation
+    assert W.products == max(len(calculus._bz2_column(s, M, 1e-12)[0]) - 1
+                             for s in range(1, 17))
 
 
 def test_series_table_keeps_each_truncation():
@@ -129,3 +130,21 @@ def test_series_table_keeps_each_truncation():
         _assert_close(U[:, j], one)
     with pytest.raises(ValueError):
         op.apply(np.ones((g.n, 2)))
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_sweeps_keep_non_integer_scales(M, cycle16, monkeypatch):
+    # each scale of a sweep is passed as given on the series path too, not
+    # truncated to an integer
+    g = cycle16
+    f = random_mean_zero(g, np.random.default_rng(10))
+    scales = [2.5, 4.0, 7.25]
+    want_R = resolvent_apply(g, f, scales, float(M))
+    want_A = a_s(g, f, BZ2Kind(tuple(scales), M))
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    got_R = resolvent_apply(g, f, scales, float(M))
+    got_A = a_s(g, f, BZ2Kind(tuple(scales), M))
+    for j, s in enumerate(scales):
+        _assert_close(got_R[:, j], resolvent_apply(g, f, s, float(M)))
+        np.testing.assert_allclose(got_R[:, j], want_R[:, j], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_A[:, j], want_A[:, j], rtol=0, atol=1e-12)
