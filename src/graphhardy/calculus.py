@@ -529,9 +529,16 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
 
 # -- Davies-Gaffney decay fits ----------------------------------------------
 
+# Tolerance of the resolvent families' evaluations, hence the absolute
+# accuracy of their ratios (f has unit norm).
+GAFFNEY_TOL = 1e-12
+
 def _heat_sweep(g, f, s_values):
-    """P^s f for every s as an (n, S) block from one power pass."""
+    """P^s f for every integer time s as an (n, S) block from one power
+    pass."""
     steps = np.array([int(s) for s in s_values], dtype=int)
+    if np.any(steps != np.asarray(s_values, dtype=float)):
+        raise ValueError("heat families need integer times s")
     if steps.min() < 0:
         raise ValueError("s must be >= 0")
     out = np.empty((g.n, len(steps)))
@@ -552,11 +559,11 @@ def _family_delta_heat(g, f, s, M):
 
 
 def _family_resolvent(g, f, s, M):
-    return resolvent_apply(g, f, [int(t) for t in s], float(M))
+    return resolvent_apply(g, f, s, float(M), GAFFNEY_TOL)
 
 
 def _family_resolvent_diff(g, f, s, M):
-    return a_s(g, f, BZ2Kind(tuple(int(t) for t in s), M))
+    return a_s(g, f, BZ2Kind(tuple(s), M), GAFFNEY_TOL)
 
 
 def _family_grad_heat(g, f, s, M):
@@ -564,21 +571,31 @@ def _family_grad_heat(g, f, s, M):
 
 
 def _family_grad_resolvent(g, f, s, M):
-    out = resolvent_apply(g, f, [int(t) for t in s], M + 0.5)
+    out = resolvent_apply(g, f, s, M + 0.5, GAFFNEY_TOL)
     for _ in range(M):
         out = out - apply_P(g, out)
     return gradient(g, out) * [t ** (M + 0.5) for t in s]
 
 
+def _resolvent_floor(s, M):
+    return GAFFNEY_TOL
+
+
+def _grad_resolvent_floor(s, M):
+    # (I - P)^M has norm <= 2^M and the gradient <= sqrt(2) on L^2(m)
+    return GAFFNEY_TOL * 2.0 ** M * math.sqrt(2.0) * s ** (M + 0.5)
+
+
 # family name -> (apply(g, f, s_values, M) -> (n, S) block, one column
-# per scale; decay exponent eta)
+# per scale; decay exponent eta; absolute accuracy floor(s, M) of a
+# ratio for a unit-norm f, None where the block is exact)
 FAMILIES = {
-    "heat": (_family_heat, 1.0),
-    "delta_heat": (_family_delta_heat, 1.0),
-    "resolvent": (_family_resolvent, 0.5),
-    "resolvent_diff": (_family_resolvent_diff, 0.5),
-    "grad_heat": (_family_grad_heat, 1.0),
-    "grad_resolvent": (_family_grad_resolvent, 0.5),
+    "heat": (_family_heat, 1.0, None),
+    "delta_heat": (_family_delta_heat, 1.0, None),
+    "resolvent": (_family_resolvent, 0.5, _resolvent_floor),
+    "resolvent_diff": (_family_resolvent_diff, 0.5, _resolvent_floor),
+    "grad_heat": (_family_grad_heat, 1.0, None),
+    "grad_resolvent": (_family_grad_resolvent, 0.5, _grad_resolvent_floor),
 }
 
 
@@ -615,9 +632,16 @@ def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit
     """Measure ||A_s f||_{L^2(E)} / ||f||_{L^2(F)} for f = normalized 1_F
     and fit log ratio = log C - c (d(E,F)^2 / s)^eta.
 
-    Exact zeros (finite propagation speed) are dropped from the fit but
-    kept in the recorded curve.  s_range may be any iterable (it is read
-    once); all its scales are evaluated as one block.
+    Ratios at or below their evaluation's absolute accuracy are dropped
+    from the fit but kept in the recorded curve: exact zeros (finite
+    propagation speed) for the heat families, and for the resolvent
+    families every ratio not above GAFFNEY_TOL = 1e-12 (times
+    2^M sqrt(2) s^(M+1/2) for grad_resolvent), the tail bound the series
+    path certifies, which also exceeds the oracle's rounding (about
+    n eps).  Heat families take integer times only (ValueError
+    otherwise); resolvent scales are used as given.  s_range may be any
+    iterable (it is read once); all its scales are evaluated as one
+    block.
     """
     E = np.asarray(list(E), dtype=int)
     F = np.asarray(list(F), dtype=int)
@@ -625,7 +649,7 @@ def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit
         raise OverlappingSets("E and F must be disjoint")
     if M < 1:
         raise ValueError("M must be >= 1")
-    apply_fn, eta = FAMILIES[family]
+    apply_fn, eta, floor_fn = FAMILIES[family]
     d_EF = float(g.dist[np.ix_(E, F)].min())
     f = np.zeros(g.n)
     f[F] = 1.0
@@ -634,7 +658,7 @@ def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit
     U = apply_fn(g, f, s_values, M) if s_values else np.empty((g.n, 0))
     ratios = np.array([float(np.sqrt(np.sum(u[E] ** 2 * g.m[E]))) for u in U.T])
     s_arr = np.asarray(s_values, dtype=float)
-    pos = ratios > 0
+    pos = ratios > (0.0 if floor_fn is None else floor_fn(s_arr, M))
     if pos.sum() >= 2:
         y = np.log(ratios[pos])
         u = (d_EF ** 2 / s_arr[pos]) ** eta

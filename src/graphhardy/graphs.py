@@ -3,7 +3,9 @@
 A graph is a symmetric weight matrix mu_xy >= 0; the vertex measure is
 m(x) = sum_y mu_xy (a self loop counts once).  Every L^p quantity in the
 package is weighted by m.  Balls use the strict convention
-B(x, r) = {y : d(x, y) < r}.
+B(x, r) = {y : d(x, y) < r}.  The path metric counts hops, so the sparse
+ball matrices of `ball_matrices` are grown from the adjacency one radius
+at a time, without the dense metric `dist`.
 """
 
 from __future__ import annotations
@@ -270,11 +272,28 @@ def ball(g: WeightedGraph, x: int, r) -> Ball:
     return Ball(g, x, r, mask, g.volume(mask))
 
 
-def ball_matrix(g: WeightedGraph, r) -> sp.csr_matrix:
-    """Sparse 0/1 matrix whose row x is the indicator of the strict ball
-    B(x, r), so (B @ (u m))(x) is the mass of u m on B(x, r)."""
-    rows, cols = np.nonzero(g.dist < r)
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+def ball_matrices(g: WeightedGraph, r_max: int):
+    """Yield B_1, ..., B_{r_max}: sparse 0/1 matrices whose row x is the
+    indicator of the strict ball B(x, r), so (B_r @ (u m))(x) is the
+    mass of u m on B(x, r).
+
+    Distances are hop counts, so B_1 = I and B_{r+1} is the pattern of
+    B_r (I + A), one sparse product per radius; `dist` is never read.
+    Once a step leaves the pattern unchanged the balls are saturated and
+    the last matrix is yielded again without further products."""
+    B = sp.identity(g.n, format="csr")
+    step = B + g.adjacency
+    step.data[:] = 1.0
+    saturated = False
+    for r in range(1, r_max + 1):
+        yield B
+        if r < r_max and not saturated:
+            grown = B @ step
+            saturated = grown.nnz == B.nnz
+            if not saturated:
+                grown.data[:] = 1.0
+                grown.sort_indices()
+                B = grown
 
 
 @dataclass

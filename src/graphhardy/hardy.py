@@ -43,7 +43,7 @@ from .graphs import (
     WeightedGraph,
     annuli_covering_range,
     ball,
-    ball_matrix,
+    ball_matrices,
     cached_geometry,
 )
 from .operators import (
@@ -512,8 +512,10 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     the endpoint tuples plus 32 seeded samples are used;
     `tuple_policy` in {"auto", "exhaustive", "sampled"} overrides.
     The bz2 candidates of every s come from one sweep; local masses are
-    taken with one sparse ball matrix per radius, on blocks of at most
-    BMO_BLOCK candidates, walked in order (the first strict maximum wins).
+    taken with one sparse ball matrix per radius, grown from the previous
+    radius as s walks upward (one matrix held at a time, `dist` never
+    read), on blocks of at most BMO_BLOCK candidates, walked in order (the
+    first strict maximum wins).
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
@@ -524,18 +526,18 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     f = np.asarray(f, dtype=float)
     best = (-1.0, None)
     policies = set()
-    balls = {}
+    balls = ball_matrices(g, math.ceil(math.sqrt(s_max)))
+    r = 0
     if kind == "bz1":
         PK = np.column_stack(list(powers(g, f, 2 * s_max * M)))
     else:
         A = a_s(g, f, BZ2Kind(tuple(range(1, s_max + 1)), M))
     rng = np.random.default_rng(seed)
     for s in range(1, s_max + 1):
-        r = math.ceil(math.sqrt(s))
-        if r not in balls:
-            B = ball_matrix(g, r)
-            balls[r] = (B, B @ g.m)
-        B, vols = balls[r]
+        if math.ceil(math.sqrt(s)) > r:
+            r += 1
+            B = next(balls)
+            vols = B @ g.m
         if kind == "bz2":
             tuples = [()]
             policies.add("exhaustive")

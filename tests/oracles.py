@@ -27,6 +27,13 @@ def _ball_volume(g, x, r):
     return sum(float(g.m[y]) for y in range(g.n) if g.dist[x, y] < r)
 
 
+def ball_matrix_dense(g, r):
+    """Sparse 0/1 matrix whose row x is the indicator of the strict ball
+    B(x, r), scanned out of the dense metric."""
+    rows, cols = np.nonzero(g.dist < r)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+
+
 def cone_members(g, x, l_max):
     """Parabolic cone {(y, l) : d(x, y)^2 <= l <= l_max}; (x, 0) always
     belongs."""
@@ -167,11 +174,11 @@ def family_per_s(g, family, f, s, M):
             out = math.sqrt(s) * gradient(g, out)
         return out
     if family == "resolvent":
-        return resolvent_apply(g, f, int(s), float(M))
+        return resolvent_apply(g, f, s, float(M))
     if family == "resolvent_diff":
-        return a_s(g, f, BZ2Kind(int(s), M))
+        return a_s(g, f, BZ2Kind(s, M))
     if family == "grad_resolvent":
-        out = resolvent_apply(g, f, int(s), M + 0.5)
+        out = resolvent_apply(g, f, s, M + 0.5)
         for _ in range(M):
             out = out - apply_P(g, out)
         return s ** (M + 0.5) * gradient(g, out)

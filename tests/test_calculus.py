@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import resolvent_frac_coefficients
+from oracles import family_per_s, resolvent_frac_coefficients
 
 from graphhardy import calculus
 from graphhardy.calculus import (
@@ -49,7 +49,7 @@ from graphhardy.operators import (
     mean_project,
     random_mean_zero,
 )
-from graphhardy.zoo import lazy_cycle
+from graphhardy.zoo import lazy_cycle, lazy_torus_2d
 
 
 def test_oracle_reproduces_P(cycle16):
@@ -277,6 +277,52 @@ def test_gaffney_resolvent_torus(torus12):
     fit = gaffney_fit(torus12, "resolvent", E, [0], [1, 2, 4, 8, 16, 32])
     assert fit.c > 0
     assert fit.eta == 0.5
+
+
+@pytest.mark.parametrize("path", ["oracle", "series"])
+@pytest.mark.parametrize("family", ["resolvent", "resolvent_diff", "grad_resolvent"])
+def test_gaffney_resolvent_scales_as_given(path, family, cycle16, monkeypatch):
+    # s = 2.5 is measured at 2.5, not at int(2.5) = 2
+    if path == "series":
+        monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    g = cycle16
+    fit = gaffney_fit(g, family, [8], [0], [2.5, 4.0])
+    assert fit.s_values == [2.5, 4.0]
+    f = np.zeros(g.n)
+    f[0] = 1.0
+    f /= lp_norm(g, f, 2)
+    for s, ratio in zip(fit.s_values, fit.ratios):
+        u = family_per_s(g, family, f, s, 1)
+        assert ratio == pytest.approx(math.sqrt(u[8] ** 2 * g.m[8]), rel=1e-10)
+    truncated = gaffney_fit(g, family, [8], [0], [2, 4]).ratios[0]
+    assert fit.ratios[0] > 2 * truncated
+    if family == "resolvent":
+        assert fit.ratios[0] == pytest.approx(7.66e-5, rel=1e-3)
+
+
+@pytest.mark.parametrize("family", ["heat", "delta_heat", "grad_heat"])
+def test_gaffney_heat_needs_integer_times(family, cycle16):
+    with pytest.raises(ValueError):
+        gaffney_fit(cycle16, family, [8], [0], [2.5, 4])
+    assert gaffney_fit(cycle16, family, [8], [0], [2.0, 4]).s_values == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("family", ["resolvent", "resolvent_diff", "grad_resolvent"])
+def test_gaffney_fit_drops_ratios_below_accuracy(family):
+    # at s = 1, 2, 4 the true ratios are below 1e-20 and what is measured
+    # is rounding: kept in the curve, left out of the fit
+    g = lazy_torus_2d(32)
+    s_values = [1, 2, 4, 8, 16, 32, 64]
+    fit = gaffney_fit(g, family, [16 * 32 + 16], [0], s_values)
+    floor = np.broadcast_to(FAMILIES[family][2](np.asarray(s_values, dtype=float), 1), 7)
+    ratios = np.asarray(fit.ratios)
+    assert len(ratios) == 7 and np.all(ratios[:3] <= floor[:3])
+    assert fit.n_points == int(np.sum(ratios > floor)) >= 3
+    assert fit.c > 0 and fit.residual_rms < 0.2
+    if family == "grad_resolvent":
+        np.testing.assert_allclose(floor, 1e-12 * 2 * math.sqrt(2) * np.power(s_values, 1.5))
+    else:
+        assert np.all(floor == 1e-12)
 
 
 def test_gaffney_overlap_rejected(cycle16):

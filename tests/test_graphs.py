@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import geometry_report_masks
+from oracles import ball_matrix_dense, geometry_report_masks
 
 from graphhardy import graphs, zoo
 from graphhardy.errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
@@ -12,6 +12,7 @@ from graphhardy.graphs import (
     annulus,
     annulus_cover,
     ball,
+    ball_matrices,
     build_graph,
     cover_overlap_bound,
     geometry_report,
@@ -110,6 +111,35 @@ def test_ball_volumes_match_balls(build, block_rows, monkeypatch):
             for x in range(g.n)]
     np.testing.assert_allclose(V, want, rtol=1e-14, atol=0)
     np.testing.assert_allclose(V[:, -1], g.total_volume(), rtol=1e-14)
+
+
+@pytest.mark.parametrize("build", [
+    zoo.k2l,
+    lambda: zoo.binary_tree(4),
+    lambda: zoo.lazy_path(12),
+    lambda: zoo.random_weights(zoo.lazy_cycle(16), 2),
+    lambda: zoo.lazy_torus_2d(6),
+    lambda: build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]),
+    lambda: zoo.lazy_torus_2d(32),
+], ids=["k2l", "tree4", "path12", "jittered_cycle16", "torus6", "loopfree_cycle4",
+        "torus32"])
+def test_ball_matrices_match_dense_scan(build):
+    # grown hop by hop, every radius has the CSR arrays of the dense scan
+    # of dist < r, past saturation too, where the full matrix is yielded
+    # again without being rebuilt
+    g = build()
+    r_max = g.diameter + 3
+    grown = list(ball_matrices(g, r_max))
+    assert len(grown) == r_max
+    for r, B in enumerate(grown, start=1):
+        want = ball_matrix_dense(g, r)
+        assert type(B) is type(want) and B.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(B, name), getattr(want, name)
+            assert got.dtype == ref.dtype, (r, name)
+            np.testing.assert_array_equal(got, ref, err_msg=f"r = {r}, {name}")
+    assert grown[g.diameter].nnz == g.n * g.n
+    assert all(B is grown[g.diameter] for B in grown[g.diameter + 1:])
 
 
 def test_annuli_k2l(k2l):

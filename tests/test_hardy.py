@@ -1,12 +1,14 @@
 import math
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from oracles import top_level
+from oracles import ball_matrix_dense, top_level
 
-from graphhardy import calculus, hardy
+from graphhardy import calculus, graphs, hardy
 from graphhardy.calculus import (
     BZ1Kind,
     BZ2Kind,
@@ -320,6 +322,66 @@ def test_bmo_equivalence_band(cycle32):
             v1 = bmo_norm(cycle32, f, "bz1", M, 16).value
             v2 = bmo_norm(cycle32, f, "bz2", M, 16).value
             assert v1 / v2 <= 10.0 and v2 / v1 <= 10.0
+
+
+def _dense_balls(g, r_max):
+    for r in range(1, r_max + 1):
+        yield ball_matrix_dense(g, r)
+
+
+@pytest.mark.parametrize("M", [1, 2])
+@pytest.mark.parametrize("kind", ["bz1", "bz2"])
+@pytest.mark.parametrize("name, s_max", [("torus12", 16), ("cycle16", 90)])
+def test_bmo_norm_payload_matches_dense_balls(request, monkeypatch, name, s_max,
+                                              kind, M):
+    # balls grown hop by hop give the payload of balls scanned out of
+    # dist, byte for byte; on the cycle the radii run past saturation
+    g = request.getfixturevalue(name)
+    f = random_mean_zero(g, np.random.default_rng(11))
+    got = bmo_norm(g, f, kind, M, s_max, seed=4).to_json()
+    monkeypatch.setattr(hardy, "ball_matrices", _dense_balls)
+    assert got == bmo_norm(g, f, kind, M, s_max, seed=4).to_json()
+
+
+def test_bmo_norm_reads_no_metric():
+    g = lazy_torus_2d(12)
+    f = random_mean_zero(g, np.random.default_rng(12))
+    for kind in ("bz1", "bz2"):
+        bmo_norm(g, f, kind, 1, 16)
+    assert g._dist is None
+
+
+def test_bmo_norm_allocates_less_than_the_metric():
+    # the ball matrices never come from an n x n scan of dist
+    g = lazy_torus_2d(40)
+    f = random_mean_zero(g, np.random.default_rng(13))
+    g.dist
+    bmo_norm(g, f, "bz2", 1, 16)  # fills the oracle and Markov caches
+    tracemalloc.start()
+    try:
+        bmo_norm(g, f, "bz2", 1, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n
+
+
+def test_bmo_norm_holds_one_ball_matrix(monkeypatch, cycle32):
+    # radii 1..18 (past saturation at 17): when a radius is grown, every
+    # matrix but the one the caller still holds has been released
+    yielded = []
+
+    def tracked(g, r_max):
+        for B in graphs.ball_matrices(g, r_max):
+            held = {id(ref()) for ref in yielded if ref() is not None}
+            assert len(held) <= 1
+            yielded.append(weakref.ref(B))
+            yield B
+
+    monkeypatch.setattr(hardy, "ball_matrices", tracked)
+    f = random_mean_zero(cycle32, np.random.default_rng(14))
+    bmo_norm(cycle32, f, "bz2", 1, 300)
+    assert len(yielded) == 18
 
 
 def test_bmo_sampled_policy(cycle16, rng):

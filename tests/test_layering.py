@@ -1,7 +1,7 @@
 """One home per decision: the raw Markov matrix (hence every P^l loop),
-the oracle/series choice, the spectral oracle, the cone sum and the dense
-tent mask may be reached only from the modules and functions listed
-here."""
+the oracle/series choice, the spectral oracle, the cone sum, the dense
+tent mask and the ball matrices may be reached only from the modules and
+functions listed here."""
 
 import ast
 from pathlib import Path
@@ -20,6 +20,8 @@ ALLOWED = {
                                  "quadratic.tent_functional"}),
     # the decomposition works on per-vertex tent depths, never on masks
     "tent_mask": (set(), {"tentspace.tent"}),
+    # ball matrices are grown one radius at a time by the BMO sup only
+    "ball_matrices": (set(), {"hardy.bmo_norm"}),
 }
 
 
@@ -57,6 +59,7 @@ def test_scanner_sees_calls():
     assert ("has_oracle", "quadratic.lusin_tail_bound") in found
     assert ("_cone_accumulate", "quadratic.lusin_tilde") in found
     assert ("tent_mask", "tentspace.tent") in found
+    assert ("ball_matrices", "hardy.bmo_norm") in found
 
 
 @pytest.mark.parametrize("callee", sorted(ALLOWED))
