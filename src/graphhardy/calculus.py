@@ -48,7 +48,7 @@ import scipy.linalg
 
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk)
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, set_distance
 from .operators import apply_P, chebyshev, gradient, lp_norm, mean_project, powers
 
 ORACLE_MAX_N = 2048
@@ -650,7 +650,7 @@ def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit
     if M < 1:
         raise ValueError("M must be >= 1")
     apply_fn, eta, floor_fn = FAMILIES[family]
-    d_EF = float(g.dist[np.ix_(E, F)].min())
+    d_EF = float(set_distance(g, E, F))
     f = np.zeros(g.n)
     f[F] = 1.0
     f /= lp_norm(g, f, 2)

@@ -5,7 +5,8 @@ m(x) = sum_y mu_xy (a self loop counts once).  Every L^p quantity in the
 package is weighted by m.  Balls use the strict convention
 B(x, r) = {y : d(x, y) < r}.  The path metric counts hops, so the sparse
 ball matrices of `ball_matrices` are grown from the adjacency one radius
-at a time, without the dense metric `dist`.
+at a time, and `set_distance` searches breadth-first from one set;
+neither builds the dense metric `dist`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 from .errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
 
@@ -84,6 +85,11 @@ class WeightedGraph:
         self._geometry = None
         self._markov = None
         self._aperiodic = None
+        # products with the Markov matrix made on this graph, counted by
+        # `operators.markov_step`: calls, and columns (an (n, k) block is
+        # one call of k columns)
+        self.matvec_calls = 0
+        self.matvec_cols = 0
 
     # -- metric -------------------------------------------------------
 
@@ -270,6 +276,18 @@ def ball(g: WeightedGraph, x: int, r) -> Ball:
         raise ValueError("ball radius must be >= 1")
     mask = g.dist[x] < r
     return Ball(g, x, r, mask, g.volume(mask))
+
+
+def set_distance(g: WeightedGraph, E, F) -> int:
+    """d(E, F) = min d(x, y) over x in E and y in F (0 when they meet),
+    by one breadth-first search from all of F on the adjacency, so the
+    n x n metric is never built."""
+    E = np.asarray(E, dtype=int)
+    F = np.asarray(F, dtype=int)
+    if not (E.size and F.size):
+        raise ValueError("E and F must be non-empty")
+    hops = dijkstra(g.adjacency, indices=F, unweighted=True, min_only=True)
+    return int(hops[E].min())
 
 
 def ball_matrices(g: WeightedGraph, r_max: int):

@@ -57,6 +57,7 @@ from .operators import (
     mean_project,
     powers,
     tx_norms,
+    weighted_powers,
 )
 from .quadratic import SpaceTimeFunction, default_l_max, quad_norm
 from .riesz import h2_project
@@ -354,18 +355,14 @@ class MolecularDecomposition:
 
 def heat_profile(g: WeightedGraph, f, beta: float, l_max: int) -> SpaceTimeFunction:
     """F(., l) = [(l+1) Delta]^beta P^l f for l = 0..l_max."""
-    vals = np.empty((g.n, l_max + 1))
-    for l, u in enumerate(powers(g, delta_power_apply(g, f, beta), l_max)):
-        vals[:, l] = (l + 1.0) ** beta * u
-    return SpaceTimeFunction(g, vals)
+    return SpaceTimeFunction(g, weighted_powers(
+        g, delta_power_apply(g, f, beta), [(l + 1.0) ** beta for l in range(l_max + 1)]))
 
 
 def form_profile(g: WeightedGraph, w, l_max: int) -> SpaceTimeFunction:
     """F(., l) = sqrt(l+1) P^l w (w = d*G for the forms pipeline)."""
-    vals = np.empty((g.n, l_max + 1))
-    for l, u in enumerate(powers(g, w, l_max)):
-        vals[:, l] = math.sqrt(l + 1.0) * u
-    return SpaceTimeFunction(g, vals)
+    return SpaceTimeFunction(g, weighted_powers(
+        g, w, [math.sqrt(l + 1.0) for l in range(l_max + 1)]))
 
 
 def pipeline_l_max(g: WeightedGraph, eta: int, tol: float, ref_norm: float) -> int:

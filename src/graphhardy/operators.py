@@ -18,12 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .graphs import WeightedGraph
 
 # Kernel matrices densify once l exceeds the diameter; keep a cap so a
 # runaway l cannot exhaust memory on large graphs.
 KERNEL_L_CAP = 4096
+
+# Levels of a weighted power walk held as contiguous rows before they are
+# written, weighted, into the columns of its (n, L + 1) array.
+LEVEL_CHUNK = 64
 
 
 # -- vertex functions ---------------------------------------------------
@@ -76,31 +81,102 @@ def markov_matrix(g: WeightedGraph) -> sp.csr_matrix:
     return g._markov
 
 
+def markov_step(g: WeightedGraph, x):
+    """P x, a new array, for a vector or an (n, k) block x: the one
+    product of P with a dense operand.
+
+    scipy's own CSR kernel runs on the arrays of `markov_matrix(g)` with
+    the dispatch of `W @ x` (a vector or a single column through
+    csr_matvec, a wider block through csr_matvecs on its C-ordered
+    copy), so the result is bit-identical to `markov_matrix(g) @ x`.
+    Each call adds one to `g.matvec_calls` and its column count to
+    `g.matvec_cols`."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[:1] != (g.n,) or x.ndim > 2:
+        raise ValueError(f"P acts on {g.n} vertices, not on shape {x.shape}")
+    return _kernel_step(g, markov_matrix(g), x, np.empty(x.shape))
+
+
+def _kernel_step(g: WeightedGraph, W, x, out):
+    """`markov_step` written into out, a C-contiguous float array of x's
+    shape that must not share memory with x (it is zero-filled first;
+    the kernel adds into it).  The walks below call it with W =
+    markov_matrix(g) read once and buffers they own."""
+    n = g.n
+    csr = W.indptr, W.indices, W.data
+    out.fill(0.0)
+    if x.ndim == 1:
+        cols = 1
+        _sparsetools.csr_matvec(n, n, *csr, x, out)
+    else:
+        cols = x.shape[1]
+        if cols == 1:
+            _sparsetools.csr_matvec(n, n, *csr, x.ravel(), out.reshape(-1))
+        else:
+            _sparsetools.csr_matvecs(n, n, cols, *csr, x.ravel(), out.reshape(-1))
+    g.matvec_calls += 1
+    g.matvec_cols += cols
+    return out
+
+
 def apply_P(g: WeightedGraph, f, k: int = 1):
     """P^k f by k sparse applications; accepts (n,) or (n, batch)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    W = markov_matrix(g)
     out = np.asarray(f, dtype=float)
     for _ in range(k):
-        out = W @ out
+        out = markov_step(g, out)
     return out
 
 
 def powers(g: WeightedGraph, f, L: int):
     """Yield P^0 f, P^1 f, ..., P^L f with exactly L sparse products, and
-    nothing when L < 0; accepts (n,) or (n, batch).
-
-    The one home of the power sequence: outside this module only the
-    Horner scan of synthesis steps the Markov matrix itself."""
+    nothing when L < 0; accepts (n,) or (n, batch).  Every term is a new
+    array the caller may keep."""
     if L < 0:
         return
-    W = markov_matrix(g)
     u = np.asarray(f, dtype=float)
     yield u
     for _ in range(L):
-        u = W @ u
+        u = markov_step(g, u)
         yield u
+
+
+def weighted_powers(g: WeightedGraph, f, weights) -> np.ndarray:
+    """The (n, L + 1) array whose column l is weights[l] P^l f for a
+    vector f, L = len(weights) - 1, with exactly L sparse products.
+
+    The walk steps from row to row of a (LEVEL_CHUNK, n) block, whose
+    rows are contiguous, and writes each full block, weighted, into its
+    columns with one multiply, so it allocates nothing per level."""
+    weights = np.asarray(weights, dtype=float)
+    out = np.empty((g.n, len(weights)))
+    rows = np.empty((min(LEVEL_CHUNK, len(weights)), g.n))
+    u = np.asarray(f, dtype=float)
+    W = markov_matrix(g)
+    for lo in range(0, len(weights), LEVEL_CHUNK):
+        hi = min(lo + LEVEL_CHUNK, len(weights))
+        for i in range(hi - lo):
+            if lo + i:
+                _kernel_step(g, W, u, rows[i])
+            else:
+                rows[0] = u
+            u = rows[i]
+        np.multiply(rows[:hi - lo].T, weights[lo:hi], out=out[:, lo:hi])
+    return out
+
+
+def horner(g: WeightedGraph, U: np.ndarray) -> np.ndarray:
+    """sum_{k < K} P^k U[:, k] for an (n, K) array U, by the Horner scan
+    acc <- P acc + U[:, k] from k = K - 1 down to 0, starting from
+    acc = 0: exactly K sparse products between two (n,) buffers."""
+    acc = np.zeros(g.n)
+    spare = np.empty_like(acc)
+    W = markov_matrix(g)
+    for k in range(U.shape[1] - 1, -1, -1):
+        acc, spare = _kernel_step(g, W, acc, spare), acc
+        acc += U[:, k]
+    return acc
 
 
 def chebyshev(g: WeightedGraph, f, N: int):
@@ -110,15 +186,17 @@ def chebyshev(g: WeightedGraph, f, N: int):
     or (n, batch)."""
     if N < 0:
         return
-    W = markov_matrix(g)
     prev = np.asarray(f, dtype=float)
     yield prev
     if N == 0:
         return
-    u = W @ prev
+    u = markov_step(g, prev)
     yield u
     for _ in range(N - 1):
-        prev, u = u, 2.0 * (W @ u) - prev
+        nxt = markov_step(g, u)
+        nxt *= 2.0
+        nxt -= prev
+        prev, u = u, nxt
         yield u
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .calculus import _mean_zero_radius, delta_power_apply
 from .errors import NonConvergent
 from .graphs import Ball, WeightedGraph, ball
-from .operators import apply_P, lp_norm, markov_matrix
+from .operators import apply_P, horner, lp_norm
 from .quadratic import SpaceTimeFunction, tent_functional
 
 # Entries handled per vectorized step where an entry needs a float
@@ -303,18 +303,14 @@ def horner_synthesis(g: WeightedGraph, entries: SpaceTimeEntries, eta: int,
 
     Applying the (level-independent) prefix to all visited levels at
     once keeps partial sums at the output scale (the raw sum is badly
-    conditioned) and leaves one matvec per level for the scan.
+    conditioned) and leaves `operators.horner`, one in-place Markov step
+    per level (exactly top products), for the scan.
     """
     top = entries.top
-    acc = np.zeros(g.n)
     if top == 0:
-        return acc
+        return np.zeros(g.n)
     coeffs = eta_coefficients(eta, top) / np.arange(1, top + 1, dtype=float) ** beta
-    U = prefix(entries.block(top)) * coeffs[None, :]
-    W = markov_matrix(g)
-    for l in range(top, 0, -1):
-        acc = W @ acc + U[:, l - 1]
-    return acc
+    return horner(g, prefix(entries.block(top)) * coeffs[None, :])
 
 
 def heat_prefix(g: WeightedGraph, V: np.ndarray, eta: int, exp: float,

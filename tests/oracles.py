@@ -3,8 +3,9 @@
 Everything here is written as literal double loops over vertices and
 time levels, recomputing distances, ball volumes and cone membership
 from scratch; the optimized cone iteration in the package is checked
-against these.  `CountingCSR` counts the sparse products a computation
-makes, for tests that pin how often the power sequence is walked.
+against these.  `counting_markov` reads the package's count of the
+products with P a computation makes, for tests that pin how often the
+power sequence is walked.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from graphhardy.calculus import (BZ2Kind, a_s, binomial_series, delta_power_exac
                                  resolvent_apply, spectral)
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import ball
-from graphhardy.operators import apply_P, gradient, lp_norm, markov_matrix, powers
+from graphhardy.operators import apply_P, gradient, lp_norm, powers
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
@@ -241,25 +242,26 @@ def riesz_entries_per_input(g, suite, l_max=None):
     return entries
 
 
-class CountingCSR(sp.csr_matrix):
-    """csr_matrix counting its products with dense operands."""
+class MarkovCount:
+    """The products with P made on a graph since this count was taken
+    (or since `products` was last set), read off `g.matvec_calls`."""
 
-    products = 0
+    def __init__(self, g):
+        self.graph = g
+        self._base = g.matvec_calls
 
-    def _matmul_vector(self, other):
-        self.products += 1
-        return super()._matmul_vector(other)
+    @property
+    def products(self):
+        return self.graph.matvec_calls - self._base
 
-    def _matmul_multivector(self, other):
-        self.products += 1
-        return super()._matmul_multivector(other)
+    @products.setter
+    def products(self, value):
+        self._base = self.graph.matvec_calls - value
 
 
 def counting_markov(g):
-    """Swap the cached Markov matrix of g for a CountingCSR and return it."""
-    W = markov_matrix(g)
-    g._markov = CountingCSR((W.data, W.indices, W.indptr), shape=W.shape)
-    return g._markov
+    """A count of the products with P made on g from now on."""
+    return MarkovCount(g)
 
 
 def top_level(values):

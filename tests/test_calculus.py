@@ -272,6 +272,16 @@ def test_gaffney_reads_s_range_once(cycle32):
     assert fit.c > 0
 
 
+@pytest.mark.parametrize("family", ["heat", "resolvent"])
+def test_gaffney_leaves_the_metric_unbuilt(family):
+    # d(E, F) is a search from F on the adjacency: a cold call builds no n x n
+    # metric, and reads the distance the metric gives
+    g = lazy_torus_2d(12)
+    fit = gaffney_fit(g, family, [6 * 12 + 6], [0, 1], [4, 8, 16])
+    assert g._dist is None
+    assert fit.d_EF == float(g.dist[6 * 12 + 6, [0, 1]].min()) == 11.0
+
+
 def test_gaffney_resolvent_torus(torus12):
     E = [6 * 12 + 6]
     fit = gaffney_fit(torus12, "resolvent", E, [0], [1, 2, 4, 8, 16, 32])

@@ -17,6 +17,7 @@ from graphhardy.graphs import (
     cover_overlap_bound,
     geometry_report,
     read_graph,
+    set_distance,
     vitali_cover,
     write_graph,
 )
@@ -140,6 +141,39 @@ def test_ball_matrices_match_dense_scan(build):
             np.testing.assert_array_equal(got, ref, err_msg=f"r = {r}, {name}")
     assert grown[g.diameter].nnz == g.n * g.n
     assert all(B is grown[g.diameter] for B in grown[g.diameter + 1:])
+
+
+@pytest.mark.parametrize("build", [
+    zoo.k2l,
+    lambda: zoo.binary_tree(4),
+    lambda: zoo.lazy_path(12),
+    lambda: zoo.random_weights(zoo.lazy_cycle(16), 2),
+    lambda: zoo.random_weights(zoo.lazy_torus_2d(6), 5),
+    lambda: build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]),
+], ids=["k2l", "tree4", "path12", "jittered_cycle16", "jittered_torus6",
+        "loopfree_cycle4"])
+def test_set_distance_matches_the_metric(build):
+    # the breadth-first search from F gives the integer the dense metric
+    # gives, 0 when the sets meet, without building the metric
+    g = build()
+    rng = np.random.default_rng(3)
+    pairs = [([0], [g.n - 1]), ([g.n - 1], [0]), ([0], [0]), (range(g.n), [1])]
+    for _ in range(20):
+        E = rng.choice(g.n, size=rng.integers(1, min(g.n, 3) + 1), replace=False)
+        F = rng.choice(g.n, size=rng.integers(1, min(g.n, 3) + 1), replace=False)
+        pairs.append((E, F))
+    got = [set_distance(g, E, F) for E, F in pairs]
+    assert g._dist is None
+    want = [int(g.dist[np.ix_(list(E), list(F))].min()) for E, F in pairs]
+    assert got == want
+    assert got[2] == got[3] == 0
+    assert all(type(d) is int for d in got)
+
+
+def test_set_distance_needs_both_sets(cycle16):
+    for E, F in (([], [0]), ([0], [])):
+        with pytest.raises(ValueError):
+            set_distance(cycle16, E, F)
 
 
 def test_annuli_k2l(k2l):

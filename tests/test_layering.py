@@ -1,7 +1,9 @@
-"""One home per decision: the raw Markov matrix (hence every P^l loop),
+"""One home per decision: the raw Markov matrix and the counted step
+that multiplies by it (hence every P^l loop, the Horner scan included),
 the oracle/series choice, the spectral oracle, the cone sum, the dense
 tent mask and the ball matrices may be reached only from the modules and
-functions listed here."""
+functions listed here; scipy's private sparse kernels are imported by
+`operators` alone."""
 
 import ast
 from pathlib import Path
@@ -12,7 +14,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "graphhardy"
 
 # callee -> (modules where any call is allowed, "module.function" allowed)
 ALLOWED = {
-    "markov_matrix": ({"operators"}, {"tentspace.horner_synthesis"}),
+    # every product with the matrix is counted: it is read by the counted
+    # step and the two buffered walks, and by `kernel` for its
+    # sparse-sparse products alone
+    "markov_matrix": (set(), {"operators.markov_step", "operators.weighted_powers",
+                              "operators.horner", "operators.kernel"}),
+    "markov_step": ({"operators"}, set()),
+    "_kernel_step": (set(), {"operators.markov_step", "operators.weighted_powers",
+                             "operators.horner"}),
     "has_oracle": (set(), {"calculus.phi_apply", "calculus._mean_zero_radius",
                            "quadratic.lusin_tail_bound"}),
     "spectral": ({"calculus"}, {"quadratic.lusin_tail_bound"}),
@@ -55,7 +64,9 @@ def _all_calls():
 
 def test_scanner_sees_calls():
     found = _all_calls()
-    assert ("markov_matrix", "tentspace.horner_synthesis") in found
+    assert ("markov_matrix", "operators.horner") in found
+    assert ("_kernel_step", "operators.horner") in found
+    assert ("markov_step", "operators.powers") in found
     assert ("has_oracle", "quadratic.lusin_tail_bound") in found
     assert ("_cone_accumulate", "quadratic.lusin_tilde") in found
     assert ("tent_mask", "tentspace.tent") in found
@@ -70,8 +81,9 @@ def test_calls_stay_in_their_home(callee):
     assert stray == [], f"{callee}( called outside its home: {stray}"
 
 
-def test_no_threads_in_the_package():
-    # blocks, not worker pools: no module starts threads
+def _imports():
+    """(module, imported dotted name) for every import in the package;
+    `from a import b` gives both a and a.b."""
     imported = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -79,6 +91,23 @@ def test_no_threads_in_the_package():
                 imported.update((path.stem, a.name) for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add((path.stem, node.module))
+                imported.update((path.stem, f"{node.module}.{a.name}") for a in node.names)
+    return imported
+
+
+def test_sparse_kernels_are_imported_by_operators_alone():
+    # the private CSR kernel is bound in one place, so a scipy upgrade
+    # that changes it breaks one function (and its property test)
+    imported = _imports()
+    assert ("operators", "scipy.sparse._sparsetools") in imported
+    stray = sorted((mod, name) for mod, name in imported if mod != "operators"
+                   and name.startswith("scipy.sparse._sparsetools"))
+    assert stray == [], f"_sparsetools imported outside operators: {stray}"
+
+
+def test_no_threads_in_the_package():
+    # blocks, not worker pools: no module starts threads
+    imported = _imports()
     assert ("riesz", "json") in imported
     stray = sorted((mod, name) for mod, name in imported
                    if name.split(".")[0] in ("concurrent", "threading"))
