@@ -18,6 +18,15 @@ decomposition -> one synthesized molecule per tent atom.  Synthesized
 molecules are valid only up to a uniform constant, so each one is
 normalized by its measured annulus excess and the constant is kept on
 the coefficient.
+
+The molecules of a decomposition are one block stage
+(`synthesize_molecules`): their pre-images are the columns of one
+(n, atoms) block, whose synthesis prefix runs once on the levels of all
+atoms; a is derived with one evaluation per distinct scale s; the
+annulus masses and bounds of every molecule come from g.dist and
+g.ball_volumes with one bincount per quantity; and validation
+(`_validate_block`) checks the whole block.  `validate_molecule` and
+the one-atom synthesis calls are one-column blocks of the same code.
 """
 
 from __future__ import annotations
@@ -41,7 +50,6 @@ from .errors import (
 from .graphs import (
     Ball,
     WeightedGraph,
-    annuli_covering_range,
     ball,
     ball_matrices,
     cached_geometry,
@@ -63,6 +71,7 @@ from .quadratic import SpaceTimeFunction, default_l_max, quad_norm
 from .riesz import h2_project
 from .tentspace import (
     TentAtom,
+    TentDecomposition,
     atomic_decompose,
     heat_prefix,
     horner_synthesis,
@@ -100,147 +109,174 @@ class ValidationReport:
     a_annulus_excess: float
 
 
-def _restricted_l2(g, f, mask):
-    return math.sqrt(float(np.sum(f[mask] ** 2 * g.m[mask]))) if mask.any() else 0.0
-
-
-def rederive_molecule(mol: Molecule):
-    """Recompute a from b along the kind-specific factorization."""
-    g = mol.graph
-    if mol.kind == "bz1":
-        # applied directly: atom tuples may sit below s, which the
-        # strict BZ1Kind constructor would reject
-        out = np.asarray(mol.b, dtype=float)
-        for t in mol.times:
-            out = out - apply_P(g, out, t)
-        return out
-    if mol.kind == "bz2":
-        return a_s(g, mol.b, BZ2Kind(mol.s, mol.M))
-    if mol.kind == "bz2_tuple":
-        # variant normalization: product of single resolvent differences
-        out = np.asarray(mol.b, dtype=float)
-        for t in mol.times:
-            out = out - resolvent_apply(g, out, t, 1.0)
-        return out
-    if mol.kind == "form":
-        v = np.asarray(mol.b, dtype=float)
-        for _ in range(mol.M):
-            v = v - apply_P(g, v)
-        v = resolvent_apply(g, v, mol.s, mol.M + 0.5)
-        return differential(g, mol.s ** (mol.M + 0.5) * v)
-    raise ValueError(f"unknown molecule kind {mol.kind!r}")
-
+# -- validation, one block of molecules at a time ---------------------------
 
 SIZE_TOL = 1e-9
+# kinds whose molecules carry their own time tuple
+TUPLE_KINDS = ("bz1", "bz2_tuple")
 
 
-def _size_profile(mol: Molecule, size_tol=SIZE_TOL):
-    """(rings, violations, profile) of b: every annulus with its size
-    bound, the (j, measured, bound) entries that exceed it and the
-    measured masses; atoms are checked on the ball instead."""
-    g = mol.graph
-    rings = [] if math.isinf(mol.eps) else [
-        (ring, 2.0 ** (-ring.j * mol.eps) * mol.ball.scaled(2 ** ring.j).volume ** -0.5)
-        for ring in annuli_covering_range(mol.ball)
-    ]
-    violations = []
-    profile = []
-    if math.isinf(mol.eps):
-        outside = ~mol.ball.mask
-        stray = float(np.abs(np.asarray(mol.b)[outside]).max(initial=0.0))
-        norm_b = lp_norm(g, mol.b, 2)
-        bound = mol.ball.volume ** -0.5
-        profile.append(norm_b)
-        if stray > 0.0:
-            violations.append((0, stray, 0.0))
-        if norm_b > bound * (1.0 + size_tol):
-            violations.append((1, norm_b, bound))
-    for ring, bound in rings:
-        measured = _restricted_l2(g, np.asarray(mol.b), ring.mask)
-        profile.append(measured)
-        if measured > bound * (1.0 + size_tol):
-            violations.append((ring.j, measured, bound))
-    return rings, violations, profile
+def rederive_molecules(g: WeightedGraph, kind: str, M: int, s, times,
+                       b: np.ndarray) -> np.ndarray:
+    """a for every column of the pre-image block b (n, k) along the
+    kind-specific factorization, with one block evaluation per distinct
+    scale s (bz2, form) or time tuple (bz1, bz2_tuple): one GEMM per
+    group on the oracle path.  Forms give (nnz, k) edge data."""
+    groups = {}
+    for i, key in enumerate(times if kind in TUPLE_KINDS else s):
+        groups.setdefault(key, []).append(i)
+    out = np.empty((g.adjacency.nnz if kind == "form" else g.n, b.shape[1]))
+    for key, cols in groups.items():
+        out[:, cols] = _rederive(g, kind, M, key, b[:, cols])
+    return out
+
+
+def _rederive(g, kind, M, key, out):
+    if kind == "bz1":
+        # applied directly: atom tuples may sit below s, which the
+        # strict BZ1Kind constructor would reject
+        for t in key:
+            out = out - apply_P(g, out, t)
+        return out
+    if kind == "bz2":
+        return a_s(g, out, BZ2Kind(key, M))
+    if kind == "bz2_tuple":
+        # variant normalization: product of single resolvent differences
+        for t in key:
+            out = out - resolvent_apply(g, out, t, 1.0)
+        return out
+    if kind == "form":
+        for _ in range(M):
+            out = out - apply_P(g, out)
+        out = resolvent_apply(g, out, key, M + 0.5)
+        return differential(g, key ** (M + 0.5) * out).data
+    raise ValueError(f"unknown molecule kind {kind!r}")
+
+
+def _annulus_bounds(g: WeightedGraph, balls, eps: float):
+    """The annuli C_j(B), j = 1..J_B, of `annuli_covering_range` for every
+    ball B of `balls` with their size bounds, read from g.dist and
+    g.ball_volumes: (ring, J, bounds) with ring[i, y] = j - 1 for the
+    annulus C_j of balls[i] holding y, J[i] its number of annuli, and
+    bounds[i, j - 1] = 2^{-j eps} V(2^j B)^{-1/2} (the annuli past J[i]
+    are empty)."""
+    centers = np.array([B.center for B in balls], dtype=np.intp)
+    R = np.array([float(B.radius) for B in balls])
+    J = np.ones(len(balls), dtype=np.intp)
+    while (grow := 2.0 ** (J + 1) * R <= g.diameter).any():
+        J += grow
+    d = g.dist[centers]
+    ring = np.zeros(d.shape, dtype=np.intp)
+    for j in range(2, J.max() + 1):
+        ring += d >= 2.0 ** j * R[:, None]
+    j = np.arange(1, J.max() + 1)
+    reach = np.minimum(np.ceil(2.0 ** j * R[:, None]) - 1, g.diameter).astype(np.intp)
+    return ring, J, 2.0 ** (-j * eps) * g.ball_volumes[centers[:, None], reach] ** -0.5
+
+
+def _annulus_l2(g: WeightedGraph, ring, width: int, levels) -> np.ndarray:
+    """(k, width) table of ||levels[:, i]||_{L^2(C_j)} at [i, j - 1],
+    from one bincount over the annulus indices `ring` (k, n)."""
+    k = ring.shape[0]
+    cells = ring + width * np.arange(k)[:, None]
+    mass = np.bincount(cells.ravel(), (levels.T ** 2 * g.m).ravel(), minlength=k * width)
+    return np.sqrt(mass).reshape(k, width)
+
+
+def _size_profiles(g: WeightedGraph, eps: float, balls, b, size_tol=SIZE_TOL):
+    """(violations, profiles, annuli) of the pre-images b (n, k) over
+    `balls`: violations[i] lists the (j, measured, bound) entries of
+    column i above their bound, profiles[i] its measured masses, and
+    annuli is the (ring, J, bounds) of `_annulus_bounds`.  Atoms
+    (eps = inf) are checked on the ball instead, with annuli None: no
+    entry outside it, and ||b||_2 <= V(B)^{-1/2}."""
+    violations = [[] for _ in balls]
+    if math.isinf(eps):
+        stray = np.abs(np.where(np.array([B.mask for B in balls]).T, 0.0, b)).max(axis=0)
+        norm_b = lp_norm(g, b, 2)
+        bound = np.array([B.volume for B in balls]) ** -0.5
+        for i, (x, nb, bd) in enumerate(zip(stray, norm_b, bound)):
+            if x > 0.0:
+                violations[i].append((0, float(x), 0.0))
+            if nb > bd * (1.0 + size_tol):
+                violations[i].append((1, float(nb), float(bd)))
+        return violations, [[float(nb)] for nb in norm_b], None
+    annuli = ring, J, bounds = _annulus_bounds(g, balls, eps)
+    measured = _annulus_l2(g, ring, bounds.shape[1], b)
+    for i, c in zip(*np.nonzero(measured > bounds * (1.0 + size_tol))):
+        violations[i].append((int(c) + 1, float(measured[i, c]), float(bounds[i, c])))
+    return violations, [row[:n].tolist() for row, n in zip(measured, J)], annuli
+
+
+def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
+                    balls, b, a, fact_tol=1e-9, size_tol=SIZE_TOL,
+                    raise_on_fail=True) -> list:
+    """One ValidationReport per molecule of a block: k molecules of one
+    kind, M and eps, with scales s, time tuples `times` (bz1, bz2_tuple)
+    and balls, as the columns of their pre-images b (n, k) and molecules
+    a ((n, k), or (nnz, k) edge data for forms).
+
+    a is rederived once, by `rederive_molecules`, and the annulus masses
+    of b and of the level |a| (T_x norms for forms) come from one
+    bincount each.  With raise_on_fail, the first molecule (in column
+    order) that fails its factorization, then its size bounds, raises."""
+    def level(x):
+        return tx_norms(g, EdgeFunction(g, x)) if kind == "form" else np.abs(x)
+
+    def norm(x):
+        return lp_norm(g, level(x), 2)
+    fact_err = norm(rederive_molecules(g, kind, M, s, times, b) - a) / np.maximum(1.0, norm(a))
+    if raise_on_fail and (fact_err > fact_tol).any():
+        first = fact_err[np.argmax(fact_err > fact_tol)]
+        raise FactorizationMismatch(
+            f"relative factorization error {first:.3e} > {fact_tol:.1e}")
+
+    warnings = [False] * len(balls)
+    if kind in TUPLE_KINDS:
+        # the atom tuple range is accepted down to 1, with a flag
+        for i, (si, ts) in enumerate(zip(s, times)):
+            lo = 1 if math.isinf(eps) else si
+            for t in ts:
+                if not lo <= t <= 2 * si:
+                    raise ValidationFailed(
+                        f"{kind} tuple entry {t} outside [[{lo}, {2 * si}]]")
+                warnings[i] |= t < si
+
+    violations, profiles, annuli = _size_profiles(g, eps, balls, b, size_tol)
+    if raise_on_fail:
+        for v in violations:
+            if v:
+                raise SizeBoundViolated(*v[0])
+
+    level_a = level(a)
+    excess = np.zeros(len(balls))
+    if annuli is not None:
+        ring, _, bounds = annuli
+        ratio = _annulus_l2(g, ring, bounds.shape[1], level_a)
+        live = bounds > 0.0
+        np.divide(ratio, bounds, out=ratio, where=live)
+        excess = ratio.max(axis=1, initial=0.0, where=live)
+    return [ValidationReport(bool(err <= fact_tol and not v), float(err), v, w,
+                             float(l1), p, float(x))
+            for err, v, w, l1, p, x in zip(fact_err, violations, warnings,
+                                           lp_norm(g, level_a, 1), profiles, excess)]
 
 
 def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=SIZE_TOL,
                       raise_on_fail=True) -> ValidationReport:
-    """Check factorization, annulus size bounds and measure the L^1 mass.
+    """Check factorization, annulus size bounds and measure the L^1 mass:
+    the one-molecule block of `_validate_block`.
 
     bz1 atoms are accepted with tuple entries anywhere in [1, 2s]
     (flagged), molecules need entries in [s, 2s].
     """
-    g = mol.graph
-    is_form = mol.kind == "form"
-    a_ref = mol.a
-    a2 = rederive_molecule(mol)
-    if is_form:
-        scale = max(1.0, lp_norm_forms(g, a_ref, 2))
-        fact_err = lp_norm_forms(g, a2 - a_ref, 2) / scale
-    else:
-        scale = max(1.0, lp_norm(g, a_ref, 2))
-        fact_err = lp_norm(g, np.asarray(a2) - np.asarray(a_ref), 2) / scale
-    if fact_err > fact_tol and raise_on_fail:
-        raise FactorizationMismatch(
-            f"relative factorization error {fact_err:.3e} > {fact_tol:.1e}"
-        )
-
-    tuple_warning = False
-    if mol.kind in ("bz1", "bz2_tuple"):
-        # the atom tuple range is accepted down to 1, with a flag
-        lo = 1 if math.isinf(mol.eps) else mol.s
-        for t in mol.times:
-            if not lo <= t <= 2 * mol.s:
-                raise ValidationFailed(
-                    f"{mol.kind} tuple entry {t} outside [[{lo}, {2 * mol.s}]]"
-                )
-            if t < mol.s:
-                tuple_warning = True
-
-    rings, violations, profile = _size_profile(mol, size_tol)
-    if violations and raise_on_fail:
-        j, measured, bound = violations[0]
-        raise SizeBoundViolated(j, measured, bound)
-
-    if is_form:
-        l1 = lp_norm_forms(g, a_ref, 1)
-        level = tx_norms(g, a_ref)
-    else:
-        l1 = lp_norm(g, a_ref, 1)
-        level = np.abs(np.asarray(a_ref))
-    excess = 0.0
-    for ring, bound in rings:
-        if bound > 0:
-            excess = max(excess, _restricted_l2(g, level, ring.mask) / bound)
-
-    ok = fact_err <= fact_tol and not violations
-    return ValidationReport(ok, fact_err, violations, tuple_warning, l1,
-                            profile, excess)
+    a = mol.a.data if mol.kind == "form" else np.asarray(mol.a, dtype=float)
+    return _validate_block(mol.graph, mol.kind, mol.M, mol.eps, [mol.s], [mol.times],
+                           [mol.ball], np.asarray(mol.b, dtype=float)[:, None],
+                           a[:, None], fact_tol, size_tol, raise_on_fail)[0]
 
 
 # -- synthesized molecules from tent atoms ---------------------------------
-
-def _normalized(mol: Molecule, fact_tol) -> Molecule:
-    """Set a = rederive_molecule(mol), divide b and a by the measured
-    annulus excess of b (kept in norm_constant) and revalidate, so the
-    returned molecule validates as-is."""
-    mol.a = rederive_molecule(mol)
-    excess = 1.0
-    _, violations, _ = _size_profile(mol)
-    for _, measured, bound in violations:
-        if bound > 0:
-            excess = max(excess, measured / bound * (1.0 + 1e-12))
-    mol.b = mol.b / excess
-    mol.a = mol.a / excess
-    mol.norm_constant = excess
-    report = validate_molecule(mol, fact_tol=fact_tol, raise_on_fail=False)
-    if not report.ok:
-        raise ValidationFailed(
-            f"synthesized {mol.kind} molecule fails validation: fact_err = "
-            f"{report.factorization_error:.3e}, violations = {report.size_violations}"
-        )
-    return mol
-
 
 def synthesis_eta(M: int, beta: float, eps: float, d0: float) -> int:
     """Integer eta with eta >= d0/4 + eps/2 + beta + M + 1 > eta - 1."""
@@ -251,67 +287,129 @@ def synthesis_eta_forms(M: int, eps: float, d0: float) -> int:
     return math.ceil(d0 / 4.0 + eps / 2.0) + M + 2
 
 
-def make_molecule_from_tent_atom(A: TentAtom, M: int, beta: float, eps: float,
-                                 d0=None, fact_tol=1e-9) -> Molecule:
-    """Synthesize the bz2 molecule carried by a tent atom.
+def _molecule_prefix(g: WeightedGraph, kind: str, M: int, eta: int, exp: float,
+                     V: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The level-independent head of the synthesis sum on an (n, k)
+    block whose column c belongs to an atom of scale s[c]:
+    ((I + s Delta)/s)^M Delta^exp (I + P)^eta V for bz2, with s as a row
+    vector (one block product per factor), and
+    s^{-M-1/2} (I + s Delta)^{M+1/2} Delta^exp (I + P)^eta V for forms,
+    one resolvent per distinct s on that scale's columns."""
+    V = heat_prefix(g, V, eta, exp)
+    if kind == "bz2":
+        for _ in range(M):
+            step = apply_P(g, V)
+            np.subtract(V, step, out=step)
+            step *= s
+            step += V
+            step /= s
+            V = step
+        return V
+    for t in np.unique(s):
+        cols = s == t
+        V[:, cols] = resolvent_apply(g, V[:, cols], t, -(M + 0.5)) / t ** (M + 0.5)
+    return V
 
-    The pre-image is
 
-        b = sum_l (c_l^eta / l^beta) ((I + s Delta)/s)^M
-            Delta^{eta - beta - M} (I + P)^eta P^{l-1} A(., l-1)
+def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
+                         M: int, beta: float, eps: float, d0: float,
+                         fact_tol=1e-9):
+    """One molecule a = pi_{eta, beta}(A) of `kind` ("bz2" or "form") per
+    tent atom A of tdec, all synthesized, normalized and validated as one
+    block; returns ([(lambda * norm_constant, Molecule)], a) with the
+    molecules stacked as the columns of a ((n, k), or (nnz, k) edge data
+    for forms).
 
-    with s = r^2 and eta as in `synthesis_eta`; the molecule is
-    a = [I - (I + s Delta)^{-1}]^M b = pi_{eta, beta}(A).  Both are
-    divided by the measured annulus excess (kept in norm_constant) so
-    the returned molecule validates as-is.
+    For an atom over B(x, r), with s = max(1, r^2) and eta as in
+    `synthesis_eta` (bz2) or `synthesis_eta_forms` (forms, beta = 1/2),
+    the pre-image is
 
-    The sum runs over the levels l - 1 < top, where top is one past the
-    atom's last entry (see `horner_synthesis`).  Levels above it add
-    exact zeros, so b, a and norm_constant do not depend on the atom's
-    l_max.
+        b = sum_l (c_l^eta / l^beta) Q_s Delta^exp (I + P)^eta P^{l-1} A(., l-1)
+
+    with Q_s = ((I + s Delta)/s)^M and exp = eta - beta - M for bz2, and
+    Q_s = s^{-M-1/2} (I + s Delta)^{M+1/2} and exp = eta - 1 - M for
+    forms.  The molecule is a = [I - (I + s Delta)^{-1}]^M b (bz2) or
+    a = s^{M+1/2} d Delta^M (I + s Delta)^{-M-1/2} b (form).  The sum
+    runs over the levels l - 1 < top, one past the atom's last entry
+    (`horner_synthesis`, whose prefix runs once on the levels of all
+    atoms), so b, a and norm_constant do not depend on the atoms' l_max.
+
+    a is derived from b as a block (one evaluation per distinct s), b
+    and a are divided by the measured annulus excess of b (kept in
+    norm_constant), and the block is validated, with a derived once
+    more; the first molecule that fails raises ValidationFailed.
     """
-    g = A.ball.graph
-    if d0 is None:
-        d0 = cached_geometry(g).d0_estimate
     if math.isinf(eps):
         raise ValueError("synthesized molecules need a finite eps")
-    r = int(round(A.ball.radius))
-    s = max(1, r * r)
-    eta = synthesis_eta(M, beta, eps, d0)
+    if kind == "bz2":
+        eta = synthesis_eta(M, beta, eps, d0)
+        exp = eta - beta - M
+    elif kind == "form":
+        eta = synthesis_eta_forms(M, eps, d0)
+        beta = 0.5
+        exp = eta - 1 - M
+        if exp < 0:
+            raise ValueError("eta too small for the form pre-image")
+    else:
+        raise ValueError(f"no synthesis for molecule kind {kind!r}")
+    width = g.adjacency.nnz if kind == "form" else g.n
+    if not tdec.coefficients:
+        return [], np.zeros((width, 0))
+    lams, atoms = zip(*tdec.coefficients)
+    radii = [int(round(A.ball.radius)) for A in atoms]
+    s = [max(1, r * r) for r in radii]
+    scale = np.array(s, dtype=float)
+    balls = [ball(g, A.ball.center, r) for A, r in zip(atoms, radii)]
+    times = [None] * len(atoms)
+    b = horner_synthesis(g, [A.values for A in atoms], eta, beta,
+                         lambda V, owner: _molecule_prefix(g, kind, M, eta, exp, V,
+                                                           scale[owner]))
+    a = rederive_molecules(g, kind, M, s, times, b)
+    violations, _, _ = _size_profiles(g, eps, balls, b)
+    excess = np.array([max([1.0] + [measured / bound * (1.0 + 1e-12)
+                                    for _, measured, bound in v if bound > 0])
+                       for v in violations])
+    b /= excess
+    a /= excess
+    reports = _validate_block(g, kind, M, eps, s, times, balls, b, a, fact_tol,
+                              raise_on_fail=False)
+    for rep in reports:
+        if not rep.ok:
+            raise ValidationFailed(
+                f"synthesized {kind} molecule fails validation: fact_err = "
+                f"{rep.factorization_error:.3e}, violations = {rep.size_violations}"
+            )
+    rows_b, rows_a = np.ascontiguousarray(b.T), np.ascontiguousarray(a.T)
+    coefficients = []
+    for i, (lam, c) in enumerate(zip(lams, excess)):
+        a_i = EdgeFunction(g, rows_a[i]) if kind == "form" else rows_a[i]
+        mol = Molecule(kind, M, eps, s[i], balls[i], rows_b[i], a_i, None, float(c))
+        coefficients.append((lam * mol.norm_constant, mol))
+    return coefficients, a
 
-    def prefix(v):
-        v = heat_prefix(g, v, eta, eta - beta - M)
-        for _ in range(M):
-            v = (v + s * (v - apply_P(g, v))) / s
-        return v
 
-    b = horner_synthesis(g, A.values, eta, beta, prefix)
-    mol = Molecule("bz2", M, eps, s, ball(g, A.ball.center, r), b, None)
-    return _normalized(mol, fact_tol)
+def make_molecule_from_tent_atom(A: TentAtom, M: int, beta: float, eps: float,
+                                 d0=None, fact_tol=1e-9) -> Molecule:
+    """The bz2 molecule carried by one tent atom: a one-atom
+    `synthesize_molecules` stage."""
+    return _one_molecule(A, "bz2", M, beta, eps, d0, fact_tol)
 
 
 def make_form_molecule_from_tent_atom(A: TentAtom, M: int, eps: float,
                                       d0=None, fact_tol=1e-9) -> Molecule:
     """Form analogue with beta = 1/2 and a trailing d Delta^{-1/2},
-    i.e. a = s^{M+1/2} d Delta^M (I + s Delta)^{-M-1/2} b."""
+    i.e. a = s^{M+1/2} d Delta^M (I + s Delta)^{-M-1/2} b: a one-atom
+    `synthesize_molecules` stage."""
+    return _one_molecule(A, "form", M, 0.5, eps, d0, fact_tol)
+
+
+def _one_molecule(A, kind, M, beta, eps, d0, fact_tol):
     g = A.ball.graph
     if d0 is None:
         d0 = cached_geometry(g).d0_estimate
-    r = int(round(A.ball.radius))
-    s = max(1, r * r)
-    eta = synthesis_eta_forms(M, eps, d0)
-    exp = eta - 1 - M
-    if exp < 0:
-        raise ValueError("eta too small for the form pre-image")
-
-    def prefix(v):
-        v = heat_prefix(g, v, eta, exp)
-        v = resolvent_apply(g, v, s, -(M + 0.5))  # (I + s Delta)^{M+1/2}
-        return v / s ** (M + 0.5)
-
-    b = horner_synthesis(g, A.values, eta, 0.5, prefix)
-    mol = Molecule("form", M, eps, s, ball(g, A.ball.center, r), b, None)
-    return _normalized(mol, fact_tol)
+    tdec = TentDecomposition([(1.0, A)], 0.0, 1.0)
+    [(_, mol)], _ = synthesize_molecules(g, tdec, kind, M, beta, eps, d0, fact_tol)
+    return mol
 
 
 # -- molecular decompositions ------------------------------------------------
@@ -374,7 +472,8 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
                         tol=1e-8) -> MolecularDecomposition:
     """Molecular representation of a mean-zero f in L^2.
 
-    Heat profile -> tent atoms -> one bz2 molecule per atom.  The
+    Heat profile -> tent atoms -> one bz2 molecule per atom, all from
+    one `synthesize_molecules` stage.  The
     horizon comes from the one scalar lambda_star (`reproducing_l_max`)
     so the reproducing sum meets tol/2, and the tent partition is
     exact, so the final L^2 residual lands below tol.  A periodic walk
@@ -391,13 +490,8 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
     l_max = pipeline_l_max(g, eta, tol, norm_f)
     F = heat_profile(g, f, beta, l_max)
     tdec = atomic_decompose(g, F, tol=tol)
-    coefficients = []
-    rec = np.zeros(g.n)
-    for lam, atom in tdec.coefficients:
-        mol = make_molecule_from_tent_atom(atom, M, beta, eps, d0=d0)
-        lam_adj = lam * mol.norm_constant
-        coefficients.append((lam_adj, mol))
-        rec += lam_adj * np.asarray(mol.a)
+    coefficients, A = synthesize_molecules(g, tdec, "bz2", M, beta, eps, d0)
+    rec = A @ np.array([lam for lam, _ in coefficients])
     l2_res = lp_norm(g, f - rec, 2)
     if l2_res > tol:
         raise NonConvergent(
@@ -435,14 +529,8 @@ def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
     l_max = pipeline_l_max(g, eta, tol / math.sqrt(2.0), norm_F)
     prof = form_profile(g, w, l_max)
     tdec = atomic_decompose(g, prof, tol=tol)
-    coefficients = []
-    rec = np.zeros(g.adjacency.nnz)
-    for lam, atom in tdec.coefficients:
-        mol = make_form_molecule_from_tent_atom(atom, M, eps, d0=d0)
-        lam_adj = lam * mol.norm_constant
-        coefficients.append((lam_adj, mol))
-        rec += lam_adj * mol.a.data
-    resid = EdgeFunction(g, F.data - rec)
+    coefficients, A = synthesize_molecules(g, tdec, "form", M, 0.5, eps, d0)
+    resid = EdgeFunction(g, F.data - A @ np.array([lam for lam, _ in coefficients]))
     l2_res = lp_norm_forms(g, resid, 2)
     if l2_res > tol:
         raise NonConvergent(
@@ -569,18 +657,20 @@ def m0_norm(g: WeightedGraph, phi, M: int, eps: float, x0: int,
             phi_tilde=None) -> float:
     """Dual-test-class norm sup_j 2^{j eps} V(2^j B_0)^{1/2}
     ||phi_tilde||_{L^2(C_j(B_0))} with B_0 = {x0} and phi = Delta^M phi_tilde."""
-    g_ball = ball(g, x0, 1)
     if phi_tilde is None:
         phi_tilde = delta_power_apply(g, require_mean_zero(g, phi), -float(M))
-    return max(2.0 ** (ring.j * eps)
-               * math.sqrt(g_ball.scaled(2 ** ring.j).volume)
-               * _restricted_l2(g, np.asarray(phi_tilde), ring.mask)
-               for ring in annuli_covering_range(g_ball))
+    # the bounds at eps = 0 are V(2^j B_0)^{-1/2}
+    ring, J, inv_sqrt_volume = _annulus_bounds(g, [ball(g, x0, 1)], 0.0)
+    mass = _annulus_l2(g, ring, J[0], np.asarray(phi_tilde, dtype=float)[:, None])
+    j = np.arange(1, J[0] + 1)
+    return float(np.max(2.0 ** (j * eps) * mass[0] / inv_sqrt_volume[0]))
 
 
 def duality_pairing(g: WeightedGraph, f, decomp: MolecularDecomposition) -> float:
-    """<f, sum_i lambda_i a_i> with the m-weighted pairing."""
-    total = 0.0
-    for lam, mol in decomp.coefficients:
-        total += lam * inner(g, f, np.asarray(mol.a))
-    return total
+    """<f, sum_i lambda_i a_i> with the m-weighted pairing, from one GEMV
+    over the stacked molecules."""
+    if not decomp.coefficients:
+        return 0.0
+    lam = np.array([lam for lam, _ in decomp.coefficients])
+    A = np.column_stack([np.asarray(mol.a) for _, mol in decomp.coefficients])
+    return inner(g, f, A @ lam)

@@ -168,12 +168,16 @@ def weighted_powers(g: WeightedGraph, f, weights) -> np.ndarray:
 
 def horner(g: WeightedGraph, U: np.ndarray) -> np.ndarray:
     """sum_{k < K} P^k U[:, k] for an (n, K) array U, by the Horner scan
-    acc <- P acc + U[:, k] from k = K - 1 down to 0, starting from
-    acc = 0: exactly K sparse products between two (n,) buffers."""
-    acc = np.zeros(g.n)
+    acc <- P acc + U[:, k] from k = K - 2 down to 0, starting from
+    acc = U[:, K - 1]: exactly max(K - 1, 0) sparse products between two
+    (n,) buffers (zero when K = 0)."""
+    K = U.shape[1]
+    if K == 0:
+        return np.zeros(g.n)
+    acc = np.array(U[:, K - 1], dtype=float)
     spare = np.empty_like(acc)
     W = markov_matrix(g)
-    for k in range(U.shape[1] - 1, -1, -1):
+    for k in range(K - 2, -1, -1):
         acc, spare = _kernel_step(g, W, acc, spare), acc
         acc += U[:, k]
     return acc
@@ -325,11 +329,11 @@ def divergence(g: WeightedGraph, F: EdgeFunction):
 
 
 def tx_norms(g: WeightedGraph, F: EdgeFunction):
-    """x -> ||F(x, .)||_{T_x}."""
-    quad = g.adjacency.data * F.data ** 2
+    """x -> ||F(x, .)||_{T_x}; k forms give an (n, k) block."""
+    quad = per_row(g.adjacency.data, F.data) * F.data ** 2
     sums = np.add.reduceat(quad, g.adjacency.indptr[:-1])
     sums[np.diff(g.adjacency.indptr) == 0] = 0.0
-    return np.sqrt(sums / (2.0 * g.m))
+    return np.sqrt(sums / per_row(2.0 * g.m, sums))
 
 
 def lp_norm_forms(g: WeightedGraph, F: EdgeFunction, p=2) -> float:

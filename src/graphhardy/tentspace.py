@@ -15,8 +15,9 @@ slab tent(O_k) minus tent(O_{k+1}) is one run of levels per vertex,
 slab from those runs, splits it among the Whitney balls by one stable
 sort of its vertices, and keeps every atom as its own (ys, ls, vals)
 entries (`SpaceTimeEntries`): no (n, l_max + 1) array is formed per
-level or per atom, and synthesis scatters an atom only into the
-(n, top) block below its last level.
+level or per atom, and synthesis scatters each atom only into its own
+(n, top) column range, below its last level, of one block shared by
+all atoms it synthesizes.
 """
 
 from __future__ import annotations
@@ -87,16 +88,12 @@ class SpaceTimeEntries:
         """One past the last level holding an entry (0 without entries)."""
         return int(self.ls.max()) + 1 if self.ls.size else 0
 
-    def block(self, width: int) -> np.ndarray:
-        """The levels below `width` as a dense (n, width) array."""
-        out = np.zeros((self.graph.n, width))
-        out[self.ys, self.ls] = self.vals
-        return out
-
     @property
     def values(self) -> np.ndarray:
         """Dense (n, l_max + 1) view, built on each access."""
-        return self.block(self.l_max + 1)
+        out = np.zeros((self.graph.n, self.l_max + 1))
+        out[self.ys, self.ls] = self.vals
+        return out
 
     def t22_norm(self) -> float:
         g = self.graph
@@ -281,52 +278,72 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
 def eta_coefficients(eta: int, count: int) -> np.ndarray:
     """c_l for l = 1..count with sum_l c_l z^{l-1} = (1-z)^{-eta}."""
     out = np.empty(count)
-    out[0] = 1.0
+    out[:1] = 1.0
     for l in range(1, count):
         out[l] = out[l - 1] * (l + eta - 1) / l
     return out
 
 
-def horner_synthesis(g: WeightedGraph, entries: SpaceTimeEntries, eta: int,
-                     beta: float, prefix) -> np.ndarray:
-    """sum_{l=1..top} (c_l^eta / l^beta) P^{l-1} prefix(F(., l-1)) for the
-    space-time function F held in `entries`.
+def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
+                     prefix) -> np.ndarray:
+    """The (n, k) block whose column i is
+    sum_{l=1..top_i} (c_l^eta / l^beta) P^{l-1} prefix(F_i(., l-1)) for
+    the k space-time functions F_i held in `atoms` (SpaceTimeEntries).
 
-    Only the levels l - 1 < top = `entries.top` are visited: the entries
-    are scattered into an (n, top) block, the coefficient table and the
-    prefix are evaluated on its columns, and the Horner scan starts at
-    level top.  This is exact, not an approximation: the prefix is
-    linear and column-wise, so a zero level contributes a zero column,
-    and the scan over the levels above top only ever carries the zero
-    vector.  A tent atom over B(x, R) lives at levels k < R^2, so top is
-    usually far below the horizon.
+    Only the levels l - 1 < top_i = `atoms[i].top` are visited: every F_i
+    is scattered into its own column range of one (n, sum_i top_i)
+    block, prefix(V, owner) is applied to that whole block (owner[c] is
+    the index of the function column c belongs to; the prefix may
+    overwrite V), each column is scaled by its level's entry of one
+    coefficient table up to max_i top_i, and each function's columns are
+    scanned by `operators.horner` (top_i - 1 products).  This is exact,
+    not an approximation: the prefix is linear and column-wise, so a
+    zero level contributes a zero column, and the scan over the levels
+    above top_i only ever carries the zero vector.  A tent atom over
+    B(x, R) lives at levels k < R^2, so top_i is usually far below the
+    horizon.
 
     Applying the (level-independent) prefix to all visited levels at
     once keeps partial sums at the output scale (the raw sum is badly
-    conditioned) and leaves `operators.horner`, one in-place Markov step
-    per level (exactly top products), for the scan.
+    conditioned) and costs its products once for all k functions; the
+    Horner scans are the only per-function product loops.
     """
-    top = entries.top
-    if top == 0:
-        return np.zeros(g.n)
+    tops = np.array([e.top for e in atoms], dtype=np.int64)
+    starts = np.cumsum(tops) - tops
+    V = np.zeros((g.n, int(tops.sum())))
+    for e, lo in zip(atoms, starts):
+        V[e.ys, lo + e.ls] = e.vals
+    owner = np.repeat(np.arange(len(atoms)), tops)
+    level = np.arange(V.shape[1]) - starts[owner]
+    top = int(tops.max(initial=0))
     coeffs = eta_coefficients(eta, top) / np.arange(1, top + 1, dtype=float) ** beta
-    return horner(g, prefix(entries.block(top)) * coeffs[None, :])
+    V = prefix(V, owner)
+    V *= coeffs[level]
+    out = np.empty((g.n, len(atoms)))
+    for i, (lo, k) in enumerate(zip(starts, tops)):
+        out[:, i] = horner(g, V[:, lo:lo + k])
+    return out
 
 
 def heat_prefix(g: WeightedGraph, V: np.ndarray, eta: int, exp: float,
                 tol=1e-10) -> np.ndarray:
-    """Delta^exp (I + P)^eta V, column by column on an (n, k) block.
+    """Delta^exp (I + P)^eta V, column by column on a float (n, k) block:
+    one block product per factor, whatever k.  V is overwritten (and
+    returned, unless a fractional exp makes a new array), so the walk
+    holds V and one product.
 
-    The common head of every synthesis prefix.  An integer exp is
-    applied as exp factors V - P V (never through the oracle, so it is
-    the same on every graph size); a fractional exp goes through
-    `delta_power_apply`."""
+    The common head of every synthesis prefix; the molecule stage runs
+    it once on the levels of all atoms of a decomposition and applies
+    its per-atom scale s afterwards, as a row vector with one entry per
+    column.  An integer exp is applied as exp factors V - P V (never
+    through the oracle, so it is the same on every graph size); a
+    fractional exp goes through `delta_power_apply`."""
     for _ in range(eta):
-        V = V + apply_P(g, V)
+        V += apply_P(g, V)
     if not float(exp).is_integer():
         return delta_power_apply(g, V, exp, tol)
     for _ in range(int(exp)):
-        V = V - apply_P(g, V)
+        V -= apply_P(g, V)
     return V
 
 
@@ -336,8 +353,8 @@ def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
     Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1), via `horner_synthesis`."""
     if eta < beta:
         raise ValueError("eta must be >= beta")
-    return horner_synthesis(g, SpaceTimeEntries.of(F), eta, beta,
-                            lambda V: heat_prefix(g, V, eta, eta - beta, tol))
+    return horner_synthesis(g, [SpaceTimeEntries.of(F)], eta, beta,
+                            lambda V, _: heat_prefix(g, V, eta, eta - beta, tol))[:, 0]
 
 
 def reproducing_l_max(g: WeightedGraph, eta: int, tol: float,
