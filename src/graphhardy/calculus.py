@@ -5,20 +5,22 @@ Each operator phi(P) is described once, by a pair:
 * an oracle symbol `symbol(lam, s)`, phi_s on the spectrum of P, applied
   exactly by the spectral oracle (dense eigendecomposition of the
   m-symmetrized walk), the reference on desk-scale graphs;
-* a series column generator `column(s) -> (coeffs, tail_bound[, basis])`,
-  the coefficients of sum_k c_k B_k(P) truncated with a certified bound
-  on the discarded tail, the scalable path; the two agree to
+* a series column generator `column(s) -> (coeffs, tail_bound)`, the
+  Chebyshev coefficients of sum_k c_k T_k(P) truncated with a certified
+  bound on the discarded tail, the scalable path; the two agree to
   `tail_bound + eps`.
 
-The series come in two bases.  Delta^beta is a power series in P, the
-(1 - z)^beta series of `_binomial_chunks`: its symbol is singular at
-z = 1, on the spectrum, so it converges with weight lambda_star on the
-mean-zero subspace only.  The resolvent families (I + s Delta)^{-power}
-and [I - (I + s Delta)^{-1}]^M are Chebyshev series in T_k(P): their
-symbols are analytic off z = 1 + 1/s, outside the spectrum's [-1, 1], so
-their interpolants converge on all of [-1, 1] at a rate of about
-1 + sqrt(2/s) per term (`chebyshev_series`), with no lambda_star, where
-the Taylor series in P converged at s/(1+s).
+Every series is a Chebyshev interpolant (`chebyshev_series`, certified by
+Trefethen, ATAP Thm 8.2) applied with the three-term recurrence
+`operators.chebyshev`.  The resolvent families (I + s Delta)^{-power} and
+[I - (I + s Delta)^{-1}]^M have symbols analytic off z = 1 + 1/s, outside
+the spectrum's [-1, 1], so their interpolants converge on all of [-1, 1]
+at a rate of about 1 + sqrt(2/s) per term.  Delta^beta is a polynomial in
+P for an integer beta >= 0; otherwise its symbol is singular at z = 1, on
+the spectrum, so its column is the interpolant on [-r, r] with
+r = max(lambda_star, MIN_RADIUS) (it holds the spectrum on mean-zero
+functions), walked in (P - Pi)/r with the m-mean projection Pi applied
+after every product, and the column carries r as a third element.
 
 `phi_apply` is the one place that chooses between oracle and series, and
 `delta_power_apply` (Delta^beta for every real beta), `resolvent_apply`
@@ -27,9 +29,8 @@ the Taylor series in P converged at s/(1+s).
 A sequence of scales (the sup over s of the BMO norm, the Davies-Gaffney
 decay curves) is evaluated as one block, one column per scale: the oracle
 applies an (n_eig, S) symbol table in one pass, and the series path
-applies an (N_max + 1, S) coefficient table in one basis, each column
-zero past its own truncation N_s, during one walk of the basis sequence
-up to N_max = max_s N_s.
+applies an (N_max + 1, S) coefficient table, each column zero past its
+own truncation N_s, during one walk of T_k(P) up to N_max = max_s N_s.
 
 On a finite connected graph ker Delta is the constants, so the
 operators with a singularity at the spectral point 1 (negative powers of
@@ -143,80 +144,40 @@ def require_mean_zero(g: WeightedGraph, f):
 
 # -- truncated series ------------------------------------------------------
 
-# Powers P^k f stacked per GEMM when a coefficient table is applied.
+# Terms T_k f stacked per GEMM when a series is applied to a vector.
 TABLE_CHUNK = 64
 
-# Binomial coefficients built per vectorized step of the running product.
-BINOMIAL_CHUNK = 2048
-
-
-def _binomial_chunks(beta: float):
-    """(k, b_k) for k = 1, 2, ..., BINOMIAL_CHUNK at a time, where b_k are
-    the Taylor coefficients of (1 - z)^beta (b_0 = 1), by a running
-    product."""
-    b, start = 1.0, 1
-    while True:
-        k = np.arange(start, start + BINOMIAL_CHUNK, dtype=float)
-        bk = b * np.cumprod((k - 1.0 - beta) / k)
-        yield k, bk
-        b, start = bk[-1], start + BINOMIAL_CHUNK
+# Least radius of a deflated walk: a smaller lambda_star would divide the
+# rounding of every product by it, and [-1/2, 1/2] costs few terms.
+MIN_RADIUS = 0.5
 
 
 def binomial_coefficients(exponent: float, count: int):
     """Taylor coefficients of (1 - z)^exponent, sign included."""
-    chunks = itertools.islice(_binomial_chunks(exponent), -(-(count - 1) // BINOMIAL_CHUNK))
-    return np.concatenate([np.ones(1)] + [bk for _, bk in chunks])[:count]
-
-
-def binomial_series(beta: float, q: float, tol: float, pref=1.0):
-    """(b_0..b_N, tail bound) for the Taylor coefficients b_k of
-    (1 - z)^beta, with N the first k >= 1 whose certified weighted tail
-    pref |b_{k+1}| q^{k+1} / (1 - rho_k) >= pref sum_{j>k} |b_j| q^j is
-    <= tol.  Once k + 1 > beta the ratios |b_{j+1} / b_j| = (j - beta) /
-    (j + 1), j > k, are monotone toward 1, so their sup is
-    max((k + 1 - beta) / (k + 2), 1) and rho_k is q times it.  Raises
-    NonConvergent past SERIES_MAX_N."""
-    chunks = [np.ones(1)]
-    for k, bk in _binomial_chunks(beta):
-        rho = q * np.maximum((k + 1.0 - beta) / (k + 2.0), 1.0)
-        with np.errstate(divide="ignore"):
-            tail = pref * np.abs(bk * (k - beta) / (k + 1.0)) * q ** (k + 1.0) / (1.0 - rho)
-        hit = np.flatnonzero((k + 1.0 > beta) & (rho < 1.0) & (tail <= tol))
-        if len(hit) and k[hit[0]] <= SERIES_MAX_N:
-            chunks.append(bk[:hit[0] + 1])
-            return np.concatenate(chunks), float(tail[hit[0]])
-        if k[-1] >= SERIES_MAX_N:
-            raise NonConvergent(
-                f"(1 - z)^{beta}: tol {tol} unreachable at N = {SERIES_MAX_N}")
-        chunks.append(bk)
-
-
-POWER, CHEBYSHEV = "power", "chebyshev"
-# basis name -> generator of its terms B_0(P) f .. B_N(P) f
-_BASIS_TERMS = {POWER: powers, CHEBYSHEV: chebyshev}
+    k = np.arange(1.0, count)
+    return np.concatenate(([1.0], np.cumprod((k - 1.0 - exponent) / k)))[:count]
 
 
 @dataclass
 class SeriesOperator:
-    """Sum_k coeff_k B_k(P) truncated at N with a certified tail bound,
-    where the basis B_k is P^k ("power") or the Chebyshev polynomial
-    T_k(P) ("chebyshev").
+    """Sum_k coeff_k T_k(X) truncated at N with a certified tail bound,
+    T_k the Chebyshev polynomials and X = P, or X = (P - Pi)/radius on
+    mean-zero functions when a radius is given (`operators.chebyshev`).
 
     `coeffs` is either one coefficient vector or a table of shape
     (N_max + 1, S), one column per scale, each zero past its own
     truncation; a table carries one tail bound per column.
 
-    Every tail bound holds in the L^2(m) operator norm: P is self-adjoint
-    on L^2(m) with spectrum in [-1, 1], so ||phi(P) - p_N(P)|| is the
-    largest |phi - p_N| on that spectrum.  A Chebyshev bound holds on all
-    of [-1, 1]; a power-series bound holds where |z| <= q, i.e. on the
-    subspace whose spectral radius q it was built with."""
+    Every tail bound holds in the L^2(m) operator norm on the subspace
+    the walk acts on: X is self-adjoint on L^2(m) with spectrum in
+    [-1, 1] there, so ||phi(X) - p_N(X)|| is the largest |phi - p_N| on
+    that spectrum, and a Chebyshev bound holds on all of [-1, 1]."""
 
     graph: WeightedGraph
     kind: str
     coeffs: np.ndarray = field(repr=False)
     tail_bound: object          # float, or an (S,) array for a table
-    basis: str = POWER
+    radius: object = None       # None, or the radius of a deflated walk
 
     @property
     def truncation(self) -> int:
@@ -224,34 +185,32 @@ class SeriesOperator:
 
     def apply(self, f):
         """Evaluate on a vector or a stacked batch (n, k); a table takes
-        a vector and returns an (n, S) block."""
-        terms = _BASIS_TERMS[self.basis](self.graph, f, self.truncation)
-        if self.coeffs.ndim == 2:
-            if np.ndim(f) != 1:
-                raise ValueError("a coefficient table applies to a single vector")
-            acc = 0.0    # TABLE_CHUNK terms at a time, one GEMM each
-            for start in range(0, len(self.coeffs), TABLE_CHUNK):
-                block = np.stack(list(itertools.islice(terms, TABLE_CHUNK)))
-                acc += block.T @ self.coeffs[start:start + len(block)]
-            return acc
-        acc = self.coeffs[0] * next(terms)
-        for c, vec in zip(self.coeffs[1:], terms):
-            if c != 0.0:
-                acc = acc + c * vec
-        return acc
+        a vector and returns an (n, S) block.  The terms of a vector are
+        summed TABLE_CHUNK at a time by GEMM, a single column standing in
+        as a one-column table; those of a batch one at a time, so memory
+        stays at two batches and each column is summed in the same order
+        whatever k."""
+        f = np.asarray(f, dtype=float)
+        table = self.coeffs.ndim == 2
+        if table and f.ndim != 1:
+            raise ValueError("a coefficient table applies to a single vector")
+        C = self.coeffs.reshape(len(self.coeffs), -1)
+        chunk = TABLE_CHUNK if f.ndim == 1 else 1
+        terms = chebyshev(self.graph, f, self.truncation, self.radius)
+        acc = 0.0
+        for start in range(0, len(C), chunk):
+            block = np.stack(list(itertools.islice(terms, chunk)))
+            acc += block.reshape(len(block), -1).T @ C[start:start + len(block)]
+        return acc.reshape(f.shape + C.shape[1:] if table else f.shape)
 
 
 def series_table(g: WeightedGraph, kind: str, columns) -> SeriesOperator:
-    """One table from (coefficients, tail bound[, basis]) columns, one
-    per scale, zero-padded to the longest; all share one basis (power
-    when none is named)."""
-    bases = {c[2] if len(c) > 2 else POWER for c in columns}
-    if len(bases) != 1:
-        raise ValueError(f"one basis per table, got {sorted(bases)}")
+    """One table from (coefficients, tail bound) columns, one per scale,
+    zero-padded to the longest."""
     C = np.zeros((max(len(c[0]) for c in columns), len(columns)))
     for j, c in enumerate(columns):
         C[:len(c[0]), j] = c[0]
-    return SeriesOperator(g, kind, C, np.array([c[1] for c in columns]), bases.pop())
+    return SeriesOperator(g, kind, C, np.array([c[1] for c in columns]))
 
 
 # Ellipse parameters tried by `chebyshev_series`, as fractions of the way
@@ -261,7 +220,7 @@ _RHO_FRACTIONS = 1.0 - np.geomspace(1e-4, 1.0, 256, endpoint=False)
 
 
 def chebyshev_series(symbol, sup, pole: float, tol: float):
-    """(c_0..c_N, tail bound, CHEBYSHEV): the degree-N interpolant
+    """(c_0..c_N, tail bound): the degree-N interpolant
     sum_k c_k T_k of symbol at the N + 1 Chebyshev points cos(j pi / N).
 
     symbol must be analytic inside every Bernstein ellipse E_rho (foci
@@ -288,7 +247,7 @@ def chebyshev_series(symbol, sup, pole: float, tol: float):
     # the real FFT of their even extension
     c = np.fft.rfft(np.concatenate((vals, vals[-2:0:-1]))).real / N
     c[[0, N]] /= 2.0
-    return c, tail, CHEBYSHEV
+    return c, tail
 
 
 def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
@@ -320,12 +279,21 @@ def _delta_power_symbol(lam, beta: float):
 
 
 def _delta_power_column(g: WeightedGraph, beta: float, tol: float, lambda_star=None):
-    """(I - P)^beta as sum b_k P^k on the mean-zero subspace: a finite sum
-    for an integer beta >= 0, else truncated with the geometric weight
-    q = lambda_star."""
+    """(I - P)^beta as (coeffs, tail bound, radius).  An integer beta >= 0
+    is the polynomial itself in T_k(P), exact.  Otherwise the walk is
+    deflated with radius r = max(lambda_star, MIN_RADIUS): on mean-zero
+    functions X = (P - Pi)/r has its spectrum in [-1, 1], and Delta^beta
+    is (1 - r x)^beta there, analytic off x = 1/r; on E_rho its modulus
+    is at most (1 - r x_rho)^beta for beta < 0 and (1 + r x_rho)^beta
+    for beta > 0.  The constants are sent to 0, which is Delta^beta on
+    them for beta > 0 (a negative beta needs a mean-zero input)."""
     if beta >= 0 and float(beta).is_integer():
-        return binomial_coefficients(beta, int(beta) + 1), 0.0
-    return binomial_series(beta, _mean_zero_radius(g, lambda_star), tol)
+        poly = binomial_coefficients(beta, int(beta) + 1)
+        return np.polynomial.chebyshev.poly2cheb(poly), 0.0, None
+    r = max(_mean_zero_radius(g, lambda_star), MIN_RADIUS)
+    return (*chebyshev_series(lambda x: (1.0 - r * x) ** beta,
+                              lambda x: (1.0 + math.copysign(r, beta) * x) ** beta,
+                              1.0 / r, tol), r)
 
 
 def _resolvent_symbol(lam, s, power: float):
@@ -341,18 +309,18 @@ def _bz2_symbol(lam, s, M: int):
 
 
 def _resolvent_column(s, power, tol):
-    """(I + s Delta)^{-power}, power > 0, as one Chebyshev column.  The
-    symbol (1 + s(1 - x))^{-power} is analytic off its one singularity
-    x = 1 + 1/s, and on E_rho its modulus is at most its value at x_rho,
-    the point of E_rho nearest the singularity."""
+    """(I + s Delta)^{-power}, any real power, as one Chebyshev column.
+    The symbol (1 + s(1 - x))^{-power} is analytic off x = 1 + 1/s.  On
+    E_rho its modulus is at most its value at x_rho, the point of E_rho
+    nearest the singularity, for power > 0, and at most
+    (1 + s + s x_rho)^{-power}, with |x| <= x_rho there, for power < 0."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    if power <= 0:
-        raise ValueError("power must be > 0")
 
     def symbol(x):
         return _resolvent_symbol(x, s, power)
-    return chebyshev_series(symbol, symbol, 1.0 + 1.0 / s, tol)
+    sup = symbol if power > 0 else lambda x: (1.0 + s + s * x) ** (-power)
+    return chebyshev_series(symbol, sup, 1.0 + 1.0 / s, tol)
 
 
 def _bz2_column(s, M: int, tol):
@@ -373,7 +341,7 @@ def resolvent_step_series(g: WeightedGraph, s, tol: float) -> SeriesOperator:
 
 def resolvent_frac_series(g: WeightedGraph, s, power: float,
                           tol: float) -> SeriesOperator:
-    """(I + s Delta)^{-power}, power > 0, on the series path."""
+    """(I + s Delta)^{-power}, any real power, on the series path."""
     return SeriesOperator(g, f"resolvent_frac({s},{power})",
                           *_resolvent_column(s, power, tol))
 
@@ -382,19 +350,26 @@ def resolvent_frac_series(g: WeightedGraph, s, power: float,
 
 def phi_apply(g: WeightedGraph, f, s, symbol, column):
     """phi_s(P) f: the oracle applies symbol(lam, s) when affordable, the
-    series path the coefficients of column(s) = (coeffs, tail_bound[, basis]).
+    series path the Chebyshev column(s) = (coeffs, tail_bound), or
+    (coeffs, tail_bound, radius) for a deflated walk.
 
     A scalar s (None for an operator without a scale) takes a vector or
     an (n, k) block.  A sequence of scales takes a vector and gives an
     (n, S) block, one column per scale: one oracle apply of the table
     symbol(lam[:, None], s), or one series table of the columns.
     """
-    sweep = np.ndim(s) > 0
-    if sweep:
+    if not has_oracle(g):
+        return series_apply(g, f, s, column)
+    if np.ndim(s) > 0:
         s = np.asarray(s, dtype=float)
-    if has_oracle(g):
-        return spectral(g).apply(lambda lam: symbol(lam[:, None] if sweep else lam, s), f)
-    if sweep:
+        return spectral(g).apply(lambda lam: symbol(lam[:, None], s), f)
+    return spectral(g).apply(lambda lam: symbol(lam, s), f)
+
+
+def series_apply(g: WeightedGraph, f, s, column):
+    """The series path of `phi_apply`: one column(s), or one table of
+    the columns of a sequence of scales."""
+    if np.ndim(s) > 0:
         return series_table(g, f"sweep({len(s)})", [column(t) for t in s]).apply(f)
     return SeriesOperator(g, "phi", *column(s)).apply(f)
 
@@ -443,21 +418,24 @@ def inv_sqrt_series(g: WeightedGraph, tol: float, lambda_star=None) -> SeriesOpe
 
 
 def reproducing_series(g: WeightedGraph, beta: float, N: int) -> SeriesOperator:
-    """sum_{k<=N} a_k P^k with a_k the coefficients of (1-z)^{-beta}."""
-    coeffs = binomial_coefficients(-beta, N + 1)
+    """sum_{k<=N} a_k P^k with a_k the coefficients of (1-z)^{-beta}, the
+    same polynomial in T_k(P)."""
+    coeffs = np.polynomial.chebyshev.poly2cheb(binomial_coefficients(-beta, N + 1))
     return SeriesOperator(g, f"reproducing({beta},{N})", coeffs, math.inf)
 
 
 def delta_power(g: WeightedGraph, f, beta: float, tol=1e-10, lambda_star=None):
-    """Series path for Delta^beta; the constant part is annihilated exactly
-    first (a negative beta requires a mean-zero f)."""
-    ft = require_mean_zero(g, f) if beta < 0 else mean_project(g, f)
-    return delta_power_series(g, beta, tol, lambda_star).apply(ft)
+    """Series path for Delta^beta (a negative beta requires a mean-zero
+    f); a fractional beta's walk drops the constant part of f."""
+    if beta < 0:
+        require_mean_zero(g, f)
+    return delta_power_series(g, beta, tol, lambda_star).apply(f)
 
 
-def resolvent(g: WeightedGraph, f, s: int, M: int = 1, tol=1e-12):
-    """Series path for (I + s Delta)^{-M} f, applied as one column."""
-    return SeriesOperator(g, f"resolvent({s})", *_resolvent_column(s, M, tol)).apply(f)
+def resolvent(g: WeightedGraph, f, s, M: int = 1, tol=1e-12):
+    """Series path for (I + s Delta)^{-M} f; a sequence of scales gives
+    an (n, S) block, one column per scale."""
+    return series_apply(g, f, s, lambda t: _resolvent_column(t, M, tol))
 
 
 def reproducing_check(g: WeightedGraph, f, beta: float, N: int,
@@ -509,16 +487,12 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
         for t in kind.times:
             out = out - apply_P(g, out, t)
         return out
-    if isinstance(kind, BZ2Kind) and np.ndim(kind.s):
+    if isinstance(kind, BZ2Kind):
         # the identity part is added exactly, so where f vanishes the
-        # block is as accurate as R f
-        return out[:, None] + phi_apply(
+        # result is as accurate as R f
+        return (out[:, None] if np.ndim(kind.s) else out) + phi_apply(
             g, out, kind.s, lambda lam, t: _bz2_symbol(lam, t, kind.M),
             lambda t: _bz2_column(t, kind.M, tol))
-    if isinstance(kind, BZ2Kind):
-        for _ in range(kind.M):
-            out = out - resolvent_apply(g, out, kind.s, 1.0, tol)
-        return out
     if isinstance(kind, QsKind):
         acc = np.zeros_like(out)
         for vec in powers(g, out, kind.s - 1):

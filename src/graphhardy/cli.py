@@ -207,11 +207,18 @@ def cmd_selftest(args):
         assert gradient_matches_fiber_norms(g, f) < 1e-12
 
     def series_vs_oracle():
+        # Delta^{1/2}, Delta^{-1/2} (the Riesz transform's) and a
+        # resolvent sweep
         g = zoo.lazy_cycle(16)
         f = operators.random_mean_zero(g, rng)
-        exact = calculus.delta_power_exact(g, f, 0.5)
-        approx = calculus.delta_power(g, f, 0.5, tol=1e-10)
-        assert operators.lp_norm(g, exact - approx, 2) < 1e-9
+        for beta in (0.5, -0.5):
+            exact = calculus.delta_power_exact(g, f, beta)
+            approx = calculus.delta_power(g, f, beta, tol=1e-10)
+            assert operators.lp_norm(g, exact - approx, 2) < 1e-9
+        scales = [1, 4, 16, 64]
+        exact = calculus.resolvent_apply(g, f, scales)
+        approx = calculus.resolvent(g, f, scales, tol=1e-10)
+        assert np.all(operators.lp_norm(g, exact - approx, 2) < 1e-9)
 
     def k2l_values():
         g = zoo.k2l()

@@ -294,7 +294,8 @@ def _molecule_prefix(g: WeightedGraph, kind: str, M: int, eta: int, exp: float,
     ((I + s Delta)/s)^M Delta^exp (I + P)^eta V for bz2, with s as a row
     vector (one block product per factor), and
     s^{-M-1/2} (I + s Delta)^{M+1/2} Delta^exp (I + P)^eta V for forms,
-    one resolvent per distinct s on that scale's columns."""
+    one resolvent per distinct s on that scale's columns, certified to
+    1e-12 after the s^{-M-1/2} scaling."""
     V = heat_prefix(g, V, eta, exp)
     if kind == "bz2":
         for _ in range(M):
@@ -307,7 +308,8 @@ def _molecule_prefix(g: WeightedGraph, kind: str, M: int, eta: int, exp: float,
         return V
     for t in np.unique(s):
         cols = s == t
-        V[:, cols] = resolvent_apply(g, V[:, cols], t, -(M + 0.5)) / t ** (M + 0.5)
+        scale = t ** (M + 0.5)
+        V[:, cols] = resolvent_apply(g, V[:, cols], t, -(M + 0.5), 1e-12 * scale) / scale
     return V
 
 

@@ -183,23 +183,30 @@ def horner(g: WeightedGraph, U: np.ndarray) -> np.ndarray:
     return acc
 
 
-def chebyshev(g: WeightedGraph, f, N: int):
-    """Yield T_0(P) f, T_1(P) f, ..., T_N(P) f, the Chebyshev polynomials
-    of the first kind in P, with exactly N sparse products
-    (T_{k+1} = 2 P T_k - T_{k-1}), and nothing when N < 0; accepts (n,)
-    or (n, batch)."""
+def chebyshev(g: WeightedGraph, f, N: int, radius=None):
+    """Yield T_0(X) f, T_1(X) f, ..., T_N(X) f, the Chebyshev polynomials
+    of the first kind in X, with exactly N sparse products
+    (T_{k+1} = 2 X T_k - T_{k-1}), and nothing when N < 0; accepts (n,)
+    or (n, batch).
+
+    X is P when radius is None.  Given a radius r, X = (P - Pi)/r on the
+    mean-zero part of f, Pi the m-mean projection: f is mean-projected on
+    entry and every product after it, so the rounding of each product
+    along the constants is dropped instead of growing like T_k(1/r)."""
     if N < 0:
         return
-    prev = np.asarray(f, dtype=float)
-    yield prev
-    if N == 0:
-        return
-    u = markov_step(g, prev)
+    deflate = radius is not None
+    u = prev = mean_project(g, f) if deflate else np.asarray(f, dtype=float)
     yield u
-    for _ in range(N - 1):
+    for k in range(N):
         nxt = markov_step(g, u)
-        nxt *= 2.0
-        nxt -= prev
+        if deflate:
+            nxt -= (g.m @ nxt) / g.total_volume()
+        scale = (2.0 if k else 1.0) / (radius if deflate else 1.0)
+        if scale != 1.0:
+            nxt *= scale
+        if k:
+            nxt -= prev
         prev, u = u, nxt
         yield u
 

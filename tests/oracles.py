@@ -14,7 +14,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from graphhardy.calculus import (BZ2Kind, a_s, binomial_series, delta_power_exact,
+from graphhardy.calculus import (BZ2Kind, a_s, binomial_coefficients, delta_power_exact,
                                  resolvent_apply, spectral)
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import ball
@@ -126,12 +126,44 @@ def naive_tent_members(g, ball_mask, l_max):
     return out
 
 
+def binomial_series(beta, q, tol, pref=1.0):
+    """(b_0..b_N, tail bound) for the Taylor coefficients b_k of
+    (1 - z)^beta, the power series Delta^beta was summed with before
+    Chebyshev columns (on mean-zero functions, q = lambda_star): N is the
+    first k >= 1 whose certified weighted tail
+    pref |b_{k+1}| q^{k+1} / (1 - rho_k) >= pref sum_{j>k} |b_j| q^j is
+    <= tol.  Once k + 1 > beta the ratios |b_{j+1} / b_j| = (j - beta) /
+    (j + 1), j > k, are monotone toward 1, so their sup is
+    max((k + 1 - beta) / (k + 2), 1) and rho_k is q times it."""
+    count = 2048
+    while True:
+        b = binomial_coefficients(beta, count + 1)
+        k = np.arange(1.0, count)
+        rho = q * np.maximum((k + 1.0 - beta) / (k + 2.0), 1.0)
+        with np.errstate(divide="ignore"):
+            tail = pref * np.abs(b[2:]) * q ** (k + 1.0) / (1.0 - rho)
+        hit = np.flatnonzero((k + 1.0 > beta) & (rho < 1.0) & (tail <= tol))
+        if len(hit):
+            return b[:hit[0] + 2], float(tail[hit[0]])
+        count *= 2
+
+
+def taylor_delta_power(g, f, beta, tol, lambda_star):
+    """Delta^beta f by the power series of `binomial_series` on the
+    mean-projected f, (coefficients, result)."""
+    b, _ = binomial_series(beta, lambda_star, tol)
+    acc = np.zeros(g.n)
+    for c, u in zip(b, powers(g, f - (g.m @ f) / g.m.sum(), len(b) - 1)):
+        acc += c * u
+    return b, acc
+
+
 def resolvent_frac_coefficients(s, power, tol):
     """(coefficients, tail bound) of the Taylor series of
     (I + s Delta)^{-power} = (1+s)^{-power} (1 - q P)^{-power},
     q = s/(1+s), one term at a time: the truncation is the first k >= 1
-    whose certified tail is <= tol (`calculus.binomial_series` at beta =
-    -power, weight q and prefactor (1+s)^{-power}, term by term)."""
+    whose certified tail is <= tol (`binomial_series` at beta = -power,
+    weight q and prefactor (1+s)^{-power}, term by term)."""
     q = s / (1.0 + s)
     pref = (1.0 + s) ** (-power)
     a = 1.0
@@ -155,7 +187,8 @@ def taylor_resolvent_degree(s, power, tol):
     before Chebyshev columns, q = s/(1+s): for an integer power M, M
     Neumann steps each truncated at the first N with q^N <= tol / M; else
     the (1 - qz)^{-power} series of `binomial_series` (pinned to
-    `resolvent_frac_coefficients` in the calculus tests)."""
+    `resolvent_frac_coefficients` in the calculus tests, and vectorized:
+    the loop takes seconds over the scales 1..600)."""
     q = s / (1.0 + s)
     if float(power).is_integer():
         M = int(power)

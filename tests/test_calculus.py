@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import family_per_s, resolvent_frac_coefficients
+from oracles import (binomial_series, family_per_s, resolvent_frac_coefficients,
+                     taylor_delta_power)
 
 from graphhardy import calculus
 from graphhardy.calculus import (
@@ -12,7 +13,6 @@ from graphhardy.calculus import (
     QsKind,
     a_s,
     binomial_coefficients,
-    binomial_series,
     delta_inv_sqrt_exact,
     delta_power,
     delta_power_apply,
@@ -49,7 +49,7 @@ from graphhardy.operators import (
     mean_project,
     random_mean_zero,
 )
-from graphhardy.zoo import lazy_cycle, lazy_torus_2d
+from graphhardy.zoo import binary_tree, lazy_cycle, lazy_torus_2d
 
 
 def test_oracle_reproduces_P(cycle16):
@@ -165,8 +165,9 @@ def test_resolvent_frac_series(cycle16, rng):
 @pytest.mark.parametrize("power", [0.5, 1.5])
 @pytest.mark.parametrize("s", [1, 40, 512])
 def test_resolvent_frac_series_matches_loop(cycle16, s, power):
-    # the chunked running product of binomial_series (which serves
-    # Delta^beta) keeps the term-by-term truncation of the weighted
+    # the two Taylor references agree: the vectorized binomial_series
+    # (the power series Delta^beta was summed with before Chebyshev
+    # columns) keeps the term-by-term truncation of the weighted
     # (1 - z)^{-power} series and stays within a few dozen roundings of
     # the loop's coefficients
     want, tail = resolvent_frac_coefficients(s, power, 1e-12)
@@ -459,10 +460,10 @@ def test_lambda_star_range_and_periodicity(cycle16):
     (beta, q, 1e-8) for beta in (0.5, 1.5, -0.5, -1.5, -2.5) for q in (0.5, 0.9, 0.99)
 ] + [(9.5, 0.5, 30.0)])
 def test_binomial_series_tail_is_certified(beta, q, tol):
-    # the declared tail dominates the true weighted tail: below beta = -1
-    # the coefficients grow, and for k + 1 < beta the ratios |b_{j+1}/b_j|
-    # can exceed 1, so neither the geometric ratio q alone nor an early
-    # stop would be certified
+    # the Taylor reference's declared tail dominates its true weighted
+    # tail: below beta = -1 the coefficients grow, and for k + 1 < beta
+    # the ratios |b_{j+1}/b_j| can exceed 1, so neither the geometric
+    # ratio q alone nor an early stop would be certified
     b, tail = binomial_series(beta, q, tol)
     N = len(b) - 1
     full = binomial_coefficients(beta, 40 * N + 2000)
@@ -497,19 +498,81 @@ def test_negative_powers_of_delta(cycle16, rng, monkeypatch):
         delta_power_apply(cycle16, np.ones(cycle16.n), -0.5)
 
 
-def test_resolvent_series_needs_a_positive_power(cycle16, monkeypatch):
-    # a power <= 0 is a positive power of I + s Delta, which no
-    # (1 - z)^{-power} tail bound certifies
-    for power in (-0.5, 0.0):
-        with pytest.raises(ValueError):
-            resolvent_frac_series(cycle16, 4, power, 1e-10)
-    f = random_mean_zero(cycle16, np.random.default_rng(1))
+@pytest.mark.parametrize("beta", [-2.5, -0.5, 0.5])
+def test_rounding_sized_constant_part(beta, monkeypatch):
+    # an input whose constant part is 1e-12 of its norm, the rounding a
+    # caller's projection leaves: the oracle drops the constant's
+    # coefficient, and the series walk (P - Pi)/lambda_star projects it
+    # out on entry and after every product, where the power series in P
+    # summed it with weight sum_k b_k (about N^{2.5} at beta = -2.5)
+    g = lazy_cycle(64)
+    f = random_mean_zero(g, np.random.default_rng(5))
+    f /= lp_norm(g, f, 2)
+    want = delta_power_exact(g, f, beta)
+    lam = spectral(g).lambda_star
+    size = max((1.0 - lam) ** beta, (1.0 + lam) ** beta)
+    eps = np.finfo(float).eps
+    fc = f + 1e-12
+    assert lp_norm(g, delta_power_apply(g, fc, beta) - want, 2) <= g.n * eps * size
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
-    for power in (-0.5, -1.0, -1.5):
-        with pytest.raises(ValueError):
-            resolvent_apply(cycle16, f, 4, power)
-        with pytest.raises(ValueError):
-            resolvent_apply(cycle16, f, [2, 4], power)
+    op = delta_power_series(g, beta, 1e-10, lam)
+    allow = op.tail_bound + op.truncation * eps * size
+    for got in (op.apply(fc), delta_power(g, fc, beta, lambda_star=lam)):
+        assert lp_norm(g, got - want, 2) <= allow
+
+
+@pytest.mark.parametrize("name", ["cycle16", "torus8", "tree4"])
+def test_delta_power_column_against_taylor(name):
+    # the Chebyshev column is shorter than the power series in P that
+    # Delta^beta was summed with before (`oracles.binomial_series`, same
+    # tol and lambda_star), and no less accurate, up to the rounding
+    # N eps max|phi| of its own sum
+    g = {"cycle16": lazy_cycle(16), "torus8": lazy_torus_2d(8), "tree4": binary_tree(4)}[name]
+    f = random_mean_zero(g, np.random.default_rng(6))
+    f /= lp_norm(g, f, 2)
+    lam = spectral(g).lambda_star
+    for beta in (-2.5, -1.5, -0.5, 0.5, 1.5):
+        want = delta_power_exact(g, f, beta)
+        op = delta_power_series(g, beta, 1e-10, lam)
+        b, taylor = taylor_delta_power(g, f, beta, 1e-10, lam)
+        assert op.truncation < len(b) - 1
+        size = max((1.0 - lam) ** beta, (1.0 + lam) ** beta)
+        err = lp_norm(g, op.apply(f) - want, 2)
+        assert err <= lp_norm(g, taylor - want, 2) + op.truncation * np.finfo(float).eps * size
+
+
+def test_delta_power_radius_floor(k2l, f0):
+    # lambda_star = 0 on k2l, where Delta is the identity on mean-zero
+    # functions; the deflated walk keeps its radius at MIN_RADIUS instead
+    # of dividing by 0
+    assert spectral(k2l).lambda_star == pytest.approx(0.0, abs=1e-12)
+    for beta in (-0.5, 0.5, -2.5):
+        op = delta_power_series(k2l, beta, 1e-12)
+        assert op.radius == calculus.MIN_RADIUS
+        np.testing.assert_allclose(op.apply(f0), f0, rtol=0, atol=1e-12)
+
+
+def test_resolvent_series_needs_a_positive_power(cycle16, monkeypatch):
+    # any real power has a Chebyshev column: a power <= 0 is a positive
+    # power of I + s Delta (the form prefix is (I + s Delta)^{M+1/2}), and
+    # its series agrees with the oracle, scale by scale and as a sweep,
+    # within its tail plus the rounding of a sum whose symbol reaches
+    # max|phi| = (1 + 2s)^{-power} on the spectrum
+    g = cycle16
+    f = random_mean_zero(g, np.random.default_rng(1))
+    f /= lp_norm(g, f, 2)
+    scales = (1, 4, 64, 1024)
+    for power in (0.0, -0.5, -1.0, -1.5, -2.5):
+        want = resolvent_apply(g, f, scales, power)
+        with monkeypatch.context() as mp:
+            mp.setattr(calculus, "ORACLE_MAX_N", 0)
+            sweep = resolvent_apply(g, f, scales, power, 1e-10)
+            for j, s in enumerate(scales):
+                tail = resolvent_frac_series(g, s, power, 1e-10).tail_bound
+                allow = tail + 32 * np.finfo(float).eps * (1.0 + 2.0 * s) ** -power
+                assert tail <= 1e-10
+                for got in (sweep[:, j], resolvent_apply(g, f, s, power, 1e-10)):
+                    assert lp_norm(g, got - want[:, j], 2) <= allow, (power, s)
 
 
 def test_series_length_cap(cycle16, monkeypatch):
