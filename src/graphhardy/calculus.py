@@ -174,7 +174,6 @@ class SeriesOperator:
     that spectrum, and a Chebyshev bound holds on all of [-1, 1]."""
 
     graph: WeightedGraph
-    kind: str
     coeffs: np.ndarray = field(repr=False)
     tail_bound: object          # float, or an (S,) array for a table
     radius: object = None       # None, or the radius of a deflated walk
@@ -204,13 +203,13 @@ class SeriesOperator:
         return acc.reshape(f.shape + C.shape[1:] if table else f.shape)
 
 
-def series_table(g: WeightedGraph, kind: str, columns) -> SeriesOperator:
+def series_table(g: WeightedGraph, columns) -> SeriesOperator:
     """One table from (coefficients, tail bound) columns, one per scale,
     zero-padded to the longest."""
     C = np.zeros((max(len(c[0]) for c in columns), len(columns)))
     for j, c in enumerate(columns):
         C[:len(c[0]), j] = c[0]
-    return SeriesOperator(g, kind, C, np.array([c[1] for c in columns]))
+    return SeriesOperator(g, C, np.array([c[1] for c in columns]))
 
 
 # Ellipse parameters tried by `chebyshev_series`, as fractions of the way
@@ -334,16 +333,10 @@ def _bz2_column(s, M: int, tol):
         lambda x: (1.0 + _resolvent_symbol(x, s, 1.0)) ** M - 1.0, 1.0 + 1.0 / s, tol)
 
 
-def resolvent_step_series(g: WeightedGraph, s, tol: float) -> SeriesOperator:
-    """(I + s Delta)^{-1} on the series path."""
-    return SeriesOperator(g, f"resolvent({s})", *_resolvent_column(s, 1.0, tol))
-
-
 def resolvent_frac_series(g: WeightedGraph, s, power: float,
                           tol: float) -> SeriesOperator:
     """(I + s Delta)^{-power}, any real power, on the series path."""
-    return SeriesOperator(g, f"resolvent_frac({s},{power})",
-                          *_resolvent_column(s, power, tol))
+    return SeriesOperator(g, *_resolvent_column(s, power, tol))
 
 
 # -- the one oracle/series choice --------------------------------------------
@@ -370,8 +363,8 @@ def series_apply(g: WeightedGraph, f, s, column):
     """The series path of `phi_apply`: one column(s), or one table of
     the columns of a sequence of scales."""
     if np.ndim(s) > 0:
-        return series_table(g, f"sweep({len(s)})", [column(t) for t in s]).apply(f)
-    return SeriesOperator(g, "phi", *column(s)).apply(f)
+        return series_table(g, [column(t) for t in s]).apply(f)
+    return SeriesOperator(g, *column(s)).apply(f)
 
 
 def delta_power_apply(g: WeightedGraph, f, beta: float, tol=1e-10):
@@ -397,31 +390,20 @@ def delta_power_exact(g: WeightedGraph, f, beta: float):
     return spectral(g).apply(lambda lam: _delta_power_symbol(lam, beta), f)
 
 
-def delta_inv_sqrt_exact(g: WeightedGraph, f):
-    """Delta^{-1/2} f on the mean-zero subspace (spectral)."""
-    return delta_power_exact(g, f, -0.5)
-
-
 def resolvent_exact(g: WeightedGraph, f, s: int, power=1.0):
     return spectral(g).apply(lambda lam: _resolvent_symbol(lam, s, power), f)
 
 
 def delta_power_series(g: WeightedGraph, beta: float, tol: float,
                        lambda_star=None) -> SeriesOperator:
-    return SeriesOperator(g, f"delta_pow({beta})",
-                          *_delta_power_column(g, beta, tol, lambda_star))
-
-
-def inv_sqrt_series(g: WeightedGraph, tol: float, lambda_star=None) -> SeriesOperator:
-    """(I - P)^{-1/2} on the mean-zero subspace."""
-    return delta_power_series(g, -0.5, tol, lambda_star)
+    return SeriesOperator(g, *_delta_power_column(g, beta, tol, lambda_star))
 
 
 def reproducing_series(g: WeightedGraph, beta: float, N: int) -> SeriesOperator:
     """sum_{k<=N} a_k P^k with a_k the coefficients of (1-z)^{-beta}, the
     same polynomial in T_k(P)."""
     coeffs = np.polynomial.chebyshev.poly2cheb(binomial_coefficients(-beta, N + 1))
-    return SeriesOperator(g, f"reproducing({beta},{N})", coeffs, math.inf)
+    return SeriesOperator(g, coeffs, math.inf)
 
 
 def delta_power(g: WeightedGraph, f, beta: float, tol=1e-10, lambda_star=None):

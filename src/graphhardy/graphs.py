@@ -20,10 +20,6 @@ from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 from .errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
 
-# Above this vertex count geometry_report switches from exhaustive
-# enumeration to sampling.
-N_EXHAUSTIVE = 2000
-
 # Tables built from `dist` a block of rows at a time hold about this many
 # entries per block, so none of them needs an n x n temporary.
 ROW_BLOCK_ENTRIES = 1 << 18
@@ -429,7 +425,6 @@ class GeometryReport:
     M0: int
     n: int
     diameter: int
-    enumeration_policy: str
 
     def to_json(self):
         return json.dumps(
@@ -440,7 +435,6 @@ class GeometryReport:
                 "M0": self.M0,
                 "n": self.n,
                 "diameter": self.diameter,
-                "enumeration_policy": self.enumeration_policy,
             },
             indent=2,
         )
@@ -452,36 +446,23 @@ def cached_geometry(g: WeightedGraph) -> "GeometryReport":
     return g._geometry
 
 
-def geometry_report(g: WeightedGraph, p_diag=None, n_exhaustive=N_EXHAUSTIVE,
-                    sample_size=256, seed=0) -> GeometryReport:
+def geometry_report(g: WeightedGraph) -> GeometryReport:
     """Measure the volume-doubling constant, growth exponent and the
     walk's diagonal lower bound.
 
     The doubling constant is sup over (x, r) of V(x, 2r)/V(x, r); the
     exponent is an OLS fit of log mean-ratio against log lambda for
     lambda in {2, 4, 8} over all feasible (x, r) with lambda * r <= diam.
-    The volumes are rows of `ball_volumes`.  `p_diag` supplies p(x, x);
-    by default mu_xx / m(x)^2.
+    Every vertex is a centre, and the volumes are the rows of
+    `ball_volumes`.  p(x, x) = mu_xx / m(x)^2.
     """
-    if p_diag is None:
-        diag = g.adjacency.diagonal()
-        p_xx = diag / (g.m * g.m)
-    else:
-        p_xx = np.array([p_diag(x) for x in range(g.n)])
+    p_xx = g.adjacency.diagonal() / (g.m * g.m)
     eps_lb = float(np.min(p_xx * g.m))
-
-    if g.n <= n_exhaustive:
-        centers = np.arange(g.n)
-        policy = "exhaustive"
-    else:
-        rng = np.random.default_rng(seed)
-        centers = rng.choice(g.n, size=min(sample_size, g.n), replace=False)
-        policy = f"sampled({len(centers)})"
 
     diam = g.diameter
     radii = np.arange(1, max(diam, 1) + 2)
-    # V[c, r-1] = volume of B(centers[c], r); last column saturates at Gamma
-    vols = g.ball_volumes[centers][:, np.minimum(radii - 1, diam)]
+    # V[x, r-1] = volume of B(x, r); last column saturates at Gamma
+    vols = g.ball_volumes[:, np.minimum(radii - 1, diam)]
     doubling = 1.0
     for r in range(1, max(diam, 1) + 1):
         ratio = vols[:, min(2 * r, len(radii)) - 1] / vols[:, r - 1]
@@ -511,5 +492,4 @@ def geometry_report(g: WeightedGraph, p_diag=None, n_exhaustive=N_EXHAUSTIVE,
         M0=g.max_degree,
         n=g.n,
         diameter=diam,
-        enumeration_policy=policy,
     )

@@ -62,12 +62,11 @@ from .operators import (
     inner,
     lp_norm,
     lp_norm_forms,
-    mean_project,
     powers,
     tx_norms,
     weighted_powers,
 )
-from .quadratic import SpaceTimeFunction, default_l_max, quad_norm
+from .quadratic import SpaceTimeFunction, default_l_max
 from .riesz import h2_project
 from .tentspace import (
     TentAtom,
@@ -112,6 +111,8 @@ class ValidationReport:
 # -- validation, one block of molecules at a time ---------------------------
 
 SIZE_TOL = 1e-9
+# Largest relative factorization error of a valid molecule.
+FACT_TOL = 1e-9
 # kinds whose molecules carry their own time tuple
 TUPLE_KINDS = ("bz1", "bz2_tuple")
 
@@ -183,7 +184,7 @@ def _annulus_l2(g: WeightedGraph, ring, width: int, levels) -> np.ndarray:
     return np.sqrt(mass).reshape(k, width)
 
 
-def _size_profiles(g: WeightedGraph, eps: float, balls, b, size_tol=SIZE_TOL):
+def _size_profiles(g: WeightedGraph, eps: float, balls, b):
     """(violations, profiles, annuli) of the pre-images b (n, k) over
     `balls`: violations[i] lists the (j, measured, bound) entries of
     column i above their bound, profiles[i] its measured masses, and
@@ -198,19 +199,18 @@ def _size_profiles(g: WeightedGraph, eps: float, balls, b, size_tol=SIZE_TOL):
         for i, (x, nb, bd) in enumerate(zip(stray, norm_b, bound)):
             if x > 0.0:
                 violations[i].append((0, float(x), 0.0))
-            if nb > bd * (1.0 + size_tol):
+            if nb > bd * (1.0 + SIZE_TOL):
                 violations[i].append((1, float(nb), float(bd)))
         return violations, [[float(nb)] for nb in norm_b], None
     annuli = ring, J, bounds = _annulus_bounds(g, balls, eps)
     measured = _annulus_l2(g, ring, bounds.shape[1], b)
-    for i, c in zip(*np.nonzero(measured > bounds * (1.0 + size_tol))):
+    for i, c in zip(*np.nonzero(measured > bounds * (1.0 + SIZE_TOL))):
         violations[i].append((int(c) + 1, float(measured[i, c]), float(bounds[i, c])))
     return violations, [row[:n].tolist() for row, n in zip(measured, J)], annuli
 
 
 def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
-                    balls, b, a, fact_tol=1e-9, size_tol=SIZE_TOL,
-                    raise_on_fail=True) -> list:
+                    balls, b, a, raise_on_fail=True) -> list:
     """One ValidationReport per molecule of a block: k molecules of one
     kind, M and eps, with scales s, time tuples `times` (bz1, bz2_tuple)
     and balls, as the columns of their pre-images b (n, k) and molecules
@@ -226,10 +226,10 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
     def norm(x):
         return lp_norm(g, level(x), 2)
     fact_err = norm(rederive_molecules(g, kind, M, s, times, b) - a) / np.maximum(1.0, norm(a))
-    if raise_on_fail and (fact_err > fact_tol).any():
-        first = fact_err[np.argmax(fact_err > fact_tol)]
+    if raise_on_fail and (fact_err > FACT_TOL).any():
+        first = fact_err[np.argmax(fact_err > FACT_TOL)]
         raise FactorizationMismatch(
-            f"relative factorization error {first:.3e} > {fact_tol:.1e}")
+            f"relative factorization error {first:.3e} > {FACT_TOL:.1e}")
 
     warnings = [False] * len(balls)
     if kind in TUPLE_KINDS:
@@ -242,7 +242,7 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
                         f"{kind} tuple entry {t} outside [[{lo}, {2 * si}]]")
                 warnings[i] |= t < si
 
-    violations, profiles, annuli = _size_profiles(g, eps, balls, b, size_tol)
+    violations, profiles, annuli = _size_profiles(g, eps, balls, b)
     if raise_on_fail:
         for v in violations:
             if v:
@@ -256,16 +256,16 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
         live = bounds > 0.0
         np.divide(ratio, bounds, out=ratio, where=live)
         excess = ratio.max(axis=1, initial=0.0, where=live)
-    return [ValidationReport(bool(err <= fact_tol and not v), float(err), v, w,
+    return [ValidationReport(bool(err <= FACT_TOL and not v), float(err), v, w,
                              float(l1), p, float(x))
             for err, v, w, l1, p, x in zip(fact_err, violations, warnings,
                                            lp_norm(g, level_a, 1), profiles, excess)]
 
 
-def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=SIZE_TOL,
-                      raise_on_fail=True) -> ValidationReport:
-    """Check factorization, annulus size bounds and measure the L^1 mass:
-    the one-molecule block of `_validate_block`.
+def validate_molecule(mol: Molecule) -> ValidationReport:
+    """Check factorization (to FACT_TOL), annulus size bounds (to
+    SIZE_TOL) and measure the L^1 mass: the one-molecule block of
+    `_validate_block`, which raises on the first failure.
 
     bz1 atoms are accepted with tuple entries anywhere in [1, 2s]
     (flagged), molecules need entries in [s, 2s].
@@ -273,7 +273,7 @@ def validate_molecule(mol: Molecule, fact_tol=1e-9, size_tol=SIZE_TOL,
     a = mol.a.data if mol.kind == "form" else np.asarray(mol.a, dtype=float)
     return _validate_block(mol.graph, mol.kind, mol.M, mol.eps, [mol.s], [mol.times],
                            [mol.ball], np.asarray(mol.b, dtype=float)[:, None],
-                           a[:, None], fact_tol, size_tol, raise_on_fail)[0]
+                           a[:, None])[0]
 
 
 # -- synthesized molecules from tent atoms ---------------------------------
@@ -314,8 +314,7 @@ def _molecule_prefix(g: WeightedGraph, kind: str, M: int, eta: int, exp: float,
 
 
 def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
-                         M: int, beta: float, eps: float, d0: float,
-                         fact_tol=1e-9):
+                         M: int, beta: float, eps: float, d0: float):
     """One molecule a = pi_{eta, beta}(A) of `kind` ("bz2" or "form") per
     tent atom A of tdec, all synthesized, normalized and validated as one
     block; returns ([(lambda * norm_constant, Molecule)], a) with the
@@ -373,7 +372,7 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
                        for v in violations])
     b /= excess
     a /= excess
-    reports = _validate_block(g, kind, M, eps, s, times, balls, b, a, fact_tol,
+    reports = _validate_block(g, kind, M, eps, s, times, balls, b, a,
                               raise_on_fail=False)
     for rep in reports:
         if not rep.ok:
@@ -391,26 +390,26 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
 
 
 def make_molecule_from_tent_atom(A: TentAtom, M: int, beta: float, eps: float,
-                                 d0=None, fact_tol=1e-9) -> Molecule:
+                                 d0=None) -> Molecule:
     """The bz2 molecule carried by one tent atom: a one-atom
     `synthesize_molecules` stage."""
-    return _one_molecule(A, "bz2", M, beta, eps, d0, fact_tol)
+    return _one_molecule(A, "bz2", M, beta, eps, d0)
 
 
 def make_form_molecule_from_tent_atom(A: TentAtom, M: int, eps: float,
-                                      d0=None, fact_tol=1e-9) -> Molecule:
+                                      d0=None) -> Molecule:
     """Form analogue with beta = 1/2 and a trailing d Delta^{-1/2},
     i.e. a = s^{M+1/2} d Delta^M (I + s Delta)^{-M-1/2} b: a one-atom
     `synthesize_molecules` stage."""
-    return _one_molecule(A, "form", M, 0.5, eps, d0, fact_tol)
+    return _one_molecule(A, "form", M, 0.5, eps, d0)
 
 
-def _one_molecule(A, kind, M, beta, eps, d0, fact_tol):
+def _one_molecule(A, kind, M, beta, eps, d0):
     g = A.ball.graph
     if d0 is None:
         d0 = cached_geometry(g).d0_estimate
     tdec = TentDecomposition([(1.0, A)], 0.0, 1.0)
-    [(_, mol)], _ = synthesize_molecules(g, tdec, kind, M, beta, eps, d0, fact_tol)
+    [(_, mol)], _ = synthesize_molecules(g, tdec, kind, M, beta, eps, d0)
     return mol
 
 
@@ -538,13 +537,15 @@ def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
         raise NonConvergent(
             f"form reconstruction residual {l2_res:.3e} above {tol:.3e}"
         )
-    qn = quad_norm(g, delta_power_apply(g, mean_project(g, w), -0.5), 0.5, l_max)
+    # F(., l)^2 / (l+1) = |P^l w|^2 is the Lusin weight of Delta^{-1/2} w
+    # at beta = 1/2, so ||L_{1/2} Delta^{-1/2} w||_1 is the T^1_2 norm of
+    # the profile
     return MolecularDecomposition(
         coefficients,
         float(sum(abs(l) for l, _ in coefficients)),
         lp_norm_forms(g, resid, 1),
         l2_res,
-        qn,
+        tdec.t1_norm,
     )
 
 
@@ -591,13 +592,13 @@ BMO_BLOCK = 256
 
 
 def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
-             tuple_policy="auto", seed=0) -> BmoReport:
+             seed=0) -> BmoReport:
     """sup over times s <= s_max and balls of radius ceil(sqrt(s)) of
     the normalized local L^2 mass of A_s f.
 
-    bz1 tuples are enumerated exhaustively while s^M <= 4096, otherwise
-    the endpoint tuples plus 32 seeded samples are used;
-    `tuple_policy` in {"auto", "exhaustive", "sampled"} overrides.
+    bz1 tuples are enumerated exhaustively while
+    s^M <= TUPLE_EXHAUSTIVE_CAP, otherwise the endpoint tuples plus 32
+    seeded samples are used; the report records which ran.
     The bz2 candidates of every s come from one sweep; local masses are
     taken with one sparse ball matrix per radius, grown from the previous
     radius as s walks upward (one matrix held at a time, `dist` never
@@ -606,8 +607,6 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    if tuple_policy not in ("auto", "exhaustive", "sampled"):
-        raise ValueError("tuple_policy must be auto, exhaustive or sampled")
     if kind not in ("bz1", "bz2"):
         raise ValueError("kind must be 'bz1' or 'bz2'")
     f = np.asarray(f, dtype=float)
@@ -628,19 +627,15 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
         if kind == "bz2":
             tuples = [()]
             policies.add("exhaustive")
+        elif s ** M <= TUPLE_EXHAUSTIVE_CAP:
+            tuples = itertools.product(range(s, 2 * s + 1), repeat=M)
+            policies.add("exhaustive")
         else:
-            exhaustive = s ** M <= TUPLE_EXHAUSTIVE_CAP
-            if tuple_policy != "auto":
-                exhaustive = tuple_policy == "exhaustive"
-            if exhaustive:
-                tuples = itertools.product(range(s, 2 * s + 1), repeat=M)
-                policies.add("exhaustive")
-            else:
-                corner = list(itertools.product((s, 2 * s), repeat=M))
-                sampled = [tuple(rng.integers(s, 2 * s + 1, size=M))
-                           for _ in range(32)]
-                tuples = corner + sampled
-                policies.add("sampled")
+            corner = list(itertools.product((s, 2 * s), repeat=M))
+            sampled = [tuple(rng.integers(s, 2 * s + 1, size=M))
+                       for _ in range(32)]
+            tuples = corner + sampled
+            policies.add("sampled")
         tuples = iter(tuples)
         while chunk := list(itertools.islice(tuples, BMO_BLOCK)):
             U = A[:, s - 1:s] if kind == "bz2" else _bz1_block(PK, chunk)

@@ -243,9 +243,10 @@ class KernelMatrix:
         """sum_y p_l(x, y) m(y) for every x; all ones by stochasticity."""
         return np.asarray(self.matrix @ self.graph.m).ravel()
 
-    def validate(self, tol=1e-12) -> bool:
-        """Symmetry, nonnegativity, unit mass, support within distance l."""
-        M = self.matrix
+    def validate(self) -> bool:
+        """Symmetry, nonnegativity, unit mass, support within distance l,
+        each to 1e-12."""
+        M, tol = self.matrix, 1e-12
         if abs(M - M.T).max() > tol or np.abs(self.row_mass() - 1.0).max() > tol:
             return False
         if M.nnz and M.data.min() < -tol:
@@ -254,11 +255,11 @@ class KernelMatrix:
         return bool(np.all(dense[self.graph.dist > self.l] == 0.0))
 
 
-def kernel(g: WeightedGraph, l: int, l_cap: int = KERNEL_L_CAP) -> KernelMatrix:
+def kernel(g: WeightedGraph, l: int) -> KernelMatrix:
     if l < 0:
         raise ValueError("l must be >= 0")
-    if l > l_cap:
-        raise ValueError(f"l = {l} exceeds the kernel cap {l_cap}")
+    if l > KERNEL_L_CAP:
+        raise ValueError(f"l = {l} exceeds the kernel cap {KERNEL_L_CAP}")
     K = sp.diags(1.0 / g.m).tocsr()
     W = markov_matrix(g)
     for _ in range(l):

@@ -153,13 +153,16 @@ def quad_norm(g: WeightedGraph, f, beta: float = 1.0, l_max=None):
     return lp_norm(g, lusin(g, f, beta, l_max), 1)
 
 
-def lusin_tail_bound(g: WeightedGraph, f, beta: float, l_max: int,
-                     rel_cutoff=1e-30) -> float:
+# `lusin_tail_bound` stops once a term adds at most this fraction.
+TAIL_REL_CUTOFF = 1e-30
+
+
+def lusin_tail_bound(g: WeightedGraph, f, beta: float, l_max: int) -> float:
     """Upper bound on the cone mass ignored above l_max.
 
     sup_x of the missing sum is at most
     (1/min m) sum_{l > L} (l+1)^{2b-1} ||Delta^b P^l f||_2^2, evaluated
-    spectrally until the geometric terms are negligible.
+    spectrally until a term is at most TAIL_REL_CUTOFF times the sum.
     """
     if not has_oracle(g):
         raise OracleCapExceeded("tail bound needs the spectral oracle")
@@ -175,7 +178,7 @@ def lusin_tail_bound(g: WeightedGraph, f, beta: float, l_max: int,
     while True:
         term = float(np.sum(front * zpow)) * (l + 1.0) ** (2 * beta - 1)
         total += term
-        if term <= rel_cutoff * max(total, 1e-300) or np.max(zpow, initial=0.0) == 0.0:
+        if term <= TAIL_REL_CUTOFF * max(total, 1e-300) or np.max(zpow, initial=0.0) == 0.0:
             break
         zpow *= z
         l += 1

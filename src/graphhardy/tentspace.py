@@ -38,6 +38,9 @@ from .quadratic import SpaceTimeFunction, tent_functional
 # temporary, so a large piece never holds a second full-length array.
 ENTRY_CHUNK = 1 << 15
 
+# Longest reproducing horizon `reproducing_l_max` searches.
+HORIZON_CAP = 200_000
+
 
 def _tent_depth(g: WeightedGraph, set_mask: np.ndarray) -> np.ndarray:
     """d(y, O^c) for every vertex y, with d(y, emptyset) = +inf."""
@@ -114,11 +117,13 @@ class TentAtom:
         if isinstance(self.values, SpaceTimeFunction):
             self.values = SpaceTimeEntries.of(self.values)
 
-    def validate(self, norm_tol=1e-12):
+    def validate(self):
+        """Support in the tent of the ball, and the size bound to a
+        relative 1e-12."""
         e = self.values
         depth = _tent_depth(self.ball.graph, self.ball.mask)
         support_ok = bool(np.all(depth[e.ys] ** 2 > e.ls))
-        norm_ok = e.t22_norm() ** 2 <= (1.0 + norm_tol) / self.ball.volume
+        norm_ok = e.t22_norm() ** 2 <= (1.0 + 1e-12) / self.ball.volume
         return support_ok and norm_ok
 
 
@@ -151,18 +156,19 @@ class TentDecomposition:
 def _whitney_balls(g: WeightedGraph, rho: np.ndarray):
     """Greedy ball cover of the proper subset O = {rho > 0}, where
     rho = d(., O^c): centers taken largest rho first, ties by vertex
-    index."""
+    index.  Returns (centers, radii, owner), owner[y] the index of the
+    first selected ball containing y (-1 outside every ball)."""
     verts = np.flatnonzero(rho > 0)
     order = verts[np.lexsort((verts, -rho[verts]))]
-    covered = np.zeros(g.n, dtype=bool)
+    owner = np.full(g.n, -1)
     centers, radii = [], []
     for x in order:
-        if covered[x]:
+        if owner[x] >= 0:
             continue
+        owner[(g.dist[x] < rho[x]) & (owner < 0)] = len(centers)
         centers.append(int(x))
         radii.append(float(rho[x]))
-        covered |= g.dist[x] < rho[x]
-    return centers, radii
+    return centers, radii, owner
 
 
 def _runs(verts: np.ndarray, starts: np.ndarray, counts: np.ndarray):
@@ -220,16 +226,11 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
         if not verts.size:
             continue
         if np.isinf(depth).all():  # O_k is the whole graph
-            centers = [0]
-            radii = [float(g.diameter + 1)]
-            owner = np.zeros(len(verts), dtype=int)
+            centers, radii = [0], [float(g.diameter + 1)]
+            owner = np.zeros(g.n, dtype=int)
         else:
-            centers, radii = _whitney_balls(g, depth)
-            assign_of = np.full(g.n, -1, dtype=int)
-            # first selected ball containing the vertex
-            for i in reversed(range(len(centers))):
-                assign_of[g.dist[centers[i]] < radii[i]] = i
-            owner = assign_of[verts]
+            centers, radii, owner = _whitney_balls(g, depth)
+        owner = owner[verts]
         # group the slab's vertices by owner; each group stays in vertex
         # order, so its entries come out row-major
         order = np.argsort(owner, kind="stable")
@@ -325,8 +326,7 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
     return out
 
 
-def heat_prefix(g: WeightedGraph, V: np.ndarray, eta: int, exp: float,
-                tol=1e-10) -> np.ndarray:
+def heat_prefix(g: WeightedGraph, V: np.ndarray, eta: int, exp: float) -> np.ndarray:
     """Delta^exp (I + P)^eta V, column by column on a float (n, k) block:
     one block product per factor, whatever k.  V is overwritten (and
     returned, unless a fractional exp makes a new array), so the walk
@@ -341,24 +341,23 @@ def heat_prefix(g: WeightedGraph, V: np.ndarray, eta: int, exp: float,
     for _ in range(eta):
         V += apply_P(g, V)
     if not float(exp).is_integer():
-        return delta_power_apply(g, V, exp, tol)
+        return delta_power_apply(g, V, exp)
     for _ in range(int(exp)):
         V -= apply_P(g, V)
     return V
 
 
 def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
-                 beta: float, tol=1e-10) -> np.ndarray:
+                 beta: float) -> np.ndarray:
     """Synthesis sum_{l>=1} (c_l^eta / l^beta)
     Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1), via `horner_synthesis`."""
     if eta < beta:
         raise ValueError("eta must be >= beta")
     return horner_synthesis(g, [SpaceTimeEntries.of(F)], eta, beta,
-                            lambda V, _: heat_prefix(g, V, eta, eta - beta, tol))[:, 0]
+                            lambda V, _: heat_prefix(g, V, eta, eta - beta))[:, 0]
 
 
-def reproducing_l_max(g: WeightedGraph, eta: int, tol: float,
-                      n_cap=200000) -> int:
+def reproducing_l_max(g: WeightedGraph, eta: int, tol: float) -> int:
     """Horizon L with || sum_{k<=L} c_{k+1} (I-P^2)^eta P^{2k} f - f ||
     <= tol ||f|| on the mean-zero subspace, from one scalar.
 
@@ -368,7 +367,8 @@ def reproducing_l_max(g: WeightedGraph, eta: int, tol: float,
     -(L+eta) c_L z^L (1-z)^(eta-1)), so its sup over the mean-zero
     spectrum is its value at z = lambda_star^2, and L comes from a
     scalar loop.  A periodic walk (lambda_star = 1) raises PeriodicWalk
-    before the loop starts.
+    before the loop starts, and a horizon past HORIZON_CAP raises
+    NonConvergent.
     """
     lam = _mean_zero_radius(g)
     z = lam * lam
@@ -376,10 +376,10 @@ def reproducing_l_max(g: WeightedGraph, eta: int, tol: float,
     partial = 0.0
     c = 1.0
     zpow = 1.0
-    for k in range(n_cap):
+    for k in range(HORIZON_CAP):
         partial += c * zpow
         if abs(1.0 - front * partial) <= tol:
             return k
         c = c * (k + eta) / (k + 1)
         zpow *= z
-    raise NonConvergent(f"reproducing horizon beyond {n_cap}")
+    raise NonConvergent(f"reproducing horizon beyond {HORIZON_CAP}")

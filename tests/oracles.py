@@ -219,9 +219,11 @@ def family_per_s(g, family, f, s, M):
     raise ValueError(family)
 
 
-def bmo_norm_per_s(g, f, kind, M, s_max, tuple_policy="auto", seed=0):
+def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
     """(value, argmax) of `hardy.bmo_norm` one scale and one candidate
-    at a time: a scalar `a_s` per s for bz2, a dense ball mask per s."""
+    at a time: a scalar `a_s` per s for bz2, a dense ball mask per s.
+    bz1 tuples are enumerated while s^M <= cap (`hardy.TUPLE_EXHAUSTIVE_CAP`
+    for the default) and sampled past it."""
     f = np.asarray(f, dtype=float)
     best = (-1.0, None)
     PK = np.column_stack(list(powers(g, f, 2 * s_max * M)))
@@ -233,10 +235,7 @@ def bmo_norm_per_s(g, f, kind, M, s_max, tuple_policy="auto", seed=0):
         if kind == "bz2":
             candidates = [((), a_s(g, f, BZ2Kind(s, M)))]
         else:
-            exhaustive = s ** M <= 4096
-            if tuple_policy != "auto":
-                exhaustive = tuple_policy == "exhaustive"
-            if exhaustive:
+            if s ** M <= cap:
                 tuples = itertools.product(range(s, 2 * s + 1), repeat=M)
             else:
                 corner = list(itertools.product((s, 2 * s), repeat=M))
@@ -403,23 +402,15 @@ def atomic_decompose_dense(g, F, tol=1e-8):
     return TentDecomposition(coefficients, float(residual), sum_abs, t1)
 
 
-def geometry_report_masks(g, n_exhaustive=2000, sample_size=256, seed=0):
-    """(doubling constant, growth exponent, enumeration policy) of
-    `graphs.geometry_report`, with the volume table built from one dense
-    ball mask per radius."""
-    if g.n <= n_exhaustive:
-        centers = np.arange(g.n)
-        policy = "exhaustive"
-    else:
-        rng = np.random.default_rng(seed)
-        centers = rng.choice(g.n, size=min(sample_size, g.n), replace=False)
-        policy = f"sampled({len(centers)})"
+def geometry_report_masks(g):
+    """(doubling constant, growth exponent) of `graphs.geometry_report`
+    over every centre, with the volume table built from one dense ball
+    mask per radius."""
     diam = g.diameter
-    D = g.dist[centers]
     radii = np.arange(1, max(diam, 1) + 2)
-    vols = np.empty((len(centers), len(radii)))
+    vols = np.empty((g.n, len(radii)))
     for k, r in enumerate(radii):
-        vols[:, k] = (D < r) @ g.m
+        vols[:, k] = (g.dist < r) @ g.m
     doubling = 1.0
     for r in range(1, max(diam, 1) + 1):
         ratio = vols[:, min(2 * r, len(radii)) - 1] / vols[:, r - 1]
@@ -438,4 +429,4 @@ def geometry_report_masks(g, n_exhaustive=2000, sample_size=256, seed=0):
         d0 = float(max(logs[0] / lams[0], 0.0))
     else:
         d0 = 0.0
-    return doubling, d0, policy
+    return doubling, d0

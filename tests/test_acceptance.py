@@ -16,14 +16,12 @@ from oracles import (
 
 from graphhardy.calculus import (
     delta_power_exact,
-    delta_inv_sqrt_exact,
     delta_power_series,
     exp_decay_bound,
     exp_decay_constants,
     gaffney_fit,
-    inv_sqrt_series,
     resolvent_exact,
-    resolvent_step_series,
+    resolvent_frac_series,
     reproducing_series,
     spectral,
 )
@@ -148,12 +146,12 @@ def test_c03_spectral_vs_series():
             err = colnorms(op.apply(F) - delta_power_exact(g, F, 0.5))
             assert np.all(err <= op.tail_bound * norms + 1e-9)
             # Delta^{-1/2}
-            op = inv_sqrt_series(g, 1e-10)
-            err = colnorms(op.apply(F) - delta_inv_sqrt_exact(g, F))
+            op = delta_power_series(g, -0.5, 1e-10)
+            err = colnorms(op.apply(F) - delta_power_exact(g, F, -0.5))
             assert np.all(err <= op.tail_bound * norms + 1e-9)
             # resolvent powers
             for s, M in ((2, 1), (8, 2)):
-                step = resolvent_step_series(g, s, 1e-11 / M)
+                step = resolvent_frac_series(g, s, 1.0, 1e-11 / M)
                 out = F
                 for _ in range(M):
                     out = step.apply(out)

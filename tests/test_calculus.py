@@ -13,7 +13,6 @@ from graphhardy.calculus import (
     QsKind,
     a_s,
     binomial_coefficients,
-    delta_inv_sqrt_exact,
     delta_power,
     delta_power_apply,
     delta_power_exact,
@@ -22,14 +21,12 @@ from graphhardy.calculus import (
     exp_decay_constants,
     gaffney_fit,
     gradient_gaffney_constant,
-    inv_sqrt_series,
     reproducing_check,
     require_mean_zero,
     resolvent,
     resolvent_apply,
     resolvent_exact,
     resolvent_frac_series,
-    resolvent_step_series,
     spectral,
 )
 from graphhardy.errors import (
@@ -132,8 +129,8 @@ def test_series_tail_bound_honest(cycle16, rng):
 def test_inv_sqrt_series_matches_oracle(cycle16, rng):
     f = random_mean_zero(cycle16, rng)
     approx = delta_power(cycle16, f, -0.5, tol=1e-10)
-    exact = delta_inv_sqrt_exact(cycle16, f)
-    assert lp_norm(cycle16, approx - exact, 2) <= inv_sqrt_series(cycle16, 1e-10).tail_bound + 1e-9
+    exact = delta_power_exact(cycle16, f, -0.5)
+    assert lp_norm(cycle16, approx - exact, 2) <= delta_power_series(cycle16, -0.5, 1e-10).tail_bound + 1e-9
 
 
 def test_resolvent_constant_fixed(cycle16):
@@ -450,7 +447,7 @@ def test_lambda_star_range_and_periodicity(cycle16):
     with pytest.raises(PeriodicWalk):
         delta_power_series(cycle16, 0.5, 1e-8, lambda_star=1.0 - 1e-13)
     with pytest.raises(PeriodicWalk):
-        inv_sqrt_series(cycle16, 1e-8, lambda_star=1.0 - 1e-13)
+        delta_power_series(cycle16, -0.5, 1e-8, lambda_star=1.0 - 1e-13)
     square = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
     with pytest.raises(PeriodicWalk):
         delta_power_series(square, 0.5, 1e-8)
@@ -486,7 +483,7 @@ def test_negative_powers_of_delta(cycle16, rng, monkeypatch):
         approx = delta_power(cycle16, f, beta, tol=1e-10)
         assert lp_norm(cycle16, approx - exact, 2) <= (op.tail_bound + 1e-9) * norm
     np.testing.assert_array_equal(delta_power_apply(cycle16, f, -0.5),
-                                  delta_inv_sqrt_exact(cycle16, f))
+                                  delta_power_exact(cycle16, f, -0.5))
     for beta in (-0.5, -2.0):
         with pytest.raises(KernelComponent):
             delta_power_apply(cycle16, np.ones(cycle16.n), beta)
@@ -581,7 +578,7 @@ def test_series_length_cap(cycle16, monkeypatch):
         with pytest.raises(NonConvergent):
             delta_power_series(cycle16, beta, 1e-10)
     with pytest.raises(NonConvergent):
-        resolvent_step_series(cycle16, 8, 1e-12)
+        resolvent_frac_series(cycle16, 8, 1.0, 1e-12)
     with pytest.raises(NonConvergent):
         resolvent_frac_series(cycle16, 8, 1.5, 1e-12)
     # an integer power is a finite sum, and a loose tolerance fits the cap

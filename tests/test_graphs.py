@@ -316,34 +316,22 @@ def test_annuli_union_covers_graph(cycle16, torus8):
         assert np.all(union)
 
 
-def test_geometry_sampled_policy(cycle16):
-    rep = geometry_report(cycle16, n_exhaustive=4, sample_size=6, seed=1)
-    assert rep.enumeration_policy == "sampled(6)"
-    assert rep.eps_LB == pytest.approx(0.5)
-
-
-def test_geometry_accepts_p_diag(cycle16):
-    diag = cycle16.adjacency.diagonal()
-    rep = geometry_report(cycle16, p_diag=lambda x: diag[x] / cycle16.m[x] ** 2)
-    assert rep.eps_LB == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("g, kwargs, exact", [
-    (zoo.lazy_cycle(16), {}, True),
-    (zoo.lazy_torus_2d(8), {}, True),
-    (zoo.lazy_torus_2d(8), {"n_exhaustive": 10, "sample_size": 20, "seed": 3}, True),
-    (zoo.binary_tree(4), {"n_exhaustive": 4, "sample_size": 9, "seed": 1}, True),
-    (zoo.random_weights(zoo.lazy_torus_2d(8), 3), {}, False),
+@pytest.mark.parametrize("g, exact", [
+    (zoo.lazy_cycle(16), True),
+    (zoo.lazy_torus_2d(8), True),
+    (zoo.binary_tree(4), True),
+    (zoo.random_weights(zoo.lazy_torus_2d(8), 3), False),
+    # above 2,000 vertices every centre is still read
+    (zoo.random_weights(zoo.lazy_torus_2d(48), 3), False),
 ])
-def test_geometry_report_matches_ball_masks(g, kwargs, exact):
+def test_geometry_report_matches_ball_masks(g, exact):
     # the report reads its volume table off `ball_volumes`; the reference
     # builds it from one dense ball mask per radius.  Same doubling
     # constant and growth exponent: bit for bit on unweighted fixtures, to
     # rounding once the weights are jittered (the volumes differ in the
     # last bit there)
-    rep = geometry_report(g, **kwargs)
-    doubling, d0, policy = geometry_report_masks(g, **kwargs)
-    assert rep.enumeration_policy == policy
+    rep = geometry_report(g)
+    doubling, d0 = geometry_report_masks(g)
     if exact:
         assert (rep.doubling_constant, rep.d0_estimate) == (doubling, d0)
     else:

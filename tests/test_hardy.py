@@ -47,6 +47,7 @@ from graphhardy.operators import (
     divergence,
     lp_norm,
     lp_norm_forms,
+    mean_project,
     random_mean_zero,
 )
 from graphhardy.quadratic import SpaceTimeFunction, lusin_tail_bound, quad_norm
@@ -340,6 +341,21 @@ def test_molecular_quad_norm_matches_lusin(name):
     assert abs(dec.quad_norm - direct) <= 1e-12 * direct
 
 
+@pytest.mark.parametrize("name", ["lazy_cycle_16", "lazy_torus_8", "lazy_cycle_32"])
+def test_form_quad_norm_matches_lusin(name):
+    # the forms pipeline reports the T^1_2 norm of its profile
+    # sqrt(l+1) P^l w, w = d* F; it must equal the direct quadratic norm
+    # ||L_{1/2} Delta^{-1/2} w||_1 over the same horizon
+    g = by_name(name)
+    F = differential(g, random_mean_zero(g, np.random.default_rng(12)))
+    dec = form_molecular_decompose(g, F, 1, 1.0, tol=1e-8)
+    eta = synthesis_eta_forms(1, 1.0, cached_geometry(g).d0_estimate)
+    l_max = pipeline_l_max(g, eta, 1e-8 / math.sqrt(2.0), lp_norm_forms(g, F, 2))
+    w = divergence(g, F)
+    direct = quad_norm(g, delta_power_exact(g, mean_project(g, w), -0.5), 0.5, l_max)
+    assert abs(dec.quad_norm - direct) <= 1e-13 * direct
+
+
 def test_molecule_constant_stable_across_centers(cycle32):
     consts = []
     for center in range(0, 32, 4):
@@ -602,11 +618,16 @@ def test_variant_resolvent_product_molecule(cycle16):
     assert rep.ok
 
 
-def test_bmo_tuple_policy_override(cycle16, rng):
+def test_bmo_tuple_policy_override(cycle16, rng, monkeypatch):
+    # the cap on s^M chooses the bz1 enumeration: at 0 every s is
+    # sampled, at s_max^M = 8^2 every s is enumerated
     f = random_mean_zero(cycle16, rng)
-    rep = bmo_norm(cycle16, f, "bz1", 2, 8, tuple_policy="sampled")
+    monkeypatch.setattr(hardy, "TUPLE_EXHAUSTIVE_CAP", 0)
+    rep = bmo_norm(cycle16, f, "bz1", 2, 8)
     assert rep.enumeration_policy == "sampled"
-    exact = bmo_norm(cycle16, f, "bz1", 2, 8, tuple_policy="exhaustive")
+    monkeypatch.setattr(hardy, "TUPLE_EXHAUSTIVE_CAP", 8 ** 2)
+    exact = bmo_norm(cycle16, f, "bz1", 2, 8)
+    assert exact.enumeration_policy == "exhaustive"
     assert rep.value <= exact.value + 1e-12
 
 

@@ -199,10 +199,11 @@ def test_first_order_ops_take_blocks(torus8, rng):
 
 def test_kernel_cap():
     import graphhardy.zoo as zoo
+    from graphhardy.operators import KERNEL_L_CAP
 
     g = zoo.lazy_cycle(8)
     with pytest.raises(ValueError):
-        kernel(g, 10, l_cap=5)
+        kernel(g, KERNEL_L_CAP + 1)
 
 
 def test_csv_roundtrip(tmp_path, cycle8, rng):

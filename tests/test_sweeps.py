@@ -6,7 +6,7 @@ import pytest
 
 from oracles import bmo_norm_per_s, counting_markov, family_per_s
 
-from graphhardy import calculus
+from graphhardy import calculus, hardy
 from graphhardy.calculus import (
     FAMILIES,
     BZ2Kind,
@@ -83,10 +83,14 @@ def test_bz2_sweep_equals_loop(path, M, cycle16):
     ("bz2", 2, 16, "auto"),
     ("bz1", 2, 12, "sampled"),
 ])
-def test_bmo_norm_equals_per_s_reference(path, kind, M, s_max, policy, cycle32):
+def test_bmo_norm_equals_per_s_reference(path, kind, M, s_max, policy, cycle32,
+                                         monkeypatch):
+    # a zero cap makes every bz1 enumeration the sampled one
+    cap = 0 if policy == "sampled" else hardy.TUPLE_EXHAUSTIVE_CAP
+    monkeypatch.setattr(hardy, "TUPLE_EXHAUSTIVE_CAP", cap)
     f = random_mean_zero(cycle32, np.random.default_rng(5))
-    rep = bmo_norm(cycle32, f, kind, M, s_max, tuple_policy=policy, seed=2)
-    value, argmax = bmo_norm_per_s(cycle32, f, kind, M, s_max, policy, seed=2)
+    rep = bmo_norm(cycle32, f, kind, M, s_max, seed=2)
+    value, argmax = bmo_norm_per_s(cycle32, f, kind, M, s_max, seed=2, cap=cap)
     assert rep.value == pytest.approx(value, rel=1e-12)
     assert rep.argmax == argmax
 
@@ -118,7 +122,7 @@ def test_sweeps_walk_the_power_sequence_once(monkeypatch, M):
 
 def test_series_table_keeps_each_truncation():
     g = lazy_torus_2d(6)
-    op = calculus.series_table(g, "t", [(np.ones(3), 0.5), (np.ones(70), 0.25)])
+    op = calculus.series_table(g, [(np.ones(3), 0.5), (np.ones(70), 0.25)])
     assert op.truncation == 69
     assert op.coeffs.shape == (70, 2)
     assert np.all(op.coeffs[3:, 0] == 0.0)
@@ -126,7 +130,7 @@ def test_series_table_keeps_each_truncation():
     f = random_mean_zero(g, np.random.default_rng(9))
     U = op.apply(f)
     for j, n in enumerate((3, 70)):
-        one = calculus.SeriesOperator(g, "one", np.ones(n), 0.0).apply(f)
+        one = calculus.SeriesOperator(g, np.ones(n), 0.0).apply(f)
         _assert_close(U[:, j], one)
     with pytest.raises(ValueError):
         op.apply(np.ones((g.n, 2)))

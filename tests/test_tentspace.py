@@ -11,6 +11,7 @@ from oracles import (
     reproducing_l_max_spectrum,
     top_level,
 )
+from test_markov_step import graphs, hypothesis, st
 
 from graphhardy import tentspace, zoo
 from graphhardy.graphs import ball
@@ -318,8 +319,29 @@ def test_tent_atom_entries_round_trip(cycle16):
     assert e.top == top_level(vals)
     assert e.t22_norm() == pytest.approx(SpaceTimeFunction(cycle16, vals).t22_norm(),
                                          rel=1e-14)
-    # validate checks the support entry by entry
-    assert atom.validate(norm_tol=math.inf)
+    # validate checks the support entry by entry; both are scaled to the
+    # size bound ||A||_{T^2_2}^2 = 1/V(B), so only the support differs
+    def normalized(v):
+        F = SpaceTimeFunction(cycle16, v)
+        return SpaceTimeFunction(cycle16, v / (F.t22_norm() * math.sqrt(b.volume)))
+    assert TentAtom(b, normalized(vals), 1.0).validate()
     outside = vals.copy()
     outside[0, 0] = 1.0
-    assert not TentAtom(b, SpaceTimeFunction(cycle16, outside), 1.0).validate(norm_tol=math.inf)
+    assert not TentAtom(b, normalized(outside), 1.0).validate()
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(graphs(), st.integers(0, 2 ** 32 - 1))
+def test_whitney_owner_is_first_ball_containing_the_vertex(g, seed):
+    # the owners recorded while covering equal the reverse assignment
+    # over the selected balls, which leaves each vertex to the first
+    # ball that contains it
+    inside = np.random.default_rng(seed).random(g.n) < 0.6
+    inside[0], inside[-1] = True, False
+    rho = tentspace._tent_depth(g, inside)
+    centers, radii, owner = tentspace._whitney_balls(g, rho)
+    first = np.full(g.n, -1)
+    for i in reversed(range(len(centers))):
+        first[g.dist[centers[i]] < radii[i]] = i
+    assert np.array_equal(owner, first)
+    assert np.all(owner[inside] >= 0)
