@@ -243,10 +243,14 @@ def cmd_selftest(args):
                 covered |= g.dist[B.center] < 3 * B.radius
             assert np.all(covered[target])
 
-    def round_trip():
+    def round_trip(form=False):
         g = zoo.lazy_cycle(16)
         f = operators.random_mean_zero(g, rng)
-        dec = hardy.molecular_decompose(g, f, 1, 1.0, 1.0, tol=1e-8)
+        if form:
+            dec = hardy.form_molecular_decompose(g, operators.differential(g, f), 1, 1.0,
+                                                 tol=1e-8)
+        else:
+            dec = hardy.molecular_decompose(g, f, 1, 1.0, 1.0, tol=1e-8)
         assert dec.l2_residual <= 1e-8
         for lam, mol in dec.coefficients:
             assert hardy.validate_molecule(mol).ok
@@ -257,6 +261,7 @@ def cmd_selftest(args):
     ok &= _check("two-point analytic values", k2l_values)
     ok &= _check("covering algorithms", coverings)
     ok &= _check("molecular round trip", round_trip)
+    ok &= _check("form molecular round trip", lambda: round_trip(form=True))
     return 0 if ok else 1
 
 

@@ -20,13 +20,13 @@ normalized by its measured annulus excess and the constant is kept on
 the coefficient.
 
 The molecules of a decomposition are one block stage
-(`synthesize_molecules`): their pre-images are the columns of one
-(n, atoms) block, whose synthesis prefix runs once on the levels of all
-atoms; a is derived with one evaluation per distinct scale s; the
-annulus masses and bounds of every molecule come from g.dist and
-g.ball_volumes with one bincount per quantity; and validation
-(`_validate_block`) checks the whole block.  `validate_molecule` and
-the one-atom synthesis calls are one-column blocks of the same code.
+(`synthesize_molecules`), in the paper's order: one heat scan X of all
+atoms, the molecule a = Delta^M X (d Delta^M X for forms) and its
+pre-image b = Q_s X, both on the (n, atoms) output; the annulus masses
+and bounds of every molecule come from g.dist and g.ball_volumes with
+one bincount per quantity; and validation (`_validate_block`) rederives
+a from b once and checks the whole block.  `validate_molecule` and the
+one-atom synthesis calls are one-column blocks of the same code.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from .tentspace import (
     TentAtom,
     TentDecomposition,
     atomic_decompose,
-    heat_prefix,
     horner_synthesis,
     reproducing_l_max,
 )
@@ -287,30 +286,30 @@ def synthesis_eta_forms(M: int, eps: float, d0: float) -> int:
     return math.ceil(d0 / 4.0 + eps / 2.0) + M + 2
 
 
-def _molecule_prefix(g: WeightedGraph, kind: str, M: int, eta: int, exp: float,
-                     V: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The level-independent head of the synthesis sum on an (n, k)
-    block whose column c belongs to an atom of scale s[c]:
-    ((I + s Delta)/s)^M Delta^exp (I + P)^eta V for bz2, with s as a row
+def _pre_images(g: WeightedGraph, kind: str, M: int, X: np.ndarray,
+                s: np.ndarray) -> np.ndarray:
+    """b = Q_s X for the (n, k) block X whose column c belongs to an atom
+    of scale s[c]: Q_s = ((I + s Delta)/s)^M for bz2, with s as a row
     vector (one block product per factor), and
-    s^{-M-1/2} (I + s Delta)^{M+1/2} Delta^exp (I + P)^eta V for forms,
-    one resolvent per distinct s on that scale's columns, certified to
-    1e-12 after the s^{-M-1/2} scaling."""
-    V = heat_prefix(g, V, eta, exp)
+    Q_s = s^{-M-1/2} (I + s Delta)^{M+1/2} for forms, one resolvent per
+    distinct s on that scale's columns, certified to 1e-12 after the
+    s^{-M-1/2} scaling.  X is left as it is."""
     if kind == "bz2":
+        b = X
         for _ in range(M):
-            step = apply_P(g, V)
-            np.subtract(V, step, out=step)
+            step = apply_P(g, b)
+            np.subtract(b, step, out=step)
             step *= s
-            step += V
+            step += b
             step /= s
-            V = step
-        return V
+            b = step
+        return b
+    b = np.empty_like(X)
     for t in np.unique(s):
         cols = s == t
         scale = t ** (M + 0.5)
-        V[:, cols] = resolvent_apply(g, V[:, cols], t, -(M + 0.5), 1e-12 * scale) / scale
-    return V
+        b[:, cols] = resolvent_apply(g, X[:, cols], t, -(M + 0.5), 1e-12 * scale) / scale
+    return b
 
 
 def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
@@ -323,22 +322,21 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
 
     For an atom over B(x, r), with s = max(1, r^2) and eta as in
     `synthesis_eta` (bz2) or `synthesis_eta_forms` (forms, beta = 1/2),
-    the pre-image is
+    the stage takes the heat scan
 
-        b = sum_l (c_l^eta / l^beta) Q_s Delta^exp (I + P)^eta P^{l-1} A(., l-1)
+        X = sum_l (c_l^eta / l^beta) Delta^exp (I + P)^eta P^{l-1} A(., l-1)
 
-    with Q_s = ((I + s Delta)/s)^M and exp = eta - beta - M for bz2, and
-    Q_s = s^{-M-1/2} (I + s Delta)^{M+1/2} and exp = eta - 1 - M for
-    forms.  The molecule is a = [I - (I + s Delta)^{-1}]^M b (bz2) or
-    a = s^{M+1/2} d Delta^M (I + s Delta)^{-M-1/2} b (form).  The sum
-    runs over the levels l - 1 < top, one past the atom's last entry
-    (`horner_synthesis`, whose prefix runs once on the levels of all
-    atoms), so b, a and norm_constant do not depend on the atoms' l_max.
+    with exp = eta - beta - M (bz2) or eta - 1 - M (forms), over the
+    levels l - 1 < top (`horner_synthesis`), so nothing depends on the
+    atoms' l_max.  The molecule is a = Delta^M X (bz2) or d Delta^M X
+    (form), M exact steps f - P f on the (n, k) output, and its
+    pre-image is b = Q_s X (`_pre_images`), so b and a factor as in the
+    module docstring.
 
-    a is derived from b as a block (one evaluation per distinct s), b
-    and a are divided by the measured annulus excess of b (kept in
-    norm_constant), and the block is validated, with a derived once
-    more; the first molecule that fails raises ValidationFailed.
+    b and a are divided by the measured annulus excess of b (kept in
+    norm_constant), and the block is validated: a is rederived from b
+    once and compared with the a of the scan; the first molecule that
+    fails raises ValidationFailed.
     """
     if math.isinf(eps):
         raise ValueError("synthesized molecules need a finite eps")
@@ -359,13 +357,13 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     lams, atoms = zip(*tdec.coefficients)
     radii = [int(round(A.ball.radius)) for A in atoms]
     s = [max(1, r * r) for r in radii]
-    scale = np.array(s, dtype=float)
     balls = [ball(g, A.ball.center, r) for A, r in zip(atoms, radii)]
     times = [None] * len(atoms)
-    b = horner_synthesis(g, [A.values for A in atoms], eta, beta,
-                         lambda V, owner: _molecule_prefix(g, kind, M, eta, exp, V,
-                                                           scale[owner]))
-    a = rederive_molecules(g, kind, M, s, times, b)
+    X = horner_synthesis(g, [A.values for A in atoms], eta, beta, exp)
+    b = _pre_images(g, kind, M, X, np.array(s, dtype=float))
+    for _ in range(M):
+        X -= apply_P(g, X)
+    a = differential(g, X).data if kind == "form" else X
     violations, _, _ = _size_profiles(g, eps, balls, b)
     excess = np.array([max([1.0] + [measured / bound * (1.0 + 1e-12)
                                     for _, measured, bound in v if bound > 0])

@@ -286,65 +286,53 @@ def eta_coefficients(eta: int, count: int) -> np.ndarray:
 
 
 def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
-                     prefix) -> np.ndarray:
+                     exp: float) -> np.ndarray:
     """The (n, k) block whose column i is
-    sum_{l=1..top_i} (c_l^eta / l^beta) P^{l-1} prefix(F_i(., l-1)) for
-    the k space-time functions F_i held in `atoms` (SpaceTimeEntries).
+    sum_{l=1..top_i} (c_l^eta / l^beta) Delta^exp (I + P)^eta P^{l-1} F_i(., l-1)
+    for the k space-time functions F_i held in `atoms` (SpaceTimeEntries).
 
     Only the levels l - 1 < top_i = `atoms[i].top` are visited: every F_i
     is scattered into its own column range of one (n, sum_i top_i)
-    block, prefix(V, owner) is applied to that whole block (owner[c] is
-    the index of the function column c belongs to; the prefix may
-    overwrite V), each column is scaled by its level's entry of one
-    coefficient table up to max_i top_i, and each function's columns are
-    scanned by `operators.horner` (top_i - 1 products).  This is exact,
-    not an approximation: the prefix is linear and column-wise, so a
-    zero level contributes a zero column, and the scan over the levels
-    above top_i only ever carries the zero vector.  A tent atom over
-    B(x, R) lives at levels k < R^2, so top_i is usually far below the
-    horizon.
+    block, the heat prefix Delta^exp (I + P)^eta is applied to that
+    whole block in place (one block product per factor, whatever k, so
+    the walk holds the block and one product), each column is scaled by
+    its level's entry of one coefficient table up to max_i top_i, and
+    each function's columns are scanned by `operators.horner` (top_i - 1
+    products).  This is exact, not an approximation: the prefix is
+    linear and column-wise, so a zero level contributes a zero column,
+    and the scan over the levels above top_i only ever carries the zero
+    vector.  A tent atom over B(x, R) lives at levels k < R^2, so top_i
+    is usually far below the horizon.
 
-    Applying the (level-independent) prefix to all visited levels at
-    once keeps partial sums at the output scale (the raw sum is badly
-    conditioned) and costs its products once for all k functions; the
-    Horner scans are the only per-function product loops.
+    Applying the prefix to the levels before the scan keeps partial
+    sums at the output scale (the raw sum is badly conditioned) and
+    costs its products once for all k functions; the Horner scans are
+    the only per-function product loops.  An integer exp is applied as
+    exp factors V - P V (never through the oracle, so it is the same on
+    every graph size); a fractional exp goes through `delta_power_apply`.
+    Any further function of P (a molecule's per-atom scale) commutes
+    with the scan and belongs on the (n, k) output.
     """
     tops = np.array([e.top for e in atoms], dtype=np.int64)
     starts = np.cumsum(tops) - tops
     V = np.zeros((g.n, int(tops.sum())))
     for e, lo in zip(atoms, starts):
         V[e.ys, lo + e.ls] = e.vals
-    owner = np.repeat(np.arange(len(atoms)), tops)
-    level = np.arange(V.shape[1]) - starts[owner]
-    top = int(tops.max(initial=0))
-    coeffs = eta_coefficients(eta, top) / np.arange(1, top + 1, dtype=float) ** beta
-    V = prefix(V, owner)
-    V *= coeffs[level]
-    out = np.empty((g.n, len(atoms)))
-    for i, (lo, k) in enumerate(zip(starts, tops)):
-        out[:, i] = horner(g, V[:, lo:lo + k])
-    return out
-
-
-def heat_prefix(g: WeightedGraph, V: np.ndarray, eta: int, exp: float) -> np.ndarray:
-    """Delta^exp (I + P)^eta V, column by column on a float (n, k) block:
-    one block product per factor, whatever k.  V is overwritten (and
-    returned, unless a fractional exp makes a new array), so the walk
-    holds V and one product.
-
-    The common head of every synthesis prefix; the molecule stage runs
-    it once on the levels of all atoms of a decomposition and applies
-    its per-atom scale s afterwards, as a row vector with one entry per
-    column.  An integer exp is applied as exp factors V - P V (never
-    through the oracle, so it is the same on every graph size); a
-    fractional exp goes through `delta_power_apply`."""
     for _ in range(eta):
         V += apply_P(g, V)
-    if not float(exp).is_integer():
-        return delta_power_apply(g, V, exp)
-    for _ in range(int(exp)):
-        V -= apply_P(g, V)
-    return V
+    if float(exp).is_integer():
+        for _ in range(int(exp)):
+            V -= apply_P(g, V)
+    else:
+        V = delta_power_apply(g, V, exp)
+    top = int(tops.max(initial=0))
+    coeffs = eta_coefficients(eta, top) / np.arange(1, top + 1, dtype=float) ** beta
+    out = np.empty((g.n, len(atoms)))
+    for i, (lo, k) in enumerate(zip(starts, tops)):
+        block = V[:, lo:lo + k]
+        block *= coeffs[:k]
+        out[:, i] = horner(g, block)
+    return out
 
 
 def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
@@ -353,8 +341,7 @@ def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
     Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1), via `horner_synthesis`."""
     if eta < beta:
         raise ValueError("eta must be >= beta")
-    return horner_synthesis(g, [SpaceTimeEntries.of(F)], eta, beta,
-                            lambda V, _: heat_prefix(g, V, eta, eta - beta))[:, 0]
+    return horner_synthesis(g, [SpaceTimeEntries.of(F)], eta, beta, eta - beta)[:, 0]
 
 
 def reproducing_l_max(g: WeightedGraph, eta: int, tol: float) -> int:

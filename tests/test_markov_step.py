@@ -164,8 +164,9 @@ def test_horner_synthesis_scan_makes_top_products():
     entries = SpaceTimeEntries.of(SpaceTimeFunction(g, vals))
     assert entries.top == 23
     W = counting_markov(g)
-    horner_synthesis(g, [entries], 3, 1.0, lambda V, owner: V)
-    assert W.products == 22
+    # eta = 3 factors of (I + P), exp = 2 of Delta, then top - 1 = 22
+    horner_synthesis(g, [entries], 3, 1.0, 2)
+    assert W.products == 3 + 2 + 22
 
 
 def test_profile_walk_keeps_one_profile():
