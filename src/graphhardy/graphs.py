@@ -3,10 +3,12 @@
 A graph is a symmetric weight matrix mu_xy >= 0; the vertex measure is
 m(x) = sum_y mu_xy (a self loop counts once).  Every L^p quantity in the
 package is weighted by m.  Balls use the strict convention
-B(x, r) = {y : d(x, y) < r}.  The path metric counts hops, so the sparse
-ball matrices of `ball_matrices` are grown from the adjacency one radius
-at a time, and `set_distance` searches breadth-first from one set;
-neither builds the dense metric `dist`.
+B(x, r) = {y : d(x, y) < r}.  The path metric counts hops: the dense
+metric `dist` holds them exactly as uint8 (diameter below 255) or uint16,
+filled a block of rows at a time by breadth-first searches, so no float
+n x n array is ever formed.  The sparse ball matrices of `ball_matrices`
+are grown from the adjacency one radius at a time, and `distance_to`
+searches breadth-first from one set; neither builds `dist`.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
 
-# Tables built from `dist` a block of rows at a time hold about this many
-# entries per block, so none of them needs an n x n temporary.
+# `dist` and the tables built from it are filled a block of rows at a
+# time, about this many entries per block, so none of them needs an
+# n x n temporary.
 ROW_BLOCK_ENTRIES = 1 << 18
 
 
@@ -30,6 +33,34 @@ def row_blocks(rows, n):
     rows of an n-column table each."""
     step = max(1, ROW_BLOCK_ENTRIES // n)
     return [rows[lo:lo + step] for lo in range(0, len(rows), step)]
+
+
+def _narrowest(top):
+    """The narrowest unsigned integer type whose largest value exceeds
+    `top`."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32) if top < np.iinfo(t).max)
+
+
+def _hop_counts(adjacency) -> np.ndarray:
+    """All-pairs hop counts of a connected graph as an n x n unsigned
+    integer array, filled one block of rows at a time by breadth-first
+    searches.
+
+    The type is picked before the build from the eccentricity of vertex
+    0: ecc(0) <= diameter <= 2 ecc(0), so the narrowest type above ecc(0)
+    holds the diameter whenever it also lies above 2 ecc(0).  Otherwise a
+    block that reaches the type's largest value widens the array (an
+    integer copy, never a float one)."""
+    n = adjacency.shape[0]
+    ecc = dijkstra(adjacency, indices=0, unweighted=True).max()
+    out = np.empty((n, n), _narrowest(ecc))
+    for rows in row_blocks(np.arange(n), n):
+        block = dijkstra(adjacency, indices=rows, unweighted=True)
+        top = block.max()
+        if top >= np.iinfo(out.dtype).max:
+            out = out.astype(_narrowest(top))
+        out[rows] = block
+    return out
 
 
 class WeightedGraph:
@@ -91,10 +122,11 @@ class WeightedGraph:
 
     @property
     def dist(self):
-        """Dense all-pairs shortest-path matrix (unit edge lengths)."""
+        """Dense all-pairs hop counts d(x, y), exact, as uint8 when the
+        diameter is below 255 and uint16 otherwise (`_hop_counts`).  Cast
+        before arithmetic that can leave that range, such as squaring."""
         if self._dist is None:
-            d = shortest_path(self.adjacency, method="D", unweighted=True)
-            self._dist = d
+            self._dist = _hop_counts(self.adjacency)
         return self._dist
 
     @property
@@ -274,16 +306,20 @@ def ball(g: WeightedGraph, x: int, r) -> Ball:
     return Ball(g, x, r, mask, g.volume(mask))
 
 
+def distance_to(g: WeightedGraph, F) -> np.ndarray:
+    """d(y, F) for every vertex y, as floats, by one breadth-first search
+    from all of the non-empty set F on the adjacency, so the n x n metric
+    is never built."""
+    return dijkstra(g.adjacency, indices=F, unweighted=True, min_only=True)
+
+
 def set_distance(g: WeightedGraph, E, F) -> int:
-    """d(E, F) = min d(x, y) over x in E and y in F (0 when they meet),
-    by one breadth-first search from all of F on the adjacency, so the
-    n x n metric is never built."""
+    """d(E, F) = min d(x, y) over x in E and y in F (0 when they meet)."""
     E = np.asarray(E, dtype=int)
     F = np.asarray(F, dtype=int)
     if not (E.size and F.size):
         raise ValueError("E and F must be non-empty")
-    hops = dijkstra(g.adjacency, indices=F, unweighted=True, min_only=True)
-    return int(hops[E].min())
+    return int(distance_to(g, F)[E].min())
 
 
 def ball_matrices(g: WeightedGraph, r_max: int):
@@ -401,18 +437,6 @@ def annulus_cover(g: WeightedGraph, b: Ball, j: int) -> list:
         if np.any(tripled & ring.mask):
             out.append(ball(g, small.center, r))
     return out
-
-
-def cover_overlap_bound(g: WeightedGraph, r: int, doubling_constant: float) -> float:
-    """Multiplicity bound checked against annulus_cover output.
-
-    Radius <= 2 balls are controlled by the degree bound; larger radii
-    by five doublings (disjoint seed balls at scale r/3 inside B(x, 2r)).
-    """
-    if r <= 2:
-        M0 = g.max_degree
-        return 1 + M0 * M0
-    return doubling_constant ** 5
 
 
 # -- geometry diagnostics ----------------------------------------------

@@ -23,7 +23,8 @@ The molecules of a decomposition are one block stage
 (`synthesize_molecules`), in the paper's order: one heat scan X of all
 atoms, the molecule a = Delta^M X (d Delta^M X for forms) and its
 pre-image b = Q_s X, both on the (n, atoms) output; the annulus masses
-and bounds of every molecule come from g.dist and g.ball_volumes with
+and bounds of every molecule come from the rows of the hop counts g.dist
+(exact uint8/uint16, compared with float radii) and g.ball_volumes with
 one bincount per quantity; and validation (`_validate_block`) rederives
 a from b once and checks the whole block.  `validate_molecule` and the
 one-atom synthesis calls are one-column blocks of the same code.
@@ -222,9 +223,9 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
     def level(x):
         return tx_norms(g, EdgeFunction(g, x)) if kind == "form" else np.abs(x)
 
-    def norm(x):
-        return lp_norm(g, level(x), 2)
-    fact_err = norm(rederive_molecules(g, kind, M, s, times, b) - a) / np.maximum(1.0, norm(a))
+    level_a = level(a)
+    fact_err = (lp_norm(g, level(rederive_molecules(g, kind, M, s, times, b) - a), 2)
+                / np.maximum(1.0, lp_norm(g, level_a, 2)))
     if raise_on_fail and (fact_err > FACT_TOL).any():
         first = fact_err[np.argmax(fact_err > FACT_TOL)]
         raise FactorizationMismatch(
@@ -247,7 +248,6 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
             if v:
                 raise SizeBoundViolated(*v[0])
 
-    level_a = level(a)
     excess = np.zeros(len(balls))
     if annuli is not None:
         ring, _, bounds = annuli

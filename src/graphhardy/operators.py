@@ -251,8 +251,9 @@ class KernelMatrix:
             return False
         if M.nnz and M.data.min() < -tol:
             return False
-        dense = M.toarray()
-        return bool(np.all(dense[self.graph.dist > self.l] == 0.0))
+        stored = M.tocoo()
+        far = self.graph.dist[stored.row, stored.col] > self.l
+        return bool(np.all(stored.data[far] == 0.0))
 
 
 def kernel(g: WeightedGraph, l: int) -> KernelMatrix:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .calculus import _mean_zero_radius, delta_power_apply
 from .errors import NonConvergent
-from .graphs import Ball, WeightedGraph, ball
+from .graphs import Ball, WeightedGraph, ball, distance_to
 from .operators import apply_P, horner, lp_norm
 from .quadratic import SpaceTimeFunction, tent_functional
 
@@ -43,11 +43,12 @@ HORIZON_CAP = 200_000
 
 
 def _tent_depth(g: WeightedGraph, set_mask: np.ndarray) -> np.ndarray:
-    """d(y, O^c) for every vertex y, with d(y, emptyset) = +inf."""
-    comp = ~set_mask
-    if not comp.any():
+    """d(y, O^c) for every vertex y, as floats (squared without wrapping),
+    with d(y, emptyset) = +inf."""
+    comp = np.flatnonzero(~set_mask)
+    if not comp.size:
         return np.full(g.n, np.inf)
-    return g.dist[:, comp].min(axis=1)
+    return distance_to(g, comp)
 
 
 def _tent_height(depth: np.ndarray, l_max: int) -> np.ndarray:

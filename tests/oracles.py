@@ -28,6 +28,18 @@ def _ball_volume(g, x, r):
     return sum(float(g.m[y]) for y in range(g.n) if g.dist[x, y] < r)
 
 
+def cover_overlap_bound(g, r, doubling_constant):
+    """Multiplicity bound checked against annulus_cover output.
+
+    Radius <= 2 balls are controlled by the degree bound; larger radii
+    by five doublings (disjoint seed balls at scale r/3 inside B(x, 2r)).
+    """
+    if r <= 2:
+        M0 = g.max_degree
+        return 1 + M0 * M0
+    return doubling_constant ** 5
+
+
 def ball_matrix_dense(g, r):
     """Sparse 0/1 matrix whose row x is the indicator of the strict ball
     B(x, r), scanned out of the dense metric."""
@@ -39,7 +51,7 @@ def cone_members(g, x, l_max):
     """Parabolic cone {(y, l) : d(x, y)^2 <= l <= l_max}; (x, 0) always
     belongs."""
     return [(int(y), l) for l in range(l_max + 1)
-            for y in np.where(g.dist[x] ** 2 <= l)[0]]
+            for y in np.where(g.dist[x].astype(np.int64) ** 2 <= l)[0]]
 
 
 def cone_members_tilde(g, x, k_max):
@@ -58,7 +70,7 @@ def naive_lusin(g, f, beta, l_max):
         for l in range(l_max + 1):
             vol = _ball_volume(g, x, math.ceil(math.sqrt(l + 1)))
             for y in range(g.n):
-                if g.dist[x, y] ** 2 <= l:
+                if int(g.dist[x, y]) ** 2 <= l:
                     acc += ((l + 1) ** (2 * beta - 1) / vol
                             * levels[l][y] ** 2 * g.m[y])
         out[x] = math.sqrt(acc)
@@ -105,7 +117,7 @@ def naive_tent_functional(g, F):
         for k in range(vals.shape[1]):
             vol = _ball_volume(g, x, math.ceil(math.sqrt(k + 1)))
             for y in range(g.n):
-                if g.dist[x, y] ** 2 <= k:
+                if int(g.dist[x, y]) ** 2 <= k:
                     acc += vals[y, k] ** 2 * g.m[y] / ((k + 1) * vol)
         out[x] = math.sqrt(acc)
     return out
@@ -117,7 +129,7 @@ def naive_tent_members(g, ball_mask, l_max):
     out = set()
     for y in range(g.n):
         if comp:
-            d = min(g.dist[y, z] for z in comp)
+            d = min(int(g.dist[y, z]) for z in comp)
         else:
             d = math.inf
         for k in range(l_max + 1):
@@ -324,7 +336,7 @@ def reproducing_l_max_spectrum(g, eta, tol, n_cap=200000):
 
 def _whitney_balls_dense(g, level_mask):
     comp = ~level_mask
-    rho = g.dist[:, comp].min(axis=1)
+    rho = g.dist[:, comp].min(axis=1).astype(float)
     verts = np.where(level_mask)[0]
     order = verts[np.lexsort((verts, -rho[verts]))]
     covered = np.zeros(g.n, dtype=bool)
@@ -379,7 +391,7 @@ def atomic_decompose_dense(g, F, tol=1e-8):
             if not sel.any():
                 continue
             ys, ls = slab_y[sel], slab_l[sel]
-            reach = g.dist[centers[i], ys] + np.floor(np.sqrt(ls)) + 1.0
+            reach = g.dist[centers[i], ys].astype(np.int64) + np.floor(np.sqrt(ls)) + 1.0
             R = float(max(radii[i], reach.max()))
             atom_ball = ball(g, centers[i], R)
             v = vals[ys, ls]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    cover_overlap_bound,
     naive_g_littlewood,
     naive_lusin,
     naive_lusin_tilde,
@@ -29,7 +30,6 @@ from graphhardy.graphs import (
     annulus,
     annulus_cover,
     ball,
-    cover_overlap_bound,
     geometry_report,
     vitali_cover,
 )

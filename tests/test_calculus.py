@@ -384,7 +384,7 @@ def test_gradient_gaffney_weighted_bound(cycle32, torus8):
         f /= lp_norm(g, f, 2)
         u = f
         for k in range(0, 40):
-            w = np.exp(0.5 * c * g.dist[0] ** 2 / (k + 1.0))
+            w = np.exp(0.5 * c * g.dist[0].astype(np.int64) ** 2 / (k + 1.0))
             val = lp_norm(g, gradient(g, u) * w, 2) * math.sqrt(k + 1.0)
             worst = max(worst, val)
             u = apply_P(g, u)

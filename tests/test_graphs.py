@@ -2,19 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
-from oracles import ball_matrix_dense, geometry_report_masks
+from oracles import ball_matrix_dense, cover_overlap_bound, geometry_report_masks
 
 from graphhardy import graphs, zoo
 from graphhardy.errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
 from graphhardy.graphs import (
+    WeightedGraph,
     annuli,
     annulus,
     annulus_cover,
     ball,
     ball_matrices,
     build_graph,
-    cover_overlap_bound,
     geometry_report,
     read_graph,
     set_distance,
@@ -59,10 +60,62 @@ def test_build_consistent_duplicates_ok():
 
 def test_metric_symmetry_triangle(cycle16, path9, torus8):
     for g in (cycle16, path9, torus8):
-        D = g.dist
+        D = g.dist.astype(np.int64)
         np.testing.assert_array_equal(D, D.T)
         for k in range(g.n):
             assert np.all(D <= D[:, [k]] + D[[k], :] + 1e-9)
+
+
+def middle_rooted_path(n):
+    """lazy_path(n) renumbered so that vertex 0 is the middle vertex: its
+    eccentricity is half the diameter."""
+    perm = np.roll(np.arange(n), -(n // 2))
+    A = zoo.lazy_path(n).adjacency
+    return WeightedGraph(A[perm][:, perm])
+
+
+METRIC_GRAPHS = {
+    "k2l": (zoo.k2l, np.uint8),
+    "tree4": (lambda: zoo.binary_tree(4), np.uint8),
+    "jittered_cycle16": (lambda: zoo.random_weights(zoo.lazy_cycle(16), 2), np.uint8),
+    "torus6": (lambda: zoo.lazy_torus_2d(6), np.uint8),
+    "loopfree_cycle4": (lambda: build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0),
+                                             (3, 0, 1.0)]), np.uint8),
+    # diameter 254, the largest uint8 holds, though 2 ecc(0) = 508
+    "path255": (lambda: zoo.lazy_path(255), np.uint8),
+    "path256": (lambda: zoo.lazy_path(256), np.uint16),
+    "cycle600": (lambda: zoo.lazy_cycle(600), np.uint16),
+    # ecc(0) = 150 picks uint8, and the build widens once a row passes 254
+    "middle_path300": (lambda: middle_rooted_path(300), np.uint16),
+}
+
+
+def _ball_volumes_from(g, D):
+    """V[x, r] = m({y : D[x, y] <= r}) from shell masses, on a float metric."""
+    width = int(D.max()) + 1
+    shells = np.zeros((g.n, width))
+    for x in range(g.n):
+        shells[x] = np.bincount(D[x].astype(np.intp), weights=g.m, minlength=width)
+    return np.cumsum(shells, axis=1)
+
+
+@pytest.mark.parametrize("block_rows", [7, None])
+@pytest.mark.parametrize("name", sorted(METRIC_GRAPHS))
+def test_dist_is_narrow_exact_hop_counts(name, block_rows, monkeypatch):
+    # the row-block build holds, value for value, the float metric of
+    # scipy's all-pairs search, in the narrowest type for the diameter;
+    # the diameter and the ball volumes read from it are unchanged
+    build, dtype = METRIC_GRAPHS[name]
+    g = build()
+    if block_rows:
+        monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", block_rows * g.n)
+    want = shortest_path(g.adjacency, method="D", unweighted=True)
+    assert g.dist.dtype == dtype
+    assert g.dist.shape == (g.n, g.n)
+    assert np.array_equal(g.dist.astype(float), want)
+    assert g.diameter == int(want.max())
+    assert (g.diameter < 255) == (dtype == np.uint8)
+    np.testing.assert_array_equal(g.ball_volumes, _ball_volumes_from(g, want))
 
 
 def test_ball_examples(k2l):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,7 @@ def test_zero_form(cycle8):
 
 def test_kernel_matrix_validate(cycle16):
     assert kernel(cycle16, 5).validate()
+    # p_5 claimed as p_2: symmetric with unit mass, but stored entries
+    # sit at distance 3..5 > 2
+    claimed = dataclasses.replace(kernel(cycle16, 2), matrix=kernel(cycle16, 5).matrix)
+    assert not claimed.validate()

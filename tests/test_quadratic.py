@@ -221,6 +221,22 @@ def test_lusin_streams_its_weights():
     assert peak < g.n * (l_max + 1) * 8
 
 
+def test_metric_and_quad_norm_allocate_no_float_metric():
+    # the hop counts are built a block of rows at a time, so neither the
+    # metric nor a quad_norm that reads it holds a float n x n array
+    g = zoo.lazy_torus_2d(48)
+    f = random_mean_zero(g, np.random.default_rng(8))
+    tracemalloc.start()
+    try:
+        g.dist
+        quad_norm(g, f, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.dist.dtype == np.uint8
+    assert peak < g.n * g.n * 4
+
+
 def test_quad_norm_forms_k2l(k2l, f0):
     F = differential(k2l, f0)
     assert quad_norm_forms(k2l, F, 1.0, 8) == pytest.approx(4.0, abs=1e-11)

@@ -37,6 +37,42 @@ from graphhardy.tentspace import (
 )
 
 
+@pytest.mark.parametrize("build", [
+    zoo.k2l,
+    lambda: zoo.binary_tree(4),
+    lambda: zoo.random_weights(zoo.lazy_torus_2d(6), 5),
+    lambda: zoo.lazy_cycle(16),
+    lambda: zoo.lazy_path(300),
+], ids=["k2l", "tree4", "jittered_torus6", "cycle16", "path300"])
+def test_tent_depth_is_the_distance_to_the_complement(build):
+    # one multi-source search gives, as floats, the nearest-complement
+    # column minimum of the metric, and +inf when the set is everything
+    g = build()
+    rng = np.random.default_rng(4)
+    for share in (0.2, 0.6, 0.95):
+        inside = rng.random(g.n) < share
+        inside[-1] = False
+        got = tentspace._tent_depth(g, inside)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, g.dist[:, ~inside].min(axis=1))
+    assert np.all(tentspace._tent_depth(g, np.ones(g.n, dtype=bool)) == np.inf)
+
+
+def test_tent_height_past_the_uint8_square():
+    # on a path with O^c = {0} the depth at y is y, so the tent holds
+    # y^2 levels there, far past what a squared uint8 could hold, though
+    # the metric itself is uint8
+    g = zoo.lazy_path(200)
+    assert g.dist.dtype == np.uint8
+    inside = np.arange(g.n) > 0
+    depth = tentspace._tent_depth(g, inside)
+    np.testing.assert_array_equal(depth, np.arange(g.n))
+    l_max = 30_000
+    want = np.minimum(np.arange(g.n, dtype=np.int64) ** 2, l_max + 1)
+    np.testing.assert_array_equal(tentspace._tent_height(depth, l_max), want)
+    assert want[16] == 256 and want[-1] == l_max + 1
+
+
 def test_tent_k2l(k2l):
     mask = tent(ball(k2l, 0, 1), 4)
     pairs = {(y, k) for y, k in zip(*np.nonzero(mask))}
