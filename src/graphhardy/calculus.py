@@ -50,7 +50,8 @@ import scipy.linalg
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk)
 from .graphs import WeightedGraph, set_distance
-from .operators import apply_P, chebyshev, gradient, lp_norm, mean_project, powers
+from .operators import (apply_P, chebyshev, gradient, level_blocks, lp_norm, mean_project,
+                        powers)
 
 ORACLE_MAX_N = 2048
 KERNEL_REL_TOL = 1e-8
@@ -490,16 +491,17 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
 GAFFNEY_TOL = 1e-12
 
 def _heat_sweep(g, f, s_values):
-    """P^s f for every integer time s as an (n, S) block from one power
-    pass."""
+    """P^s f for every integer time s as an (n, S) block (an (n, S, k)
+    block for an (n, k) f) from one walk of the power sequence."""
     steps = np.array([int(s) for s in s_values], dtype=int)
     if np.any(steps != np.asarray(s_values, dtype=float)):
         raise ValueError("heat families need integer times s")
     if steps.min() < 0:
         raise ValueError("s must be >= 0")
-    out = np.empty((g.n, len(steps)))
-    for k, u in enumerate(powers(g, f, int(steps.max()))):
-        out[:, steps == k] = u[:, None]
+    out = np.empty((g.n, len(steps)) + np.shape(f)[1:])
+    for lo, rows in level_blocks(g, f, int(steps.max())):
+        hit = np.flatnonzero((steps >= lo) & (steps < lo + len(rows)))
+        out[:, hit] = np.moveaxis(rows[steps[hit] - lo], 0, 1)
     return out
 
 
@@ -644,29 +646,3 @@ def exp_decay_bound(m: float, t: float, k: int) -> float:
     if t == 0.0:
         return 0.0
     return ((1.0 + k) / (1.0 + t)) ** m * (t / (1.0 + t)) ** k
-
-
-def exp_decay_constants(m: float):
-    """A valid pair (C_m, c): since (1 - 1/(1+t))^{1+t} <= 1/e, the
-    bound holds with c = 1/2 and C_m = max(1, (2m)^m e^{1/2 - m})."""
-    c = 0.5
-    if m == 0:
-        return 1.0, c
-    C = max(1.0, (2.0 * m) ** m * math.exp(0.5 - m))
-    return C, c
-
-
-# -- gradient weighted estimate ----------------------------------------------
-
-def gradient_gaffney_constant(eps_lb: float) -> float:
-    """Largest c with 8 c e^{8c} <= eps_LB (bisection)."""
-    lo, hi = 0.0, 1.0
-    while 8 * hi * math.exp(8 * hi) <= eps_lb:
-        hi *= 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 8 * mid * math.exp(8 * mid) <= eps_lb:
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -63,7 +63,6 @@ from .operators import (
     inner,
     lp_norm,
     lp_norm_forms,
-    powers,
     tx_norms,
     weighted_powers,
 )
@@ -613,7 +612,7 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     balls = ball_matrices(g, math.ceil(math.sqrt(s_max)))
     r = 0
     if kind == "bz1":
-        PK = np.column_stack(list(powers(g, f, 2 * s_max * M)))
+        PK = weighted_powers(g, f, np.ones(2 * s_max * M + 1))
     else:
         A = a_s(g, f, BZ2Kind(tuple(range(1, s_max + 1)), M))
     rng = np.random.default_rng(seed)

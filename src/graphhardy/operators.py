@@ -20,14 +20,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .graphs import WeightedGraph
+from .graphs import ROW_BLOCK_ENTRIES, WeightedGraph
 
 # Kernel matrices densify once l exceeds the diameter; keep a cap so a
 # runaway l cannot exhaust memory on large graphs.
 KERNEL_L_CAP = 4096
 
-# Levels of a weighted power walk held as contiguous rows before they are
-# written, weighted, into the columns of its (n, L + 1) array.
+# Most levels P^l f that `level_blocks` holds in its one reused chunk; the
+# chunk also stays within ROW_BLOCK_ENTRIES entries, so its memory grows
+# with neither the horizon nor the width of a block.
 LEVEL_CHUNK = 64
 
 
@@ -91,20 +92,26 @@ def markov_step(g: WeightedGraph, x):
     copy), so the result is bit-identical to `markov_matrix(g) @ x`.
     Each call adds one to `g.matvec_calls` and its column count to
     `g.matvec_cols`."""
+    x = _operand(g, x)
+    return _kernel_step(g, markov_matrix(g), x, np.zeros(x.shape))
+
+
+def _operand(g: WeightedGraph, x):
+    """x as a float vector or (n, k) block on g's vertices; any other shape
+    raises ValueError, since the kernel indexes raw buffers."""
     x = np.asarray(x, dtype=float)
     if x.shape[:1] != (g.n,) or x.ndim > 2:
         raise ValueError(f"P acts on {g.n} vertices, not on shape {x.shape}")
-    return _kernel_step(g, markov_matrix(g), x, np.empty(x.shape))
+    return x
 
 
 def _kernel_step(g: WeightedGraph, W, x, out):
-    """`markov_step` written into out, a C-contiguous float array of x's
-    shape that must not share memory with x (it is zero-filled first;
-    the kernel adds into it).  The walks below call it with W =
-    markov_matrix(g) read once and buffers they own."""
+    """`markov_step` added into out, a zero-filled C-contiguous float
+    array of x's shape that must not share memory with x (the kernel
+    adds into it).  The walks below call it with W = markov_matrix(g)
+    read once and buffers they own."""
     n = g.n
     csr = W.indptr, W.indices, W.data
-    out.fill(0.0)
     if x.ndim == 1:
         cols = 1
         _sparsetools.csr_matvec(n, n, *csr, x, out)
@@ -119,6 +126,29 @@ def _kernel_step(g: WeightedGraph, W, x, out):
     return out
 
 
+def cone_gather(table, index, ones, out):
+    """out[i] += sum_j table[index[i, j]] for a (b, c) integer index into
+    the rows of a C-contiguous (N,) or (N, k) float table, summed in the
+    order of j; out is a zero-filled C-contiguous float array of shape
+    (b,) + table.shape[1:].
+
+    It is one CSR product whose data are all ones: row i holds the
+    columns index[i], so scipy's kernel gathers and adds each row without
+    a (b, c[, k]) temporary.  index must be a C-contiguous int32 array,
+    or intp when N >= 2^31; ones is a float array of at least b c ones,
+    so one buffer serves every block of a sum."""
+    b, c = index.shape
+    indptr = np.arange(0, b * c + 1, c, dtype=index.dtype)
+    csr = indptr, index.reshape(-1), ones[:b * c]
+    N = table.shape[0]
+    if table.ndim == 1 or table.shape[1] == 1:
+        _sparsetools.csr_matvec(b, N, *csr, table.reshape(-1), out.reshape(-1))
+    else:
+        _sparsetools.csr_matvecs(b, N, table.shape[1], *csr, table.reshape(-1),
+                                 out.reshape(-1))
+    return out
+
+
 def apply_P(g: WeightedGraph, f, k: int = 1):
     """P^k f by k sparse applications; accepts (n,) or (n, batch)."""
     if k < 0:
@@ -129,40 +159,61 @@ def apply_P(g: WeightedGraph, f, k: int = 1):
     return out
 
 
+def level_blocks(g: WeightedGraph, f, L: int):
+    """Walk P^0 f, P^1 f, ..., P^L f with exactly L sparse products and
+    yield them as (lo, block): block[i] = P^(lo + i) f for a vector or an
+    (n, k) block f, each level a contiguous row of one reused,
+    level-major chunk of at most min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES //
+    (n k)) levels.  Nothing is yielded when L < 0.
+
+    The chunk is zero-filled once per pass and the kernel adds each level
+    into its row, so every level is bit-identical to repeated
+    `markov_step`.  block is overwritten by the next pass: the consumer
+    uses it (it may overwrite it, the walk resumes from its own copy of
+    the last level) before asking for the next."""
+    if L < 0:
+        return
+    u = _operand(g, f)
+    size = max(1, min(LEVEL_CHUNK, L + 1, ROW_BLOCK_ENTRIES // max(u.size, 1)))
+    chunk = np.empty((size,) + u.shape)
+    rows = list(chunk)  # one view per row, made once for every pass
+    last = np.empty(u.shape)
+    W = markov_matrix(g)
+    for lo in range(0, L + 1, size):
+        block = chunk[:min(size, L + 1 - lo)]
+        block.fill(0.0)
+        prev = last
+        for i in range(len(block)):
+            if lo + i:
+                _kernel_step(g, W, prev, rows[i])
+            else:
+                rows[0][...] = u
+            prev = rows[i]
+        last[...] = prev
+        yield lo, block
+
+
 def powers(g: WeightedGraph, f, L: int):
     """Yield P^0 f, P^1 f, ..., P^L f with exactly L sparse products, and
     nothing when L < 0; accepts (n,) or (n, batch).  Every term is a new
     array the caller may keep."""
-    if L < 0:
-        return
-    u = np.asarray(f, dtype=float)
-    yield u
-    for _ in range(L):
-        u = markov_step(g, u)
-        yield u
+    for _, rows in level_blocks(g, f, L):
+        for row in rows:
+            yield row.copy()
 
 
 def weighted_powers(g: WeightedGraph, f, weights) -> np.ndarray:
-    """The (n, L + 1) array whose column l is weights[l] P^l f for a
-    vector f, L = len(weights) - 1, with exactly L sparse products.
-
-    The walk steps from row to row of a (LEVEL_CHUNK, n) block, whose
-    rows are contiguous, and writes each full block, weighted, into its
-    columns with one multiply, so it allocates nothing per level."""
+    """The (n, L + 1) array whose column l is weights[l] P^l f, L =
+    len(weights) - 1, with exactly L sparse products; an (n, k) block f
+    gives an (n, L + 1, k) array.  Each chunk of the walk is written,
+    weighted, into its columns with one multiply."""
     weights = np.asarray(weights, dtype=float)
-    out = np.empty((g.n, len(weights)))
-    rows = np.empty((min(LEVEL_CHUNK, len(weights)), g.n))
-    u = np.asarray(f, dtype=float)
-    W = markov_matrix(g)
-    for lo in range(0, len(weights), LEVEL_CHUNK):
-        hi = min(lo + LEVEL_CHUNK, len(weights))
-        for i in range(hi - lo):
-            if lo + i:
-                _kernel_step(g, W, u, rows[i])
-            else:
-                rows[0] = u
-            u = rows[i]
-        np.multiply(rows[:hi - lo].T, weights[lo:hi], out=out[:, lo:hi])
+    f = np.asarray(f, dtype=float)
+    out = np.empty((g.n, len(weights)) + f.shape[1:])
+    for lo, rows in level_blocks(g, f, len(weights) - 1):
+        hi = lo + len(rows)
+        np.multiply(np.moveaxis(rows, 0, 1), per_row(weights[lo:hi], f),
+                    out=out[:, lo:hi])
     return out
 
 
@@ -178,6 +229,7 @@ def horner(g: WeightedGraph, U: np.ndarray) -> np.ndarray:
     spare = np.empty_like(acc)
     W = markov_matrix(g)
     for k in range(K - 2, -1, -1):
+        spare.fill(0.0)
         acc, spare = _kernel_step(g, W, acc, spare), acc
         acc += U[:, k]
     return acc
@@ -317,10 +369,6 @@ class EdgeFunction:
         return EdgeFunction(self.graph, self.data / scalar)
 
 
-def zero_form(g: WeightedGraph) -> EdgeFunction:
-    return EdgeFunction(g, np.zeros(g.adjacency.nnz))
-
-
 def differential(g: WeightedGraph, f) -> EdgeFunction:
     """d f(x, y) = f(x) - f(y) on every directed edge; an (n, k) block
     gives k forms."""
@@ -349,19 +397,7 @@ def lp_norm_forms(g: WeightedGraph, F: EdgeFunction, p=2) -> float:
     return lp_norm(g, tx_norms(g, F), p)
 
 
-def inner_forms(g: WeightedGraph, F: EdgeFunction, G: EdgeFunction) -> float:
-    """L^2(T_Gamma) inner product, (1/2) sum_{x,y} p(x,y) F G m(x) m(y)."""
-    return float(0.5 * np.sum(g.adjacency.data * F.data * G.data))
-
-
 # -- CSV serialization ----------------------------------------------------
-
-def save_vertex_csv(g: WeightedGraph, f, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("vertex,value\n")
-        for i, v in enumerate(np.asarray(f, dtype=float)):
-            fh.write(f"{int(g.labels[i])},{float(v)!r}\n")
-
 
 def load_vertex_csv(g: WeightedGraph, path):
     label_index = {int(l): i for i, l in enumerate(g.labels)}
@@ -377,12 +413,3 @@ def load_vertex_csv(g: WeightedGraph, path):
             key, val = line.split(",")
             out[label_index[int(key)]] = float(val)
     return out
-
-
-def save_edge_csv(g: WeightedGraph, F: EdgeFunction, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,value\n")
-        for e in range(g.adjacency.nnz):
-            x = int(g.labels[g.edge_rows[e]])
-            y = int(g.labels[g.edge_cols[e]])
-            fh.write(f"{x},{y},{float(F.data[e])!r}\n")

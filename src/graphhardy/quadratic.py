@@ -4,21 +4,26 @@ The parabolic cone over x collects (y, l) with d(x, y)^2 <= l; since
 d(x,y)^2 <= l iff d(x,y) <= floor(sqrt(l)), the levels l in
 [rho^2, (rho+1)^2) share the spatial ball {d <= rho}, which is exactly
 the strict ball of radius ceil(sqrt(l+1)).  Every cone sum below first
-groups its weights by that radius into an (n, R) table W (`lusin` while
-it walks the power sequence, so no (n, l_max + 1) array is formed; an
-(n, R, k) table for a block of k inputs) and hands W to
-`_cone_accumulate`.  With V = `WeightedGraph.ball_volumes`,
+groups its weights by that radius into an (n, R) table W (an (n, R, k)
+table for a block of k inputs) and hands W to `_cone_accumulate`.
+`lusin` fills W from the chunks of `operators.level_blocks`: it squares
+each chunk of levels in place and adds it into W with one weighted row
+sum per cone radius the chunk meets, so neither an (n, l_max + 1) array
+nor per-level Python work is spent.  With V = `WeightedGraph.ball_volumes`,
 
     out[x] = sum_y T_x[y, d(x, y)],  T_x[y, r] = sum_{rho >= r} W[y, rho] / V[x, rho],
 
 so the centres sharing one ball-volume profile (one row of V; every
-torus and cycle has a single profile) share one tail table and read it
-with one integer gather; centres with a rare profile are summed radius by
-radius.  The naive double loops live in the test tree as oracles.
+torus and cycle has a single profile) share one tail table, read per
+block of centres by one sparse gather-product (`operators.cone_gather`)
+on the int32 index y * width + d(x, y); centres with a rare profile are
+summed radius by radius.  The naive double loops live in the test tree
+as oracles.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -30,11 +35,12 @@ from .graphs import WeightedGraph, row_blocks
 from .operators import (
     EdgeFunction,
     apply_P,
+    cone_gather,
     divergence,
+    level_blocks,
     lp_norm,
     mean_project,
     per_row,
-    powers,
 )
 
 
@@ -75,12 +81,13 @@ SHARED_PROFILE_MIN = 4
 
 
 def _profile_groups(V: np.ndarray):
-    """Vertex index arrays, one per distinct row of V."""
-    rows = np.ascontiguousarray(V).view(np.dtype((np.void, V.itemsize * V.shape[1])))
-    _, inverse, counts = np.unique(rows.ravel(), return_inverse=True,
-                                   return_counts=True)
-    order = np.argsort(inverse.ravel(), kind="stable")
-    return np.split(order, np.cumsum(counts)[:-1])
+    """Vertex index arrays, each holding rows of V that are equal, in
+    increasing order.  Rows are sorted by a linear key, so equal rows
+    sit together, and cut wherever a row differs from the one before it;
+    the key only orders, the cut compares whole rows."""
+    order = np.argsort(V @ np.linspace(1.0, 2.0, V.shape[1]), kind="stable")
+    S = V[order]
+    return np.split(order, np.flatnonzero(np.any(S[1:] != S[:-1], axis=1)) + 1)
 
 
 def _cone_accumulate(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
@@ -89,7 +96,7 @@ def _cone_accumulate(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
     factor of the cone levels [rho^2, (rho+1)^2) except the volume
     divisor.  Radii past the diameter see the whole graph, so they are
     folded into the radius `diameter`.  (n, R, k) weights give an (n, k)
-    block: k columns read each tail table with one gather."""
+    block: k columns read each tail table with one gather-product."""
     n = g.n
     width = g.diameter + 1
     cols = W.shape[2:]
@@ -101,18 +108,24 @@ def _cone_accumulate(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
     V = g.ball_volumes
     out = np.empty((n, k))
     rare = []
-    offsets = np.arange(n) * width
+    # row y of the index reads T[y, d(x, y)] at y * width + d(x, y)
+    index_type = np.int32 if n * width < 2 ** 31 else np.intp
+    offsets = np.arange(n, dtype=index_type) * width
     for rows in _profile_groups(V):
         if len(rows) < SHARED_PROFILE_MIN:
             rare.append(rows)
             continue
         T = np.zeros((n, width, k))
-        T[:, :R] = np.cumsum((W / V[rows[0], :R, None])[:, ::-1], axis=1)[:, ::-1]
+        np.divide(W, V[rows[0], :R, None], out=T[:, :R])
+        for r in range(R - 2, -1, -1):  # tail sums, one (n, k) add per radius
+            T[:, r] += T[:, r + 1]
         T = T.reshape(n * width, k)
-        for block in row_blocks(rows, n * k):
-            cells = g.dist[block].astype(np.intp)
-            cells += offsets
-            out[block] = np.take(T, cells, axis=0).sum(axis=1)
+        blocks = row_blocks(rows, n)
+        index = np.empty((len(blocks[0]), n), dtype=index_type)
+        ones = np.ones(index.size)
+        for block in blocks:
+            cells = np.add(g.dist[block], offsets, out=index[:len(block)])
+            out[block] = cone_gather(T, cells, ones, np.zeros((len(block), k)))
     rare = np.concatenate(rare) if rare else np.empty(0, dtype=np.intp)
     for block in row_blocks(rare, n):
         D = g.dist[block]
@@ -123,6 +136,26 @@ def _cone_accumulate(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
     return out.reshape((n,) + cols)
 
 
+def _level_square_sums(g: WeightedGraph, u, beta: float, L: int, starts) -> np.ndarray:
+    """S[i] = sum (l+1)^{2b-1} |P^l u|^2 over the levels l of
+    [starts[i], starts[i+1]) (the last segment ends at L), for increasing
+    starts from 0, with shape (len(starts),) + u.shape.  The walk hands
+    over a chunk of levels at a time; it is squared in place and each
+    segment it meets is added with one weighted row sum."""
+    S = np.zeros((len(starts),) + np.shape(u))
+    flat = S.reshape(len(starts), -1)
+    weight = np.arange(1.0, L + 2) ** (2 * beta - 1)
+    ends = list(starts[1:]) + [L + 1]
+    for lo, rows in level_blocks(g, u, L):
+        hi = lo + len(rows)
+        rows = rows.reshape(len(rows), -1)
+        np.square(rows, out=rows)
+        for i in range(bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, hi)):
+            a, b = max(starts[i], lo), min(ends[i], hi)
+            flat[i] += weight[a:b] @ rows[a - lo:b - lo]
+    return S
+
+
 def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
     """Conical square function over the parabolic cone,
 
@@ -130,7 +163,7 @@ def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
         (l+1)^{2b-1} / V(x, sqrt(l+1)) |Delta^b P^l f(y)|^2 m(y).
 
     ||L_beta f||_1 is the quadratic H^1 norm.  The weights are summed per
-    cone radius floor(sqrt(l)) while the power sequence is walked; an
+    cone radius floor(sqrt(l)), one chunk of the power walk at a time; an
     (n, k) block of inputs walks it once and gives an (n, k) block.  A
     periodic walk raises PeriodicWalk: its P^l f keeps oscillating, so the
     sum depends on the horizon.
@@ -140,11 +173,11 @@ def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
                            "and the cone sum depends on its horizon")
     if l_max is None:
         l_max = default_l_max(g)
-    W = np.zeros((math.isqrt(l_max) + 1,) + np.shape(f))
-    for l, u in enumerate(powers(g, delta_power_apply(g, f, beta), l_max)):
-        W[math.isqrt(l)] += (l + 1.0) ** (2 * beta - 1) * u * u
-    W = np.moveaxis(W, 0, 1)
-    return np.sqrt(_cone_accumulate(g, W * per_row(g.m, W)))
+    u = delta_power_apply(g, f, beta)
+    radii = range(math.isqrt(l_max) + 1)
+    W = _level_square_sums(g, u, beta, l_max, [rho * rho for rho in radii])
+    W *= per_row(g.m, u)
+    return np.sqrt(_cone_accumulate(g, np.moveaxis(W, 0, 1)))
 
 
 def quad_norm(g: WeightedGraph, f, beta: float = 1.0, l_max=None):
@@ -211,11 +244,8 @@ def g_littlewood(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
     G_beta f(x)^2 = sum_{l=1..L} l^{2b-1} |Delta^b P^{l-1} f(x)|^2."""
     if l_max is None:
         l_max = default_l_max(g)
-    acc = np.zeros(g.n)
     u0 = delta_power_apply(g, f, beta)
-    for l, u in enumerate(powers(g, u0, l_max - 1), start=1):
-        acc += float(l) ** (2 * beta - 1) * u * u
-    return np.sqrt(acc)
+    return np.sqrt(_level_square_sums(g, u0, beta, l_max - 1, [0])[0])
 
 
 def tent_functional(g: WeightedGraph, F: SpaceTimeFunction) -> np.ndarray:

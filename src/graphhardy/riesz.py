@@ -179,12 +179,6 @@ def riesz_h1_experiment(g: WeightedGraph, suite, l_max=None) -> RieszSuiteReport
     )
 
 
-def isometry_defect(g: WeightedGraph, f) -> float:
-    """| ||d Delta^{-1/2} f||_{L^2(T)} - ||f||_2 | for mean-zero f."""
-    res = riesz(g, f)
-    return abs(res.norm_l2_output - res.norm_l2_input)
-
-
 def gradient_matches_fiber_norms(g: WeightedGraph, f) -> float:
     """max_x | ||df(x,.)||_{T_x} - grad f(x) |."""
     F = differential(g, f)

@@ -18,7 +18,7 @@ from graphhardy.calculus import (BZ2Kind, a_s, binomial_coefficients, delta_powe
                                  resolvent_apply, spectral)
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import ball
-from graphhardy.operators import apply_P, gradient, lp_norm, powers
+from graphhardy.operators import EdgeFunction, apply_P, gradient, lp_norm, powers
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
@@ -442,3 +442,63 @@ def geometry_report_masks(g):
     else:
         d0 = 0.0
     return doubling, d0
+
+
+# Helpers only the tests call: the constants of two closed-form bounds, the
+# zero form, the L^2(T) inner product of forms, the CSV writers and the
+# Riesz isometry defect.
+
+
+def exp_decay_constants(m: float):
+    """A valid pair (C_m, c): since (1 - 1/(1+t))^{1+t} <= 1/e, the
+    bound holds with c = 1/2 and C_m = max(1, (2m)^m e^{1/2 - m})."""
+    c = 0.5
+    if m == 0:
+        return 1.0, c
+    C = max(1.0, (2.0 * m) ** m * math.exp(0.5 - m))
+    return C, c
+
+
+def gradient_gaffney_constant(eps_lb: float) -> float:
+    """Largest c with 8 c e^{8c} <= eps_LB (bisection)."""
+    lo, hi = 0.0, 1.0
+    while 8 * hi * math.exp(8 * hi) <= eps_lb:
+        hi *= 2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 8 * mid * math.exp(8 * mid) <= eps_lb:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def zero_form(g):
+    return EdgeFunction(g, np.zeros(g.adjacency.nnz))
+
+
+def inner_forms(g, F, G) -> float:
+    """L^2(T_Gamma) inner product, (1/2) sum_{x,y} p(x,y) F G m(x) m(y)."""
+    return float(0.5 * np.sum(g.adjacency.data * F.data * G.data))
+
+
+def save_vertex_csv(g, f, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("vertex,value\n")
+        for i, v in enumerate(np.asarray(f, dtype=float)):
+            fh.write(f"{int(g.labels[i])},{float(v)!r}\n")
+
+
+def save_edge_csv(g, F, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,y,value\n")
+        for e in range(g.adjacency.nnz):
+            x = int(g.labels[g.edge_rows[e]])
+            y = int(g.labels[g.edge_cols[e]])
+            fh.write(f"{x},{y},{float(F.data[e])!r}\n")
+
+
+def isometry_defect(g, f) -> float:
+    """| ||d Delta^{-1/2} f||_{L^2(T)} - ||f||_2 | for mean-zero f."""
+    res = riesz(g, f)
+    return abs(res.norm_l2_output - res.norm_l2_input)

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     cover_overlap_bound,
+    exp_decay_constants,
     naive_g_littlewood,
     naive_lusin,
     naive_lusin_tilde,
@@ -19,7 +20,6 @@ from graphhardy.calculus import (
     delta_power_exact,
     delta_power_series,
     exp_decay_bound,
-    exp_decay_constants,
     gaffney_fit,
     resolvent_exact,
     resolvent_frac_series,

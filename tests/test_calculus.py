@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import (binomial_series, family_per_s, resolvent_frac_coefficients,
+from oracles import (binomial_series, exp_decay_constants, family_per_s,
+                     gradient_gaffney_constant, resolvent_frac_coefficients,
                      taylor_delta_power)
 
 from graphhardy import calculus
@@ -18,9 +19,7 @@ from graphhardy.calculus import (
     delta_power_exact,
     delta_power_series,
     exp_decay_bound,
-    exp_decay_constants,
     gaffney_fit,
-    gradient_gaffney_constant,
     reproducing_check,
     require_mean_zero,
     resolvent,

@@ -4,10 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import save_vertex_csv
 
 from graphhardy import calculus
 from graphhardy.cli import main
-from graphhardy.operators import save_vertex_csv
 from graphhardy.zoo import k2l, lazy_cycle
 
 

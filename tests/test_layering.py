@@ -15,12 +15,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "graphhardy"
 # callee -> (modules where any call is allowed, "module.function" allowed)
 ALLOWED = {
     # every product with the matrix is counted: it is read by the counted
-    # step and the two buffered walks, and by `kernel` for its
-    # sparse-sparse products alone
-    "markov_matrix": (set(), {"operators.markov_step", "operators.weighted_powers",
+    # step, the level walk (which `powers` and `weighted_powers` consume)
+    # and the Horner scan, and by `kernel` for its sparse-sparse products
+    # alone
+    "markov_matrix": (set(), {"operators.markov_step", "operators.level_blocks",
                               "operators.horner", "operators.kernel"}),
     "markov_step": ({"operators"}, set()),
-    "_kernel_step": (set(), {"operators.markov_step", "operators.weighted_powers",
+    "_kernel_step": (set(), {"operators.markov_step", "operators.level_blocks",
                              "operators.horner"}),
     "has_oracle": (set(), {"calculus.phi_apply", "calculus._mean_zero_radius",
                            "quadratic.lusin_tail_bound"}),
@@ -66,7 +67,8 @@ def test_scanner_sees_calls():
     found = _all_calls()
     assert ("markov_matrix", "operators.horner") in found
     assert ("_kernel_step", "operators.horner") in found
-    assert ("markov_step", "operators.powers") in found
+    assert ("_kernel_step", "operators.level_blocks") in found
+    assert ("markov_step", "operators.apply_P") in found
     assert ("has_oracle", "quadratic.lusin_tail_bound") in found
     assert ("_cone_accumulate", "quadratic.lusin_tilde") in found
     assert ("tent_mask", "tentspace.tent") in found

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from oracles import counting_markov
 
-from graphhardy import zoo
+from graphhardy import operators, zoo
+from graphhardy.calculus import _heat_sweep
 from graphhardy.graphs import build_graph
 from graphhardy.hardy import form_profile, heat_profile
 from graphhardy.operators import (
@@ -18,6 +19,7 @@ from graphhardy.operators import (
     apply_P,
     chebyshev,
     horner,
+    level_blocks,
     markov_matrix,
     markov_step,
     powers,
@@ -95,6 +97,10 @@ def test_step_rejects_a_foreign_shape(cycle16):
     for bad in (np.ones(15), np.ones((17, 2)), np.ones((16, 2, 2)), np.float64(1.0)):
         with pytest.raises(ValueError):
             markov_step(cycle16, bad)
+        with pytest.raises(ValueError):
+            next(level_blocks(cycle16, bad, 3))
+        with pytest.raises(ValueError):
+            weighted_powers(cycle16, bad, [1.0, 1.0])
 
 
 def test_walks_count_one_product_per_step():
@@ -127,6 +133,72 @@ def test_weighted_powers_match_the_loop(levels):
         u = markov_matrix(g) @ u
     assert _same_bits(got, want) and got.flags.c_contiguous
     assert np.array_equal(f, keep)
+
+
+# (chunk, L): the chunk sizes of the level walk (LEVEL_CHUNK on a small
+# graph, and smaller ones that a smaller ROW_BLOCK_ENTRIES forces, a
+# single level per chunk included) at L in {0, 1, chunk - 1, chunk,
+# chunk + 1}
+WALKS = [(c, L) for c in (LEVEL_CHUNK, 5, 1) for L in sorted({0, 1, c - 1, c, c + 1})]
+
+
+@pytest.mark.parametrize("chunk, L", WALKS)
+@pytest.mark.parametrize("width", [None, 3])
+def test_level_walk_consumers_are_bit_identical(monkeypatch, chunk, L, width):
+    # The heat profile feeds the tent decomposition, whose molecule counts
+    # are pinned to the rounding of P^l f: a walk that rounds one level
+    # differently changes which entries are exactly zero and so how many
+    # molecules come out.  So every consumer of the walk is pinned bit
+    # for bit to repeated markov_step, and to exactly L counted products
+    # of width columns.
+    g = zoo.random_weights(zoo.lazy_torus_2d(4), 9)
+    k = width or 1
+    monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", chunk * g.n * k)
+    shape = (g.n,) if width is None else (g.n, width)
+    f = np.random.default_rng(10).standard_normal(shape)
+    want = [f]
+    for _ in range(L):
+        want.append(markov_step(g, want[-1]))
+
+    def counted(walk):
+        calls, cols = g.matvec_calls, g.matvec_cols
+        out = walk()
+        assert (g.matvec_calls - calls, g.matvec_cols - cols) == (L, L * k)
+        return out
+
+    def overwritten():
+        # a consumer may overwrite each chunk, as lusin squares it in place
+        out = []
+        for lo, rows in level_blocks(g, f, L):
+            out.append((lo, rows.copy()))
+            rows.fill(np.nan)
+        return out
+
+    seen = []
+    for lo, rows in counted(overwritten):
+        assert lo == len(seen) and 1 <= len(rows) <= chunk
+        seen += list(rows)
+    assert len(seen) == L + 1
+    assert all(_same_bits(a, b) for a, b in zip(seen, want))
+    assert all(_same_bits(a, b) for a, b in zip(counted(lambda: list(powers(g, f, L))), want))
+    weights = np.linspace(0.5, 2.0, L + 1)
+    got = counted(lambda: weighted_powers(g, f, weights))
+    assert got.shape == (g.n, L + 1) + shape[1:]
+    for l in range(L + 1):
+        assert _same_bits(got[:, l], weights[l] * want[l])
+    s = [L, L // 2, 0, L, min(1, L), L // 2]  # unsorted, with repeats
+    got = counted(lambda: _heat_sweep(g, f, s))
+    assert got.shape == (g.n, len(s)) + shape[1:]
+    for j, t in enumerate(s):
+        assert _same_bits(got[:, j], want[t])
+
+
+def test_level_walk_yields_nothing_below_level_zero():
+    g = zoo.lazy_cycle(8)
+    assert list(level_blocks(g, np.ones(g.n), -1)) == []
+    assert list(powers(g, np.ones(g.n), -1)) == []
+    assert weighted_powers(g, np.ones(g.n), []).shape == (g.n, 0)
+    assert g.matvec_calls == 0
 
 
 @pytest.mark.parametrize("K", [0, 1, 7, 40])

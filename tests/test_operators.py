@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import save_edge_csv, save_vertex_csv, zero_form
 
 from graphhardy.operators import (
     EdgeFunction,
@@ -19,10 +20,7 @@ from graphhardy.operators import (
     mean_project,
     powers,
     random_mean_zero,
-    save_edge_csv,
-    save_vertex_csv,
     tx_norms,
-    zero_form,
 )
 
 

@@ -13,12 +13,13 @@ from oracles import (
     naive_tent_functional,
 )
 
-from graphhardy import calculus, graphs, zoo
+from graphhardy import calculus, graphs, operators, zoo
 from graphhardy.calculus import BZ1Kind, a_s, spectral
 from graphhardy.errors import KernelComponent, PeriodicWalk
 from graphhardy.hardy import heat_profile
 from graphhardy.operators import (
     EdgeFunction,
+    cone_gather,
     differential,
     lp_norm,
     mean_project,
@@ -56,6 +57,47 @@ def test_lusin_matches_naive(cycle16, rng):
             fast = lusin(cycle16, f, beta, 40)
             slow = naive_lusin(cycle16, f, beta, 40)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("l_max", [0, 1, 3, 4, 8, 15, 16, 17, 40])
+def test_lusin_radius_sums_at_every_horizon(cycle16, l_max, chunked, monkeypatch):
+    # the levels are summed per cone radius [rho^2, (rho+1)^2) one walk
+    # chunk at a time, so horizons on, just past and just short of a
+    # square must all match the level-by-level oracle, also when the
+    # chunks (5 levels of the block, 15 of a vector) cut the radii; each
+    # column of a block matches its single-vector run
+    if chunked:
+        monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", 5 * 3 * cycle16.n)
+    F = random_mean_zero(cycle16, np.random.default_rng(l_max), size=3)
+    for beta in (1.0, 0.5):
+        L = lusin(cycle16, F, beta, l_max)
+        G = g_littlewood(cycle16, F, beta, l_max)
+        for j in range(3):
+            col = lusin(cycle16, F[:, j], beta, l_max)
+            np.testing.assert_allclose(col, naive_lusin(cycle16, F[:, j], beta, l_max),
+                                       atol=1e-12)
+            np.testing.assert_allclose(L[:, j], col, rtol=1e-14, atol=1e-14 * col.max())
+            np.testing.assert_allclose(G[:, j], naive_g_littlewood(cycle16, F[:, j], beta, l_max),
+                                       atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_cone_gather_reads_a_uint16_metric(k):
+    # the diameter 256 puts the hop counts in uint16; the gather-product
+    # sums T[y * width + d(x, y)] over y as the indexed sum does, with an
+    # int32 index and with an intp one
+    g = zoo.lazy_cycle(512)
+    assert g.dist.dtype == np.uint16 and g.diameter == 256
+    width = g.diameter + 1
+    rng = np.random.default_rng(k)
+    T = rng.standard_normal((g.n * width,) if k == 1 else (g.n * width, k))
+    rows = rng.choice(g.n, 40, replace=False)
+    index = np.add(g.dist[rows], np.arange(g.n, dtype=np.int32) * width, dtype=np.int32)
+    want = T[index].sum(axis=1)
+    for idx in (index, index.astype(np.intp)):
+        got = cone_gather(T, idx, np.ones(idx.size), np.zeros(want.shape))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_lusin_homogeneity(cycle16, rng):

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import counting_markov, riesz_entries_per_input
+from oracles import counting_markov, inner_forms, isometry_defect, riesz_entries_per_input
 
 import graphhardy
 from graphhardy import riesz as riesz_module
@@ -21,7 +21,6 @@ from graphhardy.quadratic import default_l_max
 from graphhardy.riesz import (
     gradient_matches_fiber_norms,
     h2_project,
-    isometry_defect,
     molecule_suite,
     riesz,
     riesz_h1_experiment,
@@ -103,8 +102,6 @@ def test_h2_project_idempotent_and_orthogonal(cycle16, rng):
     assert lp_norm_forms(cycle16, P2 - P1, 2) <= 1e-10
     # residual is L^2(T)-orthogonal to every differential
     resid = EdgeFunction(cycle16, F.data - P1.data)
-    from graphhardy.operators import inner_forms
-
     for i in range(0, cycle16.n, 3):
         e = np.eye(cycle16.n)[i]
         assert abs(inner_forms(cycle16, resid, differential(cycle16, e))) < 1e-10
