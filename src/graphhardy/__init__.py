@@ -10,11 +10,9 @@ from .calculus import (
     QsKind,
     SpectralOracle,
     a_s,
-    delta_power,
     exp_decay_bound,
     gaffney_fit,
     reproducing_check,
-    resolvent,
     spectral,
 )
 from .graphs import (

@@ -24,7 +24,9 @@ after every product, and the column carries r as a third element.
 
 `phi_apply` is the one place that chooses between oracle and series, and
 `delta_power_apply` (Delta^beta for every real beta), `resolvent_apply`
-((I + s Delta)^{-power}) and `a_s` reach it with their pair.
+((I + s Delta)^{-power}) and `a_s` reach it with their pair.  The series
+of Delta^beta and of the resolvents are also built whatever n, as the
+certified objects `delta_power_series` and `resolvent_frac_series`.
 
 A sequence of scales (the sup over s of the BMO norm, the Davies-Gaffney
 decay curves) is evaluated as one block, one column per scale: the oracle
@@ -50,7 +52,7 @@ import scipy.linalg
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk)
 from .graphs import WeightedGraph, set_distance
-from .operators import (apply_P, chebyshev, gradient, level_blocks, lp_norm, mean_project,
+from .operators import (apply_P, chebyshev, gradient, heat_sweep, lp_norm, mean_project,
                         powers)
 
 ORACLE_MAX_N = 2048
@@ -334,12 +336,6 @@ def _bz2_column(s, M: int, tol):
         lambda x: (1.0 + _resolvent_symbol(x, s, 1.0)) ** M - 1.0, 1.0 + 1.0 / s, tol)
 
 
-def resolvent_frac_series(g: WeightedGraph, s, power: float,
-                          tol: float) -> SeriesOperator:
-    """(I + s Delta)^{-power}, any real power, on the series path."""
-    return SeriesOperator(g, *_resolvent_column(s, power, tol))
-
-
 # -- the one oracle/series choice --------------------------------------------
 
 def phi_apply(g: WeightedGraph, f, s, symbol, column):
@@ -353,19 +349,13 @@ def phi_apply(g: WeightedGraph, f, s, symbol, column):
     symbol(lam[:, None], s), or one series table of the columns.
     """
     if not has_oracle(g):
-        return series_apply(g, f, s, column)
+        if np.ndim(s) > 0:
+            return series_table(g, [column(t) for t in s]).apply(f)
+        return SeriesOperator(g, *column(s)).apply(f)
     if np.ndim(s) > 0:
         s = np.asarray(s, dtype=float)
         return spectral(g).apply(lambda lam: symbol(lam[:, None], s), f)
     return spectral(g).apply(lambda lam: symbol(lam, s), f)
-
-
-def series_apply(g: WeightedGraph, f, s, column):
-    """The series path of `phi_apply`: one column(s), or one table of
-    the columns of a sequence of scales."""
-    if np.ndim(s) > 0:
-        return series_table(g, [column(t) for t in s]).apply(f)
-    return SeriesOperator(g, *column(s)).apply(f)
 
 
 def delta_power_apply(g: WeightedGraph, f, beta: float, tol=1e-10):
@@ -385,48 +375,30 @@ def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
                      lambda t: _resolvent_column(t, power, tol))
 
 
-# -- single-path names ---------------------------------------------------------
-
-def delta_power_exact(g: WeightedGraph, f, beta: float):
-    return spectral(g).apply(lambda lam: _delta_power_symbol(lam, beta), f)
-
-
-def resolvent_exact(g: WeightedGraph, f, s: int, power=1.0):
-    return spectral(g).apply(lambda lam: _resolvent_symbol(lam, s, power), f)
-
+# -- certified series objects ---------------------------------------------------
 
 def delta_power_series(g: WeightedGraph, beta: float, tol: float,
                        lambda_star=None) -> SeriesOperator:
+    """Delta^beta on the series path, whatever n: its tail bound and
+    truncation, with lambda_star supplied above the oracle cap.  A
+    fractional beta's walk drops the constant part of its input."""
     return SeriesOperator(g, *_delta_power_column(g, beta, tol, lambda_star))
 
 
-def reproducing_series(g: WeightedGraph, beta: float, N: int) -> SeriesOperator:
-    """sum_{k<=N} a_k P^k with a_k the coefficients of (1-z)^{-beta}, the
-    same polynomial in T_k(P)."""
-    coeffs = np.polynomial.chebyshev.poly2cheb(binomial_coefficients(-beta, N + 1))
-    return SeriesOperator(g, coeffs, math.inf)
-
-
-def delta_power(g: WeightedGraph, f, beta: float, tol=1e-10, lambda_star=None):
-    """Series path for Delta^beta (a negative beta requires a mean-zero
-    f); a fractional beta's walk drops the constant part of f."""
-    if beta < 0:
-        require_mean_zero(g, f)
-    return delta_power_series(g, beta, tol, lambda_star).apply(f)
-
-
-def resolvent(g: WeightedGraph, f, s, M: int = 1, tol=1e-12):
-    """Series path for (I + s Delta)^{-M} f; a sequence of scales gives
-    an (n, S) block, one column per scale."""
-    return series_apply(g, f, s, lambda t: _resolvent_column(t, M, tol))
+def resolvent_frac_series(g: WeightedGraph, s, power: float,
+                          tol: float) -> SeriesOperator:
+    """(I + s Delta)^{-power}, any real power, on the series path."""
+    return SeriesOperator(g, *_resolvent_column(s, power, tol))
 
 
 def reproducing_check(g: WeightedGraph, f, beta: float, N: int,
                       tol=1e-10) -> float:
     """L^2 error of the truncated reproducing sum
-    sum_{k<=N} a_k Delta^beta P^k f against f (mean-zero input)."""
+    sum_{k<=N} a_k Delta^beta P^k f against f (mean-zero input), a_k the
+    coefficients of (1-z)^{-beta}: the same polynomial in T_k(P)."""
     ft = require_mean_zero(g, f)
-    acc = reproducing_series(g, beta, N).apply(ft)
+    coeffs = np.polynomial.chebyshev.poly2cheb(binomial_coefficients(-beta, N + 1))
+    acc = SeriesOperator(g, coeffs, math.inf).apply(ft)
     return lp_norm(g, delta_power_apply(g, acc, beta, tol) - ft, 2)
 
 
@@ -490,27 +462,13 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
 # accuracy of their ratios (f has unit norm).
 GAFFNEY_TOL = 1e-12
 
-def _heat_sweep(g, f, s_values):
-    """P^s f for every integer time s as an (n, S) block (an (n, S, k)
-    block for an (n, k) f) from one walk of the power sequence."""
-    steps = np.array([int(s) for s in s_values], dtype=int)
-    if np.any(steps != np.asarray(s_values, dtype=float)):
-        raise ValueError("heat families need integer times s")
-    if steps.min() < 0:
-        raise ValueError("s must be >= 0")
-    out = np.empty((g.n, len(steps)) + np.shape(f)[1:])
-    for lo, rows in level_blocks(g, f, int(steps.max())):
-        hit = np.flatnonzero((steps >= lo) & (steps < lo + len(rows)))
-        out[:, hit] = np.moveaxis(rows[steps[hit] - lo], 0, 1)
-    return out
-
 
 def _family_heat(g, f, s, M):
-    return _heat_sweep(g, f, s)
+    return heat_sweep(g, f, s)
 
 
 def _family_delta_heat(g, f, s, M):
-    out = _heat_sweep(g, f, s)
+    out = heat_sweep(g, f, s)
     for _ in range(M):
         out = np.asarray(s, dtype=float) * (out - apply_P(g, out))
     return out
@@ -525,7 +483,7 @@ def _family_resolvent_diff(g, f, s, M):
 
 
 def _family_grad_heat(g, f, s, M):
-    return gradient(g, _heat_sweep(g, f, s)) * [math.sqrt(t) for t in s]
+    return gradient(g, heat_sweep(g, f, s)) * [math.sqrt(t) for t in s]
 
 
 def _family_grad_resolvent(g, f, s, M):
@@ -570,20 +528,7 @@ class GaffneyFit:
     ratios: list
 
     def to_json(self):
-        return json.dumps(
-            {
-                "family": self.family,
-                "eta": self.eta,
-                "C": self.C,
-                "c": self.c,
-                "residual_rms": self.residual_rms,
-                "n_points": self.n_points,
-                "d_EF": self.d_EF,
-                "s_values": list(map(float, self.s_values)),
-                "ratios": list(map(float, self.ratios)),
-            },
-            indent=2,
-        )
+        return json.dumps(vars(self), indent=2, default=vars)
 
 
 def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit:

@@ -451,17 +451,7 @@ class GeometryReport:
     diameter: int
 
     def to_json(self):
-        return json.dumps(
-            {
-                "doubling_constant": self.doubling_constant,
-                "d0_estimate": self.d0_estimate,
-                "eps_LB": self.eps_LB,
-                "M0": self.M0,
-                "n": self.n,
-                "diameter": self.diameter,
-            },
-            indent=2,
-        )
+        return json.dumps(vars(self), indent=2, default=vars)
 
 
 def cached_geometry(g: WeightedGraph) -> "GeometryReport":

@@ -514,9 +514,13 @@ def is_exact_form(g: WeightedGraph, F: EdgeFunction, tol=1e-8) -> bool:
 
 def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
                              eps: float, tol=1e-8) -> MolecularDecomposition:
-    """Molecular representation of an exact 1-form F = dg."""
+    """Molecular representation of an exact 1-form F = dg.  Like
+    `molecular_decompose`, it refuses a periodic walk or a graph above
+    the oracle cap before the geometry or any profile is built, whatever
+    F."""
     if not is_exact_form(g, F, tol):
         raise NotExactForm("input form is not a differential")
+    _mean_zero_radius(g)
     w = divergence(g, F)
     norm_F = lp_norm_forms(g, F, 2)
     if norm_F == 0.0:
@@ -557,16 +561,7 @@ class BmoReport:
     enumeration_policy: str
 
     def to_json(self):
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "M": self.M,
-                "value": self.value,
-                "argmax": self.argmax,
-                "enumeration_policy": self.enumeration_policy,
-            },
-            indent=2,
-        )
+        return json.dumps(vars(self), indent=2, default=vars)
 
 
 def _bz1_block(PK: np.ndarray, tuples) -> np.ndarray:

@@ -202,6 +202,21 @@ def powers(g: WeightedGraph, f, L: int):
             yield row.copy()
 
 
+def heat_sweep(g: WeightedGraph, f, s_values):
+    """P^s f for every integer time s as an (n, S) block (an (n, S, k)
+    block for an (n, k) f) from one walk of the power sequence."""
+    steps = np.array([int(s) for s in s_values], dtype=int)
+    if np.any(steps != np.asarray(s_values, dtype=float)):
+        raise ValueError("heat families need integer times s")
+    if steps.min() < 0:
+        raise ValueError("s must be >= 0")
+    out = np.empty((g.n, len(steps)) + np.shape(f)[1:])
+    for lo, rows in level_blocks(g, f, int(steps.max())):
+        hit = np.flatnonzero((steps >= lo) & (steps < lo + len(rows)))
+        out[:, hit] = np.moveaxis(rows[steps[hit] - lo], 0, 1)
+    return out
+
+
 def weighted_powers(g: WeightedGraph, f, weights) -> np.ndarray:
     """The (n, L + 1) array whose column l is weights[l] P^l f, L =
     len(weights) - 1, with exactly L sparse products; an (n, k) block f

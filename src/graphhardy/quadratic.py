@@ -34,9 +34,9 @@ from .errors import OracleCapExceeded, PeriodicWalk
 from .graphs import WeightedGraph, row_blocks
 from .operators import (
     EdgeFunction,
-    apply_P,
     cone_gather,
     divergence,
+    heat_sweep,
     level_blocks,
     lp_norm,
     mean_project,
@@ -228,15 +228,11 @@ def lusin_tilde(g: WeightedGraph, f, beta: float, k_max=None) -> np.ndarray:
     """
     if k_max is None:
         k_max = g.diameter + 1
-    u = delta_power_apply(g, f, beta)
-    W = np.empty((k_max + 1, g.n))
-    for k in range(k_max + 1):
-        if k:
-            u = apply_P(g, u, 2 * k - 1)  # P^{(k-1)^2} -> P^{k^2}
-        scale = float(max(k, 1)) ** (2 * beta)
-        # cone radius k, with 1/(k+1) folded into the weight
-        W[k] = (scale * u * g.m) ** 2 / (k + 1.0)
-    return np.sqrt(_cone_accumulate(g, W.T))
+    k = np.arange(k_max + 1)
+    U = heat_sweep(g, delta_power_apply(g, f, beta), k * k)
+    scale = [float(max(j, 1)) ** (2 * beta) for j in k]
+    # cone radius k, with 1/(k+1) folded into the weight
+    return np.sqrt(_cone_accumulate(g, (scale * U * g.m[:, None]) ** 2 / (k + 1.0)))
 
 
 def g_littlewood(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:

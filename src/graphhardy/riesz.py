@@ -112,15 +112,7 @@ class RieszSuiteReport:
     max_chain_gap: float
 
     def to_json(self):
-        return json.dumps(
-            {
-                "entries": [e.__dict__ for e in self.entries],
-                "max_ratio": self.max_ratio,
-                "min_ratio": self.min_ratio,
-                "max_chain_gap": self.max_chain_gap,
-            },
-            indent=2,
-        )
+        return json.dumps(vars(self), indent=2, default=vars)
 
     def to_csv(self):
         lines = ["label,h1_quad_input,h1_quad_output,grad_l1,ratio,chain_gap"]

@@ -6,7 +6,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from graphhardy import zoo
+from graphhardy import calculus, zoo
+
+
+@pytest.fixture(params=["oracle", "series"])
+def path(request, monkeypatch):
+    """The evaluation path every automatic-path call takes: the dense
+    oracle, or the truncated series with ORACLE_MAX_N at 0."""
+    if request.param == "series":
+        monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    return request.param
 
 
 @pytest.fixture(scope="session")

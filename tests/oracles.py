@@ -5,7 +5,10 @@ time levels, recomputing distances, ball volumes and cone membership
 from scratch; the optimized cone iteration in the package is checked
 against these.  `counting_markov` reads the package's count of the
 products with P a computation makes, for tests that pin how often the
-power sequence is walked.
+power sequence is walked.  `delta_power_exact` and `resolvent_exact`
+apply their operators by the dense spectral oracle on any graph the
+oracle takes, the references the automatic-path functions and the
+certified series objects are compared against.
 """
 
 import itertools
@@ -14,14 +17,25 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from graphhardy.calculus import (BZ2Kind, a_s, binomial_coefficients, delta_power_exact,
-                                 resolvent_apply, spectral)
+from graphhardy.calculus import (BZ2Kind, a_s, binomial_coefficients, resolvent_apply,
+                                 spectral)
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import ball
 from graphhardy.operators import EdgeFunction, apply_P, gradient, lp_norm, powers
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
+
+
+def delta_power_exact(g, f, beta):
+    """Delta^beta f by the spectral oracle, whatever ORACLE_MAX_N."""
+    return spectral(g).apply(lambda lam: np.maximum(1.0 - lam, 0.0) ** beta, f)
+
+
+def resolvent_exact(g, f, s, power=1.0):
+    """(I + s Delta)^{-power} f by the spectral oracle, whatever
+    ORACLE_MAX_N."""
+    return spectral(g).apply(lambda lam: (1.0 + s * (1.0 - lam)) ** (-power), f)
 
 
 def _ball_volume(g, x, r):

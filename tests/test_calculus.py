@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import (binomial_series, exp_decay_constants, family_per_s,
-                     gradient_gaffney_constant, resolvent_frac_coefficients,
-                     taylor_delta_power)
+from oracles import (binomial_series, delta_power_exact, exp_decay_constants, family_per_s,
+                     gradient_gaffney_constant, resolvent_exact,
+                     resolvent_frac_coefficients, taylor_delta_power)
 
 from graphhardy import calculus
 from graphhardy.calculus import (
@@ -14,17 +14,13 @@ from graphhardy.calculus import (
     QsKind,
     a_s,
     binomial_coefficients,
-    delta_power,
     delta_power_apply,
-    delta_power_exact,
     delta_power_series,
     exp_decay_bound,
     gaffney_fit,
     reproducing_check,
     require_mean_zero,
-    resolvent,
     resolvent_apply,
-    resolvent_exact,
     resolvent_frac_series,
     spectral,
 )
@@ -105,7 +101,7 @@ def test_delta_power_integer_is_exact(cycle16, rng):
 
 def test_delta_power_half_matches_oracle(cycle16, rng):
     f = random_mean_zero(cycle16, rng)
-    approx = delta_power(cycle16, f, 0.5, tol=1e-9)
+    approx = delta_power_series(cycle16, 0.5, 1e-9).apply(f)
     exact = delta_power_exact(cycle16, f, 0.5)
     assert lp_norm(cycle16, approx - exact, 2) <= 1e-8
 
@@ -127,24 +123,26 @@ def test_series_tail_bound_honest(cycle16, rng):
 
 def test_inv_sqrt_series_matches_oracle(cycle16, rng):
     f = random_mean_zero(cycle16, rng)
-    approx = delta_power(cycle16, f, -0.5, tol=1e-10)
+    op = delta_power_series(cycle16, -0.5, 1e-10)
     exact = delta_power_exact(cycle16, f, -0.5)
-    assert lp_norm(cycle16, approx - exact, 2) <= delta_power_series(cycle16, -0.5, 1e-10).tail_bound + 1e-9
+    assert lp_norm(cycle16, op.apply(f) - exact, 2) <= op.tail_bound + 1e-9
 
 
 def test_resolvent_constant_fixed(cycle16):
     ones = np.ones(cycle16.n)
-    np.testing.assert_allclose(resolvent(cycle16, ones, 4, 2), ones, atol=1e-11)
+    np.testing.assert_allclose(resolvent_frac_series(cycle16, 4, 2.0, 1e-12).apply(ones), ones,
+                               atol=1e-11)
 
 
 def test_resolvent_k2l(k2l, f0):
-    np.testing.assert_allclose(resolvent(k2l, f0, 1, 1), f0 / 2, atol=1e-12)
+    np.testing.assert_allclose(resolvent_frac_series(k2l, 1, 1.0, 1e-12).apply(f0), f0 / 2,
+                               atol=1e-12)
 
 
 def test_resolvent_self_check(cycle16, rng):
     f = rng.standard_normal(cycle16.n)
     for s in (1, 3, 8):
-        u = resolvent(cycle16, f, s, 1, tol=1e-13)
+        u = resolvent_frac_series(cycle16, s, 1.0, 1e-13).apply(f)
         back = u + s * laplacian(cycle16, u)
         assert lp_norm(cycle16, back - f, 2) <= 1e-10
 
@@ -431,7 +429,7 @@ def test_delta_power_half_indicator(cycle16):
     f = np.zeros(cycle16.n)
     f[0] = 1.0 / cycle16.m[0]
     f = mean_project(cycle16, f)
-    approx = delta_power(cycle16, f, 0.5, tol=1e-9)
+    approx = delta_power_series(cycle16, 0.5, 1e-9).apply(f)
     exact = delta_power_exact(cycle16, f, 0.5)
     assert lp_norm(cycle16, approx - exact, 2) <= 1e-8
 
@@ -479,19 +477,18 @@ def test_negative_powers_of_delta(cycle16, rng, monkeypatch):
         op = delta_power_series(cycle16, beta, 1e-10)
         err = lp_norm(cycle16, op.apply(mean_project(cycle16, f)) - exact, 2)
         assert err <= (op.tail_bound + 1e-9) * norm, beta
-        approx = delta_power(cycle16, f, beta, tol=1e-10)
-        assert lp_norm(cycle16, approx - exact, 2) <= (op.tail_bound + 1e-9) * norm
+        # the deflated walk projects its input on entry
+        assert lp_norm(cycle16, op.apply(f) - exact, 2) <= (op.tail_bound + 1e-9) * norm
     np.testing.assert_array_equal(delta_power_apply(cycle16, f, -0.5),
                                   delta_power_exact(cycle16, f, -0.5))
     for beta in (-0.5, -2.0):
         with pytest.raises(KernelComponent):
             delta_power_apply(cycle16, np.ones(cycle16.n), beta)
-        with pytest.raises(KernelComponent):
-            delta_power(cycle16, np.ones(cycle16.n), beta)
     # the input is checked before a path is chosen
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
-    with pytest.raises(KernelComponent):
-        delta_power_apply(cycle16, np.ones(cycle16.n), -0.5)
+    for beta in (-0.5, -2.0):
+        with pytest.raises(KernelComponent):
+            delta_power_apply(cycle16, np.ones(cycle16.n), beta)
 
 
 @pytest.mark.parametrize("beta", [-2.5, -0.5, 0.5])
@@ -513,8 +510,7 @@ def test_rounding_sized_constant_part(beta, monkeypatch):
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     op = delta_power_series(g, beta, 1e-10, lam)
     allow = op.tail_bound + op.truncation * eps * size
-    for got in (op.apply(fc), delta_power(g, fc, beta, lambda_star=lam)):
-        assert lp_norm(g, got - want, 2) <= allow
+    assert lp_norm(g, op.apply(fc) - want, 2) <= allow
 
 
 @pytest.mark.parametrize("name", ["cycle16", "torus8", "tree4"])
@@ -585,10 +581,7 @@ def test_series_length_cap(cycle16, monkeypatch):
     assert delta_power_series(cycle16, 0.5, 1e-2).truncation <= 50
 
 
-@pytest.mark.parametrize("path", ["oracle", "series"])
-def test_bz2_needs_M_at_least_one(path, torus8, monkeypatch):
-    if path == "series":
-        monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+def test_bz2_needs_M_at_least_one(path, torus8):
     f = random_mean_zero(torus8, np.random.default_rng(2))
     for M in (0, -1):
         with pytest.raises(BadTuple):
@@ -632,12 +625,12 @@ def test_negative_powers_take_blocks(cycle16):
     lam = spectral(g).lambda_star
     for beta in (-0.5, -1.0):
         U = delta_power_apply(g, F, beta)
-        S = delta_power(g, F, beta, lambda_star=lam)
+        op = delta_power_series(g, beta, 1e-10, lam)
+        S = op.apply(F)
         for j in range(3):
             np.testing.assert_allclose(U[:, j], delta_power_apply(g, F[:, j], beta),
                                        rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(S[:, j], delta_power(g, F[:, j], beta, lambda_star=lam),
-                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(S[:, j], op.apply(F[:, j]), rtol=1e-12, atol=1e-14)
     F[:, 1] += 1.0
     with pytest.raises(KernelComponent):
         delta_power_apply(g, F, -0.5)

@@ -7,17 +7,15 @@ Delta^beta."""
 import numpy as np
 import pytest
 
-from oracles import counting_markov, taylor_resolvent_degree
+from oracles import counting_markov, delta_power_exact, resolvent_exact, taylor_resolvent_degree
 
 from graphhardy import calculus
 from graphhardy.calculus import (
     BZ2Kind,
     a_s,
     chebyshev_series,
-    delta_power_exact,
     delta_power_series,
     resolvent_apply,
-    resolvent_exact,
     resolvent_frac_series,
 )
 from graphhardy.cli import _parse_s_range

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 from oracles import save_vertex_csv
 
-from graphhardy import calculus
+from graphhardy import calculus, graphs, hardy
 from graphhardy.cli import main
+from graphhardy.operators import random_mean_zero
+from graphhardy.riesz import RieszSuiteEntry, riesz_h1_experiment
 from graphhardy.zoo import k2l, lazy_cycle
 
 
@@ -23,6 +26,25 @@ def test_geometry_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["eps_LB"] == pytest.approx(0.5)
     assert payload["M0"] == 2
+
+
+@pytest.mark.parametrize("report", ["gaffney", "geometry", "bmo", "riesz"])
+def test_report_keys_follow_the_field_order(report):
+    # a report serializes its own fields: the payload's keys are the
+    # dataclass fields in their declared order
+    g = lazy_cycle(16)
+    f = random_mean_zero(g, np.random.default_rng(0))
+    rep = {
+        "gaffney": lambda: calculus.gaffney_fit(g, "heat", [8], [0], [2, 4, 8]),
+        "geometry": lambda: graphs.geometry_report(g),
+        "bmo": lambda: hardy.bmo_norm(g, f, "bz1", 1, 4),
+        "riesz": lambda: riesz_h1_experiment(g, [("f", f), ("g", 2.0 * f)]),
+    }[report]()
+    payload = json.loads(rep.to_json())
+    assert list(payload) == [fld.name for fld in dataclasses.fields(rep)]
+    if report == "riesz":
+        names = [fld.name for fld in dataclasses.fields(RieszSuiteEntry)]
+        assert [list(e) for e in payload["entries"]] == [names, names]
 
 
 def test_quadnorm_k2l(capsys, f0_csv):

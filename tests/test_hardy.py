@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import ball_matrix_dense, top_level
+from oracles import ball_matrix_dense, delta_power_exact, resolvent_exact, top_level
 
 from graphhardy import calculus, graphs, hardy
 from graphhardy.calculus import (
@@ -14,7 +14,6 @@ from graphhardy.calculus import (
     BZ2Kind,
     QsKind,
     a_s,
-    delta_power_exact,
 )
 from graphhardy.errors import (
     NotExactForm,
@@ -635,8 +634,6 @@ def test_variant_resolvent_product_molecule(cycle16):
     s, times = 4, (4, 7)
     B = ball(cycle16, 2, 2)
     b = B.mask.astype(float) / B.volume
-    from graphhardy.calculus import resolvent_exact
-
     a = b.copy()
     for t in times:
         a = a - resolvent_exact(cycle16, a, t, 1.0)
@@ -688,7 +685,8 @@ def test_periodic_walk_is_refused_at_once():
     (lambda: build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]),
      PeriodicWalk),
 ])
-def test_decompose_refuses_before_the_geometry(graph, error, monkeypatch):
+@pytest.mark.parametrize("pipeline", ["function", "form"])
+def test_decompose_refuses_before_the_geometry(graph, error, pipeline, monkeypatch):
     # the lambda_star check comes first, so a graph without a reproducing
     # horizon never builds its geometry, even for a zero input
     g = graph()
@@ -700,7 +698,10 @@ def test_decompose_refuses_before_the_geometry(graph, error, monkeypatch):
     f = random_mean_zero(g, np.random.default_rng(1))
     for x in (f, np.zeros(g.n)):
         with pytest.raises(error):
-            molecular_decompose(g, x, 1, 1.0, 1.0)
+            if pipeline == "form":
+                form_molecular_decompose(g, differential(g, x), 1, 1.0)
+            else:
+                molecular_decompose(g, x, 1, 1.0, 1.0)
 
 
 def test_above_the_oracle_cap_is_a_typed_error(monkeypatch):

@@ -1,9 +1,9 @@
 """One home per decision: the raw Markov matrix and the counted step
 that multiplies by it (hence every P^l loop, the Horner scan included),
-the oracle/series choice, the spectral oracle, the cone sum, the dense
-tent mask and the ball matrices may be reached only from the modules and
-functions listed here; scipy's private sparse kernels are imported by
-`operators` alone."""
+the level walk, the oracle/series choice, the spectral oracle, the
+series object, the cone sum, the dense tent mask and the ball matrices
+may be reached only from the modules and functions listed here; scipy's
+private sparse kernels are imported by `operators` alone."""
 
 import ast
 from pathlib import Path
@@ -21,11 +21,23 @@ ALLOWED = {
     "markov_matrix": (set(), {"operators.markov_step", "operators.level_blocks",
                               "operators.horner", "operators.kernel"}),
     "markov_step": ({"operators"}, set()),
+    # the square functions and the Riesz transform read every P^l f from
+    # the walks
+    "apply_P": ({"operators", "calculus", "hardy", "tentspace"}, set()),
     "_kernel_step": (set(), {"operators.markov_step", "operators.level_blocks",
                              "operators.horner"}),
+    # every P^l f outside `operators` is read from its walks, except the
+    # cone sum's squared chunks
+    "level_blocks": ({"operators"}, {"quadratic._level_square_sums"}),
     "has_oracle": (set(), {"calculus.phi_apply", "calculus._mean_zero_radius",
                            "quadratic.lusin_tail_bound"}),
-    "spectral": ({"calculus"}, {"quadratic.lusin_tail_bound"}),
+    # the oracle applies operators only through the one oracle/series
+    # choice; it is read elsewhere for lambda_star and the tail bound
+    "spectral": (set(), {"calculus.phi_apply", "calculus._mean_zero_radius",
+                         "quadratic.lusin_tail_bound"}),
+    # the series path is reached through `phi_apply` and the certified
+    # series objects of `calculus`
+    "SeriesOperator": ({"calculus"}, set()),
     "_cone_accumulate": (set(), {"quadratic.lusin", "quadratic.lusin_tilde",
                                  "quadratic.tent_functional"}),
     # the decomposition works on per-vertex tent depths, never on masks
@@ -70,6 +82,9 @@ def test_scanner_sees_calls():
     assert ("_kernel_step", "operators.level_blocks") in found
     assert ("markov_step", "operators.apply_P") in found
     assert ("has_oracle", "quadratic.lusin_tail_bound") in found
+    assert ("spectral", "calculus.phi_apply") in found
+    assert ("SeriesOperator", "calculus.delta_power_series") in found
+    assert ("level_blocks", "quadratic._level_square_sums") in found
     assert ("_cone_accumulate", "quadratic.lusin_tilde") in found
     assert ("tent_mask", "tentspace.tent") in found
     assert ("ball_matrices", "hardy.bmo_norm") in found

@@ -11,13 +11,13 @@ import pytest
 from oracles import counting_markov
 
 from graphhardy import operators, zoo
-from graphhardy.calculus import _heat_sweep
 from graphhardy.graphs import build_graph
 from graphhardy.hardy import form_profile, heat_profile
 from graphhardy.operators import (
     LEVEL_CHUNK,
     apply_P,
     chebyshev,
+    heat_sweep,
     horner,
     level_blocks,
     markov_matrix,
@@ -187,7 +187,7 @@ def test_level_walk_consumers_are_bit_identical(monkeypatch, chunk, L, width):
     for l in range(L + 1):
         assert _same_bits(got[:, l], weights[l] * want[l])
     s = [L, L // 2, 0, L, min(1, L), L // 2]  # unsorted, with repeats
-    got = counted(lambda: _heat_sweep(g, f, s))
+    got = counted(lambda: heat_sweep(g, f, s))
     assert got.shape == (g.n, len(s)) + shape[1:]
     for j, t in enumerate(s):
         assert _same_bits(got[:, j], want[t])

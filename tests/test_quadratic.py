@@ -11,6 +11,7 @@ from oracles import (
     naive_lusin,
     naive_lusin_tilde,
     naive_tent_functional,
+    counting_markov,
 )
 
 from graphhardy import calculus, graphs, operators, zoo
@@ -123,6 +124,26 @@ def test_lusin_tilde_matches_naive(cycle16, rng):
         fast = lusin_tilde(cycle16, f, 1.0, 6)
         slow = naive_lusin_tilde(cycle16, f, 1.0, 6)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+def test_lusin_tilde_walks_k_squared_products(cycle16, rng):
+    # P^{k^2} f for k = 0..K is read from one heat sweep of K^2 products
+    f = random_mean_zero(cycle16, rng)
+    for k_max in (0, 1, 2, 6, 9):
+        count = counting_markov(cycle16)
+        lusin_tilde(cycle16, f, 1.0, k_max)
+        assert count.products == k_max ** 2
+
+
+@pytest.mark.parametrize("name", ["cycle16", "torus8"])
+def test_lusin_tilde_matches_naive_on_both_paths(name, path, request):
+    # Delta f from the oracle or from its exact Chebyshev column, then the
+    # sweep's levels against the naive loop's repeated steps
+    g = request.getfixturevalue(name)
+    f = random_mean_zero(g, np.random.default_rng(8))
+    f /= lp_norm(g, f, 2)
+    np.testing.assert_allclose(lusin_tilde(g, f, 1.0),
+                               naive_lusin_tilde(g, f, 1.0, g.diameter + 1), rtol=0, atol=1e-12)
 
 
 def test_lusin_tilde_comparable_to_lusin(cycle16, rng):

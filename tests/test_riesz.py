@@ -3,7 +3,8 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import counting_markov, inner_forms, isometry_defect, riesz_entries_per_input
+from oracles import (counting_markov, delta_power_exact, inner_forms, isometry_defect,
+                     riesz_entries_per_input)
 
 import graphhardy
 from graphhardy import riesz as riesz_module
@@ -164,8 +165,6 @@ def test_thread_cap_env(monkeypatch):
 
 def test_adjoint_isometry_on_exact_forms(cycle32, rng):
     # || Delta^{-1/2} d* F ||_2 = ||F||_{L^2(T)} on the range of the projector
-    from graphhardy.calculus import delta_power_exact
-
     data = rng.standard_normal(cycle32.adjacency.nnz)
     data = 0.5 * (data - data[cycle32.rev_edges])
     F = h2_project(cycle32, EdgeFunction(cycle32, data))

@@ -22,13 +22,6 @@ S_VALUES = [1, 2, 5, 9, 16]
 GRADIENT_FAMILIES = ("grad_heat", "grad_resolvent")
 
 
-@pytest.fixture(params=["oracle", "series"])
-def path(request, monkeypatch):
-    if request.param == "series":
-        monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
-    return request.param
-
-
 def _ratios(g, U, E):
     return np.sqrt((U[E] ** 2 * g.m[E, None]).sum(axis=0))
 
