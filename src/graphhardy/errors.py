@@ -45,11 +45,16 @@ class OverlappingSets(GraphHardyError):
     """Decay fit requested for sets E, F that intersect."""
 
 
-class FactorizationMismatch(GraphHardyError):
+class ValidationFailed(GraphHardyError):
+    """A molecule fails validation: its factorization, its tuple range or
+    its size bounds."""
+
+
+class FactorizationMismatch(ValidationFailed):
     """Stored molecule does not reproduce from its pre-image."""
 
 
-class SizeBoundViolated(GraphHardyError):
+class SizeBoundViolated(ValidationFailed):
     """Annulus size bound fails for some ring index j."""
 
     def __init__(self, j, measured, bound):
@@ -59,10 +64,6 @@ class SizeBoundViolated(GraphHardyError):
         super().__init__(
             f"annulus j={j}: ||b||_L2(C_j) = {measured:.6e} exceeds bound {bound:.6e}"
         )
-
-
-class ValidationFailed(GraphHardyError):
-    """Constructed molecule fails validation even after normalization."""
 
 
 class NotExactForm(GraphHardyError):

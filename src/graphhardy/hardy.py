@@ -26,8 +26,9 @@ pre-image b = Q_s X, both on the (n, atoms) output; the annulus masses
 and bounds of every molecule come from the rows of the hop counts g.dist
 (exact uint8/uint16, compared with float radii) and g.ball_volumes with
 one bincount per quantity; and validation (`_validate_block`) rederives
-a from b once and checks the whole block.  `validate_molecule` and the
-one-atom synthesis calls are one-column blocks of the same code.
+a from b once, checks the whole block and raises a ValidationFailed on
+the first failure.  `validate_molecule` and the one-atom synthesis
+calls are one-column blocks of the same code.
 """
 
 from __future__ import annotations
@@ -98,13 +99,9 @@ class Molecule:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     factorization_error: float
-    size_violations: list
     atom_tuple_warning: bool
     l1_norm: float
-    annulus_profile: list
-    a_annulus_excess: float
 
 
 # -- validation, one block of molecules at a time ---------------------------
@@ -127,30 +124,26 @@ def rederive_molecules(g: WeightedGraph, kind: str, M: int, s, times,
         groups.setdefault(key, []).append(i)
     out = np.empty((g.adjacency.nnz if kind == "form" else g.n, b.shape[1]))
     for key, cols in groups.items():
-        out[:, cols] = _rederive(g, kind, M, key, b[:, cols])
+        x = b[:, cols]
+        if kind == "bz1":
+            # applied directly: atom tuples may sit below s, which the
+            # strict BZ1Kind constructor would reject
+            for t in key:
+                x = x - apply_P(g, x, t)
+        elif kind == "bz2":
+            x = a_s(g, x, BZ2Kind(key, M))
+        elif kind == "bz2_tuple":
+            # variant normalization: product of single resolvent differences
+            for t in key:
+                x = x - resolvent_apply(g, x, t, 1.0)
+        elif kind == "form":
+            for _ in range(M):
+                x = x - apply_P(g, x)
+            x = differential(g, key ** (M + 0.5) * resolvent_apply(g, x, key, M + 0.5)).data
+        else:
+            raise ValueError(f"unknown molecule kind {kind!r}")
+        out[:, cols] = x
     return out
-
-
-def _rederive(g, kind, M, key, out):
-    if kind == "bz1":
-        # applied directly: atom tuples may sit below s, which the
-        # strict BZ1Kind constructor would reject
-        for t in key:
-            out = out - apply_P(g, out, t)
-        return out
-    if kind == "bz2":
-        return a_s(g, out, BZ2Kind(key, M))
-    if kind == "bz2_tuple":
-        # variant normalization: product of single resolvent differences
-        for t in key:
-            out = out - resolvent_apply(g, out, t, 1.0)
-        return out
-    if kind == "form":
-        for _ in range(M):
-            out = out - apply_P(g, out)
-        out = resolvent_apply(g, out, key, M + 0.5)
-        return differential(g, key ** (M + 0.5) * out).data
-    raise ValueError(f"unknown molecule kind {kind!r}")
 
 
 def _annulus_bounds(g: WeightedGraph, balls, eps: float):
@@ -183,52 +176,46 @@ def _annulus_l2(g: WeightedGraph, ring, width: int, levels) -> np.ndarray:
     return np.sqrt(mass).reshape(k, width)
 
 
-def _size_profiles(g: WeightedGraph, eps: float, balls, b):
-    """(violations, profiles, annuli) of the pre-images b (n, k) over
-    `balls`: violations[i] lists the (j, measured, bound) entries of
-    column i above their bound, profiles[i] its measured masses, and
-    annuli is the (ring, J, bounds) of `_annulus_bounds`.  Atoms
-    (eps = inf) are checked on the ball instead, with annuli None: no
-    entry outside it, and ||b||_2 <= V(B)^{-1/2}."""
-    violations = [[] for _ in balls]
+def _size_table(g: WeightedGraph, eps: float, balls, b):
+    """(measured, bounds): two (k, J) tables of the pre-images b (n, k)
+    over `balls`, ||b[:, i]||_{L^2(C_j)} at [i, j - 1] against the bounds
+    of `_annulus_bounds`.  Atoms (eps = inf) are checked on the ball
+    instead: column 0 is max |b| outside B against 0, column 1 is ||b||_2
+    against V(B)^{-1/2}."""
     if math.isinf(eps):
         stray = np.abs(np.where(np.array([B.mask for B in balls]).T, 0.0, b)).max(axis=0)
-        norm_b = lp_norm(g, b, 2)
         bound = np.array([B.volume for B in balls]) ** -0.5
-        for i, (x, nb, bd) in enumerate(zip(stray, norm_b, bound)):
-            if x > 0.0:
-                violations[i].append((0, float(x), 0.0))
-            if nb > bd * (1.0 + SIZE_TOL):
-                violations[i].append((1, float(nb), float(bd)))
-        return violations, [[float(nb)] for nb in norm_b], None
-    annuli = ring, J, bounds = _annulus_bounds(g, balls, eps)
-    measured = _annulus_l2(g, ring, bounds.shape[1], b)
-    for i, c in zip(*np.nonzero(measured > bounds * (1.0 + SIZE_TOL))):
-        violations[i].append((int(c) + 1, float(measured[i, c]), float(bounds[i, c])))
-    return violations, [row[:n].tolist() for row, n in zip(measured, J)], annuli
+        return (np.column_stack([stray, lp_norm(g, b, 2)]),
+                np.column_stack([np.zeros_like(bound), bound]))
+    ring, _, bounds = _annulus_bounds(g, balls, eps)
+    return _annulus_l2(g, ring, bounds.shape[1], b), bounds
 
 
 def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
-                    balls, b, a, raise_on_fail=True) -> list:
+                    balls, b, a) -> list:
     """One ValidationReport per molecule of a block: k molecules of one
     kind, M and eps, with scales s, time tuples `times` (bz1, bz2_tuple)
     and balls, as the columns of their pre-images b (n, k) and molecules
     a ((n, k), or (nnz, k) edge data for forms).
 
     a is rederived once, by `rederive_molecules`, and the annulus masses
-    of b and of the level |a| (T_x norms for forms) come from one
-    bincount each.  With raise_on_fail, the first molecule (in column
-    order) that fails its factorization, then its size bounds, raises."""
+    of b come from one bincount (`_size_table`).  Every failure raises a
+    ValidationFailed, on the first molecule in column order: a
+    factorization error above FACT_TOL, NaN included
+    (FactorizationMismatch), then a tuple entry out of range, then the
+    first (molecule, annulus) entry above its size bound
+    (SizeBoundViolated)."""
     def level(x):
         return tx_norms(g, EdgeFunction(g, x)) if kind == "form" else np.abs(x)
 
     level_a = level(a)
-    fact_err = (lp_norm(g, level(rederive_molecules(g, kind, M, s, times, b) - a), 2)
-                / np.maximum(1.0, lp_norm(g, level_a, 2)))
-    if raise_on_fail and (fact_err > FACT_TOL).any():
-        first = fact_err[np.argmax(fact_err > FACT_TOL)]
-        raise FactorizationMismatch(
-            f"relative factorization error {first:.3e} > {FACT_TOL:.1e}")
+    gap = rederive_molecules(g, kind, M, s, times, b)
+    gap -= a
+    fact_err = lp_norm(g, level(gap), 2) / np.maximum(1.0, lp_norm(g, level_a, 2))
+    failed = ~(fact_err <= FACT_TOL)
+    if failed.any():
+        raise FactorizationMismatch(f"relative factorization error "
+                                    f"{fact_err[np.argmax(failed)]:.3e} > {FACT_TOL:.1e}")
 
     warnings = [False] * len(balls)
     if kind in TUPLE_KINDS:
@@ -241,23 +228,15 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
                         f"{kind} tuple entry {t} outside [[{lo}, {2 * si}]]")
                 warnings[i] |= t < si
 
-    violations, profiles, annuli = _size_profiles(g, eps, balls, b)
-    if raise_on_fail:
-        for v in violations:
-            if v:
-                raise SizeBoundViolated(*v[0])
-
-    excess = np.zeros(len(balls))
-    if annuli is not None:
-        ring, _, bounds = annuli
-        ratio = _annulus_l2(g, ring, bounds.shape[1], level_a)
-        live = bounds > 0.0
-        np.divide(ratio, bounds, out=ratio, where=live)
-        excess = ratio.max(axis=1, initial=0.0, where=live)
-    return [ValidationReport(bool(err <= FACT_TOL and not v), float(err), v, w,
-                             float(l1), p, float(x))
-            for err, v, w, l1, p, x in zip(fact_err, violations, warnings,
-                                           lp_norm(g, level_a, 1), profiles, excess)]
+    measured, bounds = _size_table(g, eps, balls, b)
+    over = np.argwhere(measured > bounds * (1.0 + SIZE_TOL))
+    if len(over):
+        i, c = over[0]
+        # atoms number their two checks 0 and 1, annuli C_j from j = 1
+        raise SizeBoundViolated(int(c) + (not math.isinf(eps)),
+                                float(measured[i, c]), float(bounds[i, c]))
+    return [ValidationReport(float(err), w, float(l1))
+            for err, w, l1 in zip(fact_err, warnings, lp_norm(g, level_a, 1))]
 
 
 def validate_molecule(mol: Molecule) -> ValidationReport:
@@ -335,7 +314,7 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     b and a are divided by the measured annulus excess of b (kept in
     norm_constant), and the block is validated: a is rederived from b
     once and compared with the a of the scan; the first molecule that
-    fails raises ValidationFailed.
+    fails raises the validator's own ValidationFailed.
     """
     if math.isinf(eps):
         raise ValueError("synthesized molecules need a finite eps")
@@ -363,20 +342,13 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     for _ in range(M):
         X -= apply_P(g, X)
     a = differential(g, X).data if kind == "form" else X
-    violations, _, _ = _size_profiles(g, eps, balls, b)
-    excess = np.array([max([1.0] + [measured / bound * (1.0 + 1e-12)
-                                    for _, measured, bound in v if bound > 0])
-                       for v in violations])
+    measured, bounds = _size_table(g, eps, balls, b)
+    over = measured > bounds * (1.0 + SIZE_TOL)
+    ratio = np.divide(measured, bounds, out=np.zeros_like(measured), where=over)
+    excess = (ratio * (1.0 + 1e-12)).max(axis=1, initial=1.0)
     b /= excess
     a /= excess
-    reports = _validate_block(g, kind, M, eps, s, times, balls, b, a,
-                              raise_on_fail=False)
-    for rep in reports:
-        if not rep.ok:
-            raise ValidationFailed(
-                f"synthesized {kind} molecule fails validation: fact_err = "
-                f"{rep.factorization_error:.3e}, violations = {rep.size_violations}"
-            )
+    _validate_block(g, kind, M, eps, s, times, balls, b, a)
     rows_b, rows_a = np.ascontiguousarray(b.T), np.ascontiguousarray(a.T)
     coefficients = []
     for i, (lam, c) in enumerate(zip(lams, excess)):

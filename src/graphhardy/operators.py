@@ -402,7 +402,8 @@ def divergence(g: WeightedGraph, F: EdgeFunction):
 
 def tx_norms(g: WeightedGraph, F: EdgeFunction):
     """x -> ||F(x, .)||_{T_x}; k forms give an (n, k) block."""
-    quad = per_row(g.adjacency.data, F.data) * F.data ** 2
+    quad = np.square(F.data)
+    quad *= per_row(g.adjacency.data, F.data)
     sums = np.add.reduceat(quad, g.adjacency.indptr[:-1])
     sums[np.diff(g.adjacency.indptr) == 0] = 0.0
     return np.sqrt(sums / per_row(2.0 * g.m, sums))

@@ -284,12 +284,10 @@ def test_gaffney_resolvent_torus(torus12):
     assert fit.eta == 0.5
 
 
-@pytest.mark.parametrize("path", ["oracle", "series"])
+@pytest.mark.parametrize("path", ["oracle", "series"], indirect=True)
 @pytest.mark.parametrize("family", ["resolvent", "resolvent_diff", "grad_resolvent"])
-def test_gaffney_resolvent_scales_as_given(path, family, cycle16, monkeypatch):
+def test_gaffney_resolvent_scales_as_given(path, family, cycle16):
     # s = 2.5 is measured at 2.5, not at int(2.5) = 2
-    if path == "series":
-        monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     g = cycle16
     fit = gaffney_fit(g, family, [8], [0], [2.5, 4.0])
     assert fit.s_values == [2.5, 4.0]

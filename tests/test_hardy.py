@@ -16,10 +16,12 @@ from graphhardy.calculus import (
     a_s,
 )
 from graphhardy.errors import (
+    FactorizationMismatch,
     NotExactForm,
     OracleCapExceeded,
     PeriodicWalk,
     SizeBoundViolated,
+    ValidationFailed,
 )
 from graphhardy.graphs import ball, build_graph, cached_geometry
 from graphhardy.hardy import (
@@ -69,7 +71,6 @@ def test_delta_atom_validates(cycle16):
     for M in (1, 2):
         mol = _delta_atom(cycle16, 3, M)
         rep = validate_molecule(mol)
-        assert rep.ok
         assert rep.l1_norm <= 2.0 ** M * 1.0 + 1e-12
 
 
@@ -77,7 +78,7 @@ def test_zero_molecule_validates(cycle16):
     B = ball(cycle16, 0, 2)
     mol = Molecule("bz2", 1, 1.0, 4, B, np.zeros(cycle16.n), np.zeros(cycle16.n))
     rep = validate_molecule(mol)
-    assert rep.ok and rep.l1_norm == 0.0
+    assert rep.l1_norm == 0.0
 
 
 def test_indicator_bz2_molecules_bounded_l1():
@@ -91,7 +92,6 @@ def test_indicator_bz2_molecules_bounded_l1():
         a = a_s(g, b, BZ2Kind(s, 1))
         mol = Molecule("bz2", 1, math.inf, s, B, b, a)
         rep = validate_molecule(mol)
-        assert rep.ok
         assert rep.l1_norm <= 4.0
 
 
@@ -101,8 +101,34 @@ def test_validator_rejects_oversized_pre_image(cycle16):
     b[0] = 10.0  # far above V(B)^{-1/2}
     a = b - apply_P(cycle16, b)
     mol = Molecule("bz1", 1, math.inf, 1, B, b, a, times=(1,))
-    with pytest.raises(SizeBoundViolated):
+    with pytest.raises(SizeBoundViolated) as err:
         validate_molecule(mol)
+    assert err.value.j == 1
+
+
+def test_validator_rejects_a_nan_molecule(cycle16):
+    # a NaN factorization error is a failure, not a silent report
+    mol = _delta_atom(cycle16, 3, 1)
+    mol.a[5] = np.nan
+    with pytest.raises(FactorizationMismatch):
+        validate_molecule(mol)
+
+
+@pytest.mark.parametrize("kind", ["bz2", "form"])
+def test_stage_raises_the_validators_error(monkeypatch, cycle32, kind):
+    # a block whose rederived a differs from the a of the scan fails in
+    # the stage with the validator's own error
+    rederive = hardy.rederive_molecules
+
+    def perturbed(*args):
+        out = rederive(*args)
+        out[:, -1] += 1e-6
+        return out
+
+    monkeypatch.setattr(hardy, "rederive_molecules", perturbed)
+    with pytest.raises(ValidationFailed) as err:
+        _synthesize(kind, _unit_tent_atom(cycle32, 5, 4, 20))
+    assert isinstance(err.value, FactorizationMismatch)
 
 
 def _unit_tent_atom(g, center, radius, l_max):
@@ -129,7 +155,7 @@ def test_make_molecule_k2l_matches_direct_sum(k2l):
     direct = delta_power_exact(k2l, direct, eta - 1.0)
     direct = direct / mol.norm_constant
     np.testing.assert_allclose(np.asarray(mol.a), direct, atol=1e-10)
-    assert validate_molecule(mol).ok
+    validate_molecule(mol)
 
 
 @pytest.mark.parametrize("make", [
@@ -210,7 +236,7 @@ def test_synthesis_truncation_invariant(cycle32, kind):
     assert np.array_equal(short.b, long.b)
     assert np.array_equal(_a_data(short), _a_data(long))
     assert short.norm_constant == long.norm_constant
-    assert validate_molecule(long).ok
+    validate_molecule(long)
 
 
 def _stage_input(name, kind, seed=3):
@@ -336,11 +362,14 @@ def test_decomposition_counts_its_products_and_oracle_applies(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["bz2", "form"])
-def test_stage_peak_stays_near_its_block(kind):
+@pytest.mark.parametrize("name", ["lazy_cycle_64", "lazy_torus_16"])
+def test_stage_peak_stays_near_its_block(name, kind):
     # the stage holds its (n, sum top) block of levels and one product
     # beside it, not a copy per prefix factor, on the deep atoms of a
-    # noise input; the pre-image scale runs on the (n, atoms) output
-    g, tdec, d0 = _stage_input("lazy_cycle_64", kind)
+    # noise input; the pre-image scale runs on the (n, atoms) output.  On
+    # lazy_torus_16 the (nnz, atoms) form data is a large part of the
+    # block, so validation's temporaries must stay small too
+    g, tdec, d0 = _stage_input(name, kind)
     block = g.n * sum(atom.values.top for _, atom in tdec.coefficients) * 8
     synthesize_molecules(g, tdec, kind, 1, 1.0, 1.0, d0)  # fills the caches
     tracemalloc.start()
@@ -349,7 +378,8 @@ def test_stage_peak_stays_near_its_block(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured 2.01 (bz2) and 2.00 (form) blocks
+    # measured 2.01 (bz2) and 2.00 (form) blocks on lazy_cycle_64, 2.02
+    # and 2.43 on lazy_torus_16
     assert peak < 2.6 * block
 
 
@@ -387,7 +417,7 @@ def test_molecule_constant_stable_across_centers(cycle32):
     for center in range(0, 32, 4):
         A = _unit_tent_atom(cycle32, center, 4, 20)
         mol = make_molecule_from_tent_atom(A, 1, 1.0, 1.0)
-        assert validate_molecule(mol).ok
+        validate_molecule(mol)
         consts.append(mol.norm_constant)
     assert max(consts) / min(consts) <= 1.2  # vertex-transitive fixture
 
@@ -395,7 +425,7 @@ def test_molecule_constant_stable_across_centers(cycle32):
 def test_form_molecule_k2l(k2l, f0):
     A = _unit_tent_atom(k2l, 0, 1, 0)
     mol = make_form_molecule_from_tent_atom(A, 1, 1.0)
-    assert validate_molecule(mol).ok
+    validate_molecule(mol)
     # output is proportional to d f0 on this two-point graph
     df = differential(k2l, f0)
     ratio = mol.a.data[df.data != 0] / df.data[df.data != 0]
@@ -422,9 +452,20 @@ def test_molecular_decompose_cycle32_sweep(cycle32):
         dec = molecular_decompose(cycle32, f, 1, 1.0, 1.0, tol=1e-8)
         assert dec.l2_residual <= 1e-8
         for lam, mol in dec.coefficients:
-            assert validate_molecule(mol).ok
+            validate_molecule(mol)
         ratios.append(dec.quad_ratio)
     assert max(ratios) / min(ratios) <= 20.0
+
+
+@pytest.mark.parametrize("name", ["lazy_cycle_64", "lazy_torus_16"])
+def test_molecular_decompose_validates_at_M2(name):
+    # every molecule of an M = 2 stage passes validation, and the
+    # molecules reconstruct f
+    g = by_name(name)
+    f = random_mean_zero(g, np.random.default_rng(0))
+    dec = molecular_decompose(g, f, 2, 1.0, 1.0, tol=1e-8)
+    assert len(dec.coefficients) > 1 and dec.l2_residual <= 1e-8
+    assert {mol.M for _, mol in dec.coefficients} == {2}
 
 
 def test_form_decompose_k2l(k2l, f0):
@@ -451,7 +492,7 @@ def test_form_decompose_cycle32(cycle32):
         assert dec.l2_residual <= 1e-8
         for lam, mol in dec.coefficients:
             assert mol.kind == "form"
-            assert validate_molecule(mol).ok
+            validate_molecule(mol)
 
 
 def test_form_decompose_rejects_circulation(cycle16):
@@ -638,8 +679,7 @@ def test_variant_resolvent_product_molecule(cycle16):
     for t in times:
         a = a - resolvent_exact(cycle16, a, t, 1.0)
     mol = Molecule("bz2_tuple", len(times), math.inf, s, B, b, a, times=times)
-    rep = validate_molecule(mol)
-    assert rep.ok
+    validate_molecule(mol)
 
 
 def test_bmo_tuple_policy_override(cycle16, rng, monkeypatch):
@@ -665,7 +705,6 @@ def test_atom_tuple_below_s_flagged_not_rejected(cycle16):
         a = a - apply_P(cycle16, a, t)
     mol = Molecule("bz1", 2, math.inf, 4, B, b, a, times=times)
     rep = validate_molecule(mol)
-    assert rep.ok
     assert rep.atom_tuple_warning
 
 

@@ -1,9 +1,10 @@
 """One home per decision: the raw Markov matrix and the counted step
 that multiplies by it (hence every P^l loop, the Horner scan included),
 the level walk, the oracle/series choice, the spectral oracle, the
-series object, the cone sum, the dense tent mask and the ball matrices
-may be reached only from the modules and functions listed here; scipy's
-private sparse kernels are imported by `operators` alone."""
+series object, the cone sum, the dense tent mask, the ball matrices and
+the molecule validator's rederivation, size table and report may be
+reached only from the modules and functions listed here; scipy's private
+sparse kernels are imported by `operators` alone."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,12 @@ ALLOWED = {
     "tent_mask": (set(), {"tentspace.tent"}),
     # ball matrices are grown one radius at a time by the BMO sup only
     "ball_matrices": (set(), {"hardy.bmo_norm"}),
+    # validation is one mode: the block validator rederives a, reads the
+    # size table (which the stage also reads for its excess) and makes
+    # every report
+    "rederive_molecules": (set(), {"hardy._validate_block"}),
+    "_size_table": (set(), {"hardy._validate_block", "hardy.synthesize_molecules"}),
+    "ValidationReport": (set(), {"hardy._validate_block"}),
 }
 
 
@@ -88,6 +95,9 @@ def test_scanner_sees_calls():
     assert ("_cone_accumulate", "quadratic.lusin_tilde") in found
     assert ("tent_mask", "tentspace.tent") in found
     assert ("ball_matrices", "hardy.bmo_norm") in found
+    assert ("rederive_molecules", "hardy._validate_block") in found
+    assert ("_size_table", "hardy.synthesize_molecules") in found
+    assert ("ValidationReport", "hardy._validate_block") in found
 
 
 @pytest.mark.parametrize("callee", sorted(ALLOWED))

@@ -419,14 +419,12 @@ def test_cone_membership(cycle16):
         assert cycle16.dist[3, y] <= k
 
 
-@pytest.mark.parametrize("path", ["oracle", "series"])
+@pytest.mark.parametrize("path", ["oracle", "series"], indirect=True)
 @pytest.mark.parametrize("horizon", sorted(HORIZONS))
-def test_block_quad_norm_equals_columns(cone_graph, horizon, path, monkeypatch):
+def test_block_quad_norm_equals_columns(cone_graph, horizon, path):
     # an (n, k) block walks the power sequence once and gathers its k
     # columns from each tail table (or the masked sums); each column is
     # the vector call
-    if path == "series":
-        monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     g, _ = cone_graph
     l_max = HORIZONS[horizon](g.diameter)
     F = random_mean_zero(g, np.random.default_rng(6), size=4)
