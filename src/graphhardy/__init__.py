@@ -10,9 +10,7 @@ from .calculus import (
     QsKind,
     SpectralOracle,
     a_s,
-    exp_decay_bound,
     gaffney_fit,
-    reproducing_check,
     spectral,
 )
 from .graphs import (
@@ -22,7 +20,6 @@ from .graphs import (
     WeightedGraph,
     annuli,
     annulus,
-    annulus_cover,
     ball,
     build_graph,
     geometry_report,
@@ -37,7 +34,6 @@ from .hardy import (
     bmo_norm,
     duality_pairing,
     form_molecular_decompose,
-    make_form_molecule_from_tent_atom,
     make_molecule_from_tent_atom,
     m0_norm,
     molecular_decompose,

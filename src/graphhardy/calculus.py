@@ -16,8 +16,8 @@ Trefethen, ATAP Thm 8.2) applied with the three-term recurrence
 [I - (I + s Delta)^{-1}]^M have symbols analytic off z = 1 + 1/s, outside
 the spectrum's [-1, 1], so their interpolants converge on all of [-1, 1]
 at a rate of about 1 + sqrt(2/s) per term.  Delta^beta is a polynomial in
-P for an integer beta >= 0; otherwise its symbol is singular at z = 1, on
-the spectrum, so its column is the interpolant on [-r, r] with
+P for an integer beta >= 0; otherwise (1 - z)^beta is singular at z = 1,
+on the spectrum, so its column is the interpolant on [-r, r] with
 r = max(lambda_star, MIN_RADIUS) (it holds the spectrum on mean-zero
 functions), walked in (P - Pi)/r with the m-mean projection Pi applied
 after every product, and the column carries r as a third element.
@@ -34,9 +34,16 @@ applies an (n_eig, S) symbol table in one pass, and the series path
 applies an (N_max + 1, S) coefficient table, each column zero past its
 own truncation N_s, during one walk of T_k(P) up to N_max = max_s N_s.
 
-On a finite connected graph ker Delta is the constants, so the
-operators with a singularity at the spectral point 1 (negative powers of
-Delta, reproducing sums) act on the m-mean-zero subspace only.
+On a finite connected graph ker Delta is the constants, and both paths
+treat them by one rule: a symbol is finite on all of [-1, 1], and
+Delta^beta for beta < 0 sends the constants to 0, its symbol being 0 at
+lam = 1 as its deflated walk projects them out.  A negative power is
+defined on the m-mean-zero functions only, so `delta_power_apply` checks
+its input with `require_mean_zero`, the one place that raises
+KernelComponent, before a path is chosen.  The automatic-path applies
+run at fixed tolerances (1e-10 for Delta^beta, GAFFNEY_TOL for the bz2
+columns of `a_s`); a tolerance is chosen only on the certified series
+objects and on `resolvent_apply`.
 """
 
 from __future__ import annotations
@@ -51,9 +58,9 @@ import scipy.linalg
 
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk)
-from .graphs import WeightedGraph, set_distance
-from .operators import (apply_P, chebyshev, gradient, heat_sweep, lp_norm, mean_project,
-                        powers)
+from .graphs import ROW_BLOCK_ENTRIES, WeightedGraph, set_distance
+from .operators import (LEVEL_CHUNK, apply_P, chebyshev, gradient, heat_sweep, lp_norm,
+                        mean_project, powers)
 
 ORACLE_MAX_N = 2048
 KERNEL_REL_TOL = 1e-8
@@ -69,7 +76,9 @@ class SpectralOracle:
     """Dense eigendecomposition of P on L^2(Gamma, m).
 
     P is conjugate to the symmetric matrix S = D^{-1/2} A D^{-1/2}
-    (D = diag m), so phi(P) f = D^{-1/2} U phi(L) U^T D^{1/2} f.
+    (D = diag m), so phi(P) f = D^{-1/2} U phi(L) U^T D^{1/2} f, a plain
+    spectral product: phi must be finite on the spectrum, and it decides
+    alone what happens on each eigenspace, the constants included.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -94,31 +103,13 @@ class SpectralOracle:
 
     def apply(self, phi, f):
         """phi(P) f for a scalar function phi on the spectrum; a phi that
-        returns an (n_eig, S) table gives an (n, S) block for a vector f.
-
-        Raises KernelComponent when phi is singular at an eigenvalue on
-        which f (any column of a block) has a non-negligible component.
-        """
+        returns an (n_eig, S) table gives an (n, S) block for a vector f."""
         f = np.asarray(f, dtype=float)
         coeff = self.basis.T @ ((f.T * self.sqrt_m).T)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.asarray(phi(self.eigenvalues), dtype=float)
+        vals = np.asarray(phi(self.eigenvalues), dtype=float)
         table = vals.ndim == 2
         if table and f.ndim != 1:
             raise ValueError("a symbol table applies to a single vector")
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            rows = bad.any(axis=1) if table else bad
-            comp = np.abs(coeff[rows]).max(axis=0, initial=0.0)
-            scale = np.maximum(np.abs(coeff).max(axis=0, initial=0.0), 1e-300)
-            if np.any(comp > KERNEL_REL_TOL * scale):
-                raise KernelComponent(
-                    "input has a component where the symbol is singular"
-                )
-            coeff = coeff.copy()
-            coeff[rows] = 0.0
-            vals = vals.copy()
-            vals[bad] = 0.0
         out = self.basis @ (coeff[:, None] * vals if table else (coeff.T * vals).T)
         return (out.T / self.sqrt_m).T
 
@@ -146,9 +137,6 @@ def require_mean_zero(g: WeightedGraph, f):
 
 
 # -- truncated series ------------------------------------------------------
-
-# Terms T_k f stacked per GEMM when a series is applied to a vector.
-TABLE_CHUNK = 64
 
 # Least radius of a deflated walk: a smaller lambda_star would divide the
 # rounding of every product by it, and [-1/2, 1/2] costs few terms.
@@ -187,17 +175,17 @@ class SeriesOperator:
 
     def apply(self, f):
         """Evaluate on a vector or a stacked batch (n, k); a table takes
-        a vector and returns an (n, S) block.  The terms of a vector are
-        summed TABLE_CHUNK at a time by GEMM, a single column standing in
-        as a one-column table; those of a batch one at a time, so memory
-        stays at two batches and each column is summed in the same order
-        whatever k."""
+        a vector and returns an (n, S) block.  The terms are summed by
+        GEMM, a chunk of them at a time on the level walk's memory rule
+        (at most LEVEL_CHUNK terms and ROW_BLOCK_ENTRIES numbers), a
+        single column standing in as a one-column table, so a one-column
+        batch is summed as its vector."""
         f = np.asarray(f, dtype=float)
         table = self.coeffs.ndim == 2
         if table and f.ndim != 1:
             raise ValueError("a coefficient table applies to a single vector")
         C = self.coeffs.reshape(len(self.coeffs), -1)
-        chunk = TABLE_CHUNK if f.ndim == 1 else 1
+        chunk = max(1, min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES // max(f.size, 1)))
         terms = chebyshev(self.graph, f, self.truncation, self.radius)
         acc = 0.0
         for start in range(0, len(C), chunk):
@@ -275,9 +263,10 @@ def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
 # -- one description per operator: oracle symbol and series column ----------
 
 def _delta_power_symbol(lam, beta: float):
-    """Delta^beta on the spectrum: max(1 - lam, 0)^beta, infinite at the
-    constants (lam = 1) when beta < 0."""
-    return np.maximum(1.0 - lam, 0.0) ** beta
+    """Delta^beta on the spectrum: max(1 - lam, 0)^beta, and 0 at the
+    constants (lam = 1) when beta < 0, as the deflated walk has it."""
+    d = np.maximum(1.0 - lam, 0.0)
+    return (d if beta >= 0 else np.where(d > 0.0, d, np.inf)) ** beta
 
 
 def _delta_power_column(g: WeightedGraph, beta: float, tol: float, lambda_star=None):
@@ -358,14 +347,15 @@ def phi_apply(g: WeightedGraph, f, s, symbol, column):
     return spectral(g).apply(lambda lam: symbol(lam, s), f)
 
 
-def delta_power_apply(g: WeightedGraph, f, beta: float, tol=1e-10):
-    """Delta^beta f for any real beta, with automatic path choice.  A
-    negative beta is singular at the constants, so f must have m-mean
-    zero (KernelComponent otherwise)."""
+def delta_power_apply(g: WeightedGraph, f, beta: float):
+    """Delta^beta f for any real beta, with automatic path choice, the
+    series at tol 1e-10.  A negative beta is defined on mean-zero
+    functions only, so f must have m-mean zero (KernelComponent
+    otherwise)."""
     if beta < 0:
         require_mean_zero(g, f)
     return phi_apply(g, f, None, lambda lam, _: _delta_power_symbol(lam, beta),
-                     lambda _: _delta_power_column(g, beta, tol))
+                     lambda _: _delta_power_column(g, beta, 1e-10))
 
 
 def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
@@ -389,17 +379,6 @@ def resolvent_frac_series(g: WeightedGraph, s, power: float,
                           tol: float) -> SeriesOperator:
     """(I + s Delta)^{-power}, any real power, on the series path."""
     return SeriesOperator(g, *_resolvent_column(s, power, tol))
-
-
-def reproducing_check(g: WeightedGraph, f, beta: float, N: int,
-                      tol=1e-10) -> float:
-    """L^2 error of the truncated reproducing sum
-    sum_{k<=N} a_k Delta^beta P^k f against f (mean-zero input), a_k the
-    coefficients of (1-z)^{-beta}: the same polynomial in T_k(P)."""
-    ft = require_mean_zero(g, f)
-    coeffs = np.polynomial.chebyshev.poly2cheb(binomial_coefficients(-beta, N + 1))
-    acc = SeriesOperator(g, coeffs, math.inf).apply(ft)
-    return lp_norm(g, delta_power_apply(g, acc, beta, tol) - ft, 2)
 
 
 # -- molecule generators A_s ------------------------------------------------
@@ -430,12 +409,19 @@ class QsKind:
     s: int
 
 
-def a_s(g: WeightedGraph, f, kind, tol=1e-12):
+# Tolerance of the bz2 columns of `a_s` and of the resolvent families'
+# evaluations, hence the absolute accuracy of their ratios (f has unit
+# norm).
+GAFFNEY_TOL = 1e-12
+
+
+def a_s(g: WeightedGraph, f, kind):
     """Apply a molecule-generating operator.
 
-    BZ1: (I - P^{s_1}) ... (I - P^{s_M});  BZ2: [I - (I+s Delta)^{-1}]^M;
-    Qs: the Cesaro average (1/s) sum_{k<s} P^k.  A BZ2 kind whose s is a
-    sequence gives an (n, S) block, one column per scale.
+    BZ1: (I - P^{s_1}) ... (I - P^{s_M});  BZ2: [I - (I+s Delta)^{-1}]^M,
+    its series at tol GAFFNEY_TOL;  Qs: the Cesaro average
+    (1/s) sum_{k<s} P^k.  A BZ2 kind whose s is a sequence gives an
+    (n, S) block, one column per scale.
     """
     out = np.asarray(f, dtype=float)
     if isinstance(kind, BZ1Kind):
@@ -447,7 +433,7 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
         # result is as accurate as R f
         return (out[:, None] if np.ndim(kind.s) else out) + phi_apply(
             g, out, kind.s, lambda lam, t: _bz2_symbol(lam, t, kind.M),
-            lambda t: _bz2_column(t, kind.M, tol))
+            lambda t: _bz2_column(t, kind.M, GAFFNEY_TOL))
     if isinstance(kind, QsKind):
         acc = np.zeros_like(out)
         for vec in powers(g, out, kind.s - 1):
@@ -457,11 +443,6 @@ def a_s(g: WeightedGraph, f, kind, tol=1e-12):
 
 
 # -- Davies-Gaffney decay fits ----------------------------------------------
-
-# Tolerance of the resolvent families' evaluations, hence the absolute
-# accuracy of their ratios (f has unit norm).
-GAFFNEY_TOL = 1e-12
-
 
 def _family_heat(g, f, s, M):
     return heat_sweep(g, f, s)
@@ -479,7 +460,7 @@ def _family_resolvent(g, f, s, M):
 
 
 def _family_resolvent_diff(g, f, s, M):
-    return a_s(g, f, BZ2Kind(tuple(s), M), GAFFNEY_TOL)
+    return a_s(g, f, BZ2Kind(tuple(s), M))
 
 
 def _family_grad_heat(g, f, s, M):
@@ -578,16 +559,3 @@ def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit
     return GaffneyFit(family, eta, C, c, rms, int(pos.sum()), d_EF,
                       list(s_arr), list(ratios))
 
-
-# -- scalar tail bound -------------------------------------------------------
-
-def exp_decay_bound(m: float, t: float, k: int) -> float:
-    """((1+k)/(1+t))^m (t/(1+t))^k, the quantity dominated by
-    C_m exp(-c k/(1+t))."""
-    if m < 0 or t < 0 or k < 0:
-        raise ValueError("m, t, k must be nonnegative")
-    if k == 0:
-        return (1.0 / (1.0 + t)) ** m
-    if t == 0.0:
-        return 0.0
-    return ((1.0 + k) / (1.0 + t)) ** m * (t / (1.0 + t)) ** k

@@ -414,31 +414,6 @@ def vitali_cover(g: WeightedGraph, b: Ball, alpha) -> list:
     return out
 
 
-def annulus_cover(g: WeightedGraph, b: Ball, j: int) -> list:
-    """Bounded-overlap covering of C_j(B) by balls of radius r.
-
-    For r in {1, 2} the balls centered on C_j(B) already work; for
-    larger r the centers come from a Vitali family at scale ~ r/3.
-    """
-    if j < 1:
-        raise ValueError("annulus index must be >= 1")
-    r = int(b.radius)
-    ring = annulus(b, j)
-    if not ring.mask.any():
-        return []
-    if r <= 2:
-        return [ball(g, int(x), r) for x in ring.members]
-    s = r // 3
-    seed = ball(g, b.center, s)
-    family = vitali_cover(g, seed, (2 ** (j + 1) * r) / s)
-    out = []
-    for small in family:
-        tripled = g.dist[small.center] < 3 * s
-        if np.any(tripled & ring.mask):
-            out.append(ball(g, small.center, r))
-    return out
-
-
 # -- geometry diagnostics ----------------------------------------------
 
 @dataclass

@@ -362,23 +362,11 @@ def make_molecule_from_tent_atom(A: TentAtom, M: int, beta: float, eps: float,
                                  d0=None) -> Molecule:
     """The bz2 molecule carried by one tent atom: a one-atom
     `synthesize_molecules` stage."""
-    return _one_molecule(A, "bz2", M, beta, eps, d0)
-
-
-def make_form_molecule_from_tent_atom(A: TentAtom, M: int, eps: float,
-                                      d0=None) -> Molecule:
-    """Form analogue with beta = 1/2 and a trailing d Delta^{-1/2},
-    i.e. a = s^{M+1/2} d Delta^M (I + s Delta)^{-M-1/2} b: a one-atom
-    `synthesize_molecules` stage."""
-    return _one_molecule(A, "form", M, 0.5, eps, d0)
-
-
-def _one_molecule(A, kind, M, beta, eps, d0):
     g = A.ball.graph
     if d0 is None:
         d0 = cached_geometry(g).d0_estimate
     tdec = TentDecomposition([(1.0, A)], 0.0, 1.0)
-    [(_, mol)], _ = synthesize_molecules(g, tdec, kind, M, beta, eps, d0)
+    [(_, mol)], _ = synthesize_molecules(g, tdec, "bz2", M, beta, eps, d0)
     return mol
 
 

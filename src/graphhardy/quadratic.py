@@ -258,15 +258,14 @@ def t1_norm(g: WeightedGraph, F: SpaceTimeFunction) -> float:
     return lp_norm(g, tent_functional(g, F), 1)
 
 
-def form_potential(g: WeightedGraph, F: EdgeFunction, tol=1e-10):
+def form_potential(g: WeightedGraph, F: EdgeFunction):
     """Delta^{-1/2} d* F, whose quadratic norm is that of the exact 1-form F;
     k forms give an (n, k) block.  d* F has zero mean by antisymmetry, so
     a nonzero mean raises KernelComponent."""
-    return delta_power_apply(g, require_mean_zero(g, divergence(g, F)), -0.5, tol)
+    return delta_power_apply(g, require_mean_zero(g, divergence(g, F)), -0.5)
 
 
-def quad_norm_forms(g: WeightedGraph, F: EdgeFunction, beta: float,
-                    l_max=None, tol=1e-10):
+def quad_norm_forms(g: WeightedGraph, F: EdgeFunction, beta: float, l_max=None):
     """H^1 quadratic norm of an exact 1-form,
     ||L_beta [Delta^{-1/2} d* F]||_1."""
-    return quad_norm(g, form_potential(g, F, tol), beta, l_max)
+    return quad_norm(g, form_potential(g, F), beta, l_max)

@@ -29,7 +29,6 @@ from .operators import (
     gradient,
     lp_norm,
     lp_norm_forms,
-    mean_project,
     tx_norms,
 )
 from .quadratic import form_potential, quad_norm, quad_norm_forms
@@ -44,14 +43,8 @@ RIESZ_TABLE_ENTRIES = 1 << 22
 
 
 def thread_cap(default=4) -> int:
-    """GRAPH_HARDY_THREADS, or the core count up to `default`.  The package
-    runs no pool; the value is kept for benchmark run metadata only."""
-    env = os.environ.get("GRAPH_HARDY_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """The core count up to `default`.  The package runs no pool; the
+    value is kept for benchmark run metadata only."""
     return max(1, min(default, os.cpu_count() or 1))
 
 
@@ -88,9 +81,7 @@ def riesz(g: WeightedGraph, f, l_max=None) -> RieszResult:
 
 def h2_project(g: WeightedGraph, F: EdgeFunction) -> EdgeFunction:
     """d Delta^{-1} d* F: the orthogonal projector onto exact forms."""
-    w = divergence(g, F)
-    w = mean_project(g, w)  # zero mean by antisymmetry; drop rounding dust
-    u = delta_power_apply(g, w, -1.0)
+    u = delta_power_apply(g, divergence(g, F), -1.0)
     return differential(g, u)
 
 

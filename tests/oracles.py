@@ -17,10 +17,12 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from graphhardy.calculus import (BZ2Kind, a_s, binomial_coefficients, resolvent_apply,
+from graphhardy.calculus import (BZ2Kind, SeriesOperator, a_s, binomial_coefficients,
+                                 delta_power_apply, require_mean_zero, resolvent_apply,
                                  spectral)
 from graphhardy.errors import NonConvergent
-from graphhardy.graphs import ball
+from graphhardy.graphs import annulus, ball, cached_geometry, vitali_cover
+from graphhardy.hardy import synthesize_molecules
 from graphhardy.operators import EdgeFunction, apply_P, gradient, lp_norm, powers
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
@@ -28,8 +30,13 @@ from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
 
 
 def delta_power_exact(g, f, beta):
-    """Delta^beta f by the spectral oracle, whatever ORACLE_MAX_N."""
-    return spectral(g).apply(lambda lam: np.maximum(1.0 - lam, 0.0) ** beta, f)
+    """Delta^beta f by the spectral oracle, whatever ORACLE_MAX_N: the
+    symbol (1 - lam)^beta, and 0 on the constants (lam = 1) for beta < 0,
+    where Delta^beta is defined on mean-zero functions only."""
+    def symbol(lam):
+        d = np.maximum(1.0 - lam, 0.0)
+        return np.power(d, beta, out=np.zeros_like(d), where=(d > 0.0) | (beta >= 0))
+    return spectral(g).apply(symbol, f)
 
 
 def resolvent_exact(g, f, s, power=1.0):
@@ -458,9 +465,58 @@ def geometry_report_masks(g):
     return doubling, d0
 
 
-# Helpers only the tests call: the constants of two closed-form bounds, the
-# zero form, the L^2(T) inner product of forms, the CSV writers and the
-# Riesz isometry defect.
+# Helpers only the tests call: the reproducing-sum check, the bounded-
+# overlap annulus cover, the exponential tail bound and the constants of
+# two closed-form bounds, the zero form, the L^2(T) inner product of
+# forms, the CSV writers, the Riesz isometry defect and the one-atom form
+# molecule.
+
+
+def reproducing_check(g, f, beta, N):
+    """L^2 error of the truncated reproducing sum
+    sum_{k<=N} a_k Delta^beta P^k f against f (mean-zero input), a_k the
+    coefficients of (1-z)^{-beta}: the same polynomial in T_k(P)."""
+    ft = require_mean_zero(g, f)
+    coeffs = np.polynomial.chebyshev.poly2cheb(binomial_coefficients(-beta, N + 1))
+    acc = SeriesOperator(g, coeffs, math.inf).apply(ft)
+    return lp_norm(g, delta_power_apply(g, acc, beta) - ft, 2)
+
+
+def annulus_cover(g, b, j):
+    """Bounded-overlap covering of C_j(B) by balls of radius r.
+
+    For r in {1, 2} the balls centered on C_j(B) already work; for
+    larger r the centers come from a Vitali family at scale ~ r/3.
+    """
+    if j < 1:
+        raise ValueError("annulus index must be >= 1")
+    r = int(b.radius)
+    ring = annulus(b, j)
+    if not ring.mask.any():
+        return []
+    if r <= 2:
+        return [ball(g, int(x), r) for x in ring.members]
+    s = r // 3
+    seed = ball(g, b.center, s)
+    family = vitali_cover(g, seed, (2 ** (j + 1) * r) / s)
+    out = []
+    for small in family:
+        tripled = g.dist[small.center] < 3 * s
+        if np.any(tripled & ring.mask):
+            out.append(ball(g, small.center, r))
+    return out
+
+
+def exp_decay_bound(m: float, t: float, k: int) -> float:
+    """((1+k)/(1+t))^m (t/(1+t))^k, the quantity dominated by
+    C_m exp(-c k/(1+t))."""
+    if m < 0 or t < 0 or k < 0:
+        raise ValueError("m, t, k must be nonnegative")
+    if k == 0:
+        return (1.0 / (1.0 + t)) ** m
+    if t == 0.0:
+        return 0.0
+    return ((1.0 + k) / (1.0 + t)) ** m * (t / (1.0 + t)) ** k
 
 
 def exp_decay_constants(m: float):
@@ -516,3 +572,16 @@ def isometry_defect(g, f) -> float:
     """| ||d Delta^{-1/2} f||_{L^2(T)} - ||f||_2 | for mean-zero f."""
     res = riesz(g, f)
     return abs(res.norm_l2_output - res.norm_l2_input)
+
+
+def make_form_molecule_from_tent_atom(A, M, eps, d0=None):
+    """Form analogue of `hardy.make_molecule_from_tent_atom` with
+    beta = 1/2 and a trailing d Delta^{-1/2}, i.e.
+    a = s^{M+1/2} d Delta^M (I + s Delta)^{-M-1/2} b: a one-atom
+    `synthesize_molecules` stage."""
+    g = A.ball.graph
+    if d0 is None:
+        d0 = cached_geometry(g).d0_estimate
+    tdec = TentDecomposition([(1.0, A)], 0.0, 1.0)
+    [(_, mol)], _ = synthesize_molecules(g, tdec, "form", M, 0.5, eps, d0)
+    return mol

@@ -8,27 +8,27 @@ import numpy as np
 import pytest
 
 from oracles import (
+    annulus_cover,
     cover_overlap_bound,
     delta_power_exact,
+    exp_decay_bound,
     exp_decay_constants,
     naive_g_littlewood,
     naive_lusin,
     naive_lusin_tilde,
     naive_tent_functional,
+    reproducing_check,
     resolvent_exact,
 )
 
 from graphhardy.calculus import (
     delta_power_series,
-    exp_decay_bound,
     gaffney_fit,
-    reproducing_check,
     resolvent_frac_series,
     spectral,
 )
 from graphhardy.graphs import (
     annulus,
-    annulus_cover,
     ball,
     geometry_report,
     vitali_cover,

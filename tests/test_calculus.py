@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import (binomial_series, delta_power_exact, exp_decay_constants, family_per_s,
-                     gradient_gaffney_constant, resolvent_exact,
-                     resolvent_frac_coefficients, taylor_delta_power)
+from oracles import (binomial_series, delta_power_exact, exp_decay_bound, exp_decay_constants,
+                     family_per_s, gradient_gaffney_constant, reproducing_check,
+                     resolvent_exact, resolvent_frac_coefficients, taylor_delta_power)
 
-from graphhardy import calculus
+from graphhardy import calculus, zoo
 from graphhardy.calculus import (
     FAMILIES,
     BZ1Kind,
@@ -16,9 +16,7 @@ from graphhardy.calculus import (
     binomial_coefficients,
     delta_power_apply,
     delta_power_series,
-    exp_decay_bound,
     gaffney_fit,
-    reproducing_check,
     require_mean_zero,
     resolvent_apply,
     resolvent_frac_series,
@@ -72,17 +70,46 @@ def test_spectral_apply_k2l(k2l, f0):
 
 
 def test_spectral_singular_needs_mean_zero(k2l, cycle16):
-    o = spectral(k2l)
     with pytest.raises(KernelComponent):
-        o.apply(lambda lam: (1 - lam) ** -0.5, np.array([1.0, 1.0]))
+        delta_power_apply(k2l, np.array([1.0, 1.0]), -0.5)
     # each column of a block is judged against its own size: a small
     # constant column beside a large mean-zero one still raises
     F = np.column_stack((random_mean_zero(cycle16, np.random.default_rng(0)),
                          np.full(cycle16.n, 1e-9)))
     with pytest.raises(KernelComponent):
-        delta_power_exact(cycle16, F, -0.5)
+        delta_power_apply(cycle16, F, -0.5)
     np.testing.assert_allclose(delta_power_exact(cycle16, F[:, :1], -0.5)[:, 0],
                                delta_power_exact(cycle16, F[:, 0], -0.5), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["lazy_torus_32", "lazy_cycle_64", "lazy_torus_16"])
+def test_negative_power_applies_what_require_mean_zero_passes(name):
+    # a constant part at half require_mean_zero's threshold passes the
+    # check; the oracle sends it to 0 as the deflated series does, so
+    # the two agree within the series' tail bound
+    g = zoo.by_name(name)
+    f = random_mean_zero(g, np.random.default_rng(0))
+    f += 0.5 * calculus.KERNEL_REL_TOL * lp_norm(g, f, 2) / math.sqrt(g.total_volume())
+    require_mean_zero(g, f)
+    got = delta_power_apply(g, f, -0.5)
+    op = delta_power_series(g, -0.5, 1e-10, spectral(g).lambda_star)
+    assert lp_norm(g, got - op.apply(f), 2) <= op.tail_bound * lp_norm(g, f, 2)
+
+
+def test_every_symbol_is_finite_on_the_interval():
+    # the symbols phi_apply hands the oracle are finite on all of [-1, 1],
+    # lam = 1 included: Delta^beta, beta < 0, is 0 on the constants
+    lam = np.linspace(-1.0, 1.0, 2001)
+    with np.errstate(all="raise"):
+        for beta in (-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+            vals = calculus._delta_power_symbol(lam, beta)
+            assert np.isfinite(vals).all(), beta
+            assert vals[-1] == (1.0 if beta == 0 else 0.0), beta
+        for s in (1, 7.5, 512):
+            for power in (-1.5, -0.5, 0.5, 1.5):
+                assert np.isfinite(calculus._resolvent_symbol(lam, s, power)).all(), (s, power)
+            for M in (1, 2, 3):
+                assert np.isfinite(calculus._bz2_symbol(lam, s, M)).all(), (s, M)
 
 
 def test_binomial_coefficients_sqrt():

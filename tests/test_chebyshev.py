@@ -12,6 +12,7 @@ from oracles import counting_markov, delta_power_exact, resolvent_exact, taylor_
 from graphhardy import calculus
 from graphhardy.calculus import (
     BZ2Kind,
+    SeriesOperator,
     a_s,
     chebyshev_series,
     delta_power_series,
@@ -57,12 +58,21 @@ def test_bz2_columns_within_their_tail(graph, M, monkeypatch):
     f = _unit(g, 11)
     want = a_s(g, f, BZ2Kind(SCALES, M))
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
-    got = a_s(g, f, BZ2Kind(SCALES, M), TOL)
+    got = a_s(g, f, BZ2Kind(SCALES, M))
     for j, s in enumerate(SCALES):
         _, tail = calculus._bz2_column(s, M, TOL)
         assert tail <= TOL
         err = lp_norm(g, got[:, j] - want[:, j], 2)
         assert err <= tail * lp_norm(g, f, 2) + 1e-12, s
+
+
+def test_one_column_block_is_its_vector(graph):
+    # a block's terms are stacked per GEMM by the same rule as a vector's,
+    # so on the undeflated walk a one-column block is its vector bit for bit
+    f = _unit(graph, 14)
+    for op in (resolvent_frac_series(graph, 40, 1.5, TOL),
+               SeriesOperator(graph, *calculus._bz2_column(40, 2, TOL))):
+        np.testing.assert_array_equal(op.apply(f[:, None])[:, 0], op.apply(f))
 
 
 @pytest.mark.parametrize("power", [0.5, 1.0, 2.5])
@@ -102,7 +112,7 @@ def test_column_length_cap(monkeypatch):
         resolvent_apply(g, f, [2, 40], 1.5, TOL)
     monkeypatch.setattr(calculus, "SERIES_MAX_N", bz2 - 1)
     with pytest.raises(NonConvergent):
-        a_s(g, f, BZ2Kind((2, 40), 2), TOL)
+        a_s(g, f, BZ2Kind((2, 40), 2))
     with pytest.raises(NonConvergent):
         chebyshev_series(np.exp, np.exp, 2.0, 0.0)
 

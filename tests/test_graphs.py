@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from oracles import ball_matrix_dense, cover_overlap_bound, geometry_report_masks
+from oracles import annulus_cover, ball_matrix_dense, cover_overlap_bound, geometry_report_masks
 
 from graphhardy import graphs, zoo
 from graphhardy.errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
@@ -12,7 +12,6 @@ from graphhardy.graphs import (
     WeightedGraph,
     annuli,
     annulus,
-    annulus_cover,
     ball,
     ball_matrices,
     build_graph,

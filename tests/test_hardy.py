@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import ball_matrix_dense, delta_power_exact, resolvent_exact, top_level
+from oracles import (ball_matrix_dense, delta_power_exact, make_form_molecule_from_tent_atom,
+                     resolvent_exact, top_level)
 
 from graphhardy import calculus, graphs, hardy
 from graphhardy.calculus import (
@@ -30,7 +31,6 @@ from graphhardy.hardy import (
     duality_pairing,
     form_molecular_decompose,
     m0_norm,
-    make_form_molecule_from_tent_atom,
     make_molecule_from_tent_atom,
     molecular_decompose,
     form_profile,

@@ -25,7 +25,6 @@ from graphhardy.riesz import (
     molecule_suite,
     riesz,
     riesz_h1_experiment,
-    thread_cap,
 )
 from graphhardy.zoo import lazy_cycle, random_weights
 
@@ -154,13 +153,6 @@ def test_riesz_experiment_chain_and_ratio(cycle32):
 def test_package_riesz_is_the_module():
     assert graphhardy.riesz is sys.modules["graphhardy.riesz"]
     assert graphhardy.riesz_transform is graphhardy.riesz.riesz
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("GRAPH_HARDY_THREADS", "2")
-    assert thread_cap() == 2
-    monkeypatch.setenv("GRAPH_HARDY_THREADS", "bogus")
-    assert thread_cap() >= 1
 
 
 def test_adjoint_isometry_on_exact_forms(cycle32, rng):
