@@ -192,15 +192,16 @@ def _size_table(g: WeightedGraph, eps: float, balls, b):
 
 
 def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
-                    balls, b, a) -> list:
+                    balls, b, a, sizes=None) -> list:
     """One ValidationReport per molecule of a block: k molecules of one
     kind, M and eps, with scales s, time tuples `times` (bz1, bz2_tuple)
     and balls, as the columns of their pre-images b (n, k) and molecules
     a ((n, k), or (nnz, k) edge data for forms).
 
     a is rederived once, by `rederive_molecules`, and the annulus masses
-    of b come from one bincount (`_size_table`).  Every failure raises a
-    ValidationFailed, on the first molecule in column order: a
+    of b come from one bincount (`_size_table`), unless the caller
+    passes that (measured, bounds) table of b as `sizes`.  Every failure
+    raises a ValidationFailed, on the first molecule in column order: a
     factorization error above FACT_TOL, NaN included
     (FactorizationMismatch), then a tuple entry out of range, then the
     first (molecule, annulus) entry above its size bound
@@ -228,7 +229,7 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
                         f"{kind} tuple entry {t} outside [[{lo}, {2 * si}]]")
                 warnings[i] |= t < si
 
-    measured, bounds = _size_table(g, eps, balls, b)
+    measured, bounds = _size_table(g, eps, balls, b) if sizes is None else sizes
     over = np.argwhere(measured > bounds * (1.0 + SIZE_TOL))
     if len(over):
         i, c = over[0]
@@ -312,9 +313,10 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     module docstring.
 
     b and a are divided by the measured annulus excess of b (kept in
-    norm_constant), and the block is validated: a is rederived from b
-    once and compared with the a of the scan; the first molecule that
-    fails raises the validator's own ValidationFailed.
+    norm_constant), and the block is validated against the same annulus
+    table divided by the excess: a is rederived from b once and compared
+    with the a of the scan; the first molecule that fails raises the
+    validator's own ValidationFailed.
     """
     if math.isinf(eps):
         raise ValueError("synthesized molecules need a finite eps")
@@ -348,7 +350,8 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     excess = (ratio * (1.0 + 1e-12)).max(axis=1, initial=1.0)
     b /= excess
     a /= excess
-    _validate_block(g, kind, M, eps, s, times, balls, b, a)
+    _validate_block(g, kind, M, eps, s, times, balls, b, a,
+                    (measured / excess[:, None], bounds))
     rows_b, rows_a = np.ascontiguousarray(b.T), np.ascontiguousarray(a.T)
     coefficients = []
     for i, (lam, c) in enumerate(zip(lams, excess)):

@@ -14,6 +14,7 @@ and every L^p norm carries the vertex measure m.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +109,7 @@ def _operand(g: WeightedGraph, x):
 def _kernel_step(g: WeightedGraph, W, x, out):
     """`markov_step` added into out, a zero-filled C-contiguous float
     array of x's shape that must not share memory with x (the kernel
-    adds into it).  The walks below call it with W = markov_matrix(g)
-    read once and buffers they own."""
+    adds into it), with W = markov_matrix(g)."""
     n = g.n
     csr = W.indptr, W.indices, W.data
     if x.ndim == 1:
@@ -124,6 +124,17 @@ def _kernel_step(g: WeightedGraph, W, x, out):
     g.matvec_calls += 1
     g.matvec_cols += cols
     return out
+
+
+def _kernel(W, cols: int):
+    """`_kernel_step`'s kernel for operands of `cols` columns, bound to W
+    once for a walk: a function (x, out) of flat C-contiguous float
+    buffers that adds W x into out.  It counts nothing; the walks add
+    their products to the graph's counts once per pass."""
+    csr = W.indptr, W.indices, W.data
+    if cols == 1:
+        return functools.partial(_sparsetools.csr_matvec, *W.shape, *csr)
+    return functools.partial(_sparsetools.csr_matvecs, *W.shape, cols, *csr)
 
 
 def cone_gather(table, index, ones, out):
@@ -168,27 +179,32 @@ def level_blocks(g: WeightedGraph, f, L: int):
 
     The chunk is zero-filled once per pass and the kernel adds each level
     into its row, so every level is bit-identical to repeated
-    `markov_step`.  block is overwritten by the next pass: the consumer
-    uses it (it may overwrite it, the walk resumes from its own copy of
-    the last level) before asking for the next."""
+    `markov_step`; the CSR arrays are bound once per walk and the
+    products are counted once per pass.  block is overwritten by the
+    next pass: the consumer uses it (it may overwrite it, the walk
+    resumes from its own copy of the last level) before asking for the
+    next."""
     if L < 0:
         return
     u = _operand(g, f)
     size = max(1, min(LEVEL_CHUNK, L + 1, ROW_BLOCK_ENTRIES // max(u.size, 1)))
     chunk = np.empty((size,) + u.shape)
-    rows = list(chunk)  # one view per row, made once for every pass
-    last = np.empty(u.shape)
-    W = markov_matrix(g)
+    rows = list(chunk.reshape(size, u.size))  # flat row views, made once
+    last = np.empty(u.size)
+    cols = u.shape[1] if u.ndim == 2 else 1
+    product = _kernel(markov_matrix(g), cols)
     for lo in range(0, L + 1, size):
         block = chunk[:min(size, L + 1 - lo)]
         block.fill(0.0)
-        prev = last
-        for i in range(len(block)):
-            if lo + i:
-                _kernel_step(g, W, prev, rows[i])
-            else:
-                rows[0][...] = u
-            prev = rows[i]
+        prev, first = last, 0
+        if not lo:
+            rows[0][...] = u.reshape(-1)
+            prev, first = rows[0], 1
+        for row in rows[first:len(block)]:
+            product(prev, row)
+            prev = row
+        g.matvec_calls += len(block) - first
+        g.matvec_cols += (len(block) - first) * cols
         last[...] = prev
         yield lo, block
 
@@ -220,34 +236,61 @@ def heat_sweep(g: WeightedGraph, f, s_values):
 def weighted_powers(g: WeightedGraph, f, weights) -> np.ndarray:
     """The (n, L + 1) array whose column l is weights[l] P^l f, L =
     len(weights) - 1, with exactly L sparse products; an (n, k) block f
-    gives an (n, L + 1, k) array.  Each chunk of the walk is written,
-    weighted, into its columns with one multiply."""
+    gives an (n, L + 1, k) array.  Each chunk of the walk is weighted in
+    place and written into its columns with one transposed copy."""
     weights = np.asarray(weights, dtype=float)
     f = np.asarray(f, dtype=float)
     out = np.empty((g.n, len(weights)) + f.shape[1:])
     for lo, rows in level_blocks(g, f, len(weights) - 1):
         hi = lo + len(rows)
-        np.multiply(np.moveaxis(rows, 0, 1), per_row(weights[lo:hi], f),
-                    out=out[:, lo:hi])
+        rows *= np.reshape(weights[lo:hi], (-1,) + (1,) * f.ndim)
+        out[:, lo:hi] = np.moveaxis(rows, 0, 1)
     return out
 
 
 def horner(g: WeightedGraph, U: np.ndarray) -> np.ndarray:
     """sum_{k < K} P^k U[:, k] for an (n, K) array U, by the Horner scan
     acc <- P acc + U[:, k] from k = K - 2 down to 0, starting from
-    acc = U[:, K - 1]: exactly max(K - 1, 0) sparse products between two
-    (n,) buffers (zero when K = 0)."""
-    K = U.shape[1]
+    acc = U[:, K - 1]: exactly max(K - 1, 0) sparse products (zero when
+    K = 0).
+
+    Each step is one kernel call with [W | I] (W = markov_matrix(g);
+    the (n, 2n) matrix is built once per graph) on the contiguous pair
+    [acc; U[:, k]]: the identity entry comes last in every row, so the
+    kernel adds U[:, k] after the product and the scan is bit-identical
+    to the two-buffer loop acc <- W acc + U[:, k].  One level-major
+    buffer holds the pairs: at most LEVEL_CHUNK columns are copied into
+    it per pass, in scan order, each after the row that receives the
+    product before it, and those rows are zero-filled once per pass."""
+    n, K = g.n, U.shape[1]
     if K == 0:
-        return np.zeros(g.n)
-    acc = np.array(U[:, K - 1], dtype=float)
-    spare = np.empty_like(acc)
-    W = markov_matrix(g)
-    for k in range(K - 2, -1, -1):
-        spare.fill(0.0)
-        acc, spare = _kernel_step(g, W, acc, spare), acc
-        acc += U[:, k]
-    return acc
+        return np.zeros(n)
+    if g._scan_matrix is None:
+        W = markov_matrix(g)
+        indptr = W.indptr + np.arange(n + 1, dtype=W.indptr.dtype)
+        indices = np.insert(W.indices, W.indptr[1:], np.arange(n, 2 * n))
+        data = np.insert(W.data, W.indptr[1:], 1.0)
+        g._scan_matrix = sp.csr_matrix((data, indices, indptr), shape=(n, 2 * n))
+    size = max(1, min(LEVEL_CHUNK, K - 1, ROW_BLOCK_ENTRIES // (2 * n)))
+    # rows: acc, U[:, k], W acc + U[:, k], U[:, k - 1], ... : step j
+    # reads rows 2j and 2j + 1 and writes row 2j + 2
+    buf = np.empty((2 * size + 1, n))
+    flat = buf.reshape(-1)
+    pairs = [flat[2 * j * n:(2 * j + 2) * n] for j in range(size)]
+    outs = list(buf[2::2])
+    product = _kernel(g._scan_matrix, 1)
+    buf[0] = U[:, K - 1]
+    for hi in range(K - 1, 0, -size):
+        lo = max(hi - size, 0)
+        steps = hi - lo
+        buf[1:2 * steps:2] = U[:, lo:hi][:, ::-1].T
+        buf[2:2 * steps + 1:2] = 0.0
+        for j in range(steps):
+            product(pairs[j], outs[j])
+        g.matvec_calls += steps
+        g.matvec_cols += steps
+        buf[0] = buf[2 * steps]
+    return buf[0].copy()
 
 
 def chebyshev(g: WeightedGraph, f, N: int, radius=None):

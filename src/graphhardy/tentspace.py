@@ -18,6 +18,12 @@ entries (`SpaceTimeEntries`): no (n, l_max + 1) array is formed per
 level or per atom, and synthesis scatters each atom only into its own
 (n, top) column range, below its last level, of one block shared by
 all atoms it synthesizes.
+
+Synthesis splits the heat prefix Delta^exp (I + P)^eta of the paper's
+pi_{eta, beta}: Delta^exp runs on that block of levels, because the raw
+sum over the levels cancels and the cancellative factor must come
+before it, and (I + P)^eta, whose spectrum lies in [0, 2^eta], runs on
+the (n, atoms) output of the scans.
 """
 
 from __future__ import annotations
@@ -181,17 +187,43 @@ def _runs(verts: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     return ys, ls
 
 
+def _entry_chunks(ys, ls, width: int, offset: int = 0):
+    """(slice, flat index) for each ENTRY_CHUNK of the entries (ys, ls):
+    ys * width + offset + ls, their positions in the flat view of a
+    C-ordered (n, width) array, so one intp index chunk is held at a
+    time."""
+    for lo in range(0, len(ys), ENTRY_CHUNK):
+        sl = slice(lo, lo + ENTRY_CHUNK)
+        idx = ys[sl].astype(np.intp)
+        idx *= width
+        idx += ls[sl]
+        idx += offset
+        yield sl, idx
+
+
+def _gather(flat, width: int, ys, ls) -> np.ndarray:
+    """The entries (ys, ls) of a C-ordered (n, width) array, read from its
+    flat view `flat` a chunk at a time."""
+    out = np.empty(len(ys))
+    for sl, idx in _entry_chunks(ys, ls, width):
+        np.take(flat, idx, out=out[sl])
+    return out
+
+
 def _piece_norm(g: WeightedGraph, terms: np.ndarray, ys, ls, center: int):
     """(T^2_2 norm, max of d(center, y) + floor(sqrt(l)) + 1) of the
-    entries held in `terms` at (ys, ls).  `terms` is overwritten with
-    m(y) F(y, l)^2 / (l + 1) a chunk at a time and summed in entry
-    order."""
-    reach = 0.0
+    nonempty entries held in `terms` at (ys, ls), in row-major order.
+    `terms` is overwritten with m(y) F(y, l)^2 / (l + 1) a chunk at a
+    time and summed in entry order; the reach of a vertex is that of its
+    last, highest entry."""
     for lo in range(0, len(terms), ENTRY_CHUNK):
         sl = slice(lo, lo + ENTRY_CHUNK)
-        y, l = ys[sl], ls[sl]
-        terms[sl] = terms[sl] ** 2 / (l + 1.0) * g.m[y]
-        reach = max(reach, float((g.dist[center, y] + np.floor(np.sqrt(l)) + 1.0).max()))
+        t = terms[sl]
+        np.square(t, out=t)
+        t /= ls[sl] + 1.0
+        t *= g.m[ys[sl]]
+    ends = np.append(np.flatnonzero(ys[1:] != ys[:-1]), len(ys) - 1)
+    reach = float((g.dist[center, ys[ends]] + np.floor(np.sqrt(ls[ends])) + 1.0).max())
     return math.sqrt(float(np.sum(terms))), reach
 
 
@@ -203,7 +235,8 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
     differences; each slab is split along a Whitney cover of O_k and
     each piece is normalized into a T^1_2 atom.
     """
-    vals = F.values
+    vals = np.ascontiguousarray(F.values)
+    flat, width = vals.reshape(-1), vals.shape[1]
     l_max = F.l_max
     AF = tent_functional(g, F)
     t1 = lp_norm(g, AF, 1)
@@ -242,10 +275,12 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
             if not vs.size:
                 continue
             ys, ls = _runs(vs, lo[vs], counts[vs])
-            v = vals[ys, ls]
+            v = _gather(flat, width, ys, ls)
             keep = v != 0.0
             if not keep.all():
                 ys, ls, v = ys[keep], ls[keep], v[keep]
+            if not v.size:
+                continue
             t22, reach = _piece_norm(g, v, ys, ls, centers[i])
             del v, keep  # the terms go before the piece is gathered
             if t22 == 0.0:
@@ -253,7 +288,7 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
             # radius large enough that every entry sits in the tent
             atom_ball = ball(g, centers[i], max(radii[i], reach))
             lam = t22 * math.sqrt(atom_ball.volume)
-            piece = vals[ys, ls]
+            piece = _gather(flat, width, ys, ls)
             piece /= lam
             atom = TentAtom(atom_ball, SpaceTimeEntries(g, ys, ls, piece, l_max),
                             1.0 / math.sqrt(atom_ball.volume))
@@ -278,11 +313,16 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
 # -- synthesis ----------------------------------------------------------------
 
 def eta_coefficients(eta: int, count: int) -> np.ndarray:
-    """c_l for l = 1..count with sum_l c_l z^{l-1} = (1-z)^{-eta}."""
-    out = np.empty(count)
-    out[:1] = 1.0
-    for l in range(1, count):
-        out[l] = out[l - 1] * (l + eta - 1) / l
+    """c_l for l = 1..count with sum_l c_l z^{l-1} = (1-z)^{-eta}, eta >= 1:
+    the binomial coefficient prod_{j=1}^{eta-1} (l - 1 + j) / (eta - 1)!,
+    exact while the product stays below 2^53."""
+    if eta < 1:
+        raise ValueError("eta must be >= 1")
+    out = np.ones(count)
+    base = np.arange(count, dtype=float)
+    for j in range(1, eta):
+        out *= base + j
+    out /= math.factorial(eta - 1)
     return out
 
 
@@ -294,33 +334,36 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
 
     Only the levels l - 1 < top_i = `atoms[i].top` are visited: every F_i
     is scattered into its own column range of one (n, sum_i top_i)
-    block, the heat prefix Delta^exp (I + P)^eta is applied to that
-    whole block in place (one block product per factor, whatever k, so
-    the walk holds the block and one product), each column is scaled by
-    its level's entry of one coefficient table up to max_i top_i, and
-    each function's columns are scanned by `operators.horner` (top_i - 1
-    products).  This is exact, not an approximation: the prefix is
-    linear and column-wise, so a zero level contributes a zero column,
-    and the scan over the levels above top_i only ever carries the zero
-    vector.  A tent atom over B(x, R) lives at levels k < R^2, so top_i
-    is usually far below the horizon.
+    block, Delta^exp is applied to that whole block in place (one block
+    product per factor, whatever k), each column is scaled by its
+    level's entry of one coefficient table up to max_i top_i, in one
+    multiply, each function's columns are scanned by `operators.horner`
+    (top_i - 1 products), and (I + P)^eta is applied to the (n, k)
+    output.  This is exact, not an approximation: the factors are linear
+    and column-wise, so a zero level contributes a zero column, and the
+    scan over the levels above top_i only ever carries the zero vector.
+    A tent atom over B(x, R) lives at levels k < R^2, so top_i is
+    usually far below the horizon.
 
-    Applying the prefix to the levels before the scan keeps partial
-    sums at the output scale (the raw sum is badly conditioned) and
-    costs its products once for all k functions; the Horner scans are
-    the only per-function product loops.  An integer exp is applied as
-    exp factors V - P V (never through the oracle, so it is the same on
-    every graph size); a fractional exp goes through `delta_power_apply`.
-    Any further function of P (a molecule's per-atom scale) commutes
-    with the scan and belongs on the (n, k) output.
+    Delta^exp stays on the levels: the raw sum of the P^{l-1} F_i(., l-1)
+    is badly conditioned (its terms are large and cancel), and applying
+    the cancellative factor before the scan keeps the partial sums at the
+    output scale.  (I + P)^eta has its spectrum in [0, 2^eta], so nothing
+    cancels in it: it commutes with the scan and runs on k columns
+    instead of sum_i top_i.  An integer exp is applied as exp factors
+    V - P V (never through the oracle, so it is the same on every graph
+    size); a fractional exp goes through `delta_power_apply`.  Any
+    further function of P (a molecule's per-atom scale) likewise belongs
+    on the (n, k) output.
     """
     tops = np.array([e.top for e in atoms], dtype=np.int64)
     starts = np.cumsum(tops) - tops
-    V = np.zeros((g.n, int(tops.sum())))
+    width = int(tops.sum())
+    V = np.zeros((g.n, width))
+    flat = V.reshape(-1)
     for e, lo in zip(atoms, starts):
-        V[e.ys, lo + e.ls] = e.vals
-    for _ in range(eta):
-        V += apply_P(g, V)
+        for sl, idx in _entry_chunks(e.ys, e.ls, width, int(lo)):
+            flat[idx] = e.vals[sl]
     if float(exp).is_integer():
         for _ in range(int(exp)):
             V -= apply_P(g, V)
@@ -328,11 +371,12 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
         V = delta_power_apply(g, V, exp)
     top = int(tops.max(initial=0))
     coeffs = eta_coefficients(eta, top) / np.arange(1, top + 1, dtype=float) ** beta
+    V *= coeffs[np.arange(width) - np.repeat(starts, tops)]
     out = np.empty((g.n, len(atoms)))
     for i, (lo, k) in enumerate(zip(starts, tops)):
-        block = V[:, lo:lo + k]
-        block *= coeffs[:k]
-        out[:, i] = horner(g, block)
+        out[:, i] = horner(g, V[:, lo:lo + k])
+    for _ in range(eta):
+        out += apply_P(g, out)
     return out
 
 

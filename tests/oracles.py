@@ -3,12 +3,14 @@
 Everything here is written as literal double loops over vertices and
 time levels, recomputing distances, ball volumes and cone membership
 from scratch; the optimized cone iteration in the package is checked
-against these.  `counting_markov` reads the package's count of the
-products with P a computation makes, for tests that pin how often the
-power sequence is walked.  `delta_power_exact` and `resolvent_exact`
-apply their operators by the dense spectral oracle on any graph the
-oracle takes, the references the automatic-path functions and the
-certified series objects are compared against.
+against these.  `horner_synthesis_levels_first` keeps the synthesis
+with its whole heat prefix on the levels, the order the package's
+synthesis is compared against.  `counting_markov` reads the package's
+count of the products with P a computation makes, for tests that pin
+how often the power sequence is walked.  `delta_power_exact` and
+`resolvent_exact` apply their operators by the dense spectral oracle on
+any graph the oracle takes, the references the automatic-path functions
+and the certified series objects are compared against.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from graphhardy.calculus import (BZ2Kind, SeriesOperator, a_s, binomial_coeffici
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import annulus, ball, cached_geometry, vitali_cover
 from graphhardy.hardy import synthesize_molecules
-from graphhardy.operators import EdgeFunction, apply_P, gradient, lp_norm, powers
+from graphhardy.operators import EdgeFunction, apply_P, gradient, horner, lp_norm, powers
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
@@ -334,6 +336,41 @@ def top_level(values):
     holding a nonzero entry (0 for an all-zero array)."""
     live = np.flatnonzero(values.any(axis=0))
     return int(live[-1]) + 1 if live.size else 0
+
+
+def eta_coefficients_recurrence(eta, count):
+    """c_l, l = 1..count, of (1-z)^{-eta} by the ratio recurrence
+    c_{l+1} = c_l (l + eta - 1) / l, one rounding per step."""
+    out = np.empty(count)
+    out[:1] = 1.0
+    for l in range(1, count):
+        out[l] = out[l - 1] * (l + eta - 1) / l
+    return out
+
+
+def horner_synthesis_levels_first(g, atoms, eta, beta, exp):
+    """`tentspace.horner_synthesis` with the whole heat prefix
+    Delta^exp (I + P)^eta applied to the (n, sum top) block of levels
+    before the scans, (I + P)^eta first."""
+    tops = [e.top for e in atoms]
+    starts = np.cumsum(tops) - tops
+    V = np.zeros((g.n, int(sum(tops))))
+    for e, lo in zip(atoms, starts):
+        V[e.ys, lo + e.ls] = e.vals
+    for _ in range(eta):
+        V += apply_P(g, V)
+    if float(exp).is_integer():
+        for _ in range(int(exp)):
+            V -= apply_P(g, V)
+    else:
+        V = delta_power_apply(g, V, exp)
+    top = max(tops, default=0)
+    coeffs = (eta_coefficients_recurrence(eta, top)
+              / np.arange(1, top + 1, dtype=float) ** beta)
+    out = np.empty((g.n, len(atoms)))
+    for i, (lo, k) in enumerate(zip(starts, tops)):
+        out[:, i] = horner(g, V[:, lo:lo + k] * coeffs[:k])
+    return out
 
 
 def reproducing_l_max_spectrum(g, eta, tol, n_cap=200000):

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     atomic_decompose_dense,
+    eta_coefficients_recurrence,
     naive_tent_members,
     reproducing_l_max_spectrum,
     top_level,
@@ -131,10 +132,9 @@ def test_atom_coefficients_match_dense_norm(cycle32, torus8, rng):
 
 
 def _full_scan_synthesis(g, vals, eta, beta):
-    # every level visited: prefix on all columns, Horner from the horizon
+    # every level visited: Delta^(eta - beta) on all columns, Horner from
+    # the horizon, then (I + P)^eta on the output
     U = vals
-    for _ in range(eta):
-        U = U + apply_P(g, U)
     for _ in range(int(eta - beta)):
         U = U - apply_P(g, U)
     count = vals.shape[1]
@@ -143,6 +143,8 @@ def _full_scan_synthesis(g, vals, eta, beta):
     acc = np.zeros(g.n)
     for l in range(count, 0, -1):
         acc = apply_P(g, acc) + U[:, l - 1]
+    for _ in range(eta):
+        acc = acc + apply_P(g, acc)
     return acc
 
 
@@ -204,6 +206,25 @@ def test_lmax_doubling_stability(cycle16, rng):
 def test_eta_coefficients():
     np.testing.assert_allclose(eta_coefficients(1, 6), np.ones(6))
     np.testing.assert_allclose(eta_coefficients(2, 5), [1, 2, 3, 4, 5])
+    with pytest.raises(ValueError):
+        eta_coefficients(0, 3)
+
+
+def test_eta_coefficients_closed_form_against_the_recurrence():
+    # up to eta = 4 both the product form and the ratio recurrence are
+    # exact integers at every level of the benchmark horizons (up to
+    # 21,561 levels); from eta = 5 the recurrence rounds past 2^53 at
+    # every step and drifts, while the product form rounds a few times
+    count = 21_561
+    for eta in (1, 2, 3, 4):
+        assert np.array_equal(eta_coefficients(eta, count),
+                              eta_coefficients_recurrence(eta, count))
+    for eta in (5, 6, 8):
+        exact = np.array([float(math.comb(l + eta - 1, eta - 1)) for l in range(count)])
+        closed = np.abs(eta_coefficients(eta, count) - exact) / exact
+        recurrence = np.abs(eta_coefficients_recurrence(eta, count) - exact) / exact
+        assert closed.max() < recurrence.max()
+        assert closed.max() <= 4 * np.finfo(float).eps
 
 
 def test_pi_synthesis_single_level(cycle16, rng):
