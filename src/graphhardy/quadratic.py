@@ -244,14 +244,24 @@ def g_littlewood(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
     return np.sqrt(_level_square_sums(g, u0, beta, l_max - 1, [0])[0])
 
 
+def lusin_terms(F: SpaceTimeFunction) -> np.ndarray:
+    """The Lusin terms F(y, k)^2 / (k + 1) of F, a new array."""
+    w = np.square(F.values)
+    w /= np.arange(1.0, F.l_max + 2)
+    return w
+
+
+def tent_functional_of_terms(g: WeightedGraph, w: np.ndarray) -> np.ndarray:
+    """A F from the Lusin terms w of F."""
+    # level k belongs to cone radius floor(sqrt(k))
+    W = np.add.reduceat(w, np.arange(math.isqrt(w.shape[1] - 1) + 1) ** 2, axis=1)
+    return np.sqrt(_cone_accumulate(g, W * g.m[:, None]))
+
+
 def tent_functional(g: WeightedGraph, F: SpaceTimeFunction) -> np.ndarray:
     """A F(x)^2 = sum_{(y,k) in cone(x)} m(y) F(y,k)^2 /
     ((k+1) V(x, sqrt(k+1)))."""
-    w = np.square(F.values)
-    w /= np.arange(1.0, F.l_max + 2)
-    # level k belongs to cone radius floor(sqrt(k))
-    W = np.add.reduceat(w, np.arange(math.isqrt(F.l_max) + 1) ** 2, axis=1)
-    return np.sqrt(_cone_accumulate(g, W * g.m[:, None]))
+    return tent_functional_of_terms(g, lusin_terms(F))
 
 
 def t1_norm(g: WeightedGraph, F: SpaceTimeFunction) -> float:

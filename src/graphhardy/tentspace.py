@@ -9,15 +9,14 @@ reproducible.  Every emitted atom satisfies the support and size
 conditions exactly, and the pieces partition the support of F, so the
 reconstruction residual is at rounding level.
 
-At a vertex y the tent over O holds the levels l < d(y, O^c)^2, so the
-slab tent(O_k) minus tent(O_{k+1}) is one run of levels per vertex,
-[ceil(d_{k+1}(y)^2), ceil(d_k(y)^2)).  The decomposition builds each
-slab from those runs, splits it among the Whitney balls by one stable
-sort of its vertices, and keeps every atom as its own (ys, ls, vals)
-entries (`SpaceTimeEntries`): no (n, l_max + 1) array is formed per
-level or per atom, and synthesis scatters each atom only into its own
-(n, top) column range, below its last level, of one block shared by
-all atoms it synthesizes.
+At a vertex y the tent over O holds the levels l < h(y) = d(y, O^c)^2,
+so the slab tent(O_k) minus tent(O_{k+1}) is one run of levels per
+vertex, [h_{k+1}(y), h_k(y)), and the decomposition is a table of
+heights over the row-major profile: one reduction of the Lusin terms at
+the run boundaries gives every run's sum, and an atom keeps only its
+runs into the one profile (`SpaceTimeEntries`).  Synthesis scatters each
+atom only into its own (n, top) column range, below its last level, of
+one block shared by all atoms it synthesizes.
 
 Synthesis splits the heat prefix Delta^exp (I + P)^eta of the paper's
 pi_{eta, beta}: Delta^exp runs on that block of levels, because the raw
@@ -38,11 +37,7 @@ from .calculus import _mean_zero_radius, delta_power_apply
 from .errors import NonConvergent
 from .graphs import Ball, WeightedGraph, ball, distance_to
 from .operators import apply_P, horner, lp_norm
-from .quadratic import SpaceTimeFunction, tent_functional
-
-# Entries handled per vectorized step where an entry needs a float
-# temporary, so a large piece never holds a second full-length array.
-ENTRY_CHUNK = 1 << 15
+from .quadratic import SpaceTimeFunction, lusin_terms, tent_functional_of_terms
 
 # Longest reproducing horizon `reproducing_l_max` searches.
 HORIZON_CAP = 200_000
@@ -77,43 +72,72 @@ def tent(b: Ball, l_max: int) -> np.ndarray:
 
 @dataclass
 class SpaceTimeEntries:
-    """A space-time function on levels 0..l_max kept as its nonzero
-    entries F(ys[i], ls[i]) = vals[i], in row-major order (int32
-    indices, so an entry costs 16 bytes)."""
+    """A space-time function on levels 0..l_max held as runs of one
+    shared (n, l_max + 1) profile: profile[y, l] / scale at y = verts[j]
+    for lo[j] <= l < hi[j], and 0 elsewhere.  The vertices increase and
+    each run ends at a nonzero entry, so `top` is the largest hi.  The
+    nonzero entries F(ys[i], ls[i]) = vals[i], row-major with int32
+    indices, and the dense `values` are built on access."""
 
     graph: WeightedGraph
-    ys: np.ndarray = field(repr=False)
-    ls: np.ndarray = field(repr=False)
-    vals: np.ndarray = field(repr=False)
-    l_max: int
+    profile: np.ndarray = field(repr=False)
+    verts: np.ndarray = field(repr=False)
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    scale: float = 1.0
 
     @classmethod
     def of(cls, F: SpaceTimeFunction) -> "SpaceTimeEntries":
-        ys, ls = np.nonzero(F.values)
-        return cls(F.graph, ys.astype(np.int32), ls.astype(np.int32),
-                   F.values[ys, ls], F.l_max)
+        """F as one run up to its last nonzero level per vertex (F.values
+        is referenced, not copied)."""
+        live = F.values != 0.0
+        verts = np.flatnonzero(live.any(axis=1))
+        hi = live.shape[1] - np.argmax(live[verts, ::-1], axis=1)
+        return cls(F.graph, F.values, verts, np.zeros_like(hi), hi)
+
+    @property
+    def l_max(self) -> int:
+        return self.profile.shape[1] - 1
 
     @property
     def top(self) -> int:
         """One past the last level holding an entry (0 without entries)."""
-        return int(self.ls.max()) + 1 if self.ls.size else 0
+        return int(self.hi.max(initial=0))
+
+    def rows(self) -> np.ndarray:
+        """The (len(verts), top) rows of the function at its vertices,
+        0 outside the runs."""
+        rows = self.profile[self.verts, :self.top]
+        rows /= self.scale
+        levels = np.arange(rows.shape[1])
+        rows[(levels < self.lo[:, None]) | (levels >= self.hi[:, None])] = 0.0
+        return rows
+
+    def _entries(self):
+        rows = self.rows()
+        i, ls = np.nonzero(rows)
+        return self.verts[i].astype(np.int32), ls.astype(np.int32), rows[i, ls]
+
+    ys = property(lambda self: self._entries()[0])
+    ls = property(lambda self: self._entries()[1])
+    vals = property(lambda self: self._entries()[2])
 
     @property
     def values(self) -> np.ndarray:
         """Dense (n, l_max + 1) view, built on each access."""
         out = np.zeros((self.graph.n, self.l_max + 1))
-        out[self.ys, self.ls] = self.vals
+        out[self.verts, :self.top] = self.rows()
         return out
 
     def t22_norm(self) -> float:
-        g = self.graph
-        return math.sqrt(float(np.sum(self.vals ** 2 / (self.ls + 1.0) * g.m[self.ys])))
+        ys, ls, vals = self._entries()
+        return math.sqrt(float(np.sum(vals ** 2 / (ls + 1.0) * self.graph.m[ys])))
 
 
 @dataclass
 class TentAtom:
     """Space-time function supported in the tent of `ball` with
-    ||A||_{T^2_2}^2 <= 1/V(ball), kept as its entries (a dense
+    ||A||_{T^2_2}^2 <= 1/V(ball), kept as its runs (a dense
     SpaceTimeFunction passed in is converted)."""
 
     ball: Ball
@@ -125,11 +149,11 @@ class TentAtom:
             self.values = SpaceTimeEntries.of(self.values)
 
     def validate(self):
-        """Support in the tent of the ball, and the size bound to a
-        relative 1e-12."""
+        """Support in the tent of the ball (a run's last level is its
+        highest entry), and the size bound to a relative 1e-12."""
         e = self.values
         depth = _tent_depth(self.ball.graph, self.ball.mask)
-        support_ok = bool(np.all(depth[e.ys] ** 2 > e.ls))
+        support_ok = bool(np.all(depth[e.verts] ** 2 > e.hi - 1))
         norm_ok = e.t22_norm() ** 2 <= (1.0 + 1e-12) / self.ball.volume
         return support_ok and norm_ok
 
@@ -178,53 +202,31 @@ def _whitney_balls(g: WeightedGraph, rho: np.ndarray):
     return centers, radii, owner
 
 
-def _runs(verts: np.ndarray, starts: np.ndarray, counts: np.ndarray):
-    """int32 entries (y, l) with l in [starts[j], starts[j] + counts[j])
-    at y = verts[j], in row-major order."""
-    ys = np.repeat(verts.astype(np.int32), counts)
-    ls = np.arange(len(ys), dtype=np.int32)
-    ls -= np.repeat((np.cumsum(counts) - counts - starts).astype(np.int32), counts)
-    return ys, ls
+def _run_sums(w: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """(n, S + 1) sums of the C-ordered (n, width) array w over the runs
+    that the nondecreasing rows of `heights` (S + 1, n), heights[0] = 0,
+    cut each row into: column c < S over [heights[c], heights[c + 1]),
+    column S over [heights[S], width).  One reduction at the run starts;
+    an empty run sums to 0."""
+    n, width = w.shape
+    starts = (heights.T + np.arange(n)[:, None] * width).ravel()
+    sums = np.zeros(starts.size)
+    # an empty run starts where the next one does, so the nonempty runs
+    # end where the next nonempty one starts (the last at the end of w)
+    live = np.flatnonzero(np.diff(starts, append=n * width))
+    sums[live] = np.add.reduceat(w.reshape(-1), starts[live])
+    return sums.reshape(n, -1)
 
 
-def _entry_chunks(ys, ls, width: int, offset: int = 0):
-    """(slice, flat index) for each ENTRY_CHUNK of the entries (ys, ls):
-    ys * width + offset + ls, their positions in the flat view of a
-    C-ordered (n, width) array, so one intp index chunk is held at a
-    time."""
-    for lo in range(0, len(ys), ENTRY_CHUNK):
-        sl = slice(lo, lo + ENTRY_CHUNK)
-        idx = ys[sl].astype(np.intp)
-        idx *= width
-        idx += ls[sl]
-        idx += offset
-        yield sl, idx
-
-
-def _gather(flat, width: int, ys, ls) -> np.ndarray:
-    """The entries (ys, ls) of a C-ordered (n, width) array, read from its
-    flat view `flat` a chunk at a time."""
-    out = np.empty(len(ys))
-    for sl, idx in _entry_chunks(ys, ls, width):
-        np.take(flat, idx, out=out[sl])
-    return out
-
-
-def _piece_norm(g: WeightedGraph, terms: np.ndarray, ys, ls, center: int):
-    """(T^2_2 norm, max of d(center, y) + floor(sqrt(l)) + 1) of the
-    nonempty entries held in `terms` at (ys, ls), in row-major order.
-    `terms` is overwritten with m(y) F(y, l)^2 / (l + 1) a chunk at a
-    time and summed in entry order; the reach of a vertex is that of its
-    last, highest entry."""
-    for lo in range(0, len(terms), ENTRY_CHUNK):
-        sl = slice(lo, lo + ENTRY_CHUNK)
-        t = terms[sl]
-        np.square(t, out=t)
-        t /= ls[sl] + 1.0
-        t *= g.m[ys[sl]]
-    ends = np.append(np.flatnonzero(ys[1:] != ys[:-1]), len(ys) - 1)
-    reach = float((g.dist[center, ys[ends]] + np.floor(np.sqrt(ls[ends])) + 1.0).max())
-    return math.sqrt(float(np.sum(terms))), reach
+def _run_tops(vals: np.ndarray, verts, lo, hi) -> np.ndarray:
+    """The last level l in [lo, hi) with vals[y, l] != 0 at each y of
+    verts (lo and hi indexed by vertex), -1 for a run of zeros."""
+    top = hi[verts] - 1
+    for j in np.flatnonzero(vals[verts, top] == 0.0):
+        y = verts[j]
+        live = np.flatnonzero(vals[y, lo[y]:hi[y]])
+        top[j] = lo[y] + live[-1] if live.size else -1
+    return top
 
 
 def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
@@ -236,27 +238,28 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
     each piece is normalized into a T^1_2 atom.
     """
     vals = np.ascontiguousarray(F.values)
-    flat, width = vals.reshape(-1), vals.shape[1]
     l_max = F.l_max
-    AF = tent_functional(g, F)
+    w = lusin_terms(F)
+    AF = tent_functional_of_terms(g, w)
     t1 = lp_norm(g, AF, 1)
-    nonzero = np.count_nonzero(vals)
-    if not nonzero:
-        return TentDecomposition([], 0.0, 0.0, t1)
     pos = AF[AF > 0]
-    k_lo = math.floor(math.log2(pos.min())) - 1
-    k_hi = math.ceil(math.log2(AF.max()))
+    # no level set when every Lusin term underflows: F is all residual
+    ks = range(0)
+    if pos.size:
+        ks = range(math.floor(math.log2(pos.min())) - 1, math.ceil(math.log2(AF.max())) + 1)
+    depths = [_tent_depth(g, AF > 2.0 ** k) for k in ks]
+    # heights[j] holds the tent levels of O_{k_hi + 1 - j}; O_{k_hi + 1}
+    # is empty, so is its tent, and heights[S] is that of O_{k_lo}
+    S = len(ks)
+    heights = np.stack([np.zeros(g.n, dtype=np.int64)]
+                       + [_tent_height(d, l_max) for d in depths[::-1]])
+    sums = _run_sums(w, heights)
+    del w
     coefficients = []
-    covered = 0
-    # the slab of level k holds, at each vertex, the tent levels of O_k
-    # above those of O_{k+1}; O_{k_hi + 1} is empty, so is its tent
-    depth_next = _tent_depth(g, AF > 2.0 ** k_lo)
-    for k in range(k_lo, k_hi + 1):
-        depth = depth_next
-        depth_next = _tent_depth(g, AF > 2.0 ** (k + 1))
-        lo = _tent_height(depth_next, l_max)
-        counts = _tent_height(depth, l_max) - lo
-        verts = np.flatnonzero(counts)
+    for j, depth in enumerate(depths):
+        c = S - 1 - j  # the slab of O_{k_lo + j} in the run table
+        lo, hi = heights[c], heights[c + 1]
+        verts = np.flatnonzero(hi > lo)
         if not verts.size:
             continue
         if np.isinf(depth).all():  # O_k is the whole graph
@@ -265,49 +268,35 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
         else:
             centers, radii, owner = _whitney_balls(g, depth)
         owner = owner[verts]
-        # group the slab's vertices by owner; each group stays in vertex
-        # order, so its entries come out row-major
-        order = np.argsort(owner, kind="stable")
-        verts, owner = verts[order], owner[order]
+        mass = np.bincount(owner, g.m[verts] * sums[verts, c], minlength=len(centers))
+        if not mass.any():
+            continue
+        top = _run_tops(vals, verts, lo, hi)
+        # the runs holding an entry, grouped by owner in vertex order, so
+        # each piece's runs are one slice
+        order = np.flatnonzero(top >= 0)
+        order = order[np.argsort(owner[order], kind="stable")]
+        verts, owner, top = verts[order], owner[order], top[order]
+        lo = lo[verts]
+        reach = g.dist[np.asarray(centers)[owner], verts] + np.floor(np.sqrt(top)) + 1.0
         bounds = np.searchsorted(owner, np.arange(len(centers) + 1))
-        for i in range(len(centers)):
-            vs = verts[bounds[i]:bounds[i + 1]]
-            if not vs.size:
-                continue
-            ys, ls = _runs(vs, lo[vs], counts[vs])
-            v = _gather(flat, width, ys, ls)
-            keep = v != 0.0
-            if not keep.all():
-                ys, ls, v = ys[keep], ls[keep], v[keep]
-            if not v.size:
-                continue
-            t22, reach = _piece_norm(g, v, ys, ls, centers[i])
-            del v, keep  # the terms go before the piece is gathered
-            if t22 == 0.0:
-                continue
+        for i in np.flatnonzero(mass):
+            runs = slice(bounds[i], bounds[i + 1])
             # radius large enough that every entry sits in the tent
-            atom_ball = ball(g, centers[i], max(radii[i], reach))
-            lam = t22 * math.sqrt(atom_ball.volume)
-            piece = _gather(flat, width, ys, ls)
-            piece /= lam
-            atom = TentAtom(atom_ball, SpaceTimeEntries(g, ys, ls, piece, l_max),
-                            1.0 / math.sqrt(atom_ball.volume))
-            coefficients.append((lam, atom))
-            covered += len(piece)
-    # every nonzero entry lies in at most one atom, so the atoms cover F
-    # exactly when their entries add up to its nonzero count
-    residual = 0.0
-    if covered < nonzero:
-        mask = np.zeros(vals.shape, dtype=bool)
-        for _, atom in coefficients:
-            mask[atom.values.ys, atom.values.ls] = True
-        residual = SpaceTimeFunction(g, np.where(mask, 0.0, vals)).t22_norm()
+            atom_ball = ball(g, centers[i], max(radii[i], float(reach[runs].max())))
+            lam = math.sqrt(mass[i]) * math.sqrt(atom_ball.volume)
+            entries = SpaceTimeEntries(g, vals, verts[runs], lo[runs], top[runs] + 1, lam)
+            coefficients.append((lam, TentAtom(atom_ball, entries,
+                                               1.0 / math.sqrt(atom_ball.volume))))
+    # the atoms hold every entry in a tent but those of pieces whose
+    # norm is 0, so what they miss weighs what lies outside every tent
+    residual = math.sqrt(float(g.m @ sums[:, S]))
     if residual > tol:
         raise NonConvergent(
             f"tent decomposition residual {residual:.3e} above tol {tol:.3e}"
         )
     sum_abs = float(sum(abs(lam) for lam, _ in coefficients))
-    return TentDecomposition(coefficients, float(residual), sum_abs, t1)
+    return TentDecomposition(coefficients, residual, sum_abs, t1)
 
 
 # -- synthesis ----------------------------------------------------------------
@@ -360,10 +349,8 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
     starts = np.cumsum(tops) - tops
     width = int(tops.sum())
     V = np.zeros((g.n, width))
-    flat = V.reshape(-1)
-    for e, lo in zip(atoms, starts):
-        for sl, idx in _entry_chunks(e.ys, e.ls, width, int(lo)):
-            flat[idx] = e.vals[sl]
+    for e, lo, k in zip(atoms, starts, tops):
+        V[e.verts, lo:lo + k] = e.rows()
     if float(exp).is_integer():
         for _ in range(int(exp)):
             V -= apply_P(g, V)

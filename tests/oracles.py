@@ -408,29 +408,25 @@ def _whitney_balls_dense(g, level_mask):
     return centers, radii
 
 
-def atomic_decompose_dense(g, F, tol=1e-8):
-    """`tentspace.atomic_decompose` with dense per-level tent masks and
-    slabs, one (n, l_max + 1) array per atom, one owner mask per Whitney
-    ball and the residual from a float reconstruction."""
-    vals = F.values
+def tent_pieces_dense(g, F):
+    """(center, radius, ys, ls) of every nonempty piece of
+    `tentspace.atomic_decompose`, from dense per-level tent masks and
+    slabs and one owner mask per Whitney ball: the slab entries, zeros
+    of F included, row-major.  Nothing when A F is 0 everywhere."""
     l_max = F.l_max
     AF = tent_functional(g, F)
-    t1 = lp_norm(g, AF, 1)
-    nonzero = vals != 0.0
-    if not nonzero.any():
-        return TentDecomposition([], 0.0, 0.0, t1)
     pos = AF[AF > 0]
+    if not pos.size:
+        return
     k_lo = math.floor(math.log2(pos.min())) - 1
     k_hi = math.ceil(math.log2(AF.max()))
-    coefficients = []
-    reconstruction = np.zeros_like(vals)
     O_next = AF > 2.0 ** k_lo
     tent_next = tent_mask(g, O_next, l_max)
     for k in range(k_lo, k_hi + 1):
         O, tent_k = O_next, tent_next
         O_next = AF > 2.0 ** (k + 1)
         tent_next = tent_mask(g, O_next, l_max)
-        slab = tent_k & ~tent_next & nonzero
+        slab = tent_k & ~tent_next
         if not slab.any():
             continue
         if O.all():
@@ -446,23 +442,39 @@ def atomic_decompose_dense(g, F, tol=1e-8):
         owner = assign_of[slab_y]
         for i in range(len(centers)):
             sel = owner == i
-            if not sel.any():
-                continue
-            ys, ls = slab_y[sel], slab_l[sel]
-            reach = g.dist[centers[i], ys].astype(np.int64) + np.floor(np.sqrt(ls)) + 1.0
-            R = float(max(radii[i], reach.max()))
-            atom_ball = ball(g, centers[i], R)
-            v = vals[ys, ls]
-            t22 = math.sqrt(float(np.sum(v ** 2 / (ls + 1.0) * g.m[ys])))
-            if t22 == 0.0:
-                continue
-            lam = t22 * math.sqrt(atom_ball.volume)
-            piece = np.zeros(vals.shape)
-            piece[ys, ls] = v / lam
-            atom = TentAtom(atom_ball, SpaceTimeFunction(g, piece),
-                            1.0 / math.sqrt(atom_ball.volume))
-            coefficients.append((lam, atom))
-            reconstruction[ys, ls] += v
+            if sel.any():
+                yield centers[i], radii[i], slab_y[sel], slab_l[sel]
+
+
+def atomic_decompose_dense(g, F, tol=1e-8):
+    """`tentspace.atomic_decompose` over `tent_pieces_dense`, one
+    (n, l_max + 1) array per atom and the residual from a float
+    reconstruction."""
+    vals = F.values
+    AF = tent_functional(g, F)
+    t1 = lp_norm(g, AF, 1)
+    if not vals.any():
+        return TentDecomposition([], 0.0, 0.0, t1)
+    coefficients = []
+    reconstruction = np.zeros_like(vals)
+    for center, radius, ys, ls in tent_pieces_dense(g, F):
+        keep = vals[ys, ls] != 0.0
+        ys, ls = ys[keep], ls[keep]
+        if not ys.size:
+            continue
+        reach = g.dist[center, ys].astype(np.int64) + np.floor(np.sqrt(ls)) + 1.0
+        atom_ball = ball(g, center, float(max(radius, reach.max())))
+        v = vals[ys, ls]
+        t22 = math.sqrt(float(np.sum(v ** 2 / (ls + 1.0) * g.m[ys])))
+        if t22 == 0.0:
+            continue
+        lam = t22 * math.sqrt(atom_ball.volume)
+        piece = np.zeros(vals.shape)
+        piece[ys, ls] = v / lam
+        atom = TentAtom(atom_ball, SpaceTimeFunction(g, piece),
+                        1.0 / math.sqrt(atom_ball.volume))
+        coefficients.append((lam, atom))
+        reconstruction[ys, ls] += v
     residual = SpaceTimeFunction(g, vals - reconstruction).t22_norm()
     if residual > tol:
         raise NonConvergent(

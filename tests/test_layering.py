@@ -1,11 +1,11 @@
 """One home per decision: the raw Markov matrix and the counted step
 that multiplies by it (hence every P^l loop, the Horner scan included),
 the level walk, the oracle/series choice, the spectral oracle, the
-series object, the cone sum, the dense tent mask, the ball matrices, the
-molecule validator's rederivation, size table and report, and the
-kernel error may be reached only from the modules and functions listed
-here; scipy's private sparse kernels are imported by `operators`
-alone."""
+series object, the cone sum, the Lusin terms, the dense tent mask, the
+ball matrices, the molecule validator's rederivation, size table and
+report, and the kernel error may be reached only from the modules and
+functions listed here; scipy's private sparse kernels are imported by
+`operators` alone."""
 
 import ast
 from pathlib import Path
@@ -43,7 +43,10 @@ ALLOWED = {
     # series objects of `calculus`
     "SeriesOperator": ({"calculus"}, set()),
     "_cone_accumulate": (set(), {"quadratic.lusin", "quadratic.lusin_tilde",
-                                 "quadratic.tent_functional"}),
+                                 "quadratic.tent_functional_of_terms"}),
+    # the Lusin terms F^2 / (l + 1) are squared once: the tent functional
+    # sums them over cones, and the decomposition also over its runs
+    "lusin_terms": (set(), {"quadratic.tent_functional", "tentspace.atomic_decompose"}),
     # the decomposition works on per-vertex tent depths, never on masks
     "tent_mask": (set(), {"tentspace.tent"}),
     # ball matrices are grown one radius at a time by the BMO sup only
@@ -100,6 +103,7 @@ def test_scanner_sees_calls():
     assert ("SeriesOperator", "calculus.delta_power_series") in found
     assert ("level_blocks", "quadratic._level_square_sums") in found
     assert ("_cone_accumulate", "quadratic.lusin_tilde") in found
+    assert ("lusin_terms", "tentspace.atomic_decompose") in found
     assert ("tent_mask", "tentspace.tent") in found
     assert ("ball_matrices", "hardy.bmo_norm") in found
     assert ("rederive_molecules", "hardy._validate_block") in found

@@ -10,11 +10,12 @@ from oracles import (
     eta_coefficients_recurrence,
     naive_tent_members,
     reproducing_l_max_spectrum,
+    tent_pieces_dense,
     top_level,
 )
 from test_markov_step import graphs, hypothesis, st
 
-from graphhardy import tentspace, zoo
+from graphhardy import calculus, tentspace, zoo
 from graphhardy.graphs import ball
 from graphhardy.hardy import form_profile, heat_profile, pipeline_l_max, synthesis_eta
 from graphhardy.graphs import cached_geometry
@@ -281,18 +282,24 @@ def test_reproducing_l_max_matches_spectrum(name):
 
 
 def _assert_same_decomposition(got, want):
-    assert got.residual_t22 == want.residual_t22
+    # the pieces, their balls and A F are the same bit for bit; a piece's
+    # norm adds the same terms in another order (run by run, then by
+    # vertex), so lambda and what divides by it agree to rounding
+    close = functools.partial(pytest.approx, rel=1e-14, abs=0.0)
     assert got.t1_norm == want.t1_norm
-    assert got.sum_abs_lambda == want.sum_abs_lambda
+    assert got.residual_t22 == close(want.residual_t22)
+    assert got.sum_abs_lambda == close(want.sum_abs_lambda)
     assert len(got.coefficients) == len(want.coefficients)
     for (lam, atom), (lam_ref, ref) in zip(got.coefficients, want.coefficients):
-        assert lam == lam_ref
+        assert lam == close(lam_ref)
         assert atom.ball.center == ref.ball.center
         assert atom.ball.radius == ref.ball.radius
         assert atom.ball.volume == ref.ball.volume
         assert np.array_equal(atom.ball.mask, ref.ball.mask)
-        assert atom.t22_norm == ref.t22_norm
-        assert np.array_equal(atom.values.values, ref.values.values)
+        assert atom.t22_norm == close(ref.t22_norm)
+        values, ref_values = atom.values.values, ref.values.values
+        assert np.array_equal(values != 0.0, ref_values != 0.0)
+        np.testing.assert_allclose(values, ref_values, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("name", ["lazy_torus_6", "lazy_cycle_16", "lazy_path_12",
@@ -310,16 +317,6 @@ def test_atomic_decompose_matches_dense_reference(name, profile):
     dec = atomic_decompose(g, F)
     assert dec.coefficients
     _assert_same_decomposition(dec, atomic_decompose_dense(g, F))
-
-
-def test_atomic_decompose_in_small_chunks_matches_dense_reference(monkeypatch):
-    # pieces longer than ENTRY_CHUNK are normed chunk by chunk; the sum
-    # still runs over all their terms at once, so nothing changes
-    monkeypatch.setattr(tentspace, "ENTRY_CHUNK", 7)
-    g = zoo.lazy_torus_2d(6)
-    f = random_mean_zero(g, np.random.default_rng(5))
-    F = heat_profile(g, f, 1.0, 60)
-    _assert_same_decomposition(atomic_decompose(g, F), atomic_decompose_dense(g, F))
 
 
 def test_atomic_decompose_uncovered_entries_match_dense_reference():
@@ -341,10 +338,75 @@ def test_atomic_decompose_uncovered_entries_match_dense_reference():
     _assert_same_decomposition(dec, atomic_decompose_dense(g, F))
 
 
+def test_atomic_decompose_with_every_term_underflowing_is_all_residual():
+    # a nonzero profile whose Lusin terms all underflow has A F = 0, so
+    # no level set: no atom, and the residual is F's own T^2_2 norm
+    g = zoo.lazy_path(12)
+    vals = np.zeros((g.n, 6))
+    vals[3, :3] = 1e-200
+    F = SpaceTimeFunction(g, vals)
+    dec = atomic_decompose(g, F)
+    assert dec.coefficients == []
+    assert dec.residual_t22 == F.t22_norm()
+    assert dec.t1_norm == 0.0
+    assert atomic_decompose_dense(g, F).coefficients == []
+
+
+def _zeros_in_pieces(F):
+    """Counts of exact zeros of F in the decomposition's pieces: entries,
+    runs (one vertex of one piece) holding only zeros, runs whose last
+    level holds 0 above a nonzero entry, and pieces holding only zeros."""
+    entries = zero_runs = zero_topped = zero_pieces = 0
+    for _, _, ys, ls in tent_pieces_dense(F.graph, F):
+        v = F.values[ys, ls]
+        entries += int(np.count_nonzero(v == 0.0))
+        zero_pieces += not v.any()
+        for y in np.unique(ys):
+            run = v[ys == y]
+            zero_runs += not run.any()
+            zero_topped += bool(run[-1] == 0.0 and run.any())
+    return entries, zero_runs, zero_topped, zero_pieces
+
+
+def test_atomic_decompose_runs_ending_in_zeros_match_dense_reference():
+    # F lives on two vertices, at levels 4-10 and 21-23 of 0-29: pieces
+    # of the low levels away from vertex 1 hold only zeros, and runs at
+    # vertex 1 that reach past level 10 end in zeros, so their reach (and
+    # one atom's radius) comes from the last nonzero level of the run
+    g = zoo.lazy_path(12)
+    vals = np.zeros((g.n, 30))
+    vals[1, 4:11] = 4.0
+    vals[9, 21:24] = 0.5
+    F = SpaceTimeFunction(g, vals)
+    _, zero_runs, zero_topped, zero_pieces = _zeros_in_pieces(F)
+    assert zero_runs and zero_topped and zero_pieces
+    dec = atomic_decompose(g, F)
+    assert dec.coefficients
+    _assert_same_decomposition(dec, atomic_decompose_dense(g, F))
+
+
+def test_atomic_decompose_ball_sum_on_the_series_path_matches_dense_reference(monkeypatch):
+    # on the series path Delta f is exactly 0 where a ball sum is flat,
+    # so the low levels of the heat profile hold exact zeros inside the
+    # runs of the pieces there
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    g = zoo.lazy_torus_2d(8)
+    f = np.zeros(g.n)
+    f[g.dist[9] < 2] += 1.0
+    f[g.dist[44] < 3] -= 1.0
+    f -= (g.m @ f) / g.m.sum()
+    F = heat_profile(g, f, 1.0, 80)
+    assert _zeros_in_pieces(F)[0]
+    dec = atomic_decompose(g, F)
+    assert dec.coefficients
+    _assert_same_decomposition(dec, atomic_decompose_dense(g, F))
+
+
 def test_atomic_decompose_memory_is_independent_of_atom_count():
-    # the atoms hold their own entries: at the pipeline horizon the
-    # decomposition peaks below three (n, l_max + 1) arrays, where one
-    # dense array per atom would take one per atom
+    # the atoms are runs into the one profile: at the pipeline horizon
+    # the decomposition peaks below one and a half (n, l_max + 1) arrays
+    # (the Lusin terms and small tables), and its atoms together hold a
+    # small fraction of one
     g = zoo.lazy_cycle(64)
     f = random_mean_zero(g, np.random.default_rng(0))
     eta = synthesis_eta(1, 1.0, 1.0, cached_geometry(g).d0_estimate)
@@ -357,7 +419,11 @@ def test_atomic_decompose_memory_is_independent_of_atom_count():
     finally:
         tracemalloc.stop()
     assert len(dec.coefficients) > 3
-    assert peak < 3 * F.values.nbytes
+    assert peak < 1.5 * F.values.nbytes
+    held = sum(a.values.verts.nbytes + a.values.lo.nbytes + a.values.hi.nbytes
+               for _, a in dec.coefficients)
+    assert all(a.values.profile is F.values for _, a in dec.coefficients)
+    assert held < F.values.nbytes / 10
 
 
 def test_tent_atom_entries_round_trip(cycle16):
