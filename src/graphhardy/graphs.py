@@ -111,7 +111,7 @@ class WeightedGraph:
         self._oracle = None
         self._geometry = None
         self._markov = None
-        self._scan_matrix = None  # [markov | identity], `operators.horner`
+        self._chains = {}  # kernel chains of the walks, `operators._chain`
         self._aperiodic = None
         # products with the Markov matrix made on this graph, counted by
         # `operators.markov_step`: calls, and columns (an (n, k) block is

@@ -14,7 +14,6 @@ and every L^p norm carries the vertex measure m.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +30,12 @@ KERNEL_L_CAP = 4096
 # chunk also stays within ROW_BLOCK_ENTRIES entries, so its memory grows
 # with neither the horizon nor the width of a block.
 LEVEL_CHUNK = 64
+
+# Most stored entries in one of a graph's kernel chains (`_chain`): a
+# chain of W copies that fits the cache makes the walk of a small graph
+# one kernel call per chunk of levels, while a large graph's chain is a
+# single copy, so its walk costs what a call per level costs.
+CHAIN_ENTRIES = 1 << 14
 
 
 # -- vertex functions ---------------------------------------------------
@@ -126,15 +131,83 @@ def _kernel_step(g: WeightedGraph, W, x, out):
     return out
 
 
-def _kernel(W, cols: int):
-    """`_kernel_step`'s kernel for operands of `cols` columns, bound to W
-    once for a walk: a function (x, out) of flat C-contiguous float
-    buffers that adds W x into out.  It counts nothing; the walks add
-    their products to the graph's counts once per pass."""
-    csr = W.indptr, W.indices, W.data
+def _chain(g: WeightedGraph, scan: bool):
+    """(steps, indptr, indices, data) of the kernel chain of g's level
+    walk (scan False) or Horner scan (scan True), built once per graph
+    and cached on it: `steps` copies of the step matrix S, copy j reading
+    column block j and writing row block j of a buffer one block ahead.
+
+    S is W = markov_matrix(g) for the walk (blocks of n entries) and, for
+    the scan, [W | I] followed by n empty rows (blocks of 2n entries, a
+    pair [acc; U[:, k]]): the identity entry comes last in every row, so
+    the kernel adds U[:, k] after the product, and the empty rows leave
+    the buffer's U rows as they are.  Each copy keeps W's in-row entry
+    order (the rows are tiled, never sorted), so every product is made
+    as `markov_step` makes it.  steps is the largest count up to
+    LEVEL_CHUNK whose chain holds at most CHAIN_ENTRIES entries, and at
+    least one."""
+    if scan not in g._chains:
+        n, W = g.n, markov_matrix(g)
+        indptr, indices, data = W.indptr, W.indices, W.data
+        if scan:
+            indptr = W.indptr + np.arange(n + 1, dtype=W.indptr.dtype)
+            indices = np.insert(W.indices, W.indptr[1:], np.arange(n, 2 * n))
+            data = np.insert(W.data, W.indptr[1:], 1.0)
+            indptr = np.append(indptr, np.full(n, indptr[-1]))
+        block, entries = len(indptr) - 1, len(data)
+        steps = max(1, min(LEVEL_CHUNK, CHAIN_ENTRIES // max(entries, 1)))
+        copies = np.arange(steps, dtype=indptr.dtype)[:, None]
+        g._chains[scan] = (
+            steps,
+            np.append(indptr[:-1] + copies * entries, steps * entries).astype(indptr.dtype),
+            (indices + copies * block).ravel(),
+            np.tile(data, steps),
+        )
+    return g._chains[scan]
+
+
+def _kernel(g: WeightedGraph, buf, cols: int, scan: bool = False):
+    """scipy's CSR kernel bound to g's chain (`_chain`) and to buf, the
+    flat C-contiguous float buffer of one walk of `cols`-column operands:
+    a function run(first, steps) that makes `steps` chained products in
+    place on buf, reading block `first` (a level; for the scan, the pair
+    [acc; U[:, k]]) and writing each product into the block ahead, a
+    zero-filled level or acc row (a scan's U rows hold the next
+    columns).  It makes one kernel call per chain length of steps, with
+    argument tuples made once per (first, steps) of the walk, and adds
+    `steps` products of `cols` columns to the graph's counts.
+
+    The kernel is called with its output one block ahead of its input,
+    two views of buf.  That is well defined: scipy's kernel computes its
+    rows in order (y[i] = y[i] + sum of the row's entries times x, read
+    and written through plain pointers), and `_sparsetools` hands
+    C-contiguous float64 operands over without a copy, so row block j + 1
+    reads the block that the same call has just written, entry by entry
+    as one `markov_step` reads it.  Only rows up to the last step's
+    output are passed, and never more steps than the chain holds: the
+    kernel checks no bounds."""
+    chain, *csr = _chain(g, scan)
+    n = g.n
+    rows = 2 * n if scan else n  # rows of one step's block
+    tail = n if scan else 0  # a scan's last step writes acc, not the U rows
     if cols == 1:
-        return functools.partial(_sparsetools.csr_matvec, *W.shape, *csr)
-    return functools.partial(_sparsetools.csr_matvecs, *W.shape, cols, *csr)
+        kernel, head = _sparsetools.csr_matvec, (chain * rows,)
+    else:
+        kernel, head = _sparsetools.csr_matvecs, (chain * rows, cols)
+    calls = {}
+
+    def run(first, steps):
+        if (first, steps) not in calls:
+            calls[first, steps] = [
+                (min(chain, steps - j) * rows - tail, *head, *csr,
+                 buf[(first + j) * rows * cols:], buf[(first + j + 1) * rows * cols:])
+                for j in range(0, steps, chain)]
+        for args in calls[first, steps]:
+            kernel(*args)
+        g.matvec_calls += steps
+        g.matvec_cols += steps * cols
+
+    return run
 
 
 def cone_gather(table, index, ones, out):
@@ -177,35 +250,30 @@ def level_blocks(g: WeightedGraph, f, L: int):
     level-major chunk of at most min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES //
     (n k)) levels.  Nothing is yielded when L < 0.
 
-    The chunk is zero-filled once per pass and the kernel adds each level
-    into its row, so every level is bit-identical to repeated
-    `markov_step`; the CSR arrays are bound once per walk and the
-    products are counted once per pass.  block is overwritten by the
-    next pass: the consumer uses it (it may overwrite it, the walk
-    resumes from its own copy of the last level) before asking for the
-    next."""
+    The chunk is zero-filled once per pass, and each pass is one
+    chained kernel call per chain length of levels (`_kernel`), its
+    output the buffer one level ahead of its input.  The kernel writes
+    its rows in order, in place, so it adds each level into its row from
+    the row before it, which the same call has just written: every level
+    is bit-identical to repeated `markov_step`, and the products are
+    counted once per pass.  The row before the chunk holds the last
+    level of the previous pass, so block is overwritten by the next pass:
+    the consumer uses it (it may overwrite it, the walk resumes from its
+    own copy of the last level) before asking for the next."""
     if L < 0:
         return
     u = _operand(g, f)
     size = max(1, min(LEVEL_CHUNK, L + 1, ROW_BLOCK_ENTRIES // max(u.size, 1)))
-    chunk = np.empty((size,) + u.shape)
-    rows = list(chunk.reshape(size, u.size))  # flat row views, made once
-    last = np.empty(u.size)
-    cols = u.shape[1] if u.ndim == 2 else 1
-    product = _kernel(markov_matrix(g), cols)
+    buf = np.empty((size + 1,) + u.shape)
+    walk = _kernel(g, buf.reshape(-1), u.shape[1] if u.ndim == 2 else 1)
     for lo in range(0, L + 1, size):
-        block = chunk[:min(size, L + 1 - lo)]
+        block = buf[1:1 + min(size, L + 1 - lo)]
         block.fill(0.0)
-        prev, first = last, 0
+        first = 0 if lo else 1  # the row the pass reads first
         if not lo:
-            rows[0][...] = u.reshape(-1)
-            prev, first = rows[0], 1
-        for row in rows[first:len(block)]:
-            product(prev, row)
-            prev = row
-        g.matvec_calls += len(block) - first
-        g.matvec_cols += (len(block) - first) * cols
-        last[...] = prev
+            block[0] = u
+        walk(first, len(block) - first)
+        buf[0] = block[-1]
         yield lo, block
 
 
@@ -254,41 +322,33 @@ def horner(g: WeightedGraph, U: np.ndarray) -> np.ndarray:
     acc = U[:, K - 1]: exactly max(K - 1, 0) sparse products (zero when
     K = 0).
 
-    Each step is one kernel call with [W | I] (W = markov_matrix(g);
-    the (n, 2n) matrix is built once per graph) on the contiguous pair
-    [acc; U[:, k]]: the identity entry comes last in every row, so the
-    kernel adds U[:, k] after the product and the scan is bit-identical
-    to the two-buffer loop acc <- W acc + U[:, k].  One level-major
-    buffer holds the pairs: at most LEVEL_CHUNK columns are copied into
-    it per pass, in scan order, each after the row that receives the
-    product before it, and those rows are zero-filled once per pass."""
+    Each step is one product with [W | I] (W = markov_matrix(g)) on the
+    contiguous pair [acc; U[:, k]], the identity entry last in every row,
+    so the kernel adds U[:, k] after the product and the scan is
+    bit-identical to the two-buffer loop acc <- W acc + U[:, k].  One
+    level-major buffer holds the pairs: at most LEVEL_CHUNK columns are
+    copied into it per pass, in scan order, each after the row that
+    receives the product before it; those rows are zero-filled once per
+    pass, and the pass is one chained kernel call per chain length of
+    steps (`_kernel`), its output the buffer one pair ahead of its input:
+    the kernel writes its rows in order, in place, so each step reads
+    the acc row that the step before it has just written, and it leaves
+    the U rows, which its chain gives no entries, as they are."""
     n, K = g.n, U.shape[1]
     if K == 0:
         return np.zeros(n)
-    if g._scan_matrix is None:
-        W = markov_matrix(g)
-        indptr = W.indptr + np.arange(n + 1, dtype=W.indptr.dtype)
-        indices = np.insert(W.indices, W.indptr[1:], np.arange(n, 2 * n))
-        data = np.insert(W.data, W.indptr[1:], 1.0)
-        g._scan_matrix = sp.csr_matrix((data, indices, indptr), shape=(n, 2 * n))
     size = max(1, min(LEVEL_CHUNK, K - 1, ROW_BLOCK_ENTRIES // (2 * n)))
     # rows: acc, U[:, k], W acc + U[:, k], U[:, k - 1], ... : step j
     # reads rows 2j and 2j + 1 and writes row 2j + 2
     buf = np.empty((2 * size + 1, n))
-    flat = buf.reshape(-1)
-    pairs = [flat[2 * j * n:(2 * j + 2) * n] for j in range(size)]
-    outs = list(buf[2::2])
-    product = _kernel(g._scan_matrix, 1)
+    scan = _kernel(g, buf.reshape(-1), 1, scan=True)
     buf[0] = U[:, K - 1]
     for hi in range(K - 1, 0, -size):
         lo = max(hi - size, 0)
         steps = hi - lo
         buf[1:2 * steps:2] = U[:, lo:hi][:, ::-1].T
         buf[2:2 * steps + 1:2] = 0.0
-        for j in range(steps):
-            product(pairs[j], outs[j])
-        g.matvec_calls += steps
-        g.matvec_cols += steps
+        scan(0, steps)
         buf[0] = buf[2 * steps]
     return buf[0].copy()
 

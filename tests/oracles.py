@@ -19,16 +19,16 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from graphhardy.calculus import (BZ2Kind, SeriesOperator, a_s, binomial_coefficients,
-                                 delta_power_apply, require_mean_zero, resolvent_apply,
-                                 spectral)
+from graphhardy.calculus import (BZ2Kind, SeriesOperator, _mean_zero_radius, a_s,
+                                 binomial_coefficients, delta_power_apply,
+                                 require_mean_zero, resolvent_apply, spectral)
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import annulus, ball, cached_geometry, vitali_cover
 from graphhardy.hardy import synthesize_molecules
 from graphhardy.operators import EdgeFunction, apply_P, gradient, horner, lp_norm, powers
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
-from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
+from graphhardy.tentspace import HORIZON_CAP, TentAtom, TentDecomposition, tent_mask
 
 
 def delta_power_exact(g, f, beta):
@@ -371,6 +371,24 @@ def horner_synthesis_levels_first(g, atoms, eta, beta, exp):
     for i, (lo, k) in enumerate(zip(starts, tops)):
         out[:, i] = horner(g, V[:, lo:lo + k] * coeffs[:k])
     return out
+
+
+def reproducing_l_max_loop(g, eta, tol):
+    """`tentspace.reproducing_l_max` as the scalar recurrence, one level
+    per step from k = 0."""
+    lam = _mean_zero_radius(g)
+    z = lam * lam
+    front = (1.0 - z) ** eta
+    partial = 0.0
+    c = 1.0
+    zpow = 1.0
+    for k in range(HORIZON_CAP):
+        partial += c * zpow
+        if abs(1.0 - front * partial) <= tol:
+            return k
+        c = c * (k + eta) / (k + 1)
+        zpow *= z
+    raise NonConvergent(f"reproducing horizon beyond {HORIZON_CAP}")
 
 
 def reproducing_l_max_spectrum(g, eta, tol, n_cap=200000):

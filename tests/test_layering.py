@@ -17,19 +17,22 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "graphhardy"
 # callee -> (modules where any call is allowed, "module.function" allowed)
 ALLOWED = {
     # every product with the matrix is counted: it is read by the counted
-    # step, the level walk (which `powers` and `weighted_powers` consume)
-    # and the Horner scan, and by `kernel` for its sparse-sparse products
-    # alone
-    "markov_matrix": (set(), {"operators.markov_step", "operators.level_blocks",
-                              "operators.horner", "operators.kernel"}),
+    # step, by the chain builder of the level walk (which `powers` and
+    # `weighted_powers` consume) and of the Horner scan, and by `kernel`
+    # for its sparse-sparse products alone
+    "markov_matrix": (set(), {"operators.markov_step", "operators._chain",
+                              "operators.kernel"}),
     "markov_step": ({"operators"}, set()),
     # the square functions and the Riesz transform read every P^l f from
     # the walks
     "apply_P": ({"operators", "calculus", "hardy", "tentspace"}, set()),
     "_kernel_step": (set(), {"operators.markov_step"}),
-    # scipy's kernel bound to the matrix once per walk: the level walk and
-    # the Horner scan, which count their own products
+    # scipy's kernel bound to the graph's chain once per walk: the level
+    # walk and the Horner scan, whose products it counts
     "_kernel": (set(), {"operators.level_blocks", "operators.horner"}),
+    # a chain is read only by the binder that never passes the kernel more
+    # steps than the chain holds (the kernel checks no bounds)
+    "_chain": (set(), {"operators._kernel"}),
     # every P^l f outside `operators` is read from its walks, except the
     # cone sum's squared chunks
     "level_blocks": ({"operators"}, {"quadratic._level_square_sums"}),
@@ -93,7 +96,8 @@ def _all_calls():
 
 def test_scanner_sees_calls():
     found = _all_calls()
-    assert ("markov_matrix", "operators.horner") in found
+    assert ("markov_matrix", "operators._chain") in found
+    assert ("_chain", "operators._kernel") in found
     assert ("_kernel_step", "operators.markov_step") in found
     assert ("_kernel", "operators.horner") in found
     assert ("_kernel", "operators.level_blocks") in found

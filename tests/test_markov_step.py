@@ -193,6 +193,108 @@ def test_level_walk_consumers_are_bit_identical(monkeypatch, chunk, L, width):
         assert _same_bits(got[:, j], want[t])
 
 
+def _unsorted_rows(g):
+    # W keeps the entry order of its product, so the chain's copies must
+    # keep it too: a sorted row adds its terms in another order
+    W = markov_matrix(g)
+    return any(np.any(np.diff(W.indices[a:b]) < 0) for a, b in zip(W.indptr, W.indptr[1:]))
+
+
+def _walk(g, f, L):
+    """P^0 f ... P^L f, each level a copy, from `level_blocks`."""
+    return [row.copy() for _, rows in level_blocks(g, f, L) for row in rows]
+
+
+# (chain, L): a chain of 3 levels, which divides neither the chunk of 64
+# levels nor one of 5, and a chain of a single level, with L at the
+# chain's and the chunks' boundaries
+CHAINS = [(c, L) for c in (3, 1) for L in (1, 2, 3, 4, 5, 6, 7, 63, 64, 65, 129)]
+
+
+@pytest.mark.parametrize("chain, L", CHAINS)
+@pytest.mark.parametrize("width", [None, 3])
+@pytest.mark.parametrize("chunk", [LEVEL_CHUNK, 5])
+def test_chained_walk_is_bit_identical(monkeypatch, chain, L, width, chunk):
+    # one kernel call walks up to `chain` levels, its output one level
+    # ahead of its input; every level is still one markov_step, and the
+    # products are counted as one per level of width columns
+    g = zoo.random_weights(zoo.lazy_torus_2d(4), 11)
+    assert _unsorted_rows(g)
+    k = width or 1
+    monkeypatch.setattr(operators, "CHAIN_ENTRIES", chain * markov_matrix(g).nnz)
+    monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", chunk * g.n * k)
+    shape = (g.n,) if width is None else (g.n, width)
+    f = np.random.default_rng(12).standard_normal(shape)
+    want = [f]
+    for _ in range(L):
+        want.append(markov_step(g, want[-1]))
+    calls, cols = g.matvec_calls, g.matvec_cols
+    got = _walk(g, f, L)
+    assert operators._chain(g, False)[0] == chain
+    assert (g.matvec_calls - calls, g.matvec_cols - cols) == (L, L * k)
+    assert len(got) == L + 1
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("chain", [1, 2, 3])
+@pytest.mark.parametrize("K", [2, 3, 4, 7, LEVEL_CHUNK + 1, LEVEL_CHUNK + 2, 2 * LEVEL_CHUNK + 5])
+def test_chained_horner_is_bit_identical(monkeypatch, chain, K):
+    # the scan's chain holds `chain` steps of [W | I]; across its
+    # boundaries and the buffer's, the scan is the two-buffer loop
+    g = zoo.random_weights(zoo.lazy_cycle(12), 7)
+    assert _unsorted_rows(g)
+    step = markov_matrix(g).nnz + g.n
+    monkeypatch.setattr(operators, "CHAIN_ENTRIES", chain * step)
+    U = np.random.default_rng(13).standard_normal((g.n, K))
+    calls, cols = g.matvec_calls, g.matvec_cols
+    got = horner(g, U)
+    assert operators._chain(g, True)[0] == chain
+    assert (g.matvec_calls - calls, g.matvec_cols - cols) == (K - 1, K - 1)
+    acc = U[:, K - 1]
+    for k in range(K - 2, -1, -1):
+        acc = markov_step(g, acc) + U[:, k]
+    assert _same_bits(got, acc)
+
+
+def test_chains_stay_with_their_graph():
+    # each graph walks on its own chain: walks on two graphs of different
+    # sizes, interleaved level by level, match their own markov_step
+    graphs = [zoo.random_weights(zoo.lazy_torus_2d(4), 1), zoo.random_weights(zoo.lazy_cycle(9), 2)]
+    rng = np.random.default_rng(14)
+    fs = [rng.standard_normal(g.n) for g in graphs]
+    walks = [level_blocks(g, f, 150) for g, f in zip(graphs, fs)]
+    seen = [[], []]
+    for _ in range(3):
+        for i, walk in enumerate(walks):
+            seen[i] += [row.copy() for row in next(walk)[1]]
+            U = rng.standard_normal((graphs[i].n, 70))
+            acc = U[:, -1]
+            for k in range(68, -1, -1):
+                acc = markov_step(graphs[i], acc) + U[:, k]
+            assert _same_bits(horner(graphs[i], U), acc)
+    for g, f, levels in zip(graphs, fs, seen):
+        assert len(levels) == 151
+        u = f
+        for level in levels:
+            assert _same_bits(level, u)
+            u = markov_step(g, u)
+
+
+def test_kernel_reads_what_it_has_just_written():
+    # The chained walk passes scipy's kernel its output one level ahead of
+    # its input, both views of one buffer, and relies on the kernel
+    # writing each row before it reads the rows after it, in place.  A
+    # scipy that copied an operand would leave level 2 at P 0 = 0.
+    g = build_graph([(0, 1, 1.0), (1, 2, 2.0), (0, 0, 0.5), (2, 2, 1.5)])
+    f = np.array([1.0, -2.0, 3.0])
+    levels = _walk(g, f, 2)
+    assert operators._chain(g, False)[0] >= 2
+    want = markov_step(g, markov_step(g, f))
+    assert _same_bits(levels[2], want), (
+        "scipy's CSR kernel no longer updates an aliased operand in place; "
+        "the chained level walk (operators._kernel) needs per-step calls")
+
+
 def test_level_walk_yields_nothing_below_level_zero():
     g = zoo.lazy_cycle(8)
     assert list(level_blocks(g, np.ones(g.n), -1)) == []

@@ -9,6 +9,7 @@ from oracles import (
     atomic_decompose_dense,
     eta_coefficients_recurrence,
     naive_tent_members,
+    reproducing_l_max_loop,
     reproducing_l_max_spectrum,
     tent_pieces_dense,
     top_level,
@@ -279,6 +280,23 @@ def test_reproducing_l_max_matches_spectrum(name):
     for eta in (2, 3, 5):
         for tol in (1e-6, 1e-10):
             assert reproducing_l_max(g, eta, tol) == reproducing_l_max_spectrum(g, eta, tol)
+
+
+@pytest.mark.parametrize("name", ["lazy_cycle_32", "lazy_cycle_64",
+                                  "lazy_torus_16", "lazy_torus_32"])
+def test_reproducing_l_max_is_the_scalar_loop(name):
+    # the blocks of levels give the loop's horizon exactly, also where
+    # the horizon runs past c_k (k + eta) = 2^53 (lazy_cycle_64 at
+    # eta >= 4), where the search goes on one level at a time
+    g = _zoo_graph(name)
+    for eta in range(2, 9):
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 3e-14):
+            assert reproducing_l_max(g, eta, tol) == reproducing_l_max_loop(g, eta, tol)
+
+
+def test_reproducing_l_max_needs_eta_at_least_one(cycle16):
+    with pytest.raises(ValueError):
+        reproducing_l_max(cycle16, 0, 1e-8)
 
 
 def _assert_same_decomposition(got, want):
