@@ -59,8 +59,8 @@ import scipy.linalg
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk)
 from .graphs import ROW_BLOCK_ENTRIES, WeightedGraph, set_distance
-from .operators import (LEVEL_CHUNK, apply_P, chebyshev, gradient, heat_sweep, lp_norm,
-                        mean_project, powers)
+from .operators import (LEVEL_CHUNK, apply_P, chebyshev, delta_steps, gradient, heat_sweep,
+                        lp_norm, mean_project, powers)
 
 ORACLE_MAX_N = 2048
 KERNEL_REL_TOL = 1e-8
@@ -394,6 +394,13 @@ class BZ1Kind:
                 raise BadTuple(f"s_i = {t} outside [{self.s}, {2 * self.s}]")
 
 
+def bz1_product(g: WeightedGraph, x, times):
+    """(I - P^{t_1}) ... (I - P^{t_M}) x for a float x, whatever the t_i."""
+    for t in times:
+        x = x - apply_P(g, x, t)
+    return x
+
+
 @dataclass(frozen=True)
 class BZ2Kind:
     s: object                  # a scale, or a tuple of scales for a sweep
@@ -425,9 +432,7 @@ def a_s(g: WeightedGraph, f, kind):
     """
     out = np.asarray(f, dtype=float)
     if isinstance(kind, BZ1Kind):
-        for t in kind.times:
-            out = out - apply_P(g, out, t)
-        return out
+        return bz1_product(g, out, kind.times)
     if isinstance(kind, BZ2Kind):
         # the identity part is added exactly, so where f vanishes the
         # result is as accurate as R f
@@ -451,7 +456,8 @@ def _family_heat(g, f, s, M):
 def _family_delta_heat(g, f, s, M):
     out = heat_sweep(g, f, s)
     for _ in range(M):
-        out = np.asarray(s, dtype=float) * (out - apply_P(g, out))
+        delta_steps(g, out, 1)
+        out *= np.asarray(s, dtype=float)
     return out
 
 
@@ -468,9 +474,7 @@ def _family_grad_heat(g, f, s, M):
 
 
 def _family_grad_resolvent(g, f, s, M):
-    out = resolvent_apply(g, f, s, M + 0.5, GAFFNEY_TOL)
-    for _ in range(M):
-        out = out - apply_P(g, out)
+    out = delta_steps(g, resolvent_apply(g, f, s, M + 0.5, GAFFNEY_TOL), M)
     return gradient(g, out) * [t ** (M + 0.5) for t in s]
 
 

@@ -13,11 +13,13 @@ with ||b||_{L^2(C_j(B))} <= 2^{-j eps} V(2^j B)^{-1/2} for every ring,
 and the atom case (eps = inf) replaced by supp b in B together with
 ||b||_2 <= V(B)^{-1/2}.
 
-The decomposition pipeline goes: heat profile of f -> tent atomic
-decomposition -> one synthesized molecule per tent atom.  Synthesized
-molecules are valid only up to a uniform constant, so each one is
-normalized by its measured annulus excess and the constant is kept on
-the coefficient.
+Functions and forms share one pipeline (`_decompose`): profile -> tent
+atomic decomposition -> one synthesized molecule per tent atom, whose
+kind enters through its synthesis orders (`synthesis_orders`) and its
+pointwise level (`_level`), the rules the stage and validator read too.
+Synthesized molecules are valid only up to a uniform constant, so each
+one is normalized by its measured annulus excess and the constant is
+kept on the coefficient.
 
 The molecules of a decomposition are one block stage
 (`synthesize_molecules`), in the paper's order: one heat scan X of all
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (BZ2Kind, _mean_zero_radius, a_s, delta_power_apply,
+from .calculus import (BZ2Kind, _mean_zero_radius, a_s, bz1_product, delta_power_apply,
                        require_mean_zero, resolvent_apply)
 from .errors import (
     FactorizationMismatch,
@@ -59,6 +61,7 @@ from .graphs import (
 from .operators import (
     EdgeFunction,
     apply_P,
+    delta_steps,
     differential,
     divergence,
     inner,
@@ -126,10 +129,9 @@ def rederive_molecules(g: WeightedGraph, kind: str, M: int, s, times,
     for key, cols in groups.items():
         x = b[:, cols]
         if kind == "bz1":
-            # applied directly: atom tuples may sit below s, which the
-            # strict BZ1Kind constructor would reject
-            for t in key:
-                x = x - apply_P(g, x, t)
+            # not through BZ1Kind: atom tuples may sit below s, which its
+            # strict constructor would reject
+            x = bz1_product(g, x, key)
         elif kind == "bz2":
             x = a_s(g, x, BZ2Kind(key, M))
         elif kind == "bz2_tuple":
@@ -137,13 +139,18 @@ def rederive_molecules(g: WeightedGraph, kind: str, M: int, s, times,
             for t in key:
                 x = x - resolvent_apply(g, x, t, 1.0)
         elif kind == "form":
-            for _ in range(M):
-                x = x - apply_P(g, x)
+            x = delta_steps(g, x, M)
             x = differential(g, key ** (M + 0.5) * resolvent_apply(g, x, key, M + 0.5)).data
         else:
             raise ValueError(f"unknown molecule kind {kind!r}")
         out[:, cols] = x
     return out
+
+
+def _level(g: WeightedGraph, kind: str, x) -> np.ndarray:
+    """The pointwise size of molecule data x, one column per molecule:
+    |x| for functions, the T_x fibre norms of form edge data."""
+    return tx_norms(g, EdgeFunction(g, x)) if kind == "form" else np.abs(x)
 
 
 def _annulus_bounds(g: WeightedGraph, balls, eps: float):
@@ -206,13 +213,10 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
     (FactorizationMismatch), then a tuple entry out of range, then the
     first (molecule, annulus) entry above its size bound
     (SizeBoundViolated)."""
-    def level(x):
-        return tx_norms(g, EdgeFunction(g, x)) if kind == "form" else np.abs(x)
-
-    level_a = level(a)
+    level_a = _level(g, kind, a)
     gap = rederive_molecules(g, kind, M, s, times, b)
     gap -= a
-    fact_err = lp_norm(g, level(gap), 2) / np.maximum(1.0, lp_norm(g, level_a, 2))
+    fact_err = lp_norm(g, _level(g, kind, gap), 2) / np.maximum(1.0, lp_norm(g, level_a, 2))
     failed = ~(fact_err <= FACT_TOL)
     if failed.any():
         raise FactorizationMismatch(f"relative factorization error "
@@ -265,6 +269,20 @@ def synthesis_eta_forms(M: int, eps: float, d0: float) -> int:
     return math.ceil(d0 / 4.0 + eps / 2.0) + M + 2
 
 
+def synthesis_orders(kind: str, M: int, beta: float, eps: float, d0: float):
+    """(eta, beta, exp) of the heat scan of `kind` molecules: beta and
+    exp = eta - beta - M for bz2, 1/2 and eta - 1 - M for forms."""
+    if kind == "bz2":
+        eta = synthesis_eta(M, beta, eps, d0)
+        return eta, beta, eta - beta - M
+    if kind == "form":
+        eta = synthesis_eta_forms(M, eps, d0)
+        if eta - 1 - M < 0:
+            raise ValueError("eta too small for the form pre-image")
+        return eta, 0.5, eta - 1 - M
+    raise ValueError(f"no synthesis for molecule kind {kind!r}")
+
+
 def _pre_images(g: WeightedGraph, kind: str, M: int, X: np.ndarray,
                 s: np.ndarray) -> np.ndarray:
     """b = Q_s X for the (n, k) block X whose column c belongs to an atom
@@ -299,18 +317,16 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     molecules stacked as the columns of a ((n, k), or (nnz, k) edge data
     for forms).
 
-    For an atom over B(x, r), with s = max(1, r^2) and eta as in
-    `synthesis_eta` (bz2) or `synthesis_eta_forms` (forms, beta = 1/2),
-    the stage takes the heat scan
+    For an atom over B(x, r), with s = max(1, r^2) and (eta, beta, exp)
+    from `synthesis_orders`, the stage takes the heat scan
 
         X = sum_l (c_l^eta / l^beta) Delta^exp (I + P)^eta P^{l-1} A(., l-1)
 
-    with exp = eta - beta - M (bz2) or eta - 1 - M (forms), over the
-    levels l - 1 < top (`horner_synthesis`), so nothing depends on the
-    atoms' l_max.  The molecule is a = Delta^M X (bz2) or d Delta^M X
-    (form), M exact steps f - P f on the (n, k) output, and its
-    pre-image is b = Q_s X (`_pre_images`), so b and a factor as in the
-    module docstring.
+    over the levels l - 1 < top (`horner_synthesis`), so nothing depends
+    on the atoms' l_max.  The molecule is a = Delta^M X (bz2) or
+    d Delta^M X (form), `delta_steps` in place on the (n, k) output, and
+    its pre-image is b = Q_s X (`_pre_images`), so b and a factor as in
+    the module docstring.
 
     b and a are divided by the measured annulus excess of b (kept in
     norm_constant), and the block is validated against the same annulus
@@ -320,17 +336,7 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     """
     if math.isinf(eps):
         raise ValueError("synthesized molecules need a finite eps")
-    if kind == "bz2":
-        eta = synthesis_eta(M, beta, eps, d0)
-        exp = eta - beta - M
-    elif kind == "form":
-        eta = synthesis_eta_forms(M, eps, d0)
-        beta = 0.5
-        exp = eta - 1 - M
-        if exp < 0:
-            raise ValueError("eta too small for the form pre-image")
-    else:
-        raise ValueError(f"no synthesis for molecule kind {kind!r}")
+    eta, beta, exp = synthesis_orders(kind, M, beta, eps, d0)
     width = g.adjacency.nnz if kind == "form" else g.n
     if not tdec.coefficients:
         return [], np.zeros((width, 0))
@@ -341,8 +347,7 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     times = [None] * len(atoms)
     X = horner_synthesis(g, [A.values for A in atoms], eta, beta, exp)
     b = _pre_images(g, kind, M, X, np.array(s, dtype=float))
-    for _ in range(M):
-        X -= apply_P(g, X)
+    delta_steps(g, X, M)
     a = differential(g, X).data if kind == "form" else X
     measured, bounds = _size_table(g, eps, balls, b)
     over = measured > bounds * (1.0 + SIZE_TOL)
@@ -429,45 +434,42 @@ def pipeline_l_max(g: WeightedGraph, eta: int, tol: float, ref_norm: float) -> i
     return max(default_l_max(g), reproducing_l_max(g, eta, target))
 
 
+def _decompose(g: WeightedGraph, kind: str, target, profile, M: int, beta: float,
+               eps: float, tol: float, horizon_tol: float) -> MolecularDecomposition:
+    """The molecular pipeline of both kinds: target (a mean-zero f for
+    bz2, the edge data of an exact form) as one `kind` molecule per tent
+    atom of profile(l_max), whose T^1_2 norm is the reported quad_norm.
+    A periodic walk (PeriodicWalk) or a graph above the oracle cap
+    (OracleCapExceeded) is refused first, then a zero target returns
+    before the geometry is built.  l_max comes from the one scalar
+    lambda_star (`reproducing_l_max`) so the reproducing sum meets
+    horizon_tol/2, and the tent partition is exact, so the L^2 residual
+    lands below tol (NonConvergent otherwise)."""
+    _mean_zero_radius(g)
+    norm = lp_norm(g, _level(g, kind, target), 2)
+    if norm == 0.0:
+        return MolecularDecomposition([], 0.0, 0.0, 0.0, 0.0)
+    d0 = cached_geometry(g).d0_estimate
+    eta, _, _ = synthesis_orders(kind, M, beta, eps, d0)
+    tdec = atomic_decompose(g, profile(pipeline_l_max(g, eta, horizon_tol, norm)), tol=tol)
+    coefficients, A = synthesize_molecules(g, tdec, kind, M, beta, eps, d0)
+    resid = _level(g, kind, target - A @ np.array([lam for lam, _ in coefficients]))
+    l2_res = lp_norm(g, resid, 2)
+    if l2_res > tol:
+        raise NonConvergent(f"{'form' if kind == 'form' else 'molecular'} "
+                            f"reconstruction residual {l2_res:.3e} above {tol:.3e}")
+    return MolecularDecomposition(coefficients, float(sum(abs(l) for l, _ in coefficients)),
+                                  lp_norm(g, resid, 1), l2_res, tdec.t1_norm)
+
+
 def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
                         tol=1e-8) -> MolecularDecomposition:
-    """Molecular representation of a mean-zero f in L^2.
-
-    Heat profile -> tent atoms -> one bz2 molecule per atom, all from
-    one `synthesize_molecules` stage.  The
-    horizon comes from the one scalar lambda_star (`reproducing_l_max`)
-    so the reproducing sum meets tol/2, and the tent partition is
-    exact, so the final L^2 residual lands below tol.  A periodic walk
-    (PeriodicWalk) or a graph above the oracle cap (OracleCapExceeded)
-    is refused before the geometry or any profile is built, whatever f.
-    """
+    """Molecular representation of a mean-zero f in L^2 from its heat
+    profile, whose Lusin weight F(., l)^2 / (l+1) is that of f, so
+    quad_norm is ||L_beta f||_1."""
     f = require_mean_zero(g, f)
-    _mean_zero_radius(g)
-    d0 = cached_geometry(g).d0_estimate
-    eta = synthesis_eta(M, beta, eps, d0)
-    norm_f = lp_norm(g, f, 2)
-    if norm_f == 0.0:
-        return MolecularDecomposition([], 0.0, 0.0, 0.0, 0.0)
-    l_max = pipeline_l_max(g, eta, tol, norm_f)
-    F = heat_profile(g, f, beta, l_max)
-    tdec = atomic_decompose(g, F, tol=tol)
-    coefficients, A = synthesize_molecules(g, tdec, "bz2", M, beta, eps, d0)
-    rec = A @ np.array([lam for lam, _ in coefficients])
-    l2_res = lp_norm(g, f - rec, 2)
-    if l2_res > tol:
-        raise NonConvergent(
-            f"molecular reconstruction residual {l2_res:.3e} above {tol:.3e}"
-        )
-    # F(., l)^2 / (l+1) is the Lusin weight of f at level l, so the
-    # quadratic norm ||L_beta f||_1 is the T^1_2 norm of the profile
-    qn = tdec.t1_norm
-    return MolecularDecomposition(
-        coefficients,
-        float(sum(abs(l) for l, _ in coefficients)),
-        lp_norm(g, f - rec, 1),
-        l2_res,
-        qn,
-    )
+    return _decompose(g, "bz2", f, lambda l_max: heat_profile(g, f, beta, l_max),
+                      M, beta, eps, tol, tol)
 
 
 def is_exact_form(g: WeightedGraph, F: EdgeFunction, tol=1e-8) -> bool:
@@ -477,40 +479,15 @@ def is_exact_form(g: WeightedGraph, F: EdgeFunction, tol=1e-8) -> bool:
 
 def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
                              eps: float, tol=1e-8) -> MolecularDecomposition:
-    """Molecular representation of an exact 1-form F = dg.  Like
-    `molecular_decompose`, it refuses a periodic walk or a graph above
-    the oracle cap before the geometry or any profile is built, whatever
-    F."""
+    """Molecular representation of an exact 1-form F from the profile
+    sqrt(l+1) P^l w, w = d*F, whose Lusin weight |P^l w|^2 is that of
+    Delta^{-1/2} w at beta = 1/2; d is L^2-bounded by sqrt(2), so the
+    horizon keeps that margin."""
     if not is_exact_form(g, F, tol):
         raise NotExactForm("input form is not a differential")
-    _mean_zero_radius(g)
     w = divergence(g, F)
-    norm_F = lp_norm_forms(g, F, 2)
-    if norm_F == 0.0:
-        return MolecularDecomposition([], 0.0, 0.0, 0.0, 0.0)
-    d0 = cached_geometry(g).d0_estimate
-    eta = synthesis_eta_forms(M, eps, d0)
-    # d is L^2-bounded by sqrt(2), keep that margin in the horizon target
-    l_max = pipeline_l_max(g, eta, tol / math.sqrt(2.0), norm_F)
-    prof = form_profile(g, w, l_max)
-    tdec = atomic_decompose(g, prof, tol=tol)
-    coefficients, A = synthesize_molecules(g, tdec, "form", M, 0.5, eps, d0)
-    resid = EdgeFunction(g, F.data - A @ np.array([lam for lam, _ in coefficients]))
-    l2_res = lp_norm_forms(g, resid, 2)
-    if l2_res > tol:
-        raise NonConvergent(
-            f"form reconstruction residual {l2_res:.3e} above {tol:.3e}"
-        )
-    # F(., l)^2 / (l+1) = |P^l w|^2 is the Lusin weight of Delta^{-1/2} w
-    # at beta = 1/2, so ||L_{1/2} Delta^{-1/2} w||_1 is the T^1_2 norm of
-    # the profile
-    return MolecularDecomposition(
-        coefficients,
-        float(sum(abs(l) for l, _ in coefficients)),
-        lp_norm_forms(g, resid, 1),
-        l2_res,
-        tdec.t1_norm,
-    )
+    return _decompose(g, "form", F.data, lambda l_max: form_profile(g, w, l_max),
+                      M, 0.5, eps, tol, tol / math.sqrt(2.0))
 
 
 # -- BMO norms ----------------------------------------------------------------

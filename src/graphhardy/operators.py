@@ -243,6 +243,14 @@ def apply_P(g: WeightedGraph, f, k: int = 1):
     return out
 
 
+def delta_steps(g: WeightedGraph, X, k: int):
+    """Delta^k X in place: k exact steps X -= P X, one product each, on a
+    float vector or block X; returns X."""
+    for _ in range(k):
+        X -= apply_P(g, X)
+    return X
+
+
 def level_blocks(g: WeightedGraph, f, L: int):
     """Walk P^0 f, P^1 f, ..., P^L f with exactly L sparse products and
     yield them as (lo, block): block[i] = P^(lo + i) f for a vector or an
@@ -362,10 +370,16 @@ def chebyshev(g: WeightedGraph, f, N: int, radius=None):
     X is P when radius is None.  Given a radius r, X = (P - Pi)/r on the
     mean-zero part of f, Pi the m-mean projection: f is mean-projected on
     entry and every product after it, so the rounding of each product
-    along the constants is dropped instead of growing like T_k(1/r)."""
+    along the constants is dropped instead of growing like T_k(1/r).  A
+    deflated vector is walked as its one-column block, so both take their
+    means by the same reductions and give the same bits."""
     if N < 0:
         return
     deflate = radius is not None
+    if deflate and np.ndim(f) == 1:
+        for u in chebyshev(g, np.reshape(f, (-1, 1)), N, radius):
+            yield u[:, 0]
+        return
     u = prev = mean_project(g, f) if deflate else np.asarray(f, dtype=float)
     yield u
     for k in range(N):
@@ -382,7 +396,7 @@ def chebyshev(g: WeightedGraph, f, N: int, radius=None):
 
 
 def laplacian(g: WeightedGraph, f):
-    return np.asarray(f, dtype=float) - apply_P(g, f)
+    return delta_steps(g, np.array(f, dtype=float), 1)
 
 
 def gradient(g: WeightedGraph, f):

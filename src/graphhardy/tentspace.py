@@ -36,7 +36,7 @@ import numpy as np
 from .calculus import _mean_zero_radius, delta_power_apply
 from .errors import NonConvergent
 from .graphs import Ball, WeightedGraph, ball, distance_to
-from .operators import apply_P, horner, lp_norm
+from .operators import apply_P, delta_steps, horner, lp_norm
 from .quadratic import SpaceTimeFunction, lusin_terms, tent_functional_of_terms
 
 # Longest reproducing horizon `reproducing_l_max` searches.
@@ -339,11 +339,11 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
     the cancellative factor before the scan keeps the partial sums at the
     output scale.  (I + P)^eta has its spectrum in [0, 2^eta], so nothing
     cancels in it: it commutes with the scan and runs on k columns
-    instead of sum_i top_i.  An integer exp is applied as exp factors
-    V - P V (never through the oracle, so it is the same on every graph
-    size); a fractional exp goes through `delta_power_apply`.  Any
-    further function of P (a molecule's per-atom scale) likewise belongs
-    on the (n, k) output.
+    instead of sum_i top_i.  An integer exp is applied as exp exact steps
+    of `operators.delta_steps` in place on the block (never through the
+    oracle, so it is the same on every graph size); a fractional exp goes
+    through `delta_power_apply`.  Any further function of P (a molecule's
+    per-atom scale) likewise belongs on the (n, k) output.
     """
     tops = np.array([e.top for e in atoms], dtype=np.int64)
     starts = np.cumsum(tops) - tops
@@ -352,8 +352,7 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
     for e, lo, k in zip(atoms, starts, tops):
         V[e.verts, lo:lo + k] = e.rows()
     if float(exp).is_integer():
-        for _ in range(int(exp)):
-            V -= apply_P(g, V)
+        delta_steps(g, V, int(exp))
     else:
         V = delta_power_apply(g, V, exp)
     top = int(tops.max(initial=0))

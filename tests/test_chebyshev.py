@@ -174,6 +174,21 @@ def test_delta_power_column_on_graphs(name, monkeypatch):
             assert lp_norm(g, op.apply(f + shift) - want, 2) <= allow, (beta, shift)
 
 
+@pytest.mark.parametrize("name", ["cycle64", "torus8", "torus16"])
+def test_deflated_vector_is_its_one_column_block(name):
+    # a deflated walk takes the means of a vector as those of its
+    # one-column block, so Delta^{+-1/2} of both agree bit for bit
+    g = {"cycle64": lambda: lazy_cycle(64), "torus8": lambda: lazy_torus_2d(8),
+         "torus16": lambda: lazy_torus_2d(16)}[name]()
+    f = _unit(g, 16)
+    for beta in (0.5, -0.5):
+        op = delta_power_series(g, beta, 1e-10)
+        assert op.radius is not None
+        assert np.array_equal(op.apply(f), op.apply(f[:, None])[:, 0]), beta
+        terms = zip(chebyshev(g, f, 20, op.radius), chebyshev(g, f[:, None], 20, op.radius))
+        assert all(np.array_equal(u, v[:, 0]) for u, v in terms)
+
+
 def test_chebyshev_terms(cycle16):
     # T_k(P) f from the three-term recurrence, on vectors and blocks, and
     # T_k((P - Pi)/lam) f with the constants sent to 0 by the deflated walk

@@ -15,6 +15,7 @@ from graphhardy.calculus import (
     BZ2Kind,
     QsKind,
     a_s,
+    require_mean_zero,
 )
 from graphhardy.errors import (
     FactorizationMismatch,
@@ -504,6 +505,58 @@ def test_form_decompose_zero(cycle16):
     F = EdgeFunction(cycle16, np.zeros(cycle16.adjacency.nnz))
     dec = form_molecular_decompose(cycle16, F, 1, 1.0)
     assert dec.coefficients == []
+
+
+@pytest.mark.parametrize("kind", ["bz2", "form"])
+def test_zero_input_skips_the_geometry(monkeypatch, cycle16, kind):
+    # both pipelines return the empty decomposition of a zero input
+    # before the geometry is built
+    def refuse(_):
+        raise AssertionError("geometry built for a zero input")
+
+    monkeypatch.setattr(hardy, "cached_geometry", refuse)
+    if kind == "bz2":
+        dec = molecular_decompose(cycle16, np.zeros(cycle16.n), 1, 1.0, 1.0)
+    else:
+        F = EdgeFunction(cycle16, np.zeros(cycle16.adjacency.nnz))
+        dec = form_molecular_decompose(cycle16, F, 1, 1.0)
+    assert dec.coefficients == [] and dec.l2_residual == 0.0
+
+
+@pytest.mark.parametrize("M", [1, 2])
+@pytest.mark.parametrize("kind", ["bz2", "form"])
+def test_pipeline_is_the_stage_chain(kind, M):
+    # the public pipeline of either kind is its explicit chain profile ->
+    # tent atoms -> molecule stage -> residuals, bit for bit
+    g = by_name("lazy_torus_16")
+    f = require_mean_zero(g, random_mean_zero(g, np.random.default_rng(4)))
+    d0 = cached_geometry(g).d0_estimate
+    if kind == "bz2":
+        dec = molecular_decompose(g, f, M, 1.0, 1.0, tol=1e-8)
+        eta = synthesis_eta(M, 1.0, 1.0, d0)
+        F = heat_profile(g, f, 1.0, pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2)))
+        target, norm = f, lp_norm
+    else:
+        dF = differential(g, f)
+        dec = form_molecular_decompose(g, dF, M, 1.0, tol=1e-8)
+        eta = synthesis_eta_forms(M, 1.0, d0)
+        l_max = pipeline_l_max(g, eta, 1e-8 / math.sqrt(2.0), lp_norm_forms(g, dF, 2))
+        F = form_profile(g, divergence(g, dF), l_max)
+        target = dF.data
+
+        def norm(g, x, p):
+            return lp_norm_forms(g, EdgeFunction(g, x), p)
+    tdec = atomic_decompose(g, F, tol=1e-8)
+    coefficients, A = synthesize_molecules(g, tdec, kind, M, 1.0, 1.0, d0)
+    resid = target - A @ np.array([lam for lam, _ in coefficients])
+    assert len(dec.coefficients) == len(coefficients) > 1
+    for (lam, mol), (lam_want, want) in zip(dec.coefficients, coefficients):
+        assert lam == lam_want and mol.norm_constant == want.norm_constant
+        assert np.array_equal(mol.b, want.b) and np.array_equal(_a_data(mol), _a_data(want))
+    assert dec.sum_abs_lambda == sum(abs(lam) for lam, _ in coefficients)
+    assert dec.l2_residual == norm(g, resid, 2)
+    assert dec.l1_residual == norm(g, resid, 1)
+    assert dec.quad_norm == tdec.t1_norm
 
 
 def test_form_decompose_cycle32(cycle32):

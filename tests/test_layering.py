@@ -2,10 +2,11 @@
 that multiplies by it (hence every P^l loop, the Horner scan included),
 the level walk, the oracle/series choice, the spectral oracle, the
 series object, the cone sum, the Lusin terms, the dense tent mask, the
-ball matrices, the molecule validator's rederivation, size table and
-report, and the kernel error may be reached only from the modules and
-functions listed here; scipy's private sparse kernels are imported by
-`operators` alone."""
+ball matrices, the bz1 product, the molecular pipeline body, the
+molecule validator's rederivation, size table and report, and the
+kernel error may be reached only from the modules and functions listed
+here; the exact Delta^k step and the pipeline body are defined once;
+scipy's private sparse kernels are imported by `operators` alone."""
 
 import ast
 from pathlib import Path
@@ -24,8 +25,15 @@ ALLOWED = {
                               "operators.kernel"}),
     "markov_step": ({"operators"}, set()),
     # the square functions and the Riesz transform read every P^l f from
-    # the walks
-    "apply_P": ({"operators", "calculus", "hardy", "tentspace"}, set()),
+    # the walks, and every exact Delta^k is `operators.delta_steps`; the
+    # other sites apply other polynomials in P: the bz1 product P^t, the
+    # bz2 pre-image (I + s Delta)/s and the synthesis factor (I + P)^eta
+    "apply_P": ({"operators"}, {"calculus.bz1_product", "hardy._pre_images",
+                                "tentspace.horner_synthesis"}),
+    # one bz1 product for the strict generator and the lenient validator
+    "bz1_product": (set(), {"calculus.a_s", "hardy.rederive_molecules"}),
+    # one molecular pipeline body for functions and forms
+    "_decompose": (set(), {"hardy.molecular_decompose", "hardy.form_molecular_decompose"}),
     "_kernel_step": (set(), {"operators.markov_step"}),
     # scipy's kernel bound to the graph's chain once per walk: the level
     # walk and the Horner scan, whose products it counts
@@ -102,6 +110,14 @@ def test_scanner_sees_calls():
     assert ("_kernel", "operators.horner") in found
     assert ("_kernel", "operators.level_blocks") in found
     assert ("markov_step", "operators.apply_P") in found
+    assert ("apply_P", "operators.delta_steps") in found
+    assert ("apply_P", "calculus.bz1_product") in found
+    assert ("apply_P", "hardy._pre_images") in found
+    assert ("apply_P", "tentspace.horner_synthesis") in found
+    assert ("bz1_product", "calculus.a_s") in found
+    assert ("bz1_product", "hardy.rederive_molecules") in found
+    assert ("_decompose", "hardy.molecular_decompose") in found
+    assert ("_decompose", "hardy.form_molecular_decompose") in found
     assert ("has_oracle", "quadratic.lusin_tail_bound") in found
     assert ("spectral", "calculus.phi_apply") in found
     assert ("SeriesOperator", "calculus.delta_power_series") in found
@@ -122,6 +138,16 @@ def test_calls_stay_in_their_home(callee):
     stray = sorted({where for name, where in _all_calls() if name == callee
                     and where.split(".")[0] not in modules and where not in functions})
     assert stray == [], f"{callee}( called outside its home: {stray}"
+
+
+def test_steps_and_pipeline_have_one_definition():
+    # the exact step Delta^k, the bz1 product and the pipeline body are
+    # each defined once, in their home module
+    homes = {"delta_steps": "operators", "bz1_product": "calculus", "_decompose": "hardy"}
+    defined = sorted((node.name, path.stem) for path in sorted(SRC.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.FunctionDef) and node.name in homes)
+    assert defined == sorted(homes.items())
 
 
 def _imports():

@@ -17,6 +17,7 @@ from graphhardy.operators import (
     LEVEL_CHUNK,
     apply_P,
     chebyshev,
+    delta_steps,
     heat_sweep,
     horner,
     level_blocks,
@@ -113,6 +114,22 @@ def test_walks_count_one_product_per_step():
     assert len(list(powers(g, f, 9))) == 10 and W.products == 9
     W.products = 0
     assert len(list(chebyshev(g, f, 9))) == 10 and W.products == 9
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("shape", [(), (4,)])
+def test_delta_steps_work_in_place(k, shape):
+    # Delta^k X is k exact steps X -= P X on X itself, bit for bit the
+    # loop x = x - P x, with exactly k products; k = 0 changes nothing
+    g = zoo.random_weights(zoo.lazy_torus_2d(5), 4)
+    X = np.random.default_rng(6).standard_normal((g.n,) + shape)
+    want = X.copy()
+    for _ in range(k):
+        want = want - apply_P(g, want)
+    W = counting_markov(g)
+    assert delta_steps(g, X, k) is X
+    assert W.products == k
+    assert np.array_equal(X, want)
 
 
 @pytest.mark.parametrize("levels", [1, 2, LEVEL_CHUNK, LEVEL_CHUNK + 1, 2 * LEVEL_CHUNK + 3])
