@@ -5,10 +5,13 @@ m(x) = sum_y mu_xy (a self loop counts once).  Every L^p quantity in the
 package is weighted by m.  Balls use the strict convention
 B(x, r) = {y : d(x, y) < r}.  The path metric counts hops: the dense
 metric `dist` holds them exactly as uint8 (diameter below 255) or uint16,
-filled a block of rows at a time by breadth-first searches, so no float
-n x n array is ever formed.  The sparse ball matrices of `ball_matrices`
-are grown from the adjacency one radius at a time, and `distance_to`
-searches breadth-first from one set; neither builds `dist`.
+so no float n x n array is ever formed.  It is built by one level sweep
+of all n breadth-first searches at once, 64 searches to a machine word:
+about diameter x max_degree x n^2/64 word operations, so long
+one-dimensional graphs (diameter near n) pay more than n separate
+searches would.  The sparse ball matrices of `ball_matrices` are grown
+from the adjacency one radius at a time, and `distance_to` searches
+breadth-first from one set; neither builds `dist`.
 """
 
 from __future__ import annotations
@@ -41,26 +44,63 @@ def _narrowest(top):
     return next(t for t in (np.uint8, np.uint16, np.uint32) if top < np.iinfo(t).max)
 
 
-def _hop_counts(adjacency) -> np.ndarray:
-    """All-pairs hop counts of a connected graph as an n x n unsigned
-    integer array, filled one block of rows at a time by breadth-first
-    searches.
+def _hop_counts(adjacency):
+    """All-pairs hop counts of a connected graph and its diameter, as an
+    (n x n unsigned integer array, int) pair, by one level sweep of every
+    breadth-first search at once (the bit-parallel search of Akiba, Iwata
+    and Yoshida, SIGMOD 2013).
 
-    The type is picked before the build from the eccentricity of vertex
-    0: ecc(0) <= diameter <= 2 ecc(0), so the narrowest type above ecc(0)
-    holds the diameter whenever it also lies above 2 ecc(0).  Otherwise a
-    block that reaches the type's largest value widens the array (an
-    integer copy, never a float one)."""
+    Bit y of row x of an (n, ceil(n/64)) uint64 array marks y as on the
+    frontier of the search from x.  A search advances by OR-ing the
+    frontiers of its neighbours, one `np.take` per neighbour slot (the
+    lists are padded with the vertex itself), and keeps the bits it has
+    not nxt before; level r ORs them into the binary digits of r, one
+    bit plane per digit.  The planes are unpacked into the narrowest type
+    above the diameter, one `row_blocks` block at a time.  The sweep costs
+    about diameter x max_degree x n^2/64 word operations, so on long
+    one-dimensional graphs (a lazy path of 2048 vertices, diameter 2047)
+    it is slower than n separate searches would be."""
     n = adjacency.shape[0]
-    ecc = dijkstra(adjacency, indices=0, unweighted=True).max()
-    out = np.empty((n, n), _narrowest(ecc))
-    for rows in row_blocks(np.arange(n), n):
-        block = dijkstra(adjacency, indices=rows, unweighted=True)
-        top = block.max()
-        if top >= np.iinfo(out.dtype).max:
-            out = out.astype(_narrowest(top))
-        out[rows] = block
-    return out
+    degrees = np.diff(adjacency.indptr)
+    ids = np.arange(n)
+    slots = np.tile(ids, (int(degrees.max()), 1))
+    owner = np.repeat(ids, degrees)
+    slots[np.arange(adjacency.nnz) - adjacency.indptr[owner], owner] = adjacency.indices
+    frontier = np.zeros((n, -(-n // 64)), np.uint64)
+    # set through bytes, so vertex y is bit y % 8 of byte y // 8 of a row
+    # whatever the byte order of the words
+    frontier.view(np.uint8)[ids, ids >> 3] = np.left_shift(1, ids & 7).astype(np.uint8)
+    unreached = ~frontier
+    nxt = np.empty_like(frontier)
+    gathered = np.empty_like(frontier)
+    planes = []
+    diameter = 0
+    while True:
+        np.take(frontier, slots[0], axis=0, out=nxt)
+        for column in slots[1:]:
+            np.take(frontier, column, axis=0, out=gathered)
+            nxt |= gathered
+        nxt &= unreached
+        if not nxt.any():
+            break
+        unreached ^= nxt
+        diameter += 1
+        if diameter >> len(planes):
+            planes.append(np.zeros_like(frontier))
+        for k, plane in enumerate(planes):
+            if diameter >> k & 1:
+                plane |= nxt
+        frontier, nxt = nxt, frontier
+    # freed before `out` is made, so the peak is the planes and `out`
+    del frontier, nxt, unreached, gathered
+    out = np.zeros((n, n), _narrowest(diameter))
+    for rows in row_blocks(range(n), n):
+        block = out[rows.start:rows.stop]
+        for k, plane in enumerate(planes):
+            bits = np.unpackbits(plane[rows.start:rows.stop].view(np.uint8), axis=1,
+                                 count=n, bitorder="little")
+            block |= np.left_shift(bits, k, dtype=out.dtype)
+    return out, diameter
 
 
 class WeightedGraph:
@@ -124,18 +164,20 @@ class WeightedGraph:
     @property
     def dist(self):
         """Dense all-pairs hop counts d(x, y), exact, as uint8 when the
-        diameter is below 255 and uint16 otherwise (`_hop_counts`).  Cast
+        diameter is below 255 and uint16 otherwise, from the bitset level
+        sweep of `_hop_counts` (about diameter x max_degree x n^2/64 word
+        operations; see there for where that loses to n searches).  Cast
         before arithmetic that can leave that range, such as squaring."""
         if self._dist is None:
-            self._dist = _hop_counts(self.adjacency)
+            self._dist, self._diameter = _hop_counts(self.adjacency)
         return self._dist
 
     @property
     def diameter(self):
-        """Largest distance, reduced from `dist` once (the graph is
-        immutable)."""
+        """Largest distance: the last level of the sweep that builds
+        `dist`."""
         if self._diameter is None:
-            self._diameter = int(self.dist.max())
+            self.dist
         return self._diameter
 
     @property
@@ -162,12 +204,12 @@ class WeightedGraph:
         """Whether the walk is aperiodic.  A connected reversible walk has
         period 1 or 2: a loop makes it 1, and without loops it is 2 exactly
         when every edge joins vertices of opposite distance parity from
-        vertex 0 (the graph is bipartite)."""
+        vertex 0 (the graph is bipartite), read from one search."""
         if self._aperiodic is None:
             if self.adjacency.diagonal().any():
                 self._aperiodic = True
             else:
-                parity = self.dist[0].astype(np.intp) % 2
+                parity = distance_to(self, [0]).astype(np.intp) % 2
                 self._aperiodic = bool(np.any(parity[self.edge_rows] == parity[self.edge_cols]))
         return self._aperiodic
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse.csgraph import shortest_path
 
 from oracles import annulus_cover, ball_matrix_dense, cover_overlap_bound, geometry_report_masks
+from test_markov_step import graphs as random_graphs, hypothesis
 
 from graphhardy import graphs, zoo
 from graphhardy.errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
@@ -73,6 +74,15 @@ def middle_rooted_path(n):
     return WeightedGraph(A[perm][:, perm])
 
 
+def random_tree(n, seed):
+    """A random recursive tree on n vertices with loops on a random
+    third of them, so the degrees are irregular."""
+    rng = np.random.default_rng(seed)
+    edges = [(int(rng.integers(v)), v, 1.0) for v in range(1, n)]
+    loops = rng.choice(n, n // 3, replace=False)
+    return build_graph(edges + [(int(x), int(x), 1.0) for x in loops])
+
+
 METRIC_GRAPHS = {
     "k2l": (zoo.k2l, np.uint8),
     "tree4": (lambda: zoo.binary_tree(4), np.uint8),
@@ -80,12 +90,19 @@ METRIC_GRAPHS = {
     "torus6": (lambda: zoo.lazy_torus_2d(6), np.uint8),
     "loopfree_cycle4": (lambda: build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0),
                                              (3, 0, 1.0)]), np.uint8),
-    # diameter 254, the largest uint8 holds, though 2 ecc(0) = 508
+    # diameter 254, the largest uint8 holds
     "path255": (lambda: zoo.lazy_path(255), np.uint8),
     "path256": (lambda: zoo.lazy_path(256), np.uint16),
     "cycle600": (lambda: zoo.lazy_cycle(600), np.uint16),
-    # ecc(0) = 150 picks uint8, and the build widens once a row passes 254
+    # vertex 0 is the middle one: its row tops out at 150, yet the
+    # diameter 299 needs uint16
     "middle_path300": (lambda: middle_rooted_path(300), np.uint16),
+    # the frontiers fill exactly one 64-bit word, then spill one bit into
+    # a second
+    "cycle64": (lambda: zoo.lazy_cycle(64), np.uint8),
+    "cycle65": (lambda: zoo.lazy_cycle(65), np.uint8),
+    # irregular degrees over four words
+    "tree200": (lambda: random_tree(200, 5), np.uint8),
 }
 
 
@@ -101,9 +118,10 @@ def _ball_volumes_from(g, D):
 @pytest.mark.parametrize("block_rows", [7, None])
 @pytest.mark.parametrize("name", sorted(METRIC_GRAPHS))
 def test_dist_is_narrow_exact_hop_counts(name, block_rows, monkeypatch):
-    # the row-block build holds, value for value, the float metric of
-    # scipy's all-pairs search, in the narrowest type for the diameter;
-    # the diameter and the ball volumes read from it are unchanged
+    # the bitset sweep, unpacked a block of rows at a time, holds value
+    # for value the float metric of scipy's all-pairs search, in the
+    # narrowest type for the diameter; the diameter it records and the
+    # ball volumes read from the metric agree
     build, dtype = METRIC_GRAPHS[name]
     g = build()
     if block_rows:
@@ -115,6 +133,15 @@ def test_dist_is_narrow_exact_hop_counts(name, block_rows, monkeypatch):
     assert g.diameter == int(want.max())
     assert (g.diameter < 255) == (dtype == np.uint8)
     np.testing.assert_array_equal(g.ball_volumes, _ball_volumes_from(g, want))
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(random_graphs())
+def test_dist_is_scipy_hop_counts(g):
+    want = shortest_path(g.adjacency, method="D", unweighted=True)
+    assert g.dist.dtype == np.uint8
+    assert np.array_equal(g.dist.astype(float), want)
+    assert g.diameter == int(want.max())
 
 
 def test_ball_examples(k2l):
@@ -393,9 +420,12 @@ def test_geometry_report_matches_ball_masks(g, exact):
 
 def test_aperiodic():
     # period 2 exactly for a loop-free bipartite graph; one loop or one
-    # odd cycle makes the walk aperiodic
+    # odd cycle makes the walk aperiodic; the parity comes from one search,
+    # so the metric is not built
     square = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]
-    assert not build_graph(square).aperiodic
+    g = build_graph(square)
+    assert not g.aperiodic
+    assert g._dist is None
     assert build_graph(square + [(2, 2, 0.5)]).aperiodic
     assert build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]).aperiodic
     assert not build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).aperiodic

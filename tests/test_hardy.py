@@ -245,7 +245,7 @@ def _stage_input(name, kind, seed=3):
     built as molecular_decompose (bz2) or form_molecular_decompose (form)
     builds it."""
     g = by_name(name)
-    f = random_mean_zero(g, np.random.default_rng(seed))
+    f = require_mean_zero(g, random_mean_zero(g, np.random.default_rng(seed)))
     d0 = cached_geometry(g).d0_estimate
     if kind == "bz2":
         eta = synthesis_eta(1, 1.0, 1.0, d0)

@@ -285,18 +285,22 @@ def test_lusin_streams_its_weights():
 
 
 def test_metric_and_quad_norm_allocate_no_float_metric():
-    # the hop counts are built a block of rows at a time, so neither the
-    # metric nor a quad_norm that reads it holds a float n x n array
+    # the hop counts are built by a bitset sweep whose bit planes are
+    # unpacked a block of rows at a time, so the metric alone peaks below
+    # two n x n byte arrays, and neither it nor a quad_norm that reads it
+    # holds a float n x n array
     g = zoo.lazy_torus_2d(48)
     f = random_mean_zero(g, np.random.default_rng(8))
     tracemalloc.start()
     try:
         g.dist
+        metric_peak = tracemalloc.get_traced_memory()[1]
         quad_norm(g, f, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert g.dist.dtype == np.uint8
+    assert metric_peak < g.n * g.n * 2
     assert peak < g.n * g.n * 4
 
 
