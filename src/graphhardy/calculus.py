@@ -5,22 +5,27 @@ Each operator phi(P) is described once, by a pair:
 * an oracle symbol `symbol(lam, s)`, phi_s on the spectrum of P, applied
   exactly by the spectral oracle (dense eigendecomposition of the
   m-symmetrized walk), the reference on desk-scale graphs;
-* a series column generator `column(s) -> (coeffs, tail_bound)`, the
-  Chebyshev coefficients of sum_k c_k T_k(P) truncated with a certified
-  bound on the discarded tail, the scalable path; the two agree to
-  `tail_bound + eps`.
+* a series column generator `column(s, interval)`, the Chebyshev
+  coefficients of sum_k c_k T_k(X) truncated with a certified bound on
+  the discarded tail, and the interval [lo, hi] that X maps onto
+  [-1, 1], the scalable path; the two agree to `tail_bound + eps`.
 
 Every series is a Chebyshev interpolant (`chebyshev_series`, certified by
-Trefethen, ATAP Thm 8.2) applied with the three-term recurrence
-`operators.chebyshev`.  The resolvent families (I + s Delta)^{-power} and
-[I - (I + s Delta)^{-1}]^M have symbols analytic off z = 1 + 1/s, outside
-the spectrum's [-1, 1], so their interpolants converge on all of [-1, 1]
-at a rate of about 1 + sqrt(2/s) per term.  Delta^beta is a polynomial in
-P for an integer beta >= 0; otherwise (1 - z)^beta is singular at z = 1,
-on the spectrum, so its column is the interpolant on [-r, r] with
-r = max(lambda_star, MIN_RADIUS) (it holds the spectrum on mean-zero
-functions), walked in (P - Pi)/r with the m-mean projection Pi applied
-after every product, and the column carries r as a third element.
+Trefethen, ATAP Thm 8.2) on an interval that holds the spectrum, applied
+with the chained three-term recurrence `operators.chebyshev_blocks` in
+X = (2P - (hi + lo) I)/(hi - lo).  The interval is
+`operators.spectral_interval(g)`, certified by (LB) through Gershgorin:
+[0, 1], widened by a few ulps, on a lazy graph.  The resolvent families
+(I + s Delta)^{-power} and [I - (I + s Delta)^{-1}]^M have symbols
+analytic off z = 1 + 1/s, so their interpolants converge at a rate of
+about 1 + sqrt(2/s) per term on [-1, 1], and of 1 + 2 sqrt(1/s) on [0, 1],
+where the pole sits at x = 1 + 2/s: about 1/sqrt(2) of the terms.
+Delta^beta is a polynomial in P for an integer beta >= 0, kept on X = P
+(lo, hi = -1, 1) with its exact arithmetic; otherwise (1 - z)^beta is
+singular at z = 1, on the spectrum, so its column is the interpolant on
+[max(lo, -r), r] with r = max(lambda_star, MIN_RADIUS) (it holds the
+spectrum on mean-zero functions), walked with the m-mean projection Pi
+applied after every product.
 
 `phi_apply` is the one place that chooses between oracle and series, and
 `delta_power_apply` (Delta^beta for every real beta), `resolvent_apply`
@@ -32,10 +37,10 @@ A sequence of scales (the sup over s of the BMO norm, the Davies-Gaffney
 decay curves) is evaluated as one block, one column per scale: the oracle
 applies an (n_eig, S) symbol table in one pass, and the series path
 applies an (N_max + 1, S) coefficient table, each column zero past its
-own truncation N_s, during one walk of T_k(P) up to N_max = max_s N_s.
+own truncation N_s, during one walk of T_k(X) up to N_max = max_s N_s.
 
 On a finite connected graph ker Delta is the constants, and both paths
-treat them by one rule: a symbol is finite on all of [-1, 1], and
+treat them by one rule: a symbol is finite on the whole spectrum, and
 Delta^beta for beta < 0 sends the constants to 0, its symbol being 0 at
 lam = 1 as its deflated walk projects them out.  A negative power is
 defined on the m-mean-zero functions only, so `delta_power_apply` checks
@@ -48,7 +53,6 @@ objects and on `resolvent_apply`.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,9 +62,9 @@ import scipy.linalg
 
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk)
-from .graphs import ROW_BLOCK_ENTRIES, WeightedGraph, set_distance
-from .operators import (LEVEL_CHUNK, apply_P, chebyshev, delta_steps, gradient, heat_sweep,
-                        lp_norm, mean_project, powers)
+from .graphs import WeightedGraph, set_distance
+from .operators import (apply_P, chebyshev_blocks, delta_steps, gradient, heat_sweep, lp_norm,
+                        mean_project, powers, spectral_interval)
 
 ORACLE_MAX_N = 2048
 KERNEL_REL_TOL = 1e-8
@@ -152,22 +156,26 @@ def binomial_coefficients(exponent: float, count: int):
 @dataclass
 class SeriesOperator:
     """Sum_k coeff_k T_k(X) truncated at N with a certified tail bound,
-    T_k the Chebyshev polynomials and X = P, or X = (P - Pi)/radius on
-    mean-zero functions when a radius is given (`operators.chebyshev`).
+    T_k the Chebyshev polynomials and X = (2P - (hi + lo) I)/(hi - lo)
+    the affine image of P that maps interval = (lo, hi) onto [-1, 1]
+    (X = P on the default (-1, 1)), on mean-zero functions when deflated
+    (`operators.chebyshev_blocks`).
 
     `coeffs` is either one coefficient vector or a table of shape
     (N_max + 1, S), one column per scale, each zero past its own
     truncation; a table carries one tail bound per column.
 
     Every tail bound holds in the L^2(m) operator norm on the subspace
-    the walk acts on: X is self-adjoint on L^2(m) with spectrum in
-    [-1, 1] there, so ||phi(X) - p_N(X)|| is the largest |phi - p_N| on
-    that spectrum, and a Chebyshev bound holds on all of [-1, 1]."""
+    the walk acts on: the interval holds the spectrum of P there, so X is
+    self-adjoint on L^2(m) with spectrum in [-1, 1], ||phi(X) - p_N(X)||
+    is the largest |phi - p_N| on that spectrum, and a Chebyshev bound
+    holds on all of [-1, 1]."""
 
     graph: WeightedGraph
     coeffs: np.ndarray = field(repr=False)
-    tail_bound: object          # float, or an (S,) array for a table
-    radius: object = None       # None, or the radius of a deflated walk
+    tail_bound: object              # float, or an (S,) array for a table
+    interval: tuple = (-1.0, 1.0)   # (lo, hi), mapped onto [-1, 1]
+    deflated: bool = False          # the walk acts on mean-zero functions
 
     @property
     def truncation(self) -> int:
@@ -176,31 +184,33 @@ class SeriesOperator:
     def apply(self, f):
         """Evaluate on a vector or a stacked batch (n, k); a table takes
         a vector and returns an (n, S) block.  The terms are summed by
-        GEMM, a chunk of them at a time on the level walk's memory rule
-        (at most LEVEL_CHUNK terms and ROW_BLOCK_ENTRIES numbers), a
-        single column standing in as a one-column table, so a one-column
-        batch is summed as its vector."""
+        GEMM on each chunk of the walk's buffer, a single column standing
+        in as a one-column table, so a one-column batch is summed as its
+        vector."""
         f = np.asarray(f, dtype=float)
         table = self.coeffs.ndim == 2
         if table and f.ndim != 1:
             raise ValueError("a coefficient table applies to a single vector")
         C = self.coeffs.reshape(len(self.coeffs), -1)
-        chunk = max(1, min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES // max(f.size, 1)))
-        terms = chebyshev(self.graph, f, self.truncation, self.radius)
         acc = 0.0
-        for start in range(0, len(C), chunk):
-            block = np.stack(list(itertools.islice(terms, chunk)))
-            acc += block.reshape(len(block), -1).T @ C[start:start + len(block)]
+        for lo, block in chebyshev_blocks(self.graph, f, self.truncation, self.interval,
+                                          self.deflated):
+            acc += block.reshape(len(block), -1).T @ C[lo:lo + len(block)]
         return acc.reshape(f.shape + C.shape[1:] if table else f.shape)
 
 
 def series_table(g: WeightedGraph, columns) -> SeriesOperator:
-    """One table from (coefficients, tail bound) columns, one per scale,
-    zero-padded to the longest."""
-    C = np.zeros((max(len(c[0]) for c in columns), len(columns)))
+    """One table from (coefficients, tail bound, *rest) columns, one per
+    scale, zero-padded to the longest; rest, the SeriesOperator arguments
+    after the tail bound (a column's interval), must be the same in every
+    column.  No columns give an operator of no scales."""
+    rest = columns[0][2:] if columns else ()
+    if any(c[2:] != rest for c in columns):
+        raise ValueError("the columns of a table need one interval")
+    C = np.zeros((max((len(c[0]) for c in columns), default=1), len(columns)))
     for j, c in enumerate(columns):
         C[:len(c[0]), j] = c[0]
-    return SeriesOperator(g, C, np.array([c[1] for c in columns]))
+    return SeriesOperator(g, C, np.array([c[1] for c in columns]), *rest)
 
 
 # Ellipse parameters tried by `chebyshev_series`, as fractions of the way
@@ -262,6 +272,12 @@ def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
 
 # -- one description per operator: oracle symbol and series column ----------
 
+def _affine(interval):
+    """(half, mid): lam = mid + half x maps [-1, 1] onto interval."""
+    lo, hi = interval
+    return 0.5 * (hi - lo), 0.5 * (hi + lo)
+
+
 def _delta_power_symbol(lam, beta: float):
     """Delta^beta on the spectrum: max(1 - lam, 0)^beta, and 0 at the
     constants (lam = 1) when beta < 0, as the deflated walk has it."""
@@ -269,22 +285,33 @@ def _delta_power_symbol(lam, beta: float):
     return (d if beta >= 0 else np.where(d > 0.0, d, np.inf)) ** beta
 
 
-def _delta_power_column(g: WeightedGraph, beta: float, tol: float, lambda_star=None):
-    """(I - P)^beta as (coeffs, tail bound, radius).  An integer beta >= 0
-    is the polynomial itself in T_k(P), exact.  Otherwise the walk is
-    deflated with radius r = max(lambda_star, MIN_RADIUS): on mean-zero
-    functions X = (P - Pi)/r has its spectrum in [-1, 1], and Delta^beta
-    is (1 - r x)^beta there, analytic off x = 1/r; on E_rho its modulus
-    is at most (1 - r x_rho)^beta for beta < 0 and (1 + r x_rho)^beta
-    for beta > 0.  The constants are sent to 0, which is Delta^beta on
-    them for beta > 0 (a negative beta needs a mean-zero input)."""
+def _delta_power_column(g: WeightedGraph, beta: float, tol: float, interval,
+                        lambda_star=None):
+    """(I - P)^beta as (coeffs, tail bound[, interval, deflated]), given
+    an interval (lo, hi) holding the spectrum of P.  An integer
+    beta >= 0 is the polynomial itself in T_k(P), exact.  Otherwise the
+    walk is deflated, on [max(lo, -r), r] with r = max(lambda_star,
+    MIN_RADIUS), which holds the spectrum on mean-zero functions.  With
+    lam = mid + half x mapping [-1, 1] onto it, Delta^beta is
+    (1 - mid - half x)^beta, analytic off x = (1 - mid)/half; on E_rho
+    its modulus is at most (1 - mid - half x_rho)^beta for beta < 0 and
+    (1 - mid + half x_rho)^beta for beta > 0.  The constants are sent to
+    0, which is Delta^beta on them for beta > 0 (a negative beta needs a
+    mean-zero input).  An r at or below lo raises ValueError: the
+    mean-zero spectrum lies in [lo, lambda_star], so a supplied
+    lambda_star below lo is not its radius."""
     if beta >= 0 and float(beta).is_integer():
         poly = binomial_coefficients(beta, int(beta) + 1)
-        return np.polynomial.chebyshev.poly2cheb(poly), 0.0, None
+        return np.polynomial.chebyshev.poly2cheb(poly), 0.0
     r = max(_mean_zero_radius(g, lambda_star), MIN_RADIUS)
-    return (*chebyshev_series(lambda x: (1.0 - r * x) ** beta,
-                              lambda x: (1.0 + math.copysign(r, beta) * x) ** beta,
-                              1.0 / r, tol), r)
+    if r <= interval[0]:
+        raise ValueError(f"radius {r!r} is not above the certified lower end {interval[0]!r} "
+                         "of the spectrum: lambda_star is too small")
+    interval = (max(interval[0], -r), r)
+    half, mid = _affine(interval)
+    return (*chebyshev_series(lambda x: (1.0 - mid - half * x) ** beta,
+                              lambda x: (1.0 - mid + math.copysign(half, beta) * x) ** beta,
+                              (1.0 - mid) / half, tol), interval, True)
 
 
 def _resolvent_symbol(lam, s, power: float):
@@ -299,38 +326,46 @@ def _bz2_symbol(lam, s, M: int):
     return sum(math.comb(M, j) * (-r) ** j for j in range(1, M + 1))
 
 
-def _resolvent_column(s, power, tol):
-    """(I + s Delta)^{-power}, any real power, as one Chebyshev column.
-    The symbol (1 + s(1 - x))^{-power} is analytic off x = 1 + 1/s.  On
-    E_rho its modulus is at most its value at x_rho, the point of E_rho
-    nearest the singularity, for power > 0, and at most
-    (1 + s + s x_rho)^{-power}, with |x| <= x_rho there, for power < 0."""
+def _resolvent_column(s, power, tol, interval=(-1.0, 1.0)):
+    """(I + s Delta)^{-power}, any real power, as one Chebyshev column
+    (coeffs, tail bound, interval) on an interval holding the spectrum.
+    With lam = mid + half x mapping [-1, 1] onto it, the symbol
+    (1 + s(1 - lam))^{-power} is analytic off x = (1 + 1/s - mid)/half.
+    On E_rho its modulus is at most its value at x_rho, the point of
+    E_rho nearest the singularity, for power > 0, and at most
+    (1 + s + s (|mid| + half x_rho))^{-power}, with |x| <= x_rho there,
+    for power < 0."""
     if s < 1:
         raise ValueError("s must be >= 1")
+    half, mid = _affine(interval)
 
     def symbol(x):
-        return _resolvent_symbol(x, s, power)
-    sup = symbol if power > 0 else lambda x: (1.0 + s + s * x) ** (-power)
-    return chebyshev_series(symbol, sup, 1.0 + 1.0 / s, tol)
+        return _resolvent_symbol(mid + half * x, s, power)
+    sup = symbol if power > 0 else lambda x: (1.0 + s + s * (abs(mid) + half * x)) ** (-power)
+    return (*chebyshev_series(symbol, sup, (1.0 + 1.0 / s - mid) / half, tol), interval)
 
 
-def _bz2_column(s, M: int, tol):
-    """[I - (I + s Delta)^{-1}]^M - I as one Chebyshev column; with
+def _bz2_column(s, M: int, tol, interval=(-1.0, 1.0)):
+    """[I - (I + s Delta)^{-1}]^M - I as one Chebyshev column (coeffs,
+    tail bound, interval), lam = mid + half x as for the resolvent; with
     |R| <= R(x_rho) on E_rho its modulus there is at most
     (1 + R(x_rho))^M - 1."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return chebyshev_series(
-        lambda x: _bz2_symbol(x, s, M),
-        lambda x: (1.0 + _resolvent_symbol(x, s, 1.0)) ** M - 1.0, 1.0 + 1.0 / s, tol)
+    half, mid = _affine(interval)
+    return (*chebyshev_series(
+        lambda x: _bz2_symbol(mid + half * x, s, M),
+        lambda x: (1.0 + _resolvent_symbol(mid + half * x, s, 1.0)) ** M - 1.0,
+        (1.0 + 1.0 / s - mid) / half, tol), interval)
 
 
 # -- the one oracle/series choice --------------------------------------------
 
 def phi_apply(g: WeightedGraph, f, s, symbol, column):
     """phi_s(P) f: the oracle applies symbol(lam, s) when affordable, the
-    series path the Chebyshev column(s) = (coeffs, tail_bound), or
-    (coeffs, tail_bound, radius) for a deflated walk.
+    series path the Chebyshev column(s, interval) = (coeffs, tail_bound,
+    ...), the arguments of a SeriesOperator after the graph, on the
+    certified interval `spectral_interval(g)`.
 
     A scalar s (None for an operator without a scale) takes a vector or
     an (n, k) block.  A sequence of scales takes a vector and gives an
@@ -338,9 +373,10 @@ def phi_apply(g: WeightedGraph, f, s, symbol, column):
     symbol(lam[:, None], s), or one series table of the columns.
     """
     if not has_oracle(g):
+        interval = spectral_interval(g)
         if np.ndim(s) > 0:
-            return series_table(g, [column(t) for t in s]).apply(f)
-        return SeriesOperator(g, *column(s)).apply(f)
+            return series_table(g, [column(t, interval) for t in s]).apply(f)
+        return SeriesOperator(g, *column(s, interval)).apply(f)
     if np.ndim(s) > 0:
         s = np.asarray(s, dtype=float)
         return spectral(g).apply(lambda lam: symbol(lam[:, None], s), f)
@@ -355,14 +391,14 @@ def delta_power_apply(g: WeightedGraph, f, beta: float):
     if beta < 0:
         require_mean_zero(g, f)
     return phi_apply(g, f, None, lambda lam, _: _delta_power_symbol(lam, beta),
-                     lambda _: _delta_power_column(g, beta, 1e-10))
+                     lambda _, interval: _delta_power_column(g, beta, 1e-10, interval))
 
 
 def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
     """(I + s Delta)^{-power} f with automatic path choice; a sequence of
     scales gives an (n, S) block, one column per scale."""
     return phi_apply(g, f, s, lambda lam, t: _resolvent_symbol(lam, t, power),
-                     lambda t: _resolvent_column(t, power, tol))
+                     lambda t, interval: _resolvent_column(t, power, tol, interval))
 
 
 # -- certified series objects ---------------------------------------------------
@@ -372,13 +408,14 @@ def delta_power_series(g: WeightedGraph, beta: float, tol: float,
     """Delta^beta on the series path, whatever n: its tail bound and
     truncation, with lambda_star supplied above the oracle cap.  A
     fractional beta's walk drops the constant part of its input."""
-    return SeriesOperator(g, *_delta_power_column(g, beta, tol, lambda_star))
+    return SeriesOperator(g, *_delta_power_column(g, beta, tol, spectral_interval(g),
+                                                  lambda_star))
 
 
 def resolvent_frac_series(g: WeightedGraph, s, power: float,
                           tol: float) -> SeriesOperator:
     """(I + s Delta)^{-power}, any real power, on the series path."""
-    return SeriesOperator(g, *_resolvent_column(s, power, tol))
+    return SeriesOperator(g, *_resolvent_column(s, power, tol, spectral_interval(g)))
 
 
 # -- molecule generators A_s ------------------------------------------------
@@ -438,7 +475,7 @@ def a_s(g: WeightedGraph, f, kind):
         # result is as accurate as R f
         return (out[:, None] if np.ndim(kind.s) else out) + phi_apply(
             g, out, kind.s, lambda lam, t: _bz2_symbol(lam, t, kind.M),
-            lambda t: _bz2_column(t, kind.M, GAFFNEY_TOL))
+            lambda t, interval: _bz2_column(t, kind.M, GAFFNEY_TOL, interval))
     if isinstance(kind, QsKind):
         acc = np.zeros_like(out)
         for vec in powers(g, out, kind.s - 1):

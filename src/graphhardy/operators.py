@@ -26,9 +26,10 @@ from .graphs import ROW_BLOCK_ENTRIES, WeightedGraph
 # runaway l cannot exhaust memory on large graphs.
 KERNEL_L_CAP = 4096
 
-# Most levels P^l f that `level_blocks` holds in its one reused chunk; the
-# chunk also stays within ROW_BLOCK_ENTRIES entries, so its memory grows
-# with neither the horizon nor the width of a block.
+# Most levels (P^l f, or T_k(X) f) that a walk holds in its one reused
+# chunk (`_chain_blocks`); the chunk also stays within ROW_BLOCK_ENTRIES
+# entries, so its memory grows with neither the horizon nor the width of
+# a block.
 LEVEL_CHUNK = 64
 
 # Most stored entries in one of a graph's kernel chains (`_chain`): a
@@ -131,76 +132,127 @@ def _kernel_step(g: WeightedGraph, W, x, out):
     return out
 
 
-def _chain(g: WeightedGraph, scan: bool):
-    """(steps, indptr, indices, data) of the kernel chain of g's level
-    walk (scan False) or Horner scan (scan True), built once per graph
-    and cached on it: `steps` copies of the step matrix S, copy j reading
-    column block j and writing row block j of a buffer one block ahead.
+def spectral_interval(g: WeightedGraph):
+    """(lo, hi), an interval holding the spectrum of P, from (LB) at no
+    cost.  By Gershgorin every eigenvalue lies within sum_{y != x} W_xy
+    of some W_xx (W = markov_matrix(g)), so none lies below
+    min_x (2 W_xx - sum_y W_xy) = min_x (2 p(x, x) m(x) - 1) >= -1, and
+    none of the stochastic P lies above 1.  Both ends are widened by
+    (max_degree + 1) ulps of 1, the rounding of a row sum of W, so a lazy
+    graph (p(x, x) m(x) = 1/2) gets lo + hi = 1 exactly."""
+    W = markov_matrix(g)
+    widen = (g.max_degree + 1) * float(np.finfo(float).eps)
+    gershgorin = 2.0 * W.diagonal() - np.add.reduceat(W.data, W.indptr[:-1])
+    return max(-1.0, float(gershgorin.min())) - widen, 1.0 + widen
 
-    S is W = markov_matrix(g) for the walk (blocks of n entries) and, for
-    the scan, [W | I] followed by n empty rows (blocks of 2n entries, a
-    pair [acc; U[:, k]]): the identity entry comes last in every row, so
-    the kernel adds U[:, k] after the product, and the empty rows leave
-    the buffer's U rows as they are.  Each copy keeps W's in-row entry
-    order (the rows are tiled, never sorted), so every product is made
-    as `markov_step` makes it.  steps is the largest count up to
-    LEVEL_CHUNK whose chain holds at most CHAIN_ENTRIES entries, and at
-    least one."""
-    if scan not in g._chains:
+
+def _chain(g: WeightedGraph, kind):
+    """(steps, indptr, indices, data) of the kernel chain of one of g's
+    walks, built once per graph and kind and cached on it: `steps` copies
+    of a step matrix S, copy j reading column block j of a buffer and
+    writing row block j of the buffer `lag` blocks ahead (`_kernel`).
+
+    kind "walk" is the level walk, S = W = markov_matrix(g) (blocks of n
+    entries, lag 1).  kind "scan" is the Horner scan, S = [W | I]
+    followed by n empty rows (blocks of 2n entries, a pair
+    [acc; U[:, k]], lag 1): the identity entry comes last in every row,
+    so the kernel adds U[:, k] after the product, and the empty rows
+    leave the buffer's U rows as they are.  An interval (lo, hi) is the
+    Chebyshev recurrence T_{k+1} = 2 X T_k - T_{k-1} in the affine image
+    X = (2P - (hi + lo) I)/(hi - lo) of P that maps [lo, hi] onto
+    [-1, 1]: S = [-I | 2X] (blocks of n entries, lag 2, so a step reads
+    the two levels behind its output), 2X being 2W with (hi + lo) taken
+    off its diagonal and scaled by 2/(hi - lo), exact zeros dropped, and
+    the -I entry last in every row.  Every S keeps W's in-row entry order
+    (the rows are tiled, never sorted), so on [-1, 1] each step of the
+    recurrence is made as `markov_step` makes it, doubled.  steps is the
+    largest count up to LEVEL_CHUNK whose chain holds at most
+    CHAIN_ENTRIES entries, and at least one."""
+    if kind not in g._chains:
         n, W = g.n, markov_matrix(g)
         indptr, indices, data = W.indptr, W.indices, W.data
-        if scan:
-            indptr = W.indptr + np.arange(n + 1, dtype=W.indptr.dtype)
-            indices = np.insert(W.indices, W.indptr[1:], np.arange(n, 2 * n))
-            data = np.insert(W.data, W.indptr[1:], 1.0)
-            indptr = np.append(indptr, np.full(n, indptr[-1]))
+        if kind != "walk":
+            rows = np.repeat(np.arange(n), np.diff(indptr))
+            x = np.arange(n, dtype=indices.dtype)
+            if kind == "scan":
+                parts = (rows, x), (indices, n + x), (data, np.ones(n))
+            else:
+                lo, hi = kind
+                two_x = 2.0 * data
+                on_diag = indices == rows
+                two_x[on_diag] -= hi + lo
+                no_diag = np.full(n, -(hi + lo))  # the diagonal of a row without a loop
+                no_diag[rows[on_diag]] = 0.0
+                scale = 2.0 / (hi - lo)
+                parts = ((rows, x, x), (n + indices, n + x, x),
+                         (scale * two_x, scale * no_diag, np.full(n, -1.0)))
+            rows, cols, vals = (np.concatenate(p) for p in parts)
+            keep = vals != 0.0
+            order = np.argsort(rows[keep], kind="stable")  # each row in its given order
+            indices, data = cols[keep][order].astype(W.indices.dtype), vals[keep][order]
+            counts = np.bincount(rows[keep], minlength=n)
+            indptr = np.concatenate(([0], np.cumsum(counts))).astype(W.indptr.dtype)
+            if kind == "scan":
+                indptr = np.append(indptr, np.full(n, indptr[-1]))
         block, entries = len(indptr) - 1, len(data)
         steps = max(1, min(LEVEL_CHUNK, CHAIN_ENTRIES // max(entries, 1)))
         copies = np.arange(steps, dtype=indptr.dtype)[:, None]
-        g._chains[scan] = (
+        g._chains[kind] = (
             steps,
             np.append(indptr[:-1] + copies * entries, steps * entries).astype(indptr.dtype),
             (indices + copies * block).ravel(),
             np.tile(data, steps),
         )
-    return g._chains[scan]
+    return g._chains[kind]
 
 
-def _kernel(g: WeightedGraph, buf, cols: int, scan: bool = False):
-    """scipy's CSR kernel bound to g's chain (`_chain`) and to buf, the
-    flat C-contiguous float buffer of one walk of `cols`-column operands:
-    a function run(first, steps) that makes `steps` chained products in
-    place on buf, reading block `first` (a level; for the scan, the pair
-    [acc; U[:, k]]) and writing each product into the block ahead, a
-    zero-filled level or acc row (a scan's U rows hold the next
-    columns).  It makes one kernel call per chain length of steps, with
-    argument tuples made once per (first, steps) of the walk, and adds
-    `steps` products of `cols` columns to the graph's counts.
+def _lag(kind) -> int:
+    """Blocks from the first block a step of a chain of this kind reads
+    to the block it writes: one for the walk and the scan, two for the
+    Chebyshev recurrence (an interval)."""
+    return 1 if kind in ("walk", "scan") else 2
 
-    The kernel is called with its output one block ahead of its input,
-    two views of buf.  That is well defined: scipy's kernel computes its
-    rows in order (y[i] = y[i] + sum of the row's entries times x, read
-    and written through plain pointers), and `_sparsetools` hands
-    C-contiguous float64 operands over without a copy, so row block j + 1
-    reads the block that the same call has just written, entry by entry
-    as one `markov_step` reads it.  Only rows up to the last step's
-    output are passed, and never more steps than the chain holds: the
-    kernel checks no bounds."""
-    chain, *csr = _chain(g, scan)
+
+def _kernel(g: WeightedGraph, buf, cols: int, kind="walk"):
+    """scipy's CSR kernel bound to g's chain of the given kind (`_chain`)
+    and to buf, the flat C-contiguous float buffer of one walk of
+    `cols`-column operands: a function run(first, steps) that makes
+    `steps` chained products in place on buf, reading from block `first`
+    on (a level; for the scan, the pair [acc; U[:, k]]; for the Chebyshev
+    recurrence, the levels first and first + 1) and writing each product
+    into the block `lag` ahead of the first block it reads (one ahead for
+    the walk and the scan, two for the recurrence), a zero-filled level
+    or acc row (a scan's U rows hold the next columns).  It makes one
+    kernel call per chain length of steps, with argument tuples made once
+    per (first, steps) of the walk, and adds `steps` products of `cols`
+    columns to the graph's counts.
+
+    The kernel is called with its output ahead of its input, two views of
+    buf.  That is well defined: scipy's kernel computes its rows in order
+    (y[i] = y[i] + sum of the row's entries times x, read and written
+    through plain pointers), and `_sparsetools` hands C-contiguous
+    float64 operands over without a copy, so row block j + lag reads the
+    blocks that the same call has just written, entry by entry as one
+    `markov_step` reads them.  Only rows up to the last step's output are
+    passed, and never more steps than the chain holds: the kernel checks
+    no bounds."""
+    chain, *csr = _chain(g, kind)
     n = g.n
-    rows = 2 * n if scan else n  # rows of one step's block
-    tail = n if scan else 0  # a scan's last step writes acc, not the U rows
+    rows = 2 * n if kind == "scan" else n  # rows of one step's block
+    tail = n if kind == "scan" else 0  # a scan's last step writes acc, not the U rows
+    lag = _lag(kind)
+    width = (chain + lag - 1) * rows  # columns one call reads
     if cols == 1:
-        kernel, head = _sparsetools.csr_matvec, (chain * rows,)
+        kernel, head = _sparsetools.csr_matvec, (width,)
     else:
-        kernel, head = _sparsetools.csr_matvecs, (chain * rows, cols)
+        kernel, head = _sparsetools.csr_matvecs, (width, cols)
     calls = {}
 
     def run(first, steps):
         if (first, steps) not in calls:
             calls[first, steps] = [
                 (min(chain, steps - j) * rows - tail, *head, *csr,
-                 buf[(first + j) * rows * cols:], buf[(first + j + 1) * rows * cols:])
+                 buf[(first + j) * rows * cols:], buf[(first + j + lag) * rows * cols:])
                 for j in range(0, steps, chain)]
         for args in calls[first, steps]:
             kernel(*args)
@@ -251,38 +303,57 @@ def delta_steps(g: WeightedGraph, X, k: int):
     return X
 
 
+def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=None):
+    """The chunked walk of `level_blocks` and `chebyshev_blocks`: levels
+    0..N of a walk from u (a float vector or (n, k) block) on g's chain
+    of the given kind, yielded as (lo, block), block[i] level lo + i, in
+    one reused, level-major chunk of at most min(LEVEL_CHUNK,
+    ROW_BLOCK_ENTRIES // u.size) levels.  The buffer holds the `_lag`
+    levels before the chunk (zeros before level 0).  Each pass
+    zero-fills its block, puts u in level 0, and makes block[start:]
+    (start = 1 on the first pass, else 0) by `_kernel` calls run(i,
+    steps), which write block[i], ..., block[i + steps - 1] from the
+    levels before them: one call for fill None, else fill(run, lo,
+    block, start), the hook where the Chebyshev walk halves T_1 and
+    projects a deflated level.  The last levels are copied to the front
+    of the buffer before block is yielded, so the consumer may overwrite
+    block; the next pass overwrites it."""
+    lag = _lag(kind)
+    size = max(1, min(LEVEL_CHUNK, N + 1, ROW_BLOCK_ENTRIES // max(u.size, 1)))
+    buf = np.zeros((size + lag,) + u.shape)
+    run = _kernel(g, buf.reshape(-1), u.shape[1] if u.ndim == 2 else 1, kind)
+    for lo in range(0, N + 1, size):
+        block = buf[lag:lag + min(size, N + 1 - lo)]
+        block.fill(0.0)
+        start = 0 if lo else 1  # the first level the pass makes
+        if not lo:
+            block[0] = u
+        if fill is None:
+            run(start, len(block) - start)
+        else:
+            fill(run, lo, block, start)
+        buf[:lag] = buf[len(block):len(block) + lag]
+        yield lo, block
+
+
 def level_blocks(g: WeightedGraph, f, L: int):
     """Walk P^0 f, P^1 f, ..., P^L f with exactly L sparse products and
     yield them as (lo, block): block[i] = P^(lo + i) f for a vector or an
     (n, k) block f, each level a contiguous row of one reused,
-    level-major chunk of at most min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES //
-    (n k)) levels.  Nothing is yielded when L < 0.
+    level-major chunk (`_chain_blocks`).  Nothing is yielded when L < 0.
 
-    The chunk is zero-filled once per pass, and each pass is one
-    chained kernel call per chain length of levels (`_kernel`), its
-    output the buffer one level ahead of its input.  The kernel writes
-    its rows in order, in place, so it adds each level into its row from
-    the row before it, which the same call has just written: every level
-    is bit-identical to repeated `markov_step`, and the products are
-    counted once per pass.  The row before the chunk holds the last
-    level of the previous pass, so block is overwritten by the next pass:
-    the consumer uses it (it may overwrite it, the walk resumes from its
-    own copy of the last level) before asking for the next."""
+    Each pass is one chained kernel call per chain length of levels
+    (`_kernel`), its output the buffer one level ahead of its input.
+    The kernel writes its rows in order, in place, so it adds each level
+    into its zero-filled row from the row before it, which the same call
+    has just written: every level is bit-identical to repeated
+    `markov_step`, and the products are counted once per pass.  block is
+    overwritten by the next pass: the consumer uses it (it may overwrite
+    it, the walk resumes from its own copy of the last level) before
+    asking for the next."""
     if L < 0:
         return
-    u = _operand(g, f)
-    size = max(1, min(LEVEL_CHUNK, L + 1, ROW_BLOCK_ENTRIES // max(u.size, 1)))
-    buf = np.empty((size + 1,) + u.shape)
-    walk = _kernel(g, buf.reshape(-1), u.shape[1] if u.ndim == 2 else 1)
-    for lo in range(0, L + 1, size):
-        block = buf[1:1 + min(size, L + 1 - lo)]
-        block.fill(0.0)
-        first = 0 if lo else 1  # the row the pass reads first
-        if not lo:
-            block[0] = u
-        walk(first, len(block) - first)
-        buf[0] = block[-1]
-        yield lo, block
+    yield from _chain_blocks(g, _operand(g, f), L)
 
 
 def powers(g: WeightedGraph, f, L: int):
@@ -296,14 +367,15 @@ def powers(g: WeightedGraph, f, L: int):
 
 def heat_sweep(g: WeightedGraph, f, s_values):
     """P^s f for every integer time s as an (n, S) block (an (n, S, k)
-    block for an (n, k) f) from one walk of the power sequence."""
+    block for an (n, k) f) from one walk of the power sequence; no times
+    give an (n, 0) block."""
     steps = np.array([int(s) for s in s_values], dtype=int)
     if np.any(steps != np.asarray(s_values, dtype=float)):
         raise ValueError("heat families need integer times s")
-    if steps.min() < 0:
+    if np.any(steps < 0):
         raise ValueError("s must be >= 0")
     out = np.empty((g.n, len(steps)) + np.shape(f)[1:])
-    for lo, rows in level_blocks(g, f, int(steps.max())):
+    for lo, rows in level_blocks(g, f, int(steps.max(initial=-1))):
         hit = np.flatnonzero((steps >= lo) & (steps < lo + len(rows)))
         out[:, hit] = np.moveaxis(rows[steps[hit] - lo], 0, 1)
     return out
@@ -349,7 +421,7 @@ def horner(g: WeightedGraph, U: np.ndarray) -> np.ndarray:
     # rows: acc, U[:, k], W acc + U[:, k], U[:, k - 1], ... : step j
     # reads rows 2j and 2j + 1 and writes row 2j + 2
     buf = np.empty((2 * size + 1, n))
-    scan = _kernel(g, buf.reshape(-1), 1, scan=True)
+    scan = _kernel(g, buf.reshape(-1), 1, "scan")
     buf[0] = U[:, K - 1]
     for hi in range(K - 1, 0, -size):
         lo = max(hi - size, 0)
@@ -361,38 +433,51 @@ def horner(g: WeightedGraph, U: np.ndarray) -> np.ndarray:
     return buf[0].copy()
 
 
-def chebyshev(g: WeightedGraph, f, N: int, radius=None):
-    """Yield T_0(X) f, T_1(X) f, ..., T_N(X) f, the Chebyshev polynomials
-    of the first kind in X, with exactly N sparse products
-    (T_{k+1} = 2 X T_k - T_{k-1}), and nothing when N < 0; accepts (n,)
-    or (n, batch).
+def chebyshev_blocks(g: WeightedGraph, f, N: int, interval=(-1.0, 1.0), deflate=False):
+    """Walk T_0(X) f, T_1(X) f, ..., T_N(X) f, the Chebyshev polynomials
+    of the first kind in X, with exactly N sparse products, and yield them
+    as (lo, block): block[i] = T_(lo + i)(X) f for a vector or an (n, k)
+    block f, in one reused, level-major chunk (`_chain_blocks`).  Nothing
+    is yielded when N < 0.
 
-    X is P when radius is None.  Given a radius r, X = (P - Pi)/r on the
-    mean-zero part of f, Pi the m-mean projection: f is mean-projected on
-    entry and every product after it, so the rounding of each product
-    along the constants is dropped instead of growing like T_k(1/r).  A
-    deflated vector is walked as its one-column block, so both take their
-    means by the same reductions and give the same bits."""
+    X = (2P - (hi + lo) I)/(hi - lo), the affine image of P that maps
+    interval = (lo, hi) onto [-1, 1]; on (-1, 1) X is P.  Each pass is
+    the chained recurrence T_{k+1} = 2 X T_k - T_{k-1} (`_chain`), its
+    output two levels ahead of its first input; T_1 = X T_0 is the first
+    step from a zero T_{-1}, halved.  On (-1, 1) every level is
+    bit-identical to the three-term loop of `markov_step`: 2W and the
+    halving scale exactly.
+
+    With deflate, X acts on mean-zero functions: f is mean-projected on
+    entry and each level after its product, so the rounding of each
+    product along the constants is dropped instead of growing with k (a
+    rank-one projection cannot sit in the sparse chain, so the deflated
+    walk makes one kernel call per level).  A deflated vector is walked
+    as its one-column block, so both take their means by the same
+    reductions and give the same bits.  block is overwritten by the next
+    pass; the walk resumes from its own copy of the last two levels."""
     if N < 0:
         return
-    deflate = radius is not None
-    if deflate and np.ndim(f) == 1:
-        for u in chebyshev(g, np.reshape(f, (-1, 1)), N, radius):
-            yield u[:, 0]
-        return
-    u = prev = mean_project(g, f) if deflate else np.asarray(f, dtype=float)
-    yield u
-    for k in range(N):
-        nxt = markov_step(g, u)
-        if deflate:
-            nxt -= (g.m @ nxt) / g.total_volume()
-        scale = (2.0 if k else 1.0) / (radius if deflate else 1.0)
-        if scale != 1.0:
-            nxt *= scale
-        if k:
-            nxt -= prev
-        prev, u = u, nxt
-        yield u
+    u = _operand(g, f)
+    if deflate:
+        u = mean_project(g, u.reshape(g.n, -1))
+
+    def fill(run, lo, block, start):
+        def walk(first, steps):
+            if not deflate:
+                return run(first, steps)
+            for i in range(first, first + steps):
+                run(i, 1)
+                block[i] -= (g.m @ block[i]) / g.total_volume()
+
+        if lo <= 1 < lo + len(block):  # T_1, halved
+            walk(1 - lo, 1)
+            block[1 - lo] *= 0.5
+            start = 2 - lo
+        walk(start, len(block) - start)
+
+    for lo, block in _chain_blocks(g, u, N, tuple(interval), fill):
+        yield lo, block.reshape((len(block),) + np.shape(f))
 
 
 def laplacian(g: WeightedGraph, f):

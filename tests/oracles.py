@@ -11,6 +11,8 @@ how often the power sequence is walked.  `delta_power_exact` and
 `resolvent_exact` apply their operators by the dense spectral oracle on
 any graph the oracle takes, the references the automatic-path functions
 and the certified series objects are compared against.
+`chebyshev_terms` is the three-term recurrence one `markov_step` at a
+time, the reference of the chained walk `operators.chebyshev_blocks`.
 """
 
 import itertools
@@ -25,7 +27,8 @@ from graphhardy.calculus import (BZ2Kind, SeriesOperator, _mean_zero_radius, a_s
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import annulus, ball, cached_geometry, vitali_cover
 from graphhardy.hardy import synthesize_molecules
-from graphhardy.operators import EdgeFunction, apply_P, gradient, horner, lp_norm, powers
+from graphhardy.operators import (EdgeFunction, apply_P, gradient, horner, lp_norm,
+                                  markov_step, mean_project, powers)
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import HORIZON_CAP, TentAtom, TentDecomposition, tent_mask
@@ -45,6 +48,32 @@ def resolvent_exact(g, f, s, power=1.0):
     """(I + s Delta)^{-power} f by the spectral oracle, whatever
     ORACLE_MAX_N."""
     return spectral(g).apply(lambda lam: (1.0 + s * (1.0 - lam)) ** (-power), f)
+
+
+def chebyshev_terms(g, f, N, interval=(-1.0, 1.0), deflate=False):
+    """Yield T_0(X) f, ..., T_N(X) f by the three-term recurrence
+    T_{k+1} = 2 X T_k - T_{k-1}, one `markov_step` and one new array per
+    term, X = (2P - (hi + lo) I)/(hi - lo) for interval = (lo, hi) (P
+    itself on (-1, 1)).  With deflate, f is mean-projected on entry and
+    every product after it, a vector walked as its one-column block."""
+    lo, hi = interval
+    if deflate and np.ndim(f) == 1:
+        for u in chebyshev_terms(g, np.reshape(f, (-1, 1)), N, interval, deflate):
+            yield u[:, 0]
+        return
+    u = prev = mean_project(g, f) if deflate else np.asarray(f, dtype=float)
+    yield u
+    for k in range(N):
+        nxt = markov_step(g, u)
+        if deflate:
+            nxt -= (g.m @ nxt) / g.total_volume()
+        if (lo, hi) != (-1.0, 1.0):
+            nxt = (2.0 * nxt - (hi + lo) * u) / (hi - lo)
+        if k:
+            nxt *= 2.0
+            nxt -= prev
+        prev, u = u, nxt
+        yield u
 
 
 def _ball_volume(g, x, r):

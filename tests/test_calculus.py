@@ -38,6 +38,7 @@ from graphhardy.operators import (
     lp_norm,
     mean_project,
     random_mean_zero,
+    spectral_interval,
 )
 from graphhardy.zoo import binary_tree, lazy_cycle, lazy_torus_2d
 
@@ -475,6 +476,19 @@ def test_lambda_star_range_and_periodicity(cycle16):
         delta_power_series(square, 0.5, 1e-8)
 
 
+def test_lambda_star_below_the_certified_lower_end():
+    # loops of 8 against 2 of edge weight put the spectrum in [0.6, 1]:
+    # a supplied lambda_star of 0.3 (radius 1/2) lies below all of it,
+    # so it cannot be the mean-zero radius, and would invert the interval
+    g = lazy_cycle(16, loop_weight=8.0)
+    assert spectral_interval(g)[0] > 0.59
+    for beta in (0.5, -0.5):
+        with pytest.raises(ValueError):
+            delta_power_series(g, beta, 1e-8, lambda_star=0.3)
+        op = delta_power_series(g, beta, 1e-8, lambda_star=spectral(g).lambda_star)
+        assert op.interval[0] == spectral_interval(g)[0] < op.interval[1]
+
+
 @pytest.mark.parametrize("beta,q,tol", [
     (beta, q, 1e-8) for beta in (0.5, 1.5, -0.5, -1.5, -2.5) for q in (0.5, 0.9, 0.99)
 ] + [(9.5, 0.5, 30.0)])
@@ -520,7 +534,7 @@ def test_negative_powers_of_delta(cycle16, rng, monkeypatch):
 def test_rounding_sized_constant_part(beta, monkeypatch):
     # an input whose constant part is 1e-12 of its norm, the rounding a
     # caller's projection leaves: the oracle drops the constant's
-    # coefficient, and the series walk (P - Pi)/lambda_star projects it
+    # coefficient, and the deflated series walk projects it
     # out on entry and after every product, where the power series in P
     # summed it with weight sum_k b_k (about N^{2.5} at beta = -2.5)
     g = lazy_cycle(64)
@@ -565,7 +579,7 @@ def test_delta_power_radius_floor(k2l, f0):
     assert spectral(k2l).lambda_star == pytest.approx(0.0, abs=1e-12)
     for beta in (-0.5, 0.5, -2.5):
         op = delta_power_series(k2l, beta, 1e-12)
-        assert op.radius == calculus.MIN_RADIUS
+        assert op.deflated and op.interval[1] == calculus.MIN_RADIUS
         np.testing.assert_allclose(op.apply(f0), f0, rtol=0, atol=1e-12)
 
 
@@ -597,10 +611,12 @@ def test_series_length_cap(cycle16, monkeypatch):
     for beta in (0.5, -0.5, -1.5):
         with pytest.raises(NonConvergent):
             delta_power_series(cycle16, beta, 1e-10)
+    # s = 16: on the lazy cycle's certified [0, 1], s = 8 fits the cap
+    # (48 and 50 terms; 68 and 73 at s = 16)
     with pytest.raises(NonConvergent):
-        resolvent_frac_series(cycle16, 8, 1.0, 1e-12)
+        resolvent_frac_series(cycle16, 16, 1.0, 1e-12)
     with pytest.raises(NonConvergent):
-        resolvent_frac_series(cycle16, 8, 1.5, 1e-12)
+        resolvent_frac_series(cycle16, 16, 1.5, 1e-12)
     # an integer power is a finite sum, and a loose tolerance fits the cap
     assert delta_power_series(cycle16, 2.0, 1e-12).truncation == 2
     assert delta_power_series(cycle16, 0.5, 1e-2).truncation <= 50

@@ -1,15 +1,17 @@
-"""Chebyshev columns: every series is a Chebyshev interpolant on
-[-1, 1] with a tail bound certified in the L^2(m) operator norm, in
-T_k(P) for (I + s Delta)^{-power} and the bz2 columns, and in
-T_k((P - Pi)/lambda_star) on mean-zero functions for a fractional
-Delta^beta."""
+"""Chebyshev columns: every series is a Chebyshev interpolant on an
+interval [lo, hi] that holds the spectrum, mapped onto [-1, 1], with a
+tail bound certified in the L^2(m) operator norm: the certified interval
+`spectral_interval(g)` of P for (I + s Delta)^{-power} and the bz2
+columns, [max(lo, -r), r] with r = max(lambda_star, 1/2) on mean-zero
+functions for a fractional Delta^beta."""
 
 import numpy as np
 import pytest
 
-from oracles import counting_markov, delta_power_exact, resolvent_exact, taylor_resolvent_degree
+from oracles import (chebyshev_terms, counting_markov, delta_power_exact, resolvent_exact,
+                     taylor_resolvent_degree)
 
-from graphhardy import calculus
+from graphhardy import calculus, zoo
 from graphhardy.calculus import (
     BZ2Kind,
     SeriesOperator,
@@ -21,12 +23,13 @@ from graphhardy.calculus import (
 )
 from graphhardy.cli import _parse_s_range
 from graphhardy.errors import NonConvergent
-from graphhardy.operators import chebyshev, lp_norm, random_mean_zero
+from graphhardy.operators import chebyshev_blocks, lp_norm, random_mean_zero, spectral_interval
 from graphhardy.zoo import binary_tree, lazy_cycle, lazy_torus_2d, random_weights
 
 SCALES = (1, 3, 40, 512)
-POWERS = (0.5, 1.0, 1.5, 2.0, 2.5)
+POWERS = (-1.5, -0.5, 0.5, 1.0, 1.5, 2.0, 2.5)
 TOL = 1e-12
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(params=["cycle16", "torus8"])
@@ -40,16 +43,20 @@ def _unit(g, seed):
 
 
 def test_resolvent_columns_within_their_tail(graph, monkeypatch):
+    # a negative power also up to the rounding N eps max|phi| of a sum
+    # whose symbol reaches (1 + s(1 - lo))^{-p} on the certified interval
     g = graph
     f = _unit(g, 10)
     exact = {(s, p): resolvent_exact(g, f, s, p) for s in SCALES for p in POWERS}
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    lo, hi = spectral_interval(g)
     for (s, p), want in exact.items():
         op = resolvent_frac_series(g, s, p, TOL)
-        assert op.radius is None
+        assert op.interval == (lo, hi) and not op.deflated
         assert op.tail_bound <= TOL
+        size = (1.0 + s * (1.0 - lo)) ** -p if p < 0 else 0.0
         err = lp_norm(g, resolvent_apply(g, f, s, p, TOL) - want, 2)
-        assert err <= op.tail_bound * lp_norm(g, f, 2) + 1e-12, (s, p)
+        assert err <= op.tail_bound * lp_norm(g, f, 2) + op.truncation * EPS * size + 1e-12, (s, p)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
@@ -60,30 +67,42 @@ def test_bz2_columns_within_their_tail(graph, M, monkeypatch):
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     got = a_s(g, f, BZ2Kind(SCALES, M))
     for j, s in enumerate(SCALES):
-        _, tail = calculus._bz2_column(s, M, TOL)
+        _, tail, _ = calculus._bz2_column(s, M, TOL, spectral_interval(g))
         assert tail <= TOL
         err = lp_norm(g, got[:, j] - want[:, j], 2)
         assert err <= tail * lp_norm(g, f, 2) + 1e-12, s
 
 
 def test_one_column_block_is_its_vector(graph):
-    # a block's terms are stacked per GEMM by the same rule as a vector's,
-    # so on the undeflated walk a one-column block is its vector bit for bit
+    # a one-column block is walked by the kernel's one-column form, as a
+    # vector is, and its chunks are summed by the same GEMM, so on the
+    # undeflated walk a one-column block is its vector bit for bit
     f = _unit(graph, 14)
     for op in (resolvent_frac_series(graph, 40, 1.5, TOL),
-               SeriesOperator(graph, *calculus._bz2_column(40, 2, TOL))):
+               SeriesOperator(graph, *calculus._bz2_column(40, 2, TOL, spectral_interval(graph)))):
         np.testing.assert_array_equal(op.apply(f[:, None])[:, 0], op.apply(f))
 
 
-@pytest.mark.parametrize("power", [0.5, 1.0, 2.5])
+# intervals holding the spectrum: all of [-1, 1], a lazy graph's and a
+# binary tree's certified ones
+INTERVALS = ((-1.0, 1.0), spectral_interval(lazy_cycle(16)), spectral_interval(binary_tree(3)))
+
+
+@pytest.mark.parametrize("power", [-1.5, 0.5, 1.0, 2.5])
 @pytest.mark.parametrize("s", [1, 7.5, 512])
 def test_interpolant_within_its_bound_on_the_interval(s, power):
-    # the certificate is a bound on all of [-1, 1], spectrum or not
-    c, tail = calculus._resolvent_column(s, power, 1e-10)
+    # the certificate is a bound on all of the interval, spectrum or not;
+    # a negative power up to the rounding of values as large as max|phi|
     x = np.cos(np.linspace(0.0, np.pi, 4001))
-    err = np.abs(np.polynomial.chebyshev.chebval(x, c)
-                 - calculus._resolvent_symbol(x, s, power)).max()
-    assert err <= tail <= 1e-10
+    for lo, hi in INTERVALS:
+        c, tail, interval = calculus._resolvent_column(s, power, 1e-10, (lo, hi))
+        assert interval == (lo, hi)
+        lam = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        phi = calculus._resolvent_symbol(lam, s, power)
+        err = np.abs(np.polynomial.chebyshev.chebval(x, c) - phi).max()
+        assert tail <= 1e-10
+        rounding = len(c) * EPS * np.abs(phi).max() if power < 0 else 0.0
+        assert err <= tail + rounding, (lo, hi)
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
@@ -101,7 +120,8 @@ def test_column_length_cap(monkeypatch):
     g = lazy_cycle(16)
     f = random_mean_zero(g, np.random.default_rng(12))
     N = resolvent_frac_series(g, 40, 1.5, TOL).truncation
-    bz2 = len(calculus._bz2_column(40, 2, TOL)[0]) - 1
+    bz2 = len(calculus._bz2_column(40, 2, TOL, spectral_interval(g))[0]) - 1
+    assert (N, bz2) == (113, 117)  # (160, 167) on [-1, 1]
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     monkeypatch.setattr(calculus, "SERIES_MAX_N", N)
     assert resolvent_frac_series(g, 40, 1.5, TOL).truncation == N
@@ -120,15 +140,18 @@ def test_column_length_cap(monkeypatch):
 @pytest.mark.parametrize("power", [1.0, 1.5])
 def test_gaffney_sweep_products(power, monkeypatch):
     # the CLI's 12 scales 40..512 at tol 1e-12: one walk to the largest
-    # column degree (the Taylor columns made 14,161 products at power 1);
-    # the degree depends on s and tol only, so a small graph shows it
+    # column degree (the Taylor columns made 14,161 products at power 1,
+    # the columns on [-1, 1] 572 and 594); the degree depends on s, tol
+    # and the interval only, and every lazy graph has [0, 1], so a small
+    # one shows it
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     g = lazy_cycle(16)
     W = counting_markov(g)
     scales = _parse_s_range("40..512")
     assert len(scales) == 12
     resolvent_apply(g, random_mean_zero(g, np.random.default_rng(13)), scales, power, TOL)
-    assert W.products == resolvent_frac_series(g, 512, power, TOL).truncation <= 650
+    assert W.products == resolvent_frac_series(g, 512, power, TOL).truncation
+    assert W.products == {1.0: 400, 1.5: 416}[power]
 
 
 DELTA_BETAS = (-2.5, -1.5, -0.5, 0.5, 1.5, 9.5)
@@ -142,14 +165,18 @@ def test_delta_power_column_within_its_bound_on_the_interval(beta, lam):
     # interpolant's error on all of it, up to the rounding of values as
     # large as max|phi| (1e5 at lam = 0.99, beta = -2.5, where 1 - lam x
     # alone is rounded to 100 eps relative)
+    # (1 - lam x)^beta is Delta^beta on [-lam, lam]; on the lazy lower
+    # end, the interval [lo, lam] is mapped onto [-1, 1] first
     g = lazy_cycle(16)
-    c, tail, radius = calculus._delta_power_column(g, beta, 1e-10, lam)
-    assert radius == lam
     x = np.linspace(-1.0, 1.0, 20001)
-    err = np.abs(np.polynomial.chebyshev.chebval(x, c) - (1.0 - lam * x) ** beta).max()
     size = max((1.0 - lam) ** beta, (1.0 + lam) ** beta)
-    assert tail <= 1e-10
-    assert err <= tail + len(c) * np.finfo(float).eps * size
+    for lo in (-1.0, spectral_interval(g)[0]):
+        c, tail, interval, deflated = calculus._delta_power_column(g, beta, 1e-10, (lo, 1.0), lam)
+        assert interval == (max(lo, -lam), lam) and deflated
+        mid, half = 0.5 * (interval[1] + interval[0]), 0.5 * (interval[1] - interval[0])
+        err = np.abs(np.polynomial.chebyshev.chebval(x, c) - (1.0 - mid - half * x) ** beta).max()
+        assert tail <= 1e-10
+        assert err <= tail + len(c) * EPS * size
 
 
 @pytest.mark.parametrize("name", ["cycle16", "torus8", "tree4", "jittered"])
@@ -167,7 +194,7 @@ def test_delta_power_column_on_graphs(name, monkeypatch):
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     for beta, want in exact.items():
         op = delta_power_series(g, beta, 1e-10, lam)
-        r = op.radius
+        r = op.interval[1]
         size = max((1.0 - r) ** beta, (1.0 + r) ** beta)
         allow = op.tail_bound + op.truncation * np.finfo(float).eps * size
         for shift in (0.0, 1.0) if beta > 0 else (0.0,):
@@ -183,36 +210,67 @@ def test_deflated_vector_is_its_one_column_block(name):
     f = _unit(g, 16)
     for beta in (0.5, -0.5):
         op = delta_power_series(g, beta, 1e-10)
-        assert op.radius is not None
+        assert op.deflated
         assert np.array_equal(op.apply(f), op.apply(f[:, None])[:, 0]), beta
-        terms = zip(chebyshev(g, f, 20, op.radius), chebyshev(g, f[:, None], 20, op.radius))
+        terms = zip(_terms(g, f, 20, op.interval, True),
+                    _terms(g, f[:, None], 20, op.interval, True))
         assert all(np.array_equal(u, v[:, 0]) for u, v in terms)
 
 
+def _terms(g, f, N, interval=(-1.0, 1.0), deflate=False):
+    return [t.copy() for _, block in chebyshev_blocks(g, f, N, interval, deflate) for t in block]
+
+
 def test_chebyshev_terms(cycle16):
-    # T_k(P) f from the three-term recurrence, on vectors and blocks, and
-    # T_k((P - Pi)/lam) f with the constants sent to 0 by the deflated walk
+    # T_k(X) f from the chained recurrence, on vectors and blocks, for X
+    # = P, for X mapping the certified interval onto [-1, 1], and on
+    # [lo, lam] with the constants sent to 0 by the deflated walk
     g = cycle16
     lam = calculus.spectral(g).lambda_star
+    lo, hi = spectral_interval(g)
     F = np.random.default_rng(14).standard_normal((g.n, 2))
-    assert list(chebyshev(g, F[:, 0], -1)) == []
-    assert list(chebyshev(g, F[:, 0], -1, lam)) == []
-    for radius in (None, lam):
+    walks = (((-1.0, 1.0), False), ((lo, hi), False), ((lo, lam), True))
+    for interval, deflate in walks:
+        assert _terms(g, F[:, 0], -1, interval, deflate) == []
         for f in (F[:, 0], F):
-            terms = list(chebyshev(g, f, 9, radius))
+            terms = _terms(g, f, 9, interval, deflate)
             assert len(terms) == 10
             for k, t in enumerate(terms):
                 def symbol(z, k=k):
-                    if radius is None:
-                        return np.polynomial.chebyshev.chebval(z, np.eye(10)[k])
-                    x = np.polynomial.chebyshev.chebval(z / radius, np.eye(10)[k])
-                    return np.where(z == 1.0, 0.0, x)
+                    x = (2.0 * z - interval[0] - interval[1]) / (interval[1] - interval[0])
+                    x = np.polynomial.chebyshev.chebval(x, np.eye(10)[k])
+                    return np.where(z == 1.0, 0.0, x) if deflate else x
                 want = calculus.spectral(g).apply(symbol, f)
                 np.testing.assert_allclose(t, want, rtol=0, atol=1e-12)
+            ref = list(chebyshev_terms(g, f, 9, interval, deflate))
+            for t, r in zip(terms, ref):
+                np.testing.assert_allclose(t, r, rtol=0, atol=1e-14)
     # exactly N sparse products
     g = lazy_cycle(16)
     W = counting_markov(g)
-    for radius in (None, lam):
+    for interval, deflate in walks:
         W.products = 0
-        assert len(list(chebyshev(g, F, 9, radius))) == 10
+        assert len(_terms(g, F, 9, interval, deflate)) == 10
         assert W.products == 9
+
+
+@pytest.mark.parametrize("name", ["cycle16", "cycle9", "path9", "torus8", "k2l", "loose_cycle",
+                                  "jittered", "jittered_torus", "tree3", "tree4"])
+def test_spectral_interval_holds_the_spectrum(name):
+    # Gershgorin under (LB): every oracle eigenvalue lies in [lo, hi]; a
+    # lazy graph's interval is [0, 1] widened by a few ulps, with
+    # lo + hi = 1 exactly, and a binary tree's lower end is 2/4 - 1
+    g = {"cycle16": lambda: lazy_cycle(16), "cycle9": lambda: lazy_cycle(9),
+         "path9": lambda: zoo.lazy_path(9), "torus8": lambda: lazy_torus_2d(8),
+         "k2l": zoo.k2l, "loose_cycle": lambda: lazy_cycle(16, loop_weight=0.3),
+         "jittered": lambda: random_weights(lazy_cycle(16), 3),
+         "jittered_torus": lambda: random_weights(lazy_torus_2d(8), 5),
+         "tree3": lambda: binary_tree(3), "tree4": lambda: binary_tree(4)}[name]()
+    lo, hi = spectral_interval(g)
+    eigs = calculus.spectral(g).eigenvalues
+    assert lo <= eigs.min() and eigs.max() <= hi
+    assert -1.0 - 1e-14 < lo < hi < 1.0 + 1e-14
+    if name in ("cycle16", "cycle9", "path9", "torus8", "k2l"):
+        assert lo + hi == 1.0 and -1e-14 < lo < 0.0
+    if name.startswith("tree"):
+        assert lo == pytest.approx(-0.5, abs=1e-14)

@@ -1,12 +1,14 @@
 """One home per decision: the raw Markov matrix and the counted step
 that multiplies by it (hence every P^l loop, the Horner scan included),
-the level walk, the oracle/series choice, the spectral oracle, the
-series object, the cone sum, the Lusin terms, the dense tent mask, the
-ball matrices, the bz1 product, the molecular pipeline body, the
-molecule validator's rederivation, size table and report, and the
-kernel error may be reached only from the modules and functions listed
-here; the exact Delta^k step and the pipeline body are defined once;
-scipy's private sparse kernels are imported by `operators` alone."""
+the level walk, the kernel chains, the chunked walk on them and scipy's
+kernels that run them, the Chebyshev walk and its certified interval,
+the oracle/series choice, the spectral oracle, the series object, the
+cone sum, the Lusin terms, the dense tent mask, the ball matrices, the
+bz1 product, the molecular pipeline body, the molecule validator's
+rederivation, size table and report, and the kernel error may be
+reached only from the modules and functions listed here; the exact
+Delta^k step and the pipeline body are defined once; scipy's private
+sparse kernels are imported by `operators` alone."""
 
 import ast
 from pathlib import Path
@@ -19,10 +21,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "graphhardy"
 ALLOWED = {
     # every product with the matrix is counted: it is read by the counted
     # step, by the chain builder of the level walk (which `powers` and
-    # `weighted_powers` consume) and of the Horner scan, and by `kernel`
-    # for its sparse-sparse products alone
+    # `weighted_powers` consume), of the Horner scan and of the Chebyshev
+    # recurrence, by `kernel` for its sparse-sparse products alone, and
+    # by the Gershgorin interval, which makes no product
     "markov_matrix": (set(), {"operators.markov_step", "operators._chain",
-                              "operators.kernel"}),
+                              "operators.kernel", "operators.spectral_interval"}),
     "markov_step": ({"operators"}, set()),
     # the square functions and the Riesz transform read every P^l f from
     # the walks, and every exact Delta^k is `operators.delta_steps`; the
@@ -35,12 +38,24 @@ ALLOWED = {
     # one molecular pipeline body for functions and forms
     "_decompose": (set(), {"hardy.molecular_decompose", "hardy.form_molecular_decompose"}),
     "_kernel_step": (set(), {"operators.markov_step"}),
-    # scipy's kernel bound to the graph's chain once per walk: the level
-    # walk and the Horner scan, whose products it counts
-    "_kernel": (set(), {"operators.level_blocks", "operators.horner"}),
+    # scipy's kernel bound to the graph's chain once per walk: the Horner
+    # scan and the one chunked walk, whose products it counts
+    "_kernel": (set(), {"operators._chain_blocks", "operators.horner"}),
+    # one chunked walk, with its buffer and carry, for the level walk and
+    # the Chebyshev walk
+    "_chain_blocks": (set(), {"operators.level_blocks", "operators.chebyshev_blocks"}),
     # a chain is read only by the binder that never passes the kernel more
     # steps than the chain holds (the kernel checks no bounds)
     "_chain": (set(), {"operators._kernel"}),
+    # scipy's kernels are called by name only in the counted step and the
+    # cone sum; every chain runs them through the binding of `_kernel`
+    "csr_matvec": (set(), {"operators._kernel_step", "operators.cone_gather"}),
+    "csr_matvecs": (set(), {"operators._kernel_step", "operators.cone_gather"}),
+    # every series is walked by the chained recurrence in `apply`, on the
+    # interval certified on the series path only
+    "chebyshev_blocks": (set(), {"calculus.apply"}),
+    "spectral_interval": (set(), {"calculus.phi_apply", "calculus.delta_power_series",
+                                  "calculus.resolvent_frac_series"}),
     # every P^l f outside `operators` is read from its walks, except the
     # cone sum's squared chunks
     "level_blocks": ({"operators"}, {"quadratic._level_square_sums"}),
@@ -108,7 +123,13 @@ def test_scanner_sees_calls():
     assert ("_chain", "operators._kernel") in found
     assert ("_kernel_step", "operators.markov_step") in found
     assert ("_kernel", "operators.horner") in found
-    assert ("_kernel", "operators.level_blocks") in found
+    assert ("_kernel", "operators._chain_blocks") in found
+    assert ("_chain_blocks", "operators.level_blocks") in found
+    assert ("_chain_blocks", "operators.chebyshev_blocks") in found
+    assert ("markov_matrix", "operators.spectral_interval") in found
+    assert ("csr_matvecs", "operators._kernel_step") in found
+    assert ("chebyshev_blocks", "calculus.apply") in found
+    assert ("spectral_interval", "calculus.phi_apply") in found
     assert ("markov_step", "operators.apply_P") in found
     assert ("apply_P", "operators.delta_steps") in found
     assert ("apply_P", "calculus.bz1_product") in found
@@ -148,6 +169,19 @@ def test_steps_and_pipeline_have_one_definition():
                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                      if isinstance(node, ast.FunctionDef) and node.name in homes)
     assert defined == sorted(homes.items())
+
+
+def test_chains_are_built_in_one_place():
+    # the graph's chain cache is created with the graph and filled and
+    # read by `_chain` alone: no second chain builder
+    touched = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in tree.body:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "_chains":
+                    touched.add(f"{path.stem}.{getattr(fn, 'name', '')}")
+    assert touched == {"operators._chain", "graphs.WeightedGraph"}
 
 
 def _imports():

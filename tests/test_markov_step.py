@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import counting_markov
+from oracles import chebyshev_terms, counting_markov
 
 from graphhardy import operators, zoo
 from graphhardy.graphs import build_graph
@@ -16,7 +16,7 @@ from graphhardy.hardy import form_profile, heat_profile
 from graphhardy.operators import (
     LEVEL_CHUNK,
     apply_P,
-    chebyshev,
+    chebyshev_blocks,
     delta_steps,
     heat_sweep,
     horner,
@@ -24,6 +24,7 @@ from graphhardy.operators import (
     markov_matrix,
     markov_step,
     powers,
+    spectral_interval,
     weighted_powers,
 )
 from graphhardy.quadratic import SpaceTimeFunction
@@ -113,7 +114,7 @@ def test_walks_count_one_product_per_step():
     W.products = 0
     assert len(list(powers(g, f, 9))) == 10 and W.products == 9
     W.products = 0
-    assert len(list(chebyshev(g, f, 9))) == 10 and W.products == 9
+    assert sum(len(b) for _, b in chebyshev_blocks(g, f, 9)) == 10 and W.products == 9
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -247,7 +248,7 @@ def test_chained_walk_is_bit_identical(monkeypatch, chain, L, width, chunk):
         want.append(markov_step(g, want[-1]))
     calls, cols = g.matvec_calls, g.matvec_cols
     got = _walk(g, f, L)
-    assert operators._chain(g, False)[0] == chain
+    assert operators._chain(g, "walk")[0] == chain
     assert (g.matvec_calls - calls, g.matvec_cols - cols) == (L, L * k)
     assert len(got) == L + 1
     assert all(_same_bits(a, b) for a, b in zip(got, want))
@@ -265,7 +266,7 @@ def test_chained_horner_is_bit_identical(monkeypatch, chain, K):
     U = np.random.default_rng(13).standard_normal((g.n, K))
     calls, cols = g.matvec_calls, g.matvec_cols
     got = horner(g, U)
-    assert operators._chain(g, True)[0] == chain
+    assert operators._chain(g, "scan")[0] == chain
     assert (g.matvec_calls - calls, g.matvec_cols - cols) == (K - 1, K - 1)
     acc = U[:, K - 1]
     for k in range(K - 2, -1, -1):
@@ -305,11 +306,78 @@ def test_kernel_reads_what_it_has_just_written():
     g = build_graph([(0, 1, 1.0), (1, 2, 2.0), (0, 0, 0.5), (2, 2, 1.5)])
     f = np.array([1.0, -2.0, 3.0])
     levels = _walk(g, f, 2)
-    assert operators._chain(g, False)[0] >= 2
+    assert operators._chain(g, "walk")[0] >= 2
     want = markov_step(g, markov_step(g, f))
     assert _same_bits(levels[2], want), (
         "scipy's CSR kernel no longer updates an aliased operand in place; "
         "the chained level walk (operators._kernel) needs per-step calls")
+
+
+def _terms(g, f, N, interval=(-1.0, 1.0)):
+    """T_0(X) f ... T_N(X) f, each a copy, from `chebyshev_blocks`."""
+    return [t.copy() for _, block in chebyshev_blocks(g, f, N, interval) for t in block]
+
+
+CHEBYSHEV_GRAPHS = {"cycle64": lambda: zoo.lazy_cycle(64), "torus48": lambda: zoo.lazy_torus_2d(48)}
+
+
+@pytest.mark.parametrize("name", sorted(CHEBYSHEV_GRAPHS))
+@pytest.mark.parametrize("shape", [(), (1,), (3,)])
+@pytest.mark.parametrize("chunk", [LEVEL_CHUNK, 5, 1])
+def test_chained_chebyshev_is_bit_identical(monkeypatch, name, shape, chunk):
+    # On [-1, 1] the chain's step [-I | 2W] doubles each product exactly
+    # and halves the first, so every term is the reference recurrence's
+    # bit for bit: across the chain's boundaries (64 copies of the step
+    # on the cycle, one on the torus) and the chunk's (of 64, 5 or 1
+    # levels), for a vector, a one-column block and a block, with exactly
+    # N products of its width
+    g = CHEBYSHEV_GRAPHS[name]()
+    f = np.random.default_rng(15).standard_normal((g.n,) + shape)
+    monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", chunk * f.size)
+    chain = operators._chain(g, (-1.0, 1.0))[0]
+    assert chain == (LEVEL_CHUNK if name == "cycle64" else 1)
+    k = shape[0] if shape else 1
+    for N in sorted({0, 1, 2, chain - 1, chain, chain + 1, LEVEL_CHUNK - 1, LEVEL_CHUNK + 1}):
+        calls, cols = g.matvec_calls, g.matvec_cols
+        got = _terms(g, f, N)
+        assert (g.matvec_calls - calls, g.matvec_cols - cols) == (N, N * k)
+        want = list(chebyshev_terms(g, f, N))
+        assert len(got) == N + 1
+        assert all(_same_bits(a, b) for a, b in zip(got, want)), N
+
+
+@pytest.mark.parametrize("name", sorted(CHEBYSHEV_GRAPHS))
+def test_chebyshev_on_the_certified_interval(name):
+    # on the lazy fixtures [lo, hi] is [0, 1] widened by a few ulps with
+    # lo + hi = 1 exactly, so X = 2P - I scaled has no diagonal: the step
+    # [-I | 2X] holds the non-lazy walk's entries and -I, and its terms
+    # are the reference recurrence's within 1e-14 of ||f||
+    g = CHEBYSHEV_GRAPHS[name]()
+    lo, hi = spectral_interval(g)
+    assert lo < 0.0 < hi - 1.0 and lo + hi == 1.0 and hi - 1.0 < 1e-14
+    _, indptr, _, _ = operators._chain(g, (lo, hi))
+    assert indptr[1] - indptr[0] == g.max_degree  # degree - 1 walk entries, and -I
+    f = np.random.default_rng(16).standard_normal((g.n, 2))
+    norm = np.sqrt(g.m @ f ** 2)
+    for N in (0, 1, 2, LEVEL_CHUNK - 1, LEVEL_CHUNK + 1):
+        calls = g.matvec_calls
+        got = _terms(g, f, N, (lo, hi))
+        assert g.matvec_calls - calls == N
+        for a, b in zip(got, chebyshev_terms(g, f, N, (lo, hi)), strict=True):
+            assert np.all(np.sqrt(g.m @ (a - b) ** 2) <= 1e-14 * norm), N
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+def test_chains_keep_the_index_type(index):
+    # scipy's kernel converts index arrays of another type than indptr's
+    # on every call, so every chain keeps W's index type
+    g = zoo.random_weights(zoo.lazy_cycle(9), 3)
+    W = markov_matrix(g).copy()
+    W.indices, W.indptr = W.indices.astype(index), W.indptr.astype(index)
+    g._markov = W
+    for kind in ("walk", "scan", spectral_interval(g)):
+        _, indptr, indices, _ = operators._chain(g, kind)
+        assert indptr.dtype == indices.dtype == index, kind
 
 
 def test_level_walk_yields_nothing_below_level_zero():
@@ -317,6 +385,8 @@ def test_level_walk_yields_nothing_below_level_zero():
     assert list(level_blocks(g, np.ones(g.n), -1)) == []
     assert list(powers(g, np.ones(g.n), -1)) == []
     assert weighted_powers(g, np.ones(g.n), []).shape == (g.n, 0)
+    assert heat_sweep(g, np.ones(g.n), []).shape == (g.n, 0)
+    assert list(chebyshev_blocks(g, np.ones(g.n), -1)) == []
     assert g.matvec_calls == 0
 
 

@@ -15,7 +15,7 @@ from graphhardy.calculus import (
     resolvent_frac_series,
 )
 from graphhardy.hardy import bmo_norm
-from graphhardy.operators import random_mean_zero
+from graphhardy.operators import heat_sweep, random_mean_zero, spectral_interval
 from graphhardy.zoo import lazy_cycle, lazy_torus_2d
 
 S_VALUES = [1, 2, 5, 9, 16]
@@ -99,6 +99,9 @@ def test_bmo_norm_block_cap(cycle16):
 
 @pytest.mark.parametrize("M", [1, 2])
 def test_sweeps_walk_the_power_sequence_once(monkeypatch, M):
+    # one walk to the longest column on the certified interval [0, 1] of
+    # the lazy cycle: 68 and 73 products for the resolvent sweeps, 68 and
+    # 74 for the bz2 sup (96, 104, 96 and 105 on [-1, 1])
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     g = lazy_cycle(16)
     W = counting_markov(g)
@@ -106,11 +109,30 @@ def test_sweeps_walk_the_power_sequence_once(monkeypatch, M):
     lengths = [resolvent_frac_series(g, s, M, 1e-12).truncation for s in S_VALUES]
     resolvent_apply(g, f, S_VALUES, float(M))
     assert W.products == max(lengths) < sum(lengths)
+    assert W.products == {1: 68, 2: 73}[M]
 
     W.products = 0
     bmo_norm(g, f, "bz2", M, 16)
-    assert W.products == max(len(calculus._bz2_column(s, M, 1e-12)[0]) - 1
+    interval = spectral_interval(g)
+    assert W.products == max(len(calculus._bz2_column(s, M, 1e-12, interval)[0]) - 1
                              for s in range(1, 17))
+    assert W.products == {1: 68, 2: 74}[M]
+
+
+def test_empty_scale_lists(path, cycle16):
+    # no scales give an (n, 0) block on both paths, and no column is
+    # multiplied by P
+    g = cycle16
+    f = random_mean_zero(g, np.random.default_rng(11))
+    cols = g.matvec_cols
+    for power in (1.0, 1.5):
+        assert resolvent_apply(g, f, [], power).shape == (g.n, 0)
+    for M in (1, 2):
+        assert a_s(g, f, BZ2Kind((), M)).shape == (g.n, 0)
+    assert heat_sweep(g, f, []).shape == (g.n, 0)
+    for family in sorted(FAMILIES):
+        assert FAMILIES[family][0](g, f, [], 1).shape == (g.n, 0)
+    assert g.matvec_cols == cols
 
 
 def test_series_table_keeps_each_truncation():
@@ -127,6 +149,19 @@ def test_series_table_keeps_each_truncation():
         _assert_close(U[:, j], one)
     with pytest.raises(ValueError):
         op.apply(np.ones((g.n, 2)))
+
+
+def test_series_table_takes_its_columns_interval():
+    # the interval a table walks on comes from its columns only, so
+    # columns fitted on one interval cannot be walked on another
+    g = lazy_torus_2d(6)
+    interval = spectral_interval(g)
+    columns = [calculus._resolvent_column(s, 1.0, 1e-12, interval) for s in (2, 9)]
+    op = calculus.series_table(g, columns)
+    assert op.interval == interval and not op.deflated
+    assert calculus.series_table(g, []).interval == (-1.0, 1.0)
+    with pytest.raises(ValueError):
+        calculus.series_table(g, columns + [calculus._resolvent_column(4, 1.0, 1e-12)])
 
 
 @pytest.mark.parametrize("M", [1, 2])
