@@ -326,6 +326,15 @@ def _bz2_symbol(lam, s, M: int):
     return sum(math.comb(M, j) * (-r) ** j for j in range(1, M + 1))
 
 
+def _check_scales(s):
+    """ValueError unless the scale s, or each scale of a sequence, is
+    finite and > 0, where the pole 1 + 1/s of (I + s Delta)^{-1} lies
+    beyond the spectrum and the columns' ellipse bounds hold; checked
+    on entry, before the oracle/series choice."""
+    if not np.all(np.isfinite(s) & (np.asarray(s, dtype=float) > 0.0)):
+        raise ValueError(f"resolvent scales must be finite and > 0, not {s!r}")
+
+
 def _resolvent_column(s, power, tol, interval=(-1.0, 1.0)):
     """(I + s Delta)^{-power}, any real power, as one Chebyshev column
     (coeffs, tail bound, interval) on an interval holding the spectrum.
@@ -334,9 +343,7 @@ def _resolvent_column(s, power, tol, interval=(-1.0, 1.0)):
     On E_rho its modulus is at most its value at x_rho, the point of
     E_rho nearest the singularity, for power > 0, and at most
     (1 + s + s (|mid| + half x_rho))^{-power}, with |x| <= x_rho there,
-    for power < 0."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    for power < 0.  s > 0 (`_check_scales`)."""
     half, mid = _affine(interval)
 
     def symbol(x):
@@ -349,9 +356,7 @@ def _bz2_column(s, M: int, tol, interval=(-1.0, 1.0)):
     """[I - (I + s Delta)^{-1}]^M - I as one Chebyshev column (coeffs,
     tail bound, interval), lam = mid + half x as for the resolvent; with
     |R| <= R(x_rho) on E_rho its modulus there is at most
-    (1 + R(x_rho))^M - 1."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    (1 + R(x_rho))^M - 1.  s > 0 (`_check_scales`)."""
     half, mid = _affine(interval)
     return (*chebyshev_series(
         lambda x: _bz2_symbol(mid + half * x, s, M),
@@ -396,7 +401,8 @@ def delta_power_apply(g: WeightedGraph, f, beta: float):
 
 def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
     """(I + s Delta)^{-power} f with automatic path choice; a sequence of
-    scales gives an (n, S) block, one column per scale."""
+    scales gives an (n, S) block, one column per scale, each finite > 0."""
+    _check_scales(s)
     return phi_apply(g, f, s, lambda lam, t: _resolvent_symbol(lam, t, power),
                      lambda t, interval: _resolvent_column(t, power, tol, interval))
 
@@ -414,7 +420,8 @@ def delta_power_series(g: WeightedGraph, beta: float, tol: float,
 
 def resolvent_frac_series(g: WeightedGraph, s, power: float,
                           tol: float) -> SeriesOperator:
-    """(I + s Delta)^{-power}, any real power, on the series path."""
+    """(I + s Delta)^{-power}, any real power, s finite > 0, as a series."""
+    _check_scales(s)
     return SeriesOperator(g, *_resolvent_column(s, power, tol, spectral_interval(g)))
 
 
@@ -446,11 +453,16 @@ class BZ2Kind:
     def __post_init__(self):
         if self.M < 1:
             raise BadTuple(f"M = {self.M} < 1")
+        _check_scales(self.s)
 
 
 @dataclass(frozen=True)
 class QsKind:
     s: int
+
+    def __post_init__(self):
+        if self.s < 1:
+            raise BadTuple(f"s = {self.s} < 1")
 
 
 # Tolerance of the bz2 columns of `a_s` and of the resolvent families'

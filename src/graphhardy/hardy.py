@@ -462,11 +462,21 @@ def _decompose(g: WeightedGraph, kind: str, target, profile, M: int, beta: float
                                   lp_norm(g, resid, 1), l2_res, tdec.t1_norm)
 
 
+def _require_orders(M: int, eps: float):
+    """ValueError unless M >= 1 and eps is finite and > 0."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, not {eps!r}")
+
+
 def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
                         tol=1e-8) -> MolecularDecomposition:
     """Molecular representation of a mean-zero f in L^2 from its heat
     profile, whose Lusin weight F(., l)^2 / (l+1) is that of f, so
-    quad_norm is ||L_beta f||_1."""
+    quad_norm is ||L_beta f||_1.  M >= 1 and a finite eps > 0, or
+    ValueError at once."""
+    _require_orders(M, eps)
     f = require_mean_zero(g, f)
     return _decompose(g, "bz2", f, lambda l_max: heat_profile(g, f, beta, l_max),
                       M, beta, eps, tol, tol)
@@ -482,7 +492,9 @@ def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
     """Molecular representation of an exact 1-form F from the profile
     sqrt(l+1) P^l w, w = d*F, whose Lusin weight |P^l w|^2 is that of
     Delta^{-1/2} w at beta = 1/2; d is L^2-bounded by sqrt(2), so the
-    horizon keeps that margin."""
+    horizon keeps that margin.  M >= 1 and a finite eps > 0, or
+    ValueError at once."""
+    _require_orders(M, eps)
     if not is_exact_form(g, F, tol):
         raise NotExactForm("input form is not a differential")
     w = divergence(g, F)
@@ -539,6 +551,8 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
+    if M < 1:
+        raise ValueError("M must be >= 1")
     if kind not in ("bz1", "bz2"):
         raise ValueError("kind must be 'bz1' or 'bz2'")
     f = np.asarray(f, dtype=float)

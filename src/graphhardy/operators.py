@@ -113,9 +113,10 @@ def _operand(g: WeightedGraph, x):
 
 
 def _kernel_step(g: WeightedGraph, W, x, out):
-    """`markov_step` added into out, a zero-filled C-contiguous float
-    array of x's shape that must not share memory with x (the kernel
-    adds into it), with W = markov_matrix(g)."""
+    """`markov_step` added into out, a C-contiguous float array of x's
+    shape that must not share memory with x (the kernel adds into it, so
+    a zero-filled out receives the product itself), with W =
+    markov_matrix(g)."""
     n = g.n
     csr = W.indptr, W.indices, W.data
     if x.ndim == 1:
@@ -150,20 +151,15 @@ def _chain(g: WeightedGraph, kind):
     """(steps, indptr, indices, data) of the kernel chain of one of g's
     walks, built once per graph and kind and cached on it: `steps` copies
     of a step matrix S, copy j reading column block j of a buffer and
-    writing row block j of the buffer `lag` blocks ahead (`_kernel`).
+    adding into row block j + lag of it (`_kernel`), blocks of n entries.
 
-    kind "walk" is the level walk, S = W = markov_matrix(g) (blocks of n
-    entries, lag 1).  kind "scan" is the Horner scan, S = [W | I]
-    followed by n empty rows (blocks of 2n entries, a pair
-    [acc; U[:, k]], lag 1): the identity entry comes last in every row,
-    so the kernel adds U[:, k] after the product, and the empty rows
-    leave the buffer's U rows as they are.  An interval (lo, hi) is the
+    kind "walk" is the level walk, S = W = markov_matrix(g) (lag 1),
+    which the Horner scan walks too.  An interval (lo, hi) is the
     Chebyshev recurrence T_{k+1} = 2 X T_k - T_{k-1} in the affine image
     X = (2P - (hi + lo) I)/(hi - lo) of P that maps [lo, hi] onto
-    [-1, 1]: S = [-I | 2X] (blocks of n entries, lag 2, so a step reads
-    the two levels behind its output), 2X being 2W with (hi + lo) taken
-    off its diagonal and scaled by 2/(hi - lo), exact zeros dropped, and
-    the -I entry last in every row.  Every S keeps W's in-row entry order
+    [-1, 1]: S = [-I | 2X] (lag 2), 2X being 2W with (hi + lo) taken off
+    its diagonal and scaled by 2/(hi - lo), exact zeros dropped, and the
+    -I entry last in every row.  Every S keeps W's in-row entry order
     (the rows are tiled, never sorted), so on [-1, 1] each step of the
     recurrence is made as `markov_step` makes it, doubled.  steps is the
     largest count up to LEVEL_CHUNK whose chain holds at most
@@ -172,76 +168,63 @@ def _chain(g: WeightedGraph, kind):
         n, W = g.n, markov_matrix(g)
         indptr, indices, data = W.indptr, W.indices, W.data
         if kind != "walk":
+            lo, hi = kind
             rows = np.repeat(np.arange(n), np.diff(indptr))
             x = np.arange(n, dtype=indices.dtype)
-            if kind == "scan":
-                parts = (rows, x), (indices, n + x), (data, np.ones(n))
-            else:
-                lo, hi = kind
-                two_x = 2.0 * data
-                on_diag = indices == rows
-                two_x[on_diag] -= hi + lo
-                no_diag = np.full(n, -(hi + lo))  # the diagonal of a row without a loop
-                no_diag[rows[on_diag]] = 0.0
-                scale = 2.0 / (hi - lo)
-                parts = ((rows, x, x), (n + indices, n + x, x),
-                         (scale * two_x, scale * no_diag, np.full(n, -1.0)))
-            rows, cols, vals = (np.concatenate(p) for p in parts)
+            two_x = 2.0 * data
+            on_diag = indices == rows
+            two_x[on_diag] -= hi + lo
+            no_diag = np.full(n, -(hi + lo))  # the diagonal of a row without a loop
+            no_diag[rows[on_diag]] = 0.0
+            scale = 2.0 / (hi - lo)
+            rows, cols, vals = (np.concatenate(p) for p in (
+                (rows, x, x), (n + indices, n + x, x),
+                (scale * two_x, scale * no_diag, np.full(n, -1.0))))
             keep = vals != 0.0
             order = np.argsort(rows[keep], kind="stable")  # each row in its given order
             indices, data = cols[keep][order].astype(W.indices.dtype), vals[keep][order]
             counts = np.bincount(rows[keep], minlength=n)
             indptr = np.concatenate(([0], np.cumsum(counts))).astype(W.indptr.dtype)
-            if kind == "scan":
-                indptr = np.append(indptr, np.full(n, indptr[-1]))
-        block, entries = len(indptr) - 1, len(data)
+        entries = len(data)
         steps = max(1, min(LEVEL_CHUNK, CHAIN_ENTRIES // max(entries, 1)))
         copies = np.arange(steps, dtype=indptr.dtype)[:, None]
         g._chains[kind] = (
             steps,
             np.append(indptr[:-1] + copies * entries, steps * entries).astype(indptr.dtype),
-            (indices + copies * block).ravel(),
+            (indices + copies * n).ravel(),
             np.tile(data, steps),
         )
     return g._chains[kind]
 
 
 def _lag(kind) -> int:
-    """Blocks from the first block a step of a chain of this kind reads
-    to the block it writes: one for the walk and the scan, two for the
-    Chebyshev recurrence (an interval)."""
-    return 1 if kind in ("walk", "scan") else 2
+    """Blocks from the first block a step of a chain of this kind reads to
+    the block it writes: one for the walk, two for an interval's."""
+    return 1 if kind == "walk" else 2
 
 
 def _kernel(g: WeightedGraph, buf, cols: int, kind="walk"):
     """scipy's CSR kernel bound to g's chain of the given kind (`_chain`)
     and to buf, the flat C-contiguous float buffer of one walk of
     `cols`-column operands: a function run(first, steps) that makes
-    `steps` chained products in place on buf, reading from block `first`
-    on (a level; for the scan, the pair [acc; U[:, k]]; for the Chebyshev
-    recurrence, the levels first and first + 1) and writing each product
-    into the block `lag` ahead of the first block it reads (one ahead for
-    the walk and the scan, two for the recurrence), a zero-filled level
-    or acc row (a scan's U rows hold the next columns).  It makes one
-    kernel call per chain length of steps, with argument tuples made once
-    per (first, steps) of the walk, and adds `steps` products of `cols`
-    columns to the graph's counts.
+    `steps` chained products in place on buf, reading from level `first`
+    on and adding each product into the level `_lag` ahead of the first
+    level it reads (a zero-filled row, or a pre-filled one for the Horner
+    scan), one kernel call per chain length of steps with argument tuples
+    made once per (first, steps), and adds them to the graph's counts.
 
     The kernel is called with its output ahead of its input, two views of
     buf.  That is well defined: scipy's kernel computes its rows in order
     (y[i] = y[i] + sum of the row's entries times x, read and written
     through plain pointers), and `_sparsetools` hands C-contiguous
-    float64 operands over without a copy, so row block j + lag reads the
-    blocks that the same call has just written, entry by entry as one
+    float64 operands over without a copy, so level j + lag reads the
+    levels that the same call has just written, entry by entry as one
     `markov_step` reads them.  Only rows up to the last step's output are
     passed, and never more steps than the chain holds: the kernel checks
     no bounds."""
     chain, *csr = _chain(g, kind)
-    n = g.n
-    rows = 2 * n if kind == "scan" else n  # rows of one step's block
-    tail = n if kind == "scan" else 0  # a scan's last step writes acc, not the U rows
-    lag = _lag(kind)
-    width = (chain + lag - 1) * rows  # columns one call reads
+    n, lag = g.n, _lag(kind)
+    width = (chain + lag - 1) * n  # columns one call reads
     if cols == 1:
         kernel, head = _sparsetools.csr_matvec, (width,)
     else:
@@ -251,8 +234,8 @@ def _kernel(g: WeightedGraph, buf, cols: int, kind="walk"):
     def run(first, steps):
         if (first, steps) not in calls:
             calls[first, steps] = [
-                (min(chain, steps - j) * rows - tail, *head, *csr,
-                 buf[(first + j) * rows * cols:], buf[(first + j + lag) * rows * cols:])
+                (min(chain, steps - j) * n, *head, *csr,
+                 buf[(first + j) * n * cols:], buf[(first + j + lag) * n * cols:])
                 for j in range(0, steps, chain)]
         for args in calls[first, steps]:
             kernel(*args)
@@ -303,21 +286,23 @@ def delta_steps(g: WeightedGraph, X, k: int):
     return X
 
 
-def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=None):
-    """The chunked walk of `level_blocks` and `chebyshev_blocks`: levels
-    0..N of a walk from u (a float vector or (n, k) block) on g's chain
-    of the given kind, yielded as (lo, block), block[i] level lo + i, in
-    one reused, level-major chunk of at most min(LEVEL_CHUNK,
-    ROW_BLOCK_ENTRIES // u.size) levels.  The buffer holds the `_lag`
-    levels before the chunk (zeros before level 0).  Each pass
-    zero-fills its block, puts u in level 0, and makes block[start:]
-    (start = 1 on the first pass, else 0) by `_kernel` calls run(i,
-    steps), which write block[i], ..., block[i + steps - 1] from the
-    levels before them: one call for fill None, else fill(run, lo,
-    block, start), the hook where the Chebyshev walk halves T_1 and
-    projects a deflated level.  The last levels are copied to the front
-    of the buffer before block is yielded, so the consumer may overwrite
-    block; the next pass overwrites it."""
+def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk",
+                  fill=lambda run, lo, block, start: run(start, len(block) - start)):
+    """The chunked walk of `level_blocks`, `chebyshev_blocks` and
+    `horner`: levels 0..N of a walk from u (a float vector or (n, k)
+    block) on g's chain of the given kind, yielded as (lo, block),
+    block[i] level lo + i, in one reused, level-major chunk of at most
+    min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES // u.size) levels.  The buffer
+    holds the `_lag` levels before the chunk (zeros before level 0).
+    Each pass zero-fills its block, puts u in level 0, and makes
+    block[start:] (start = 1 on the first pass, else 0) by `_kernel`
+    calls run(i, steps), which add into block[i], ..., block[i + steps -
+    1] from the levels before them, through fill(run, lo, block, start):
+    one call by default, and the hook where the Chebyshev walk halves
+    T_1 and projects a deflated level and where the Horner scan
+    pre-fills its rows.  The last levels are copied to the front of the
+    buffer before block is yielded, so the consumer may overwrite block;
+    the next pass overwrites it."""
     lag = _lag(kind)
     size = max(1, min(LEVEL_CHUNK, N + 1, ROW_BLOCK_ENTRIES // max(u.size, 1)))
     buf = np.zeros((size + lag,) + u.shape)
@@ -328,10 +313,7 @@ def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=None):
         start = 0 if lo else 1  # the first level the pass makes
         if not lo:
             block[0] = u
-        if fill is None:
-            run(start, len(block) - start)
-        else:
-            fill(run, lo, block, start)
+        fill(run, lo, block, start)
         buf[:lag] = buf[len(block):len(block) + lag]
         yield lo, block
 
@@ -342,15 +324,11 @@ def level_blocks(g: WeightedGraph, f, L: int):
     (n, k) block f, each level a contiguous row of one reused,
     level-major chunk (`_chain_blocks`).  Nothing is yielded when L < 0.
 
-    Each pass is one chained kernel call per chain length of levels
-    (`_kernel`), its output the buffer one level ahead of its input.
-    The kernel writes its rows in order, in place, so it adds each level
-    into its zero-filled row from the row before it, which the same call
-    has just written: every level is bit-identical to repeated
-    `markov_step`, and the products are counted once per pass.  block is
-    overwritten by the next pass: the consumer uses it (it may overwrite
-    it, the walk resumes from its own copy of the last level) before
-    asking for the next."""
+    Each pass adds every level into its zero-filled row from the row
+    before it, which the same chained kernel call (`_kernel`) has just
+    written, so every level is bit-identical to repeated `markov_step`.
+    block is overwritten by the next pass; the consumer may overwrite it
+    (the walk resumes from its own copy of the last level)."""
     if L < 0:
         return
     yield from _chain_blocks(g, _operand(g, f), L)
@@ -398,39 +376,27 @@ def weighted_powers(g: WeightedGraph, f, weights) -> np.ndarray:
 
 def horner(g: WeightedGraph, U: np.ndarray) -> np.ndarray:
     """sum_{k < K} P^k U[:, k] for an (n, K) array U, by the Horner scan
-    acc <- P acc + U[:, k] from k = K - 2 down to 0, starting from
-    acc = U[:, K - 1]: exactly max(K - 1, 0) sparse products (zero when
-    K = 0).
+    acc <- U[:, k] + P acc from k = K - 2 down to 0, starting from
+    acc = U[:, K - 1]: exactly max(K - 1, 0) sparse products (none, and
+    the plain sum of U's columns, when K < 2).
 
-    Each step is one product with [W | I] (W = markov_matrix(g)) on the
-    contiguous pair [acc; U[:, k]], the identity entry last in every row,
-    so the kernel adds U[:, k] after the product and the scan is
-    bit-identical to the two-buffer loop acc <- W acc + U[:, k].  One
-    level-major buffer holds the pairs: at most LEVEL_CHUNK columns are
-    copied into it per pass, in scan order, each after the row that
-    receives the product before it; those rows are zero-filled once per
-    pass, and the pass is one chained kernel call per chain length of
-    steps (`_kernel`), its output the buffer one pair ahead of its input:
-    the kernel writes its rows in order, in place, so each step reads
-    the acc row that the step before it has just written, and it leaves
-    the U rows, which its chain gives no entries, as they are."""
-    n, K = g.n, U.shape[1]
-    if K == 0:
-        return np.zeros(n)
-    size = max(1, min(LEVEL_CHUNK, K - 1, ROW_BLOCK_ENTRIES // (2 * n)))
-    # rows: acc, U[:, k], W acc + U[:, k], U[:, k - 1], ... : step j
-    # reads rows 2j and 2j + 1 and writes row 2j + 2
-    buf = np.empty((2 * size + 1, n))
-    scan = _kernel(g, buf.reshape(-1), 1, "scan")
-    buf[0] = U[:, K - 1]
-    for hi in range(K - 1, 0, -size):
-        lo = max(hi - size, 0)
-        steps = hi - lo
-        buf[1:2 * steps:2] = U[:, lo:hi][:, ::-1].T
-        buf[2:2 * steps + 1:2] = 0.0
-        scan(0, steps)
-        buf[0] = buf[2 * steps]
-    return buf[0].copy()
+    The scan is the level walk from U[:, K - 1] (`_chain_blocks`) with
+    level j pre-filled: before each pass's kernel call, its fill hook
+    copies the pass's columns U[:, K - 1 - j], in scan order, into the
+    chunk's contiguous rows.  scipy's kernel adds each product into its
+    output row (y[i] += ...), so level j is U[:, K - 1 - j] + P acc,
+    U[:, k] added first, and the scan is bit-identical to the loop
+    acc <- `_kernel_step` of acc into a copy of U[:, k]."""
+    K = U.shape[1]
+    if K < 2:
+        return U.sum(axis=1)
+
+    def fill(run, lo, block, start):
+        block[start:] = U[:, K - lo - len(block):K - lo - start][:, ::-1].T
+        run(start, len(block) - start)
+
+    *_, (_, block) = _chain_blocks(g, _operand(g, U[:, K - 1]), K - 1, fill=fill)
+    return block[-1].copy()
 
 
 def chebyshev_blocks(g: WeightedGraph, f, N: int, interval=(-1.0, 1.0), deflate=False):
@@ -618,16 +584,23 @@ def lp_norm_forms(g: WeightedGraph, F: EdgeFunction, p=2) -> float:
 # -- CSV serialization ----------------------------------------------------
 
 def load_vertex_csv(g: WeightedGraph, path):
+    """A vertex function from a `vertex,value` CSV file, zero where it
+    lists no value; an unknown label or a vertex listed twice raises
+    ValueError naming the label and the line."""
     label_index = {int(l): i for i, l in enumerate(g.labels)}
-    out = np.zeros(g.n)
+    out, seen = np.zeros(g.n), set()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.lower().startswith("vertex"):
             raise ValueError("expected a `vertex,value` header")
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, start=2):
+            if not line.strip():
                 continue
             key, val = line.split(",")
-            out[label_index[int(key)]] = float(val)
+            label = int(key)
+            if label not in label_index or label in seen:
+                why = "is listed twice" if label in seen else "is no vertex label"
+                raise ValueError(f"{path}, line {number}: {label} {why}")
+            seen.add(label)
+            out[label_index[label]] = float(val)
     return out

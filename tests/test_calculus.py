@@ -39,6 +39,7 @@ from graphhardy.operators import (
     mean_project,
     random_mean_zero,
     spectral_interval,
+    spectral_interval,
 )
 from graphhardy.zoo import binary_tree, lazy_cycle, lazy_torus_2d
 
@@ -604,6 +605,47 @@ def test_resolvent_series_needs_a_positive_power(cycle16, monkeypatch):
                 assert tail <= 1e-10
                 for got in (sweep[:, j], resolvent_apply(g, f, s, power, 1e-10)):
                     assert lp_norm(g, got - want[:, j], 2) <= allow, (power, s)
+
+
+def test_resolvent_scales_below_one(cycle32, monkeypatch):
+    # every s > 0 puts the pole 1 + 1/s beyond the spectrum: at s = 0.5
+    # the series path runs, and agrees with the oracle within its tail
+    # bound plus rounding, for the resolvent and for bz2
+    g = cycle32
+    f = random_mean_zero(g, np.random.default_rng(5))
+    f /= lp_norm(g, f, 2)
+    want = resolvent_apply(g, f, 0.5), a_s(g, f, BZ2Kind(0.5, 1))
+    interval = spectral_interval(g)
+    tails = (resolvent_frac_series(g, 0.5, 1.0, 1e-12).tail_bound,
+             calculus._bz2_column(0.5, 1, calculus.GAFFNEY_TOL, interval)[1])
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    got = resolvent_apply(g, f, 0.5), a_s(g, f, BZ2Kind(0.5, 1))
+    for a, b, tail in zip(got, want, tails):
+        assert 0.0 < tail <= 1e-12
+        assert lp_norm(g, a - b, 2) <= tail + 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("s", [0, -1.0, math.inf])
+def test_resolvent_scale_must_be_positive(cycle16, path, s):
+    # a scale that is not finite and > 0 is refused on entry, on either
+    # path, alone or in a sweep
+    f = random_mean_zero(cycle16, np.random.default_rng(6))
+    calls = (
+        lambda: resolvent_apply(cycle16, f, s),
+        lambda: resolvent_apply(cycle16, f, (1, s)),
+        lambda: BZ2Kind(s, 1),
+        lambda: BZ2Kind((2, s), 1),
+        lambda: resolvent_frac_series(cycle16, s, 1.0, 1e-10),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="resolvent scales"):
+            call()
+
+
+def test_qs_needs_s_at_least_one():
+    for s in (0, -1):
+        with pytest.raises(BadTuple):
+            QsKind(s)
 
 
 def test_series_length_cap(cycle16, monkeypatch):

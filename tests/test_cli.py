@@ -113,6 +113,20 @@ def test_missing_file_is_io_error(capsys):
     assert main(["quadnorm", "k2l", "--f", "/nonexistent/f.csv"]) == 2
 
 
+def test_vertex_csv_names_a_bad_line(tmp_path, capsys):
+    # an unknown vertex label and a vertex listed twice are refused with
+    # the label and the line, as a validation failure
+    path = tmp_path / "f.csv"
+    path.write_text("vertex,value\n0,1.0\n99,2.0\n")
+    assert main(["quadnorm", "k2l", "--f", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 3: 99 is no vertex label" in err
+    path.write_text("vertex,value\n0,1.0\n1,-1.0\n0,2.0\n")
+    assert main(["quadnorm", "k2l", "--f", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 4: 0 is listed twice" in err
+
+
 def test_validation_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0 1.0\n1 1 1.0\n")  # two components

@@ -631,6 +631,31 @@ def test_bmo_norm_payload_matches_dense_balls(request, monkeypatch, name, s_max,
     assert got == bmo_norm(g, f, kind, M, s_max, seed=4).to_json()
 
 
+@pytest.mark.parametrize("M, eps", [(0, 1.0), (-1, 1.0), (1, 0.0), (1, -1.0), (1, math.inf),
+                                    (1, math.nan)])
+def test_pipelines_check_M_and_eps_first(cycle16, monkeypatch, M, eps):
+    # M < 1, or an eps that is not finite and > 0, fails on entry, before
+    # any of the pipeline runs
+    def ran(*_args, **_kwargs):
+        raise AssertionError("the pipeline ran")
+
+    for name in ("require_mean_zero", "is_exact_form", "_decompose"):
+        monkeypatch.setattr(hardy, name, ran)
+    f = random_mean_zero(cycle16, np.random.default_rng(13))
+    with pytest.raises(ValueError, match="M must|eps must"):
+        molecular_decompose(cycle16, f, M, 1.0, eps)
+    with pytest.raises(ValueError, match="M must|eps must"):
+        form_molecular_decompose(cycle16, differential(cycle16, f), M, eps)
+
+
+@pytest.mark.parametrize("kind", ["bz1", "bz2"])
+def test_bmo_norm_needs_M_at_least_one(cycle16, kind):
+    f = random_mean_zero(cycle16, np.random.default_rng(14))
+    for M in (0, -1):
+        with pytest.raises(ValueError, match="M must"):
+            bmo_norm(cycle16, f, kind, M, 4)
+
+
 def test_bmo_norm_reads_no_metric():
     g = lazy_torus_2d(12)
     f = random_mean_zero(g, np.random.default_rng(12))

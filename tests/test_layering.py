@@ -20,8 +20,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "graphhardy"
 # callee -> (modules where any call is allowed, "module.function" allowed)
 ALLOWED = {
     # every product with the matrix is counted: it is read by the counted
-    # step, by the chain builder of the level walk (which `powers` and
-    # `weighted_powers` consume), of the Horner scan and of the Chebyshev
+    # step, by the chain builder of the level walk (which `powers`,
+    # `weighted_powers` and the Horner scan consume) and of the Chebyshev
     # recurrence, by `kernel` for its sparse-sparse products alone, and
     # by the Gershgorin interval, which makes no product
     "markov_matrix": (set(), {"operators.markov_step", "operators._chain",
@@ -38,12 +38,13 @@ ALLOWED = {
     # one molecular pipeline body for functions and forms
     "_decompose": (set(), {"hardy.molecular_decompose", "hardy.form_molecular_decompose"}),
     "_kernel_step": (set(), {"operators.markov_step"}),
-    # scipy's kernel bound to the graph's chain once per walk: the Horner
-    # scan and the one chunked walk, whose products it counts
-    "_kernel": (set(), {"operators._chain_blocks", "operators.horner"}),
-    # one chunked walk, with its buffer and carry, for the level walk and
-    # the Chebyshev walk
-    "_chain_blocks": (set(), {"operators.level_blocks", "operators.chebyshev_blocks"}),
+    # scipy's kernel bound to the graph's chain once per walk, by the one
+    # chunked walk, whose products it counts
+    "_kernel": (set(), {"operators._chain_blocks"}),
+    # one chunked walk, with its buffer and carry, for the level walk, the
+    # Chebyshev walk and the Horner scan (a level walk into pre-filled rows)
+    "_chain_blocks": (set(), {"operators.level_blocks", "operators.chebyshev_blocks",
+                              "operators.horner"}),
     # a chain is read only by the binder that never passes the kernel more
     # steps than the chain holds (the kernel checks no bounds)
     "_chain": (set(), {"operators._kernel"}),
@@ -122,7 +123,7 @@ def test_scanner_sees_calls():
     assert ("markov_matrix", "operators._chain") in found
     assert ("_chain", "operators._kernel") in found
     assert ("_kernel_step", "operators.markov_step") in found
-    assert ("_kernel", "operators.horner") in found
+    assert ("_chain_blocks", "operators.horner") in found
     assert ("_kernel", "operators._chain_blocks") in found
     assert ("_chain_blocks", "operators.level_blocks") in found
     assert ("_chain_blocks", "operators.chebyshev_blocks") in found

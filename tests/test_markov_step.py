@@ -254,24 +254,37 @@ def test_chained_walk_is_bit_identical(monkeypatch, chain, L, width, chunk):
     assert all(_same_bits(a, b) for a, b in zip(got, want))
 
 
+def _prefilled_scan(g, U):
+    """sum_k P^k U[:, k] by the loop acc <- the counted step of acc added
+    into a copy of U[:, k]: U[:, k] first, then the products in the
+    kernel's row order, as the Horner scan adds them."""
+    K = U.shape[1]
+    acc = U[:, K - 1].copy() if K else np.zeros(g.n)
+    for k in range(K - 2, -1, -1):
+        acc = operators._kernel_step(g, markov_matrix(g), acc, U[:, k].copy())
+    return acc
+
+
 @pytest.mark.parametrize("chain", [1, 2, 3])
-@pytest.mark.parametrize("K", [2, 3, 4, 7, LEVEL_CHUNK + 1, LEVEL_CHUNK + 2, 2 * LEVEL_CHUNK + 5])
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 4, 7, LEVEL_CHUNK - 1, LEVEL_CHUNK + 1, LEVEL_CHUNK + 2,
+                               2 * LEVEL_CHUNK + 5])
 def test_chained_horner_is_bit_identical(monkeypatch, chain, K):
-    # the scan's chain holds `chain` steps of [W | I]; across its
-    # boundaries and the buffer's, the scan is the two-buffer loop
+    # the scan walks the level chain of `chain` steps of W into rows
+    # pre-filled with U's columns; across the chain's boundaries and the
+    # chunk's (of 64 or 5 levels), it is the pre-filled loop bit for bit,
+    # with max(K - 1, 0) products
     g = zoo.random_weights(zoo.lazy_cycle(12), 7)
     assert _unsorted_rows(g)
-    step = markov_matrix(g).nnz + g.n
-    monkeypatch.setattr(operators, "CHAIN_ENTRIES", chain * step)
+    monkeypatch.setattr(operators, "CHAIN_ENTRIES", chain * markov_matrix(g).nnz)
     U = np.random.default_rng(13).standard_normal((g.n, K))
-    calls, cols = g.matvec_calls, g.matvec_cols
-    got = horner(g, U)
-    assert operators._chain(g, "scan")[0] == chain
-    assert (g.matvec_calls - calls, g.matvec_cols - cols) == (K - 1, K - 1)
-    acc = U[:, K - 1]
-    for k in range(K - 2, -1, -1):
-        acc = markov_step(g, acc) + U[:, k]
-    assert _same_bits(got, acc)
+    for chunk in (LEVEL_CHUNK, 5):
+        monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", chunk * g.n)
+        calls, cols = g.matvec_calls, g.matvec_cols
+        got = horner(g, U)
+        assert (g.matvec_calls - calls, g.matvec_cols - cols) == (max(K - 1, 0),) * 2
+        if K > 1:
+            assert operators._chain(g, "walk")[0] == chain
+        assert _same_bits(got, _prefilled_scan(g, U)), chunk
 
 
 def test_chains_stay_with_their_graph():
@@ -286,10 +299,7 @@ def test_chains_stay_with_their_graph():
         for i, walk in enumerate(walks):
             seen[i] += [row.copy() for row in next(walk)[1]]
             U = rng.standard_normal((graphs[i].n, 70))
-            acc = U[:, -1]
-            for k in range(68, -1, -1):
-                acc = markov_step(graphs[i], acc) + U[:, k]
-            assert _same_bits(horner(graphs[i], U), acc)
+            assert _same_bits(horner(graphs[i], U), _prefilled_scan(graphs[i], U))
     for g, f, levels in zip(graphs, fs, seen):
         assert len(levels) == 151
         u = f
@@ -311,6 +321,20 @@ def test_kernel_reads_what_it_has_just_written():
     assert _same_bits(levels[2], want), (
         "scipy's CSR kernel no longer updates an aliased operand in place; "
         "the chained level walk (operators._kernel) needs per-step calls")
+
+
+def test_kernel_adds_into_its_output_row():
+    # The Horner scan pre-fills each level with its U column and relies on
+    # the kernel adding the product into that row (y[i] += ...).  On a
+    # dyadic walk with integer U every sum is exact, so the scan must give
+    # the exact sum_k P^k U[:, k] whatever its order.
+    g = zoo.lazy_cycle(4)
+    U = np.arange(12.0).reshape(4, 3) - 5.0
+    W = markov_matrix(g).toarray()
+    want = U[:, 0] + W @ (U[:, 1] + W @ U[:, 2])
+    assert _same_bits(horner(g, U), want), (
+        "scipy's CSR kernel no longer adds into its output row; the Horner "
+        "scan (operators.horner) pre-fills the rows with U and would drop it")
 
 
 def _terms(g, f, N, interval=(-1.0, 1.0)):
@@ -375,7 +399,7 @@ def test_chains_keep_the_index_type(index):
     W = markov_matrix(g).copy()
     W.indices, W.indptr = W.indices.astype(index), W.indptr.astype(index)
     g._markov = W
-    for kind in ("walk", "scan", spectral_interval(g)):
+    for kind in ("walk", spectral_interval(g)):
         _, indptr, indices, _ = operators._chain(g, kind)
         assert indptr.dtype == indices.dtype == index, kind
 
@@ -392,15 +416,18 @@ def test_level_walk_yields_nothing_below_level_zero():
 
 @pytest.mark.parametrize("K", [0, 1, 7, 40])
 def test_horner_matches_the_loop(K):
+    # bit for bit the pre-filled loop, and within 1e-15 of the loop that
+    # adds U[:, k] after the product
     g = zoo.random_weights(zoo.lazy_cycle(12), 6)
     U = np.random.default_rng(3).standard_normal((g.n, K))
     W = counting_markov(g)
     got = horner(g, U)
     assert W.products == max(K - 1, 0)
+    assert _same_bits(got, _prefilled_scan(g, U))
     acc = np.zeros(g.n)
     for k in range(K - 1, -1, -1):
         acc = markov_matrix(g) @ acc + U[:, k]
-    assert _same_bits(got, acc)
+    assert np.linalg.norm(got - acc) <= 1e-15 * np.linalg.norm(acc)
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.5])

@@ -21,10 +21,12 @@ from graphhardy.graphs import ball
 from graphhardy.hardy import form_profile, heat_profile, pipeline_l_max, synthesis_eta
 from graphhardy.graphs import cached_geometry
 from graphhardy.operators import (
+    _kernel_step,
     apply_P,
     differential,
     divergence,
     lp_norm,
+    markov_matrix,
     random_mean_zero,
 )
 from graphhardy.quadratic import SpaceTimeFunction, t1_norm
@@ -135,7 +137,8 @@ def test_atom_coefficients_match_dense_norm(cycle32, torus8, rng):
 
 def _full_scan_synthesis(g, vals, eta, beta):
     # every level visited: Delta^(eta - beta) on all columns, Horner from
-    # the horizon, then (I + P)^eta on the output
+    # the horizon (each step the counted product added into a copy of its
+    # U column, as the scan adds it), then (I + P)^eta on the output
     U = vals
     for _ in range(int(eta - beta)):
         U = U - apply_P(g, U)
@@ -144,7 +147,7 @@ def _full_scan_synthesis(g, vals, eta, beta):
              / np.arange(1, count + 1, dtype=float) ** beta)[None, :]
     acc = np.zeros(g.n)
     for l in range(count, 0, -1):
-        acc = apply_P(g, acc) + U[:, l - 1]
+        acc = _kernel_step(g, markov_matrix(g), acc, U[:, l - 1].copy())
     for _ in range(eta):
         acc = acc + apply_P(g, acc)
     return acc
