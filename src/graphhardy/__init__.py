@@ -9,9 +9,11 @@ from .calculus import (
     BZ2Kind,
     QsKind,
     SpectralOracle,
+    Spectrum,
     a_s,
     gaffney_fit,
     spectral,
+    spectrum,
 )
 from .graphs import (
     Annulus,

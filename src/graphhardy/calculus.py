@@ -25,7 +25,9 @@ Delta^beta is a polynomial in P for an integer beta >= 0, kept on X = P
 singular at z = 1, on the spectrum, so its column is the interpolant on
 [max(lo, -r), r] with r = max(lambda_star, MIN_RADIUS) (it holds the
 spectrum on mean-zero functions), walked with the m-mean projection Pi
-applied after every product.
+applied after every product.  lambda_star is read from the graph's
+spectrum record (`spectrum`): the oracle's up to ORACLE_MAX_N, certified
+by spectrum slicing above it.
 
 `phi_apply` is the one place that chooses between oracle and series, and
 `delta_power_apply` (Delta^beta for every real beta), `resolvent_apply`
@@ -53,20 +55,28 @@ objects and on `resolvent_apply`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
-                     OverlappingSets, PeriodicWalk)
+                     OverlappingSets, PeriodicWalk, UncertifiedSpectrum)
 from .graphs import WeightedGraph, set_distance
 from .operators import (apply_P, chebyshev_blocks, delta_steps, gradient, heat_sweep, lp_norm,
                         mean_project, powers, spectral_interval)
 
-ORACLE_MAX_N = 2048
+# Largest n the dense oracle is built for: its eigh costs 0.04 s at
+# n = 256 and 0.73 s at n = 1,024 (one BLAS thread), while the
+# certified lambda_star (`spectrum`) costs 0.01-0.13 s from n = 256 to
+# 4,096.
+ORACLE_MAX_N = 256
 KERNEL_REL_TOL = 1e-8
 # Spectral points within this distance of 1 count as 1.
 SPECTRAL_ONE_TOL = 1e-12
@@ -92,8 +102,7 @@ class SpectralOracle:
             )
         self.graph = g
         self.sqrt_m = np.sqrt(g.m)
-        S = (g.adjacency / self.sqrt_m).T / self.sqrt_m
-        eigs, U = scipy.linalg.eigh(np.asarray(S.todense()))
+        eigs, U = scipy.linalg.eigh(np.asarray(_symmetrized(g).todense()))
         # stochasticity puts the top of the spectrum at exactly 1
         eigs = np.minimum(eigs, 1.0)
         eigs[eigs > 1.0 - SPECTRAL_ONE_TOL] = 1.0
@@ -127,6 +136,143 @@ def spectral(g: WeightedGraph) -> SpectralOracle:
 
 def has_oracle(g: WeightedGraph) -> bool:
     return g.n <= ORACLE_MAX_N
+
+
+def _symmetrized(g: WeightedGraph):
+    """S = D^{-1/2} A D^{-1/2} (D = diag m), sparse: the m-symmetrized
+    walk, conjugate to P, with sqrt(m) its eigenvector of eigenvalue 1."""
+    sqrt_m = np.sqrt(g.m)
+    return (g.adjacency / sqrt_m).T / sqrt_m
+
+
+# -- the spectrum record ---------------------------------------------------
+
+@dataclass(frozen=True)
+class Spectrum:
+    """What the calculus knows of the spectrum of P: lo, the certified
+    lower end of `spectral_interval`, and lambda_star, the spectral
+    radius of P on mean-zero functions, with `margin`, how far
+    lambda_star may lie above the true radius, and its `source`:
+    "oracle" (the dense eigendecomposition, margin 0), "certified"
+    (`_certify`: no mean-zero eigenvalue lies outside
+    [-lambda_star, lambda_star]) or "supplied" (by the caller)."""
+
+    lo: float
+    lambda_star: float
+    margin: float
+    source: str
+
+
+def spectrum(g: WeightedGraph, lambda_star=None) -> Spectrum:
+    """The graph's spectrum record, built once per source and cached on
+    it: the oracle's lambda_star up to ORACLE_MAX_N, where the oracle is
+    built anyway and its value fixes every horizon (`reproducing_l_max`
+    moves by several levels when lambda_star moves by 1e-12), and a
+    certified one above it.  A supplied lambda_star gives an uncached
+    record of source "supplied"."""
+    if lambda_star is not None:
+        return Spectrum(spectral_interval(g)[0], float(lambda_star), 0.0, "supplied")
+    source = "oracle" if has_oracle(g) else "certified"
+    if source not in g._spectra:
+        lo = spectral_interval(g)[0]
+        g._spectra[source] = (Spectrum(lo, spectral(g).lambda_star, 0.0, source)
+                              if source == "oracle" else _certify(g, lo))
+    return g._spectra[source]
+
+
+# Slice offsets tried by `_certify`, in order: a factorization near an
+# eigenvalue grows its rounding, so a wider offset is tried when the
+# backward error does not clear the narrower one.  The certified value
+# lies at most twice the widest above the estimate.
+SLICE_OFFSETS = (1e-10, 1e-9, 4e-9)
+
+
+def _ritz(S, v, which: str) -> float:
+    """The extreme eigenvalue (ARPACK `which` "LA" or "SA") of S with its
+    unit eigenvector v deflated, at tol 1e-12 from a fixed start, so the
+    estimate is the same on every call; an ARPACK failure raises
+    UncertifiedSpectrum."""
+    n = S.shape[0]
+    deflated = spla.LinearOperator((n, n), matvec=lambda x: S @ x - v * (v @ x), dtype=float)
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        (theta,) = spla.eigsh(deflated, k=1, which=which, tol=1e-12, v0=start,
+                              return_eigenvectors=False)
+    except spla.ArpackError as err:
+        raise UncertifiedSpectrum(f"the Lanczos estimate of lambda_star failed: {err}") from err
+    return float(theta)
+
+
+def _negative_pivots(A):
+    """(negatives, error) for a sparse symmetric A: the number of
+    negative pivots of its L D L^T factorization, which by Sylvester's
+    law of inertia is the number of negative eigenvalues of L D L^T, and
+    a bound on the 2-norm of A - L D L^T, so every eigenvalue of A lies
+    within error of one of L D L^T (Weyl).
+
+    SuperLU factors A in symmetric mode without pivoting
+    (diag_pivot_thresh 0, MMD on A^T + A), so P A P^T = L U with U's
+    diagonal the pivots D.  The residual P A P^T - L D L^T is formed in
+    long double, and error is the largest row sum of its modulus (the
+    2-norm of a symmetric matrix is at most that) plus the rounding of
+    forming it, gamma_w times the largest row sum of |L| |D| |L|^T, w the
+    longest row of L.  A factorization that pivoted is not symmetric and
+    raises UncertifiedSpectrum."""
+    lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise UncertifiedSpectrum("the symmetric factorization pivoted")
+    pivots = lu.U.diagonal()
+    L = lu.L.astype(np.longdouble)
+    order = np.argsort(lu.perm_c)
+    residual = sp.csr_matrix(A)[order][:, order].astype(np.longdouble) - L @ sp.diags(pivots) @ L.T
+    w = int(np.diff(L.tocsr().indptr).max()) + 2
+    gamma = w * np.finfo(np.longdouble).eps / (1 - w * np.finfo(np.longdouble).eps)
+    abs_L = abs(L)
+    rounding = gamma * (abs_L @ (np.abs(pivots) * (abs_L.T @ np.ones(len(pivots))))).max()
+    error = abs(residual).sum(axis=1).max() + rounding
+    return int(np.count_nonzero(pivots < 0.0)), float(np.nextafter(float(error), np.inf))
+
+
+def _certify(g: WeightedGraph, lo: float) -> Spectrum:
+    """lambda_star certified by spectrum slicing (Sylvester inertia
+    counts; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, 3.3).
+
+    The estimate theta is the Lanczos value of the largest eigenvalue of
+    S (`_symmetrized`) with the constants deflated, and of the largest
+    modulus of the smallest, taken only when the Gershgorin end lo lies
+    below -theta.  At mu = theta + delta, mu I - S must count exactly one
+    negative pivot, the constants' eigenvalue 1, so every mean-zero
+    eigenvalue lies at most mu + error; where -lo > mu, mu I + S must
+    count none, so none lies below -(mu + error).  The factorization's
+    error (`_negative_pivots`) must be at most delta, else the next
+    SLICE_OFFSETS delta is tried; lambda_star is mu + error, rounded up.
+    A wrong count, or an error no offset clears, raises
+    UncertifiedSpectrum; a theta within SPECTRAL_ONE_TOL of 1,
+    PeriodicWalk."""
+    S = sp.csr_matrix(_symmetrized(g))
+    v = np.sqrt(g.m) / math.sqrt(g.total_volume())
+    theta = _ritz(S, v, "LA")
+    if -lo > theta:
+        theta = max(theta, -_ritz(S, v, "SA"))
+    _require_aperiodic(theta)
+    eye = sp.identity(g.n, format="csr")
+    for delta in SLICE_OFFSETS:
+        mu = theta + delta
+        slices = [(mu * eye - S, 1)] + ([(mu * eye + S, 0)] if -lo > mu else [])
+        counts = [(_negative_pivots(A), want) for A, want in slices]
+        error = max(err for (_, err), _ in counts)
+        if not error <= delta:
+            continue
+        for (negatives, _), want in counts:
+            if negatives != want:
+                raise UncertifiedSpectrum(
+                    f"{negatives} eigenvalues of the walk beyond +-{mu!r} where the "
+                    f"estimate {theta!r} leaves {want}")
+        lambda_star = float(np.nextafter(mu + error, np.inf))
+        return Spectrum(lo, lambda_star, lambda_star - theta, "certified")
+    raise UncertifiedSpectrum(f"the factorization's backward error {error!r} exceeds "
+                              f"the widest slice offset {SLICE_OFFSETS[-1]!r}")
 
 
 def require_mean_zero(g: WeightedGraph, f):
@@ -250,24 +396,27 @@ def chebyshev_series(symbol, sup, pole: float, tol: float):
     return c, tail
 
 
-def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
-    """lambda_star, the spectral radius of P on mean-zero functions: the
-    oracle's unless one is supplied (OracleCapExceeded above the cap).
-    A supplied value outside [0, 1) raises ValueError; a value within
-    SPECTRAL_ONE_TOL of 1 means a periodic walk and raises PeriodicWalk."""
-    if lambda_star is None:
-        if not has_oracle(g):
-            raise OracleCapExceeded(
-                f"n = {g.n} is above the oracle cap {ORACLE_MAX_N}: supply lambda_star")
-        lambda_star = spectral(g).lambda_star
-    elif not 0.0 <= lambda_star < 1.0:
-        raise ValueError("lambda_star must lie in [0, 1)")
+def _require_aperiodic(lambda_star: float):
+    """PeriodicWalk when lambda_star lies within SPECTRAL_ONE_TOL of 1."""
     if 1.0 - lambda_star <= SPECTRAL_ONE_TOL:
         raise PeriodicWalk(
             f"lambda_star = {lambda_star!r}: the walk is periodic, so no "
             "series in P converges on mean-zero functions"
         )
-    return float(lambda_star)
+
+
+def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
+    """lambda_star, the spectral radius of P on mean-zero functions, read
+    from the graph's spectrum record (`spectrum`) at every n: the
+    oracle's up to ORACLE_MAX_N, a certified upper bound above it, or the
+    supplied value.  A supplied value outside [0, 1) raises ValueError;
+    a value within SPECTRAL_ONE_TOL of 1 means a periodic walk and
+    raises PeriodicWalk."""
+    if lambda_star is not None and not 0.0 <= lambda_star < 1.0:
+        raise ValueError("lambda_star must lie in [0, 1)")
+    lambda_star = spectrum(g, lambda_star).lambda_star
+    _require_aperiodic(lambda_star)
+    return lambda_star
 
 
 # -- one description per operator: oracle symbol and series column ----------
@@ -285,29 +434,63 @@ def _delta_power_symbol(lam, beta: float):
     return (d if beta >= 0 else np.where(d > 0.0, d, np.inf)) ** beta
 
 
+# Chebyshev columns kept by `_memo`; each is at most a few thousand
+# coefficients, so the cache stays within a few MB.
+COLUMN_CACHE = 256
+
+
+def _memo(column):
+    """column memoized on its (hashable) arguments and on SERIES_MAX_N,
+    which its build reads, its coefficient array made read-only: the
+    columns repeat from call to call (the scales of a sweep, the
+    interval of a graph), and a cached array is shared by every
+    caller."""
+    @functools.lru_cache(maxsize=COLUMN_CACHE)
+    def build(cap, *args, **kwargs):
+        coeffs, *rest = column(*args, **kwargs)
+        coeffs.flags.writeable = False
+        return (coeffs, *rest)
+
+    @functools.wraps(column)
+    def cached(*args, **kwargs):
+        return build(SERIES_MAX_N, *args, **kwargs)
+
+    return cached
+
+
 def _delta_power_column(g: WeightedGraph, beta: float, tol: float, interval,
                         lambda_star=None):
     """(I - P)^beta as (coeffs, tail bound[, interval, deflated]), given
     an interval (lo, hi) holding the spectrum of P.  An integer
     beta >= 0 is the polynomial itself in T_k(P), exact.  Otherwise the
     walk is deflated, on [max(lo, -r), r] with r = max(lambda_star,
-    MIN_RADIUS), which holds the spectrum on mean-zero functions.  With
-    lam = mid + half x mapping [-1, 1] onto it, Delta^beta is
-    (1 - mid - half x)^beta, analytic off x = (1 - mid)/half; on E_rho
-    its modulus is at most (1 - mid - half x_rho)^beta for beta < 0 and
-    (1 - mid + half x_rho)^beta for beta > 0.  The constants are sent to
-    0, which is Delta^beta on them for beta > 0 (a negative beta needs a
-    mean-zero input).  An r at or below lo raises ValueError: the
-    mean-zero spectrum lies in [lo, lambda_star], so a supplied
-    lambda_star below lo is not its radius."""
+    MIN_RADIUS), which holds the spectrum on mean-zero functions
+    (`_delta_power_interpolant`).  An r at or below lo raises
+    ValueError: the mean-zero spectrum lies in [lo, lambda_star], so a
+    supplied lambda_star below lo is not its radius."""
     if beta >= 0 and float(beta).is_integer():
-        poly = binomial_coefficients(beta, int(beta) + 1)
-        return np.polynomial.chebyshev.poly2cheb(poly), 0.0
+        return _delta_power_interpolant(beta, tol, None)
     r = max(_mean_zero_radius(g, lambda_star), MIN_RADIUS)
     if r <= interval[0]:
         raise ValueError(f"radius {r!r} is not above the certified lower end {interval[0]!r} "
                          "of the spectrum: lambda_star is too small")
-    interval = (max(interval[0], -r), r)
+    return _delta_power_interpolant(beta, tol, (max(interval[0], -r), r))
+
+
+@_memo
+def _delta_power_interpolant(beta: float, tol: float, interval):
+    """The column of `_delta_power_column` on the deflated walk's
+    interval, or, for interval None, the polynomial of an integer
+    beta >= 0.  With lam = mid + half x mapping [-1, 1] onto the
+    interval, Delta^beta is (1 - mid - half x)^beta, analytic off
+    x = (1 - mid)/half; on E_rho its modulus is at most
+    (1 - mid - half x_rho)^beta for beta < 0 and (1 - mid + half
+    x_rho)^beta for beta > 0.  The constants are sent to 0, which is
+    Delta^beta on them for beta > 0 (a negative beta needs a mean-zero
+    input)."""
+    if interval is None:
+        poly = binomial_coefficients(beta, int(beta) + 1)
+        return np.polynomial.chebyshev.poly2cheb(poly), 0.0
     half, mid = _affine(interval)
     return (*chebyshev_series(lambda x: (1.0 - mid - half * x) ** beta,
                               lambda x: (1.0 - mid + math.copysign(half, beta) * x) ** beta,
@@ -335,6 +518,7 @@ def _check_scales(s):
         raise ValueError(f"resolvent scales must be finite and > 0, not {s!r}")
 
 
+@_memo
 def _resolvent_column(s, power, tol, interval=(-1.0, 1.0)):
     """(I + s Delta)^{-power}, any real power, as one Chebyshev column
     (coeffs, tail bound, interval) on an interval holding the spectrum.
@@ -352,6 +536,7 @@ def _resolvent_column(s, power, tol, interval=(-1.0, 1.0)):
     return (*chebyshev_series(symbol, sup, (1.0 + 1.0 / s - mid) / half, tol), interval)
 
 
+@_memo
 def _bz2_column(s, M: int, tol, interval=(-1.0, 1.0)):
     """[I - (I + s Delta)^{-1}]^M - I as one Chebyshev column (coeffs,
     tail bound, interval), lam = mid + half x as for the resolvent; with
@@ -461,8 +646,8 @@ class QsKind:
     s: int
 
     def __post_init__(self):
-        if self.s < 1:
-            raise BadTuple(f"s = {self.s} < 1")
+        if not isinstance(self.s, numbers.Integral) or self.s < 1:
+            raise BadTuple(f"s = {self.s!r} is not an integer >= 1")
 
 
 # Tolerance of the bz2 columns of `a_s` and of the resolvent families'

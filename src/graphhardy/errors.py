@@ -28,7 +28,14 @@ class NonConvergent(GraphHardyError):
 
 class OracleCapExceeded(GraphHardyError):
     """The graph is above the dense-oracle cap and the computation needs
-    the oracle (or a lambda_star it would supply)."""
+    the oracle's eigenvectors (`quadratic.lusin_tail_bound`); lambda_star
+    alone comes from the certified spectrum record at every n."""
+
+
+class UncertifiedSpectrum(GraphHardyError):
+    """lambda_star could not be certified: the Lanczos estimate failed,
+    an inertia count disagreed with it, or no margin cleared the
+    factorization's backward error."""
 
 
 class PeriodicWalk(GraphHardyError):

@@ -149,6 +149,7 @@ class WeightedGraph:
         self._ball_volumes = None
         self._rev_edges = None
         self._oracle = None
+        self._spectra = {}  # spectrum records by source, `calculus.spectrum`
         self._geometry = None
         self._markov = None
         self._chains = {}  # kernel chains of the walks, `operators._chain`

@@ -439,9 +439,9 @@ def _decompose(g: WeightedGraph, kind: str, target, profile, M: int, beta: float
     """The molecular pipeline of both kinds: target (a mean-zero f for
     bz2, the edge data of an exact form) as one `kind` molecule per tent
     atom of profile(l_max), whose T^1_2 norm is the reported quad_norm.
-    A periodic walk (PeriodicWalk) or a graph above the oracle cap
-    (OracleCapExceeded) is refused first, then a zero target returns
-    before the geometry is built.  l_max comes from the one scalar
+    lambda_star is read first, so a periodic walk (PeriodicWalk) or an
+    uncertified spectrum (UncertifiedSpectrum) is refused, then a zero
+    target returns before the geometry is built.  l_max comes from the one scalar
     lambda_star (`reproducing_l_max`) so the reproducing sum meets
     horizon_tol/2, and the tent partition is exact, so the L^2 residual
     lands below tol (NonConvergent otherwise)."""

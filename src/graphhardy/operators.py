@@ -286,30 +286,37 @@ def delta_steps(g: WeightedGraph, X, k: int):
     return X
 
 
-def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk",
-                  fill=lambda run, lo, block, start: run(start, len(block) - start)):
+def _zero_fill(run, lo, block, start):
+    """The default pass of `_chain_blocks`: block[start:] zero-filled,
+    then made by one chained kernel call."""
+    block[start:].fill(0.0)
+    run(start, len(block) - start)
+
+
+def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=_zero_fill):
     """The chunked walk of `level_blocks`, `chebyshev_blocks` and
     `horner`: levels 0..N of a walk from u (a float vector or (n, k)
     block) on g's chain of the given kind, yielded as (lo, block),
     block[i] level lo + i, in one reused, level-major chunk of at most
     min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES // u.size) levels.  The buffer
     holds the `_lag` levels before the chunk (zeros before level 0).
-    Each pass zero-fills its block, puts u in level 0, and makes
-    block[start:] (start = 1 on the first pass, else 0) by `_kernel`
-    calls run(i, steps), which add into block[i], ..., block[i + steps -
-    1] from the levels before them, through fill(run, lo, block, start):
-    one call by default, and the hook where the Chebyshev walk halves
-    T_1 and projects a deflated level and where the Horner scan
-    pre-fills its rows.  The last levels are copied to the front of the
-    buffer before block is yielded, so the consumer may overwrite block;
-    the next pass overwrites it."""
+    Each pass puts u in level 0 (on the first pass) and makes
+    block[start:] (start = 1 on the first pass, else 0) through
+    fill(run, lo, block, start), by `_kernel` calls run(i, steps), which
+    add into block[i], ..., block[i + steps - 1] from the levels before
+    them.  The hook sets those rows before they are added into: zeros
+    and one call by default (`_zero_fill`), zeros for the Chebyshev
+    walk, which also halves T_1 and projects a deflated level, and the
+    U columns for the Horner scan, which pre-fills its rows.  The last
+    levels are copied to the front of the buffer before block is
+    yielded, so the consumer may overwrite block; the next pass
+    overwrites it."""
     lag = _lag(kind)
     size = max(1, min(LEVEL_CHUNK, N + 1, ROW_BLOCK_ENTRIES // max(u.size, 1)))
     buf = np.zeros((size + lag,) + u.shape)
     run = _kernel(g, buf.reshape(-1), u.shape[1] if u.ndim == 2 else 1, kind)
     for lo in range(0, N + 1, size):
         block = buf[lag:lag + min(size, N + 1 - lo)]
-        block.fill(0.0)
         start = 0 if lo else 1  # the first level the pass makes
         if not lo:
             block[0] = u
@@ -436,6 +443,7 @@ def chebyshev_blocks(g: WeightedGraph, f, N: int, interval=(-1.0, 1.0), deflate=
                 run(i, 1)
                 block[i] -= (g.m @ block[i]) / g.total_volume()
 
+        block[start:].fill(0.0)
         if lo <= 1 < lo + len(block):  # T_1, halved
             walk(1 - lo, 1)
             block[1 - lo] *= 0.5
@@ -585,8 +593,8 @@ def lp_norm_forms(g: WeightedGraph, F: EdgeFunction, p=2) -> float:
 
 def load_vertex_csv(g: WeightedGraph, path):
     """A vertex function from a `vertex,value` CSV file, zero where it
-    lists no value; an unknown label or a vertex listed twice raises
-    ValueError naming the label and the line."""
+    lists no value; a malformed row, an unknown label or a vertex listed
+    twice raises ValueError naming the line."""
     label_index = {int(l): i for i, l in enumerate(g.labels)}
     out, seen = np.zeros(g.n), set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -596,11 +604,15 @@ def load_vertex_csv(g: WeightedGraph, path):
         for number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            key, val = line.split(",")
-            label = int(key)
+            try:
+                key, val = line.split(",")
+                label, value = int(key), float(val)
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: expected `vertex,value`, "
+                                 f"not {line.strip()!r}") from None
             if label not in label_index or label in seen:
                 why = "is listed twice" if label in seen else "is no vertex label"
                 raise ValueError(f"{path}, line {number}: {label} {why}")
             seen.add(label)
-            out[label_index[label]] = float(val)
+            out[label_index[label]] = value
     return out

@@ -85,10 +85,12 @@ def test_spectral_singular_needs_mean_zero(k2l, cycle16):
 
 
 @pytest.mark.parametrize("name", ["lazy_torus_32", "lazy_cycle_64", "lazy_torus_16"])
-def test_negative_power_applies_what_require_mean_zero_passes(name):
+def test_negative_power_applies_what_require_mean_zero_passes(name, monkeypatch):
     # a constant part at half require_mean_zero's threshold passes the
     # check; the oracle sends it to 0 as the deflated series does, so
-    # the two agree within the series' tail bound
+    # the two agree within the series' tail bound (the cap is raised so
+    # that lazy_torus_32 takes the oracle)
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 2048)
     g = zoo.by_name(name)
     f = random_mean_zero(g, np.random.default_rng(0))
     f += 0.5 * calculus.KERNEL_REL_TOL * lp_norm(g, f, 2) / math.sqrt(g.total_volume())
@@ -646,6 +648,15 @@ def test_qs_needs_s_at_least_one():
     for s in (0, -1):
         with pytest.raises(BadTuple):
             QsKind(s)
+
+
+def test_qs_needs_an_integer_s():
+    # the Cesaro average walks s - 1 levels, so s is an integer count,
+    # refused at construction otherwise
+    for s in (2.5, 2.0, "2", None):
+        with pytest.raises(BadTuple):
+            QsKind(s)
+    assert QsKind(np.int64(3)).s == 3
 
 
 def test_series_length_cap(cycle16, monkeypatch):

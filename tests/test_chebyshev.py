@@ -274,3 +274,32 @@ def test_spectral_interval_holds_the_spectrum(name):
         assert lo + hi == 1.0 and -1e-14 < lo < 0.0
     if name.startswith("tree"):
         assert lo == pytest.approx(-0.5, abs=1e-14)
+
+
+def test_columns_are_memoized_read_only_and_bit_identical():
+    # a column is built once per argument tuple and shared, read-only; it
+    # is the uncached build bit for bit, so every result is unchanged
+    interval = spectral_interval(lazy_torus_2d(8))
+    builds = (
+        (calculus._resolvent_column, (40, 1.5, TOL, interval)),
+        (calculus._bz2_column, (512, 2, TOL, interval)),
+        (calculus._delta_power_interpolant, (-0.5, 1e-10, (0.0, 0.9))),
+        (calculus._delta_power_interpolant, (2.0, 1e-10, None)),
+    )
+    for column, args in builds:
+        first = column(*args)
+        assert column(*args) is first
+        assert not first[0].flags.writeable
+        with pytest.raises(ValueError):
+            first[0][0] = 0.0
+        fresh = column.__wrapped__(*args)
+        assert first[0].tobytes() == fresh[0].tobytes() and first[1:] == fresh[1:]
+
+
+def test_memoized_columns_keep_the_length_cap(monkeypatch):
+    # the cap is part of the memo's key: a column built under a larger
+    # cap is not handed out under a smaller one
+    N = len(calculus._resolvent_column(40, 1.5, TOL)[0]) - 1
+    monkeypatch.setattr(calculus, "SERIES_MAX_N", N - 1)
+    with pytest.raises(NonConvergent):
+        calculus._resolvent_column(40, 1.5, TOL)

@@ -125,6 +125,12 @@ def test_vertex_csv_names_a_bad_line(tmp_path, capsys):
     assert main(["quadnorm", "k2l", "--f", str(path)]) == 1
     err = capsys.readouterr().err
     assert "line 4: 0 is listed twice" in err
+    # a malformed row is refused with its line too
+    for row in ("0,1.0,2", "x,1.0", "1"):
+        path.write_text(f"vertex,value\n1,1.0\n{row}\n")
+        assert main(["quadnorm", "k2l", "--f", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"line 3: expected `vertex,value`, not {row!r}" in err
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):
@@ -178,7 +184,25 @@ def test_gaffney_rejects_M_below_one(capsys):
     assert "M must be >= 1" in capsys.readouterr().err
 
 
-def test_above_the_oracle_cap_exit_code(monkeypatch, capsys):
+def test_above_the_oracle_cap_exit_code(monkeypatch, capsys, tmp_path):
+    # above the cap riesz and a fractional quadnorm run on the certified
+    # lambda_star, and agree with the oracle's result; a failed
+    # certificate is refused as a validation failure
+    g = lazy_cycle(16)
+    path = tmp_path / "f.csv"
+    save_vertex_csv(g, np.random.default_rng(0).standard_normal(g.n), path)
+    argv = ["quadnorm", "lazy_cycle_16", "--f", str(path), "--beta", "0.5"]
+    assert main(argv) == 0
+    below = json.loads(capsys.readouterr().out)
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == pytest.approx(below, rel=1e-8)
+    assert main(["riesz", "lazy_cycle_16", "--n", "2"]) == 0
+    capsys.readouterr()
+
+    def no_convergence(*args, **kwargs):
+        raise calculus.spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(calculus.spla, "eigsh", no_convergence)
     assert main(["riesz", "lazy_cycle_16", "--n", "2"]) == 1
-    assert "oracle cap" in capsys.readouterr().err
+    assert "Lanczos estimate of lambda_star failed" in capsys.readouterr().err

@@ -819,8 +819,17 @@ def test_periodic_walk_is_refused_at_once():
     assert time.perf_counter() - t0 < 0.5
 
 
+def _decompose_kind(pipeline, g, x):
+    if pipeline == "form":
+        return form_molecular_decompose(g, differential(g, x), 1, 1.0)
+    return molecular_decompose(g, x, 1, 1.0, 1.0)
+
+
+def _no_geometry(_):
+    raise AssertionError("geometry built before the refusal")
+
+
 @pytest.mark.parametrize("graph,error", [
-    (lambda: lazy_torus_2d(50), OracleCapExceeded),
     (lambda: build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]),
      PeriodicWalk),
 ])
@@ -829,33 +838,44 @@ def test_decompose_refuses_before_the_geometry(graph, error, pipeline, monkeypat
     # the lambda_star check comes first, so a graph without a reproducing
     # horizon never builds its geometry, even for a zero input
     g = graph()
-
-    def no_geometry(_):
-        raise AssertionError("geometry built before the refusal")
-
-    monkeypatch.setattr(hardy, "cached_geometry", no_geometry)
+    monkeypatch.setattr(hardy, "cached_geometry", _no_geometry)
     f = random_mean_zero(g, np.random.default_rng(1))
     for x in (f, np.zeros(g.n)):
         with pytest.raises(error):
-            if pipeline == "form":
-                form_molecular_decompose(g, differential(g, x), 1, 1.0)
-            else:
-                molecular_decompose(g, x, 1, 1.0, 1.0)
+            _decompose_kind(pipeline, g, x)
 
 
-def test_above_the_oracle_cap_is_a_typed_error(monkeypatch):
-    # whatever needs the oracle, or the lambda_star it supplies, refuses a
-    # graph above the cap with OracleCapExceeded
+@pytest.mark.parametrize("pipeline", ["function", "form"])
+def test_decompose_above_the_cap_certifies_before_the_geometry(pipeline, monkeypatch):
+    # above the oracle cap lambda_star is certified first, and a zero
+    # input then returns before the geometry is built
+    g = lazy_torus_2d(50)
+    monkeypatch.setattr(hardy, "cached_geometry", _no_geometry)
+    assert _decompose_kind(pipeline, g, np.zeros(g.n)).coefficients == []
+    assert calculus.spectrum(g).source == "certified"
+
+
+def test_above_the_oracle_cap_runs_on_the_certified_spectrum(monkeypatch):
+    # above the cap riesz and both molecular pipelines run on the
+    # certified lambda_star and agree with the oracle path; only the
+    # tail bound, which needs the oracle's eigenvectors, still refuses
     g = lazy_cycle(16)
     f = random_mean_zero(g, np.random.default_rng(0))
     F = differential(g, f)
-    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     calls = (
         lambda: riesz_transform(g, f),
         lambda: molecular_decompose(g, f, 1, 1.0, 1.0),
         lambda: form_molecular_decompose(g, F, 1, 1.0),
-        lambda: lusin_tail_bound(g, f, 1.0, 100),
     )
-    for call in calls:
-        with pytest.raises(OracleCapExceeded):
-            call()
+    below = [call() for call in calls]
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    above = [call() for call in calls]
+    assert calculus.spectrum(g).source == "certified"
+    np.testing.assert_allclose(above[0].output.data, below[0].output.data, rtol=0,
+                               atol=1e-9 * lp_norm(g, f, 2))
+    for a, b in zip(above[1:], below[1:]):
+        assert a.l2_residual <= 1e-8
+        assert a.sum_abs_lambda == pytest.approx(b.sum_abs_lambda, rel=1e-6)
+        assert len(a.coefficients) == len(b.coefficients)
+    with pytest.raises(OracleCapExceeded):
+        lusin_tail_bound(g, f, 1.0, 100)

@@ -56,16 +56,22 @@ ALLOWED = {
     # interval certified on the series path only
     "chebyshev_blocks": (set(), {"calculus.apply"}),
     "spectral_interval": (set(), {"calculus.phi_apply", "calculus.delta_power_series",
-                                  "calculus.resolvent_frac_series"}),
+                                  "calculus.resolvent_frac_series", "calculus.spectrum"}),
     # every P^l f outside `operators` is read from its walks, except the
     # cone sum's squared chunks
     "level_blocks": ({"operators"}, {"quadratic._level_square_sums"}),
-    "has_oracle": (set(), {"calculus.phi_apply", "calculus._mean_zero_radius",
+    "has_oracle": (set(), {"calculus.phi_apply", "calculus.spectrum",
                            "quadratic.lusin_tail_bound"}),
     # the oracle applies operators only through the one oracle/series
-    # choice; it is read elsewhere for lambda_star and the tail bound
-    "spectral": (set(), {"calculus.phi_apply", "calculus._mean_zero_radius",
+    # choice; it is read elsewhere for the spectrum record's lambda_star
+    # and the tail bound
+    "spectral": (set(), {"calculus.phi_apply", "calculus.spectrum",
                          "quadratic.lusin_tail_bound"}),
+    # lambda_star is read from the one spectrum record, which is built
+    # from the oracle or certified by spectrum slicing
+    "_certify": (set(), {"calculus.spectrum"}),
+    "_negative_pivots": (set(), {"calculus._certify"}),
+    "_mean_zero_radius": ({"hardy", "tentspace"}, {"calculus._delta_power_column"}),
     # the series path is reached through `phi_apply` and the certified
     # series objects of `calculus`
     "SeriesOperator": ({"calculus"}, set()),
@@ -141,6 +147,9 @@ def test_scanner_sees_calls():
     assert ("_decompose", "hardy.molecular_decompose") in found
     assert ("_decompose", "hardy.form_molecular_decompose") in found
     assert ("has_oracle", "quadratic.lusin_tail_bound") in found
+    assert ("spectral", "calculus.spectrum") in found
+    assert ("_certify", "calculus.spectrum") in found
+    assert ("_mean_zero_radius", "hardy._decompose") in found
     assert ("spectral", "calculus.phi_apply") in found
     assert ("SeriesOperator", "calculus.delta_power_series") in found
     assert ("level_blocks", "quadratic._level_square_sums") in found
