@@ -109,11 +109,6 @@ class SpectralOracle:
         self.eigenvalues = eigs
         self.basis = U
 
-    @property
-    def lambda_star(self) -> float:
-        """Spectral radius of P restricted to the mean-zero subspace."""
-        return float(np.abs(self.eigenvalues[:-1]).max())
-
     def apply(self, phi, f):
         """phi(P) f for a scalar function phi on the spectrum; a phi that
         returns an (n_eig, S) table gives an (n, S) block for a vector f."""
@@ -150,12 +145,12 @@ def _symmetrized(g: WeightedGraph):
 @dataclass(frozen=True)
 class Spectrum:
     """What the calculus knows of the spectrum of P: lo, the certified
-    lower end of `spectral_interval`, and lambda_star, the spectral
+    lower end of `spectral_interval`, and lambda_star < 1, the spectral
     radius of P on mean-zero functions, with `margin`, how far
     lambda_star may lie above the true radius, and its `source`:
-    "oracle" (the dense eigendecomposition, margin 0), "certified"
-    (`_certify`: no mean-zero eigenvalue lies outside
-    [-lambda_star, lambda_star]) or "supplied" (by the caller)."""
+    "oracle" (eigh's value, margin 0, though its rounding may put it
+    below the radius) or "certified" (`_certify`: no mean-zero
+    eigenvalue lies outside [-lambda_star, lambda_star])."""
 
     lo: float
     lambda_star: float
@@ -163,20 +158,20 @@ class Spectrum:
     source: str
 
 
-def spectrum(g: WeightedGraph, lambda_star=None) -> Spectrum:
-    """The graph's spectrum record, built once per source and cached on
-    it: the oracle's lambda_star up to ORACLE_MAX_N, where the oracle is
-    built anyway and its value fixes every horizon (`reproducing_l_max`
-    moves by several levels when lambda_star moves by 1e-12), and a
-    certified one above it.  A supplied lambda_star gives an uncached
-    record of source "supplied"."""
-    if lambda_star is not None:
-        return Spectrum(spectral_interval(g)[0], float(lambda_star), 0.0, "supplied")
+def spectrum(g: WeightedGraph) -> Spectrum:
+    """The graph's spectrum record, the one way spectral facts leave the
+    calculus, built once per source and cached on it: the oracle's
+    lambda_star up to ORACLE_MAX_N, where the oracle is built anyway and
+    its value fixes every horizon (`reproducing_l_max` moves by several
+    levels when lambda_star moves by 1e-12), and a certified one above
+    it.  A periodic walk raises PeriodicWalk on both sources."""
     source = "oracle" if has_oracle(g) else "certified"
     if source not in g._spectra:
         lo = spectral_interval(g)[0]
-        g._spectra[source] = (Spectrum(lo, spectral(g).lambda_star, 0.0, source)
-                              if source == "oracle" else _certify(g, lo))
+        g._spectra[source] = (
+            Spectrum(lo, _require_aperiodic(float(np.abs(spectral(g).eigenvalues[:-1]).max())),
+                     0.0, source)
+            if source == "oracle" else _certify(g, lo))
     return g._spectra[source]
 
 
@@ -396,26 +391,13 @@ def chebyshev_series(symbol, sup, pole: float, tol: float):
     return c, tail
 
 
-def _require_aperiodic(lambda_star: float):
-    """PeriodicWalk when lambda_star lies within SPECTRAL_ONE_TOL of 1."""
+def _require_aperiodic(lambda_star: float) -> float:
+    """lambda_star, or PeriodicWalk within SPECTRAL_ONE_TOL of 1."""
     if 1.0 - lambda_star <= SPECTRAL_ONE_TOL:
         raise PeriodicWalk(
             f"lambda_star = {lambda_star!r}: the walk is periodic, so no "
             "series in P converges on mean-zero functions"
         )
-
-
-def _mean_zero_radius(g: WeightedGraph, lambda_star=None) -> float:
-    """lambda_star, the spectral radius of P on mean-zero functions, read
-    from the graph's spectrum record (`spectrum`) at every n: the
-    oracle's up to ORACLE_MAX_N, a certified upper bound above it, or the
-    supplied value.  A supplied value outside [0, 1) raises ValueError;
-    a value within SPECTRAL_ONE_TOL of 1 means a periodic walk and
-    raises PeriodicWalk."""
-    if lambda_star is not None and not 0.0 <= lambda_star < 1.0:
-        raise ValueError("lambda_star must lie in [0, 1)")
-    lambda_star = spectrum(g, lambda_star).lambda_star
-    _require_aperiodic(lambda_star)
     return lambda_star
 
 
@@ -458,22 +440,18 @@ def _memo(column):
     return cached
 
 
-def _delta_power_column(g: WeightedGraph, beta: float, tol: float, interval,
-                        lambda_star=None):
+def _delta_power_column(g: WeightedGraph, beta: float, tol: float, interval):
     """(I - P)^beta as (coeffs, tail bound[, interval, deflated]), given
     an interval (lo, hi) holding the spectrum of P.  An integer
     beta >= 0 is the polynomial itself in T_k(P), exact.  Otherwise the
     walk is deflated, on [max(lo, -r), r] with r = max(lambda_star,
-    MIN_RADIUS), which holds the spectrum on mean-zero functions
-    (`_delta_power_interpolant`).  An r at or below lo raises
-    ValueError: the mean-zero spectrum lies in [lo, lambda_star], so a
-    supplied lambda_star below lo is not its radius."""
+    MIN_RADIUS) from `spectrum`, which holds the spectrum on mean-zero
+    functions (`_delta_power_interpolant`); r > lo holds by the ulps
+    `spectral_interval` widens lo by, as the oracle's lambda_star may
+    lie a rounding below the eigenvalue it reads."""
     if beta >= 0 and float(beta).is_integer():
         return _delta_power_interpolant(beta, tol, None)
-    r = max(_mean_zero_radius(g, lambda_star), MIN_RADIUS)
-    if r <= interval[0]:
-        raise ValueError(f"radius {r!r} is not above the certified lower end {interval[0]!r} "
-                         "of the spectrum: lambda_star is too small")
+    r = max(spectrum(g).lambda_star, MIN_RADIUS)
     return _delta_power_interpolant(beta, tol, (max(interval[0], -r), r))
 
 
@@ -594,13 +572,11 @@ def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
 
 # -- certified series objects ---------------------------------------------------
 
-def delta_power_series(g: WeightedGraph, beta: float, tol: float,
-                       lambda_star=None) -> SeriesOperator:
+def delta_power_series(g: WeightedGraph, beta: float, tol: float) -> SeriesOperator:
     """Delta^beta on the series path, whatever n: its tail bound and
-    truncation, with lambda_star supplied above the oracle cap.  A
-    fractional beta's walk drops the constant part of its input."""
-    return SeriesOperator(g, *_delta_power_column(g, beta, tol, spectral_interval(g),
-                                                  lambda_star))
+    truncation, for a fractional beta on the radius of the graph's
+    record (`spectrum`), its walk dropping the input's constant part."""
+    return SeriesOperator(g, *_delta_power_column(g, beta, tol, spectral_interval(g)))
 
 
 def resolvent_frac_series(g: WeightedGraph, s, power: float,

@@ -33,20 +33,24 @@ def _resolve_graph(name: str) -> graphs.WeightedGraph:
 
 
 def _parse_vertices(text: str, g: graphs.WeightedGraph):
-    """`16,16` is a coordinate on structured fixtures, `5` a vertex id,
-    `;` separates multiple vertices."""
+    """Vertex indices from `;`-separated parts: `5` is a vertex label, as
+    in graph files and `--f` CSVs, and `16,16` a coordinate in [0, side)
+    on torus fixtures; any other part raises ValueError naming it."""
+    label_index = g.label_index
+    side = g.meta["n"] if g.meta.get("kind") == "lazy_torus_2d" else 0
     out = []
-    for part in text.split(";"):
-        part = part.strip()
-        if "," in part:
-            i, j = (int(t) for t in part.split(","))
-            if g.meta.get("kind") == "lazy_torus_2d":
-                n = g.meta["n"]
-                out.append(i * n + j)
-            else:
-                raise ValueError("coordinate vertex ids need a torus fixture")
+    for part in (p.strip() for p in text.split(";")):
+        try:
+            numbers = [int(t) for t in part.split(",")]
+        except ValueError:
+            raise ValueError(f"vertex {part!r} is not an integer label or coordinate") from None
+        if len(numbers) == 1 and numbers[0] in label_index:
+            out.append(label_index[numbers[0]])
+        elif len(numbers) == 2 and all(0 <= c < side for c in numbers):
+            out.append(numbers[0] * side + numbers[1])
         else:
-            out.append(int(part))
+            raise ValueError(f"vertex {part!r} is no vertex label" if len(numbers) == 1 else
+                             f"coordinate {part!r} is not two integers in [0, {side}) on a torus")
     return out
 
 

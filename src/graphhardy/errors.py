@@ -27,9 +27,8 @@ class NonConvergent(GraphHardyError):
 
 
 class OracleCapExceeded(GraphHardyError):
-    """The graph is above the dense-oracle cap and the computation needs
-    the oracle's eigenvectors (`quadratic.lusin_tail_bound`); lambda_star
-    alone comes from the certified spectrum record at every n."""
+    """A dense oracle was asked for above its cap (`calculus.SpectralOracle`);
+    nothing else needs it there, lambda_star included."""
 
 
 class UncertifiedSpectrum(GraphHardyError):

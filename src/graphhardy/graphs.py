@@ -214,6 +214,11 @@ class WeightedGraph:
                 self._aperiodic = bool(np.any(parity[self.edge_rows] == parity[self.edge_cols]))
         return self._aperiodic
 
+    @property
+    def label_index(self):
+        """Vertex index by label, the id of graph files, CSVs and the CLI."""
+        return {int(l): i for i, l in enumerate(self.labels)}
+
     def total_volume(self):
         return float(self.m.sum())
 
@@ -287,21 +292,26 @@ def build_graph(edges, meta=None) -> WeightedGraph:
 # -- graph file I/O ----------------------------------------------------
 
 def read_graph(path) -> WeightedGraph:
-    """Read `x y mu` lines (# comments allowed) or the JSON variant."""
+    """Read `x y mu` lines (# comments allowed) or the JSON variant, an
+    `edges` list of such triples; ValueError names a malformed row."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        payload = json.loads(text)
-        edges = [(int(x), int(y), float(mu)) for x, y, mu in payload["edges"]]
-        return build_graph(edges)
+    if text.lstrip().startswith("{"):
+        rows = json.loads(text).get("edges")
+        if not isinstance(rows, list):
+            raise ValueError(f"{path}: a JSON graph needs an `edges` list")
+        rows = [(f"edge {number}", row, row) for number, row in enumerate(rows)]
+    else:
+        rows = [(f"line {number}", line.strip(), line.split())
+                for number, line in enumerate(text.splitlines(), start=1)
+                if line.strip() and not line.strip().startswith("#")]
     edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        x, y, mu = line.split()
-        edges.append((int(x), int(y), float(mu)))
+    for where, shown, row in rows:
+        try:
+            x, y, mu = row
+            edges.append((int(x), int(y), float(mu)))
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}, {where}: expected `x y mu`, not {shown!r}") from None
     return build_graph(edges)
 
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (BZ2Kind, _mean_zero_radius, a_s, bz1_product, delta_power_apply,
-                       require_mean_zero, resolvent_apply)
+from .calculus import (BZ2Kind, a_s, bz1_product, delta_power_apply, require_mean_zero,
+                       resolvent_apply, spectrum)
 from .errors import (
     FactorizationMismatch,
     NonConvergent,
@@ -439,13 +439,13 @@ def _decompose(g: WeightedGraph, kind: str, target, profile, M: int, beta: float
     """The molecular pipeline of both kinds: target (a mean-zero f for
     bz2, the edge data of an exact form) as one `kind` molecule per tent
     atom of profile(l_max), whose T^1_2 norm is the reported quad_norm.
-    lambda_star is read first, so a periodic walk (PeriodicWalk) or an
-    uncertified spectrum (UncertifiedSpectrum) is refused, then a zero
-    target returns before the geometry is built.  l_max comes from the one scalar
-    lambda_star (`reproducing_l_max`) so the reproducing sum meets
-    horizon_tol/2, and the tent partition is exact, so the L^2 residual
-    lands below tol (NonConvergent otherwise)."""
-    _mean_zero_radius(g)
+    The spectrum record (`spectrum`) is built first, so a periodic walk
+    (PeriodicWalk) or an uncertified spectrum (UncertifiedSpectrum) is
+    refused, then a zero target returns before the geometry is built.
+    l_max comes from the one scalar lambda_star (`reproducing_l_max`) so
+    the reproducing sum meets horizon_tol/2, and the tent partition is
+    exact, so the L^2 residual lands below tol (NonConvergent otherwise)."""
+    spectrum(g)
     norm = lp_norm(g, _level(g, kind, target), 2)
     if norm == 0.0:
         return MolecularDecomposition([], 0.0, 0.0, 0.0, 0.0)

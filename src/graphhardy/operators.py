@@ -595,7 +595,7 @@ def load_vertex_csv(g: WeightedGraph, path):
     """A vertex function from a `vertex,value` CSV file, zero where it
     lists no value; a malformed row, an unknown label or a vertex listed
     twice raises ValueError naming the line."""
-    label_index = {int(l): i for i, l in enumerate(g.labels)}
+    label_index = g.label_index
     out, seen = np.zeros(g.n), set()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()

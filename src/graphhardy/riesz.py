@@ -118,7 +118,10 @@ class RieszSuiteReport:
 def molecule_suite(g: WeightedGraph, s_values=(1, 4, 16, 64), kind="bz1",
                    M=1, centers=None):
     """Unit pre-image molecules a = A_s (1_B / V(B)) over a sweep of
-    scales and ball centers; inputs for the H^1 -> L^1 experiment."""
+    scales and ball centers; inputs for the H^1 -> L^1 experiment.  kind
+    is "bz1" or "bz2" (ValueError otherwise)."""
+    if kind not in ("bz1", "bz2"):
+        raise ValueError(f"molecule kind must be 'bz1' or 'bz2', not {kind!r}")
     if centers is None:
         centers = range(g.n)
     suite = []

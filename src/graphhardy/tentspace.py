@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _mean_zero_radius, delta_power_apply
+from .calculus import delta_power_apply, spectrum
 from .errors import NonConvergent
 from .graphs import Ball, WeightedGraph, ball, distance_to
 from .operators import apply_P, delta_steps, horner, lp_norm
@@ -399,7 +399,7 @@ def reproducing_l_max(g: WeightedGraph, eta: int, tol: float) -> int:
     """
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    lam = _mean_zero_radius(g)
+    lam = spectrum(g).lambda_star
     z = lam * lam
     front = (1.0 - z) ** eta
     k, c, zpow, partial, size = 0, 1.0, 1.0, 0.0, 256

@@ -10,7 +10,9 @@ count of the products with P a computation makes, for tests that pin
 how often the power sequence is walked.  `delta_power_exact` and
 `resolvent_exact` apply their operators by the dense spectral oracle on
 any graph the oracle takes, the references the automatic-path functions
-and the certified series objects are compared against.
+and the certified series objects are compared against, and
+`lusin_tail_bound_spectral` sums the Lusin tail over the oracle's
+eigenvalues, the reference of `quadratic.lusin_tail_bound`.
 `chebyshev_terms` is the three-term recurrence one `markov_step` at a
 time, the reference of the chained walk `operators.chebyshev_blocks`.
 """
@@ -21,9 +23,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from graphhardy.calculus import (BZ2Kind, SeriesOperator, _mean_zero_radius, a_s,
-                                 binomial_coefficients, delta_power_apply,
-                                 require_mean_zero, resolvent_apply, spectral)
+from graphhardy.calculus import (BZ2Kind, SeriesOperator, a_s, binomial_coefficients,
+                                 delta_power_apply, require_mean_zero, resolvent_apply,
+                                 spectral, spectrum)
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import annulus, ball, cached_geometry, vitali_cover
 from graphhardy.hardy import synthesize_molecules
@@ -159,6 +161,28 @@ def naive_g_littlewood(g, f, beta, l_max):
         out += float(l) ** (2 * beta - 1) * u ** 2
         u = apply_P(g, u)
     return np.sqrt(out)
+
+
+def lusin_tail_bound_spectral(g, f, beta, l_max):
+    """`quadratic.lusin_tail_bound` eigenvalue by eigenvalue:
+    (1/min m) sum_{l > L} (l+1)^{2b-1} ||Delta^b P^l Pi f||_2^2 with each
+    norm summed over the oracle's mean-zero eigenvalues, until a term is
+    at most 1e-30 times the sum; the oracle's cap applies."""
+    o = spectral(g)
+    lam = o.eigenvalues[:-1]
+    coeff = (o.basis.T @ (mean_project(g, f) * np.sqrt(g.m)))[:-1]
+    front = coeff ** 2 * (1.0 - lam) ** (2 * beta)
+    zpow = lam ** (2 * (l_max + 1))
+    total = 0.0
+    l = l_max + 1
+    while True:
+        term = float(np.sum(front * zpow)) * (l + 1.0) ** (2 * beta - 1)
+        total += term
+        if term <= 1e-30 * max(total, 1e-300) or np.max(zpow, initial=0.0) == 0.0:
+            break
+        zpow *= lam * lam
+        l += 1
+    return math.sqrt(total / g.m.min())
 
 
 def naive_tent_functional(g, F):
@@ -405,7 +429,7 @@ def horner_synthesis_levels_first(g, atoms, eta, beta, exp):
 def reproducing_l_max_loop(g, eta, tol):
     """`tentspace.reproducing_l_max` as the scalar recurrence, one level
     per step from k = 0."""
-    lam = _mean_zero_radius(g)
+    lam = spectrum(g).lambda_star
     z = lam * lam
     front = (1.0 - z) ** eta
     partial = 0.0

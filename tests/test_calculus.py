@@ -96,7 +96,7 @@ def test_negative_power_applies_what_require_mean_zero_passes(name, monkeypatch)
     f += 0.5 * calculus.KERNEL_REL_TOL * lp_norm(g, f, 2) / math.sqrt(g.total_volume())
     require_mean_zero(g, f)
     got = delta_power_apply(g, f, -0.5)
-    op = delta_power_series(g, -0.5, 1e-10, spectral(g).lambda_star)
+    op = delta_power_series(g, -0.5, 1e-10)
     assert lp_norm(g, got - op.apply(f), 2) <= op.tail_bound * lp_norm(g, f, 2)
 
 
@@ -252,7 +252,7 @@ def test_reproducing_monotone(cycle16, rng):
 def test_reproducing_gap_prediction(cycle16, rng):
     # partial-sum error at the spectral gap predicts the horizon
     f = random_mean_zero(cycle16, rng)
-    lam = spectral(cycle16).lambda_star
+    lam = calculus.spectrum(cycle16).lambda_star
     coeffs = -binomial_coefficients(-1.0, 4000)[1:]
     # for beta = 1/2 the scalar error at lambda is computable directly
     N = 600
@@ -463,33 +463,44 @@ def test_delta_power_half_indicator(cycle16):
     assert lp_norm(cycle16, approx - exact, 2) <= 1e-8
 
 
-def test_lambda_star_range_and_periodicity(cycle16):
-    # a supplied lambda_star outside [0, 1) is a bad argument; one within
-    # rounding of 1 is a periodic walk, and so is the oracle's on a
-    # bipartite graph without loops
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            delta_power_series(cycle16, 0.5, 1e-8, lambda_star=bad)
-    with pytest.raises(PeriodicWalk):
-        delta_power_series(cycle16, 0.5, 1e-8, lambda_star=1.0 - 1e-13)
-    with pytest.raises(PeriodicWalk):
-        delta_power_series(cycle16, -0.5, 1e-8, lambda_star=1.0 - 1e-13)
+def test_lambda_star_range_and_periodicity(monkeypatch):
+    # the walk on a bipartite graph without loops is periodic: both
+    # sources of the spectrum record refuse it, and so does every
+    # fractional Delta^beta read from it
     square = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
-    with pytest.raises(PeriodicWalk):
-        delta_power_series(square, 0.5, 1e-8)
+    for cap in (calculus.ORACLE_MAX_N, 0):
+        monkeypatch.setattr(calculus, "ORACLE_MAX_N", cap)
+        with pytest.raises(PeriodicWalk):
+            calculus.spectrum(square)
+        for beta in (0.5, -0.5):
+            with pytest.raises(PeriodicWalk):
+                delta_power_series(square, beta, 1e-8)
 
 
 def test_lambda_star_below_the_certified_lower_end():
     # loops of 8 against 2 of edge weight put the spectrum in [0.6, 1]:
-    # a supplied lambda_star of 0.3 (radius 1/2) lies below all of it,
-    # so it cannot be the mean-zero radius, and would invert the interval
+    # the deflated walk's interval starts at the certified lower end and
+    # ends at the record's radius above it
     g = lazy_cycle(16, loop_weight=8.0)
     assert spectral_interval(g)[0] > 0.59
     for beta in (0.5, -0.5):
-        with pytest.raises(ValueError):
-            delta_power_series(g, beta, 1e-8, lambda_star=0.3)
-        op = delta_power_series(g, beta, 1e-8, lambda_star=spectral(g).lambda_star)
+        op = delta_power_series(g, beta, 1e-8)
         assert op.interval[0] == spectral_interval(g)[0] < op.interval[1]
+
+
+@pytest.mark.parametrize("cap", [calculus.ORACLE_MAX_N, 0])
+def test_an_eigenvalue_at_the_gershgorin_end(cap, monkeypatch):
+    # two vertices with loops of 8: the one mean-zero eigenvalue, 7/9,
+    # lies exactly at Gershgorin's lower end, and the deflated interval
+    # [lo, lambda_star] stays a proper one on both sources
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", cap)
+    g = build_graph([(0, 1, 1.0), (0, 0, 8.0), (1, 1, 8.0)])
+    rec = calculus.spectrum(g)
+    assert rec.lo < rec.lambda_star
+    assert 7.0 / 9.0 - 1e-15 <= rec.lambda_star <= 7.0 / 9.0 + 1e-8
+    for beta in (0.5, -0.5):
+        lo, hi = delta_power_series(g, beta, 1e-8).interval
+        assert lo == rec.lo < hi == max(rec.lambda_star, calculus.MIN_RADIUS)
 
 
 @pytest.mark.parametrize("beta,q,tol", [
@@ -544,13 +555,13 @@ def test_rounding_sized_constant_part(beta, monkeypatch):
     f = random_mean_zero(g, np.random.default_rng(5))
     f /= lp_norm(g, f, 2)
     want = delta_power_exact(g, f, beta)
-    lam = spectral(g).lambda_star
+    lam = calculus.spectrum(g).lambda_star
     size = max((1.0 - lam) ** beta, (1.0 + lam) ** beta)
     eps = np.finfo(float).eps
     fc = f + 1e-12
     assert lp_norm(g, delta_power_apply(g, fc, beta) - want, 2) <= g.n * eps * size
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
-    op = delta_power_series(g, beta, 1e-10, lam)
+    op = delta_power_series(g, beta, 1e-10)
     allow = op.tail_bound + op.truncation * eps * size
     assert lp_norm(g, op.apply(fc) - want, 2) <= allow
 
@@ -564,10 +575,10 @@ def test_delta_power_column_against_taylor(name):
     g = {"cycle16": lazy_cycle(16), "torus8": lazy_torus_2d(8), "tree4": binary_tree(4)}[name]
     f = random_mean_zero(g, np.random.default_rng(6))
     f /= lp_norm(g, f, 2)
-    lam = spectral(g).lambda_star
+    lam = calculus.spectrum(g).lambda_star
     for beta in (-2.5, -1.5, -0.5, 0.5, 1.5):
         want = delta_power_exact(g, f, beta)
-        op = delta_power_series(g, beta, 1e-10, lam)
+        op = delta_power_series(g, beta, 1e-10)
         b, taylor = taylor_delta_power(g, f, beta, 1e-10, lam)
         assert op.truncation < len(b) - 1
         size = max((1.0 - lam) ** beta, (1.0 + lam) ** beta)
@@ -579,7 +590,7 @@ def test_delta_power_radius_floor(k2l, f0):
     # lambda_star = 0 on k2l, where Delta is the identity on mean-zero
     # functions; the deflated walk keeps its radius at MIN_RADIUS instead
     # of dividing by 0
-    assert spectral(k2l).lambda_star == pytest.approx(0.0, abs=1e-12)
+    assert calculus.spectrum(k2l).lambda_star == pytest.approx(0.0, abs=1e-12)
     for beta in (-0.5, 0.5, -2.5):
         op = delta_power_series(k2l, beta, 1e-12)
         assert op.deflated and op.interval[1] == calculus.MIN_RADIUS
@@ -716,10 +727,9 @@ def test_negative_powers_take_blocks(cycle16):
     # on the oracle and on the series path
     g = cycle16
     F = random_mean_zero(g, np.random.default_rng(4), size=3)
-    lam = spectral(g).lambda_star
     for beta in (-0.5, -1.0):
         U = delta_power_apply(g, F, beta)
-        op = delta_power_series(g, beta, 1e-10, lam)
+        op = delta_power_series(g, beta, 1e-10)
         S = op.apply(F)
         for j in range(3):
             np.testing.assert_allclose(U[:, j], delta_power_apply(g, F[:, j], beta),

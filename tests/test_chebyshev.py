@@ -159,19 +159,22 @@ DELTA_BETAS = (-2.5, -1.5, -0.5, 0.5, 1.5, 9.5)
 
 @pytest.mark.parametrize("beta", DELTA_BETAS)
 @pytest.mark.parametrize("lam", [0.5, 0.9, 0.99])
-def test_delta_power_column_within_its_bound_on_the_interval(beta, lam):
+def test_delta_power_column_within_its_bound_on_the_interval(beta, lam, monkeypatch):
     # Delta^beta = (1 - lam x)^beta for x in [-1, 1], the spectrum of
     # (P - Pi)/lam on mean-zero functions: the certificate bounds the
     # interpolant's error on all of it, up to the rounding of values as
     # large as max|phi| (1e5 at lam = 0.99, beta = -2.5, where 1 - lam x
     # alone is rounded to 100 eps relative)
     # (1 - lam x)^beta is Delta^beta on [-lam, lam]; on the lazy lower
-    # end, the interval [lo, lam] is mapped onto [-1, 1] first
+    # end, the interval [lo, lam] is mapped onto [-1, 1] first; the
+    # graph's record is replaced by one of radius lam
     g = lazy_cycle(16)
+    monkeypatch.setattr(calculus, "spectrum",
+                        lambda g: calculus.Spectrum(spectral_interval(g)[0], lam, 0.0, "oracle"))
     x = np.linspace(-1.0, 1.0, 20001)
     size = max((1.0 - lam) ** beta, (1.0 + lam) ** beta)
     for lo in (-1.0, spectral_interval(g)[0]):
-        c, tail, interval, deflated = calculus._delta_power_column(g, beta, 1e-10, (lo, 1.0), lam)
+        c, tail, interval, deflated = calculus._delta_power_column(g, beta, 1e-10, (lo, 1.0))
         assert interval == (max(lo, -lam), lam) and deflated
         mid, half = 0.5 * (interval[1] + interval[0]), 0.5 * (interval[1] - interval[0])
         err = np.abs(np.polynomial.chebyshev.chebval(x, c) - (1.0 - mid - half * x) ** beta).max()
@@ -189,11 +192,10 @@ def test_delta_power_column_on_graphs(name, monkeypatch):
          "tree4": lambda: binary_tree(4),
          "jittered": lambda: random_weights(lazy_cycle(16), 3)}[name]()
     f = _unit(g, 15)
-    lam = calculus.spectral(g).lambda_star
     exact = {beta: delta_power_exact(g, f, beta) for beta in DELTA_BETAS}
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     for beta, want in exact.items():
-        op = delta_power_series(g, beta, 1e-10, lam)
+        op = delta_power_series(g, beta, 1e-10)
         r = op.interval[1]
         size = max((1.0 - r) ** beta, (1.0 + r) ** beta)
         allow = op.tail_bound + op.truncation * np.finfo(float).eps * size
@@ -226,7 +228,7 @@ def test_chebyshev_terms(cycle16):
     # = P, for X mapping the certified interval onto [-1, 1], and on
     # [lo, lam] with the constants sent to 0 by the deflated walk
     g = cycle16
-    lam = calculus.spectral(g).lambda_star
+    lam = calculus.spectrum(g).lambda_star
     lo, hi = spectral_interval(g)
     F = np.random.default_rng(14).standard_normal((g.n, 2))
     walks = (((-1.0, 1.0), False), ((lo, hi), False), ((lo, lam), True))

@@ -133,6 +133,27 @@ def test_vertex_csv_names_a_bad_line(tmp_path, capsys):
         assert f"line 3: expected `vertex,value`, not {row!r}" in err
 
 
+def test_vertex_arguments_are_labels(tmp_path, capsys):
+    # --E and --F name vertices by label, as graph files and --f CSVs do,
+    # and a label or coordinate the graph lacks is refused by name
+    path = tmp_path / "g.txt"
+    path.write_text("10 20 1.0\n20 30 1.0\n10 10 1.0\n20 20 1.0\n30 30 1.0\n")
+    argv = ["gaffney", str(path), "--family", "heat", "--s", "1,2,4"]
+    assert main(argv + ["--E", "30", "--F", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["d_EF"] == 2.0
+    assert main(argv + ["--E", "2", "--F", "0"]) == 1
+    assert "vertex '2' is no vertex label" in capsys.readouterr().err
+    for graph, E, why in (("lazy_torus_16", "0,20", "coordinate '0,20' is not two integers in [0, 16)"),
+                          ("lazy_torus_16", "-1,3", "coordinate '-1,3' is not two"),
+                          ("lazy_cycle_16", "-1", "vertex '-1' is no vertex label"),
+                          ("lazy_cycle_16", "1,2", "coordinate '1,2' is not two integers in [0, 0)"),
+                          ("lazy_torus_16", "1,2,3", "coordinate '1,2,3' is not two"),
+                          ("lazy_cycle_16", "x", "vertex 'x' is not an integer")):
+        argv = ["gaffney", graph, "--family", "heat", "--s", "1,2", f"--E={E}", "--F", "3"]
+        assert main(argv) == 1, E
+        assert why in capsys.readouterr().err
+
+
 def test_validation_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0 1.0\n1 1 1.0\n")  # two components

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -381,6 +382,27 @@ def test_graph_file_comments(tmp_path):
     g = read_graph(p)
     assert g.n == 2
     np.testing.assert_allclose(g.m, [2.0, 2.0])
+
+
+def test_graph_file_names_a_bad_row(tmp_path):
+    # a malformed row is refused with its line (its entry in JSON), and
+    # a JSON object without an edge list with the file
+    p = tmp_path / "g.txt"
+    for text, where in (("10 20\n", "line 1: expected `x y mu`, not '10 20'"),
+                        ("# c\n0 1 1.0\n\n1 2 x\n", "line 4:"),
+                        ("0 1 1.0 2\n", "line 1:")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{p}, {where}")):
+            read_graph(p)
+    p = tmp_path / "g.json"
+    for edges in ([[0, 1, 1.0], [1, 2]], [[0, 1, 1.0], "1 2 1.0"]):
+        p.write_text(json.dumps({"edges": edges}))
+        with pytest.raises(ValueError, match=re.escape(f"{p}, edge 1:")):
+            read_graph(p)
+    for payload in ({"nodes": []}, {"edges": 3}):
+        p.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: a JSON graph needs an `edges`")):
+            read_graph(p)
 
 
 def test_annuli_union_covers_graph(cycle16, torus8):

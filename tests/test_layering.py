@@ -2,13 +2,14 @@
 that multiplies by it (hence every P^l loop, the Horner scan included),
 the level walk, the kernel chains, the chunked walk on them and scipy's
 kernels that run them, the Chebyshev walk and its certified interval,
-the oracle/series choice, the spectral oracle, the series object, the
-cone sum, the Lusin terms, the dense tent mask, the ball matrices, the
-bz1 product, the molecular pipeline body, the molecule validator's
-rederivation, size table and report, and the kernel error may be
-reached only from the modules and functions listed here; the exact
-Delta^k step and the pipeline body are defined once; scipy's private
-sparse kernels are imported by `operators` alone."""
+the oracle/series choice, the spectral oracle, the spectrum record, the
+series object, the cone sum, the Lusin terms, the dense tent mask, the
+ball matrices, the bz1 product, the molecular pipeline body, the
+molecule validator's rederivation, size table and report, and the
+kernel error may be reached only from the modules and functions listed
+here; the exact Delta^k step and the pipeline body are defined once;
+scipy's private sparse kernels are imported by `operators` alone, and
+no module imports a private name of another."""
 
 import ast
 from pathlib import Path
@@ -60,18 +61,17 @@ ALLOWED = {
     # every P^l f outside `operators` is read from its walks, except the
     # cone sum's squared chunks
     "level_blocks": ({"operators"}, {"quadratic._level_square_sums"}),
-    "has_oracle": (set(), {"calculus.phi_apply", "calculus.spectrum",
-                           "quadratic.lusin_tail_bound"}),
-    # the oracle applies operators only through the one oracle/series
-    # choice; it is read elsewhere for the spectrum record's lambda_star
-    # and the tail bound
-    "spectral": (set(), {"calculus.phi_apply", "calculus.spectrum",
-                         "quadratic.lusin_tail_bound"}),
+    # the oracle has two homes: it applies operators only through the
+    # one oracle/series choice, and gives lambda_star only to the
+    # spectrum record
+    "has_oracle": (set(), {"calculus.phi_apply", "calculus.spectrum"}),
+    "spectral": (set(), {"calculus.phi_apply", "calculus.spectrum"}),
     # lambda_star is read from the one spectrum record, which is built
     # from the oracle or certified by spectrum slicing
     "_certify": (set(), {"calculus.spectrum"}),
     "_negative_pivots": (set(), {"calculus._certify"}),
-    "_mean_zero_radius": ({"hardy", "tentspace"}, {"calculus._delta_power_column"}),
+    "spectrum": (set(), {"calculus._delta_power_column", "hardy._decompose",
+                         "tentspace.reproducing_l_max", "quadratic.lusin_tail_bound"}),
     # the series path is reached through `phi_apply` and the certified
     # series objects of `calculus`
     "SeriesOperator": ({"calculus"}, set()),
@@ -146,10 +146,11 @@ def test_scanner_sees_calls():
     assert ("bz1_product", "hardy.rederive_molecules") in found
     assert ("_decompose", "hardy.molecular_decompose") in found
     assert ("_decompose", "hardy.form_molecular_decompose") in found
-    assert ("has_oracle", "quadratic.lusin_tail_bound") in found
+    assert ("has_oracle", "calculus.spectrum") in found
     assert ("spectral", "calculus.spectrum") in found
     assert ("_certify", "calculus.spectrum") in found
-    assert ("_mean_zero_radius", "hardy._decompose") in found
+    assert ("spectrum", "hardy._decompose") in found
+    assert ("spectrum", "quadratic.lusin_tail_bound") in found
     assert ("spectral", "calculus.phi_apply") in found
     assert ("SeriesOperator", "calculus.delta_power_series") in found
     assert ("level_blocks", "quadratic._level_square_sums") in found
@@ -225,3 +226,13 @@ def test_no_threads_in_the_package():
     stray = sorted((mod, name) for mod, name in imported
                    if name.split(".")[0] in ("concurrent", "threading"))
     assert stray == [], f"thread imports in the package: {stray}"
+
+
+def test_no_private_names_cross_modules():
+    # a module reads another's facts through its public names only:
+    # lambda_star, say, through `calculus.spectrum`
+    stray = sorted((path.stem, node.module, a.name) for path in sorted(SRC.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   for a in node.names if a.name.startswith("_"))
+    assert stray == [], f"private names imported across modules: {stray}"

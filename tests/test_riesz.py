@@ -189,6 +189,12 @@ def test_experiment_matches_per_input_cycle32_bz1(cycle32):
     _assert_matches_per_input(cycle32, suite)
 
 
+def test_molecule_suite_refuses_an_unknown_kind(cycle16):
+    for kind in ("bz3", "BZ1", None):
+        with pytest.raises(ValueError, match="'bz1' or 'bz2'"):
+            molecule_suite(cycle16, (1,), kind=kind, centers=[0])
+
+
 def test_experiment_matches_per_input_torus_bz2(torus8):
     suite = molecule_suite(torus8, (1, 4, 16), kind="bz2", M=2, centers=range(0, 64, 5))
     _assert_matches_per_input(torus8, suite)
