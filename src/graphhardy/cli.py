@@ -270,12 +270,24 @@ def cmd_selftest(args):
     return 0 if ok else 1
 
 
+# The global options that only some subcommands read: (readers, default).
+# Given to any other subcommand, one is refused, not dropped.
+SCOPED_OPTIONS = {
+    "lmax": (("quadnorm", "riesz"), None),
+    "tol": (("decompose",), 1e-8),
+    "seed": (("bmo", "riesz", "selftest"), 0),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="graphhardy",
                                 description="Hardy-space experiments on graphs")
-    p.add_argument("--lmax", type=int, default=None, help="cone horizon")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lmax", type=int, default=argparse.SUPPRESS,
+                   help="cone horizon (quadnorm, riesz)")
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                   help="reconstruction tolerance (decompose; default 1e-8)")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="random seed (bmo, riesz, selftest; default 0)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     sub = p.add_subparsers(dest="command", required=True)
@@ -326,8 +338,22 @@ def build_parser():
     return p
 
 
+def parse_args(argv=None):
+    """The parsed command line; a SCOPED_OPTIONS option given to a
+    subcommand that does not read it is a usage error (exit 2)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, (readers, default) in SCOPED_OPTIONS.items():
+        if not hasattr(args, name):
+            setattr(args, name, default)
+        elif args.command not in readers:
+            parser.error(f"--{name} is not read by {args.command} "
+                         f"(only by {', '.join(readers)})")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except NonConvergent as exc:

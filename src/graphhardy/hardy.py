@@ -13,7 +13,8 @@ with ||b||_{L^2(C_j(B))} <= 2^{-j eps} V(2^j B)^{-1/2} for every ring,
 and the atom case (eps = inf) replaced by supp b in B together with
 ||b||_2 <= V(B)^{-1/2}.
 
-Functions and forms share one pipeline (`_decompose`): profile -> tent
+Functions and forms share one pipeline (`_decompose`): profile (its
+levels up to diam^2 + 1 stored, the rest as a closed-form tail) -> tent
 atomic decomposition -> one synthesized molecule per tent atom, whose
 kind enters through its synthesis orders (`synthesis_orders`) and its
 pointwise level (`_level`), the rules the stage and validator read too.
@@ -70,7 +71,7 @@ from .operators import (
     tx_norms,
     weighted_powers,
 )
-from .quadratic import SpaceTimeFunction, default_l_max
+from .quadratic import ProfileTail, SpaceTimeFunction, default_l_max
 from .riesz import h2_project
 from .tentspace import (
     TentAtom,
@@ -322,8 +323,10 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
 
         X = sum_l (c_l^eta / l^beta) Delta^exp (I + P)^eta P^{l-1} A(., l-1)
 
-    over the levels l - 1 < top (`horner_synthesis`), so nothing depends
-    on the atoms' l_max.  The molecule is a = Delta^M X (bz2) or
+    over the stored levels l - 1 < top (`horner_synthesis`), so nothing
+    depends on the atoms' l_max, and, for the whole-graph atom of a
+    profile with a tail, over every level past them in closed form
+    (`ProfileTail.synthesis`).  The molecule is a = Delta^M X (bz2) or
     d Delta^M X (form), `delta_steps` in place on the (n, k) output, and
     its pre-image is b = Q_s X (`_pre_images`), so b and a factor as in
     the module docstring.
@@ -417,19 +420,41 @@ class MolecularDecomposition:
         )
 
 
-def heat_profile(g: WeightedGraph, f, beta: float, l_max: int) -> SpaceTimeFunction:
-    """F(., l) = [(l+1) Delta]^beta P^l f for l = 0..l_max."""
-    return SpaceTimeFunction(g, weighted_powers(
-        g, delta_power_apply(g, f, beta), [(l + 1.0) ** beta for l in range(l_max + 1)]))
+def _profile(g: WeightedGraph, u, beta: float, l_max, potential, order: float, reach: int,
+             tol) -> SpaceTimeFunction:
+    """F(., l) = (l+1)^beta P^l u for l = 0..l_max; for every l without
+    l_max: the levels up to default_l_max(g) stored, and past them the
+    closed-form tail (`ProfileTail`) of the potential(), u = Delta^order
+    potential(), with its reach and tol."""
+    L = default_l_max(g) if l_max is None else l_max
+    values = weighted_powers(g, u, [(l + 1.0) ** beta for l in range(L + 1)])
+    if l_max is not None:
+        return SpaceTimeFunction(g, values)
+    return SpaceTimeFunction(g, values, ProfileTail(g, potential(), order, beta, L, reach, tol))
 
 
-def form_profile(g: WeightedGraph, w, l_max: int) -> SpaceTimeFunction:
-    """F(., l) = sqrt(l+1) P^l w (w = d*G for the forms pipeline)."""
-    return SpaceTimeFunction(g, weighted_powers(
-        g, w, [math.sqrt(l + 1.0) for l in range(l_max + 1)]))
+def heat_profile(g: WeightedGraph, f, beta: float, l_max=None, *, reach=0,
+                 tol=None) -> SpaceTimeFunction:
+    """F(., l) = [(l+1) Delta]^beta P^l f for l = 0..l_max, or for every
+    l >= 0 without l_max (`_profile`), generated by u = Delta^beta f, the
+    tail held by f; reach and tol are those of the tail (`ProfileTail`)."""
+    return _profile(g, delta_power_apply(g, f, beta), beta, l_max, lambda: f, beta, reach, tol)
+
+
+def form_profile(g: WeightedGraph, w, l_max=None, *, reach=0, tol=None) -> SpaceTimeFunction:
+    """F(., l) = sqrt(l+1) P^l w (w = d*G for the forms pipeline) for
+    l = 0..l_max, or for every l >= 0 without l_max (`_profile`), the
+    tail held by Delta^{-1} w; reach and tol are those of the tail
+    (`ProfileTail`)."""
+    return _profile(g, w, 0.5, l_max, lambda: delta_power_apply(g, w, -1.0), 1.0, reach, tol)
 
 
 def pipeline_l_max(g: WeightedGraph, eta: int, tol: float, ref_norm: float) -> int:
+    """The horizon at which a truncated profile's reproducing sum meets
+    tol / 2 (`reproducing_l_max`), at least default_l_max(g): how many
+    levels a profile without its closed-form tail needs.  The pipeline
+    reads it only for the reach of that tail (`_decompose`), and the
+    benchmark's l_max checksum reads it."""
     target = tol / (2.0 * max(ref_norm, 1e-300))
     return max(default_l_max(g), reproducing_l_max(g, eta, target))
 
@@ -438,20 +463,28 @@ def _decompose(g: WeightedGraph, kind: str, target, profile, M: int, beta: float
                eps: float, tol: float, horizon_tol: float) -> MolecularDecomposition:
     """The molecular pipeline of both kinds: target (a mean-zero f for
     bz2, the edge data of an exact form) as one `kind` molecule per tent
-    atom of profile(l_max), whose T^1_2 norm is the reported quad_norm.
+    atom of profile(reach, tail_tol), whose T^1_2 norm is the reported
+    quad_norm.
     The spectrum record (`spectrum`) is built first, so a periodic walk
     (PeriodicWalk) or an uncertified spectrum (UncertifiedSpectrum) is
     refused, then a zero target returns before the geometry is built.
-    l_max comes from the one scalar lambda_star (`reproducing_l_max`) so
-    the reproducing sum meets horizon_tol/2, and the tent partition is
-    exact, so the L^2 residual lands below tol (NonConvergent otherwise)."""
+    The profile stores the levels up to default_l_max(g) = diam^2 + 1 and
+    holds the rest as its closed-form tail, which joins the whole-graph
+    atom, so the reproducing sum is not truncated; the tent partition is
+    exact, so the L^2 residual lands below tol (NonConvergent otherwise).
+    The tail's synthesis is held to horizon_tol / 2, the share of the
+    residual a truncated profile's horizon left, and the whole-graph
+    atom's radius, and so its molecule's scale s = r^2, covers the
+    tail's levels up to its reach, `pipeline_l_max` at horizon_tol: the
+    level by which the reproducing sum has converged to horizon_tol / 2."""
     spectrum(g)
     norm = lp_norm(g, _level(g, kind, target), 2)
     if norm == 0.0:
         return MolecularDecomposition([], 0.0, 0.0, 0.0, 0.0)
     d0 = cached_geometry(g).d0_estimate
     eta, _, _ = synthesis_orders(kind, M, beta, eps, d0)
-    tdec = atomic_decompose(g, profile(pipeline_l_max(g, eta, horizon_tol, norm)), tol=tol)
+    F = profile(pipeline_l_max(g, eta, horizon_tol, norm), horizon_tol / 2.0)
+    tdec = atomic_decompose(g, F, tol=tol)
     coefficients, A = synthesize_molecules(g, tdec, kind, M, beta, eps, d0)
     resid = _level(g, kind, target - A @ np.array([lam for lam, _ in coefficients]))
     l2_res = lp_norm(g, resid, 2)
@@ -478,7 +511,8 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
     ValueError at once."""
     _require_orders(M, eps)
     f = require_mean_zero(g, f)
-    return _decompose(g, "bz2", f, lambda l_max: heat_profile(g, f, beta, l_max),
+    return _decompose(g, "bz2", f,
+                      lambda reach, tail_tol: heat_profile(g, f, beta, reach=reach, tol=tail_tol),
                       M, beta, eps, tol, tol)
 
 
@@ -492,13 +526,14 @@ def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
     """Molecular representation of an exact 1-form F from the profile
     sqrt(l+1) P^l w, w = d*F, whose Lusin weight |P^l w|^2 is that of
     Delta^{-1/2} w at beta = 1/2; d is L^2-bounded by sqrt(2), so the
-    horizon keeps that margin.  M >= 1 and a finite eps > 0, or
-    ValueError at once."""
+    reach of the tail (`_decompose`) keeps that margin.  M >= 1 and a
+    finite eps > 0, or ValueError at once."""
     _require_orders(M, eps)
     if not is_exact_form(g, F, tol):
         raise NotExactForm("input form is not a differential")
     w = divergence(g, F)
-    return _decompose(g, "form", F.data, lambda l_max: form_profile(g, w, l_max),
+    return _decompose(g, "form", F.data,
+                      lambda reach, tail_tol: form_profile(g, w, reach=reach, tol=tail_tol),
                       M, 0.5, eps, tol, tol / math.sqrt(2.0))
 
 

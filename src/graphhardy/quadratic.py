@@ -24,12 +24,15 @@ as oracles.
 from __future__ import annotations
 
 import bisect
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import delta_power_apply, delta_power_series, require_mean_zero, spectrum
+from .calculus import (TAIL_TOL, delta_power_apply, delta_power_series, lusin_tail_apply,
+                       reproducing_tail_apply, require_mean_zero, spectrum)
 from .errors import PeriodicWalk
 from .graphs import WeightedGraph, row_blocks
 from .operators import (
@@ -37,6 +40,7 @@ from .operators import (
     cone_gather,
     divergence,
     heat_sweep,
+    inner,
     level_blocks,
     lp_norm,
     mean_project,
@@ -49,17 +53,90 @@ def default_l_max(g: WeightedGraph) -> int:
     return g.diameter ** 2 + 1
 
 
+@dataclass(frozen=True)
+class ProfileTail:
+    """The levels l > start of a profile F(., l) = (l+1)^beta P^l u / scale,
+    held instead of stored by the mean-zero potential h of their
+    generator u = Delta^order h (bz2: f, of u = Delta^beta f; forms:
+    Delta^{-1} w, of u = w).  Past start >= diam^2 every parabolic cone
+    is the whole graph, so all that the tent functional and the
+    synthesis read of these levels is two functions of P applied to h:
+    their Lusin mass (`mass`) and their part of the synthesis sum
+    (`synthesis`).  They act on h rather than on u because a slowly
+    mixing walk makes both large near lam = 1, where u = Delta^order h
+    is small: on h the symbols carry that factor, and the series path
+    loses no digits to it.
+
+    `tol` is the accuracy the synthesis is held to (`reproducing_tail_apply`),
+    the share of the molecular pipeline's tolerance that a truncated
+    profile's horizon had; None holds it to TAIL_TOL times the norm of h.
+
+    An atom over B(x, r) covers the levels below r^2, so the atom that
+    holds the tail, whose levels never end, takes its radius from the
+    levels up to `reach` (by default only the stored ones); the
+    molecular pipeline builds the tail with the level by which the
+    reproducing sum has converged to its tolerance (`hardy.pipeline_l_max`),
+    so that molecule's scale is the truncated pipeline's."""
+
+    graph: WeightedGraph
+    potential: np.ndarray = field(repr=False)
+    order: float
+    beta: float
+    start: int
+    reach: int = 0
+    tol: float = None
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if self.start < self.graph.diameter ** 2:
+            raise ValueError(f"a tail from level {self.start} starts inside the cones "
+                             f"of radius below the diameter {self.graph.diameter}")
+
+    def scaled(self, c: float) -> "ProfileTail":
+        """The tail divided by c."""
+        return dataclasses.replace(self, scale=self.scale * c)
+
+    @functools.cached_property
+    def mass(self) -> float:
+        """sum_{l > start} ||F(., l)||_m^2 / (l + 1) = <chi(P) h, h>_m /
+        scale^2 (`lusin_tail_apply`)."""
+        h = self.potential
+        chi_h = lusin_tail_apply(self.graph, h, self.beta, self.order, self.start)
+        return inner(self.graph, chi_h, h) / self.scale ** 2
+
+    def synthesis(self, eta: int, exp: float) -> np.ndarray:
+        """sum_{l > start} (c_{l+1}^eta / (l+1)^beta) Delta^exp P^l F(., l)
+        = psi(P) h / scale, psi of the power exp + order
+        (`reproducing_tail_apply`), within tol / scale."""
+        h = self.potential
+        tol = TAIL_TOL * lp_norm(self.graph, h, 2) if self.tol is None else self.tol
+        return reproducing_tail_apply(self.graph, h, self.start, eta, exp + self.order,
+                                      tol) / self.scale
+
+
+def tail_mass(F) -> float:
+    """The Lusin mass of the levels of F past its l_max: that of its
+    `tail`, and 0 without one."""
+    return 0.0 if F.tail is None else F.tail.mass
+
+
 @dataclass
 class SpaceTimeFunction:
-    """F(y, l) for l = 0..L_max, the domain of tent functionals."""
+    """F(y, l) for l = 0..L_max, the domain of tent functionals, and
+    with a `tail` (ProfileTail), whose start must be L_max, for every
+    l > L_max as well."""
 
     graph: WeightedGraph
     values: np.ndarray = field(repr=False)
+    tail: ProfileTail = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[0] != self.graph.n:
             raise ValueError("values must have shape (n, L_max + 1)")
+        if self.tail is not None and self.tail.start != self.l_max:
+            raise ValueError(f"a tail past level {self.tail.start} does not continue "
+                             f"levels 0..{self.l_max}")
 
     @property
     def l_max(self) -> int:
@@ -70,7 +147,7 @@ class SpaceTimeFunction:
         k = np.arange(self.values.shape[1])
         return math.sqrt(float(np.sum(
             (self.values ** 2 / (k + 1.0)[None, :]) * g.m[:, None]
-        )))
+        )) + tail_mass(self))
 
 
 # A ball-volume profile shared by at least this many centres gets its own
@@ -257,17 +334,22 @@ def lusin_terms(F: SpaceTimeFunction) -> np.ndarray:
     return w
 
 
-def tent_functional_of_terms(g: WeightedGraph, w: np.ndarray) -> np.ndarray:
-    """A F from the Lusin terms w of F."""
+def tent_functional_of_terms(g: WeightedGraph, w: np.ndarray, tau=0.0) -> np.ndarray:
+    """A F from the Lusin terms w of F's stored levels and the Lusin mass
+    tau of its tail, whose levels lie past diam^2, where every cone is
+    the whole graph: tau / m(Gamma) is added to every A F(x)^2."""
     # level k belongs to cone radius floor(sqrt(k))
     W = np.add.reduceat(w, np.arange(math.isqrt(w.shape[1] - 1) + 1) ** 2, axis=1)
-    return np.sqrt(_cone_accumulate(g, W * g.m[:, None]))
+    AF2 = _cone_accumulate(g, W * g.m[:, None])
+    if tau:
+        AF2 += tau / g.total_volume()
+    return np.sqrt(AF2)
 
 
 def tent_functional(g: WeightedGraph, F: SpaceTimeFunction) -> np.ndarray:
     """A F(x)^2 = sum_{(y,k) in cone(x)} m(y) F(y,k)^2 /
-    ((k+1) V(x, sqrt(k+1)))."""
-    return tent_functional_of_terms(g, lusin_terms(F))
+    ((k+1) V(x, sqrt(k+1))), over the levels of F's tail too."""
+    return tent_functional_of_terms(g, lusin_terms(F), tail_mass(F))
 
 
 def t1_norm(g: WeightedGraph, F: SpaceTimeFunction) -> float:

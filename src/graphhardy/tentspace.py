@@ -23,6 +23,13 @@ pi_{eta, beta}: Delta^exp runs on that block of levels, because the raw
 sum over the levels cancels and the cancellative factor must come
 before it, and (I + P)^eta, whose spectrum lies in [0, 2^eta], runs on
 the (n, atoms) output of the scans.
+
+A profile's levels past l_max >= diam^2 may come as its closed-form
+tail (`ProfileTail`) instead of stored.  A tent over any proper vertex
+set has height at most diam^2, so those levels all lie in the one piece
+over the whole graph: the decomposition adds the tail's Lusin mass to
+that piece, and to A F(x)^2 over m(Gamma) at every x, and the synthesis
+adds that atom's tail as one function of P applied to its potential.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ from .calculus import delta_power_apply, spectrum
 from .errors import NonConvergent
 from .graphs import Ball, WeightedGraph, ball, distance_to
 from .operators import apply_P, delta_steps, horner, lp_norm
-from .quadratic import SpaceTimeFunction, lusin_terms, tent_functional_of_terms
+from .quadratic import (ProfileTail, SpaceTimeFunction, lusin_terms, tail_mass,
+                        tent_functional_of_terms)
 
 # Longest reproducing horizon `reproducing_l_max` searches.
 HORIZON_CAP = 200_000
@@ -74,10 +82,12 @@ def tent(b: Ball, l_max: int) -> np.ndarray:
 class SpaceTimeEntries:
     """A space-time function on levels 0..l_max held as runs of one
     shared (n, l_max + 1) profile: profile[y, l] / scale at y = verts[j]
-    for lo[j] <= l < hi[j], and 0 elsewhere.  The vertices increase and
-    each run ends at a nonzero entry, so `top` is the largest hi.  The
-    nonzero entries F(ys[i], ls[i]) = vals[i], row-major with int32
-    indices, and the dense `values` are built on access."""
+    for lo[j] <= l < hi[j], and 0 elsewhere, and, with a `tail`
+    (ProfileTail), the levels past l_max that it holds.  The
+    vertices increase and each run ends at a nonzero entry, so `top` is
+    the largest hi.  The nonzero entries F(ys[i], ls[i]) = vals[i] of the
+    stored levels, row-major with int32 indices, and the dense `values`
+    are built on access."""
 
     graph: WeightedGraph
     profile: np.ndarray = field(repr=False)
@@ -85,15 +95,16 @@ class SpaceTimeEntries:
     lo: np.ndarray = field(repr=False)
     hi: np.ndarray = field(repr=False)
     scale: float = 1.0
+    tail: ProfileTail = None
 
     @classmethod
     def of(cls, F: SpaceTimeFunction) -> "SpaceTimeEntries":
-        """F as one run up to its last nonzero level per vertex (F.values
-        is referenced, not copied)."""
+        """F as one run up to its last nonzero level per vertex, and its
+        tail (F.values is referenced, not copied)."""
         live = F.values != 0.0
         verts = np.flatnonzero(live.any(axis=1))
         hi = live.shape[1] - np.argmax(live[verts, ::-1], axis=1)
-        return cls(F.graph, F.values, verts, np.zeros_like(hi), hi)
+        return cls(F.graph, F.values, verts, np.zeros_like(hi), hi, 1.0, F.tail)
 
     @property
     def l_max(self) -> int:
@@ -124,14 +135,16 @@ class SpaceTimeEntries:
 
     @property
     def values(self) -> np.ndarray:
-        """Dense (n, l_max + 1) view, built on each access."""
+        """Dense (n, l_max + 1) view of the stored levels, built on each
+        access."""
         out = np.zeros((self.graph.n, self.l_max + 1))
         out[self.verts, :self.top] = self.rows()
         return out
 
     def t22_norm(self) -> float:
         ys, ls, vals = self._entries()
-        return math.sqrt(float(np.sum(vals ** 2 / (ls + 1.0) * self.graph.m[ys])))
+        return math.sqrt(float(np.sum(vals ** 2 / (ls + 1.0) * self.graph.m[ys]))
+                         + tail_mass(self))
 
 
 @dataclass
@@ -236,11 +249,19 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
     Level sets O_k = {A F > 2^k} carve the support of F into tent
     differences; each slab is split along a Whitney cover of O_k and
     each piece is normalized into a T^1_2 atom.
+
+    The levels of F's tail lie past diam^2, so they are in the tent of
+    O_k only where O_k is the whole graph: the tail joins the one piece
+    of the slab over the whole graph, its Lusin mass added to that
+    piece's, whose runs end at l_max and whose radius covers the levels
+    up to the tail's reach.  A nonzero tail without that piece raises
+    NonConvergent.
     """
     vals = np.ascontiguousarray(F.values)
     l_max = F.l_max
+    tau = tail_mass(F)
     w = lusin_terms(F)
-    AF = tent_functional_of_terms(g, w)
+    AF = tent_functional_of_terms(g, w, tau)
     t1 = lp_norm(g, AF, 1)
     pos = AF[AF > 0]
     # no level set when every Lusin term underflows: F is all residual
@@ -256,19 +277,25 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
     sums = _run_sums(w, heights)
     del w
     coefficients = []
+    held = False  # whether a piece holds the tail
     for j, depth in enumerate(depths):
         c = S - 1 - j  # the slab of O_{k_lo + j} in the run table
         lo, hi = heights[c], heights[c + 1]
         verts = np.flatnonzero(hi > lo)
         if not verts.size:
             continue
-        if np.isinf(depth).all():  # O_k is the whole graph
+        whole = np.isinf(depth).all()  # O_k is the whole graph
+        if whole:
             centers, radii = [0], [float(g.diameter + 1)]
             owner = np.zeros(g.n, dtype=int)
         else:
             centers, radii, owner = _whitney_balls(g, depth)
         owner = owner[verts]
         mass = np.bincount(owner, g.m[verts] * sums[verts, c], minlength=len(centers))
+        holder = whole and tau > 0.0  # the piece that holds the tail
+        if holder:
+            mass[0] += tau
+            held = True
         if not mass.any():
             continue
         top = _run_tops(vals, verts, lo, hi)
@@ -278,16 +305,21 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
         order = order[np.argsort(owner[order], kind="stable")]
         verts, owner, top = verts[order], owner[order], top[order]
         lo = lo[verts]
-        reach = g.dist[np.asarray(centers)[owner], verts] + np.floor(np.sqrt(top)) + 1.0
+        covered = np.maximum(top, F.tail.reach) if holder else top
+        reach = g.dist[np.asarray(centers)[owner], verts] + np.floor(np.sqrt(covered)) + 1.0
         bounds = np.searchsorted(owner, np.arange(len(centers) + 1))
         for i in np.flatnonzero(mass):
             runs = slice(bounds[i], bounds[i + 1])
             # radius large enough that every entry sits in the tent
-            atom_ball = ball(g, centers[i], max(radii[i], float(reach[runs].max())))
+            atom_ball = ball(g, centers[i], max(radii[i], float(reach[runs].max(initial=0.0))))
             lam = math.sqrt(mass[i]) * math.sqrt(atom_ball.volume)
-            entries = SpaceTimeEntries(g, vals, verts[runs], lo[runs], top[runs] + 1, lam)
+            entries = SpaceTimeEntries(g, vals, verts[runs], lo[runs], top[runs] + 1, lam,
+                                       F.tail.scaled(lam) if holder else None)
             coefficients.append((lam, TentAtom(atom_ball, entries,
                                                1.0 / math.sqrt(atom_ball.volume))))
+    if tau > 0.0 and not held:
+        raise NonConvergent(f"the tail of Lusin mass {tau:.3e} lies in no tent: "
+                            "no level set of A F is the whole graph")
     # the atoms hold every entry in a tent but those of pieces whose
     # norm is 0, so what they miss weighs what lies outside every tent
     residual = math.sqrt(float(g.m @ sums[:, S]))
@@ -318,8 +350,13 @@ def eta_coefficients(eta: int, count: int) -> np.ndarray:
 def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
                      exp: float) -> np.ndarray:
     """The (n, k) block whose column i is
-    sum_{l=1..top_i} (c_l^eta / l^beta) Delta^exp (I + P)^eta P^{l-1} F_i(., l-1)
-    for the k space-time functions F_i held in `atoms` (SpaceTimeEntries).
+    sum_{l>=1} (c_l^eta / l^beta) Delta^exp (I + P)^eta P^{l-1} F_i(., l-1)
+    for the k space-time functions F_i held in `atoms` (SpaceTimeEntries):
+    the stored levels l - 1 < top_i are scanned, and the levels of a
+    tail, (l+1)^beta P^l u / scale for l past l_max, come in closed form,
+    psi(P) h / scale for the potential h of u (`ProfileTail.synthesis`,
+    which needs the tail's beta to be this beta), added to the scan's
+    output.
 
     Only the levels l - 1 < top_i = `atoms[i].top` are visited: every F_i
     is scattered into its own column range of one (n, sum_i top_i)
@@ -361,6 +398,12 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
     out = np.empty((g.n, len(atoms)))
     for i, (lo, k) in enumerate(zip(starts, tops)):
         out[:, i] = horner(g, V[:, lo:lo + k])
+    for i, e in enumerate(atoms):
+        if e.tail is not None:
+            if e.tail.beta != beta:
+                raise ValueError(f"a tail of weight (l+1)^{e.tail.beta} synthesized at "
+                                 f"beta = {beta}")
+            out[:, i] += e.tail.synthesis(eta, exp)
     for _ in range(eta):
         out += apply_P(g, out)
     return out

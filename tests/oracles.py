@@ -15,6 +15,9 @@ and the certified series objects are compared against, and
 eigenvalues, the reference of `quadratic.lusin_tail_bound`.
 `chebyshev_terms` is the three-term recurrence one `markov_step` at a
 time, the reference of the chained walk `operators.chebyshev_blocks`.
+`lusin_tail_mass_exact` and `reproducing_tail_exact` sum a profile's
+levels past a horizon to infinity over the oracle's eigenvalues in long
+double, the references of the closed-form tail (`ProfileTail`).
 """
 
 import itertools
@@ -183,6 +186,55 @@ def lusin_tail_bound_spectral(g, f, beta, l_max):
         zpow *= lam * lam
         l += 1
     return math.sqrt(total / g.m.min())
+
+
+def tail_series_longdouble(lam, first, weight):
+    """sum_{l >= first} weight(l) lam^{2l} for each entry of lam
+    (|lam| < 1), in np.longdouble, one level at a time until a level
+    changes no sum."""
+    z = np.square(np.asarray(lam, dtype=np.longdouble))
+    zpow = z ** first
+    total = np.zeros_like(z)
+    level = first
+    while True:
+        grown = total + weight(level) * zpow
+        if np.array_equal(grown, total):
+            return total
+        total = grown
+        zpow *= z
+        level += 1
+
+
+def _mean_zero_modes(g, u):
+    """(eigenvalues, coefficients) of u on the oracle's mean-zero
+    eigenvectors (the top one, lam = 1, is the constants)."""
+    o = spectral(g)
+    coeff = o.basis.T @ (np.asarray(u, dtype=float) * o.sqrt_m)
+    return o.eigenvalues[:-1], coeff[:-1]
+
+
+def lusin_tail_mass_exact(g, h, beta, K, order=0.0):
+    """sum_{l>K} (l+1)^{2 beta - 1} ||P^l u||_m^2 for u = Delta^order h,
+    h mean-zero, with no horizon: over the oracle's mean-zero
+    eigenvalues, each series summed in np.longdouble
+    (`tail_series_longdouble`) and weighted by (1 - lam)^{2 order}."""
+    lam, coeff = _mean_zero_modes(g, h)
+    a = np.longdouble(2 * beta - 1)
+    chi = tail_series_longdouble(lam, K + 1, lambda l: np.longdouble(l + 1) ** a)
+    chi *= np.power(1.0 - lam.astype(np.longdouble), 2 * np.longdouble(order))
+    return float(np.sum(np.square(coeff.astype(np.longdouble)) * chi))
+
+
+def reproducing_tail_exact(g, h, K, eta, power):
+    """sum_{j>K} c_{j+1} Delta^power P^{2j} h, c_{j+1} = C(j + eta - 1,
+    eta - 1), for a mean-zero h, with no horizon: over the oracle's
+    mean-zero eigenvalues, each series summed in np.longdouble."""
+    lam, coeff = _mean_zero_modes(g, h)
+    series = tail_series_longdouble(
+        lam, K + 1, lambda j: np.longdouble(math.comb(j + eta - 1, eta - 1)))
+    psi = np.power(1.0 - lam.astype(np.longdouble), power) * series
+    o = spectral(g)
+    return o.basis[:, :-1] @ (psi * coeff).astype(float) / o.sqrt_m
 
 
 def naive_tent_functional(g, F):

@@ -227,3 +227,45 @@ def test_above_the_oracle_cap_exit_code(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(calculus.spla, "eigsh", no_convergence)
     assert main(["riesz", "lazy_cycle_16", "--n", "2"]) == 1
     assert "Lanczos estimate of lambda_star failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["--lmax", "40", "decompose", "lazy_cycle_16", "--f", "F"], "--lmax"),
+    (["--lmax", "40", "bmo", "k2l", "--f", "F"], "--lmax"),
+    (["--tol", "1e-6", "quadnorm", "k2l", "--f", "F"], "--tol"),
+    (["--tol", "1e-6", "riesz", "lazy_cycle_16"], "--tol"),
+    (["--seed", "3", "decompose", "lazy_cycle_16", "--f", "F"], "--seed"),
+    (["--seed", "3", "geometry", "k2l"], "--seed"),
+    (["--seed", "3", "gaffney", "k2l", "--E", "0", "--F", "1"], "--seed"),
+])
+def test_global_option_a_subcommand_does_not_read_is_refused(capsys, argv, option):
+    # a global option the subcommand never reads is a usage error naming
+    # it, not dropped without a word; nothing runs
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"{option} is not read by {argv[2]}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lmax", "8", "quadnorm", "k2l", "--f", "F"],
+    ["--tol", "1e-6", "decompose", "k2l", "--f", "F"],
+    ["--seed", "2", "bmo", "k2l", "--f", "F", "--smax", "2"],
+])
+def test_global_option_a_subcommand_reads_is_kept(capsys, f0_csv, argv):
+    assert main([f0_csv if a == "F" else a for a in argv]) == 0
+    assert capsys.readouterr().out
+
+
+def test_scoped_option_defaults_reach_their_readers(monkeypatch, f0_csv):
+    # without the options, their readers see the documented defaults
+    seen = {}
+
+    def record(args):
+        seen.update(lmax=args.lmax, tol=args.tol, seed=args.seed)
+        return 0
+
+    monkeypatch.setattr("graphhardy.cli.cmd_decompose", record)
+    assert main(["decompose", "k2l", "--f", f0_csv]) == 0
+    assert seen == {"lmax": None, "tol": 1e-8, "seed": 0}

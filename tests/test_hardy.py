@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import (ball_matrix_dense, delta_power_exact, horner_synthesis_levels_first,
-                     make_form_molecule_from_tent_atom, resolvent_exact, top_level)
+                     lusin_tail_mass_exact, make_form_molecule_from_tent_atom, resolvent_exact,
+                     top_level)
 
 from graphhardy import calculus, graphs, hardy
 from graphhardy.calculus import (
@@ -51,7 +52,7 @@ from graphhardy.operators import (
     mean_project,
     random_mean_zero,
 )
-from graphhardy.quadratic import SpaceTimeFunction, lusin, lusin_tail_bound, quad_norm
+from graphhardy.quadratic import SpaceTimeFunction, default_l_max, lusin, lusin_tail_bound
 from graphhardy.riesz import molecule_suite, riesz as riesz_transform
 from graphhardy.tentspace import (TentAtom, TentDecomposition, atomic_decompose,
                                   eta_coefficients, horner_synthesis, tent)
@@ -241,8 +242,8 @@ def test_synthesis_truncation_invariant(cycle32, kind):
 
 def _stage_input(name, kind, seed=3):
     """(graph, tent decomposition, d0) of a noise input on a zoo fixture,
-    built as molecular_decompose (bz2) or form_molecular_decompose (form)
-    builds it."""
+    its profile truncated at the reproducing horizon `pipeline_l_max`
+    without a tail, so the synthesis scans every level it needs."""
     g = by_name(name)
     f = require_mean_zero(g, random_mean_zero(g, np.random.default_rng(seed)))
     d0 = cached_geometry(g).d0_estimate
@@ -354,18 +355,20 @@ def test_annulus_tables_match_the_annulus_masks(name):
 
 
 def test_decomposition_counts_its_products_and_oracle_applies(monkeypatch):
-    # the profile walk makes l_max products, the synthesis prefix one per
-    # factor of (I + P)^eta and Delta^exp on the block of all atoms, each
-    # Horner scan top - 1, a = Delta^M X and the M scale factors of b one
-    # each on the (n, atoms) output, and nothing else any; the oracle
-    # applies Delta^beta once and rederives a once per distinct s
+    # the profile walk makes default_l_max products, the synthesis prefix
+    # one per factor of (I + P)^eta and Delta^exp on the block of all
+    # atoms, each Horner scan top - 1, a = Delta^M X and the M scale
+    # factors of b one each on the (n, atoms) output, and nothing else
+    # any; the oracle applies Delta^beta, the tail's Lusin symbol and its
+    # synthesis symbol once each, and rederives a once per distinct s
     g = by_name("lazy_cycle_32")
     f = random_mean_zero(g, np.random.default_rng(8))
     d0 = cached_geometry(g).d0_estimate
     M, beta = 1, 1.0
     eta = synthesis_eta(M, beta, 1.0, d0)
-    l_max = pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2))
-    tdec = atomic_decompose(g, heat_profile(g, f, beta, l_max), tol=1e-8)
+    l_max = default_l_max(g)
+    F = heat_profile(g, f, beta, reach=pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2)))
+    tdec = atomic_decompose(g, F, tol=1e-8)
     tops = [atom.values.top for _, atom in tdec.coefficients]
     applies = []
     apply = calculus.SpectralOracle.apply
@@ -380,7 +383,7 @@ def test_decomposition_counts_its_products_and_oracle_applies(monkeypatch):
     assert len(dec.coefficients) == len(tops) > 1
     exp = eta - beta - M
     assert g.matvec_calls == l_max + (eta + exp + 2 * M) + sum(t - 1 for t in tops)
-    assert len(applies) == 1 + len({mol.s for _, mol in dec.coefficients})
+    assert len(applies) == 3 + len({mol.s for _, mol in dec.coefficients})
 
 
 @pytest.mark.parametrize("kind", ["bz2", "form"])
@@ -405,32 +408,38 @@ def test_stage_peak_stays_near_its_block(name, kind):
     assert peak < 2.6 * block
 
 
+def _lusin_without_horizon(g, f, beta, h, order):
+    """||L_beta f||_1 with no horizon: the cone sums up to default_l_max,
+    where every cone is the whole graph from the next level on, and past
+    it the dense reference of the tail's Lusin mass, shared by every x,
+    of the profile generated by Delta^beta f = Delta^order h."""
+    K = default_l_max(g)
+    tail = lusin_tail_mass_exact(g, h, beta, K, order) / g.total_volume()
+    return lp_norm(g, np.sqrt(lusin(g, f, beta, K) ** 2 + tail), 1)
+
+
 @pytest.mark.parametrize("name", ["lazy_cycle_32", "lazy_torus_16"])
 def test_molecular_quad_norm_matches_lusin(name):
-    # the reported quad_norm comes from the heat profile; it must equal
-    # the direct ||L_beta f||_1 over the same horizon
+    # the reported quad_norm comes from the heat profile and its tail; it
+    # must equal the direct ||L_beta f||_1 with no horizon
     g = by_name(name)
     f = random_mean_zero(g, np.random.default_rng(11))
     dec = molecular_decompose(g, f, 1, 1.0, 1.0, tol=1e-8)
-    d0 = cached_geometry(g).d0_estimate
-    eta = synthesis_eta(1, 1.0, 1.0, d0)
-    l_max = pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2))
-    direct = quad_norm(g, f, 1.0, l_max)
+    direct = _lusin_without_horizon(g, f, 1.0, f, 1.0)
     assert abs(dec.quad_norm - direct) <= 1e-12 * direct
 
 
 @pytest.mark.parametrize("name", ["lazy_cycle_16", "lazy_torus_8", "lazy_cycle_32"])
 def test_form_quad_norm_matches_lusin(name):
     # the forms pipeline reports the T^1_2 norm of its profile
-    # sqrt(l+1) P^l w, w = d* F; it must equal the direct quadratic norm
-    # ||L_{1/2} Delta^{-1/2} w||_1 over the same horizon
+    # sqrt(l+1) P^l w, w = d* F, and its tail; it must equal the direct
+    # quadratic norm ||L_{1/2} Delta^{-1/2} w||_1 with no horizon
     g = by_name(name)
     F = differential(g, random_mean_zero(g, np.random.default_rng(12)))
     dec = form_molecular_decompose(g, F, 1, 1.0, tol=1e-8)
-    eta = synthesis_eta_forms(1, 1.0, cached_geometry(g).d0_estimate)
-    l_max = pipeline_l_max(g, eta, 1e-8 / math.sqrt(2.0), lp_norm_forms(g, F, 2))
-    w = divergence(g, F)
-    direct = quad_norm(g, delta_power_exact(g, mean_project(g, w), -0.5), 0.5, l_max)
+    w = mean_project(g, divergence(g, F))
+    direct = _lusin_without_horizon(g, delta_power_exact(g, w, -0.5), 0.5,
+                                    delta_power_exact(g, w, -1.0), 1.0)
     assert abs(dec.quad_norm - direct) <= 1e-13 * direct
 
 
@@ -533,14 +542,14 @@ def test_pipeline_is_the_stage_chain(kind, M):
     if kind == "bz2":
         dec = molecular_decompose(g, f, M, 1.0, 1.0, tol=1e-8)
         eta = synthesis_eta(M, 1.0, 1.0, d0)
-        F = heat_profile(g, f, 1.0, pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2)))
+        F = heat_profile(g, f, 1.0, reach=pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2)))
         target, norm = f, lp_norm
     else:
         dF = differential(g, f)
         dec = form_molecular_decompose(g, dF, M, 1.0, tol=1e-8)
         eta = synthesis_eta_forms(M, 1.0, d0)
-        l_max = pipeline_l_max(g, eta, 1e-8 / math.sqrt(2.0), lp_norm_forms(g, dF, 2))
-        F = form_profile(g, divergence(g, dF), l_max)
+        F = form_profile(g, divergence(g, dF), reach=pipeline_l_max(
+            g, eta, 1e-8 / math.sqrt(2.0), lp_norm_forms(g, dF, 2)))
         target = dF.data
 
         def norm(g, x, p):

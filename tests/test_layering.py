@@ -70,7 +70,7 @@ ALLOWED = {
     # from the oracle or certified by spectrum slicing
     "_certify": (set(), {"calculus.spectrum"}),
     "_negative_pivots": (set(), {"calculus._certify"}),
-    "spectrum": (set(), {"calculus._delta_power_column", "hardy._decompose",
+    "spectrum": (set(), {"calculus._deflated", "hardy._decompose",
                          "tentspace.reproducing_l_max", "quadratic.lusin_tail_bound"}),
     # the series path is reached through `phi_apply` and the certified
     # series objects of `calculus`
