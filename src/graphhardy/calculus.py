@@ -31,13 +31,13 @@ by spectrum slicing above it.
 
 `phi_apply` is the one place that chooses between oracle and series, and
 `delta_power_apply` (Delta^beta for every real beta), `resolvent_apply`
-((I + s Delta)^{-power}), `a_s`, and the two symbols of a profile's
-closed-form tail (`lusin_tail_apply`, `reproducing_tail_apply`) reach it
-with their pair; on the series path the synthesis tail may also walk its
-first levels, where its column alone would round past the tolerance it
-is asked for.  The series of Delta^beta and of the resolvents are also
-built whatever n, as the certified objects `delta_power_series` and
-`resolvent_frac_series`.
+((I + s Delta)^{-power}), `a_s`, and the symbols of a profile's
+closed-form tail reach it with their pair: its Lusin mass
+(`lusin_tail_apply`) and its share of a molecule and of the molecule's
+pre-image (`synthesis_tail_apply`), bounded symbols whose columns sum to
+about their size.  The series of Delta^beta and of the resolvents are
+also built whatever n, as the certified objects `delta_power_series`
+and `resolvent_frac_series`.
 
 A sequence of scales (the sup over s of the BMO norm, the Davies-Gaffney
 decay curves) is evaluated as one block, one column per scale: the oracle
@@ -73,8 +73,8 @@ import scipy.sparse.linalg as spla
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk, UncertifiedSpectrum)
 from .graphs import WeightedGraph, set_distance
-from .operators import (apply_P, chebyshev_blocks, delta_steps, gradient, heat_sweep, horner,
-                        lp_norm, mean_project, powers, spectral_interval, weighted_powers)
+from .operators import (apply_P, chebyshev_blocks, delta_steps, gradient, heat_sweep, lp_norm,
+                        mean_project, powers, spectral_interval)
 
 # Largest n the dense oracle is built for: its eigh costs 0.04 s at
 # n = 256 and 0.73 s at n = 1,024 (one BLAS thread), while the
@@ -585,26 +585,33 @@ def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
 
 # Absolute tolerance of the tail's Lusin column, for a potential of unit norm.
 TAIL_TOL = 1e-12
-# Levels per pass of the direct sum in `_power_tail` and of the walk in
-# `_walked_tail`.
+# Levels per pass of the direct sum in `_power_tail`.
 TAIL_CHUNK = 1024
-# Furthest level past its start from which a tail's synthesis column is
-# sought (`reproducing_tail_apply`); the reproducing horizon's cap.
-TAIL_WALK_CAP = 200_000
+
+
+def _binomial_head(p, r, K: int, eta: int):
+    """sum_{i<eta} C(K + eta, i) p^i r^{2(K + eta - i)}."""
+    return sum(float(math.comb(K + eta, i)) * p ** i * r ** (2 * (K + eta - i))
+               for i in range(eta))
+
+
+def _reproducing_error(lam, K: int, eta: int):
+    """E(lam) = (1 - lam^2)^eta sum_{j>K} C(j + eta - 1, eta - 1) lam^{2j}
+    = 1 - (1 - z)^eta sum_{j<=K} c_{j+1} z^j, z = lam^2: what a
+    reproducing sum stopped at level K misses (`tentspace.eta_coefficients`
+    gives the c_l).  With p = 1 - z = (1 - lam)(1 + lam) (exact where z is
+    near 1) it is the chance of fewer than eta successes of probability
+    p in K + eta trials, the finite positive sum
+    sum_{i<eta} C(K + eta, i) p^i z^{K+eta-i}: nothing cancels, it lies
+    in [0, 1] for |lam| <= 1, and each z^k is taken as |lam|^{2k},
+    rounded once."""
+    return _binomial_head((1.0 - lam) * (1.0 + lam), np.abs(lam), K, eta)
 
 
 def _negative_binomial_tail(lam, K: int, eta: int):
-    """sum_{j>K} C(j + eta - 1, eta - 1) lam^{2j} for |lam| < 1.  With
-    z = lam^2 and p = 1 - z = (1 - lam)(1 + lam) (exact where z is near
-    1), p^eta times it is the chance that more than K failures come
-    before the eta-th success of probability p, that is, fewer than eta
-    successes in K + eta trials, so it is the finite positive sum
-    p^{-eta} sum_{i<eta} C(K + eta, i) p^i z^{K+eta-i}: nothing cancels,
-    and each z^k is taken as |lam|^{2k}, rounded once."""
-    p = (1.0 - lam) * (1.0 + lam)
-    r = np.abs(lam)
-    return sum(float(math.comb(K + eta, i)) * p ** i * r ** (2 * (K + eta - i))
-               for i in range(eta)) / p ** eta
+    """sum_{j>K} C(j + eta - 1, eta - 1) lam^{2j} for |lam| < 1:
+    E(lam) / (1 - lam^2)^eta (`_reproducing_error`)."""
+    return _reproducing_error(lam, K, eta) / ((1.0 - lam) * (1.0 + lam)) ** eta
 
 
 def _power_tail(lam, K: int, a: float):
@@ -651,13 +658,6 @@ def _lusin_tail_symbol(lam, K: int, a: float, order: float):
     return (1.0 - lam) ** (2.0 * order) * _on_open_disc(lambda x: _power_tail(x, K, a), lam)
 
 
-def _reproducing_tail_symbol(lam, K: int, eta: int, power: float):
-    """psi(lam) = (1 - lam)^power sum_{j>K} C(j + eta - 1, eta - 1) lam^{2j}
-    (0 at |lam| = 1)."""
-    return (1.0 - lam) ** power * _on_open_disc(lambda x: _negative_binomial_tail(x, K, eta),
-                                                lam)
-
-
 def _tail_series(symbol, sup, tol: float, interval):
     """The deflated Chebyshev column (coeffs, tail bound, interval, True)
     of a tail symbol(lam), analytic on |lam| < 1 with poles at lam = +-1,
@@ -682,18 +682,6 @@ def _lusin_tail_column(K: int, a: float, order: float, tol: float, interval):
                         tol, interval)
 
 
-@_memo
-def _reproducing_tail_column(K: int, eta: int, power: float, tol: float, interval):
-    """psi of `_reproducing_tail_symbol` on a deflated interval: on
-    |lam| <= R, |1 - lam|^power <= (1 + R)^power, and the negative
-    binomial tail, whose coefficients in lam^2 are nonnegative, is at
-    most its value at R."""
-    return _tail_series(
-        lambda lam: _reproducing_tail_symbol(lam, K, eta, power),
-        lambda R: (1.0 + R) ** power * _negative_binomial_tail(R, K, eta),
-        tol, interval)
-
-
 def lusin_tail_apply(g: WeightedGraph, h, beta: float, order: float, K: int):
     """chi(P) h for a mean-zero potential h of u = Delta^order h, with
     chi(lam) = (1 - lam)^{2 order} sum_{l>K} (l+1)^{2 beta - 1} lam^{2l}:
@@ -706,84 +694,48 @@ def lusin_tail_apply(g: WeightedGraph, h, beta: float, order: float, K: int):
                                                             _deflated(g, interval)))
 
 
-def _tail_rounding(coeffs) -> float:
-    """eps sum_k (k + 1) |c_k|: an estimate, not a bound, of the rounding
-    of a Chebyshev column's three-term walk per unit of its input, the
-    error of T_k(X) f growing about linearly in k.  It reads 0.8x the
-    series' gap to the oracle on binary_tree(9) and 0.7x on
-    lazy_torus_2d(17) (the tail columns on f, beta 1); the pipeline's
-    residual check stays the guarantee."""
-    return float(np.finfo(float).eps * np.abs(coeffs) @ np.arange(1.0, len(coeffs) + 1.0))
+def _synthesis_tail_symbol(lam, s, K: int, eta: int, power: float, q: float):
+    """phi(lam) = ((1 + s(1 - lam))/s)^q (1 - lam)^power E(lam) (0 at
+    |lam| = 1), E of `_reproducing_error`."""
+    return _on_open_disc(lambda x: ((1.0 + s * (1.0 - x)) / s) ** q * (1.0 - x) ** power
+                         * _reproducing_error(x, K, eta), lam)
 
 
-def _walked_tail(g: WeightedGraph, h, K: int, J: int, eta: int, power: int):
-    """sum_{K < j <= J} c_{j+1} Delta^power P^{2j} h, c_{j+1} =
-    C(j + eta - 1, eta - 1), as the profile pipeline sums stored levels:
-    each level c_{j+1} Delta^power P^j h is walked and then differenced,
-    and the Horner scan adds the second P^j, TAIL_CHUNK levels a pass
-    from the top, each pass regenerated from P^lo h, kept from one
-    forward walk, and ending on the scan of the pass above."""
-    starts = np.arange(K + 1, J + 1, TAIL_CHUNK)
-    marks = heat_sweep(g, h, starts)
-    acc = None
-    for i in reversed(range(len(starts))):
-        lo = int(starts[i])
-        U = weighted_powers(g, marks[:, i], [float(math.comb(j + eta - 1, eta - 1))
-                                             for j in range(lo, min(lo + TAIL_CHUNK, J + 1))])
-        delta_steps(g, U, power)
-        acc = horner(g, U if acc is None else np.column_stack([U, acc]))
-    return heat_sweep(g, acc, [K + 1])[:, 0]
+@_memo
+def _synthesis_tail_column(s, K: int, eta: int, power: float, q: float, tol: float,
+                           interval):
+    """phi of `_synthesis_tail_symbol` on a deflated interval: on
+    |lam| <= R, |1 - lam|^power is at most (1 + R)^power for power >= 0
+    and (1 - R)^power below, |1 + s(1 - lam)| <= 1 + s(1 + R), and |E| is
+    at most its terms' moduli, `_binomial_head` at p = 1 + R^2."""
+    def sup(R):
+        front = (1.0 + R) ** power if power >= 0 else (1.0 - R) ** power
+        return ((1.0 + s * (1.0 + R)) / s) ** q * front * _binomial_head(1.0 + R * R, R, K, eta)
+    return _tail_series(lambda lam: _synthesis_tail_symbol(lam, s, K, eta, power, q), sup,
+                        tol, interval)
 
 
-def _reproducing_tail_series(K: int, eta: int, power: float, tol: float, interval):
-    """(J, column): the deflated column of psi past level J for a
-    potential of unit norm, truncated at tol / 4 (rounded down to a power
-    of two, so that inputs share columns) with its walk's rounding
-    (`_tail_rounding`) at most tol / 4, and the first such J of K + TAIL_CHUNK
-    2^i; NonConvergent if J passes K + TAIL_WALK_CAP, or if the walk it
-    needs is of a fractional power."""
-    col_tol = 2.0 ** math.floor(math.log2(tol / 4.0))
-    J = K
-    while True:
-        column = _reproducing_tail_column(J, eta, power, col_tol, interval)
-        rounding = _tail_rounding(column[0])
-        if rounding <= tol / 4.0:
-            return J, column
-        J = K + max(TAIL_CHUNK, 2 * (J - K))
-        if J - K > TAIL_WALK_CAP or not float(power).is_integer():
-            raise NonConvergent(f"the tail's synthesis series rounds to {rounding:.2e} of "
-                                f"its input, above {tol / 4.0:.2e}, and no walk of its "
-                                "first levels mends it")
+def synthesis_tail_apply(g: WeightedGraph, h, K: int, eta: int, power: float, s: float,
+                         q: float, tol: float):
+    """phi(P) h for a mean-zero potential h, phi(lam) = ((1 + s(1 -
+    lam))/s)^q (1 - lam)^power E(lam), within tol on the series path: the
+    levels j > K of a synthesis sum_j c_{j+1} Delta^exp (I + P)^eta P^{2j} u
+    of a profile (j+1)^beta P^j u, u = Delta^order h, are
+    Delta^{exp + order - eta} E(P) h (`_reproducing_error`).  A molecule
+    reads them at power 0 (a = Delta^M X) and through its pre-image
+    ((I + s Delta)/s)^q at power -M (b = Q_s X), both bounded, E being in
+    [0, 1] and s (1 - lambda_star) large for the whole-graph atom.
 
-
-def reproducing_tail_apply(g: WeightedGraph, h, K: int, eta: int, power: float, tol: float):
-    """psi(P) h for a mean-zero potential h within about tol, psi(lam) =
-    (1 - lam)^power sum_{j>K} c_{j+1} lam^{2j}, with c_l = C(l + eta - 2,
-    eta - 1) the coefficients of (1 - z)^{-eta}
-    (`tentspace.eta_coefficients`): the levels j > K of the synthesis
-    sum_j c_{j+1} Delta^exp P^{2j} u of a profile (j+1)^beta P^j u, for
-    u = Delta^order h and power = exp + order.
-
-    The oracle applies psi.  The series truncates its column at tol / 4
-    and holds its walk's rounding to tol / 4, both for the norm of h:
-    where P mixes slowly the column is large near lam = 1, and then the
-    levels K < j <= J before the first column that meets it are summed
-    as stored levels are (`_reproducing_tail_series`, `_walked_tail`)."""
+    The oracle applies phi; the series truncates its column at tol for
+    the norm of h, rounded down to a power of two so that inputs share
+    columns."""
     norm = lp_norm(g, h, 2)
     if norm == 0.0:
         return np.zeros(g.n)
-    walk = []  # the series path's J
-
-    def column(_, interval):
-        J, col = _reproducing_tail_series(K, eta, power, tol / norm, _deflated(g, interval))
-        walk.append(J)
-        return col
-
-    out = phi_apply(g, h, None, lambda lam, _: _reproducing_tail_symbol(lam, K, eta, power),
-                    column)
-    if walk and walk[0] > K:
-        out += _walked_tail(g, h, K, walk[0], eta, int(power))
-    return out
+    col_tol = 2.0 ** math.floor(math.log2(tol / norm))
+    return phi_apply(g, h, s, lambda lam, t: _synthesis_tail_symbol(lam, t, K, eta, power, q),
+                     lambda t, interval: _synthesis_tail_column(t, K, eta, power, q, col_tol,
+                                                                _deflated(g, interval)))
 
 
 # -- certified series objects ---------------------------------------------------

@@ -340,9 +340,18 @@ def build_parser():
 
 def parse_args(argv=None):
     """The parsed command line; a SCOPED_OPTIONS option given to a
-    subcommand that does not read it is a usage error (exit 2)."""
+    subcommand that does not read it is a usage error (exit 2).  A `--E`
+    or `--F` value that starts with one minus (a coordinate such as
+    `-1,3`, which argparse would take for an option) is joined to its
+    option as `--E=-1,3` is, so `_parse_vertices` names it."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--E", "--F") and arg[:1] == "-" and arg[:2] != "--":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = parser.parse_args(joined)
     for name, (readers, default) in SCOPED_OPTIONS.items():
         if not hasattr(args, name):
             setattr(args, name, default)

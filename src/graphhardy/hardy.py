@@ -324,12 +324,16 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
         X = sum_l (c_l^eta / l^beta) Delta^exp (I + P)^eta P^{l-1} A(., l-1)
 
     over the stored levels l - 1 < top (`horner_synthesis`), so nothing
-    depends on the atoms' l_max, and, for the whole-graph atom of a
-    profile with a tail, over every level past them in closed form
-    (`ProfileTail.synthesis`).  The molecule is a = Delta^M X (bz2) or
+    depends on the atoms' l_max.  The molecule is a = Delta^M X (bz2) or
     d Delta^M X (form), `delta_steps` in place on the (n, k) output, and
     its pre-image is b = Q_s X (`_pre_images`), so b and a factor as in
-    the module docstring.
+    the module docstring.  For the whole-graph atom of a profile with a
+    tail, the levels past the stored ones enter Delta^M X and b in closed
+    form, each one bounded function of P on the tail's potential
+    (`ProfileTail.share`): E(P) h / scale, E in [0, 1] the reproducing
+    error of the stored levels, and Q_s Delta^{-M} E(P) h / scale, with
+    Q_s of power q = M (bz2) or M + 1/2 (forms).  X itself, whose tail
+    part grows like (1 - lam)^{-M} near lam = 1, is never formed.
 
     b and a are divided by the measured annulus excess of b (kept in
     norm_constant), and the block is validated against the same annulus
@@ -351,6 +355,10 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     X = horner_synthesis(g, [A.values for A in atoms], eta, beta, exp)
     b = _pre_images(g, kind, M, X, np.array(s, dtype=float))
     delta_steps(g, X, M)
+    for i, tail in enumerate(A.values.tail for A in atoms):
+        if tail is not None:
+            X[:, i] += tail.share(eta, beta)
+            b[:, i] += tail.share(eta, beta, -M, s[i], M if kind == "bz2" else M + 0.5)
     a = differential(g, X).data if kind == "form" else X
     measured, bounds = _size_table(g, eps, balls, b)
     over = measured > bounds * (1.0 + SIZE_TOL)
@@ -472,11 +480,12 @@ def _decompose(g: WeightedGraph, kind: str, target, profile, M: int, beta: float
     holds the rest as its closed-form tail, which joins the whole-graph
     atom, so the reproducing sum is not truncated; the tent partition is
     exact, so the L^2 residual lands below tol (NonConvergent otherwise).
-    The tail's synthesis is held to horizon_tol / 2, the share of the
-    residual a truncated profile's horizon left, and the whole-graph
-    atom's radius, and so its molecule's scale s = r^2, covers the
-    tail's levels up to its reach, `pipeline_l_max` at horizon_tol: the
-    level by which the reproducing sum has converged to horizon_tol / 2."""
+    The tail's shares of the molecules are held to horizon_tol / 2, the
+    part of the residual a truncated profile's horizon left, and the
+    whole-graph atom's radius, and so its molecule's scale s = r^2,
+    covers the tail's levels up to its reach, `pipeline_l_max` at
+    horizon_tol: the level by which the reproducing sum has converged to
+    horizon_tol / 2."""
     spectrum(g)
     norm = lp_norm(g, _level(g, kind, target), 2)
     if norm == 0.0:
@@ -517,7 +526,13 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
 
 
 def is_exact_form(g: WeightedGraph, F: EdgeFunction, tol=1e-8) -> bool:
-    gap = lp_norm_forms(g, h2_project(g, F) - F, 2)
+    return _is_exact(g, F, h2_project(g, F), tol)
+
+
+def _is_exact(g: WeightedGraph, F: EdgeFunction, projected: EdgeFunction, tol) -> bool:
+    """Whether F lies within tol (relative, at least absolute) of its
+    projection d Delta^{-1} d* F onto the exact forms."""
+    gap = lp_norm_forms(g, projected - F, 2)
     return gap <= tol * max(1.0, lp_norm_forms(g, F, 2))
 
 
@@ -526,14 +541,18 @@ def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
     """Molecular representation of an exact 1-form F from the profile
     sqrt(l+1) P^l w, w = d*F, whose Lusin weight |P^l w|^2 is that of
     Delta^{-1/2} w at beta = 1/2; d is L^2-bounded by sqrt(2), so the
-    reach of the tail (`_decompose`) keeps that margin.  M >= 1 and a
+    reach of the tail (`_decompose`) keeps that margin.  The potential
+    Delta^{-1} w of the exactness check (`h2_project`'s) is the one the
+    profile's tail holds (`form_profile`'s), solved once.  M >= 1 and a
     finite eps > 0, or ValueError at once."""
     _require_orders(M, eps)
-    if not is_exact_form(g, F, tol):
-        raise NotExactForm("input form is not a differential")
     w = divergence(g, F)
+    h = delta_power_apply(g, w, -1.0)
+    if not _is_exact(g, F, differential(g, h), tol):
+        raise NotExactForm("input form is not a differential")
     return _decompose(g, "form", F.data,
-                      lambda reach, tail_tol: form_profile(g, w, reach=reach, tol=tail_tol),
+                      lambda reach, tail_tol: _profile(g, w, 0.5, None, lambda: h, 1.0, reach,
+                                                       tail_tol),
                       M, 0.5, eps, tol, tol / math.sqrt(2.0))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (TAIL_TOL, delta_power_apply, delta_power_series, lusin_tail_apply,
-                       reproducing_tail_apply, require_mean_zero, spectrum)
+                       require_mean_zero, spectrum, synthesis_tail_apply)
 from .errors import PeriodicWalk
 from .graphs import WeightedGraph, row_blocks
 from .operators import (
@@ -60,16 +60,16 @@ class ProfileTail:
     generator u = Delta^order h (bz2: f, of u = Delta^beta f; forms:
     Delta^{-1} w, of u = w).  Past start >= diam^2 every parabolic cone
     is the whole graph, so all that the tent functional and the
-    synthesis read of these levels is two functions of P applied to h:
-    their Lusin mass (`mass`) and their part of the synthesis sum
-    (`synthesis`).  They act on h rather than on u because a slowly
-    mixing walk makes both large near lam = 1, where u = Delta^order h
-    is small: on h the symbols carry that factor, and the series path
-    loses no digits to it.
+    synthesis read of these levels are functions of P applied to h:
+    their Lusin mass (`mass`) and their share of a synthesis (`share`).
+    They act on h rather than on u because a slowly mixing walk makes
+    the symbols large near lam = 1, where u = Delta^order h is small: on
+    h the symbols carry that factor, and the series path loses no digits
+    to it.
 
-    `tol` is the accuracy the synthesis is held to (`reproducing_tail_apply`),
-    the share of the molecular pipeline's tolerance that a truncated
-    profile's horizon had; None holds it to TAIL_TOL times the norm of h.
+    `tol` is the accuracy of `share`, the share of the molecular
+    pipeline's tolerance that a truncated profile's horizon had; None
+    holds it to TAIL_TOL times the norm of h.
 
     An atom over B(x, r) covers the levels below r^2, so the atom that
     holds the tail, whose levels never end, takes its radius from the
@@ -104,14 +104,23 @@ class ProfileTail:
         chi_h = lusin_tail_apply(self.graph, h, self.beta, self.order, self.start)
         return inner(self.graph, chi_h, h) / self.scale ** 2
 
-    def synthesis(self, eta: int, exp: float) -> np.ndarray:
-        """sum_{l > start} (c_{l+1}^eta / (l+1)^beta) Delta^exp P^l F(., l)
-        = psi(P) h / scale, psi of the power exp + order
-        (`reproducing_tail_apply`), within tol / scale."""
+    def share(self, eta: int, beta: float, power: float = 0.0, s: float = 1.0,
+              q: float = 0.0) -> np.ndarray:
+        """((I + s Delta)/s)^q Delta^power E(P) h / scale within tol / scale,
+        E(P) = (I - P^2)^eta sum_{l > start} c_{l+1}^eta P^{2l}
+        (`synthesis_tail_apply`): the levels' share of
+        Delta^{eta - order + power} (I + P)^eta sum_l (c_{l+1}^eta /
+        (l+1)^beta) P^l F(., l), for a synthesis of this tail's beta
+        (ValueError otherwise).  At power 0 it is their share of a
+        molecule a = Delta^M X, at power -M with q and s that of its
+        pre-image b = Q_s X (`hardy.synthesize_molecules`), and at power
+        order - beta that of pi_{eta, beta} (`tentspace.pi_synthesis`)."""
+        if beta != self.beta:
+            raise ValueError(f"a tail of weight (l+1)^{self.beta} synthesized at beta = {beta}")
         h = self.potential
         tol = TAIL_TOL * lp_norm(self.graph, h, 2) if self.tol is None else self.tol
-        return reproducing_tail_apply(self.graph, h, self.start, eta, exp + self.order,
-                                      tol) / self.scale
+        return synthesis_tail_apply(self.graph, h, self.start, eta, power, s, q,
+                                    tol) / self.scale
 
 
 def tail_mass(F) -> float:

@@ -19,17 +19,20 @@ atom only into its own (n, top) column range, below its last level, of
 one block shared by all atoms it synthesizes.
 
 Synthesis splits the heat prefix Delta^exp (I + P)^eta of the paper's
-pi_{eta, beta}: Delta^exp runs on that block of levels, because the raw
-sum over the levels cancels and the cancellative factor must come
-before it, and (I + P)^eta, whose spectrum lies in [0, 2^eta], runs on
-the (n, atoms) output of the scans.
+pi_{eta, beta}: the integer part of Delta^exp runs on that block of
+levels, because the raw sum over the levels cancels and the
+cancellative factor must come before it, and its fractional part and
+(I + P)^eta, whose spectrum lies in [0, 2^eta], run on the (n, atoms)
+output of the scans.
 
 A profile's levels past l_max >= diam^2 may come as its closed-form
 tail (`ProfileTail`) instead of stored.  A tent over any proper vertex
 set has height at most diam^2, so those levels all lie in the one piece
 over the whole graph: the decomposition adds the tail's Lusin mass to
-that piece, and to A F(x)^2 over m(Gamma) at every x, and the synthesis
-adds that atom's tail as one function of P applied to its potential.
+that piece, and to A F(x)^2 over m(Gamma) at every x.  The scan reads
+stored levels only; what a synthesis makes of the tail is one bounded
+function of P applied to its potential (`ProfileTail.share`), added to
+the scan's output by `pi_synthesis` and by the molecule stage.
 """
 
 from __future__ import annotations
@@ -351,36 +354,36 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
                      exp: float) -> np.ndarray:
     """The (n, k) block whose column i is
     sum_{l>=1} (c_l^eta / l^beta) Delta^exp (I + P)^eta P^{l-1} F_i(., l-1)
-    for the k space-time functions F_i held in `atoms` (SpaceTimeEntries):
-    the stored levels l - 1 < top_i are scanned, and the levels of a
-    tail, (l+1)^beta P^l u / scale for l past l_max, come in closed form,
-    psi(P) h / scale for the potential h of u (`ProfileTail.synthesis`,
-    which needs the tail's beta to be this beta), added to the scan's
-    output.
+    over the stored levels l - 1 < top_i of the k space-time functions
+    F_i held in `atoms` (SpaceTimeEntries); a tail is not read.
 
     Only the levels l - 1 < top_i = `atoms[i].top` are visited: every F_i
     is scattered into its own column range of one (n, sum_i top_i)
-    block, Delta^exp is applied to that whole block in place (one block
-    product per factor, whatever k), each column is scaled by its
+    block, the floor(exp) exact steps of Delta^exp are applied to that
+    whole block in place (`operators.delta_steps`, one block product per
+    step, whatever k), each column is scaled by its
     level's entry of one coefficient table up to max_i top_i, in one
     multiply, each function's columns are scanned by `operators.horner`
-    (top_i - 1 products), and (I + P)^eta is applied to the (n, k)
-    output.  This is exact, not an approximation: the factors are linear
-    and column-wise, so a zero level contributes a zero column, and the
-    scan over the levels above top_i only ever carries the zero vector.
-    A tent atom over B(x, R) lives at levels k < R^2, so top_i is
-    usually far below the horizon.
+    (top_i - 1 products), and Delta^{exp - floor(exp)}
+    (`delta_power_apply`, for a fractional exp) and (I + P)^eta are
+    applied to the (n, k) output.
+    This is exact, not an approximation: the factors are linear and
+    column-wise, so a zero level contributes a zero column, and the scan
+    over the levels above top_i only ever carries the zero vector.  A
+    tent atom over B(x, R) lives at levels k < R^2, so top_i is usually
+    far below the horizon.
 
-    Delta^exp stays on the levels: the raw sum of the P^{l-1} F_i(., l-1)
-    is badly conditioned (its terms are large and cancel), and applying
-    the cancellative factor before the scan keeps the partial sums at the
-    output scale.  (I + P)^eta has its spectrum in [0, 2^eta], so nothing
-    cancels in it: it commutes with the scan and runs on k columns
-    instead of sum_i top_i.  An integer exp is applied as exp exact steps
-    of `operators.delta_steps` in place on the block (never through the
-    oracle, so it is the same on every graph size); a fractional exp goes
-    through `delta_power_apply`.  Any further function of P (a molecule's
-    per-atom scale) likewise belongs on the (n, k) output.
+    The integer steps stay on the levels: the raw sum of the
+    P^{l-1} F_i(., l-1) is badly conditioned (its terms are large and
+    cancel), and applying the cancellative factor before the scan keeps
+    the partial sums at the output scale.  Every factor is a function of
+    P, so the rest commutes with the scan: a fractional power, a series
+    on the deflated interval, then runs once on k columns of output
+    scale instead of on sum_i top_i raw levels, and (I + P)^eta, whose
+    spectrum lies in [0, 2^eta], cancels nothing.  The steps are never
+    taken through the oracle, so they are the same on every graph size.
+    Any further function of P (a molecule's per-atom scale) likewise
+    belongs on the (n, k) output.
     """
     tops = np.array([e.top for e in atoms], dtype=np.int64)
     starts = np.cumsum(tops) - tops
@@ -388,22 +391,16 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
     V = np.zeros((g.n, width))
     for e, lo, k in zip(atoms, starts, tops):
         V[e.verts, lo:lo + k] = e.rows()
-    if float(exp).is_integer():
-        delta_steps(g, V, int(exp))
-    else:
-        V = delta_power_apply(g, V, exp)
+    steps = math.floor(exp)
+    delta_steps(g, V, steps)
     top = int(tops.max(initial=0))
     coeffs = eta_coefficients(eta, top) / np.arange(1, top + 1, dtype=float) ** beta
     V *= coeffs[np.arange(width) - np.repeat(starts, tops)]
     out = np.empty((g.n, len(atoms)))
     for i, (lo, k) in enumerate(zip(starts, tops)):
         out[:, i] = horner(g, V[:, lo:lo + k])
-    for i, e in enumerate(atoms):
-        if e.tail is not None:
-            if e.tail.beta != beta:
-                raise ValueError(f"a tail of weight (l+1)^{e.tail.beta} synthesized at "
-                                 f"beta = {beta}")
-            out[:, i] += e.tail.synthesis(eta, exp)
+    if exp != steps:
+        out = delta_power_apply(g, out, exp - steps)
     for _ in range(eta):
         out += apply_P(g, out)
     return out
@@ -412,10 +409,15 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
 def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
                  beta: float) -> np.ndarray:
     """Synthesis sum_{l>=1} (c_l^eta / l^beta)
-    Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1), via `horner_synthesis`."""
+    Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1): the stored levels by
+    `horner_synthesis`, and the levels of F's tail, whose beta must be
+    this beta, as its share at power order - beta (`ProfileTail.share`)."""
     if eta < beta:
         raise ValueError("eta must be >= beta")
-    return horner_synthesis(g, [SpaceTimeEntries.of(F)], eta, beta, eta - beta)[:, 0]
+    out = horner_synthesis(g, [SpaceTimeEntries.of(F)], eta, beta, eta - beta)[:, 0]
+    if F.tail is not None:
+        out += F.tail.share(eta, beta, F.tail.order - beta)
+    return out
 
 
 def reproducing_l_max(g: WeightedGraph, eta: int, tol: float) -> int:

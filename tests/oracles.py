@@ -15,9 +15,11 @@ and the certified series objects are compared against, and
 eigenvalues, the reference of `quadratic.lusin_tail_bound`.
 `chebyshev_terms` is the three-term recurrence one `markov_step` at a
 time, the reference of the chained walk `operators.chebyshev_blocks`.
-`lusin_tail_mass_exact` and `reproducing_tail_exact` sum a profile's
+`lusin_tail_mass_exact` and `synthesis_tail_exact` sum a profile's
 levels past a horizon to infinity over the oracle's eigenvalues in long
-double, the references of the closed-form tail (`ProfileTail`).
+double, the references of the closed-form tail (`ProfileTail`): its
+Lusin mass, and its shares of a molecule and of the molecule's
+pre-image.
 """
 
 import itertools
@@ -225,16 +227,22 @@ def lusin_tail_mass_exact(g, h, beta, K, order=0.0):
     return float(np.sum(np.square(coeff.astype(np.longdouble)) * chi))
 
 
-def reproducing_tail_exact(g, h, K, eta, power):
-    """sum_{j>K} c_{j+1} Delta^power P^{2j} h, c_{j+1} = C(j + eta - 1,
-    eta - 1), for a mean-zero h, with no horizon: over the oracle's
-    mean-zero eigenvalues, each series summed in np.longdouble."""
+def synthesis_tail_exact(g, h, K, eta, power=0.0, s=None, q=0.0):
+    """((I + s Delta)/s)^q Delta^power E(P) h for a mean-zero h, E(lam) =
+    (1 - lam^2)^eta sum_{j>K} C(j + eta - 1, eta - 1) lam^{2j} the
+    reproducing error of the levels up to K, with no horizon: over the
+    oracle's mean-zero eigenvalues, each series summed in np.longdouble
+    (`tail_series_longdouble`) and multiplied out in np.longdouble."""
     lam, coeff = _mean_zero_modes(g, h)
+    x = lam.astype(np.longdouble)
     series = tail_series_longdouble(
         lam, K + 1, lambda j: np.longdouble(math.comb(j + eta - 1, eta - 1)))
-    psi = np.power(1.0 - lam.astype(np.longdouble), power) * series
+    phi = np.power((1.0 - x) * (1.0 + x), eta) * np.power(1.0 - x, power) * series
+    if q:
+        s = np.longdouble(s)
+        phi *= np.power((1.0 + s * (1.0 - x)) / s, np.longdouble(q))
     o = spectral(g)
-    return o.basis[:, :-1] @ (psi * coeff).astype(float) / o.sqrt_m
+    return o.basis[:, :-1] @ (phi * coeff).astype(float) / o.sqrt_m
 
 
 def naive_tent_functional(g, F):

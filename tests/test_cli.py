@@ -154,6 +154,17 @@ def test_vertex_arguments_are_labels(tmp_path, capsys):
         assert why in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", [["--E", "-1,3", "--F", "0,0"], ["--E=-1,3", "--F", "0,0"],
+                                      ["--E", "0,0", "--F", "-1,3"], ["--F=-1,3", "--E", "0,0"]])
+def test_a_leading_minus_reaches_the_vertex_parser(spelling, capsys):
+    # a coordinate that starts with a minus is a value, not an option:
+    # both spellings exit 1 naming it, none exits 2 with argparse's
+    # "expected one argument"
+    assert main(["gaffney", "lazy_torus_16", "--s", "1,2"] + spelling) == 1
+    err = capsys.readouterr().err
+    assert "coordinate '-1,3' is not two integers in [0, 16)" in err
+
+
 def test_validation_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0 1.0\n1 1 1.0\n")  # two components

@@ -313,6 +313,43 @@ def test_synthesis_matches_the_levels_first_order(name, kind):
     assert gaps.max() <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["lazy_cycle_64", "lazy_torus_16", "binary_tree_4"])
+def test_a_fractional_exp_runs_once_on_the_output(monkeypatch, name):
+    # bz2 at beta 1/2 has exp = eta - 1/2 - M: its floor(exp) exact steps
+    # run on the levels and Delta^{1/2} once on the (n, atoms) output.  On
+    # the series path (ORACLE_MAX_N = 0) that synthesis agrees within tol
+    # with the whole prefix on the levels through the oracle, and the
+    # decomposition meets tol
+    g = by_name(name)
+    f = random_mean_zero(g, np.random.default_rng(3))
+    eta = synthesis_eta(1, 0.5, 1.0, cached_geometry(g).d0_estimate)
+    exp = eta - 0.5 - 1
+    F = heat_profile(g, f, 0.5, default_l_max(g))
+    atoms = [atom.values for _, atom in atomic_decompose(g, F, tol=1e-8).coefficients]
+    want = horner_synthesis_levels_first(g, atoms, eta, 0.5, exp)
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    got = horner_synthesis(g, atoms, eta, 0.5, exp)
+    assert len(atoms) > 1
+    assert lp_norm(g, got - want, 2).max() <= 1e-8
+    dec = molecular_decompose(g, f, 1, 0.5, 1.0, tol=1e-8)
+    assert calculus.spectrum(g).source == "certified"
+    assert dec.l2_residual <= 1e-8
+
+
+def test_a_form_decompose_solves_for_its_potential_once(monkeypatch):
+    # the exactness check's Delta^{-1} d* F is the potential the profile's
+    # tail holds: one apply of Delta^{-1} per decompose
+    g = by_name("lazy_cycle_64")
+    F = differential(g, random_mean_zero(g, np.random.default_rng(0)))
+    powers = []
+    symbol = calculus._delta_power_symbol
+    monkeypatch.setattr(calculus, "_delta_power_symbol",
+                        lambda lam, beta: powers.append(beta) or symbol(lam, beta))
+    dec = form_molecular_decompose(g, F, 1, 1.0, tol=1e-8)
+    assert dec.l2_residual <= 1e-8
+    assert powers.count(-1.0) == 1
+
+
 @pytest.mark.parametrize("kind", ["bz2", "form"])
 @pytest.mark.parametrize("name", ["lazy_torus_16", "lazy_cycle_64"])
 def test_stage_is_the_same_on_both_paths(monkeypatch, name, kind):
@@ -360,7 +397,8 @@ def test_decomposition_counts_its_products_and_oracle_applies(monkeypatch):
     # atoms, each Horner scan top - 1, a = Delta^M X and the M scale
     # factors of b one each on the (n, atoms) output, and nothing else
     # any; the oracle applies Delta^beta, the tail's Lusin symbol and its
-    # synthesis symbol once each, and rederives a once per distinct s
+    # two shares (of a and of the pre-image b) once each, and rederives a
+    # once per distinct s
     g = by_name("lazy_cycle_32")
     f = random_mean_zero(g, np.random.default_rng(8))
     d0 = cached_geometry(g).d0_estimate
@@ -383,7 +421,7 @@ def test_decomposition_counts_its_products_and_oracle_applies(monkeypatch):
     assert len(dec.coefficients) == len(tops) > 1
     exp = eta - beta - M
     assert g.matvec_calls == l_max + (eta + exp + 2 * M) + sum(t - 1 for t in tops)
-    assert len(applies) == 3 + len({mol.s for _, mol in dec.coefficients})
+    assert len(applies) == 4 + len({mol.s for _, mol in dec.coefficients})
 
 
 @pytest.mark.parametrize("kind", ["bz2", "form"])
@@ -647,7 +685,7 @@ def test_pipelines_check_M_and_eps_first(cycle16, monkeypatch, M, eps):
     def ran(*_args, **_kwargs):
         raise AssertionError("the pipeline ran")
 
-    for name in ("require_mean_zero", "is_exact_form", "_decompose"):
+    for name in ("require_mean_zero", "_is_exact", "_decompose"):
         monkeypatch.setattr(hardy, name, ran)
     f = random_mean_zero(cycle16, np.random.default_rng(13))
     with pytest.raises(ValueError, match="M must|eps must"):

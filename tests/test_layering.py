@@ -3,7 +3,8 @@ that multiplies by it (hence every P^l loop, the Horner scan included),
 the level walk, the kernel chains, the chunked walk on them and scipy's
 kernels that run them, the Chebyshev walk and its certified interval,
 the oracle/series choice, the spectral oracle, the spectrum record, the
-series object, the cone sum, the Lusin terms, the dense tent mask, the
+series object, the Horner scan, the weighted level walk, the tail's
+symbols, the cone sum, the Lusin terms, the dense tent mask, the
 ball matrices, the bz1 product, the molecular pipeline body, the
 molecule validator's rederivation, size table and report, and the
 kernel error may be reached only from the modules and functions listed
@@ -77,6 +78,15 @@ ALLOWED = {
     "SeriesOperator": ({"calculus"}, set()),
     "_cone_accumulate": (set(), {"quadratic.lusin", "quadratic.lusin_tilde",
                                  "quadratic.tent_functional_of_terms"}),
+    # the Horner scan reads stored levels only, in the synthesis; the
+    # weighted level walk builds the profile and the bz1 table of the BMO
+    # sup, and no tail is walked
+    "horner": (set(), {"tentspace.horner_synthesis"}),
+    "weighted_powers": ({"operators", "hardy"}, set()),
+    # the tail's symbols are applied by the tail alone: its Lusin mass
+    # and its share of a synthesis
+    "lusin_tail_apply": (set(), {"quadratic.mass"}),
+    "synthesis_tail_apply": (set(), {"quadratic.share"}),
     # the Lusin terms F^2 / (l + 1) are squared once: the tent functional
     # sums them over cones, and the decomposition also over its runs
     "lusin_terms": (set(), {"quadratic.tent_functional", "tentspace.atomic_decompose"}),
@@ -162,6 +172,11 @@ def test_scanner_sees_calls():
     assert ("_size_table", "hardy.synthesize_molecules") in found
     assert ("ValidationReport", "hardy._validate_block") in found
     assert ("KernelComponent", "calculus.require_mean_zero") in found
+    assert ("horner", "tentspace.horner_synthesis") in found
+    assert ("weighted_powers", "hardy._profile") in found
+    assert ("weighted_powers", "hardy.bmo_norm") in found
+    assert ("lusin_tail_apply", "quadratic.mass") in found
+    assert ("synthesis_tail_apply", "quadratic.share") in found
 
 
 @pytest.mark.parametrize("callee", sorted(ALLOWED))
