@@ -149,12 +149,12 @@ def _symmetrized(g: WeightedGraph):
 @dataclass(frozen=True)
 class Spectrum:
     """What the calculus knows of the spectrum of P: lo, the certified
-    lower end of `spectral_interval`, and lambda_star < 1, the spectral
-    radius of P on mean-zero functions, with `margin`, how far
-    lambda_star may lie above the true radius, and its `source`:
-    "oracle" (eigh's value, margin 0, though its rounding may put it
-    below the radius) or "certified" (`_certify`: no mean-zero
-    eigenvalue lies outside [-lambda_star, lambda_star])."""
+    lower end of `spectral_interval`, and lambda_star < 1, an upper bound
+    of the spectral radius of P on mean-zero functions, with `margin`,
+    how far lambda_star may lie above that radius, and its `source`:
+    "oracle" (eigh's value raised by a bound on eigh's error) or
+    "certified" (`_certify`: no mean-zero eigenvalue lies outside
+    [-lambda_star, lambda_star])."""
 
     lo: float
     lambda_star: float
@@ -165,17 +165,23 @@ class Spectrum:
 def spectrum(g: WeightedGraph) -> Spectrum:
     """The graph's spectrum record, the one way spectral facts leave the
     calculus, built once per source and cached on it: the oracle's
-    lambda_star up to ORACLE_MAX_N, where the oracle is built anyway and
-    its value fixes every horizon (`reproducing_l_max` moves by several
-    levels when lambda_star moves by 1e-12), and a certified one above
-    it.  A periodic walk raises PeriodicWalk on both sources."""
+    lambda_star up to ORACLE_MAX_N, where the oracle is built anyway, and
+    a certified one above it.  The oracle's largest mean-zero modulus is
+    raised by n eps, a bound on eigh's error for S (`_symmetrized`, of
+    2-norm 1), and rounded up; margin is twice that bound, as eigh's
+    value may lie below the radius by as much.  Every horizon
+    (`reproducing_l_max`) and tail interval is read from this record.
+    A periodic walk raises PeriodicWalk on both sources."""
     source = "oracle" if has_oracle(g) else "certified"
     if source not in g._spectra:
         lo = spectral_interval(g)[0]
-        g._spectra[source] = (
-            Spectrum(lo, _require_aperiodic(float(np.abs(spectral(g).eigenvalues[:-1]).max())),
-                     0.0, source)
-            if source == "oracle" else _certify(g, lo))
+        if source == "oracle":
+            error = g.n * float(np.finfo(float).eps)
+            radius = _require_aperiodic(float(np.abs(spectral(g).eigenvalues[:-1]).max()))
+            g._spectra[source] = Spectrum(lo, float(np.nextafter(radius + error, np.inf)),
+                                          2.0 * error, source)
+        else:
+            g._spectra[source] = _certify(g, lo)
     return g._spectra[source]
 
 
@@ -608,6 +614,34 @@ def _reproducing_error(lam, K: int, eta: int):
     return _binomial_head((1.0 - lam) * (1.0 + lam), np.abs(lam), K, eta)
 
 
+def reproducing_l_max(g: WeightedGraph, eta: int, tol: float) -> int:
+    """Horizon L with || sum_{k<=L} c_{k+1} (I-P^2)^eta P^{2k} f - f ||
+    <= tol ||f|| on the mean-zero subspace; eta >= 1.
+
+    At an eigenvalue lam of P the error is E(lam) of `_reproducing_error`,
+    which grows with |lam| and shrinks as the sum goes on, so L is the
+    least K with E(lambda_star) <= tol, lambda_star from the graph's
+    record (`spectrum`): K doubles from 1 until it meets tol, and the last
+    step is bisected, about 2 log2 L sums of eta terms.  A periodic walk
+    (lambda_star = 1) raises PeriodicWalk before the search starts."""
+    if eta < 1:
+        raise ValueError("eta must be >= 1")
+    lam = spectrum(g).lambda_star
+
+    def met(K):
+        return _reproducing_error(lam, K, eta) <= tol
+
+    if met(0):
+        return 0
+    lo, hi = 0, 1
+    while not met(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if met(mid) else (mid, hi)
+    return hi
+
+
 def _negative_binomial_tail(lam, K: int, eta: int):
     """sum_{j>K} C(j + eta - 1, eta - 1) lam^{2j} for |lam| < 1:
     E(lam) / (1 - lam^2)^eta (`_reproducing_error`)."""
@@ -654,8 +688,8 @@ def _on_open_disc(tail, lam):
 
 def _lusin_tail_symbol(lam, K: int, a: float, order: float):
     """chi(lam) = (1 - lam)^{2 order} sum_{l>K} (l+1)^a lam^{2l} (0 at
-    |lam| = 1)."""
-    return (1.0 - lam) ** (2.0 * order) * _on_open_disc(lambda x: _power_tail(x, K, a), lam)
+    |lam| = 1, where the front has a pole for order < 0)."""
+    return _on_open_disc(lambda x: (1.0 - x) ** (2.0 * order) * _power_tail(x, K, a), lam)
 
 
 def _tail_series(symbol, sup, tol: float, interval):
@@ -674,12 +708,13 @@ def _tail_series(symbol, sup, tol: float, interval):
 @_memo
 def _lusin_tail_column(K: int, a: float, order: float, tol: float, interval):
     """chi of `_lusin_tail_symbol` on a deflated interval: on |lam| <= R,
-    |1 - lam|^{2 order} <= (1 + R)^{2 order}, and the sum, whose
-    coefficients in lam^2 are nonnegative, is at most its value at R,
-    which `_power_tail_bound` bounds."""
+    |1 - lam|^{2 order} is at most (1 + R)^{2 order} for order >= 0 and
+    (1 - R)^{2 order} below, and the sum, whose coefficients in lam^2 are
+    nonnegative, is at most its value at R, which `_power_tail_bound`
+    bounds."""
     return _tail_series(lambda lam: _lusin_tail_symbol(lam, K, a, order),
-                        lambda R: (1.0 + R) ** (2.0 * order) * _power_tail_bound(R, K, a),
-                        tol, interval)
+                        lambda R: (1.0 + R if order >= 0 else 1.0 - R) ** (2.0 * order)
+                        * _power_tail_bound(R, K, a), tol, interval)
 
 
 def lusin_tail_apply(g: WeightedGraph, h, beta: float, order: float, K: int):

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (BZ2Kind, a_s, bz1_product, delta_power_apply, require_mean_zero,
-                       resolvent_apply, spectrum)
+from .calculus import (BZ2Kind, a_s, bz1_product, delta_power_apply, reproducing_l_max,
+                       require_mean_zero, resolvent_apply, spectrum)
 from .errors import (
     FactorizationMismatch,
     NonConvergent,
@@ -73,13 +73,7 @@ from .operators import (
 )
 from .quadratic import ProfileTail, SpaceTimeFunction, default_l_max
 from .riesz import h2_project
-from .tentspace import (
-    TentAtom,
-    TentDecomposition,
-    atomic_decompose,
-    horner_synthesis,
-    reproducing_l_max,
-)
+from .tentspace import TentAtom, TentDecomposition, atomic_decompose, horner_synthesis
 
 
 # -- molecule type -------------------------------------------------------
@@ -459,8 +453,10 @@ def form_profile(g: WeightedGraph, w, l_max=None, *, reach=0, tol=None) -> Space
 
 def pipeline_l_max(g: WeightedGraph, eta: int, tol: float, ref_norm: float) -> int:
     """The horizon at which a truncated profile's reproducing sum meets
-    tol / 2 (`reproducing_l_max`), at least default_l_max(g): how many
-    levels a profile without its closed-form tail needs.  The pipeline
+    tol / 2 for an input of norm ref_norm, at least default_l_max(g):
+    how many levels a profile without its closed-form tail needs.  It is
+    read from the closed form of the sum's error at lambda_star
+    (`reproducing_l_max`), so any aperiodic graph has one.  The pipeline
     reads it only for the reach of that tail (`_decompose`), and the
     benchmark's l_max checksum reads it."""
     target = tol / (2.0 * max(ref_norm, 1e-300))

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (TAIL_TOL, delta_power_apply, delta_power_series, lusin_tail_apply,
-                       require_mean_zero, spectrum, synthesis_tail_apply)
+from .calculus import (TAIL_TOL, delta_power_apply, lusin_tail_apply, require_mean_zero,
+                       synthesis_tail_apply)
 from .errors import PeriodicWalk
 from .graphs import WeightedGraph, row_blocks
 from .operators import (
@@ -43,7 +43,6 @@ from .operators import (
     inner,
     level_blocks,
     lp_norm,
-    mean_project,
     per_row,
 )
 
@@ -270,44 +269,6 @@ def quad_norm(g: WeightedGraph, f, beta: float = 1.0, l_max=None):
     """||L_beta f||_1; the (k,) norms of the columns of an (n, k) block,
     from one walk of the power sequence."""
     return lp_norm(g, lusin(g, f, beta, l_max), 1)
-
-
-# `lusin_tail_bound` sums its weights until a term adds at most this fraction.
-TAIL_REL_CUTOFF = 1e-30
-
-
-def lusin_tail_bound(g: WeightedGraph, f, beta: float, l_max: int) -> float:
-    """Upper bound on the cone mass ignored above l_max = L, at every n.
-
-    sup_x of the missing sum is at most
-    (1/min m) sum_{l > L} w_l ||Delta^b P^l Pi f||_2^2, w_l =
-    (l+1)^{2b-1}.  With v the series `delta_power_series` at tol 1e-12
-    applied to Pi f, each norm is at most ||P^l v|| plus the series'
-    tail times lam^l ||Pi f||, as P has norm lam = lambda_star
-    (`spectrum`) on mean-zero functions.  The levels L < l < K =
-    2(L + 1) are walked and summed exactly; past them ||P^l v|| <=
-    lam^(l-K) ||P^K v||, and the scalar sum of w_l lam^(2(l-K)) runs
-    until a term is at most TAIL_REL_CUTOFF times it.  The oracle's lam
-    is eigh's value, so there the bound holds up to eigh's rounding.
-    """
-    lam = spectrum(g).lambda_star
-    u = mean_project(g, f)
-    op = delta_power_series(g, beta, 1e-12)
-    K = 2 * l_max + 2
-    sums = g.m @ _level_square_sums(g, op.apply(u), beta, K, [0, l_max + 1, K]).T
-    zpow, rest, l = 1.0, 0.0, K
-    while True:
-        term = zpow * (l + 1.0) ** (2 * beta - 1)
-        rest += term
-        if term <= TAIL_REL_CUTOFF * rest:
-            break
-        zpow *= lam * lam
-        l += 1
-    walked = sums[1] + sums[2] * rest / (K + 1.0) ** (2 * beta - 1)
-    levels = np.arange(l_max + 1.0, K)
-    drift = np.sum((levels + 1.0) ** (2 * beta - 1) * lam ** (2 * levels)) + lam ** (2 * K) * rest
-    series = op.tail_bound * lp_norm(g, u, 2) * math.sqrt(drift)
-    return (math.sqrt(walked) + series) / math.sqrt(g.m.min())
 
 
 def lusin_tilde(g: WeightedGraph, f, beta: float, k_max=None) -> np.ndarray:

@@ -43,16 +43,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import delta_power_apply, spectrum
+from .calculus import delta_power_apply
 from .errors import NonConvergent
 from .graphs import Ball, WeightedGraph, ball, distance_to
 from .operators import apply_P, delta_steps, horner, lp_norm
 from .quadratic import (ProfileTail, SpaceTimeFunction, lusin_terms, tail_mass,
                         tent_functional_of_terms)
-
-# Longest reproducing horizon `reproducing_l_max` searches.
-HORIZON_CAP = 200_000
-
 
 def _tent_depth(g: WeightedGraph, set_mask: np.ndarray) -> np.ndarray:
     """d(y, O^c) for every vertex y, as floats (squared without wrapping),
@@ -419,58 +415,3 @@ def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
         out += F.tail.share(eta, beta, F.tail.order - beta)
     return out
 
-
-def reproducing_l_max(g: WeightedGraph, eta: int, tol: float) -> int:
-    """Horizon L with || sum_{k<=L} c_{k+1} (I-P^2)^eta P^{2k} f - f ||
-    <= tol ||f|| on the mean-zero subspace, from one scalar; eta >= 1.
-
-    At an eigenvalue lambda of P the error is
-    1 - (1-z)^eta sum_{k<=L} c_k z^k with z = lambda^2.  It lies in
-    [0, 1] and increases in z (its derivative is
-    -(L+eta) c_L z^L (1-z)^(eta-1)), so its sup over the mean-zero
-    spectrum is its value at z = lambda_star^2, and L is the first k at
-    which the scalar recurrence c_{k+1} = c_k (k + eta) / (k + 1),
-    z^{k+1} = z^k z, partial_k = partial_{k-1} + c_k z^k meets tol.  A
-    periodic walk (lambda_star = 1) raises PeriodicWalk before the
-    search starts, and a horizon past HORIZON_CAP raises NonConvergent.
-
-    The recurrence runs a block of levels at a time while c_k (k + eta)
-    < 2^53: there each c_k is the exact binomial C(k + eta - 1, eta - 1),
-    built as prod_j (k + j) / j with every product below 2^53, and z^k
-    and the partial sums are the sequential products and sums of
-    multiply.accumulate and cumsum, so every number is the scalar
-    recurrence's bit for bit.  Past that bound the same recurrence goes
-    on one level at a time from the blocks' last state.
-    """
-    if eta < 1:
-        raise ValueError("eta must be >= 1")
-    lam = spectrum(g).lambda_star
-    z = lam * lam
-    front = (1.0 - z) ** eta
-    k, c, zpow, partial, size = 0, 1.0, 1.0, 0.0, 256
-    while k < HORIZON_CAP:
-        ks = np.arange(k, min(k + size, HORIZON_CAP), dtype=float)
-        cs = np.ones(len(ks))
-        for j in range(1, eta):
-            cs *= ks + j
-            cs /= j
-        exact = int(np.count_nonzero(cs * (ks + eta) < 2.0 ** 53))  # a prefix
-        if not exact:
-            break
-        zs = np.multiply.accumulate(np.append(zpow, np.full(exact - 1, z)))
-        sums = np.cumsum(np.append(partial, cs[:exact] * zs))[1:]
-        hit = np.flatnonzero(np.abs(1.0 - front * sums) <= tol)
-        if hit.size:
-            return k + int(hit[0])
-        last = k + exact - 1
-        c, zpow, partial = cs[exact - 1] * (last + eta) / (last + 1), zs[-1] * z, sums[-1]
-        k, size = last + 1, 2 * size
-        if exact < len(ks):
-            break
-    for k in range(k, HORIZON_CAP):
-        partial += c * zpow
-        if abs(1.0 - front * partial) <= tol:
-            return k
-        c = c * (k + eta) / (k + 1)
-        zpow *= z
-    raise NonConvergent(f"reproducing horizon beyond {HORIZON_CAP}")

@@ -10,9 +10,9 @@ count of the products with P a computation makes, for tests that pin
 how often the power sequence is walked.  `delta_power_exact` and
 `resolvent_exact` apply their operators by the dense spectral oracle on
 any graph the oracle takes, the references the automatic-path functions
-and the certified series objects are compared against, and
-`lusin_tail_bound_spectral` sums the Lusin tail over the oracle's
-eigenvalues, the reference of `quadratic.lusin_tail_bound`.
+and the certified series objects are compared against.
+`reproducing_l_max_mpmath` finds the reproducing horizon at 50 digits,
+the reference of `calculus.reproducing_l_max`.
 `chebyshev_terms` is the three-term recurrence one `markov_step` at a
 time, the reference of the chained walk `operators.chebyshev_blocks`.
 `lusin_tail_mass_exact` and `synthesis_tail_exact` sum a profile's
@@ -38,7 +38,7 @@ from graphhardy.operators import (EdgeFunction, apply_P, gradient, horner, lp_no
                                   markov_step, mean_project, powers)
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
-from graphhardy.tentspace import HORIZON_CAP, TentAtom, TentDecomposition, tent_mask
+from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
 
 
 def delta_power_exact(g, f, beta):
@@ -166,28 +166,6 @@ def naive_g_littlewood(g, f, beta, l_max):
         out += float(l) ** (2 * beta - 1) * u ** 2
         u = apply_P(g, u)
     return np.sqrt(out)
-
-
-def lusin_tail_bound_spectral(g, f, beta, l_max):
-    """`quadratic.lusin_tail_bound` eigenvalue by eigenvalue:
-    (1/min m) sum_{l > L} (l+1)^{2b-1} ||Delta^b P^l Pi f||_2^2 with each
-    norm summed over the oracle's mean-zero eigenvalues, until a term is
-    at most 1e-30 times the sum; the oracle's cap applies."""
-    o = spectral(g)
-    lam = o.eigenvalues[:-1]
-    coeff = (o.basis.T @ (mean_project(g, f) * np.sqrt(g.m)))[:-1]
-    front = coeff ** 2 * (1.0 - lam) ** (2 * beta)
-    zpow = lam ** (2 * (l_max + 1))
-    total = 0.0
-    l = l_max + 1
-    while True:
-        term = float(np.sum(front * zpow)) * (l + 1.0) ** (2 * beta - 1)
-        total += term
-        if term <= 1e-30 * max(total, 1e-300) or np.max(zpow, initial=0.0) == 0.0:
-            break
-        zpow *= lam * lam
-        l += 1
-    return math.sqrt(total / g.m.min())
 
 
 def tail_series_longdouble(lam, first, weight):
@@ -486,22 +464,30 @@ def horner_synthesis_levels_first(g, atoms, eta, beta, exp):
     return out
 
 
-def reproducing_l_max_loop(g, eta, tol):
-    """`tentspace.reproducing_l_max` as the scalar recurrence, one level
-    per step from k = 0."""
-    lam = spectrum(g).lambda_star
-    z = lam * lam
-    front = (1.0 - z) ** eta
-    partial = 0.0
-    c = 1.0
-    zpow = 1.0
-    for k in range(HORIZON_CAP):
-        partial += c * zpow
-        if abs(1.0 - front * partial) <= tol:
-            return k
-        c = c * (k + eta) / (k + 1)
-        zpow *= z
-    raise NonConvergent(f"reproducing horizon beyond {HORIZON_CAP}")
+def reproducing_l_max_mpmath(g, eta, tol, digits=50):
+    """`calculus.reproducing_l_max` at `digits` digits: the least K whose
+    reproducing error at lambda_star of the graph's record is at most
+    tol.  That error, the chance of fewer than eta successes of
+    probability 1 - z in K + eta trials (z = lambda_star^2), is the
+    regularized incomplete beta function I_z(K + 1, eta), decreasing in
+    K; K doubles until it meets tol, and the last step is bisected."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        z = mpmath.mpf(spectrum(g).lambda_star) ** 2
+
+        def met(K):
+            return mpmath.betainc(K + 1, eta, 0, z, regularized=True) <= tol
+
+        if met(0):
+            return 0
+        lo, hi = 0, 1
+        while not met(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if met(mid) else (mid, hi)
+        return hi
 
 
 def reproducing_l_max_spectrum(g, eta, tol, n_cap=200000):

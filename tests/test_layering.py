@@ -4,7 +4,7 @@ the level walk, the kernel chains, the chunked walk on them and scipy's
 kernels that run them, the Chebyshev walk and its certified interval,
 the oracle/series choice, the spectral oracle, the spectrum record, the
 series object, the Horner scan, the weighted level walk, the tail's
-symbols, the cone sum, the Lusin terms, the dense tent mask, the
+symbols, the reproducing error, the cone sum, the Lusin terms, the dense tent mask, the
 ball matrices, the bz1 product, the molecular pipeline body, the
 molecule validator's rederivation, size table and report, and the
 kernel error may be reached only from the modules and functions listed
@@ -72,7 +72,10 @@ ALLOWED = {
     "_certify": (set(), {"calculus.spectrum"}),
     "_negative_pivots": (set(), {"calculus._certify"}),
     "spectrum": (set(), {"calculus._deflated", "hardy._decompose",
-                         "tentspace.reproducing_l_max", "quadratic.lusin_tail_bound"}),
+                         "calculus.reproducing_l_max"}),
+    # the error of a reproducing sum stopped at K has one home: the
+    # horizon search and the tail's symbols read it in `calculus`
+    "_reproducing_error": ({"calculus"}, set()),
     # the series path is reached through `phi_apply` and the certified
     # series objects of `calculus`
     "SeriesOperator": ({"calculus"}, set()),
@@ -160,7 +163,8 @@ def test_scanner_sees_calls():
     assert ("spectral", "calculus.spectrum") in found
     assert ("_certify", "calculus.spectrum") in found
     assert ("spectrum", "hardy._decompose") in found
-    assert ("spectrum", "quadratic.lusin_tail_bound") in found
+    assert ("spectrum", "calculus.reproducing_l_max") in found
+    assert ("_reproducing_error", "calculus.reproducing_l_max") in found
     assert ("spectral", "calculus.phi_apply") in found
     assert ("SeriesOperator", "calculus.delta_power_series") in found
     assert ("level_blocks", "quadratic._level_square_sums") in found

@@ -7,7 +7,6 @@ import pytest
 from oracles import (
     cone_members,
     cone_members_tilde,
-    lusin_tail_bound_spectral,
     naive_g_littlewood,
     naive_lusin,
     naive_lusin_tilde,
@@ -34,7 +33,6 @@ from graphhardy.quadratic import (
     default_l_max,
     g_littlewood,
     lusin,
-    lusin_tail_bound,
     lusin_tilde,
     quad_norm,
     quad_norm_forms,
@@ -381,41 +379,6 @@ def test_offdiagonal_decay_resolvent(torus12):
             vals.append(v)
     slope = np.polyfit(np.log(ds), np.log(vals), 1)[0]
     assert -slope >= M + 0.5 - 0.25
-
-
-def test_lusin_tail_bound_controls_truncation(cycle16, rng):
-    f = random_mean_zero(cycle16, rng)
-    full = lusin(cycle16, f, 1.0, 400)
-    for l_max in (4, 16, 64):
-        short = lusin(cycle16, f, 1.0, l_max)
-        tail = lusin_tail_bound(cycle16, f, 1.0, l_max)
-        gap = np.max(np.abs(full - short))
-        assert gap <= tail + 1e-12
-    # long horizons leave a negligible tail
-    assert lusin_tail_bound(cycle16, f, 1.0, 1200) < 1e-8
-
-
-@pytest.mark.parametrize("name", ["lazy_cycle_16", "lazy_torus_16", "lazy_torus_17"])
-def test_lusin_tail_bound_from_the_spectrum_record(name):
-    # the bound from lambda_star and one walk of L + 1 levels holds the
-    # measured gap at every n (lazy_torus_17, n = 289, is above the
-    # oracle cap); below the cap it stays within 5x of the eigenvalue by
-    # eigenvalue reference at beta = 1, and within 1% at l_max = 256,
-    # where the slowest eigenvalue carries the tail
-    g = zoo.by_name(name)
-    f = random_mean_zero(g, np.random.default_rng(7))
-    for beta in (1.0, 0.5, -0.5):
-        full = lusin(g, f, beta, 2000)
-        for l_max in (4, 16, 64, 256):
-            gap = np.max(np.abs(full - lusin(g, f, beta, l_max)))
-            bound = lusin_tail_bound(g, f, beta, l_max)
-            assert gap <= bound + 1e-12, (beta, l_max)
-            if beta == 1.0 and calculus.has_oracle(g):
-                ref = lusin_tail_bound_spectral(g, f, beta, l_max)
-                assert ref <= bound * (1 + 1e-9) <= 5.0 * ref, l_max
-                if l_max == 256:
-                    assert bound <= 1.01 * ref
-    assert calculus.spectrum(g).source == ("oracle" if g.n <= 256 else "certified")
 
 
 def test_series_path_matches_oracle_path(cycle32, rng, monkeypatch):

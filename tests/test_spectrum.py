@@ -72,12 +72,14 @@ def test_the_bottom_end_is_certified(monkeypatch):
 
 
 def test_the_record_by_source(monkeypatch):
-    # one record per graph and source: the oracle's up to the cap, with
-    # no margin, and a certified one above it
+    # one record per graph and source: the oracle's up to the cap, raised
+    # by n eps for eigh's error and rounded up, and a certified one above it
     g = zoo.lazy_torus_2d(12)
     rec = spectrum(g)
-    assert (rec.source, rec.margin) == ("oracle", 0.0)
-    assert rec.lambda_star == np.abs(calculus.spectral(g).eigenvalues[:-1]).max()
+    radius = np.abs(calculus.spectral(g).eigenvalues[:-1]).max()
+    error = g.n * np.finfo(float).eps
+    assert (rec.source, rec.margin) == ("oracle", 2 * error)
+    assert rec.lambda_star == np.nextafter(radius + error, np.inf)
     assert spectrum(g) is rec
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     certified = spectrum(g)

@@ -86,6 +86,23 @@ def test_tail_symbols_vanish_on_the_constants():
     assert calculus._synthesis_tail_symbol(lam, 49.0, 3, 4, -2.0, 2.5)[1] > 0.0
     assert calculus._lusin_tail_symbol(lam, 3, 1.0, 0.0)[0] == 0.0
     assert calculus._lusin_tail_symbol(lam, 3, 1.0, 0.0)[1] > 0.0
+    # a negative order puts a pole of the front at lam = 1: still 0 there
+    assert calculus._lusin_tail_symbol(lam, 3, -2.0, -0.5)[0] == 0.0
+    assert calculus._lusin_tail_symbol(lam, 3, -2.0, -0.5)[1] > 0.0
+
+
+@pytest.mark.parametrize("order", [1.0, 0.5, 0.0, -0.5, -1.0, -1.5])
+def test_lusin_tail_sup_bounds_its_symbol(monkeypatch, order):
+    # the Lusin column's tail bound rests on sup(R) >= |chi| on
+    # |lam| <= R; on the real segment that needs chi(+-R) <= sup(R),
+    # which for order < 0 takes the front's value at lam = R, (1 - R)^{2 order}
+    sups = []
+    monkeypatch.setattr(calculus, "_tail_series", lambda symbol, sup, *_: sups.append(sup))
+    K, a = 1, 2.0 * order - 1.0
+    calculus._lusin_tail_column.__wrapped__(K, a, order, 1e-12, (-0.5, 0.5))
+    R = np.linspace(0.0, 0.99, 100)
+    chi = np.abs(calculus._lusin_tail_symbol(np.concatenate([R, -R]), K, a, order))
+    assert np.all(chi <= np.tile(sups[0](R), 2) * (1.0 + 1e-12))
 
 
 # -- the tail against its dense reference ----------------------------------------
@@ -355,6 +372,21 @@ def test_above_the_cap_the_tail_goes_through_the_series(kind):
         dec = form_molecular_decompose(g, differential(g, f), 1, 1.0, tol=1e-8)
     assert calculus.spectrum(g).source == "certified"
     assert len(dec.coefficients) > 1 and dec.l2_residual <= 1e-8
+
+
+def test_negative_beta_decomposes_on_both_paths(monkeypatch):
+    # at beta = -1/2 the Lusin tail's front (1 - lam)^{2 beta} has a pole
+    # at lam = 1, the constants', which the oracle skips as the series
+    # does: both paths give the same molecules
+    g = by_name("lazy_cycle_16")
+    f = random_mean_zero(g, np.random.default_rng(0))
+    oracle = molecular_decompose(g, f, 1, -0.5, 1.0)
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    series = molecular_decompose(g, f, 1, -0.5, 1.0)
+    assert calculus.spectrum(g).source == "certified"
+    assert len(oracle.coefficients) == len(series.coefficients) == 5
+    assert oracle.sum_abs_lambda == pytest.approx(series.sum_abs_lambda, rel=1e-12)
+    assert max(oracle.l2_residual, series.l2_residual) <= 1e-8
 
 
 def test_pairing_with_the_input_is_its_energy():

@@ -9,7 +9,7 @@ from oracles import (
     atomic_decompose_dense,
     eta_coefficients_recurrence,
     naive_tent_members,
-    reproducing_l_max_loop,
+    reproducing_l_max_mpmath,
     reproducing_l_max_spectrum,
     tent_pieces_dense,
     top_level,
@@ -17,6 +17,7 @@ from oracles import (
 from test_markov_step import graphs, hypothesis, st
 
 from graphhardy import calculus, tentspace, zoo
+from graphhardy.calculus import reproducing_l_max
 from graphhardy.graphs import ball
 from graphhardy.hardy import form_profile, heat_profile, pipeline_l_max, synthesis_eta
 from graphhardy.graphs import cached_geometry
@@ -36,7 +37,6 @@ from graphhardy.tentspace import (
     atomic_decompose,
     eta_coefficients,
     pi_synthesis,
-    reproducing_l_max,
     tent,
     tent_mask,
 )
@@ -277,10 +277,11 @@ def _zoo_graph(name):
 @pytest.mark.parametrize("name", ["lazy_torus_24", "lazy_cycle_128",
                                   "binary_tree_4", "lazy_path_9"])
 def test_reproducing_l_max_matches_spectrum(name, monkeypatch):
-    # the scalar loop at lambda_star gives the horizon of the loop over
+    # the closed form at lambda_star gives the horizon of the loop over
     # every mean-zero eigenvalue; the cap is raised so that the horizon
-    # is read at the oracle's lambda_star, the one the spectrum holds
-    # (the horizon at tight tol moves when lambda_star moves by 1e-12)
+    # is read at the oracle's lambda_star, which the record raises by
+    # n eps only (the horizon at tight tol moves when lambda_star moves
+    # by 1e-12)
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 2048)
     g = _zoo_graph(name)
     for eta in (2, 3, 5):
@@ -290,14 +291,37 @@ def test_reproducing_l_max_matches_spectrum(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["lazy_cycle_32", "lazy_cycle_64",
                                   "lazy_torus_16", "lazy_torus_32"])
-def test_reproducing_l_max_is_the_scalar_loop(name):
-    # the blocks of levels give the loop's horizon exactly, also where
-    # the horizon runs past c_k (k + eta) = 2^53 (lazy_cycle_64 at
-    # eta >= 4), where the search goes on one level at a time
+def test_reproducing_l_max_is_the_exact_horizon(name):
+    # the closed form's horizon is the one a 50-digit evaluation of the
+    # error gives, also at tol 3e-14, where summing the reproducing
+    # series level by level loses the last digits to cancellation
+    pytest.importorskip("mpmath")
     g = _zoo_graph(name)
     for eta in range(2, 9):
         for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 3e-14):
-            assert reproducing_l_max(g, eta, tol) == reproducing_l_max_loop(g, eta, tol)
+            assert reproducing_l_max(g, eta, tol) == reproducing_l_max_mpmath(g, eta, tol)
+
+
+def test_reproducing_l_max_where_summing_the_levels_cancels():
+    # summing 1 - (1 - z)^3 sum_k c_k z^k level by level on
+    # lazy_torus_32 meets 3e-14 at level 3,939; the error is first that
+    # small at level 3,919
+    pytest.importorskip("mpmath")
+    g = _zoo_graph("lazy_torus_32")
+    assert reproducing_l_max(g, 3, 3e-14) == reproducing_l_max_mpmath(g, 3, 3e-14) == 3919
+
+
+def test_pipeline_l_max_has_no_cap():
+    # binary_tree(11) (n = 4,095) mixes so slowly that its horizon lies
+    # past 200,000 levels; the closed form finds it in a few dozen sums
+    pytest.importorskip("mpmath")
+    g = zoo.binary_tree(11)
+    f = random_mean_zero(g, np.random.default_rng(3))
+    eta = synthesis_eta(1, 1.0, 1.0, cached_geometry(g).d0_estimate)
+    norm = lp_norm(g, f, 2)
+    l_max = pipeline_l_max(g, eta, 1e-8, norm)
+    assert l_max > 200_000
+    assert l_max == reproducing_l_max_mpmath(g, eta, 1e-8 / (2.0 * norm))
 
 
 def test_reproducing_l_max_needs_eta_at_least_one(cycle16):
