@@ -72,7 +72,6 @@ from .operators import (
     weighted_powers,
 )
 from .quadratic import ProfileTail, SpaceTimeFunction, default_l_max
-from .riesz import h2_project
 from .tentspace import TentAtom, TentDecomposition, atomic_decompose, horner_synthesis
 
 
@@ -312,7 +311,8 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     molecules stacked as the columns of a ((n, k), or (nnz, k) edge data
     for forms).
 
-    For an atom over B(x, r), with s = max(1, r^2) and (eta, beta, exp)
+    The molecule of an atom over B(x, r) keeps that ball, whose radius is
+    an integer (`TentAtom`), and the scale s = r^2.  With (eta, beta, exp)
     from `synthesis_orders`, the stage takes the heat scan
 
         X = sum_l (c_l^eta / l^beta) Delta^exp (I + P)^eta P^{l-1} A(., l-1)
@@ -342,9 +342,8 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     if not tdec.coefficients:
         return [], np.zeros((width, 0))
     lams, atoms = zip(*tdec.coefficients)
-    radii = [int(round(A.ball.radius)) for A in atoms]
-    s = [max(1, r * r) for r in radii]
-    balls = [ball(g, A.ball.center, r) for A, r in zip(atoms, radii)]
+    balls = [A.ball for A in atoms]
+    s = [int(B.radius) ** 2 for B in balls]
     times = [None] * len(atoms)
     X = horner_synthesis(g, [A.values for A in atoms], eta, beta, exp)
     b = _pre_images(g, kind, M, X, np.array(s, dtype=float))
@@ -521,30 +520,22 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
                       M, beta, eps, tol, tol)
 
 
-def is_exact_form(g: WeightedGraph, F: EdgeFunction, tol=1e-8) -> bool:
-    return _is_exact(g, F, h2_project(g, F), tol)
-
-
-def _is_exact(g: WeightedGraph, F: EdgeFunction, projected: EdgeFunction, tol) -> bool:
-    """Whether F lies within tol (relative, at least absolute) of its
-    projection d Delta^{-1} d* F onto the exact forms."""
-    gap = lp_norm_forms(g, projected - F, 2)
-    return gap <= tol * max(1.0, lp_norm_forms(g, F, 2))
-
-
 def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
                              eps: float, tol=1e-8) -> MolecularDecomposition:
     """Molecular representation of an exact 1-form F from the profile
     sqrt(l+1) P^l w, w = d*F, whose Lusin weight |P^l w|^2 is that of
     Delta^{-1/2} w at beta = 1/2; d is L^2-bounded by sqrt(2), so the
-    reach of the tail (`_decompose`) keeps that margin.  The potential
-    Delta^{-1} w of the exactness check (`h2_project`'s) is the one the
-    profile's tail holds (`form_profile`'s), solved once.  M >= 1 and a
-    finite eps > 0, or ValueError at once."""
+    reach of the tail (`_decompose`) keeps that margin.  F is exact when
+    it lies within tol (relative, at least absolute) of its projection
+    d h onto the exact forms, NotExactForm otherwise; the potential
+    h = Delta^{-1} w of that check is the one the profile's tail holds
+    (`form_profile`'s), solved once.  M >= 1 and a finite eps > 0, or
+    ValueError at once."""
     _require_orders(M, eps)
     w = divergence(g, F)
     h = delta_power_apply(g, w, -1.0)
-    if not _is_exact(g, F, differential(g, h), tol):
+    gap = lp_norm_forms(g, differential(g, h) - F, 2)
+    if not gap <= tol * max(1.0, lp_norm_forms(g, F, 2)):
         raise NotExactForm("input form is not a differential")
     return _decompose(g, "form", F.data,
                       lambda reach, tail_tol: _profile(g, w, 0.5, None, lambda: h, 1.0, reach,

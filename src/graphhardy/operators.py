@@ -479,9 +479,6 @@ class KernelMatrix:
     l: int
     matrix: sp.csr_matrix = field(repr=False)
 
-    def entry(self, x, y) -> float:
-        return float(self.matrix[x, y])
-
     def row_mass(self):
         """sum_y p_l(x, y) m(y) for every x; all ones by stochasticity."""
         return np.asarray(self.matrix @ self.graph.m).ravel()

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -150,7 +150,10 @@ class SpaceTimeEntries:
 class TentAtom:
     """Space-time function supported in the tent of `ball` with
     ||A||_{T^2_2}^2 <= 1/V(ball), kept as its runs (a dense
-    SpaceTimeFunction passed in is converted)."""
+    SpaceTimeFunction passed in is converted).  The ball's radius is an
+    integer: hop counts are, so a ball given radius r is the same vertex
+    set at ceil(r), and is held at that radius.  A molecule synthesized
+    from the atom keeps this ball and its scale s = r^2."""
 
     ball: Ball
     values: SpaceTimeEntries = field(repr=False)
@@ -159,6 +162,9 @@ class TentAtom:
     def __post_init__(self):
         if isinstance(self.values, SpaceTimeFunction):
             self.values = SpaceTimeEntries.of(self.values)
+        r = math.ceil(self.ball.radius)
+        if self.ball.radius != r:
+            self.ball = replace(self.ball, radius=r)
 
     def validate(self):
         """Support in the tent of the ball (a run's last level is its

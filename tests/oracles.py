@@ -20,6 +20,8 @@ levels past a horizon to infinity over the oracle's eigenvalues in long
 double, the references of the closed-form tail (`ProfileTail`): its
 Lusin mass, and its shares of a molecule and of the molecule's
 pre-image.
+`graphs` is the Hypothesis strategy of the property tests: jittered zoo
+graphs and random trees with loops.
 """
 
 import itertools
@@ -28,17 +30,47 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from graphhardy import zoo
 from graphhardy.calculus import (BZ2Kind, SeriesOperator, a_s, binomial_coefficients,
                                  delta_power_apply, require_mean_zero, resolvent_apply,
                                  spectral, spectrum)
 from graphhardy.errors import NonConvergent
-from graphhardy.graphs import annulus, ball, cached_geometry, vitali_cover
+from graphhardy.graphs import annulus, ball, build_graph, cached_geometry, vitali_cover
 from graphhardy.hardy import synthesize_molecules
 from graphhardy.operators import (EdgeFunction, apply_P, gradient, horner, lp_norm,
                                   markov_step, mean_project, powers)
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
+
+
+GRAPH_BASES = {
+    "cycle9": lambda: zoo.lazy_cycle(9),
+    "path7": lambda: zoo.lazy_path(7),
+    "torus4": lambda: zoo.lazy_torus_2d(4),
+    "tree3": lambda: zoo.binary_tree(3),
+}
+
+
+def graphs():
+    """Hypothesis strategy: a jittered zoo graph, or a random tree with
+    loops on a random subset of its vertices (at least one, so the walk
+    is aperiodic).  Hypothesis is imported here, so a module without it
+    can still import the oracles."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def draw_graph(draw):
+        if draw(st.booleans()):
+            base = GRAPH_BASES[draw(st.sampled_from(sorted(GRAPH_BASES)))]()
+            return zoo.random_weights(base, draw(st.integers(0, 2 ** 16)))
+        n = draw(st.integers(2, 24))
+        weight = st.floats(0.1, 10.0)
+        edges = [(draw(st.integers(0, v - 1)), v, draw(weight)) for v in range(1, n)]
+        loops = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        return build_graph(edges + [(x, x, draw(weight)) for x in loops])
+
+    return draw_graph()
 
 
 def delta_power_exact(g, f, beta):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from oracles import annulus_cover, ball_matrix_dense, cover_overlap_bound, geometry_report_masks
-from test_markov_step import graphs as random_graphs, hypothesis
+from oracles import (annulus_cover, ball_matrix_dense, cover_overlap_bound, geometry_report_masks,
+                     graphs as random_graphs)
 
 from graphhardy import graphs, zoo
 from graphhardy.errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
@@ -23,6 +23,8 @@ from graphhardy.graphs import (
     vitali_cover,
     write_graph,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
 
 
 def test_build_k2l_measure(k2l):

@@ -188,6 +188,24 @@ def test_synthesis_derives_a_once(monkeypatch, cycle32, make):
     assert k > 1 and calls == [k]
 
 
+def test_tent_atom_holds_an_integral_radius(cycle32):
+    # hop counts are integers, so B(0, 2.4) is the vertex set of B(0, 3)
+    A = _unit_tent_atom(cycle32, 0, 2.4, 12)
+    B = ball(cycle32, 0, 3)
+    assert A.ball.radius == 3
+    assert np.array_equal(A.ball.mask, B.mask) and A.ball.volume == B.volume
+
+
+def test_molecule_keeps_its_atom_ball(cycle32):
+    # the molecule stands on the atom's own ball, with s = r^2 = 9, not
+    # on a ball rebuilt from a rounded radius
+    A = _unit_tent_atom(cycle32, 0, 2.4, 12)
+    mol = make_molecule_from_tent_atom(A, 1, 1.0, 1.0)
+    assert mol.ball is A.ball and mol.s == 9
+    assert np.array_equal(mol.ball.mask, ball(cycle32, 0, 3).mask)
+    assert validate_molecule(mol).factorization_error <= 1e-12
+
+
 def test_zero_atom_zero_molecule(cycle16):
     B = ball(cycle16, 0, 2)
     A = TentAtom(B, SpaceTimeFunction(cycle16, np.zeros((cycle16.n, 5))),
@@ -685,7 +703,7 @@ def test_pipelines_check_M_and_eps_first(cycle16, monkeypatch, M, eps):
     def ran(*_args, **_kwargs):
         raise AssertionError("the pipeline ran")
 
-    for name in ("require_mean_zero", "_is_exact", "_decompose"):
+    for name in ("require_mean_zero", "divergence", "_decompose"):
         monkeypatch.setattr(hardy, name, ran)
     f = random_mean_zero(cycle16, np.random.default_rng(13))
     with pytest.raises(ValueError, match="M must|eps must"):

@@ -9,8 +9,9 @@ ball matrices, the bz1 product, the molecular pipeline body, the
 molecule validator's rederivation, size table and report, and the
 kernel error may be reached only from the modules and functions listed
 here; the exact Delta^k step and the pipeline body are defined once;
-scipy's private sparse kernels are imported by `operators` alone, and
-no module imports a private name of another."""
+scipy's private sparse kernels are imported by `operators` alone,
+`hardy` imports nothing of `riesz`, and no module imports a private
+name of another."""
 
 import ast
 from pathlib import Path
@@ -222,9 +223,12 @@ def _imports():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 imported.update((path.stem, a.name) for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                imported.add((path.stem, node.module))
-                imported.update((path.stem, f"{node.module}.{a.name}") for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                if node.module:
+                    imported.add((path.stem, node.module))
+                # `from . import b` names b alone
+                prefix = f"{node.module}." if node.module else ""
+                imported.update((path.stem, prefix + a.name) for a in node.names)
     return imported
 
 
@@ -236,6 +240,16 @@ def test_sparse_kernels_are_imported_by_operators_alone():
     stray = sorted((mod, name) for mod, name in imported if mod != "operators"
                    and name.startswith("scipy.sparse._sparsetools"))
     assert stray == [], f"_sparsetools imported outside operators: {stray}"
+
+
+def test_hardy_imports_nothing_of_riesz():
+    # the exactness test of a 1-form lives in the forms pipeline, so the
+    # molecule layer reads nothing of the Riesz transform above it
+    imported = _imports()
+    assert ("__init__", "riesz") in imported
+    stray = sorted(name for mod, name in imported
+                   if mod == "hardy" and "riesz" in name.split("."))
+    assert stray == [], f"hardy imports from riesz: {stray}"
 
 
 def test_no_threads_in_the_package():

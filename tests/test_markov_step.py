@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import chebyshev_terms, counting_markov
+from oracles import chebyshev_terms, counting_markov, graphs
 
 from graphhardy import operators, zoo
 from graphhardy.graphs import build_graph
@@ -32,27 +32,6 @@ from graphhardy.tentspace import SpaceTimeEntries, horner_synthesis
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
-
-BASES = {
-    "cycle9": lambda: zoo.lazy_cycle(9),
-    "path7": lambda: zoo.lazy_path(7),
-    "torus4": lambda: zoo.lazy_torus_2d(4),
-    "tree3": lambda: zoo.binary_tree(3),
-}
-
-
-@st.composite
-def graphs(draw):
-    """A jittered zoo graph, or a random tree with loops on a random
-    subset of its vertices (at least one, so the walk is aperiodic)."""
-    if draw(st.booleans()):
-        base = BASES[draw(st.sampled_from(sorted(BASES)))]()
-        return zoo.random_weights(base, draw(st.integers(0, 2 ** 16)))
-    n = draw(st.integers(2, 24))
-    weight = st.floats(0.1, 10.0)
-    edges = [(draw(st.integers(0, v - 1)), v, draw(weight)) for v in range(1, n)]
-    loops = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    return build_graph(edges + [(x, x, draw(weight)) for x in loops])
 
 
 def _same_bits(a, b):

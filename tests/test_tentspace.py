@@ -8,13 +8,13 @@ import pytest
 from oracles import (
     atomic_decompose_dense,
     eta_coefficients_recurrence,
+    graphs,
     naive_tent_members,
     reproducing_l_max_mpmath,
     reproducing_l_max_spectrum,
     tent_pieces_dense,
     top_level,
 )
-from test_markov_step import graphs, hypothesis, st
 
 from graphhardy import calculus, tentspace, zoo
 from graphhardy.calculus import reproducing_l_max
@@ -40,6 +40,9 @@ from graphhardy.tentspace import (
     tent,
     tent_mask,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
 
 
 @pytest.mark.parametrize("build", [
