@@ -58,6 +58,7 @@ from .graphs import (
     ball,
     ball_matrices,
     cached_geometry,
+    row_blocks,
 )
 from .operators import (
     EdgeFunction,
@@ -571,9 +572,6 @@ def _bz1_block(PK: np.ndarray, tuples) -> np.ndarray:
 
 
 TUPLE_EXHAUSTIVE_CAP = 4096
-# Candidates whose local masses are computed together; bounds the block
-# (n, BMO_BLOCK) however many tuples an exhaustive enumeration yields.
-BMO_BLOCK = 256
 
 
 def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
@@ -584,11 +582,14 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     bz1 tuples are enumerated exhaustively while
     s^M <= TUPLE_EXHAUSTIVE_CAP, otherwise the endpoint tuples plus 32
     seeded samples are used; the report records which ran.
-    The bz2 candidates of every s come from one sweep; local masses are
-    taken with one sparse ball matrix per radius, grown from the previous
-    radius as s walks upward (one matrix held at a time, `dist` never
-    read), on blocks of at most BMO_BLOCK candidates, walked in order (the
-    first strict maximum wins).
+    The sup is taken ball by ball: one sparse ball matrix per radius r,
+    grown from the last (`ball_matrices`, `dist` never read), serves the
+    candidates of every s with ceil(sqrt(s)) = r, the bz2 columns of one
+    sweep or the bz1 tuples from one P^k f table.  Each candidate is
+    kept once, at the first s that has it (a repeat has the same value,
+    so it could not win), and their local masses are taken in order of
+    s on blocks of at most ROW_BLOCK_ENTRIES // n columns (`row_blocks`);
+    the first strict maximum wins, as in a walk over s.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
@@ -599,42 +600,40 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     f = np.asarray(f, dtype=float)
     best = (-1.0, None)
     policies = set()
-    balls = ball_matrices(g, math.ceil(math.sqrt(s_max)))
-    r = 0
     if kind == "bz1":
         PK = weighted_powers(g, f, np.ones(2 * s_max * M + 1))
     else:
         A = a_s(g, f, BZ2Kind(tuple(range(1, s_max + 1)), M))
     rng = np.random.default_rng(seed)
-    for s in range(1, s_max + 1):
-        if math.ceil(math.sqrt(s)) > r:
-            r += 1
-            B = next(balls)
-            vols = B @ g.m
-        if kind == "bz2":
-            tuples = [()]
-            policies.add("exhaustive")
-        elif s ** M <= TUPLE_EXHAUSTIVE_CAP:
-            tuples = itertools.product(range(s, 2 * s + 1), repeat=M)
-            policies.add("exhaustive")
-        else:
-            corner = list(itertools.product((s, 2 * s), repeat=M))
-            sampled = [tuple(rng.integers(s, 2 * s + 1, size=M))
-                       for _ in range(32)]
-            tuples = corner + sampled
-            policies.add("sampled")
-        tuples = iter(tuples)
-        while chunk := list(itertools.islice(tuples, BMO_BLOCK)):
-            U = A[:, s - 1:s] if kind == "bz2" else _bz1_block(PK, chunk)
+    for r, B in enumerate(ball_matrices(g, math.ceil(math.sqrt(s_max))), start=1):
+        vols = B @ g.m
+        first = {}  # candidate (s for bz2, a tuple for bz1) -> its first s
+        for s in range((r - 1) ** 2 + 1, min(r * r, s_max) + 1):
+            if kind == "bz2":
+                candidates = [s]
+                policies.add("exhaustive")
+            elif s ** M <= TUPLE_EXHAUSTIVE_CAP:
+                candidates = itertools.product(range(s, 2 * s + 1), repeat=M)
+                policies.add("exhaustive")
+            else:
+                corner = list(itertools.product((s, 2 * s), repeat=M))
+                sampled = [tuple(rng.integers(s, 2 * s + 1, size=M))
+                           for _ in range(32)]
+                candidates = corner + sampled
+                policies.add("sampled")
+            for c in candidates:
+                first.setdefault(c, s)
+        for chunk in row_blocks(list(first), g.n):
+            U = A[:, np.subtract(chunk, 1)] if kind == "bz2" else _bz1_block(PK, chunk)
             local = (B @ (U * U * g.m[:, None])) / vols[:, None]
             xs = np.argmax(local, axis=0)
             vals = np.sqrt(local[xs, np.arange(len(chunk))])
             j = int(np.argmax(vals))
             if vals[j] > best[0]:
-                best = (float(vals[j]), {"s": s, "times": list(chunk[j]),
+                times = [] if kind == "bz2" else list(chunk[j])
+                best = (float(vals[j]), {"s": first[chunk[j]], "times": times,
                                          "center": int(xs[j]), "radius": r})
-    policy = "+".join(sorted(policies))
-    return BmoReport(kind, M, best[0], best[1], policy)
+    return BmoReport(kind, M, *best, "+".join(sorted(policies)))
 
 
 def m0_norm(g: WeightedGraph, phi, M: int, eps: float, x0: int,

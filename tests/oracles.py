@@ -378,12 +378,13 @@ def family_per_s(g, family, f, s, M):
 
 
 def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
-    """(value, argmax) of `hardy.bmo_norm` one scale and one candidate
-    at a time: a scalar `a_s` per s for bz2, a dense ball mask per s.
-    bz1 tuples are enumerated while s^M <= cap (`hardy.TUPLE_EXHAUSTIVE_CAP`
-    for the default) and sampled past it."""
+    """(value, argmax, enumeration_policy) of `hardy.bmo_norm` one scale
+    and one candidate at a time: a scalar `a_s` per s for bz2, a dense
+    ball mask per s.  bz1 tuples are enumerated while s^M <= cap
+    (`hardy.TUPLE_EXHAUSTIVE_CAP` for the default) and sampled past it."""
     f = np.asarray(f, dtype=float)
     best = (-1.0, None)
+    policies = set()
     PK = np.column_stack(list(powers(g, f, 2 * s_max * M)))
     rng = np.random.default_rng(seed)
     for s in range(1, s_max + 1):
@@ -392,10 +393,13 @@ def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
         vols = mask @ g.m
         if kind == "bz2":
             candidates = [((), a_s(g, f, BZ2Kind(s, M)))]
+            policies.add("exhaustive")
         else:
             if s ** M <= cap:
                 tuples = itertools.product(range(s, 2 * s + 1), repeat=M)
+                policies.add("exhaustive")
             else:
+                policies.add("sampled")
                 corner = list(itertools.product((s, 2 * s), repeat=M))
                 sampled = [tuple(rng.integers(s, 2 * s + 1, size=M))
                            for _ in range(32)]
@@ -414,7 +418,7 @@ def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
             if val > best[0]:
                 best = (val, {"s": s, "times": list(times), "center": x,
                               "radius": r})
-    return best
+    return best + ("+".join(sorted(policies)),)
 
 
 def riesz_entries_per_input(g, suite, l_max=None):

@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import save_vertex_csv
 
+import graphhardy
 from graphhardy import calculus, graphs, hardy
 from graphhardy.cli import main
 from graphhardy.operators import random_mean_zero
@@ -194,9 +197,12 @@ def test_periodic_walk_exit_code(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package the suite imported, installed or not
+    src = str(Path(graphhardy.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "graphhardy.cli", "geometry", "k2l"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["M0"] == 2

@@ -761,6 +761,42 @@ def test_bmo_norm_holds_one_ball_matrix(monkeypatch, cycle32):
     assert len(yielded) == 18
 
 
+@pytest.mark.parametrize("M, columns", [(1, 46), (2, 642)])
+def test_bmo_norm_evaluates_each_tuple_once_per_ball(monkeypatch, cycle16, M, columns):
+    # the scales of one radius share their ball, so a tuple of several of
+    # their boxes is one local-mass column: at M = 1 the boxes [s, 2s] of
+    # radius r cover [(r - 1)^2 + 1, 2 r^2], 2 + 7 + 14 + 23 tuples up to
+    # s = 16, where a walk over s takes sum (s + 1)^M (152 and 1,784)
+    bz1_block = hardy._bz1_block
+    received = []
+
+    def counted(PK, tuples):
+        received.append(len(tuples))
+        return bz1_block(PK, tuples)
+
+    monkeypatch.setattr(hardy, "_bz1_block", counted)
+    f = random_mean_zero(cycle16, np.random.default_rng(15))
+    assert bmo_norm(cycle16, f, "bz1", M, 16).enumeration_policy == "exhaustive"
+    assert sum(received) == columns
+
+
+def test_bmo_norm_reports_a_shared_tuple_at_its_first_scale(monkeypatch, cycle16):
+    # a unit spike at vertex 0 for t = 11 and 12 alone: both lie in the
+    # boxes [s, 2s] of s = 6..9 in radius 3 (and of s = 10, 11 in radius
+    # 4), the smaller ball gives them the larger normalized mass, 1/5,
+    # and of the tie, in blocks of one column, the first candidate wins
+    def spike(PK, tuples):
+        out = np.zeros((PK.shape[0], len(tuples)))
+        out[0, [t in ((11,), (12,)) for t in tuples]] = 1.0
+        return out
+
+    monkeypatch.setattr(hardy, "_bz1_block", spike)
+    monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", cycle16.n)
+    rep = bmo_norm(cycle16, np.zeros(cycle16.n), "bz1", 1, 16)
+    assert rep.argmax == {"s": 6, "times": [11], "center": 0, "radius": 3}
+    assert rep.value == pytest.approx(math.sqrt(1 / 5), rel=1e-15)
+
+
 def test_bmo_sampled_policy(cycle16, rng):
     f = random_mean_zero(cycle16, rng)
     rep = bmo_norm(cycle16, f, "bz1", 2, 70)

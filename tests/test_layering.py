@@ -138,56 +138,61 @@ def _all_calls():
     return out
 
 
-def test_scanner_sees_calls():
-    found = _all_calls()
-    assert ("markov_matrix", "operators._chain") in found
-    assert ("_chain", "operators._kernel") in found
-    assert ("_kernel_step", "operators.markov_step") in found
-    assert ("_chain_blocks", "operators.horner") in found
-    assert ("_kernel", "operators._chain_blocks") in found
-    assert ("_chain_blocks", "operators.level_blocks") in found
-    assert ("_chain_blocks", "operators.chebyshev_blocks") in found
-    assert ("markov_matrix", "operators.spectral_interval") in found
-    assert ("csr_matvecs", "operators._kernel_step") in found
-    assert ("chebyshev_blocks", "calculus.apply") in found
-    assert ("spectral_interval", "calculus.phi_apply") in found
-    assert ("markov_step", "operators.apply_P") in found
-    assert ("apply_P", "operators.delta_steps") in found
-    assert ("apply_P", "calculus.bz1_product") in found
-    assert ("apply_P", "hardy._pre_images") in found
-    assert ("apply_P", "tentspace.horner_synthesis") in found
-    assert ("bz1_product", "calculus.a_s") in found
-    assert ("bz1_product", "hardy.rederive_molecules") in found
-    assert ("_decompose", "hardy.molecular_decompose") in found
-    assert ("_decompose", "hardy.form_molecular_decompose") in found
-    assert ("has_oracle", "calculus.spectrum") in found
-    assert ("spectral", "calculus.spectrum") in found
-    assert ("_certify", "calculus.spectrum") in found
-    assert ("spectrum", "hardy._decompose") in found
-    assert ("spectrum", "calculus.reproducing_l_max") in found
-    assert ("_reproducing_error", "calculus.reproducing_l_max") in found
-    assert ("spectral", "calculus.phi_apply") in found
-    assert ("SeriesOperator", "calculus.delta_power_series") in found
-    assert ("level_blocks", "quadratic._level_square_sums") in found
-    assert ("_cone_accumulate", "quadratic.lusin_tilde") in found
-    assert ("lusin_terms", "tentspace.atomic_decompose") in found
-    assert ("tent_mask", "tentspace.tent") in found
-    assert ("ball_matrices", "hardy.bmo_norm") in found
-    assert ("rederive_molecules", "hardy._validate_block") in found
-    assert ("_size_table", "hardy.synthesize_molecules") in found
-    assert ("ValidationReport", "hardy._validate_block") in found
-    assert ("KernelComponent", "calculus.require_mean_zero") in found
-    assert ("horner", "tentspace.horner_synthesis") in found
-    assert ("weighted_powers", "hardy._profile") in found
-    assert ("weighted_powers", "hardy.bmo_norm") in found
-    assert ("lusin_tail_apply", "quadratic.mass") in found
-    assert ("synthesis_tail_apply", "quadratic.share") in found
+@pytest.fixture(scope="module")
+def calls():
+    """Every call of `_all_calls`, the package parsed once for all cases."""
+    return _all_calls()
+
+
+def test_scanner_sees_calls(calls):
+    assert ("markov_matrix", "operators._chain") in calls
+    assert ("_chain", "operators._kernel") in calls
+    assert ("_kernel_step", "operators.markov_step") in calls
+    assert ("_chain_blocks", "operators.horner") in calls
+    assert ("_kernel", "operators._chain_blocks") in calls
+    assert ("_chain_blocks", "operators.level_blocks") in calls
+    assert ("_chain_blocks", "operators.chebyshev_blocks") in calls
+    assert ("markov_matrix", "operators.spectral_interval") in calls
+    assert ("csr_matvecs", "operators._kernel_step") in calls
+    assert ("chebyshev_blocks", "calculus.apply") in calls
+    assert ("spectral_interval", "calculus.phi_apply") in calls
+    assert ("markov_step", "operators.apply_P") in calls
+    assert ("apply_P", "operators.delta_steps") in calls
+    assert ("apply_P", "calculus.bz1_product") in calls
+    assert ("apply_P", "hardy._pre_images") in calls
+    assert ("apply_P", "tentspace.horner_synthesis") in calls
+    assert ("bz1_product", "calculus.a_s") in calls
+    assert ("bz1_product", "hardy.rederive_molecules") in calls
+    assert ("_decompose", "hardy.molecular_decompose") in calls
+    assert ("_decompose", "hardy.form_molecular_decompose") in calls
+    assert ("has_oracle", "calculus.spectrum") in calls
+    assert ("spectral", "calculus.spectrum") in calls
+    assert ("_certify", "calculus.spectrum") in calls
+    assert ("spectrum", "hardy._decompose") in calls
+    assert ("spectrum", "calculus.reproducing_l_max") in calls
+    assert ("_reproducing_error", "calculus.reproducing_l_max") in calls
+    assert ("spectral", "calculus.phi_apply") in calls
+    assert ("SeriesOperator", "calculus.delta_power_series") in calls
+    assert ("level_blocks", "quadratic._level_square_sums") in calls
+    assert ("_cone_accumulate", "quadratic.lusin_tilde") in calls
+    assert ("lusin_terms", "tentspace.atomic_decompose") in calls
+    assert ("tent_mask", "tentspace.tent") in calls
+    assert ("ball_matrices", "hardy.bmo_norm") in calls
+    assert ("rederive_molecules", "hardy._validate_block") in calls
+    assert ("_size_table", "hardy.synthesize_molecules") in calls
+    assert ("ValidationReport", "hardy._validate_block") in calls
+    assert ("KernelComponent", "calculus.require_mean_zero") in calls
+    assert ("horner", "tentspace.horner_synthesis") in calls
+    assert ("weighted_powers", "hardy._profile") in calls
+    assert ("weighted_powers", "hardy.bmo_norm") in calls
+    assert ("lusin_tail_apply", "quadratic.mass") in calls
+    assert ("synthesis_tail_apply", "quadratic.share") in calls
 
 
 @pytest.mark.parametrize("callee", sorted(ALLOWED))
-def test_calls_stay_in_their_home(callee):
+def test_calls_stay_in_their_home(callee, calls):
     modules, functions = ALLOWED[callee]
-    stray = sorted({where for name, where in _all_calls() if name == callee
+    stray = sorted({where for name, where in calls if name == callee
                     and where.split(".")[0] not in modules and where not in functions})
     assert stray == [], f"{callee}( called outside its home: {stray}"
 

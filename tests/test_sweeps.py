@@ -6,7 +6,7 @@ import pytest
 
 from oracles import bmo_norm_per_s, counting_markov, family_per_s
 
-from graphhardy import calculus, hardy
+from graphhardy import calculus, graphs, hardy
 from graphhardy.calculus import (
     FAMILIES,
     BZ2Kind,
@@ -83,18 +83,54 @@ def test_bmo_norm_equals_per_s_reference(path, kind, M, s_max, policy, cycle32,
     monkeypatch.setattr(hardy, "TUPLE_EXHAUSTIVE_CAP", cap)
     f = random_mean_zero(cycle32, np.random.default_rng(5))
     rep = bmo_norm(cycle32, f, kind, M, s_max, seed=2)
-    value, argmax = bmo_norm_per_s(cycle32, f, kind, M, s_max, seed=2, cap=cap)
+    value, argmax, policy = bmo_norm_per_s(cycle32, f, kind, M, s_max, seed=2, cap=cap)
     assert rep.value == pytest.approx(value, rel=1e-12)
     assert rep.argmax == argmax
+    assert rep.enumeration_policy == policy
 
 
-def test_bmo_norm_block_cap(cycle16):
-    # 4225 exhaustive candidates at s = 64, several blocks of them
+def test_bmo_norm_block_cap(monkeypatch, cycle16):
+    # 5,821 exhaustive candidates at radius 8 (s = 50..64; 4,225 at
+    # s = 64 alone), in blocks of 256 of them
+    monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", 256 * cycle16.n)
     f = random_mean_zero(cycle16, np.random.default_rng(6))
     rep = bmo_norm(cycle16, f, "bz1", 2, 70)
-    value, argmax = bmo_norm_per_s(cycle16, f, "bz1", 2, 70)
+    value, argmax, policy = bmo_norm_per_s(cycle16, f, "bz1", 2, 70)
     assert rep.value == pytest.approx(value, rel=1e-12)
     assert rep.argmax == argmax
+    assert rep.enumeration_policy == policy == "exhaustive+sampled"
+
+
+@pytest.mark.parametrize("kind", ["bz1", "bz2"])
+@pytest.mark.parametrize("name, M, s_max, cap, block", [
+    # the boxes [s, 2s]^2 of s = 5..9 overlap inside radius 3
+    ("torus12", 2, 9, None, None),
+    # s <= 5 enumerated and s >= 6 sampled: radius 3 (s = 5..9) has both
+    ("cycle16", 2, 9, 30, None),
+    # s_max not a square: the last radius, 5, holds s = 17..23 only
+    ("cycle32", 1, 23, None, None),
+    # radii up to 10 on a cycle of diameter 8: saturated balls from 9 on
+    ("cycle16", 1, 90, None, None),
+    # blocks of 2 columns, fewer than the candidates of every radius past 1
+    ("cycle32", 2, 16, None, 2),
+])
+def test_bmo_norm_ball_by_ball_equals_per_s_reference(request, monkeypatch, kind, name, M,
+                                                      s_max, cap, block):
+    # the sup taken ball by ball, each candidate once, is the per-s
+    # walk's; a slowly growing f puts the argmax in the last radius (in
+    # radius 6 of 10 for bz1 on the saturated cycle)
+    g = request.getfixturevalue(name)
+    if cap is not None:
+        monkeypatch.setattr(hardy, "TUPLE_EXHAUSTIVE_CAP", cap)
+    if block is not None:
+        monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", block * g.n)
+    f = np.log1p(g.dist[0]) + 0.05 * random_mean_zero(g, np.random.default_rng(9))
+    rep = bmo_norm(g, f, kind, M, s_max, seed=3)
+    value, argmax, policy = bmo_norm_per_s(g, f, kind, M, s_max, seed=3,
+                                           cap=hardy.TUPLE_EXHAUSTIVE_CAP)
+    assert rep.value == pytest.approx(value, rel=1e-12)
+    assert rep.argmax == argmax
+    assert rep.enumeration_policy == policy
 
 
 @pytest.mark.parametrize("M", [1, 2])
