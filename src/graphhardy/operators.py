@@ -14,6 +14,9 @@ and every L^p norm carries the vertex measure m.
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +40,67 @@ LEVEL_CHUNK = 64
 # one kernel call per chunk of levels, while a large graph's chain is a
 # single copy, so its walk costs what a call per level costs.
 CHAIN_ENTRIES = 1 << 14
+
+# The one pool of the package (`run_parts`), made on first use: one
+# executor per size, so a process that comes to see another core count
+# gets a pool of that size.  The thread-local flag marks a thread that is
+# running a part.
+_POOLS = {}
+_PART = threading.local()
+# Product counts are read-modify-writes on the graph, made from parts too.
+_COUNT_LOCK = threading.Lock()
+
+
+# -- the pool ------------------------------------------------------------
+
+def thread_cap(default=4) -> int:
+    """The cores this process may run on, up to `default`: the number of
+    parts `run_parts` runs at once, and of column groups in a block
+    `quadratic.lusin`.  The caller still sets the BLAS thread count."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(default, cores))
+
+
+def _run_part(fn, part):
+    """fn(part) with the thread marked as running a part."""
+    busy, _PART.busy = getattr(_PART, "busy", False), True
+    try:
+        return fn(part)
+    finally:
+        _PART.busy = busy
+
+
+def run_parts(fn, parts):
+    """[fn(p) for p in parts], in order: the calling thread runs the
+    first part and a pool of thread_cap() - 1 worker threads the others.
+    Every part runs inline when there is one part or one core, and when
+    the call comes from inside a part, so parts never wait on the pool.
+    Each part must write only memory that no other part reads or writes.
+    The parts are awaited even when one raises; the first exception in
+    part order reaches the caller."""
+    parts = list(parts)
+    workers = thread_cap() - 1
+    if len(parts) < 2 or workers < 1 or getattr(_PART, "busy", False):
+        return [fn(p) for p in parts]
+    if workers not in _POOLS:
+        _POOLS[workers] = concurrent.futures.ThreadPoolExecutor(
+            workers, thread_name_prefix="graphhardy")
+    futures = [_POOLS[workers].submit(_run_part, fn, p) for p in parts[1:]]
+    try:
+        first = _run_part(fn, parts[0])
+    finally:
+        concurrent.futures.wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
+def _count(g: WeightedGraph, calls: int, cols: int):
+    """Add products to g's counts; exact when parts count at once."""
+    with _COUNT_LOCK:
+        g.matvec_calls += calls
+        g.matvec_cols += cols
 
 
 # -- vertex functions ---------------------------------------------------
@@ -128,8 +192,7 @@ def _kernel_step(g: WeightedGraph, W, x, out):
             _sparsetools.csr_matvec(n, n, *csr, x.ravel(), out.reshape(-1))
         else:
             _sparsetools.csr_matvecs(n, n, cols, *csr, x.ravel(), out.reshape(-1))
-    g.matvec_calls += 1
-    g.matvec_cols += cols
+    _count(g, 1, cols)
     return out
 
 
@@ -239,8 +302,7 @@ def _kernel(g: WeightedGraph, buf, cols: int, kind="walk"):
                 for j in range(0, steps, chain)]
         for args in calls[first, steps]:
             kernel(*args)
-        g.matvec_calls += steps
-        g.matvec_cols += steps * cols
+        _count(g, steps, steps * cols)
 
     return run
 
@@ -293,13 +355,14 @@ def _zero_fill(run, lo, block, start):
     run(start, len(block) - start)
 
 
-def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=_zero_fill):
+def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=_zero_fill, entries=None):
     """The chunked walk of `level_blocks`, `chebyshev_blocks` and
     `horner`: levels 0..N of a walk from u (a float vector or (n, k)
     block) on g's chain of the given kind, yielded as (lo, block),
     block[i] level lo + i, in one reused, level-major chunk of at most
-    min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES // u.size) levels.  The buffer
-    holds the `_lag` levels before the chunk (zeros before level 0).
+    min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES // entries) levels (entries =
+    u.size unless given).  The buffer holds the `_lag` levels before the
+    chunk (zeros before level 0).
     Each pass puts u in level 0 (on the first pass) and makes
     block[start:] (start = 1 on the first pass, else 0) through
     fill(run, lo, block, start), by `_kernel` calls run(i, steps), which
@@ -312,7 +375,8 @@ def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=_zero_fill):
     yielded, so the consumer may overwrite block; the next pass
     overwrites it."""
     lag = _lag(kind)
-    size = max(1, min(LEVEL_CHUNK, N + 1, ROW_BLOCK_ENTRIES // max(u.size, 1)))
+    entries = u.size if entries is None else entries
+    size = max(1, min(LEVEL_CHUNK, N + 1, ROW_BLOCK_ENTRIES // max(entries, 1)))
     buf = np.zeros((size + lag,) + u.shape)
     run = _kernel(g, buf.reshape(-1), u.shape[1] if u.ndim == 2 else 1, kind)
     for lo in range(0, N + 1, size):
@@ -325,7 +389,7 @@ def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=_zero_fill):
         yield lo, block
 
 
-def level_blocks(g: WeightedGraph, f, L: int):
+def level_blocks(g: WeightedGraph, f, L: int, entries=None):
     """Walk P^0 f, P^1 f, ..., P^L f with exactly L sparse products and
     yield them as (lo, block): block[i] = P^(lo + i) f for a vector or an
     (n, k) block f, each level a contiguous row of one reused,
@@ -335,10 +399,12 @@ def level_blocks(g: WeightedGraph, f, L: int):
     before it, which the same chained kernel call (`_kernel`) has just
     written, so every level is bit-identical to repeated `markov_step`.
     block is overwritten by the next pass; the consumer may overwrite it
-    (the walk resumes from its own copy of the last level)."""
+    (the walk resumes from its own copy of the last level).  A walk of
+    some columns of a block passes entries = the block's size, so that
+    its chunks hold the levels the block's chunks hold."""
     if L < 0:
         return
-    yield from _chain_blocks(g, _operand(g, f), L)
+    yield from _chain_blocks(g, _operand(g, f), L, entries=entries)
 
 
 def powers(g: WeightedGraph, f, L: int):

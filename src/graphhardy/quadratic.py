@@ -5,7 +5,7 @@ d(x,y)^2 <= l iff d(x,y) <= floor(sqrt(l)), the levels l in
 [rho^2, (rho+1)^2) share the spatial ball {d <= rho}, which is exactly
 the strict ball of radius ceil(sqrt(l+1)).  Every cone sum below first
 groups its weights by that radius into an (n, R) table W (an (n, R, k)
-table for a block of k inputs) and hands W to `_cone_accumulate`.
+table for a block of k inputs) and hands W to `_cone_columns`.
 `lusin` fills W from the chunks of `operators.level_blocks`: it squares
 each chunk of levels in place and adds it into W with one weighted row
 sum per cone radius the chunk meets, so neither an (n, l_max + 1) array
@@ -19,6 +19,13 @@ block of centres by one sparse gather-product (`operators.cone_gather`)
 on the int32 index y * width + d(x, y); centres with a rare profile are
 summed radius by radius.  The naive double loops live in the test tree
 as oracles.
+
+Every cone sum runs on the package's one pool (`operators.run_parts`,
+`operators.thread_cap()` parts at once, `_cone_columns`): the column
+groups of a block at once, each walking its own levels for `lusin`, or
+the row blocks of one column's tail table.  Each part makes its numbers
+exactly as the serial sum makes them, so every result is the same bits
+for every core count.
 """
 
 from __future__ import annotations
@@ -43,7 +50,8 @@ from .operators import (
     inner,
     level_blocks,
     lp_norm,
-    per_row,
+    run_parts,
+    thread_cap,
 )
 
 
@@ -175,63 +183,113 @@ def _profile_groups(V: np.ndarray):
     return np.split(order, np.flatnonzero(np.any(S[1:] != S[:-1], axis=1)) + 1)
 
 
-def _cone_accumulate(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
-    """sum over (y, rho) with d(x, y) <= rho of W[y, rho] / V(x, rho), where
-    V(x, rho) = m({d(x, .) <= rho}) and column rho of W carries every
-    factor of the cone levels [rho^2, (rho+1)^2) except the volume
-    divisor.  Radii past the diameter see the whole graph, so they are
-    folded into the radius `diameter`.  (n, R, k) weights give an (n, k)
-    block: k columns read each tail table with one gather-product."""
-    n = g.n
+def _runs(items, parts: int):
+    """items cut into min(parts, len(items)) contiguous runs whose lengths
+    differ by at most one."""
+    parts = min(parts, len(items))
+    return [items[len(items) * i // parts:len(items) * (i + 1) // parts]
+            for i in range(parts)]
+
+
+def _table_sums(g: WeightedGraph, W: np.ndarray, volumes, blocks, out: np.ndarray):
+    """out[block] for row blocks of centres that share the ball volumes
+    V(x, .) = volumes: the tail table T[y, r] = sum_{rho >= r} W[y, rho] /
+    volumes[rho], read at T[y, d(x, y)] by one gather-product per block,
+    through one reused index buffer."""
+    n, R, k = W.shape
     width = g.diameter + 1
-    cols = W.shape[2:]
-    W = W.reshape(n, W.shape[1], -1)
-    if W.shape[1] > width:
-        W = np.concatenate((W[:, :width - 1], W[:, width - 1:].sum(axis=1, keepdims=True)),
-                           axis=1)
-    R, k = W.shape[1:]
-    V = g.ball_volumes
-    out = np.empty((n, k))
-    rare = []
+    T = np.zeros((n, width, k))
+    np.divide(W, volumes[:R, None], out=T[:, :R])
+    tails = T[:, R - 1::-1]  # tail sums: one (n, k) add per radius, outermost first
+    np.cumsum(tails, axis=1, out=tails)
+    T = T.reshape(n * width, k)
     # row y of the index reads T[y, d(x, y)] at y * width + d(x, y)
     index_type = np.int32 if n * width < 2 ** 31 else np.intp
     offsets = np.arange(n, dtype=index_type) * width
-    for rows in _profile_groups(V):
-        if len(rows) < SHARED_PROFILE_MIN:
-            rare.append(rows)
-            continue
-        T = np.zeros((n, width, k))
-        np.divide(W, V[rows[0], :R, None], out=T[:, :R])
-        for r in range(R - 2, -1, -1):  # tail sums, one (n, k) add per radius
-            T[:, r] += T[:, r + 1]
-        T = T.reshape(n * width, k)
-        blocks = row_blocks(rows, n)
-        index = np.empty((len(blocks[0]), n), dtype=index_type)
-        ones = np.ones(index.size)
-        for block in blocks:
-            cells = np.add(g.dist[block], offsets, out=index[:len(block)])
-            out[block] = cone_gather(T, cells, ones, np.zeros((len(block), k)))
-    rare = np.concatenate(rare) if rare else np.empty(0, dtype=np.intp)
-    for block in row_blocks(rare, n):
+    index = np.empty((len(blocks[0]), n), dtype=index_type)
+    ones = np.ones(index.size)
+    for block in blocks:
+        cells = np.add(g.dist[block], offsets, out=index[:len(block)])
+        out[block] = cone_gather(T, cells, ones, np.zeros((len(block), k)))
+
+
+def _masked_sums(g: WeightedGraph, W: np.ndarray, blocks, out: np.ndarray):
+    """out[block] for each row block of centres, summed radius by radius:
+    the mask d(x, .) <= rho of the block times W[:, rho], over V(x, rho)."""
+    V = g.ball_volumes
+    for block in blocks:
         D = g.dist[block]
-        acc = np.zeros((len(block), k))
-        for rho in range(R):
+        acc = np.zeros((len(block), W.shape[2]))
+        for rho in range(W.shape[1]):
             acc += ((D <= rho) @ W[:, rho]) / V[block, rho, None]
         out[block] = acc
-    return out.reshape((n,) + cols)
 
 
-def _level_square_sums(g: WeightedGraph, u, beta: float, L: int, starts) -> np.ndarray:
+def _cone_columns(g: WeightedGraph, weights, k: int) -> np.ndarray:
+    """The (n, k) cone sums of (n, R, k) radius weights W, made column
+    group by column group: weights(c) is W[:, :, c] for a slice c, and
+
+        out[x, j] = sum over (y, rho) with d(x, y) <= rho of W[y, rho, j] / V(x, rho),
+
+    V(x, rho) = m({d(x, .) <= rho}), column rho of W carrying every factor
+    of the cone levels [rho^2, (rho+1)^2) except the volume divisor.
+    Radii past the diameter see the whole graph, so they are folded into
+    the radius `diameter`.
+
+    The min(k, thread_cap()) column groups run on the pool
+    (`operators.run_parts`): each makes its weights and the sums of the
+    centres that share a tail table, for one column by runs of each
+    table's row blocks on the pool.  The rare centres are summed after,
+    from every column at once, by runs of whole row blocks, since a BLAS
+    product computes a column or a row differently in a block of another
+    shape.  Every part makes its numbers as the serial sum makes them."""
+    n, width = g.n, g.diameter + 1
+    V = g.ball_volumes
+    profiles = _profile_groups(V)
+    shared = [rows for rows in profiles if len(rows) >= SHARED_PROFILE_MIN]
+    rare = [rows for rows in profiles if len(rows) < SHARED_PROFILE_MIN]
+    out = np.empty((n, k))
+
+    def group(c):
+        W = weights(c)
+        if W.shape[1] > width:
+            W = np.concatenate((W[:, :width - 1], W[:, width - 1:].sum(axis=1, keepdims=True)),
+                               axis=1)
+        for rows in shared:
+            run_parts(lambda run: _table_sums(g, W, V[rows[0]], run, out[:, c]),
+                      _runs(row_blocks(rows, n), thread_cap()))
+        return W
+
+    parts = run_parts(group, [slice(r.start, r.stop) for r in _runs(range(k), thread_cap())])
+    if parts and rare:
+        W = np.concatenate(parts, axis=2)
+        run_parts(lambda blocks: _masked_sums(g, W, blocks, out),
+                  _runs(row_blocks(np.concatenate(rare), n), thread_cap()))
+    return out
+
+
+def _cone_accumulate(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
+    """The cone sums (`_cone_columns`) of (n, R) radius weights W, or of
+    the k columns of (n, R, k) weights as an (n, k) block."""
+    cols = W.shape[2:]
+    W = W.reshape(g.n, W.shape[1], -1)
+    return _cone_columns(g, lambda c: W[:, :, c], W.shape[2]).reshape((g.n,) + cols)
+
+
+def _level_square_sums(g: WeightedGraph, u, beta: float, L: int, starts,
+                       entries=None) -> np.ndarray:
     """S[i] = sum (l+1)^{2b-1} |P^l u|^2 over the levels l of
     [starts[i], starts[i+1]) (the last segment ends at L), for increasing
     starts from 0, with shape (len(starts),) + u.shape.  The walk hands
-    over a chunk of levels at a time; it is squared in place and each
-    segment it meets is added with one weighted row sum."""
+    over a chunk of levels at a time, sized for `entries` operand
+    entries (u.size unless given; `operators.level_blocks`); it is
+    squared in place and each segment it meets is added with one
+    weighted row sum."""
     S = np.zeros((len(starts),) + np.shape(u))
     flat = S.reshape(len(starts), -1)
     weight = np.arange(1.0, L + 2) ** (2 * beta - 1)
     ends = list(starts[1:]) + [L + 1]
-    for lo, rows in level_blocks(g, u, L):
+    for lo, rows in level_blocks(g, u, L, entries):
         hi = lo + len(rows)
         rows = rows.reshape(len(rows), -1)
         np.square(rows, out=rows)
@@ -249,9 +307,12 @@ def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
 
     ||L_beta f||_1 is the quadratic H^1 norm.  The weights are summed per
     cone radius floor(sqrt(l)), one chunk of the power walk at a time; an
-    (n, k) block of inputs walks it once and gives an (n, k) block.  A
-    periodic walk raises PeriodicWalk: its P^l f keeps oscillating, so the
-    sum depends on the horizon.
+    (n, k) block of inputs gives an (n, k) block, its min(k,
+    thread_cap()) contiguous column groups walking the power sequence
+    once each, at once on the pool (`_cone_columns`), in chunks of the
+    levels that the whole block's walk would hold.  A periodic walk
+    raises PeriodicWalk: its P^l f keeps oscillating, so the sum depends
+    on the horizon.
     """
     if not g.aperiodic:
         raise PeriodicWalk("the walk is periodic, so P^l f does not settle "
@@ -259,10 +320,15 @@ def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
     if l_max is None:
         l_max = default_l_max(g)
     u = delta_power_apply(g, f, beta)
-    radii = range(math.isqrt(l_max) + 1)
-    W = _level_square_sums(g, u, beta, l_max, [rho * rho for rho in radii])
-    W *= per_row(g.m, u)
-    return np.sqrt(_cone_accumulate(g, np.moveaxis(W, 0, 1)))
+    starts = [rho * rho for rho in range(math.isqrt(l_max) + 1)]
+    v = u.reshape(g.n, -1)
+
+    def radius_weights(c):
+        W = _level_square_sums(g, v[:, c], beta, l_max, starts, v.size)
+        W *= g.m[:, None]
+        return np.moveaxis(W, 0, 1)
+
+    return np.sqrt(_cone_columns(g, radius_weights, v.shape[1])).reshape(u.shape)
 
 
 def quad_norm(g: WeightedGraph, f, beta: float = 1.0, l_max=None):

@@ -7,7 +7,9 @@ input's through the identity Delta^{-1/2} d* d Delta^{-1/2} = I.
 
 The experiment runs the primitives of `riesz` on (n, k) blocks of
 inputs F, and one `quad_norm` of the stacked [F, h],
-h = Delta^{-1/2} d* d Delta^{-1/2} F, walks the power sequence once.
+h = Delta^{-1/2} d* d Delta^{-1/2} F, walks the power sequence once per
+column group, the groups at once on the package's pool (`quadratic.lusin`);
+the report is the same bits for every core count.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .operators import (
     gradient,
     lp_norm,
     lp_norm_forms,
+    thread_cap,  # noqa: F401  (re-exported: benchmark run metadata reads riesz.thread_cap)
     tx_norms,
 )
 from .quadratic import form_potential, quad_norm, quad_norm_forms
@@ -40,12 +42,6 @@ from .quadratic import form_potential, quad_norm, quad_norm_forms
 # 1024-input suite on lazy_torus_16 took 1.1-1.2 s for blocks of 16-128).
 RIESZ_BLOCK = 64
 RIESZ_TABLE_ENTRIES = 1 << 22
-
-
-def thread_cap(default=4) -> int:
-    """The core count up to `default`.  The package runs no pool; the
-    value is kept for benchmark run metadata only."""
-    return max(1, min(default, os.cpu_count() or 1))
 
 
 @dataclass

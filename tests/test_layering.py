@@ -9,9 +9,10 @@ ball matrices, the bz1 product, the molecular pipeline body, the
 molecule validator's rederivation, size table and report, and the
 kernel error may be reached only from the modules and functions listed
 here; the exact Delta^k step and the pipeline body are defined once;
-scipy's private sparse kernels are imported by `operators` alone,
-`hardy` imports nothing of `riesz`, and no module imports a private
-name of another."""
+scipy's private sparse kernels are imported by `operators` alone, so
+are threads, whose one pool only the square functions reach, `hardy`
+imports nothing of `riesz`, and no module imports a private name of
+another."""
 
 import ast
 from pathlib import Path
@@ -80,8 +81,11 @@ ALLOWED = {
     # the series path is reached through `phi_apply` and the certified
     # series objects of `calculus`
     "SeriesOperator": ({"calculus"}, set()),
-    "_cone_accumulate": (set(), {"quadratic.lusin", "quadratic.lusin_tilde",
+    "_cone_accumulate": (set(), {"quadratic.lusin_tilde",
                                  "quadratic.tent_functional_of_terms"}),
+    # every cone sum runs its column groups through one function, which
+    # the Lusin function feeds with the walk of each group
+    "_cone_columns": (set(), {"quadratic.lusin", "quadratic._cone_accumulate"}),
     # the Horner scan reads stored levels only, in the synthesis; the
     # weighted level walk builds the profile and the bz1 table of the BMO
     # sup, and no tail is walked
@@ -107,6 +111,11 @@ ALLOWED = {
     # the kernel rule has one check: symbols are finite on the spectrum,
     # so only the mean-zero test raises for a constant part
     "KernelComponent": (set(), {"calculus.require_mean_zero"}),
+    # one pool, made by the helper that runs parts on it; the cone sum
+    # hands it a block's column groups (each walking its own levels for
+    # `lusin`) and runs of row blocks
+    "ThreadPoolExecutor": (set(), {"operators.run_parts"}),
+    "run_parts": (set(), {"quadratic._cone_columns"}),
 }
 
 
@@ -187,6 +196,9 @@ def test_scanner_sees_calls(calls):
     assert ("weighted_powers", "hardy.bmo_norm") in calls
     assert ("lusin_tail_apply", "quadratic.mass") in calls
     assert ("synthesis_tail_apply", "quadratic.share") in calls
+    assert ("ThreadPoolExecutor", "operators.run_parts") in calls
+    assert ("run_parts", "quadratic._cone_columns") in calls
+    assert ("_cone_columns", "quadratic.lusin") in calls
 
 
 @pytest.mark.parametrize("callee", sorted(ALLOWED))
@@ -257,13 +269,15 @@ def test_hardy_imports_nothing_of_riesz():
     assert stray == [], f"hardy imports from riesz: {stray}"
 
 
-def test_no_threads_in_the_package():
-    # blocks, not worker pools: no module starts threads
+def test_threads_have_one_home():
+    # the pool lives in `operators` (`run_parts`): no other module imports
+    # threads, so no second pool or lock can appear beside it
     imported = _imports()
-    assert ("riesz", "json") in imported
-    stray = sorted((mod, name) for mod, name in imported
-                   if name.split(".")[0] in ("concurrent", "threading"))
-    assert stray == [], f"thread imports in the package: {stray}"
+    assert ("operators", "concurrent.futures") in imported
+    assert ("operators", "threading") in imported
+    stray = sorted((mod, name) for mod, name in imported if mod != "operators"
+                   and name.split(".")[0] in ("concurrent", "threading"))
+    assert stray == [], f"thread imports outside operators: {stray}"
 
 
 def test_no_private_names_cross_modules():

@@ -190,6 +190,19 @@ def test_level_walk_consumers_are_bit_identical(monkeypatch, chunk, L, width):
         assert _same_bits(got[:, j], want[t])
 
 
+def test_a_walk_of_some_columns_takes_its_blocks_chunks(monkeypatch):
+    # with entries = the block's size, a walk of two of its five columns
+    # yields the levels in the block's chunks of 3, bit for bit its columns
+    g = zoo.lazy_torus_2d(4)
+    F = np.random.default_rng(12).standard_normal((g.n, 5))
+    monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", 3 * F.size)
+    block = [(lo, rows[:, :, 1:3].copy()) for lo, rows in level_blocks(g, F, 10)]
+    part = [(lo, rows.copy()) for lo, rows in level_blocks(g, F[:, 1:3], 10, F.size)]
+    assert [lo for lo, _ in block] == [lo for lo, _ in part] == [0, 3, 6, 9]
+    assert all(_same_bits(a, b) for (_, a), (_, b) in zip(block, part))
+    assert [lo for lo, _ in level_blocks(g, F[:, 1:3], 10)] == [0, 7]
+
+
 def _unsorted_rows(g):
     # W keeps the entry order of its product, so the chain's copies must
     # keep it too: a sorted row adds its terms in another order

@@ -1,9 +1,13 @@
 import dataclasses
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from oracles import save_edge_csv, save_vertex_csv, zero_form
 
+from graphhardy import riesz as riesz_module
 from graphhardy.operators import (
     EdgeFunction,
     apply_P,
@@ -20,6 +24,8 @@ from graphhardy.operators import (
     mean_project,
     powers,
     random_mean_zero,
+    run_parts,
+    thread_cap,
     tx_norms,
 )
 
@@ -230,3 +236,73 @@ def test_kernel_matrix_validate(cycle16):
     # sit at distance 3..5 > 2
     claimed = dataclasses.replace(kernel(cycle16, 2), matrix=kernel(cycle16, 5).matrix)
     assert not claimed.validate()
+
+
+def test_thread_cap_counts_the_cores_this_process_may_use(monkeypatch):
+    # the affinity mask, not the machine's core count, up to the cap of 4
+    assert riesz_module.thread_cap is thread_cap
+    if hasattr(os, "sched_getaffinity"):
+        assert thread_cap() == min(4, len(os.sched_getaffinity(0)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert (thread_cap(), thread_cap(2)) == (3, 2)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_cap() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert thread_cap() == 1
+
+
+def test_run_parts_keeps_the_order_of_its_parts(workers):
+    for count in (1, 2, 3):
+        workers(count)
+        assert run_parts(lambda p: p * p, range(7)) == [p * p for p in range(7)]
+        assert run_parts(lambda p: p, []) == []
+
+
+def test_run_parts_runs_the_first_part_on_the_caller(workers):
+    here = threading.get_ident()
+    workers(2)
+    threads = run_parts(lambda p: threading.get_ident(), range(2))
+    assert threads[0] == here and threads[1] != here
+    workers(1)
+    assert set(run_parts(lambda p: threading.get_ident(), range(3))) == {here}
+
+
+def test_a_part_that_calls_run_parts_runs_it_inline(workers):
+    # on a one-worker pool a part that submitted parts and waited for
+    # them could wait on itself for ever; the call runs in a thread of
+    # its own so that such a wait fails the test
+    workers(2)
+
+    def part(p):
+        inner = run_parts(lambda q: (p, q, threading.get_ident()), range(3))
+        assert {t for *_, t in inner} == {threading.get_ident()}
+        return [(a, b) for a, b, _ in inner]
+
+    got = []
+    caller = threading.Thread(target=lambda: got.append(run_parts(part, range(2))),
+                              daemon=True)
+    caller.start()
+    caller.join(30)
+    assert not caller.is_alive(), "a part waited on the pool it runs on"
+    assert got == [[[(p, q) for q in range(3)] for p in range(2)]]
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_an_exception_in_a_part_reaches_the_caller(workers, bad):
+    # the caller's part or a worker's: the other parts are awaited first,
+    # and the pool still runs parts afterwards
+    workers(2)
+    done = []
+
+    def part(p):
+        if p == bad:
+            raise ValueError(f"part {p}")
+        time.sleep(0.01)
+        done.append(p)
+        return p
+
+    with pytest.raises(ValueError, match=f"part {bad}"):
+        run_parts(part, range(3))
+    assert sorted(done) == [p for p in range(3) if p != bad]
+    assert run_parts(lambda p: -p, range(3)) == [0, -1, -2]

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -427,6 +428,73 @@ def test_block_quad_norm_equals_columns(cone_graph, horizon, path):
         np.testing.assert_allclose(L[:, j], col, rtol=1e-12, atol=1e-14 * col.max(initial=0.0))
         assert Q[j] == pytest.approx(quad_norm(g, F[:, j], 1.0, l_max), rel=1e-12)
     assert Q[1] == 0.0
+
+
+@pytest.mark.parametrize("path", ["oracle", "series"], indirect=True)
+@pytest.mark.parametrize("horizon", sorted(HORIZONS))
+@pytest.mark.parametrize("rows", [None, 2])
+def test_square_functions_equal_on_any_worker_count(monkeypatch, workers, cone_graph,
+                                                    horizon, path, rows):
+    # a block's column groups and a tail table's runs of row blocks run on
+    # the pool, but no column's arithmetic changes: the same bits on 1, 2
+    # and 3 workers, whichever paths the centres take (rows=2: row blocks
+    # of two centres, so a run holds several blocks)
+    g, _ = cone_graph
+    if rows:
+        monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", rows * g.n)
+    l_max = HORIZONS[horizon](g.diameter)
+    rng = np.random.default_rng(9)
+    F = random_mean_zero(g, rng, size=5)
+    F[:, 3] = 0.0
+    vals = rng.standard_normal((g.n, l_max + 1))
+    results = []
+    for count in (1, 2, 3):
+        workers(count)
+        results.append([lusin(g, F, 1.0, l_max), lusin(g, F[:, :2], 0.5, l_max),
+                        lusin(g, F[:, 0], 1.0, l_max), quad_norm(g, F, 1.0, l_max),
+                        tent_functional(g, SpaceTimeFunction(g, vals))])
+    for other in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(results[0], other))
+
+
+def test_column_groups_walk_the_chunks_of_their_block(monkeypatch, workers):
+    # a group's walk is chunked as its whole block's is, so each segment
+    # of levels is added by the same weighted row sums: with chunks of 3
+    # levels for the block, its groups of 3 and 2 columns would otherwise
+    # take chunks of 5 and 7 levels
+    g = zoo.lazy_torus_2d(6)
+    F = random_mean_zero(g, np.random.default_rng(10), size=5)
+    monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", 3 * F.size)
+    out = []
+    for count in (1, 2):
+        workers(count)
+        out.append(lusin(g, F, 1.0, 3 * g.diameter ** 2))
+    assert np.array_equal(out[0], out[1])
+
+
+def test_products_are_counted_exactly_on_the_pool(workers):
+    # three column groups, more than the cores here, add their products
+    # to the graph's counts at once, with threads switching as often as
+    # the interpreter allows; every run counts the Delta step, one walk
+    # of l_max products per group, and the columns of the serial run
+    g = zoo.lazy_torus_2d(32)
+    F = random_mean_zero(g, np.random.default_rng(11), size=3)
+    L = default_l_max(g)
+    workers(1)
+    calls, cols = g.matvec_calls, g.matvec_cols
+    lusin(g, F, 1.0)
+    serial = (g.matvec_calls - calls, g.matvec_cols - cols)
+    assert serial == (1 + L, 3 + 3 * L)
+    workers(3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            calls, cols = g.matvec_calls, g.matvec_cols
+            lusin(g, F, 1.0)
+            assert (g.matvec_calls - calls, g.matvec_cols - cols) == (1 + 3 * L, serial[1])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_periodic_walk_is_refused():

@@ -208,24 +208,62 @@ def test_experiment_matches_per_input_masked_cones():
     _assert_matches_per_input(g, suite)
 
 
-@pytest.mark.parametrize("cap,value,blocks", [
+BLOCK_CAPS = [
     ("RIESZ_BLOCK", 4, 3),
     # 2 n (diameter + 1) = 288 table entries per input on lazy_cycle(16)
     ("RIESZ_TABLE_ENTRIES", 3 * 288, 4),
     ("RIESZ_TABLE_ENTRIES", 1, 11),
-])
-def test_experiment_runs_in_blocks(monkeypatch, cap, value, blocks):
-    # 11 inputs, a zero input (infinite ratio) among them, one power walk
-    # per block
-    monkeypatch.setattr(riesz_module, cap, value)
-    g = lazy_cycle(16)
+]
+
+
+def _eleven_inputs(g):
+    """10 molecules of lazy_cycle(16) with a zero input (infinite ratio)
+    sixth."""
     suite = molecule_suite(g, (1, 4), centers=range(0, 16, 3))[:10]
     suite.insert(5, ("zero", np.zeros(g.n)))
+    return suite
+
+
+def _report_numbers(rep):
+    """Every number of a suite report, entries first, as one array."""
+    rows = [[e.h1_quad_input, e.h1_quad_output, e.grad_l1, e.ratio, e.chain_gap]
+            for e in rep.entries]
+    return np.append(np.ravel(rows), [rep.max_ratio, rep.min_ratio, rep.max_chain_gap])
+
+
+@pytest.mark.parametrize("cap,value,blocks", BLOCK_CAPS)
+def test_experiment_runs_in_blocks(monkeypatch, workers, cap, value, blocks):
+    # 11 inputs, a zero input (infinite ratio) among them, one power walk
+    # per block on a single worker
+    workers(1)
+    monkeypatch.setattr(riesz_module, cap, value)
+    g = lazy_cycle(16)
+    suite = _eleven_inputs(g)
     rep = _assert_matches_per_input(g, suite)
     assert len(rep.entries) == 11 and rep.entries[5].ratio == math.inf
     W = counting_markov(g)
     riesz_h1_experiment(g, suite)
     assert W.products == blocks * default_l_max(g)
+
+
+@pytest.mark.parametrize("cap,value,blocks", BLOCK_CAPS)
+def test_experiment_runs_its_column_groups_on_two_workers(monkeypatch, workers, cap,
+                                                          value, blocks):
+    # each block's [F, h] (at least two columns) walks as two column
+    # groups: twice the walks, the same product columns, the same report
+    monkeypatch.setattr(riesz_module, cap, value)
+    g = lazy_cycle(16)
+    suite = _eleven_inputs(g)
+    counts, reports = [], []
+    for count in (1, 2):
+        workers(count)
+        W, cols = counting_markov(g), g.matvec_cols
+        reports.append(riesz_h1_experiment(g, suite))
+        counts.append((W.products, g.matvec_cols - cols))
+    assert counts[1][0] == 2 * blocks * default_l_max(g)
+    assert counts[1][1] == counts[0][1]
+    assert np.array_equal(_report_numbers(reports[1]), _report_numbers(reports[0]))
+    assert reports[1].to_json() == reports[0].to_json()
 
 
 @pytest.mark.parametrize("l_max", [40, 200])
@@ -248,13 +286,30 @@ def test_experiment_rejects_a_non_mean_zero_input(cycle16):
         riesz_h1_experiment(cycle16, suite)
 
 
-def test_experiment_walks_the_power_sequence_once():
+def test_experiment_walks_the_power_sequence_once(workers):
     # on the oracle path the whole 32-input suite costs one power walk of
-    # the stacked inputs and their h; one riesz call per input makes two
-    # walks each
+    # the stacked inputs and their h on a single worker; one riesz call
+    # per input makes two walks each
+    workers(1)
     g = lazy_cycle(32)
     suite = molecule_suite(g, (1, 4, 16, 64), centers=range(0, 32, 4))
     W = counting_markov(g)
     riesz_h1_experiment(g, suite)
     assert len(suite) == 32
     assert W.products == default_l_max(g)
+
+
+def test_experiment_walks_once_per_column_group(workers):
+    # on two workers the 64 columns of [F, h] walk as two groups of 32:
+    # two walks of the same columns in all, and the same report
+    g = lazy_cycle(32)
+    suite = molecule_suite(g, (1, 4, 16, 64), centers=range(0, 32, 4))
+    counts, reports = [], []
+    for count in (1, 2):
+        workers(count)
+        W, cols = counting_markov(g), g.matvec_cols
+        reports.append(riesz_h1_experiment(g, suite))
+        counts.append((W.products, g.matvec_cols - cols))
+    assert counts[1][0] == 2 * default_l_max(g)
+    assert counts[1][1] == counts[0][1] == 64 * default_l_max(g)
+    assert np.array_equal(_report_numbers(reports[1]), _report_numbers(reports[0]))
