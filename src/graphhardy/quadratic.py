@@ -200,8 +200,8 @@ def _table_sums(g: WeightedGraph, W: np.ndarray, volumes, blocks, out: np.ndarra
     width = g.diameter + 1
     T = np.zeros((n, width, k))
     np.divide(W, volumes[:R, None], out=T[:, :R])
-    tails = T[:, R - 1::-1]  # tail sums: one (n, k) add per radius, outermost first
-    np.cumsum(tails, axis=1, out=tails)
+    for r in range(R - 2, -1, -1):  # tail sums, one (n, k) add per radius
+        T[:, r] += T[:, r + 1]
     T = T.reshape(n * width, k)
     # row y of the index reads T[y, d(x, y)] at y * width + d(x, y)
     index_type = np.int32 if n * width < 2 ** 31 else np.intp

@@ -6,18 +6,20 @@ the space of differentials, and its quadratic H^1 norm equals the
 input's through the identity Delta^{-1/2} d* d Delta^{-1/2} = I.
 
 The experiment runs the primitives of `riesz` on (n, k) blocks of
-inputs F, and one `quad_norm` of the stacked [F, h],
-h = Delta^{-1/2} d* d Delta^{-1/2} F, walks the power sequence once per
-column group, the groups at once on the package's pool (`quadratic.lusin`);
-the report is the same bits for every core count.
+inputs F, checks h = Delta^{-1/2} d* d Delta^{-1/2} F against F in L^2,
+and one `quad_norm` of F walks the power sequence once per column group,
+the groups at once on the package's pool (`quadratic.lusin`); the report
+is the same bits for every core count.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -33,11 +35,11 @@ from .operators import (
     thread_cap,  # noqa: F401  (re-exported: benchmark run metadata reads riesz.thread_cap)
     tx_norms,
 )
-from .quadratic import form_potential, quad_norm, quad_norm_forms
+from .quadratic import form_potential, quad_norm
 
 # Inputs per block of the suite experiment: at most RIESZ_BLOCK, and few
-# enough that a cone-sum radius table of the block, (n, diameter + 1, 2k)
-# for the inputs and their h, holds at most RIESZ_TABLE_ENTRIES numbers.
+# enough that a cone-sum radius table of the block, (n, diameter + 1, k)
+# for its k inputs, holds at most RIESZ_TABLE_ENTRIES numbers.
 # Past 16 inputs the block size hardly moves the time per input (the
 # 1024-input suite on lazy_torus_16 took 1.1-1.2 s for blocks of 16-128).
 RIESZ_BLOCK = 64
@@ -53,12 +55,12 @@ class RieszResult:
     norm_l2_output: float
     norm_l1_gradient: float
     h1_quad_input: float
-    h1_quad_output: float
 
 
 def riesz(g: WeightedGraph, f, l_max=None) -> RieszResult:
-    """d Delta^{-1/2} f for a mean-zero f, with the L^2/L^1/H^1 norms
-    of both sides attached."""
+    """d Delta^{-1/2} f for a mean-zero f, with the L^2 norms of both
+    sides, the L^1 norm of the gradient and the input's quadratic H^1 norm
+    (the output's equals it; `quadratic.quad_norm_forms` computes it)."""
     f = require_mean_zero(g, f)
     half = delta_power_apply(g, f, -0.5)
     out = differential(g, half)
@@ -71,7 +73,6 @@ def riesz(g: WeightedGraph, f, l_max=None) -> RieszResult:
         norm_l2_output=lp_norm_forms(g, out, 2),
         norm_l1_gradient=lp_norm(g, grad, 1),
         h1_quad_input=quad_norm(g, f, 1.0, l_max),
-        h1_quad_output=quad_norm_forms(g, out, 1.0, l_max),
     )
 
 
@@ -85,7 +86,6 @@ def h2_project(g: WeightedGraph, F: EdgeFunction) -> EdgeFunction:
 class RieszSuiteEntry:
     label: str
     h1_quad_input: float
-    h1_quad_output: float
     grad_l1: float
     ratio: float
     chain_gap: float
@@ -102,13 +102,11 @@ class RieszSuiteReport:
         return json.dumps(vars(self), indent=2, default=vars)
 
     def to_csv(self):
-        lines = ["label,h1_quad_input,h1_quad_output,grad_l1,ratio,chain_gap"]
-        for e in self.entries:
-            lines.append(
-                f"{e.label},{e.h1_quad_input!r},{e.h1_quad_output!r},"
-                f"{e.grad_l1!r},{e.ratio!r},{e.chain_gap!r}"
-            )
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(f.name for f in fields(RieszSuiteEntry))
+        rows.writerows(astuple(e) for e in self.entries)
+        return out.getvalue()
 
 
 def molecule_suite(g: WeightedGraph, s_values=(1, 4, 16, 64), kind="bz1",
@@ -135,10 +133,11 @@ def molecule_suite(g: WeightedGraph, s_values=(1, 4, 16, 64), kind="bz1",
 
 
 def riesz_h1_experiment(g: WeightedGraph, suite, l_max=None) -> RieszSuiteReport:
-    """For each mean-zero input: the quadratic H^1 norms on both sides
-    of the transform (equal through the exact-form chain) and the L^1
-    gradient mass, reported as a ratio against the input H^1 norm."""
-    block = min(RIESZ_BLOCK, RIESZ_TABLE_ENTRIES // (2 * g.n * (g.diameter + 1)))
+    """For each mean-zero input F: its quadratic H^1 norm (the output's
+    too), the L^1 mass of grad Delta^{-1/2} F as a ratio against it, and
+    the chain gap ||h - F||_2 / ||F||_2 (0 for a zero input) of the
+    h = Delta^{-1/2} d* d Delta^{-1/2} F that the exact-form chain makes F."""
+    block = min(RIESZ_BLOCK, RIESZ_TABLE_ENTRIES // (g.n * (g.diameter + 1)))
     entries = []
     items = iter(suite)
     while chunk := list(itertools.islice(items, max(block, 1))):
@@ -146,12 +145,12 @@ def riesz_h1_experiment(g: WeightedGraph, suite, l_max=None) -> RieszSuiteReport
         half = delta_power_apply(g, F, -0.5)
         masses = lp_norm(g, gradient(g, half), 1).tolist()
         h = form_potential(g, differential(g, half))
-        quad = quad_norm(g, np.hstack((F, h)), 1.0, l_max).tolist()
-        k = len(chunk)
-        for (label, _), q_in, q_out, mass in zip(chunk, quad[:k], quad[k:], masses):
-            ratio = mass / q_in if q_in > 0 else math.inf
-            gap = abs(q_out - q_in) / (q_in if q_in > 0 else 1.0)
-            entries.append(RieszSuiteEntry(label, q_in, q_out, mass, ratio, gap))
+        norms = lp_norm(g, F, 2)
+        gaps = (lp_norm(g, h - F, 2) / np.where(norms > 0, norms, 1.0)).tolist()
+        quad = quad_norm(g, F, 1.0, l_max).tolist()
+        for (label, _), q, mass, gap in zip(chunk, quad, masses, gaps):
+            ratio = mass / q if q > 0 else math.inf
+            entries.append(RieszSuiteEntry(label, q, mass, ratio, gap))
     ratios = [e.ratio for e in entries if math.isfinite(e.ratio)]
     return RieszSuiteReport(
         entries,

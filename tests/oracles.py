@@ -39,7 +39,7 @@ from graphhardy.graphs import annulus, ball, build_graph, cached_geometry, vital
 from graphhardy.hardy import synthesize_molecules
 from graphhardy.operators import (EdgeFunction, apply_P, gradient, horner, lp_norm,
                                   markov_step, mean_project, powers)
-from graphhardy.quadratic import SpaceTimeFunction, tent_functional
+from graphhardy.quadratic import SpaceTimeFunction, form_potential, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
 
@@ -423,16 +423,17 @@ def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
 
 def riesz_entries_per_input(g, suite, l_max=None):
     """The entries of `riesz.riesz_h1_experiment`, one `riesz` call per
-    input."""
+    input; the chain gap is the L^2 distance of Delta^{-1/2} d* of the
+    output from the input, relative to the input's norm."""
     entries = []
     for label, f in suite:
         res = riesz(g, f, l_max)
         denom = res.h1_quad_input
         ratio = res.norm_l1_gradient / denom if denom > 0 else math.inf
-        gap = abs(res.h1_quad_output - res.h1_quad_input)
-        entries.append(RieszSuiteEntry(label, res.h1_quad_input, res.h1_quad_output,
-                                       res.norm_l1_gradient, ratio,
-                                       gap / denom if denom > 0 else gap))
+        h = form_potential(g, res.output)
+        gap = lp_norm(g, h - res.input, 2)
+        entries.append(RieszSuiteEntry(label, denom, res.norm_l1_gradient, ratio,
+                                       gap / res.norm_l2_input if res.norm_l2_input > 0 else gap))
     return entries
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -95,6 +96,21 @@ def test_riesz_command(capsys):
     assert main(["riesz", "lazy_cycle_16", "--suite", "molecules", "--n", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_chain_gap"] <= 1e-10
+
+
+def test_riesz_csv_reads_back(tmp_path, capsys):
+    # molecule labels hold commas, bz1(s=1,x=0): every row still has the
+    # header's width and starts with its entry's label
+    argv = ["riesz", "lazy_cycle_16", "--n", "2"]
+    assert main(argv) == 0
+    labels = [e["label"] for e in json.loads(capsys.readouterr().out)["entries"]]
+    assert main(["--out", str(tmp_path), "--format", "csv"] + argv) == 0
+    with open(tmp_path / "riesz.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [fld.name for fld in dataclasses.fields(RieszSuiteEntry)]
+    assert any("," in label for label in labels)
+    assert [len(row) for row in rows] == [len(header)] * len(labels)
+    assert [row[0] for row in rows] == labels
 
 
 def test_riesz_seed_reproduces_bytes(capsys):

@@ -4,6 +4,7 @@ here instead of as a failed benchmark run.  The harness's files are
 parsed as text, never imported or changed."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from graphhardy import calculus, graphs, zoo
+from graphhardy import calculus, graphs, hardy, riesz, zoo
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,6 +35,21 @@ def test_harness_package_names_exist(name):
     assert refs, f"no gh.<module>.<name> read in perfbench/{name}"
     missing = [f"gh.{m}.{a}" for m, a in refs if not hasattr(_module(m), a)]
     assert not missing, f"perfbench/{name} reads names the package lacks: {missing}"
+
+
+def test_harness_result_fields_exist():
+    # the result attributes that `check` and `checksums` read are fields
+    # of the reports the jobs return, and each molecule's `a` one of Molecule
+    text = (BENCH / "workloads.py").read_text(encoding="utf-8")
+    reports = (hardy.MolecularDecomposition, hardy.BmoReport, calculus.GaffneyFit,
+               riesz.RieszSuiteReport)
+    fields = {f.name for report in reports for f in dataclasses.fields(report)}
+    read = set(re.findall(r"\bresult\.(\w+)", text))
+    assert {"coefficients", "entries", "max_chain_gap", "value"} <= read
+    assert sorted(read - fields) == [], "perfbench/workloads.py reads result fields reports lack"
+    molecule = set(re.findall(r"\bmol\.(\w+)", text))
+    assert "a" in molecule
+    assert molecule <= {f.name for f in dataclasses.fields(hardy.Molecule)}
 
 
 def test_harness_modules_exist():

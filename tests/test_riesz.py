@@ -15,6 +15,7 @@ from graphhardy.operators import (
     divergence,
     lp_norm,
     lp_norm_forms,
+    mean_project,
     random_mean_zero,
     tx_norms,
 )
@@ -168,11 +169,11 @@ def _assert_matches_per_input(g, suite, l_max=None):
     rep = riesz_h1_experiment(g, suite, l_max)
     loop = riesz_entries_per_input(g, suite, l_max)
     assert [e.label for e in rep.entries] == [e.label for e in loop]
-    for name in ("h1_quad_input", "h1_quad_output", "grad_l1", "ratio"):
+    for name in ("h1_quad_input", "grad_l1", "ratio"):
         np.testing.assert_allclose([getattr(e, name) for e in rep.entries],
                                    [getattr(e, name) for e in loop], rtol=1e-12,
                                    err_msg=name)
-    # the chain gap is a rounding-level difference of two equal norms,
+    # the chain gap is a rounding-level L^2 distance of h from the input,
     # already relative to the input norm
     np.testing.assert_allclose([e.chain_gap for e in rep.entries],
                                [e.chain_gap for e in loop], rtol=0, atol=1e-12)
@@ -210,8 +211,8 @@ def test_experiment_matches_per_input_masked_cones():
 
 BLOCK_CAPS = [
     ("RIESZ_BLOCK", 4, 3),
-    # 2 n (diameter + 1) = 288 table entries per input on lazy_cycle(16)
-    ("RIESZ_TABLE_ENTRIES", 3 * 288, 4),
+    # n (diameter + 1) = 144 table entries per input on lazy_cycle(16)
+    ("RIESZ_TABLE_ENTRIES", 3 * 144, 4),
     ("RIESZ_TABLE_ENTRIES", 1, 11),
 ]
 
@@ -226,7 +227,7 @@ def _eleven_inputs(g):
 
 def _report_numbers(rep):
     """Every number of a suite report, entries first, as one array."""
-    rows = [[e.h1_quad_input, e.h1_quad_output, e.grad_l1, e.ratio, e.chain_gap]
+    rows = [[e.h1_quad_input, e.grad_l1, e.ratio, e.chain_gap]
             for e in rep.entries]
     return np.append(np.ravel(rows), [rep.max_ratio, rep.min_ratio, rep.max_chain_gap])
 
@@ -249,8 +250,9 @@ def test_experiment_runs_in_blocks(monkeypatch, workers, cap, value, blocks):
 @pytest.mark.parametrize("cap,value,blocks", BLOCK_CAPS)
 def test_experiment_runs_its_column_groups_on_two_workers(monkeypatch, workers, cap,
                                                           value, blocks):
-    # each block's [F, h] (at least two columns) walks as two column
-    # groups: twice the walks, the same product columns, the same report
+    # a block of several inputs walks as two column groups, twice the
+    # walks; a one-input block is one group, whose cone sums split by row
+    # blocks instead: the same product columns and the same report
     monkeypatch.setattr(riesz_module, cap, value)
     g = lazy_cycle(16)
     suite = _eleven_inputs(g)
@@ -260,7 +262,8 @@ def test_experiment_runs_its_column_groups_on_two_workers(monkeypatch, workers, 
         W, cols = counting_markov(g), g.matvec_cols
         reports.append(riesz_h1_experiment(g, suite))
         counts.append((W.products, g.matvec_cols - cols))
-    assert counts[1][0] == 2 * blocks * default_l_max(g)
+    groups = 1 if blocks == len(suite) else 2
+    assert counts[1][0] == groups * blocks * default_l_max(g)
     assert counts[1][1] == counts[0][1]
     assert np.array_equal(_report_numbers(reports[1]), _report_numbers(reports[0]))
     assert reports[1].to_json() == reports[0].to_json()
@@ -288,8 +291,8 @@ def test_experiment_rejects_a_non_mean_zero_input(cycle16):
 
 def test_experiment_walks_the_power_sequence_once(workers):
     # on the oracle path the whole 32-input suite costs one power walk of
-    # the stacked inputs and their h on a single worker; one riesz call
-    # per input makes two walks each
+    # the stacked inputs on a single worker, as one riesz call costs for
+    # its one input
     workers(1)
     g = lazy_cycle(32)
     suite = molecule_suite(g, (1, 4, 16, 64), centers=range(0, 32, 4))
@@ -297,11 +300,15 @@ def test_experiment_walks_the_power_sequence_once(workers):
     riesz_h1_experiment(g, suite)
     assert len(suite) == 32
     assert W.products == default_l_max(g)
+    W = counting_markov(g)
+    riesz(g, suite[0][1])
+    assert W.products == default_l_max(g)
 
 
 def test_experiment_walks_once_per_column_group(workers):
-    # on two workers the 64 columns of [F, h] walk as two groups of 32:
-    # two walks of the same columns in all, and the same report
+    # the square function takes the 32 inputs alone, not their h too; on
+    # two workers they walk as two groups of 16: two walks of the same
+    # columns in all, and the same report
     g = lazy_cycle(32)
     suite = molecule_suite(g, (1, 4, 16, 64), centers=range(0, 32, 4))
     counts, reports = [], []
@@ -311,5 +318,26 @@ def test_experiment_walks_once_per_column_group(workers):
         reports.append(riesz_h1_experiment(g, suite))
         counts.append((W.products, g.matvec_cols - cols))
     assert counts[1][0] == 2 * default_l_max(g)
-    assert counts[1][1] == counts[0][1] == 64 * default_l_max(g)
+    assert counts[1][1] == counts[0][1] == 32 * default_l_max(g)
     assert np.array_equal(_report_numbers(reports[1]), _report_numbers(reports[0]))
+
+
+def test_chain_gap_reads_a_perturbed_chain(monkeypatch, cycle16):
+    # h moved off the input by a mean-zero direction of relative L^2 size
+    # 1e-6: every chain gap reads that size back, and a zero input reads 0
+    size = 1e-6
+    form_potential = riesz_module.form_potential
+
+    def perturbed(g, F):
+        h = form_potential(g, F)
+        v = mean_project(g, np.cos(np.arange(g.n)))
+        return h + np.outer(v / lp_norm(g, v, 2), size * lp_norm(g, h, 2))
+
+    monkeypatch.setattr(riesz_module, "form_potential", perturbed)
+    suite = molecule_suite(cycle16, (1, 4, 16), centers=range(0, 16, 4))
+    suite.append(("zero", np.zeros(cycle16.n)))
+    rep = riesz_h1_experiment(cycle16, suite)
+    np.testing.assert_allclose([e.chain_gap for e in rep.entries[:-1]], size,
+                               rtol=0, atol=1e-12)
+    assert rep.entries[-1].chain_gap == 0.0
+    assert rep.max_chain_gap == pytest.approx(size, abs=1e-12)
