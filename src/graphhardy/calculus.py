@@ -926,7 +926,7 @@ class GaffneyFit:
     ratios: list
 
     def to_json(self):
-        return json.dumps(vars(self), indent=2, default=vars)
+        return json.dumps(vars(self), default=vars)
 
 
 def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit:

@@ -65,12 +65,8 @@ def _parse_s_range(text: str):
 def _emit(args, name, payload_json, payload_csv=None, payload_svg=None):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        ext = args.format
-        data = {"json": payload_json, "csv": payload_csv, "svg": payload_svg}[ext]
-        if data is None:
-            data = payload_json
-            ext = "json"
-        path = os.path.join(args.out, f"{name}.{ext}")
+        data = {"json": payload_json, "csv": payload_csv, "svg": payload_svg}[args.format]
+        path = os.path.join(args.out, f"{name}.{args.format}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(data)
         print(path)
@@ -303,7 +299,7 @@ def build_parser():
     sp.add_argument("--F", required=True)
     sp.add_argument("--s", default="1..64")
     sp.add_argument("--M", type=int, default=1)
-    sp.set_defaults(fn=cmd_gaffney)
+    sp.set_defaults(fn=cmd_gaffney, formats=("json", "csv", "svg"))
 
     sp = sub.add_parser("quadnorm")
     sp.add_argument("graph")
@@ -331,7 +327,7 @@ def build_parser():
     sp.add_argument("graph")
     sp.add_argument("--suite", choices=("molecules", "random"), default="molecules")
     sp.add_argument("--n", type=int, default=8)
-    sp.set_defaults(fn=cmd_riesz)
+    sp.set_defaults(fn=cmd_riesz, formats=("json", "csv"))
 
     sp = sub.add_parser("selftest")
     sp.set_defaults(fn=cmd_selftest)
@@ -340,7 +336,9 @@ def build_parser():
 
 def parse_args(argv=None):
     """The parsed command line; a SCOPED_OPTIONS option given to a
-    subcommand that does not read it is a usage error (exit 2).  A `--E`
+    subcommand that does not read it, or a `--format` it does not write
+    (gaffney writes csv and svg, riesz csv, every subcommand json), is a
+    usage error (exit 2).  A `--E`
     or `--F` value that starts with one minus (a coordinate such as
     `-1,3`, which argparse would take for an option) is joined to its
     option as `--E=-1,3` is, so `_parse_vertices` names it."""
@@ -358,6 +356,10 @@ def parse_args(argv=None):
         elif args.command not in readers:
             parser.error(f"--{name} is not read by {args.command} "
                          f"(only by {', '.join(readers)})")
+    formats = getattr(args, "formats", ("json",))
+    if args.format not in formats:
+        parser.error(f"--format {args.format} is not written by {args.command} "
+                     f"(it writes {', '.join(formats)})")
     return args
 
 

@@ -9,15 +9,19 @@ so no float n x n array is ever formed.  It is built by one level sweep
 of all n breadth-first searches at once, 64 searches to a machine word:
 about diameter x max_degree x n^2/64 word operations, so long
 one-dimensional graphs (diameter near n) pay more than n separate
-searches would.  The sparse ball matrices of `ball_matrices` are grown
-from the adjacency one radius at a time, and `distance_to` searches
-breadth-first from one set; neither builds `dist`.
+searches would.  Balls (`Ball`), annuli (`annulus_rings`) and tent
+depths (`level_set_depths`) are read from `dist` and `ball_volumes`.  The
+sparse ball matrices of `ball_matrices` are grown from the adjacency one
+radius at a time, and `set_distance` searches breadth-first from one
+set; neither builds `dist`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -222,9 +226,6 @@ class WeightedGraph:
     def total_volume(self):
         return float(self.m.sum())
 
-    def volume(self, mask):
-        return float(self.m[mask].sum())
-
     # -- directed-edge bookkeeping (used by 1-forms) --------------------
 
     @property
@@ -334,13 +335,22 @@ def write_graph(g: WeightedGraph, path, fmt="text"):
 
 @dataclass
 class Ball:
-    """Strict ball B(x, r) = {y : d(x, y) < r} with its measure."""
+    """Strict ball B(x, r) = {y : d(x, y) < r}: its volume is read from
+    `ball_volumes`, and its mask from the centre's `dist` row, made on
+    first access and kept."""
 
     graph: WeightedGraph
     center: int
     radius: float
-    mask: np.ndarray = field(repr=False)
-    volume: float
+
+    @property
+    def volume(self) -> float:
+        g = self.graph
+        return float(g.ball_volumes[self.center, min(math.ceil(self.radius), g.diameter + 1) - 1])
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        return self.graph.dist[self.center] < self.radius
 
     @property
     def members(self):
@@ -356,8 +366,7 @@ class Ball:
 def ball(g: WeightedGraph, x: int, r) -> Ball:
     if r < 1:
         raise ValueError("ball radius must be >= 1")
-    mask = g.dist[x] < r
-    return Ball(g, x, r, mask, g.volume(mask))
+    return Ball(g, x, r)
 
 
 def distance_to(g: WeightedGraph, F) -> np.ndarray:
@@ -374,6 +383,28 @@ def set_distance(g: WeightedGraph, E, F) -> int:
     if not (E.size and F.size):
         raise ValueError("E and F must be non-empty")
     return int(distance_to(g, F)[E].min())
+
+
+def level_set_depths(g: WeightedGraph, values, thresholds) -> np.ndarray:
+    """(len(thresholds), n) array of d(y, {values <= t}) at [i, y] for
+    t = thresholds[i], as floats, +inf where no value is <= t: the depth
+    of every vertex in each level set {values > t}.  Sorted by value, each
+    complement is a prefix of the vertices, so one running minimum of the
+    `dist` rows over that order (`np.minimum.accumulate`), a `row_blocks`
+    block at a time, gives the distance to every prefix."""
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    counts = np.searchsorted(values[order], thresholds, side="right")
+    out = np.full((len(counts), g.n), np.inf)
+    live = np.flatnonzero(counts)
+    if not live.size:
+        return out
+    prefix = order[:counts.max()]
+    for rows in row_blocks(range(g.n), prefix.size):
+        block = g.dist[rows.start:rows.stop, prefix]
+        np.minimum.accumulate(block, axis=1, out=block)
+        out[live, rows.start:rows.stop] = block[:, counts[live] - 1].T
+    return out
 
 
 def ball_matrices(g: WeightedGraph, r_max: int):
@@ -412,19 +443,32 @@ class Annulus:
     def members(self):
         return np.where(self.mask)[0]
 
-    @property
-    def volume(self):
-        return self.base.graph.volume(self.mask)
+
+def annulus_rings(g: WeightedGraph, balls):
+    """The annuli C_j(B), j = 1..J_B, of every ball B of `balls`, J_B the
+    first j where 2^{j+1} B is the whole graph, read from g.dist and
+    g.ball_volumes: (ring, J, volumes) with ring[i, y] = j - 1 for the
+    annulus C_j of balls[i] holding y, J[i] = J_B, and volumes[i, j - 1]
+    = V(2^j B) (the total volume for j past J[i])."""
+    centers = np.array([B.center for B in balls], dtype=np.intp)
+    R = np.array([float(B.radius) for B in balls])
+    J = np.ones(len(balls), dtype=np.intp)
+    while (grow := 2.0 ** (J + 1) * R <= g.diameter).any():
+        J += grow
+    d = g.dist[centers]
+    ring = np.zeros(d.shape, dtype=np.intp)
+    for j in range(2, J.max() + 1):
+        ring += d >= 2.0 ** j * R[:, None]
+    j = np.arange(1, J.max() + 1)
+    reach = np.minimum(np.ceil(2.0 ** j * R[:, None]) - 1, g.diameter).astype(np.intp)
+    return ring, J, g.ball_volumes[centers[:, None], reach]
 
 
 def annulus(b: Ball, j: int) -> Annulus:
+    """C_j(B), from the ring table of `annulus_rings` (empty past J_B)."""
     if j < 1:
         raise ValueError("annulus index must be >= 1")
-    if j == 1:
-        mask = b.scaled(4).mask
-    else:
-        mask = b.scaled(2 ** (j + 1)).mask & ~b.scaled(2 ** j).mask
-    return Annulus(b, j, mask)
+    return Annulus(b, j, annulus_rings(b.graph, [b])[0][0] == j - 1)
 
 
 def annuli(b: Ball, j_max: int):
@@ -433,14 +477,8 @@ def annuli(b: Ball, j_max: int):
 
 def annuli_covering_range(b: Ball):
     """All annuli up to the first index where 2^{j+1} B saturates."""
-    out = []
-    j = 1
-    while True:
-        out.append(annulus(b, j))
-        if 2 ** (j + 1) * b.radius > b.graph.diameter:
-            break
-        j += 1
-    return out
+    ring, J, _ = annulus_rings(b.graph, [b])
+    return [Annulus(b, j, ring[0] == j - 1) for j in range(1, J[0] + 1)]
 
 
 # -- covering algorithms -----------------------------------------------
@@ -453,18 +491,14 @@ def vitali_cover(g: WeightedGraph, b: Ball, alpha) -> list:
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    r = b.radius
     big = b.scaled(alpha)
     taken = np.zeros(g.n, dtype=bool)
     out = []
     for x in range(g.n):
-        cand = g.dist[x] < r
-        if not np.all(big.mask[cand]):
-            continue
-        if np.any(taken & cand):
-            continue
-        taken |= cand
-        out.append(Ball(g, x, r, cand, g.volume(cand)))
+        cand = Ball(g, x, b.radius)
+        if np.all(big.mask[cand.mask]) and not np.any(taken & cand.mask):
+            taken |= cand.mask
+            out.append(cand)
     return out
 
 
@@ -480,7 +514,7 @@ class GeometryReport:
     diameter: int
 
     def to_json(self):
-        return json.dumps(vars(self), indent=2, default=vars)
+        return json.dumps(vars(self), default=vars)
 
 
 def cached_geometry(g: WeightedGraph) -> "GeometryReport":

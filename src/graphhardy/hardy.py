@@ -26,9 +26,9 @@ The molecules of a decomposition are one block stage
 (`synthesize_molecules`), in the paper's order: one heat scan X of all
 atoms, the molecule a = Delta^M X (d Delta^M X for forms) and its
 pre-image b = Q_s X, both on the (n, atoms) output; the annulus masses
-and bounds of every molecule come from the rows of the hop counts g.dist
-(exact uint8/uint16, compared with float radii) and g.ball_volumes with
-one bincount per quantity; and validation (`_validate_block`) rederives
+of every molecule come from the ring table of `graphs.annulus_rings`
+with one bincount, and its bounds from that table's volumes V(2^j B)
+and the factor 2^{-j eps}; and validation (`_validate_block`) rederives
 a from b once, checks the whole block and raises a ValidationFailed on
 the first failure.  `validate_molecule` and the one-atom synthesis
 calls are one-column blocks of the same code.
@@ -52,14 +52,8 @@ from .errors import (
     SizeBoundViolated,
     ValidationFailed,
 )
-from .graphs import (
-    Ball,
-    WeightedGraph,
-    ball,
-    ball_matrices,
-    cached_geometry,
-    row_blocks,
-)
+from .graphs import (Ball, WeightedGraph, annulus_rings, ball, ball_matrices, cached_geometry,
+                     row_blocks)
 from .operators import (
     EdgeFunction,
     apply_P,
@@ -148,27 +142,6 @@ def _level(g: WeightedGraph, kind: str, x) -> np.ndarray:
     return tx_norms(g, EdgeFunction(g, x)) if kind == "form" else np.abs(x)
 
 
-def _annulus_bounds(g: WeightedGraph, balls, eps: float):
-    """The annuli C_j(B), j = 1..J_B, of `annuli_covering_range` for every
-    ball B of `balls` with their size bounds, read from g.dist and
-    g.ball_volumes: (ring, J, bounds) with ring[i, y] = j - 1 for the
-    annulus C_j of balls[i] holding y, J[i] its number of annuli, and
-    bounds[i, j - 1] = 2^{-j eps} V(2^j B)^{-1/2} (the annuli past J[i]
-    are empty)."""
-    centers = np.array([B.center for B in balls], dtype=np.intp)
-    R = np.array([float(B.radius) for B in balls])
-    J = np.ones(len(balls), dtype=np.intp)
-    while (grow := 2.0 ** (J + 1) * R <= g.diameter).any():
-        J += grow
-    d = g.dist[centers]
-    ring = np.zeros(d.shape, dtype=np.intp)
-    for j in range(2, J.max() + 1):
-        ring += d >= 2.0 ** j * R[:, None]
-    j = np.arange(1, J.max() + 1)
-    reach = np.minimum(np.ceil(2.0 ** j * R[:, None]) - 1, g.diameter).astype(np.intp)
-    return ring, J, 2.0 ** (-j * eps) * g.ball_volumes[centers[:, None], reach] ** -0.5
-
-
 def _annulus_l2(g: WeightedGraph, ring, width: int, levels) -> np.ndarray:
     """(k, width) table of ||levels[:, i]||_{L^2(C_j)} at [i, j - 1],
     from one bincount over the annulus indices `ring` (k, n)."""
@@ -180,8 +153,9 @@ def _annulus_l2(g: WeightedGraph, ring, width: int, levels) -> np.ndarray:
 
 def _size_table(g: WeightedGraph, eps: float, balls, b):
     """(measured, bounds): two (k, J) tables of the pre-images b (n, k)
-    over `balls`, ||b[:, i]||_{L^2(C_j)} at [i, j - 1] against the bounds
-    of `_annulus_bounds`.  Atoms (eps = inf) are checked on the ball
+    over `balls`, ||b[:, i]||_{L^2(C_j)} at [i, j - 1] against the bound
+    2^{-j eps} V(2^j B)^{-1/2}, on the annuli of `annulus_rings` (those
+    past J_B are empty).  Atoms (eps = inf) are checked on the ball
     instead: column 0 is max |b| outside B against 0, column 1 is ||b||_2
     against V(B)^{-1/2}."""
     if math.isinf(eps):
@@ -189,8 +163,9 @@ def _size_table(g: WeightedGraph, eps: float, balls, b):
         bound = np.array([B.volume for B in balls]) ** -0.5
         return (np.column_stack([stray, lp_norm(g, b, 2)]),
                 np.column_stack([np.zeros_like(bound), bound]))
-    ring, _, bounds = _annulus_bounds(g, balls, eps)
-    return _annulus_l2(g, ring, bounds.shape[1], b), bounds
+    ring, _, volumes = annulus_rings(g, balls)
+    j = np.arange(1, volumes.shape[1] + 1)
+    return _annulus_l2(g, ring, len(j), b), 2.0 ** (-j * eps) * volumes ** -0.5
 
 
 def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
@@ -398,28 +373,19 @@ class MolecularDecomposition:
         return self.sum_abs_lambda / self.quad_norm if self.quad_norm else math.inf
 
     def to_json(self):
-        return json.dumps(
-            {
-                "molecules": [
-                    {
-                        "lambda": lam,
-                        "kind": mol.kind,
-                        "M": mol.M,
-                        "eps": mol.eps if math.isfinite(mol.eps) else "inf",
-                        "s": mol.s,
-                        "center": int(mol.ball.center),
-                        "radius": float(mol.ball.radius),
-                        "norm_constant": mol.norm_constant,
-                    }
-                    for lam, mol in self.coefficients
-                ],
-                "sum_abs_lambda": self.sum_abs_lambda,
-                "l1_residual": self.l1_residual,
-                "l2_residual": self.l2_residual,
-                "quad_norm": self.quad_norm,
-            },
-            indent=2,
-        )
+        return json.dumps({
+            "molecules": [
+                {"lambda": lam, "kind": mol.kind, "M": mol.M,
+                 "eps": mol.eps if math.isfinite(mol.eps) else "inf", "s": mol.s,
+                 "center": int(mol.ball.center), "radius": float(mol.ball.radius),
+                 "norm_constant": mol.norm_constant}
+                for lam, mol in self.coefficients
+            ],
+            "sum_abs_lambda": self.sum_abs_lambda,
+            "l1_residual": self.l1_residual,
+            "l2_residual": self.l2_residual,
+            "quad_norm": self.quad_norm,
+        })
 
 
 def _profile(g: WeightedGraph, u, beta: float, l_max, potential, order: float, reach: int,
@@ -555,7 +521,7 @@ class BmoReport:
     enumeration_policy: str
 
     def to_json(self):
-        return json.dumps(vars(self), indent=2, default=vars)
+        return json.dumps(vars(self), default=vars)
 
 
 def _bz1_block(PK: np.ndarray, tuples) -> np.ndarray:
@@ -581,7 +547,10 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
 
     bz1 tuples are enumerated exhaustively while
     s^M <= TUPLE_EXHAUSTIVE_CAP, otherwise the endpoint tuples plus 32
-    seeded samples are used; the report records which ran.
+    seeded samples are used.  The report's enumeration_policy names the
+    scales each enumeration took, as "exhaustive s<=16" or "exhaustive
+    s<=5+sampled 6<=s<=9 (lower bound)": a sampled sup only bounds the
+    sup over its scales from below, and no scale past s_max is read.
     The sup is taken ball by ball: one sparse ball matrix per radius r,
     grown from the last (`ball_matrices`, `dist` never read), serves the
     candidates of every s with ceil(sqrt(s)) = r, the bz2 columns of one
@@ -599,7 +568,7 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
         raise ValueError("kind must be 'bz1' or 'bz2'")
     f = np.asarray(f, dtype=float)
     best = (-1.0, None)
-    policies = set()
+    scales = {}  # the s of each enumeration, exhaustive ones first
     if kind == "bz1":
         PK = weighted_powers(g, f, np.ones(2 * s_max * M + 1))
     else:
@@ -609,18 +578,18 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
         vols = B @ g.m
         first = {}  # candidate (s for bz2, a tuple for bz1) -> its first s
         for s in range((r - 1) ** 2 + 1, min(r * r, s_max) + 1):
+            policy = "exhaustive"
             if kind == "bz2":
                 candidates = [s]
-                policies.add("exhaustive")
             elif s ** M <= TUPLE_EXHAUSTIVE_CAP:
                 candidates = itertools.product(range(s, 2 * s + 1), repeat=M)
-                policies.add("exhaustive")
             else:
                 corner = list(itertools.product((s, 2 * s), repeat=M))
                 sampled = [tuple(rng.integers(s, 2 * s + 1, size=M))
                            for _ in range(32)]
                 candidates = corner + sampled
-                policies.add("sampled")
+                policy = "sampled"
+            scales.setdefault(policy, []).append(s)
             for c in candidates:
                 first.setdefault(c, s)
         for chunk in row_blocks(list(first), g.n):
@@ -633,7 +602,9 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
                 times = [] if kind == "bz2" else list(chunk[j])
                 best = (float(vals[j]), {"s": first[chunk[j]], "times": times,
                                          "center": int(xs[j]), "radius": r})
-    return BmoReport(kind, M, *best, "+".join(sorted(policies)))
+    return BmoReport(kind, M, *best, "+".join(
+        f"{name} {f'{ss[0]}<=' if ss[0] > 1 else ''}s<={ss[-1]}"
+        + (" (lower bound)" if name == "sampled" else "") for name, ss in scales.items()))
 
 
 def m0_norm(g: WeightedGraph, phi, M: int, eps: float, x0: int,
@@ -642,11 +613,10 @@ def m0_norm(g: WeightedGraph, phi, M: int, eps: float, x0: int,
     ||phi_tilde||_{L^2(C_j(B_0))} with B_0 = {x0} and phi = Delta^M phi_tilde."""
     if phi_tilde is None:
         phi_tilde = delta_power_apply(g, require_mean_zero(g, phi), -float(M))
-    # the bounds at eps = 0 are V(2^j B_0)^{-1/2}
-    ring, J, inv_sqrt_volume = _annulus_bounds(g, [ball(g, x0, 1)], 0.0)
+    ring, J, volumes = annulus_rings(g, [ball(g, x0, 1)])
     mass = _annulus_l2(g, ring, J[0], np.asarray(phi_tilde, dtype=float)[:, None])
     j = np.arange(1, J[0] + 1)
-    return float(np.max(2.0 ** (j * eps) * mass[0] / inv_sqrt_volume[0]))
+    return float(np.max(2.0 ** (j * eps) * mass[0] * np.sqrt(volumes[0])))
 
 
 def duality_pairing(g: WeightedGraph, f, decomp: MolecularDecomposition) -> float:

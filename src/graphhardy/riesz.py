@@ -99,7 +99,7 @@ class RieszSuiteReport:
     max_chain_gap: float
 
     def to_json(self):
-        return json.dumps(vars(self), indent=2, default=vars)
+        return json.dumps(vars(self), default=vars)
 
     def to_csv(self):
         out = io.StringIO()

@@ -11,7 +11,9 @@ reconstruction residual is at rounding level.
 
 At a vertex y the tent over O holds the levels l < h(y) = d(y, O^c)^2,
 so the slab tent(O_k) minus tent(O_{k+1}) is one run of levels per
-vertex, [h_{k+1}(y), h_k(y)), and the decomposition is a table of
+vertex, [h_{k+1}(y), h_k(y)).  The depths d(., O_k^c) of all the level
+sets come from one running minimum of the `dist` rows over the vertices
+sorted by A F (`graphs.level_set_depths`), and the decomposition is a table of
 heights over the row-major profile: one reduction of the Lusin terms at
 the run boundaries gives every run's sum, and an atom keeps only its
 runs into the one profile (`SpaceTimeEntries`).  Synthesis scatters each
@@ -45,19 +47,10 @@ import numpy as np
 
 from .calculus import delta_power_apply
 from .errors import NonConvergent
-from .graphs import Ball, WeightedGraph, ball, distance_to
+from .graphs import Ball, WeightedGraph, ball, level_set_depths
 from .operators import apply_P, delta_steps, horner, lp_norm
 from .quadratic import (ProfileTail, SpaceTimeFunction, lusin_terms, tail_mass,
                         tent_functional_of_terms)
-
-def _tent_depth(g: WeightedGraph, set_mask: np.ndarray) -> np.ndarray:
-    """d(y, O^c) for every vertex y, as floats (squared without wrapping),
-    with d(y, emptyset) = +inf."""
-    comp = np.flatnonzero(~set_mask)
-    if not comp.size:
-        return np.full(g.n, np.inf)
-    return distance_to(g, comp)
-
 
 def _tent_height(depth: np.ndarray, l_max: int) -> np.ndarray:
     """Number of tent levels at each vertex: d^2 > l iff l < ceil(d^2),
@@ -68,7 +61,7 @@ def _tent_height(depth: np.ndarray, l_max: int) -> np.ndarray:
 def tent_mask(g: WeightedGraph, set_mask: np.ndarray, l_max: int) -> np.ndarray:
     """(y, k) membership of the tent over a vertex set O,
     d(y, O^c)^2 > k, with d(y, emptyset) = +inf."""
-    d_out = _tent_depth(g, set_mask)
+    d_out = level_set_depths(g, set_mask, [0])[0]
     k = np.arange(l_max + 1)
     return (d_out[:, None] ** 2) > k[None, :]
 
@@ -170,7 +163,7 @@ class TentAtom:
         """Support in the tent of the ball (a run's last level is its
         highest entry), and the size bound to a relative 1e-12."""
         e = self.values
-        depth = _tent_depth(self.ball.graph, self.ball.mask)
+        depth = level_set_depths(self.ball.graph, self.ball.mask, [0])[0]
         support_ok = bool(np.all(depth[e.verts] ** 2 > e.hi - 1))
         norm_ok = e.t22_norm() ** 2 <= (1.0 + 1e-12) / self.ball.volume
         return support_ok and norm_ok
@@ -184,22 +177,15 @@ class TentDecomposition:
     t1_norm: float = 0.0  # ||A F||_1 of the decomposed F
 
     def to_json(self):
-        return json.dumps(
-            {
-                "atoms": [
-                    {
-                        "lambda": lam,
-                        "center": int(atom.ball.center),
-                        "radius": float(atom.ball.radius),
-                        "t22_norm": atom.t22_norm,
-                    }
-                    for lam, atom in self.coefficients
-                ],
-                "residual_t22": self.residual_t22,
-                "sum_abs_lambda": self.sum_abs_lambda,
-            },
-            indent=2,
-        )
+        return json.dumps({
+            "atoms": [
+                {"lambda": lam, "center": int(atom.ball.center),
+                 "radius": float(atom.ball.radius), "t22_norm": atom.t22_norm}
+                for lam, atom in self.coefficients
+            ],
+            "residual_t22": self.residual_t22,
+            "sum_abs_lambda": self.sum_abs_lambda,
+        })
 
 
 def _whitney_balls(g: WeightedGraph, rho: np.ndarray):
@@ -273,7 +259,8 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
     ks = range(0)
     if pos.size:
         ks = range(math.floor(math.log2(pos.min())) - 1, math.ceil(math.log2(AF.max())) + 1)
-    depths = [_tent_depth(g, AF > 2.0 ** k) for k in ks]
+    # d(., O_k^c) for every k, as floats (squared without wrapping)
+    depths = level_set_depths(g, AF, [2.0 ** k for k in ks])
     # heights[j] holds the tent levels of O_{k_hi + 1 - j}; O_{k_hi + 1}
     # is empty, so is its tent, and heights[S] is that of O_{k_lo}
     S = len(ks)

@@ -22,6 +22,12 @@ Lusin mass, and its shares of a molecule and of the molecule's
 pre-image.
 `graphs` is the Hypothesis strategy of the property tests: jittered zoo
 graphs and random trees with loops.
+`ball_volume_mask`, `tent_depth_search` and `annuli_by_masks` build a
+ball's volume, the depth d(., O^c) of a set and a ball's annuli the
+way the package once did, from one mask sum, one breadth-first search
+and the masks of the scaled balls: the references of the ball volumes
+read from `ball_volumes`, of `graphs.level_set_depths` and of
+`graphs.annulus_rings`.
 """
 
 import itertools
@@ -29,6 +35,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from graphhardy import zoo
 from graphhardy.calculus import (BZ2Kind, SeriesOperator, a_s, binomial_coefficients,
@@ -113,6 +120,36 @@ def chebyshev_terms(g, f, N, interval=(-1.0, 1.0), deflate=False):
             nxt -= prev
         prev, u = u, nxt
         yield u
+
+
+def ball_volume_mask(g, x, r):
+    """m(B(x, r)), summed over the mask of the strict ball."""
+    return float(g.m[g.dist[x] < r].sum())
+
+
+def tent_depth_search(g, set_mask):
+    """d(y, O^c) for every vertex y, as floats, by one breadth-first
+    search from the complement of O = set_mask, +inf when it is empty."""
+    comp = np.flatnonzero(~np.asarray(set_mask, dtype=bool))
+    if not comp.size:
+        return np.full(g.n, np.inf)
+    return dijkstra(g.adjacency, indices=comp, unweighted=True, min_only=True)
+
+
+def annuli_by_masks(b):
+    """(J, masks, volumes) of a ball B(x, r): J the first j with
+    2^{j+1} r > diameter, and for j = 1..J + 1 the mask of C_j(B), 4B for
+    j = 1 and 2^{j+1} B minus 2^j B past it, and the mask sum V(2^j B)."""
+    g, x, r = b.graph, b.center, b.radius
+    J = 1
+    while 2 ** (J + 1) * r <= g.diameter:
+        J += 1
+    masks, volumes = [], []
+    for j in range(1, J + 2):
+        outer = g.dist[x] < 2 ** (j + 1) * r
+        masks.append(outer if j == 1 else outer & ~(g.dist[x] < 2 ** j * r))
+        volumes.append(ball_volume_mask(g, x, 2 ** j * r))
+    return J, masks, volumes
 
 
 def _ball_volume(g, x, r):
@@ -381,10 +418,12 @@ def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
     """(value, argmax, enumeration_policy) of `hardy.bmo_norm` one scale
     and one candidate at a time: a scalar `a_s` per s for bz2, a dense
     ball mask per s.  bz1 tuples are enumerated while s^M <= cap
-    (`hardy.TUPLE_EXHAUSTIVE_CAP` for the default) and sampled past it."""
+    (`hardy.TUPLE_EXHAUSTIVE_CAP` for the default) and sampled past it;
+    the policy names the scales of each, a sampled range as a lower
+    bound."""
     f = np.asarray(f, dtype=float)
     best = (-1.0, None)
-    policies = set()
+    enumerated, drawn = [], []  # the scales of each policy
     PK = np.column_stack(list(powers(g, f, 2 * s_max * M)))
     rng = np.random.default_rng(seed)
     for s in range(1, s_max + 1):
@@ -393,13 +432,13 @@ def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
         vols = mask @ g.m
         if kind == "bz2":
             candidates = [((), a_s(g, f, BZ2Kind(s, M)))]
-            policies.add("exhaustive")
+            enumerated.append(s)
         else:
             if s ** M <= cap:
                 tuples = itertools.product(range(s, 2 * s + 1), repeat=M)
-                policies.add("exhaustive")
+                enumerated.append(s)
             else:
-                policies.add("sampled")
+                drawn.append(s)
                 corner = list(itertools.product((s, 2 * s), repeat=M))
                 sampled = [tuple(rng.integers(s, 2 * s + 1, size=M))
                            for _ in range(32)]
@@ -418,7 +457,13 @@ def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
             if val > best[0]:
                 best = (val, {"s": s, "times": list(times), "center": x,
                               "radius": r})
-    return best + ("+".join(sorted(policies)),)
+    parts = []
+    if enumerated:
+        parts.append(f"exhaustive s<={max(enumerated)}")
+    if drawn:
+        low = "" if min(drawn) == 1 else f"{min(drawn)}<="
+        parts.append(f"sampled {low}s<={max(drawn)} (lower bound)")
+    return best + ("+".join(parts),)
 
 
 def riesz_entries_per_input(g, suite, l_max=None):

@@ -44,6 +44,8 @@ def test_report_keys_follow_the_field_order(report):
         "bmo": lambda: hardy.bmo_norm(g, f, "bz1", 1, 4),
         "riesz": lambda: riesz_h1_experiment(g, [("f", f), ("g", 2.0 * f)]),
     }[report]()
+    # one line, from json's C encoder (no indent)
+    assert "\n" not in rep.to_json()
     payload = json.loads(rep.to_json())
     assert list(payload) == [fld.name for fld in dataclasses.fields(rep)]
     if report == "riesz":
@@ -80,7 +82,9 @@ def test_decompose_cycle(tmp_path, capsys):
     save_vertex_csv(g, f, path)
     assert main(["decompose", "lazy_cycle_16", "--f", str(path),
                  "--M", "1", "--beta", "1", "--eps", "1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    payload = json.loads(out)
     assert payload["l2_residual"] <= 1e-8
     assert payload["molecules"]
 
@@ -289,6 +293,32 @@ def test_global_option_a_subcommand_does_not_read_is_refused(capsys, argv, optio
 def test_global_option_a_subcommand_reads_is_kept(capsys, f0_csv, argv):
     assert main([f0_csv if a == "F" else a for a in argv]) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,writes", [
+    (["--format", "csv", "geometry", "lazy_cycle_16"], "json"),
+    (["--format", "svg", "riesz", "lazy_cycle_16", "--n", "2"], "json, csv"),
+    (["--format", "svg", "bmo", "k2l", "--f", "F"], "json"),
+])
+def test_format_a_subcommand_does_not_write_is_refused(tmp_path, capsys, argv, writes):
+    # a --format the subcommand has no payload for is a usage error
+    # naming what it writes, not a silent json file; nothing is written
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--out", str(tmp_path)] + argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--format {argv[1]} is not written by {argv[2]} (it writes {writes})" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["--format", "csv", "riesz", "lazy_cycle_16", "--n", "2"], "riesz.csv"),
+    (["--format", "json", "geometry", "lazy_cycle_16"], "geometry.json"),
+])
+def test_format_a_subcommand_writes_is_kept(tmp_path, capsys, argv, written):
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [written]
+    assert capsys.readouterr().out.strip() == str(tmp_path / written)
 
 
 def test_scoped_option_defaults_reach_their_readers(monkeypatch, f0_csv):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from oracles import (annulus_cover, ball_matrix_dense, cover_overlap_bound, geometry_report_masks,
-                     graphs as random_graphs)
+from oracles import (annulus_cover, ball_matrix_dense, ball_volume_mask, cover_overlap_bound,
+                     geometry_report_masks, graphs as random_graphs)
 
 from graphhardy import graphs, zoo
 from graphhardy.errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
@@ -183,17 +184,53 @@ def test_ball_volume_monotone(cycle16):
     lambda: zoo.lazy_path(12),
 ], ids=["k2l", "torus6", "jittered_cycle16", "tree4", "path12"])
 def test_ball_volumes_match_balls(build, block_rows, monkeypatch):
-    # V[x, r] is the volume of the strict ball B(x, r + 1), built in row
+    # V[x, r] is the mask sum of the strict ball B(x, r + 1), built in row
     # blocks (3 rows each, or the default size)
     g = build()
     if block_rows:
         monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", block_rows * g.n)
     V = g.ball_volumes
     assert V.shape == (g.n, g.diameter + 1)
-    want = [[ball(g, x, r + 1).volume for r in range(g.diameter + 1)]
+    want = [[ball_volume_mask(g, x, r + 1) for r in range(g.diameter + 1)]
             for x in range(g.n)]
-    np.testing.assert_allclose(V, want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(V, want, rtol=1e-15, atol=0)
     np.testing.assert_allclose(V[:, -1], g.total_volume(), rtol=1e-14)
+
+
+@pytest.mark.parametrize("build, exact", [
+    (zoo.k2l, True),
+    (lambda: zoo.lazy_cycle(16), True),
+    (lambda: zoo.lazy_path(12), True),
+    (lambda: zoo.lazy_torus_2d(6), True),
+    (lambda: zoo.binary_tree(4), True),
+    (lambda: zoo.random_weights(zoo.lazy_cycle(16), 2), False),
+    (lambda: zoo.random_weights(zoo.lazy_torus_2d(16), 3), False),
+], ids=["k2l", "cycle16", "path12", "torus6", "tree4", "jittered_cycle16",
+        "jittered_torus16"])
+def test_ball_volume_is_the_mask_sum(build, exact):
+    # a ball's volume, read from `ball_volumes`, is the sum of m over its
+    # mask at integer and fractional radii from 1 past the diameter:
+    # equal on unit weights, within 1e-15 once the weights are jittered
+    g = build()
+    radii = np.arange(2, 2 * (g.diameter + 2) + 1) / 2
+    got = np.array([[ball(g, x, r).volume for r in radii] for x in range(g.n)])
+    want = np.array([[ball_volume_mask(g, x, r) for r in radii] for x in range(g.n)])
+    if exact:
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_ball_is_centre_and_radius(cycle16):
+    # a ball holds its centre and radius only: the mask is made from the
+    # centre's `dist` row on first access and kept, the volume is read
+    # from the table, and the graph has no volume of a mask
+    B = ball(cycle16, 3, 2.5)
+    assert [f.name for f in dataclasses.fields(B)] == ["graph", "center", "radius"]
+    assert "mask" not in vars(B)
+    assert B.mask is B.mask
+    np.testing.assert_array_equal(B.members, [1, 2, 3, 4, 5])
+    assert B.volume == cycle16.ball_volumes[3, 2] == 5 * cycle16.m[0]
+    assert not hasattr(cycle16, "volume")
 
 
 @pytest.mark.parametrize("build", [

@@ -6,9 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import (ball_matrix_dense, delta_power_exact, horner_synthesis_levels_first,
-                     lusin_tail_mass_exact, make_form_molecule_from_tent_atom, resolvent_exact,
-                     top_level)
+from oracles import (annuli_by_masks, ball_matrix_dense, delta_power_exact,
+                     horner_synthesis_levels_first, lusin_tail_mass_exact,
+                     make_form_molecule_from_tent_atom, resolvent_exact, top_level)
 
 from graphhardy import calculus, graphs, hardy
 from graphhardy.calculus import (
@@ -394,19 +394,26 @@ def test_stage_is_the_same_on_both_paths(monkeypatch, name, kind):
 
 @pytest.mark.parametrize("name", ["lazy_cycle_64", "lazy_torus_16", "binary_tree_4"])
 def test_annulus_tables_match_the_annulus_masks(name):
-    # the ring index, annulus count and size bound of every vertex and
-    # ball, read from dist and ball_volumes, are those of the masks of
-    # annuli_covering_range and the volumes of the scaled balls
+    # the ring index, annulus count and volumes of every vertex and ball,
+    # read from dist and ball_volumes by `annulus_rings`, are those of the
+    # masks of the scaled balls and their mask sums, for j = 1..J + 1 (the
+    # annulus past J is empty); the graph's own annuli and the size
+    # table's bounds 2^{-j eps} V(2^j B)^{-1/2} are read from them
     g = by_name(name)
     balls = [ball(g, x, r) for x in range(0, g.n, 7) for r in (1, 2, 2.5, 3, 5)]
-    ring, J, bounds = hardy._annulus_bounds(g, balls, 0.75)
-    for B, row, count, bound in zip(balls, ring, J, bounds):
-        rings = graphs.annuli_covering_range(B)
-        assert count == len(rings)
-        for c in rings:
-            assert np.array_equal(row == c.j - 1, c.mask)
-            want = 2.0 ** (-0.75 * c.j) * B.scaled(2 ** c.j).volume ** -0.5
-            assert bound[c.j - 1] == pytest.approx(want, rel=1e-15)
+    ring, J, volumes = graphs.annulus_rings(g, balls)
+    _, bounds = hardy._size_table(g, 0.75, balls, np.zeros((g.n, len(balls))))
+    for B, row, count, vols, bound in zip(balls, ring, J, volumes, bounds):
+        want_J, masks, want_volumes = annuli_by_masks(B)
+        assert count == want_J == len(graphs.annuli_covering_range(B))
+        for j, mask in enumerate(masks, start=1):
+            assert np.array_equal(row == j - 1, mask)
+            assert np.array_equal(graphs.annulus(B, j).mask, mask)
+        assert not mask.any()
+        assert np.array_equal(vols[:count], want_volumes[:count])
+        j = np.arange(1, count + 1)
+        np.testing.assert_allclose(bound[:count], 2.0 ** (-0.75 * j) * vols[:count] ** -0.5,
+                                   rtol=1e-15, atol=0)
 
 
 def test_decomposition_counts_its_products_and_oracle_applies(monkeypatch):
@@ -776,7 +783,7 @@ def test_bmo_norm_evaluates_each_tuple_once_per_ball(monkeypatch, cycle16, M, co
 
     monkeypatch.setattr(hardy, "_bz1_block", counted)
     f = random_mean_zero(cycle16, np.random.default_rng(15))
-    assert bmo_norm(cycle16, f, "bz1", M, 16).enumeration_policy == "exhaustive"
+    assert bmo_norm(cycle16, f, "bz1", M, 16).enumeration_policy == "exhaustive s<=16"
     assert sum(received) == columns
 
 
@@ -800,7 +807,7 @@ def test_bmo_norm_reports_a_shared_tuple_at_its_first_scale(monkeypatch, cycle16
 def test_bmo_sampled_policy(cycle16, rng):
     f = random_mean_zero(cycle16, rng)
     rep = bmo_norm(cycle16, f, "bz1", 2, 70)
-    assert "sampled" in rep.enumeration_policy
+    assert rep.enumeration_policy == "exhaustive s<=64+sampled 65<=s<=70 (lower bound)"
 
 
 def test_m0_delta_type(cycle32):
@@ -888,10 +895,10 @@ def test_bmo_tuple_policy_override(cycle16, rng, monkeypatch):
     f = random_mean_zero(cycle16, rng)
     monkeypatch.setattr(hardy, "TUPLE_EXHAUSTIVE_CAP", 0)
     rep = bmo_norm(cycle16, f, "bz1", 2, 8)
-    assert rep.enumeration_policy == "sampled"
+    assert rep.enumeration_policy == "sampled s<=8 (lower bound)"
     monkeypatch.setattr(hardy, "TUPLE_EXHAUSTIVE_CAP", 8 ** 2)
     exact = bmo_norm(cycle16, f, "bz1", 2, 8)
-    assert exact.enumeration_policy == "exhaustive"
+    assert exact.enumeration_policy == "exhaustive s<=8"
     assert rep.value <= exact.value + 1e-12
 
 

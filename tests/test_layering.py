@@ -5,10 +5,12 @@ kernels that run them, the Chebyshev walk and its certified interval,
 the oracle/series choice, the spectral oracle, the spectrum record, the
 series object, the Horner scan, the weighted level walk, the tail's
 symbols, the reproducing error, the cone sum, the Lusin terms, the dense tent mask, the
-ball matrices, the bz1 product, the molecular pipeline body, the
+ball matrices, the breadth-first set search, the annulus ring table, the
+level-set depths, the bz1 product, the molecular pipeline body, the
 molecule validator's rederivation, size table and report, and the
 kernel error may be reached only from the modules and functions listed
-here; the exact Delta^k step and the pipeline body are defined once;
+here; the exact Delta^k step, the pipeline body, the ring table and the
+depths are defined once;
 scipy's private sparse kernels are imported by `operators` alone, so
 are threads, whose one pool only the square functions reach, `hardy`
 imports nothing of `riesz`, and no module imports a private name of
@@ -102,6 +104,15 @@ ALLOWED = {
     "tent_mask": (set(), {"tentspace.tent"}),
     # ball matrices are grown one radius at a time by the BMO sup only
     "ball_matrices": (set(), {"hardy.bmo_norm"}),
+    # the breadth-first search serves the set distance (gaffney) and the
+    # parity test of a loop-free graph, neither of which builds `dist`;
+    # no tent depth is searched for
+    "distance_to": (set(), {"graphs.set_distance", "graphs.aperiodic"}),
+    # the 2^j R thresholds of the annuli have one home: the graph's own
+    # annuli, and the size table and dual-test-class norm of `hardy`
+    "annulus_rings": ({"graphs"}, {"hardy._size_table", "hardy.m0_norm"}),
+    # every tent depth d(., O^c) is read from one running minimum of `dist`
+    "level_set_depths": ({"tentspace"}, set()),
     # validation is one mode: the block validator rederives a, reads the
     # size table (which the stage also reads for its excess) and makes
     # every report
@@ -187,6 +198,14 @@ def test_scanner_sees_calls(calls):
     assert ("lusin_terms", "tentspace.atomic_decompose") in calls
     assert ("tent_mask", "tentspace.tent") in calls
     assert ("ball_matrices", "hardy.bmo_norm") in calls
+    assert ("distance_to", "graphs.set_distance") in calls
+    assert ("distance_to", "graphs.aperiodic") in calls
+    assert ("annulus_rings", "graphs.annulus") in calls
+    assert ("annulus_rings", "graphs.annuli_covering_range") in calls
+    assert ("annulus_rings", "hardy._size_table") in calls
+    assert ("annulus_rings", "hardy.m0_norm") in calls
+    assert ("level_set_depths", "tentspace.atomic_decompose") in calls
+    assert ("level_set_depths", "tentspace.validate") in calls
     assert ("rederive_molecules", "hardy._validate_block") in calls
     assert ("_size_table", "hardy.synthesize_molecules") in calls
     assert ("ValidationReport", "hardy._validate_block") in calls
@@ -210,9 +229,11 @@ def test_calls_stay_in_their_home(callee, calls):
 
 
 def test_steps_and_pipeline_have_one_definition():
-    # the exact step Delta^k, the bz1 product and the pipeline body are
-    # each defined once, in their home module
-    homes = {"delta_steps": "operators", "bz1_product": "calculus", "_decompose": "hardy"}
+    # the exact step Delta^k, the bz1 product, the pipeline body, the
+    # annulus ring table and the level-set depths are each defined once,
+    # in their home module
+    homes = {"delta_steps": "operators", "bz1_product": "calculus", "_decompose": "hardy",
+             "annulus_rings": "graphs", "level_set_depths": "graphs"}
     defined = sorted((node.name, path.stem) for path in sorted(SRC.glob("*.py"))
                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                      if isinstance(node, ast.FunctionDef) and node.name in homes)

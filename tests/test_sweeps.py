@@ -98,7 +98,7 @@ def test_bmo_norm_block_cap(monkeypatch, cycle16):
     value, argmax, policy = bmo_norm_per_s(cycle16, f, "bz1", 2, 70)
     assert rep.value == pytest.approx(value, rel=1e-12)
     assert rep.argmax == argmax
-    assert rep.enumeration_policy == policy == "exhaustive+sampled"
+    assert rep.enumeration_policy == policy == "exhaustive s<=64+sampled 65<=s<=70 (lower bound)"
 
 
 @pytest.mark.parametrize("kind", ["bz1", "bz2"])

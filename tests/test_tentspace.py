@@ -12,13 +12,14 @@ from oracles import (
     naive_tent_members,
     reproducing_l_max_mpmath,
     reproducing_l_max_spectrum,
+    tent_depth_search,
     tent_pieces_dense,
     top_level,
 )
 
-from graphhardy import calculus, tentspace, zoo
+from graphhardy import calculus, graphs as graphs_module, hardy, tentspace, zoo
 from graphhardy.calculus import reproducing_l_max
-from graphhardy.graphs import ball
+from graphhardy.graphs import ball, level_set_depths
 from graphhardy.hardy import form_profile, heat_profile, pipeline_l_max, synthesis_eta
 from graphhardy.graphs import cached_geometry
 from graphhardy.operators import (
@@ -53,17 +54,48 @@ st = pytest.importorskip("hypothesis.strategies")
     lambda: zoo.lazy_path(300),
 ], ids=["k2l", "tree4", "jittered_torus6", "cycle16", "path300"])
 def test_tent_depth_is_the_distance_to_the_complement(build):
-    # one multi-source search gives, as floats, the nearest-complement
-    # column minimum of the metric, and +inf when the set is everything
-    g = build()
-    rng = np.random.default_rng(4)
-    for share in (0.2, 0.6, 0.95):
-        inside = rng.random(g.n) < share
-        inside[-1] = False
-        got = tentspace._tent_depth(g, inside)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, g.dist[:, ~inside].min(axis=1))
-    assert np.all(tentspace._tent_depth(g, np.ones(g.n, dtype=bool)) == np.inf)
+    # the running minimum over the sorted values gives, as floats, the
+    # depth one breadth-first search from each complement gives, for
+    # nested level sets from the whole graph (empty complement, +inf) to
+    # the empty set (full complement, 0), in row blocks or one block
+    _assert_depths_match_searches(build(), np.random.default_rng(4))
+
+
+def _assert_depths_match_searches(g, rng):
+    values = rng.standard_normal(g.n)
+    values[rng.random(g.n) < 0.3] = 0.0  # ties
+    thresholds = [-np.inf, *np.quantile(values, (0.05, 0.3, 0.6, 0.95)), 0.0, values.max()]
+    got = level_set_depths(g, values, thresholds)
+    assert got.dtype == np.float64 and got.shape == (len(thresholds), g.n)
+    for t, depth in zip(thresholds, got):
+        assert np.array_equal(depth, tent_depth_search(g, values > t))
+    assert np.all(got[0] == np.inf) and np.all(got[-1] == 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs_module, "ROW_BLOCK_ENTRIES", 3 * g.n)
+        assert np.array_equal(level_set_depths(g, values, thresholds), got)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(graphs(), st.integers(0, 2 ** 32 - 1))
+def test_level_set_depths_match_searches_on_random_graphs(g, seed):
+    _assert_depths_match_searches(g, np.random.default_rng(seed))
+
+
+def test_decomposition_makes_no_search(monkeypatch):
+    # the tent depths of every level set come from `dist`: a molecular
+    # decomposition runs no breadth-first search, and `tentspace` holds
+    # no name for one
+    calls = []
+    search = graphs_module.distance_to
+    monkeypatch.setattr(graphs_module, "distance_to",
+                        lambda *args: calls.append(args) or search(*args))
+    g = zoo.lazy_cycle(32)
+    dec = hardy.molecular_decompose(g, random_mean_zero(g, np.random.default_rng(2)),
+                                    1, 1.0, 1.0)
+    assert len(dec.coefficients) > 1
+    assert calls == []
+    assert graphs_module.set_distance(g, [0], [5]) == 5 and len(calls) == 1
+    assert not hasattr(tentspace, "distance_to")
 
 
 def test_tent_height_past_the_uint8_square():
@@ -73,7 +105,7 @@ def test_tent_height_past_the_uint8_square():
     g = zoo.lazy_path(200)
     assert g.dist.dtype == np.uint8
     inside = np.arange(g.n) > 0
-    depth = tentspace._tent_depth(g, inside)
+    depth = level_set_depths(g, inside, [0])[0]
     np.testing.assert_array_equal(depth, np.arange(g.n))
     l_max = 30_000
     want = np.minimum(np.arange(g.n, dtype=np.int64) ** 2, l_max + 1)
@@ -512,7 +544,7 @@ def test_whitney_owner_is_first_ball_containing_the_vertex(g, seed):
     # ball that contains it
     inside = np.random.default_rng(seed).random(g.n) < 0.6
     inside[0], inside[-1] = True, False
-    rho = tentspace._tent_depth(g, inside)
+    rho = level_set_depths(g, inside, [0])[0]
     centers, radii, owner = tentspace._whitney_balls(g, rho)
     first = np.full(g.n, -1)
     for i in reversed(range(len(centers))):
