@@ -5,12 +5,10 @@ BMO norms and the Riesz transform, with every norm weighted by the
 vertex measure m."""
 
 from .calculus import (
-    BZ1Kind,
-    BZ2Kind,
-    QsKind,
     SpectralOracle,
     Spectrum,
-    a_s,
+    bz1_product,
+    bz2_apply,
     gaffney_fit,
     spectral,
     spectrum,

@@ -1,43 +1,41 @@
 """Functional calculus for Delta = I - P.
 
-Each operator phi(P) is described once, by a pair:
+Each operator phi_s(P) is described once, by a frozen `Symbol`:
+`DeltaPower(beta)`, `Resolvent(power)` ((I + s Delta)^{-power}),
+`Bz2(M)` ([I - (I + s Delta)^{-1}]^M without its identity part), and
+the two symbols of a profile's closed-form tail, its Lusin mass
+(`LusinTail`) and its share of a molecule and of the molecule's
+pre-image (`SynthesisTail`), bounded symbols whose columns sum to about
+their size.  op(lam, s) is phi_s on the spectrum of P, applied exactly
+by the spectral oracle (dense eigendecomposition of the m-symmetrized
+walk), the reference on desk-scale graphs.  `Symbol.column`
+interpolates that same function on an interval that holds the
+spectrum, with the pole and the ellipse bound `sup` its symbol keeps:
+a Chebyshev column truncated with a certified bound on the discarded
+tail (`chebyshev_series`, Trefethen, ATAP Thm 8.2), the scalable path.
+The two agree to `tail_bound + eps`.
 
-* an oracle symbol `symbol(lam, s)`, phi_s on the spectrum of P, applied
-  exactly by the spectral oracle (dense eigendecomposition of the
-  m-symmetrized walk), the reference on desk-scale graphs;
-* a series column generator `column(s, interval)`, the Chebyshev
-  coefficients of sum_k c_k T_k(X) truncated with a certified bound on
-  the discarded tail, and the interval [lo, hi] that X maps onto
-  [-1, 1], the scalable path; the two agree to `tail_bound + eps`.
-
-Every series is a Chebyshev interpolant (`chebyshev_series`, certified by
-Trefethen, ATAP Thm 8.2) on an interval that holds the spectrum, applied
-with the chained three-term recurrence `operators.chebyshev_blocks` in
+`phi_apply(g, f, op, s, tol)` is the one place that chooses between
+oracle and series, and `series(g, op, s, tol)` is the certified series
+object its series path runs, built whatever n, walked with the chained
+three-term recurrence `operators.chebyshev_blocks` in
 X = (2P - (hi + lo) I)/(hi - lo).  The interval is
 `operators.spectral_interval(g)`, certified by (LB) through Gershgorin:
 [0, 1], widened by a few ulps, on a lazy graph.  The resolvent families
-(I + s Delta)^{-power} and [I - (I + s Delta)^{-1}]^M have symbols
-analytic off z = 1 + 1/s, so their interpolants converge at a rate of
-about 1 + sqrt(2/s) per term on [-1, 1], and of 1 + 2 sqrt(1/s) on [0, 1],
-where the pole sits at x = 1 + 2/s: about 1/sqrt(2) of the terms.
-Delta^beta is a polynomial in P for an integer beta >= 0, kept on X = P
-(lo, hi = -1, 1) with its exact arithmetic; otherwise (1 - z)^beta is
-singular at z = 1, on the spectrum, so its column is the interpolant on
+have symbols analytic off z = 1 + 1/s, so their interpolants converge
+at a rate of about 1 + sqrt(2/s) per term on [-1, 1], and of
+1 + 2 sqrt(1/s) on [0, 1], where the pole sits at x = 1 + 2/s: about
+1/sqrt(2) of the terms.  Delta^beta is a polynomial in P for an integer
+beta >= 0, kept on X = P (lo, hi = -1, 1) with its exact arithmetic;
+otherwise (1 - z)^beta is singular at z = 1, on the spectrum, so, like
+the tail symbols, it is deflated: its column is the interpolant on
 [max(lo, -r), r] with r = max(lambda_star, MIN_RADIUS) (it holds the
 spectrum on mean-zero functions), walked with the m-mean projection Pi
 applied after every product.  lambda_star is read from the graph's
 spectrum record (`spectrum`): the oracle's up to ORACLE_MAX_N, certified
-by spectrum slicing above it.
-
-`phi_apply` is the one place that chooses between oracle and series, and
-`delta_power_apply` (Delta^beta for every real beta), `resolvent_apply`
-((I + s Delta)^{-power}), `a_s`, and the symbols of a profile's
-closed-form tail reach it with their pair: its Lusin mass
-(`lusin_tail_apply`) and its share of a molecule and of the molecule's
-pre-image (`synthesis_tail_apply`), bounded symbols whose columns sum to
-about their size.  The series of Delta^beta and of the resolvents are
-also built whatever n, as the certified objects `delta_power_series`
-and `resolvent_frac_series`.
+by spectrum slicing above it.  `delta_power_apply`, `resolvent_apply`,
+`bz2_apply`, `lusin_tail_apply` and `synthesis_tail_apply` each reach
+`phi_apply` with their symbol; `bz1_product` is a product of walks.
 
 A sequence of scales (the sup over s of the BMO norm, the Davies-Gaffney
 decay curves) is evaluated as one block, one column per scale: the oracle
@@ -52,9 +50,9 @@ lam = 1 as its deflated walk projects them out.  A negative power is
 defined on the m-mean-zero functions only, so `delta_power_apply` checks
 its input with `require_mean_zero`, the one place that raises
 KernelComponent, before a path is chosen.  The automatic-path applies
-run at fixed tolerances (1e-10 for Delta^beta, GAFFNEY_TOL for the bz2
-columns of `a_s`); a tolerance is chosen only on the certified series
-objects and on `resolvent_apply`.
+run at fixed tolerances (1e-10 for Delta^beta, GAFFNEY_TOL for
+`bz2_apply`); a tolerance is chosen only on `series` and on
+`resolvent_apply`.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +71,7 @@ from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded
                      OverlappingSets, PeriodicWalk, UncertifiedSpectrum)
 from .graphs import WeightedGraph, set_distance
 from .operators import (apply_P, chebyshev_blocks, delta_steps, gradient, heat_sweep, lp_norm,
-                        mean_project, powers, spectral_interval)
+                        mean_project, spectral_interval)
 
 # Largest n the dense oracle is built for: its eigh costs 0.04 s at
 # n = 256 and 0.73 s at n = 1,024 (one BLAS thread), while the
@@ -411,57 +408,106 @@ def _require_aperiodic(lambda_star: float) -> float:
     return lambda_star
 
 
-# -- one description per operator: oracle symbol and series column ----------
+# -- one description per operator -------------------------------------------
 
-def _affine(interval):
-    """(half, mid): lam = mid + half x maps [-1, 1] onto interval."""
-    lo, hi = interval
-    return 0.5 * (hi - lo), 0.5 * (hi + lo)
+class Symbol:
+    """An operator phi_s(P) of the calculus: op(lam, s) is phi_s on the
+    spectrum of P, which the oracle applies, and `column` interpolates
+    that same function on an interval holding the spectrum.  With
+    lam = mid + half x mapping [-1, 1] onto the interval, phi_s is
+    analytic off x = pole(s, mid, half) > 1, and sup(s, mid, half, x)
+    bounds |phi_s(mid + half z)| on the Bernstein ellipse E_rho whose
+    right vertex is x (`chebyshev_series`).  A deflated op is walked on
+    mean-zero functions, on the interval `_deflated` gives."""
 
+    deflated = False
 
-def _delta_power_symbol(lam, beta: float):
-    """Delta^beta on the spectrum: max(1 - lam, 0)^beta, and 0 at the
-    constants (lam = 1) when beta < 0, as the deflated walk has it."""
-    d = np.maximum(1.0 - lam, 0.0)
-    return (d if beta >= 0 else np.where(d > 0.0, d, np.inf)) ** beta
-
-
-# Chebyshev columns kept by `_memo`; each is at most a few thousand
-# coefficients, so the cache stays within a few MB.
-COLUMN_CACHE = 256
-
-
-def _memo(column):
-    """column memoized on its (hashable) arguments and on SERIES_MAX_N,
-    which its build reads, its coefficient array made read-only: the
-    columns repeat from call to call (the scales of a sweep, the
-    interval of a graph), and a cached array is shared by every
-    caller."""
-    @functools.lru_cache(maxsize=COLUMN_CACHE)
-    def build(cap, *args, **kwargs):
-        coeffs, *rest = column(*args, **kwargs)
-        coeffs.flags.writeable = False
-        return (coeffs, *rest)
-
-    @functools.wraps(column)
-    def cached(*args, **kwargs):
-        return build(SERIES_MAX_N, *args, **kwargs)
-
-    return cached
+    def column(self, s, tol: float, interval):
+        """(coeffs, tail bound, interval, deflated), the arguments of a
+        SeriesOperator after the graph: the Chebyshev interpolant of
+        op(., s) on interval, within tol."""
+        lo, hi = interval
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        return (*chebyshev_series(lambda x: self(mid + half * x, s),
+                                  lambda x: self.sup(s, mid, half, x),
+                                  self.pole(s, mid, half), tol), interval, self.deflated)
 
 
-def _delta_power_column(g: WeightedGraph, beta: float, tol: float, interval):
-    """(I - P)^beta as (coeffs, tail bound[, interval, deflated]), given
-    an interval (lo, hi) holding the spectrum of P.  An integer
-    beta >= 0 is the polynomial itself in T_k(P), exact.  Otherwise the
-    walk is deflated, on [max(lo, -r), r] with r = max(lambda_star,
-    MIN_RADIUS) from `spectrum`, which holds the spectrum on mean-zero
-    functions (`_delta_power_interpolant`); r > lo holds by the ulps
-    `spectral_interval` widens lo by, as the oracle's lambda_star may
-    lie a rounding below the eigenvalue it reads."""
-    if beta >= 0 and float(beta).is_integer():
-        return _delta_power_interpolant(beta, tol, None)
-    return _delta_power_interpolant(beta, tol, _deflated(g, interval))
+@dataclass(frozen=True)
+class DeltaPower(Symbol):
+    """Delta^beta, any real beta: max(1 - lam, 0)^beta, and 0 at the
+    constants (lam = 1) when beta < 0, as the deflated walk has it.  An
+    integer beta >= 0 is the polynomial itself in T_k(P), exact, on
+    X = P.  Otherwise the walk is deflated, on [max(lo, -r), r] with
+    r = max(lambda_star, MIN_RADIUS) from `spectrum`; r > lo holds by
+    the ulps `spectral_interval` widens lo by, as the oracle's
+    lambda_star may lie a rounding below the eigenvalue it reads.  There
+    (1 - mid - half x)^beta is analytic off x = (1 - mid)/half, and on
+    E_rho its modulus is at most (1 - mid - half x_rho)^beta for
+    beta < 0 and (1 - mid + half x_rho)^beta for beta > 0."""
+
+    beta: float
+
+    @property
+    def deflated(self):
+        return not (self.beta >= 0 and float(self.beta).is_integer())
+
+    def __call__(self, lam, s):
+        d = np.maximum(1.0 - lam, 0.0)
+        return (d if self.beta >= 0 else np.where(d > 0.0, d, np.inf)) ** self.beta
+
+    def pole(self, s, mid, half):
+        return (1.0 - mid) / half
+
+    def sup(self, s, mid, half, x):
+        return (1.0 - mid + math.copysign(half, self.beta) * x) ** self.beta
+
+    def column(self, s, tol: float, interval):
+        if self.deflated:
+            return super().column(s, tol, interval)
+        poly = binomial_coefficients(self.beta, int(self.beta) + 1)
+        return np.polynomial.chebyshev.poly2cheb(poly), 0.0, (-1.0, 1.0), False
+
+
+@dataclass(frozen=True)
+class Resolvent(Symbol):
+    """(I + s Delta)^{-power}, any real power, analytic off
+    x = (1 + 1/s - mid)/half.  On E_rho its modulus is at most its value
+    at x_rho, the point of E_rho nearest the singularity, for power > 0,
+    and at most (1 + s + s (|mid| + half x_rho))^{-power}, with
+    |x| <= x_rho there, for power < 0."""
+
+    power: float
+
+    def __call__(self, lam, s):
+        return (1.0 + s * (1.0 - lam)) ** (-self.power)
+
+    def pole(self, s, mid, half):
+        return (1.0 + 1.0 / s - mid) / half
+
+    def sup(self, s, mid, half, x):
+        if self.power > 0:
+            return self(mid + half * x, s)
+        return (1.0 + s + s * (abs(mid) + half * x)) ** (-self.power)
+
+
+@dataclass(frozen=True)
+class Bz2(Symbol):
+    """[I - (I + s Delta)^{-1}]^M - I = sum_{j>=1} C(M, j) (-R)^j:
+    without the identity part, so it is as accurate as R.  Its pole is
+    the resolvent's, and with |R| <= R(x_rho) on E_rho its modulus there
+    is at most (1 + R(x_rho))^M - 1."""
+
+    M: int
+
+    def __call__(self, lam, s):
+        r = Resolvent(1.0)(lam, s)
+        return sum(math.comb(self.M, j) * (-r) ** j for j in range(1, self.M + 1))
+
+    pole = Resolvent.pole
+
+    def sup(self, s, mid, half, x):
+        return (1.0 + Resolvent(1.0)(mid + half * x, s)) ** self.M - 1.0
 
 
 def _deflated(g: WeightedGraph, interval):
@@ -472,100 +518,66 @@ def _deflated(g: WeightedGraph, interval):
     return max(interval[0], -r), r
 
 
-@_memo
-def _delta_power_interpolant(beta: float, tol: float, interval):
-    """The column of `_delta_power_column` on the deflated walk's
-    interval, or, for interval None, the polynomial of an integer
-    beta >= 0.  With lam = mid + half x mapping [-1, 1] onto the
-    interval, Delta^beta is (1 - mid - half x)^beta, analytic off
-    x = (1 - mid)/half; on E_rho its modulus is at most
-    (1 - mid - half x_rho)^beta for beta < 0 and (1 - mid + half
-    x_rho)^beta for beta > 0.  The constants are sent to 0, which is
-    Delta^beta on them for beta > 0 (a negative beta needs a mean-zero
-    input)."""
-    if interval is None:
-        poly = binomial_coefficients(beta, int(beta) + 1)
-        return np.polynomial.chebyshev.poly2cheb(poly), 0.0
-    half, mid = _affine(interval)
-    return (*chebyshev_series(lambda x: (1.0 - mid - half * x) ** beta,
-                              lambda x: (1.0 - mid + math.copysign(half, beta) * x) ** beta,
-                              (1.0 - mid) / half, tol), interval, True)
-
-
-def _resolvent_symbol(lam, s, power: float):
-    """(I + s Delta)^{-power} on the spectrum."""
-    return (1.0 + s * (1.0 - lam)) ** (-power)
-
-
-def _bz2_symbol(lam, s, M: int):
-    """[I - (I + s Delta)^{-1}]^M - I = sum_{j>=1} C(M, j) (-R)^j on the
-    spectrum: without the identity part, so it is as accurate as R."""
-    r = _resolvent_symbol(lam, s, 1.0)
-    return sum(math.comb(M, j) * (-r) ** j for j in range(1, M + 1))
-
-
 def _check_scales(s):
     """ValueError unless the scale s, or each scale of a sequence, is
     finite and > 0, where the pole 1 + 1/s of (I + s Delta)^{-1} lies
-    beyond the spectrum and the columns' ellipse bounds hold; checked
-    on entry, before the oracle/series choice."""
-    if not np.all(np.isfinite(s) & (np.asarray(s, dtype=float) > 0.0)):
+    beyond the spectrum and the columns' ellipse bounds hold; s None is
+    an operator without a scale."""
+    if s is not None and not np.all(np.isfinite(s) & (np.asarray(s, dtype=float) > 0.0)):
         raise ValueError(f"resolvent scales must be finite and > 0, not {s!r}")
 
 
-@_memo
-def _resolvent_column(s, power, tol, interval=(-1.0, 1.0)):
-    """(I + s Delta)^{-power}, any real power, as one Chebyshev column
-    (coeffs, tail bound, interval) on an interval holding the spectrum.
-    With lam = mid + half x mapping [-1, 1] onto it, the symbol
-    (1 + s(1 - lam))^{-power} is analytic off x = (1 + 1/s - mid)/half.
-    On E_rho its modulus is at most its value at x_rho, the point of
-    E_rho nearest the singularity, for power > 0, and at most
-    (1 + s + s (|mid| + half x_rho))^{-power}, with |x| <= x_rho there,
-    for power < 0.  s > 0 (`_check_scales`)."""
-    half, mid = _affine(interval)
-
-    def symbol(x):
-        return _resolvent_symbol(mid + half * x, s, power)
-    sup = symbol if power > 0 else lambda x: (1.0 + s + s * (abs(mid) + half * x)) ** (-power)
-    return (*chebyshev_series(symbol, sup, (1.0 + 1.0 / s - mid) / half, tol), interval)
+# Chebyshev columns kept by `_column`; each is at most a few thousand
+# coefficients, so the cache stays within a few MB.
+COLUMN_CACHE = 256
 
 
-@_memo
-def _bz2_column(s, M: int, tol, interval=(-1.0, 1.0)):
-    """[I - (I + s Delta)^{-1}]^M - I as one Chebyshev column (coeffs,
-    tail bound, interval), lam = mid + half x as for the resolvent; with
-    |R| <= R(x_rho) on E_rho its modulus there is at most
-    (1 + R(x_rho))^M - 1.  s > 0 (`_check_scales`)."""
-    half, mid = _affine(interval)
-    return (*chebyshev_series(
-        lambda x: _bz2_symbol(mid + half * x, s, M),
-        lambda x: (1.0 + _resolvent_symbol(mid + half * x, s, 1.0)) ** M - 1.0,
-        (1.0 + 1.0 / s - mid) / half, tol), interval)
+@functools.lru_cache(maxsize=COLUMN_CACHE)
+def _column(op: Symbol, s, tol: float, interval, cap: int):
+    """op.column(s, tol, interval), memoized on its arguments and on the
+    length cap SERIES_MAX_N (cap), which the build reads, its
+    coefficient array made read-only: the columns repeat from call to
+    call (the scales of a sweep, the interval of a graph), and a cached
+    array is shared by every caller."""
+    coeffs, *rest = op.column(s, tol, interval)
+    coeffs.flags.writeable = False
+    return (coeffs, *rest)
+
+
+def series(g: WeightedGraph, op: Symbol, s, tol: float) -> SeriesOperator:
+    """op on the series path, whatever n: its truncation and certified
+    tail bound on `spectral_interval(g)`, or, for a deflated op, on the
+    deflated walk's interval inside it.  A scalar s (None for an op
+    without a scale) gives one column; a sequence of scales a
+    `series_table`, one column per scale."""
+    _check_scales(s)
+    interval = spectral_interval(g)
+    if op.deflated:
+        interval = _deflated(g, interval)
+    if np.ndim(s) > 0:
+        return series_table(g, [_column(op, t, tol, interval, SERIES_MAX_N) for t in s])
+    return SeriesOperator(g, *_column(op, s, tol, interval, SERIES_MAX_N))
 
 
 # -- the one oracle/series choice --------------------------------------------
 
-def phi_apply(g: WeightedGraph, f, s, symbol, column):
-    """phi_s(P) f: the oracle applies symbol(lam, s) when affordable, the
-    series path the Chebyshev column(s, interval) = (coeffs, tail_bound,
-    ...), the arguments of a SeriesOperator after the graph, on the
-    certified interval `spectral_interval(g)`.
+def phi_apply(g: WeightedGraph, f, op: Symbol, s, tol: float):
+    """op(P) at the scale s applied to f: the oracle applies op(lam, s)
+    when affordable, the series path `series(g, op, s, tol)`.
 
-    A scalar s (None for an operator without a scale) takes a vector or
-    an (n, k) block.  A sequence of scales takes a vector and gives an
+    A scalar s (None for an op without a scale) takes a vector or an
+    (n, k) block.  A sequence of scales takes a vector and gives an
     (n, S) block, one column per scale: one oracle apply of the table
-    symbol(lam[:, None], s), or one series table of the columns.
+    op(lam[:, None], s), or one series table.  The scales are checked
+    before the path is chosen.
     """
+    _check_scales(s)
     if not has_oracle(g):
-        interval = spectral_interval(g)
-        if np.ndim(s) > 0:
-            return series_table(g, [column(t, interval) for t in s]).apply(f)
-        return SeriesOperator(g, *column(s, interval)).apply(f)
+        return series(g, op, s, tol).apply(f)
     if np.ndim(s) > 0:
         s = np.asarray(s, dtype=float)
-        return spectral(g).apply(lambda lam: symbol(lam[:, None], s), f)
-    return spectral(g).apply(lambda lam: symbol(lam, s), f)
+        return spectral(g).apply(lambda lam: op(lam[:, None], s), f)
+    return spectral(g).apply(lambda lam: op(lam, s), f)
 
 
 def delta_power_apply(g: WeightedGraph, f, beta: float):
@@ -575,16 +587,36 @@ def delta_power_apply(g: WeightedGraph, f, beta: float):
     otherwise)."""
     if beta < 0:
         require_mean_zero(g, f)
-    return phi_apply(g, f, None, lambda lam, _: _delta_power_symbol(lam, beta),
-                     lambda _, interval: _delta_power_column(g, beta, 1e-10, interval))
+    return phi_apply(g, f, DeltaPower(beta), None, 1e-10)
 
 
 def resolvent_apply(g: WeightedGraph, f, s, power=1.0, tol=1e-12):
     """(I + s Delta)^{-power} f with automatic path choice; a sequence of
     scales gives an (n, S) block, one column per scale, each finite > 0."""
-    _check_scales(s)
-    return phi_apply(g, f, s, lambda lam, t: _resolvent_symbol(lam, t, power),
-                     lambda t, interval: _resolvent_column(t, power, tol, interval))
+    return phi_apply(g, f, Resolvent(power), s, tol)
+
+
+# Tolerance of `bz2_apply` and of the resolvent families' evaluations,
+# hence the absolute accuracy of their ratios (f has unit norm).
+GAFFNEY_TOL = 1e-12
+
+
+def bz2_apply(g: WeightedGraph, f, s, M: int):
+    """[I - (I + s Delta)^{-1}]^M f, M >= 1 (BadTuple otherwise), its
+    series at tol GAFFNEY_TOL; a sequence of scales gives an (n, S)
+    block, one column per scale.  The identity part is added exactly, so
+    where f vanishes the result is as accurate as R f."""
+    if M < 1:
+        raise BadTuple(f"M = {M} < 1")
+    f = np.asarray(f, dtype=float)
+    return (f[:, None] if np.ndim(s) else f) + phi_apply(g, f, Bz2(M), s, GAFFNEY_TOL)
+
+
+def bz1_product(g: WeightedGraph, x, times):
+    """(I - P^{t_1}) ... (I - P^{t_M}) x for a float x, whatever the t_i."""
+    for t in times:
+        x = x - apply_P(g, x, t)
+    return x
 
 
 # -- the whole-graph tail of a profile -------------------------------------------
@@ -679,42 +711,36 @@ def _power_tail_bound(R, K: int, a: float):
     return math.factorial(k) * _negative_binomial_tail(R, K, k + 1)
 
 
-def _on_open_disc(tail, lam):
-    """tail(lam) where |lam| < 1, and 0 elsewhere: lam = 1 carries the
-    constants, which a mean-zero potential lacks."""
-    inside = np.abs(lam) < 1.0
-    return np.where(inside, tail(np.where(inside, lam, 0.0)), 0.0)
+@dataclass(frozen=True)
+class LusinTail(Symbol):
+    """chi(lam) = (1 - lam)^{2 order} sum_{l>K} (l+1)^a lam^{2l} on
+    |lam| < 1, and 0 elsewhere: lam = 1 carries the constants, which a
+    mean-zero potential lacks, and there the front has a pole for
+    order < 0.  Its walk is deflated: |lam| <= R = |mid| + half x_rho on
+    E_rho, below 1 left of the nearer pole, at x = (1 - |mid|)/half.  On
+    |lam| <= R, |1 - lam|^{2 order} is at most (1 + R)^{2 order} for
+    order >= 0 and (1 - R)^{2 order} below, and the sum, whose
+    coefficients in lam^2 are nonnegative, is at most its value at R,
+    which `_power_tail_bound` bounds."""
 
+    K: int
+    a: float
+    order: float
+    deflated = True
 
-def _lusin_tail_symbol(lam, K: int, a: float, order: float):
-    """chi(lam) = (1 - lam)^{2 order} sum_{l>K} (l+1)^a lam^{2l} (0 at
-    |lam| = 1, where the front has a pole for order < 0)."""
-    return _on_open_disc(lambda x: (1.0 - x) ** (2.0 * order) * _power_tail(x, K, a), lam)
+    def __call__(self, lam, s):
+        inside = np.abs(lam) < 1.0
+        x = np.where(inside, lam, 0.0)
+        return np.where(inside, (1.0 - x) ** (2.0 * self.order) * _power_tail(x, self.K, self.a),
+                        0.0)
 
+    def pole(self, s, mid, half):
+        return (1.0 - abs(mid)) / half
 
-def _tail_series(symbol, sup, tol: float, interval):
-    """The deflated Chebyshev column (coeffs, tail bound, interval, True)
-    of a tail symbol(lam), analytic on |lam| < 1 with poles at lam = +-1,
-    where sup(R) bounds its modulus on |lam| <= R.  With lam = mid +
-    half x mapping [-1, 1] onto the interval, |lam| <= |mid| + half x_rho
-    on E_rho, which stays below 1 left of the nearer pole, at
-    x = (1 - |mid|)/half."""
-    half, mid = _affine(interval)
-    return (*chebyshev_series(lambda x: symbol(mid + half * x),
-                              lambda x: sup(abs(mid) + half * x),
-                              (1.0 - abs(mid)) / half, tol), interval, True)
-
-
-@_memo
-def _lusin_tail_column(K: int, a: float, order: float, tol: float, interval):
-    """chi of `_lusin_tail_symbol` on a deflated interval: on |lam| <= R,
-    |1 - lam|^{2 order} is at most (1 + R)^{2 order} for order >= 0 and
-    (1 - R)^{2 order} below, and the sum, whose coefficients in lam^2 are
-    nonnegative, is at most its value at R, which `_power_tail_bound`
-    bounds."""
-    return _tail_series(lambda lam: _lusin_tail_symbol(lam, K, a, order),
-                        lambda R: (1.0 + R if order >= 0 else 1.0 - R) ** (2.0 * order)
-                        * _power_tail_bound(R, K, a), tol, interval)
+    def sup(self, s, mid, half, x):
+        R = abs(mid) + half * x
+        return ((1.0 + R if self.order >= 0 else 1.0 - R) ** (2.0 * self.order)
+                * _power_tail_bound(R, self.K, self.a))
 
 
 def lusin_tail_apply(g: WeightedGraph, h, beta: float, order: float, K: int):
@@ -723,43 +749,49 @@ def lusin_tail_apply(g: WeightedGraph, h, beta: float, order: float, K: int):
     <chi(P) h, h>_m = sum_{l>K} (l+1)^{2 beta - 1} ||P^l u||_m^2 is the
     Lusin mass of the levels past K of the profile (l+1)^beta P^l u.  The
     series runs at TAIL_TOL."""
-    a = 2.0 * beta - 1.0
-    return phi_apply(g, h, None, lambda lam, _: _lusin_tail_symbol(lam, K, a, order),
-                     lambda _, interval: _lusin_tail_column(K, a, order, TAIL_TOL,
-                                                            _deflated(g, interval)))
+    return phi_apply(g, h, LusinTail(K, 2.0 * beta - 1.0, order), None, TAIL_TOL)
 
 
-def _synthesis_tail_symbol(lam, s, K: int, eta: int, power: float, q: float):
-    """phi(lam) = ((1 + s(1 - lam))/s)^q (1 - lam)^power E(lam) (0 at
-    |lam| = 1), E of `_reproducing_error`."""
-    return _on_open_disc(lambda x: ((1.0 + s * (1.0 - x)) / s) ** q * (1.0 - x) ** power
-                         * _reproducing_error(x, K, eta), lam)
+@dataclass(frozen=True)
+class SynthesisTail(Symbol):
+    """phi(lam) = ((1 + s(1 - lam))/s)^q (1 - lam)^power E(lam) on
+    |lam| < 1, and 0 elsewhere, E of `_reproducing_error`; deflated, on
+    the disc as `LusinTail`.  On |lam| <= R, |1 - lam|^power is at most
+    (1 + R)^power for power >= 0 and (1 - R)^power below,
+    |1 + s(1 - lam)| <= 1 + s(1 + R), and |E| is at most its terms'
+    moduli, `_binomial_head` at p = 1 + R^2."""
 
+    K: int
+    eta: int
+    power: float
+    q: float
+    deflated = True
 
-@_memo
-def _synthesis_tail_column(s, K: int, eta: int, power: float, q: float, tol: float,
-                           interval):
-    """phi of `_synthesis_tail_symbol` on a deflated interval: on
-    |lam| <= R, |1 - lam|^power is at most (1 + R)^power for power >= 0
-    and (1 - R)^power below, |1 + s(1 - lam)| <= 1 + s(1 + R), and |E| is
-    at most its terms' moduli, `_binomial_head` at p = 1 + R^2."""
-    def sup(R):
-        front = (1.0 + R) ** power if power >= 0 else (1.0 - R) ** power
-        return ((1.0 + s * (1.0 + R)) / s) ** q * front * _binomial_head(1.0 + R * R, R, K, eta)
-    return _tail_series(lambda lam: _synthesis_tail_symbol(lam, s, K, eta, power, q), sup,
-                        tol, interval)
+    def __call__(self, lam, s):
+        inside = np.abs(lam) < 1.0
+        x = np.where(inside, lam, 0.0)
+        return np.where(inside, ((1.0 + s * (1.0 - x)) / s) ** self.q * (1.0 - x) ** self.power
+                        * _reproducing_error(x, self.K, self.eta), 0.0)
+
+    pole = LusinTail.pole
+
+    def sup(self, s, mid, half, x):
+        R = abs(mid) + half * x
+        front = (1.0 + R) ** self.power if self.power >= 0 else (1.0 - R) ** self.power
+        return (((1.0 + s * (1.0 + R)) / s) ** self.q * front
+                * _binomial_head(1.0 + R * R, R, self.K, self.eta))
 
 
 def synthesis_tail_apply(g: WeightedGraph, h, K: int, eta: int, power: float, s: float,
                          q: float, tol: float):
-    """phi(P) h for a mean-zero potential h, phi(lam) = ((1 + s(1 -
-    lam))/s)^q (1 - lam)^power E(lam), within tol on the series path: the
-    levels j > K of a synthesis sum_j c_{j+1} Delta^exp (I + P)^eta P^{2j} u
-    of a profile (j+1)^beta P^j u, u = Delta^order h, are
-    Delta^{exp + order - eta} E(P) h (`_reproducing_error`).  A molecule
-    reads them at power 0 (a = Delta^M X) and through its pre-image
-    ((I + s Delta)/s)^q at power -M (b = Q_s X), both bounded, E being in
-    [0, 1] and s (1 - lambda_star) large for the whole-graph atom.
+    """phi(P) h for a mean-zero potential h, phi of `SynthesisTail`,
+    within tol on the series path: the levels j > K of a synthesis
+    sum_j c_{j+1} Delta^exp (I + P)^eta P^{2j} u of a profile
+    (j+1)^beta P^j u, u = Delta^order h, are Delta^{exp + order - eta}
+    E(P) h (`_reproducing_error`).  A molecule reads them at power 0
+    (a = Delta^M X) and through its pre-image ((I + s Delta)/s)^q at
+    power -M (b = Q_s X), both bounded, E being in [0, 1] and
+    s (1 - lambda_star) large for the whole-graph atom.
 
     The oracle applies phi; the series truncates its column at tol for
     the norm of h, rounded down to a power of two so that inputs share
@@ -768,96 +800,7 @@ def synthesis_tail_apply(g: WeightedGraph, h, K: int, eta: int, power: float, s:
     if norm == 0.0:
         return np.zeros(g.n)
     col_tol = 2.0 ** math.floor(math.log2(tol / norm))
-    return phi_apply(g, h, s, lambda lam, t: _synthesis_tail_symbol(lam, t, K, eta, power, q),
-                     lambda t, interval: _synthesis_tail_column(t, K, eta, power, q, col_tol,
-                                                                _deflated(g, interval)))
-
-
-# -- certified series objects ---------------------------------------------------
-
-def delta_power_series(g: WeightedGraph, beta: float, tol: float) -> SeriesOperator:
-    """Delta^beta on the series path, whatever n: its tail bound and
-    truncation, for a fractional beta on the radius of the graph's
-    record (`spectrum`), its walk dropping the input's constant part."""
-    return SeriesOperator(g, *_delta_power_column(g, beta, tol, spectral_interval(g)))
-
-
-def resolvent_frac_series(g: WeightedGraph, s, power: float,
-                          tol: float) -> SeriesOperator:
-    """(I + s Delta)^{-power}, any real power, s finite > 0, as a series."""
-    _check_scales(s)
-    return SeriesOperator(g, *_resolvent_column(s, power, tol, spectral_interval(g)))
-
-
-# -- molecule generators A_s ------------------------------------------------
-
-@dataclass(frozen=True)
-class BZ1Kind:
-    s: int
-    times: tuple
-
-    def __post_init__(self):
-        for t in self.times:
-            if not self.s <= t <= 2 * self.s:
-                raise BadTuple(f"s_i = {t} outside [{self.s}, {2 * self.s}]")
-
-
-def bz1_product(g: WeightedGraph, x, times):
-    """(I - P^{t_1}) ... (I - P^{t_M}) x for a float x, whatever the t_i."""
-    for t in times:
-        x = x - apply_P(g, x, t)
-    return x
-
-
-@dataclass(frozen=True)
-class BZ2Kind:
-    s: object                  # a scale, or a tuple of scales for a sweep
-    M: int
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise BadTuple(f"M = {self.M} < 1")
-        _check_scales(self.s)
-
-
-@dataclass(frozen=True)
-class QsKind:
-    s: int
-
-    def __post_init__(self):
-        if not isinstance(self.s, numbers.Integral) or self.s < 1:
-            raise BadTuple(f"s = {self.s!r} is not an integer >= 1")
-
-
-# Tolerance of the bz2 columns of `a_s` and of the resolvent families'
-# evaluations, hence the absolute accuracy of their ratios (f has unit
-# norm).
-GAFFNEY_TOL = 1e-12
-
-
-def a_s(g: WeightedGraph, f, kind):
-    """Apply a molecule-generating operator.
-
-    BZ1: (I - P^{s_1}) ... (I - P^{s_M});  BZ2: [I - (I+s Delta)^{-1}]^M,
-    its series at tol GAFFNEY_TOL;  Qs: the Cesaro average
-    (1/s) sum_{k<s} P^k.  A BZ2 kind whose s is a sequence gives an
-    (n, S) block, one column per scale.
-    """
-    out = np.asarray(f, dtype=float)
-    if isinstance(kind, BZ1Kind):
-        return bz1_product(g, out, kind.times)
-    if isinstance(kind, BZ2Kind):
-        # the identity part is added exactly, so where f vanishes the
-        # result is as accurate as R f
-        return (out[:, None] if np.ndim(kind.s) else out) + phi_apply(
-            g, out, kind.s, lambda lam, t: _bz2_symbol(lam, t, kind.M),
-            lambda t, interval: _bz2_column(t, kind.M, GAFFNEY_TOL, interval))
-    if isinstance(kind, QsKind):
-        acc = np.zeros_like(out)
-        for vec in powers(g, out, kind.s - 1):
-            acc += vec
-        return acc / kind.s
-    raise TypeError(f"unknown A_s kind: {kind!r}")
+    return phi_apply(g, h, SynthesisTail(K, eta, power, q), s, col_tol)
 
 
 # -- Davies-Gaffney decay fits ----------------------------------------------
@@ -879,7 +822,7 @@ def _family_resolvent(g, f, s, M):
 
 
 def _family_resolvent_diff(g, f, s, M):
-    return a_s(g, f, BZ2Kind(tuple(s), M))
+    return bz2_apply(g, f, s, M)
 
 
 def _family_grad_heat(g, f, s, M):

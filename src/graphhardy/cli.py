@@ -63,15 +63,17 @@ def _parse_s_range(text: str):
 
 
 def _emit(args, name, payload_json, payload_csv=None, payload_svg=None):
+    """The payload of `--format` written to `--out`/NAME.FORMAT, its path
+    printed, or printed itself, ending in one newline, without `--out`."""
+    data = {"json": payload_json, "csv": payload_csv, "svg": payload_svg}[args.format]
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        data = {"json": payload_json, "csv": payload_csv, "svg": payload_svg}[args.format]
         path = os.path.join(args.out, f"{name}.{args.format}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(data)
         print(path)
     else:
-        print(payload_json)
+        print(data, end="" if data.endswith("\n") else "\n")
 
 
 def _svg_curve(xs, ys, title):
@@ -213,12 +215,12 @@ def cmd_selftest(args):
         f = operators.random_mean_zero(g, rng)
         for beta in (0.5, -0.5):
             exact = calculus.delta_power_apply(g, f, beta)
-            approx = calculus.delta_power_series(g, beta, 1e-10).apply(f)
+            approx = calculus.series(g, calculus.DeltaPower(beta), None, 1e-10).apply(f)
             assert operators.lp_norm(g, exact - approx, 2) < 1e-9
         scales = [1, 4, 16, 64]
         exact = calculus.resolvent_apply(g, f, scales)
         for j, s in enumerate(scales):
-            approx = calculus.resolvent_frac_series(g, s, 1.0, 1e-10).apply(f)
+            approx = calculus.series(g, calculus.Resolvent(1.0), s, 1e-10).apply(f)
             assert operators.lp_norm(g, exact[:, j] - approx, 2) < 1e-9
 
     def k2l_values():

@@ -44,7 +44,7 @@ class PeriodicWalk(GraphHardyError):
 
 
 class BadTuple(GraphHardyError):
-    """Iterate tuple outside the admissible range [s, 2s]."""
+    """A molecule generator of order M < 1 (`calculus.bz2_apply`)."""
 
 
 class OverlappingSets(GraphHardyError):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (BZ2Kind, a_s, bz1_product, delta_power_apply, reproducing_l_max,
+from .calculus import (bz1_product, bz2_apply, delta_power_apply, reproducing_l_max,
                        require_mean_zero, resolvent_apply, spectrum)
 from .errors import (
     FactorizationMismatch,
@@ -118,11 +118,9 @@ def rederive_molecules(g: WeightedGraph, kind: str, M: int, s, times,
     for key, cols in groups.items():
         x = b[:, cols]
         if kind == "bz1":
-            # not through BZ1Kind: atom tuples may sit below s, which its
-            # strict constructor would reject
             x = bz1_product(g, x, key)
         elif kind == "bz2":
-            x = a_s(g, x, BZ2Kind(key, M))
+            x = bz2_apply(g, x, key, M)
         elif kind == "bz2_tuple":
             # variant normalization: product of single resolvent differences
             for t in key:
@@ -572,7 +570,7 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     if kind == "bz1":
         PK = weighted_powers(g, f, np.ones(2 * s_max * M + 1))
     else:
-        A = a_s(g, f, BZ2Kind(tuple(range(1, s_max + 1)), M))
+        A = bz2_apply(g, f, range(1, s_max + 1), M)
     rng = np.random.default_rng(seed)
     for r, B in enumerate(ball_matrices(g, math.ceil(math.sqrt(s_max))), start=1):
         vols = B @ g.m

@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .calculus import BZ1Kind, BZ2Kind, a_s, delta_power_apply, require_mean_zero
+from .calculus import bz1_product, bz2_apply, delta_power_apply, require_mean_zero
 from .graphs import WeightedGraph, ball
 from .operators import (
     EdgeFunction,
@@ -125,9 +125,9 @@ def molecule_suite(g: WeightedGraph, s_values=(1, 4, 16, 64), kind="bz1",
             B = ball(g, x, r)
             b = B.mask.astype(float) / B.volume
             if kind == "bz1":
-                a = a_s(g, b, BZ1Kind(s, (s,) * M))
+                a = bz1_product(g, b, (s,) * M)
             else:
-                a = a_s(g, b, BZ2Kind(s, M))
+                a = bz2_apply(g, b, s, M)
             suite.append((f"{kind}(s={s},x={x})", a))
     return suite
 

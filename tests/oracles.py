@@ -10,7 +10,8 @@ count of the products with P a computation makes, for tests that pin
 how often the power sequence is walked.  `delta_power_exact` and
 `resolvent_exact` apply their operators by the dense spectral oracle on
 any graph the oracle takes, the references the automatic-path functions
-and the certified series objects are compared against.
+and the certified series objects are compared against; `cesaro_mean` is
+the walk's Cesaro mean Q_s, which factors the bz1 product through bz2.
 `reproducing_l_max_mpmath` finds the reproducing horizon at 50 digits,
 the reference of `calculus.reproducing_l_max`.
 `chebyshev_terms` is the three-term recurrence one `markov_step` at a
@@ -38,7 +39,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from graphhardy import zoo
-from graphhardy.calculus import (BZ2Kind, SeriesOperator, a_s, binomial_coefficients,
+from graphhardy.calculus import (SeriesOperator, binomial_coefficients, bz2_apply,
                                  delta_power_apply, require_mean_zero, resolvent_apply,
                                  spectral, spectrum)
 from graphhardy.errors import NonConvergent
@@ -94,6 +95,12 @@ def resolvent_exact(g, f, s, power=1.0):
     """(I + s Delta)^{-power} f by the spectral oracle, whatever
     ORACLE_MAX_N."""
     return spectral(g).apply(lambda lam: (1.0 + s * (1.0 - lam)) ** (-power), f)
+
+
+def cesaro_mean(g, f, s):
+    """Q_s f = (1/s) sum_{k<s} P^k f, the Cesaro mean of the walk over s
+    levels."""
+    return sum(powers(g, np.asarray(f, dtype=float), s - 1)) / s
 
 
 def chebyshev_terms(g, f, N, interval=(-1.0, 1.0), deflate=False):
@@ -405,7 +412,7 @@ def family_per_s(g, family, f, s, M):
     if family == "resolvent":
         return resolvent_apply(g, f, s, float(M))
     if family == "resolvent_diff":
-        return a_s(g, f, BZ2Kind(s, M))
+        return bz2_apply(g, f, s, M)
     if family == "grad_resolvent":
         out = resolvent_apply(g, f, s, M + 0.5)
         for _ in range(M):
@@ -416,7 +423,7 @@ def family_per_s(g, family, f, s, M):
 
 def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
     """(value, argmax, enumeration_policy) of `hardy.bmo_norm` one scale
-    and one candidate at a time: a scalar `a_s` per s for bz2, a dense
+    and one candidate at a time: a scalar `bz2_apply` per s for bz2, a dense
     ball mask per s.  bz1 tuples are enumerated while s^M <= cap
     (`hardy.TUPLE_EXHAUSTIVE_CAP` for the default) and sampled past it;
     the policy names the scales of each, a sampled range as a lower
@@ -431,7 +438,7 @@ def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
         mask = g.dist < r
         vols = mask @ g.m
         if kind == "bz2":
-            candidates = [((), a_s(g, f, BZ2Kind(s, M)))]
+            candidates = [((), bz2_apply(g, f, s, M))]
             enumerated.append(s)
         else:
             if s ** M <= cap:

@@ -22,9 +22,10 @@ from oracles import (
 )
 
 from graphhardy.calculus import (
-    delta_power_series,
+    DeltaPower,
+    Resolvent,
     gaffney_fit,
-    resolvent_frac_series,
+    series,
     spectral,
 )
 from graphhardy.graphs import (
@@ -142,16 +143,16 @@ def test_c03_spectral_vs_series():
                 return np.sqrt((A ** 2 * g.m[:, None]).sum(axis=0))
 
             # Delta^{1/2}
-            op = delta_power_series(g, 0.5, 1e-10)
+            op = series(g, DeltaPower(0.5), None, 1e-10)
             err = colnorms(op.apply(F) - delta_power_exact(g, F, 0.5))
             assert np.all(err <= op.tail_bound * norms + 1e-9)
             # Delta^{-1/2}
-            op = delta_power_series(g, -0.5, 1e-10)
+            op = series(g, DeltaPower(-0.5), None, 1e-10)
             err = colnorms(op.apply(F) - delta_power_exact(g, F, -0.5))
             assert np.all(err <= op.tail_bound * norms + 1e-9)
             # resolvent powers
             for s, M in ((2, 1), (8, 2)):
-                step = resolvent_frac_series(g, s, 1.0, 1e-11 / M)
+                step = series(g, Resolvent(1.0), s, 1e-11 / M)
                 out = F
                 for _ in range(M):
                     out = step.apply(out)

@@ -13,13 +13,13 @@ from oracles import (chebyshev_terms, counting_markov, delta_power_exact, resolv
 
 from graphhardy import calculus, zoo
 from graphhardy.calculus import (
-    BZ2Kind,
-    SeriesOperator,
-    a_s,
+    Bz2,
+    DeltaPower,
+    Resolvent,
+    bz2_apply,
     chebyshev_series,
-    delta_power_series,
     resolvent_apply,
-    resolvent_frac_series,
+    series,
 )
 from graphhardy.cli import _parse_s_range
 from graphhardy.errors import NonConvergent
@@ -51,7 +51,7 @@ def test_resolvent_columns_within_their_tail(graph, monkeypatch):
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     lo, hi = spectral_interval(g)
     for (s, p), want in exact.items():
-        op = resolvent_frac_series(g, s, p, TOL)
+        op = series(g, Resolvent(p), s, TOL)
         assert op.interval == (lo, hi) and not op.deflated
         assert op.tail_bound <= TOL
         size = (1.0 + s * (1.0 - lo)) ** -p if p < 0 else 0.0
@@ -63,11 +63,11 @@ def test_resolvent_columns_within_their_tail(graph, monkeypatch):
 def test_bz2_columns_within_their_tail(graph, M, monkeypatch):
     g = graph
     f = _unit(g, 11)
-    want = a_s(g, f, BZ2Kind(SCALES, M))
+    want = bz2_apply(g, f, SCALES, M)
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
-    got = a_s(g, f, BZ2Kind(SCALES, M))
+    got = bz2_apply(g, f, SCALES, M)
     for j, s in enumerate(SCALES):
-        _, tail, _ = calculus._bz2_column(s, M, TOL, spectral_interval(g))
+        tail = series(g, Bz2(M), s, TOL).tail_bound
         assert tail <= TOL
         err = lp_norm(g, got[:, j] - want[:, j], 2)
         assert err <= tail * lp_norm(g, f, 2) + 1e-12, s
@@ -78,8 +78,8 @@ def test_one_column_block_is_its_vector(graph):
     # vector is, and its chunks are summed by the same GEMM, so on the
     # undeflated walk a one-column block is its vector bit for bit
     f = _unit(graph, 14)
-    for op in (resolvent_frac_series(graph, 40, 1.5, TOL),
-               SeriesOperator(graph, *calculus._bz2_column(40, 2, TOL, spectral_interval(graph)))):
+    for op in (series(graph, Resolvent(1.5), 40, TOL),
+               series(graph, Bz2(2), 40, TOL)):
         np.testing.assert_array_equal(op.apply(f[:, None])[:, 0], op.apply(f))
 
 
@@ -95,10 +95,10 @@ def test_interpolant_within_its_bound_on_the_interval(s, power):
     # a negative power up to the rounding of values as large as max|phi|
     x = np.cos(np.linspace(0.0, np.pi, 4001))
     for lo, hi in INTERVALS:
-        c, tail, interval = calculus._resolvent_column(s, power, 1e-10, (lo, hi))
+        c, tail, interval, _ = Resolvent(power).column(s, 1e-10, (lo, hi))
         assert interval == (lo, hi)
         lam = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        phi = calculus._resolvent_symbol(lam, s, power)
+        phi = Resolvent(power)(lam, s)
         err = np.abs(np.polynomial.chebyshev.chebval(x, c) - phi).max()
         assert tail <= 1e-10
         rounding = len(c) * EPS * np.abs(phi).max() if power < 0 else 0.0
@@ -109,30 +109,30 @@ def test_interpolant_within_its_bound_on_the_interval(s, power):
 def test_chebyshev_degree_never_exceeds_taylor(tol):
     for s in range(1, 601):
         for power in (1.0, 1.5):
-            N = len(calculus._resolvent_column(s, power, tol)[0]) - 1
+            N = len(Resolvent(power).column(s, tol, (-1.0, 1.0))[0]) - 1
             assert N <= taylor_resolvent_degree(s, power, tol), (s, power)
         # [I - R]^M was M composed Neumann steps at the full tolerance
-        N = len(calculus._bz2_column(s, 2, tol)[0]) - 1
+        N = len(Bz2(2).column(s, tol, (-1.0, 1.0))[0]) - 1
         assert N <= 2 * taylor_resolvent_degree(s, 1.0, tol), s
 
 
 def test_column_length_cap(monkeypatch):
     g = lazy_cycle(16)
     f = random_mean_zero(g, np.random.default_rng(12))
-    N = resolvent_frac_series(g, 40, 1.5, TOL).truncation
-    bz2 = len(calculus._bz2_column(40, 2, TOL, spectral_interval(g))[0]) - 1
+    N = series(g, Resolvent(1.5), 40, TOL).truncation
+    bz2 = series(g, Bz2(2), 40, TOL).truncation
     assert (N, bz2) == (113, 117)  # (160, 167) on [-1, 1]
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     monkeypatch.setattr(calculus, "SERIES_MAX_N", N)
-    assert resolvent_frac_series(g, 40, 1.5, TOL).truncation == N
+    assert series(g, Resolvent(1.5), 40, TOL).truncation == N
     monkeypatch.setattr(calculus, "SERIES_MAX_N", N - 1)
     with pytest.raises(NonConvergent):
-        resolvent_frac_series(g, 40, 1.5, TOL)
+        series(g, Resolvent(1.5), 40, TOL)
     with pytest.raises(NonConvergent):
         resolvent_apply(g, f, [2, 40], 1.5, TOL)
     monkeypatch.setattr(calculus, "SERIES_MAX_N", bz2 - 1)
     with pytest.raises(NonConvergent):
-        a_s(g, f, BZ2Kind((2, 40), 2))
+        bz2_apply(g, f, (2, 40), 2)
     with pytest.raises(NonConvergent):
         chebyshev_series(np.exp, np.exp, 2.0, 0.0)
 
@@ -150,8 +150,69 @@ def test_gaffney_sweep_products(power, monkeypatch):
     scales = _parse_s_range("40..512")
     assert len(scales) == 12
     resolvent_apply(g, random_mean_zero(g, np.random.default_rng(13)), scales, power, TOL)
-    assert W.products == resolvent_frac_series(g, 512, power, TOL).truncation
+    assert W.products == series(g, Resolvent(power), 512, TOL).truncation
     assert W.products == {1.0: 400, 1.5: 416}[power]
+
+
+# every symbol with a scale and an interval its column may be built on:
+# the resolvent families on intervals holding the spectrum of P, the
+# deflated ones inside (-1, 1)
+CERTIFIED = [
+    (Resolvent(1.5), 40, (-1.0, 1.0)),
+    (Resolvent(0.5), 1, INTERVALS[1]),
+    (Resolvent(-1.5), 7.5, INTERVALS[2]),
+    (Bz2(1), 1, INTERVALS[1]),
+    (Bz2(3), 512, (-1.0, 1.0)),
+    (DeltaPower(0.5), None, (0.0, 0.9)),
+    (DeltaPower(-2.5), None, (-0.5, 0.99)),
+    (DeltaPower(1.5), None, (-0.9, 0.9)),
+    (calculus.LusinTail(3, 1.0, -0.5), None, (0.0, 0.9)),
+    (calculus.LusinTail(1, -2.0, 1.0), None, (-0.5, 0.99)),
+    (calculus.SynthesisTail(3, 4, -2.0, 2.5), 49.0, (0.0, 0.9)),
+    (calculus.SynthesisTail(2, 1, 0.5, 0.0), 1.0, (-0.9, 0.9)),
+]
+
+
+@pytest.mark.parametrize("op,s,interval", CERTIFIED, ids=repr)
+def test_each_symbol_bounds_itself_on_its_ellipses(op, s, interval):
+    # the certificate of every column: on each Bernstein ellipse E_rho left
+    # of the pole, sup(s, mid, half, x_rho) bounds |op(mid + half z, s)|,
+    # at complex z on E_rho for the resolvent families and on the real
+    # segment [-x_rho, x_rho] for Delta^beta and the tails, whose values
+    # are read on the real line
+    lo, hi = interval
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    pole = op.pole(s, mid, half)
+    assert pole > 1.0
+    top = pole + np.sqrt((pole - 1.0) * (pole + 1.0))
+    theta = np.linspace(0.0, np.pi, 201)
+    for rho in 1.0 + (top - 1.0) * np.array([0.01, 0.3, 0.7, 0.99]):
+        x = 0.5 * (rho + 1.0 / rho)
+        if isinstance(op, (Resolvent, Bz2)):
+            z = 0.5 * (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho)
+        else:
+            z = np.linspace(-x, x, 201)
+        vals = np.abs(op(mid + half * z, s))
+        assert np.all(np.isfinite(vals))
+        assert vals.max() <= op.sup(s, mid, half, x) * (1.0 + 1e-12), rho
+
+
+@pytest.mark.parametrize("op,s", [
+    (Resolvent(1.5), 40), (Resolvent(-0.5), 4), (Bz2(2), 9),
+    (calculus.SynthesisTail(3, 4, -1.0, 1.0), 49.0), (DeltaPower(0.5), None),
+    (DeltaPower(-1.5), None), (DeltaPower(2.0), None), (calculus.LusinTail(3, 1.0, -0.5), None),
+], ids=repr)
+def test_the_series_path_runs_the_inspected_series(op, s, monkeypatch):
+    # on the series path phi_apply runs `series(g, op, s, tol)`, the
+    # object whose truncation, tail bound and interval the tests read,
+    # bit for bit; a symbol with a scale (s not None) also as a sweep
+    monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
+    g = lazy_cycle(16)
+    f = _unit(g, 17)
+    sweeps = [s] + ([(1.0, s, 2.5)] if s is not None else [])
+    for scales in sweeps:
+        want = series(g, op, scales, 1e-10).apply(f)
+        assert np.array_equal(calculus.phi_apply(g, f, op, scales, 1e-10), want), scales
 
 
 DELTA_BETAS = (-2.5, -1.5, -0.5, 0.5, 1.5, 9.5)
@@ -174,7 +235,8 @@ def test_delta_power_column_within_its_bound_on_the_interval(beta, lam, monkeypa
     x = np.linspace(-1.0, 1.0, 20001)
     size = max((1.0 - lam) ** beta, (1.0 + lam) ** beta)
     for lo in (-1.0, spectral_interval(g)[0]):
-        c, tail, interval, deflated = calculus._delta_power_column(g, beta, 1e-10, (lo, 1.0))
+        c, tail, interval, deflated = DeltaPower(beta).column(
+            None, 1e-10, calculus._deflated(g, (lo, 1.0)))
         assert interval == (max(lo, -lam), lam) and deflated
         mid, half = 0.5 * (interval[1] + interval[0]), 0.5 * (interval[1] - interval[0])
         err = np.abs(np.polynomial.chebyshev.chebval(x, c) - (1.0 - mid - half * x) ** beta).max()
@@ -195,7 +257,7 @@ def test_delta_power_column_on_graphs(name, monkeypatch):
     exact = {beta: delta_power_exact(g, f, beta) for beta in DELTA_BETAS}
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     for beta, want in exact.items():
-        op = delta_power_series(g, beta, 1e-10)
+        op = series(g, DeltaPower(beta), None, 1e-10)
         r = op.interval[1]
         size = max((1.0 - r) ** beta, (1.0 + r) ** beta)
         allow = op.tail_bound + op.truncation * np.finfo(float).eps * size
@@ -211,7 +273,7 @@ def test_deflated_vector_is_its_one_column_block(name):
          "torus16": lambda: lazy_torus_2d(16)}[name]()
     f = _unit(g, 16)
     for beta in (0.5, -0.5):
-        op = delta_power_series(g, beta, 1e-10)
+        op = series(g, DeltaPower(beta), None, 1e-10)
         assert op.deflated
         assert np.array_equal(op.apply(f), op.apply(f[:, None])[:, 0]), beta
         terms = zip(_terms(g, f, 20, op.interval, True),
@@ -283,25 +345,26 @@ def test_columns_are_memoized_read_only_and_bit_identical():
     # is the uncached build bit for bit, so every result is unchanged
     interval = spectral_interval(lazy_torus_2d(8))
     builds = (
-        (calculus._resolvent_column, (40, 1.5, TOL, interval)),
-        (calculus._bz2_column, (512, 2, TOL, interval)),
-        (calculus._delta_power_interpolant, (-0.5, 1e-10, (0.0, 0.9))),
-        (calculus._delta_power_interpolant, (2.0, 1e-10, None)),
+        (Resolvent(1.5), 40, TOL, interval),
+        (Bz2(2), 512, TOL, interval),
+        (DeltaPower(-0.5), None, 1e-10, (0.0, 0.9)),
+        (DeltaPower(2.0), None, 1e-10, interval),
     )
-    for column, args in builds:
-        first = column(*args)
-        assert column(*args) is first
+    for op, *args in builds:
+        first = calculus._column(op, *args, calculus.SERIES_MAX_N)
+        assert calculus._column(op, *args, calculus.SERIES_MAX_N) is first
         assert not first[0].flags.writeable
         with pytest.raises(ValueError):
             first[0][0] = 0.0
-        fresh = column.__wrapped__(*args)
+        fresh = op.column(*args)
         assert first[0].tobytes() == fresh[0].tobytes() and first[1:] == fresh[1:]
 
 
 def test_memoized_columns_keep_the_length_cap(monkeypatch):
     # the cap is part of the memo's key: a column built under a larger
     # cap is not handed out under a smaller one
-    N = len(calculus._resolvent_column(40, 1.5, TOL)[0]) - 1
+    args = (Resolvent(1.5), 40, TOL, (-1.0, 1.0))
+    N = len(calculus._column(*args, calculus.SERIES_MAX_N)[0]) - 1
     monkeypatch.setattr(calculus, "SERIES_MAX_N", N - 1)
     with pytest.raises(NonConvergent):
-        calculus._resolvent_column(40, 1.5, TOL)
+        calculus._column(*args, calculus.SERIES_MAX_N)

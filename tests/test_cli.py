@@ -321,6 +321,26 @@ def test_format_a_subcommand_writes_is_kept(tmp_path, capsys, argv, written):
     assert capsys.readouterr().out.strip() == str(tmp_path / written)
 
 
+GAFFNEY_ARGV = ["gaffney", "lazy_torus_8", "--E", "4,4", "--F", "0,0", "--s", "4,8"]
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["--format", "csv"] + GAFFNEY_ARGV, "gaffney.csv"),
+    (["--format", "svg"] + GAFFNEY_ARGV, "gaffney.svg"),
+    (["--format", "csv", "riesz", "lazy_cycle_16", "--n", "2"], "riesz.csv"),
+])
+def test_format_without_out_is_printed(tmp_path, capsys, argv, written):
+    # without --out the payload --format names is printed, the one --out
+    # writes, ending in one newline; json stays the default
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    capsys.readouterr()
+    want = (tmp_path / written).read_text(encoding="utf-8")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want + ("" if want.endswith("\n") else "\n")
+    assert main(argv[2:]) == 0
+    json.loads(capsys.readouterr().out)
+
+
 def test_scoped_option_defaults_reach_their_readers(monkeypatch, f0_csv):
     # without the options, their readers see the documented defaults
     seen = {}

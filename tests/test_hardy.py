@@ -6,18 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import (annuli_by_masks, ball_matrix_dense, delta_power_exact,
+from oracles import (annuli_by_masks, ball_matrix_dense, cesaro_mean, delta_power_exact,
                      horner_synthesis_levels_first, lusin_tail_mass_exact,
                      make_form_molecule_from_tent_atom, resolvent_exact, top_level)
 
 from graphhardy import calculus, graphs, hardy
-from graphhardy.calculus import (
-    BZ1Kind,
-    BZ2Kind,
-    QsKind,
-    a_s,
-    require_mean_zero,
-)
+from graphhardy.calculus import bz1_product, bz2_apply, require_mean_zero
 from graphhardy.errors import (
     FactorizationMismatch,
     NotExactForm,
@@ -90,7 +84,7 @@ def test_indicator_bz2_molecules_bounded_l1():
         r = math.ceil(math.sqrt(s))
         B = ball(g, 10, r)
         b = B.mask.astype(float) / B.volume
-        a = a_s(g, b, BZ2Kind(s, 1))
+        a = bz2_apply(g, b, s, 1)
         mol = Molecule("bz2", 1, math.inf, s, B, b, a)
         rep = validate_molecule(mol)
         assert rep.l1_norm <= 4.0
@@ -360,9 +354,9 @@ def test_a_form_decompose_solves_for_its_potential_once(monkeypatch):
     g = by_name("lazy_cycle_64")
     F = differential(g, random_mean_zero(g, np.random.default_rng(0)))
     powers = []
-    symbol = calculus._delta_power_symbol
-    monkeypatch.setattr(calculus, "_delta_power_symbol",
-                        lambda lam, beta: powers.append(beta) or symbol(lam, beta))
+    symbol = calculus.DeltaPower.__call__
+    monkeypatch.setattr(calculus.DeltaPower, "__call__",
+                        lambda op, lam, s: powers.append(op.beta) or symbol(op, lam, s))
     dec = form_molecular_decompose(g, F, 1, 1.0, tol=1e-8)
     assert dec.l2_residual <= 1e-8
     assert powers.count(-1.0) == 1
@@ -868,10 +862,10 @@ def test_bz1_product_equals_q_factored_bz2(cycle16, rng):
     # (I-P^{s1})...(I-P^{sM}) = prod[(s_i/s) Q_{s_i} + (I-P^{s_i})] (I-(I+sD)^{-1})^M
     f = rng.standard_normal(cycle16.n)
     s, times = 3, (3, 5)
-    lhs = a_s(cycle16, f, BZ1Kind(s, times))
-    rhs = a_s(cycle16, f, BZ2Kind(s, len(times)))
+    lhs = bz1_product(cycle16, f, times)
+    rhs = bz2_apply(cycle16, f, s, len(times))
     for si in times:
-        rhs = (si / s) * a_s(cycle16, rhs, QsKind(si)) + (
+        rhs = (si / s) * cesaro_mean(cycle16, rhs, si) + (
             rhs - apply_P(cycle16, rhs, si)
         )
     assert lp_norm(cycle16, lhs - rhs, 2) <= 1e-9

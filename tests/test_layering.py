@@ -2,15 +2,17 @@
 that multiplies by it (hence every P^l loop, the Horner scan included),
 the level walk, the kernel chains, the chunked walk on them and scipy's
 kernels that run them, the Chebyshev walk and its certified interval,
-the oracle/series choice, the spectral oracle, the spectrum record, the
-series object, the Horner scan, the weighted level walk, the tail's
+the Chebyshev interpolant and its column cache, the oracle/series
+choice, the spectral oracle, the spectrum record, the series object,
+the Horner scan, the weighted level walk, the tail's
 symbols, the reproducing error, the cone sum, the Lusin terms, the dense tent mask, the
 ball matrices, the breadth-first set search, the annulus ring table, the
 level-set depths, the bz1 product, the molecular pipeline body, the
 molecule validator's rederivation, size table and report, and the
 kernel error may be reached only from the modules and functions listed
 here; the exact Delta^k step, the pipeline body, the ring table and the
-depths are defined once;
+depths are defined once; every operator reaches `phi_apply` as a symbol,
+never as a lambda;
 scipy's private sparse kernels are imported by `operators` alone, so
 are threads, whose one pool only the square functions reach, `hardy`
 imports nothing of `riesz`, and no module imports a private name of
@@ -39,8 +41,8 @@ ALLOWED = {
     # bz2 pre-image (I + s Delta)/s and the synthesis factor (I + P)^eta
     "apply_P": ({"operators"}, {"calculus.bz1_product", "hardy._pre_images",
                                 "tentspace.horner_synthesis"}),
-    # one bz1 product for the strict generator and the lenient validator
-    "bz1_product": (set(), {"calculus.a_s", "hardy.rederive_molecules"}),
+    # one bz1 product for the molecule suite and the validator
+    "bz1_product": (set(), {"riesz.molecule_suite", "hardy.rederive_molecules"}),
     # one molecular pipeline body for functions and forms
     "_decompose": (set(), {"hardy.molecular_decompose", "hardy.form_molecular_decompose"}),
     "_kernel_step": (set(), {"operators.markov_step"}),
@@ -61,8 +63,11 @@ ALLOWED = {
     # every series is walked by the chained recurrence in `apply`, on the
     # interval certified on the series path only
     "chebyshev_blocks": (set(), {"calculus.apply"}),
-    "spectral_interval": (set(), {"calculus.phi_apply", "calculus.delta_power_series",
-                                  "calculus.resolvent_frac_series", "calculus.spectrum"}),
+    "spectral_interval": (set(), {"calculus.series", "calculus.spectrum"}),
+    # every column interpolates its symbol in `Symbol.column`, and is
+    # built, memoized, by the series object alone
+    "chebyshev_series": (set(), {"calculus.column"}),
+    "_column": (set(), {"calculus.series"}),
     # every P^l f outside `operators` is read from its walks, except the
     # cone sum's squared chunks
     "level_blocks": ({"operators"}, {"quadratic._level_square_sums"}),
@@ -81,7 +86,7 @@ ALLOWED = {
     # horizon search and the tail's symbols read it in `calculus`
     "_reproducing_error": ({"calculus"}, set()),
     # the series path is reached through `phi_apply` and the certified
-    # series objects of `calculus`
+    # series objects of `calculus.series`
     "SeriesOperator": ({"calculus"}, set()),
     "_cone_accumulate": (set(), {"quadratic.lusin_tilde",
                                  "quadratic.tent_functional_of_terms"}),
@@ -175,13 +180,15 @@ def test_scanner_sees_calls(calls):
     assert ("markov_matrix", "operators.spectral_interval") in calls
     assert ("csr_matvecs", "operators._kernel_step") in calls
     assert ("chebyshev_blocks", "calculus.apply") in calls
-    assert ("spectral_interval", "calculus.phi_apply") in calls
+    assert ("spectral_interval", "calculus.series") in calls
+    assert ("chebyshev_series", "calculus.column") in calls
+    assert ("_column", "calculus.series") in calls
     assert ("markov_step", "operators.apply_P") in calls
     assert ("apply_P", "operators.delta_steps") in calls
     assert ("apply_P", "calculus.bz1_product") in calls
     assert ("apply_P", "hardy._pre_images") in calls
     assert ("apply_P", "tentspace.horner_synthesis") in calls
-    assert ("bz1_product", "calculus.a_s") in calls
+    assert ("bz1_product", "riesz.molecule_suite") in calls
     assert ("bz1_product", "hardy.rederive_molecules") in calls
     assert ("_decompose", "hardy.molecular_decompose") in calls
     assert ("_decompose", "hardy.form_molecular_decompose") in calls
@@ -192,7 +199,7 @@ def test_scanner_sees_calls(calls):
     assert ("spectrum", "calculus.reproducing_l_max") in calls
     assert ("_reproducing_error", "calculus.reproducing_l_max") in calls
     assert ("spectral", "calculus.phi_apply") in calls
-    assert ("SeriesOperator", "calculus.delta_power_series") in calls
+    assert ("SeriesOperator", "calculus.series") in calls
     assert ("level_blocks", "quadratic._level_square_sums") in calls
     assert ("_cone_accumulate", "quadratic.lusin_tilde") in calls
     assert ("lusin_terms", "tentspace.atomic_decompose") in calls
@@ -238,6 +245,21 @@ def test_steps_and_pipeline_have_one_definition():
                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                      if isinstance(node, ast.FunctionDef) and node.name in homes)
     assert defined == sorted(homes.items())
+
+
+def test_phi_apply_takes_no_lambda():
+    # an operator reaches the oracle/series choice as one frozen symbol,
+    # whose values and column are described once, never as a callable
+    # built at the call site
+    calls = [node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "phi_apply"]
+    assert len(calls) >= 5
+    stray = [ast.unparse(node) for node in calls
+             if any(isinstance(arg, ast.Lambda)
+                    for arg in node.args + [k.value for k in node.keywords])]
+    assert stray == [], f"lambdas passed to phi_apply: {stray}"
 
 
 def test_chains_are_built_in_one_place():

@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from graphhardy import calculus, graphs, operators, zoo
-from graphhardy.calculus import BZ1Kind, a_s, spectral
+from graphhardy.calculus import bz1_product, spectral
 from graphhardy.errors import KernelComponent, PeriodicWalk
 from graphhardy.hardy import heat_profile
 from graphhardy.operators import (
@@ -352,7 +352,7 @@ def test_offdiagonal_decay_bz1(torus12):
     # order >= M - 0.25 for the iterate family
     M, s = 1, 1
     exp = _offdiag_exponent(
-        torus12, s, M, lambda f: a_s(torus12, f, BZ1Kind(s, (s,) * M)), 1.0
+        torus12, s, M, lambda f: bz1_product(torus12, f, (s,) * M), 1.0
     )
     assert exp >= M - 0.25
 

@@ -9,10 +9,11 @@ from oracles import bmo_norm_per_s, counting_markov, family_per_s
 from graphhardy import calculus, graphs, hardy
 from graphhardy.calculus import (
     FAMILIES,
-    BZ2Kind,
-    a_s,
+    Bz2,
+    Resolvent,
+    bz2_apply,
     resolvent_apply,
-    resolvent_frac_series,
+    series,
 )
 from graphhardy.hardy import bmo_norm
 from graphhardy.operators import heat_sweep, random_mean_zero, spectral_interval
@@ -64,9 +65,9 @@ def test_resolvent_sweep_equals_loop(path, power, cycle16):
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_bz2_sweep_equals_loop(path, M, cycle16):
     f = random_mean_zero(cycle16, np.random.default_rng(4))
-    U = a_s(cycle16, f, BZ2Kind(tuple(S_VALUES), M))
+    U = bz2_apply(cycle16, f, tuple(S_VALUES), M)
     for j, s in enumerate(S_VALUES):
-        _assert_close(U[:, j], a_s(cycle16, f, BZ2Kind(s, M)))
+        _assert_close(U[:, j], bz2_apply(cycle16, f, s, M))
 
 
 @pytest.mark.parametrize("kind,M,s_max,policy", [
@@ -142,16 +143,14 @@ def test_sweeps_walk_the_power_sequence_once(monkeypatch, M):
     g = lazy_cycle(16)
     W = counting_markov(g)
     f = random_mean_zero(g, np.random.default_rng(8))
-    lengths = [resolvent_frac_series(g, s, M, 1e-12).truncation for s in S_VALUES]
+    lengths = [series(g, Resolvent(M), s, 1e-12).truncation for s in S_VALUES]
     resolvent_apply(g, f, S_VALUES, float(M))
     assert W.products == max(lengths) < sum(lengths)
     assert W.products == {1: 68, 2: 73}[M]
 
     W.products = 0
     bmo_norm(g, f, "bz2", M, 16)
-    interval = spectral_interval(g)
-    assert W.products == max(len(calculus._bz2_column(s, M, 1e-12, interval)[0]) - 1
-                             for s in range(1, 17))
+    assert W.products == max(series(g, Bz2(M), s, 1e-12).truncation for s in range(1, 17))
     assert W.products == {1: 68, 2: 74}[M]
 
 
@@ -164,7 +163,7 @@ def test_empty_scale_lists(path, cycle16):
     for power in (1.0, 1.5):
         assert resolvent_apply(g, f, [], power).shape == (g.n, 0)
     for M in (1, 2):
-        assert a_s(g, f, BZ2Kind((), M)).shape == (g.n, 0)
+        assert bz2_apply(g, f, (), M).shape == (g.n, 0)
     assert heat_sweep(g, f, []).shape == (g.n, 0)
     for family in sorted(FAMILIES):
         assert FAMILIES[family][0](g, f, [], 1).shape == (g.n, 0)
@@ -192,12 +191,12 @@ def test_series_table_takes_its_columns_interval():
     # columns fitted on one interval cannot be walked on another
     g = lazy_torus_2d(6)
     interval = spectral_interval(g)
-    columns = [calculus._resolvent_column(s, 1.0, 1e-12, interval) for s in (2, 9)]
+    columns = [Resolvent(1.0).column(s, 1e-12, interval) for s in (2, 9)]
     op = calculus.series_table(g, columns)
     assert op.interval == interval and not op.deflated
     assert calculus.series_table(g, []).interval == (-1.0, 1.0)
     with pytest.raises(ValueError):
-        calculus.series_table(g, columns + [calculus._resolvent_column(4, 1.0, 1e-12)])
+        calculus.series_table(g, columns + [Resolvent(1.0).column(4, 1e-12, (-1.0, 1.0))])
 
 
 @pytest.mark.parametrize("M", [1, 2])
@@ -208,10 +207,10 @@ def test_sweeps_keep_non_integer_scales(M, cycle16, monkeypatch):
     f = random_mean_zero(g, np.random.default_rng(10))
     scales = [2.5, 4.0, 7.25]
     want_R = resolvent_apply(g, f, scales, float(M))
-    want_A = a_s(g, f, BZ2Kind(tuple(scales), M))
+    want_A = bz2_apply(g, f, tuple(scales), M)
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     got_R = resolvent_apply(g, f, scales, float(M))
-    got_A = a_s(g, f, BZ2Kind(tuple(scales), M))
+    got_A = bz2_apply(g, f, tuple(scales), M)
     for j, s in enumerate(scales):
         _assert_close(got_R[:, j], resolvent_apply(g, f, s, float(M)))
         np.testing.assert_allclose(got_R[:, j], want_R[:, j], rtol=0, atol=1e-12)

@@ -18,7 +18,7 @@ from graphhardy.graphs import cached_geometry
 from graphhardy.hardy import (form_molecular_decompose, form_profile, heat_profile,
                               molecular_decompose, synthesis_orders)
 from graphhardy.operators import (differential, divergence, inner, lp_norm, mean_project,
-                                  random_mean_zero, spectral_interval)
+                                  random_mean_zero)
 from graphhardy.quadratic import ProfileTail, SpaceTimeFunction, default_l_max, tent_functional
 from graphhardy.tentspace import atomic_decompose, pi_synthesis
 from graphhardy.zoo import binary_tree, by_name, lazy_torus_2d
@@ -81,28 +81,25 @@ def test_reproducing_error_is_a_probability(K, eta):
 
 def test_tail_symbols_vanish_on_the_constants():
     lam = np.array([1.0, 0.5])
-    assert calculus._synthesis_tail_symbol(lam, 1.0, 3, 4, 0.5, 0.0)[0] == 0.0
-    assert calculus._synthesis_tail_symbol(lam, 49.0, 3, 4, -2.0, 2.5)[0] == 0.0
-    assert calculus._synthesis_tail_symbol(lam, 49.0, 3, 4, -2.0, 2.5)[1] > 0.0
-    assert calculus._lusin_tail_symbol(lam, 3, 1.0, 0.0)[0] == 0.0
-    assert calculus._lusin_tail_symbol(lam, 3, 1.0, 0.0)[1] > 0.0
+    assert calculus.SynthesisTail(3, 4, 0.5, 0.0)(lam, 1.0)[0] == 0.0
+    assert calculus.SynthesisTail(3, 4, -2.0, 2.5)(lam, 49.0)[0] == 0.0
+    assert calculus.SynthesisTail(3, 4, -2.0, 2.5)(lam, 49.0)[1] > 0.0
+    assert calculus.LusinTail(3, 1.0, 0.0)(lam, None)[0] == 0.0
+    assert calculus.LusinTail(3, 1.0, 0.0)(lam, None)[1] > 0.0
     # a negative order puts a pole of the front at lam = 1: still 0 there
-    assert calculus._lusin_tail_symbol(lam, 3, -2.0, -0.5)[0] == 0.0
-    assert calculus._lusin_tail_symbol(lam, 3, -2.0, -0.5)[1] > 0.0
+    assert calculus.LusinTail(3, -2.0, -0.5)(lam, None)[0] == 0.0
+    assert calculus.LusinTail(3, -2.0, -0.5)(lam, None)[1] > 0.0
 
 
 @pytest.mark.parametrize("order", [1.0, 0.5, 0.0, -0.5, -1.0, -1.5])
-def test_lusin_tail_sup_bounds_its_symbol(monkeypatch, order):
+def test_lusin_tail_sup_bounds_its_symbol(order):
     # the Lusin column's tail bound rests on sup(R) >= |chi| on
     # |lam| <= R; on the real segment that needs chi(+-R) <= sup(R),
     # which for order < 0 takes the front's value at lam = R, (1 - R)^{2 order}
-    sups = []
-    monkeypatch.setattr(calculus, "_tail_series", lambda symbol, sup, *_: sups.append(sup))
-    K, a = 1, 2.0 * order - 1.0
-    calculus._lusin_tail_column.__wrapped__(K, a, order, 1e-12, (-0.5, 0.5))
+    op = calculus.LusinTail(1, 2.0 * order - 1.0, order)
     R = np.linspace(0.0, 0.99, 100)
-    chi = np.abs(calculus._lusin_tail_symbol(np.concatenate([R, -R]), K, a, order))
-    assert np.all(chi <= np.tile(sups[0](R), 2) * (1.0 + 1e-12))
+    chi = np.abs(op(np.concatenate([R, -R]), None))
+    assert np.all(chi <= np.tile(op.sup(None, 0.0, 1.0, R), 2) * (1.0 + 1e-12))
 
 
 # -- the tail against its dense reference ----------------------------------------
@@ -173,9 +170,8 @@ def test_series_columns_match_the_oracle_within_their_bound(monkeypatch, name, k
     exact = (calculus.lusin_tail_apply(g, h, beta, order, K),
              calculus.synthesis_tail_apply(g, h, K, eta, 0.0, 1.0, 0.0, tol))
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
-    interval = calculus._deflated(g, spectral_interval(g))
-    coeffs, bound, *_ = calculus._lusin_tail_column(K, 2 * beta - 1, order, calculus.TAIL_TOL,
-                                                    interval)
+    op = calculus.series(g, calculus.LusinTail(K, 2 * beta - 1, order), None, calculus.TAIL_TOL)
+    coeffs, bound = op.coeffs, op.tail_bound
     lusin = calculus.lusin_tail_apply(g, h, beta, order, K)
     synthesis = calculus.synthesis_tail_apply(g, h, K, eta, 0.0, 1.0, 0.0, tol)
     assert calculus.spectrum(g).source == "certified"
@@ -183,7 +179,7 @@ def test_series_columns_match_the_oracle_within_their_bound(monkeypatch, name, k
     assert bound <= calculus.TAIL_TOL
     assert lp_norm(g, lusin - exact[0], 2) <= (bound + rounding) * lp_norm(g, h, 2)
     assert lp_norm(g, synthesis - exact[1], 2) <= tol
-    coeffs, *_ = calculus._synthesis_tail_column(1.0, K, eta, 0.0, 0.0, 2.0 ** -60, interval)
+    coeffs = calculus.series(g, calculus.SynthesisTail(K, eta, 0.0, 0.0), 1.0, 2.0 ** -60).coeffs
     assert np.abs(coeffs).sum() <= 2.0
 
 
