@@ -18,7 +18,6 @@ from .graphs import (
     Ball,
     GeometryReport,
     WeightedGraph,
-    annuli,
     annulus,
     ball,
     build_graph,

@@ -55,11 +55,19 @@ def _parse_vertices(text: str, g: graphs.WeightedGraph):
 
 
 def _parse_s_range(text: str):
-    if ".." in text:
+    """The times of `--s`: a range `a..b` as 12 geometrically spaced
+    integers, or a comma list of integers; anything else raises
+    ValueError quoting the option."""
+    try:
+        if ".." not in text:
+            return [int(t) for t in text.split(",")]
         a, b = (int(t) for t in text.split(".."))
-        vals = np.unique(np.round(np.geomspace(a, b, 12)).astype(int))
-        return [int(v) for v in vals]
-    return [int(t) for t in text.split(",")]
+        if min(a, b) >= 1:
+            return [int(v) for v in np.unique(np.round(np.geomspace(a, b, 12)).astype(int))]
+    except ValueError:
+        pass
+    raise ValueError(f"--s {text!r}: expected a range a..b of integers 1 <= a, b, "
+                     f"or a comma list of integers")
 
 
 def _emit(args, name, payload_json, payload_csv=None, payload_svg=None):

@@ -52,8 +52,8 @@ class OverlappingSets(GraphHardyError):
 
 
 class ValidationFailed(GraphHardyError):
-    """A molecule fails validation: its factorization, its tuple range or
-    its size bounds."""
+    """A molecule fails validation: its factorization or its size
+    bounds."""
 
 
 class FactorizationMismatch(ValidationFailed):

@@ -471,16 +471,6 @@ def annulus(b: Ball, j: int) -> Annulus:
     return Annulus(b, j, annulus_rings(b.graph, [b])[0][0] == j - 1)
 
 
-def annuli(b: Ball, j_max: int):
-    return [annulus(b, j) for j in range(1, j_max + 1)]
-
-
-def annuli_covering_range(b: Ball):
-    """All annuli up to the first index where 2^{j+1} B saturates."""
-    ring, J, _ = annulus_rings(b.graph, [b])
-    return [Annulus(b, j, ring[0] == j - 1) for j in range(1, J[0] + 1)]
-
-
 # -- covering algorithms -----------------------------------------------
 
 def vitali_cover(g: WeightedGraph, b: Ball, alpha) -> list:

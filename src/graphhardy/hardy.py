@@ -3,9 +3,8 @@ duality pairing.
 
 A molecule is an L^2 function factored through a cancellative operator
 applied to a pre-image b whose mass decays across the annuli of a ball
-of radius sqrt(s):
+of radius sqrt(s).  The pipeline makes two kinds:
 
-* bz1:  a = (I - P^{s_1}) ... (I - P^{s_M}) b,  s_i in [s, 2s]
 * bz2:  a = [I - (I + s Delta)^{-1}]^M b
 * form: a = s^{M+1/2} d Delta^M (I + s Delta)^{-M-1/2} b   (a 1-form)
 
@@ -32,6 +31,9 @@ and the factor 2^{-j eps}; and validation (`_validate_block`) rederives
 a from b once, checks the whole block and raises a ValidationFailed on
 the first failure.  `validate_molecule` and the one-atom synthesis
 calls are one-column blocks of the same code.
+
+bz1, (I - P^{s_1}) ... (I - P^{s_M}), is a generator of the BMO sup and
+the Riesz suite only, never a molecule kind.
 """
 
 from __future__ import annotations
@@ -43,15 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (bz1_product, bz2_apply, delta_power_apply, reproducing_l_max,
-                       require_mean_zero, resolvent_apply, spectrum)
-from .errors import (
-    FactorizationMismatch,
-    NonConvergent,
-    NotExactForm,
-    SizeBoundViolated,
-    ValidationFailed,
-)
+from .calculus import (bz2_apply, delta_power_apply, reproducing_l_max, require_mean_zero,
+                       resolvent_apply, spectrum)
+from .errors import FactorizationMismatch, NonConvergent, NotExactForm, SizeBoundViolated
 from .graphs import (Ball, WeightedGraph, annulus_rings, ball, ball_matrices, cached_geometry,
                      row_blocks)
 from .operators import (
@@ -74,14 +70,13 @@ from .tentspace import TentAtom, TentDecomposition, atomic_decompose, horner_syn
 
 @dataclass
 class Molecule:
-    kind: str                  # "bz1" | "bz2" | "bz2_tuple" | "form"
+    kind: str                  # "bz2" | "form"
     M: int
     eps: float                 # math.inf marks an atom
     s: int
     ball: Ball
     b: np.ndarray = field(repr=False)
     a: object = field(repr=False)   # np.ndarray or EdgeFunction
-    times: tuple = None        # bz1 / bz2_tuple only
     norm_constant: float = 1.0
 
     @property
@@ -92,7 +87,6 @@ class Molecule:
 @dataclass
 class ValidationReport:
     factorization_error: float
-    atom_tuple_warning: bool
     l1_norm: float
 
 
@@ -101,30 +95,21 @@ class ValidationReport:
 SIZE_TOL = 1e-9
 # Largest relative factorization error of a valid molecule.
 FACT_TOL = 1e-9
-# kinds whose molecules carry their own time tuple
-TUPLE_KINDS = ("bz1", "bz2_tuple")
 
 
-def rederive_molecules(g: WeightedGraph, kind: str, M: int, s, times,
-                       b: np.ndarray) -> np.ndarray:
+def rederive_molecules(g: WeightedGraph, kind: str, M: int, s, b: np.ndarray) -> np.ndarray:
     """a for every column of the pre-image block b (n, k) along the
-    kind-specific factorization, with one block evaluation per distinct
-    scale s (bz2, form) or time tuple (bz1, bz2_tuple): one GEMM per
-    group on the oracle path.  Forms give (nnz, k) edge data."""
+    kind-specific factorization (bz2 or form), with one block evaluation
+    per distinct scale s: one GEMM per group on the oracle path.  Forms
+    give (nnz, k) edge data."""
     groups = {}
-    for i, key in enumerate(times if kind in TUPLE_KINDS else s):
+    for i, key in enumerate(s):
         groups.setdefault(key, []).append(i)
     out = np.empty((g.adjacency.nnz if kind == "form" else g.n, b.shape[1]))
     for key, cols in groups.items():
         x = b[:, cols]
-        if kind == "bz1":
-            x = bz1_product(g, x, key)
-        elif kind == "bz2":
+        if kind == "bz2":
             x = bz2_apply(g, x, key, M)
-        elif kind == "bz2_tuple":
-            # variant normalization: product of single resolvent differences
-            for t in key:
-                x = x - resolvent_apply(g, x, t, 1.0)
         elif kind == "form":
             x = delta_steps(g, x, M)
             x = differential(g, key ** (M + 0.5) * resolvent_apply(g, x, key, M + 0.5)).data
@@ -166,40 +151,28 @@ def _size_table(g: WeightedGraph, eps: float, balls, b):
     return _annulus_l2(g, ring, len(j), b), 2.0 ** (-j * eps) * volumes ** -0.5
 
 
-def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
-                    balls, b, a, sizes=None) -> list:
+def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, balls, b, a,
+                    sizes=None) -> list:
     """One ValidationReport per molecule of a block: k molecules of one
-    kind, M and eps, with scales s, time tuples `times` (bz1, bz2_tuple)
-    and balls, as the columns of their pre-images b (n, k) and molecules
-    a ((n, k), or (nnz, k) edge data for forms).
+    kind, M and eps, with scales s and balls, as the columns of their
+    pre-images b (n, k) and molecules a ((n, k), or (nnz, k) edge data
+    for forms).
 
     a is rederived once, by `rederive_molecules`, and the annulus masses
     of b come from one bincount (`_size_table`), unless the caller
     passes that (measured, bounds) table of b as `sizes`.  Every failure
     raises a ValidationFailed, on the first molecule in column order: a
     factorization error above FACT_TOL, NaN included
-    (FactorizationMismatch), then a tuple entry out of range, then the
-    first (molecule, annulus) entry above its size bound
-    (SizeBoundViolated)."""
+    (FactorizationMismatch), then the first (molecule, annulus) entry
+    above its size bound (SizeBoundViolated)."""
     level_a = _level(g, kind, a)
-    gap = rederive_molecules(g, kind, M, s, times, b)
+    gap = rederive_molecules(g, kind, M, s, b)
     gap -= a
     fact_err = lp_norm(g, _level(g, kind, gap), 2) / np.maximum(1.0, lp_norm(g, level_a, 2))
     failed = ~(fact_err <= FACT_TOL)
     if failed.any():
         raise FactorizationMismatch(f"relative factorization error "
                                     f"{fact_err[np.argmax(failed)]:.3e} > {FACT_TOL:.1e}")
-
-    warnings = [False] * len(balls)
-    if kind in TUPLE_KINDS:
-        # the atom tuple range is accepted down to 1, with a flag
-        for i, (si, ts) in enumerate(zip(s, times)):
-            lo = 1 if math.isinf(eps) else si
-            for t in ts:
-                if not lo <= t <= 2 * si:
-                    raise ValidationFailed(
-                        f"{kind} tuple entry {t} outside [[{lo}, {2 * si}]]")
-                warnings[i] |= t < si
 
     measured, bounds = _size_table(g, eps, balls, b) if sizes is None else sizes
     over = np.argwhere(measured > bounds * (1.0 + SIZE_TOL))
@@ -208,22 +181,18 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, times,
         # atoms number their two checks 0 and 1, annuli C_j from j = 1
         raise SizeBoundViolated(int(c) + (not math.isinf(eps)),
                                 float(measured[i, c]), float(bounds[i, c]))
-    return [ValidationReport(float(err), w, float(l1))
-            for err, w, l1 in zip(fact_err, warnings, lp_norm(g, level_a, 1))]
+    return [ValidationReport(float(err), float(l1))
+            for err, l1 in zip(fact_err, lp_norm(g, level_a, 1))]
 
 
 def validate_molecule(mol: Molecule) -> ValidationReport:
     """Check factorization (to FACT_TOL), annulus size bounds (to
-    SIZE_TOL) and measure the L^1 mass: the one-molecule block of
-    `_validate_block`, which raises on the first failure.
-
-    bz1 atoms are accepted with tuple entries anywhere in [1, 2s]
-    (flagged), molecules need entries in [s, 2s].
-    """
+    SIZE_TOL) and measure the L^1 mass of a bz2 or form molecule: the
+    one-molecule block of `_validate_block`, which raises on the first
+    failure (ValueError for any other kind)."""
     a = mol.a.data if mol.kind == "form" else np.asarray(mol.a, dtype=float)
-    return _validate_block(mol.graph, mol.kind, mol.M, mol.eps, [mol.s], [mol.times],
-                           [mol.ball], np.asarray(mol.b, dtype=float)[:, None],
-                           a[:, None])[0]
+    return _validate_block(mol.graph, mol.kind, mol.M, mol.eps, [mol.s], [mol.ball],
+                           np.asarray(mol.b, dtype=float)[:, None], a[:, None])[0]
 
 
 # -- synthesized molecules from tent atoms ---------------------------------
@@ -318,7 +287,6 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     lams, atoms = zip(*tdec.coefficients)
     balls = [A.ball for A in atoms]
     s = [int(B.radius) ** 2 for B in balls]
-    times = [None] * len(atoms)
     X = horner_synthesis(g, [A.values for A in atoms], eta, beta, exp)
     b = _pre_images(g, kind, M, X, np.array(s, dtype=float))
     delta_steps(g, X, M)
@@ -333,13 +301,12 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     excess = (ratio * (1.0 + 1e-12)).max(axis=1, initial=1.0)
     b /= excess
     a /= excess
-    _validate_block(g, kind, M, eps, s, times, balls, b, a,
-                    (measured / excess[:, None], bounds))
+    _validate_block(g, kind, M, eps, s, balls, b, a, (measured / excess[:, None], bounds))
     rows_b, rows_a = np.ascontiguousarray(b.T), np.ascontiguousarray(a.T)
     coefficients = []
     for i, (lam, c) in enumerate(zip(lams, excess)):
         a_i = EdgeFunction(g, rows_a[i]) if kind == "form" else rows_a[i]
-        mol = Molecule(kind, M, eps, s[i], balls[i], rows_b[i], a_i, None, float(c))
+        mol = Molecule(kind, M, eps, s[i], balls[i], rows_b[i], a_i, float(c))
         coefficients.append((lam * mol.norm_constant, mol))
     return coefficients, a
 

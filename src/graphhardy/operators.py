@@ -407,15 +407,6 @@ def level_blocks(g: WeightedGraph, f, L: int, entries=None):
     yield from _chain_blocks(g, _operand(g, f), L, entries=entries)
 
 
-def powers(g: WeightedGraph, f, L: int):
-    """Yield P^0 f, P^1 f, ..., P^L f with exactly L sparse products, and
-    nothing when L < 0; accepts (n,) or (n, batch).  Every term is a new
-    array the caller may keep."""
-    for _, rows in level_blocks(g, f, L):
-        for row in rows:
-            yield row.copy()
-
-
 def heat_sweep(g: WeightedGraph, f, s_values):
     """P^s f for every integer time s as an (n, S) block (an (n, S, k)
     block for an (n, k) f) from one walk of the power sequence; no times

@@ -15,7 +15,9 @@ the walk's Cesaro mean Q_s, which factors the bz1 product through bz2.
 `reproducing_l_max_mpmath` finds the reproducing horizon at 50 digits,
 the reference of `calculus.reproducing_l_max`.
 `chebyshev_terms` is the three-term recurrence one `markov_step` at a
-time, the reference of the chained walk `operators.chebyshev_blocks`.
+time, the reference of the chained walk `operators.chebyshev_blocks`,
+and `step_powers` the power sequence P^k f the same way, so the
+references built on it stay independent of the chained level walk.
 `lusin_tail_mass_exact` and `synthesis_tail_exact` sum a profile's
 levels past a horizon to infinity over the oracle's eigenvalues in long
 double, the references of the closed-form tail (`ProfileTail`): its
@@ -46,7 +48,7 @@ from graphhardy.errors import NonConvergent
 from graphhardy.graphs import annulus, ball, build_graph, cached_geometry, vitali_cover
 from graphhardy.hardy import synthesize_molecules
 from graphhardy.operators import (EdgeFunction, apply_P, gradient, horner, lp_norm,
-                                  markov_step, mean_project, powers)
+                                  markov_step, mean_project)
 from graphhardy.quadratic import SpaceTimeFunction, form_potential, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
@@ -97,10 +99,19 @@ def resolvent_exact(g, f, s, power=1.0):
     return spectral(g).apply(lambda lam: (1.0 + s * (1.0 - lam)) ** (-power), f)
 
 
+def step_powers(g, f, L):
+    """[P^0 f, ..., P^L f] (L >= 0) by repeated `markov_step`, one new
+    array per level."""
+    out = [np.asarray(f, dtype=float)]
+    for _ in range(L):
+        out.append(markov_step(g, out[-1]))
+    return out
+
+
 def cesaro_mean(g, f, s):
     """Q_s f = (1/s) sum_{k<s} P^k f, the Cesaro mean of the walk over s
     levels."""
-    return sum(powers(g, np.asarray(f, dtype=float), s - 1)) / s
+    return sum(step_powers(g, f, s - 1)) / s
 
 
 def chebyshev_terms(g, f, N, interval=(-1.0, 1.0), deflate=False):
@@ -355,7 +366,7 @@ def taylor_delta_power(g, f, beta, tol, lambda_star):
     mean-projected f, (coefficients, result)."""
     b, _ = binomial_series(beta, lambda_star, tol)
     acc = np.zeros(g.n)
-    for c, u in zip(b, powers(g, f - (g.m @ f) / g.m.sum(), len(b) - 1)):
+    for c, u in zip(b, step_powers(g, f - (g.m @ f) / g.m.sum(), len(b) - 1)):
         acc += c * u
     return b, acc
 
@@ -431,7 +442,7 @@ def bmo_norm_per_s(g, f, kind, M, s_max, seed=0, cap=4096):
     f = np.asarray(f, dtype=float)
     best = (-1.0, None)
     enumerated, drawn = [], []  # the scales of each policy
-    PK = np.column_stack(list(powers(g, f, 2 * s_max * M)))
+    PK = np.column_stack(step_powers(g, f, 2 * s_max * M))
     rng = np.random.default_rng(seed)
     for s in range(1, s_max + 1):
         r = math.ceil(math.sqrt(s))

@@ -188,6 +188,15 @@ def test_a_leading_minus_reaches_the_vertex_parser(spelling, capsys):
     assert "coordinate '-1,3' is not two integers in [0, 16)" in err
 
 
+@pytest.mark.parametrize("s", ["0..8", "1..x", "2.5,4", ""])
+def test_a_bad_s_names_the_option(s, capsys):
+    # a time list that is neither a range of positive integers nor a
+    # comma list of integers exits 1 quoting --s and what it expects
+    assert main(["gaffney", "lazy_cycle_16", "--E", "0", "--F", "5", "--s", s]) == 1
+    err = capsys.readouterr().err
+    assert f"--s {s!r}: expected a range a..b of integers 1 <= a, b, or a comma list" in err
+
+
 def test_validation_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0 1.0\n1 1 1.0\n")  # two components

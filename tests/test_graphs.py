@@ -13,7 +13,6 @@ from graphhardy import graphs, zoo
 from graphhardy.errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
 from graphhardy.graphs import (
     WeightedGraph,
-    annuli,
     annulus,
     ball,
     ball_matrices,
@@ -297,7 +296,7 @@ def test_set_distance_needs_both_sets(cycle16):
 
 def test_annuli_k2l(k2l):
     b = ball(k2l, 0, 1)
-    rings = annuli(b, 2)
+    rings = [annulus(b, j) for j in (1, 2)]
     assert set(rings[0].members) == {0, 1}
     assert rings[1].mask.sum() == 0
 
@@ -445,14 +444,12 @@ def test_graph_file_names_a_bad_row(tmp_path):
 
 
 def test_annuli_union_covers_graph(cycle16, torus8):
-    from graphhardy.graphs import annuli_covering_range
-
     for g in (cycle16, torus8):
         b = ball(g, 0, 2)
-        rings = annuli_covering_range(b)
+        _, J, _ = graphs.annulus_rings(g, [b])
         union = np.zeros(g.n, dtype=bool)
-        for ring in rings:
-            union |= ring.mask
+        for j in range(1, J[0] + 1):
+            union |= annulus(b, j).mask
         assert np.all(union)
 
 

@@ -12,7 +12,8 @@ molecule validator's rederivation, size table and report, and the
 kernel error may be reached only from the modules and functions listed
 here; the exact Delta^k step, the pipeline body, the ring table and the
 depths are defined once; every operator reaches `phi_apply` as a symbol,
-never as a lambda;
+never as a lambda; every module-level definition has a caller in the
+package or is exported;
 scipy's private sparse kernels are imported by `operators` alone, so
 are threads, whose one pool only the square functions reach, `hardy`
 imports nothing of `riesz`, and no module imports a private name of
@@ -28,7 +29,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "graphhardy"
 # callee -> (modules where any call is allowed, "module.function" allowed)
 ALLOWED = {
     # every product with the matrix is counted: it is read by the counted
-    # step, by the chain builder of the level walk (which `powers`,
+    # step, by the chain builder of the level walk (which
     # `weighted_powers` and the Horner scan consume) and of the Chebyshev
     # recurrence, by `kernel` for its sparse-sparse products alone, and
     # by the Gershgorin interval, which makes no product
@@ -41,8 +42,9 @@ ALLOWED = {
     # bz2 pre-image (I + s Delta)/s and the synthesis factor (I + P)^eta
     "apply_P": ({"operators"}, {"calculus.bz1_product", "hardy._pre_images",
                                 "tentspace.horner_synthesis"}),
-    # one bz1 product for the molecule suite and the validator
-    "bz1_product": (set(), {"riesz.molecule_suite", "hardy.rederive_molecules"}),
+    # one bz1 product, for the Riesz molecule suite (the BMO sup combines
+    # its own P^k f table)
+    "bz1_product": (set(), {"riesz.molecule_suite"}),
     # one molecular pipeline body for functions and forms
     "_decompose": (set(), {"hardy.molecular_decompose", "hardy.form_molecular_decompose"}),
     "_kernel_step": (set(), {"operators.markov_step"}),
@@ -156,17 +158,18 @@ def _calls(tree, module):
     return out
 
 
-def _all_calls():
-    out = []
-    for path in sorted(SRC.glob("*.py")):
-        out += _calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return out
+@pytest.fixture(scope="module")
+def trees():
+    """module name -> its parsed source, the package parsed once for all
+    cases."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
 
 
 @pytest.fixture(scope="module")
-def calls():
-    """Every call of `_all_calls`, the package parsed once for all cases."""
-    return _all_calls()
+def calls(trees):
+    """Every call of `_calls` in the package."""
+    return [call for module, tree in trees.items() for call in _calls(tree, module)]
 
 
 def test_scanner_sees_calls(calls):
@@ -189,7 +192,6 @@ def test_scanner_sees_calls(calls):
     assert ("apply_P", "hardy._pre_images") in calls
     assert ("apply_P", "tentspace.horner_synthesis") in calls
     assert ("bz1_product", "riesz.molecule_suite") in calls
-    assert ("bz1_product", "hardy.rederive_molecules") in calls
     assert ("_decompose", "hardy.molecular_decompose") in calls
     assert ("_decompose", "hardy.form_molecular_decompose") in calls
     assert ("has_oracle", "calculus.spectrum") in calls
@@ -208,7 +210,6 @@ def test_scanner_sees_calls(calls):
     assert ("distance_to", "graphs.set_distance") in calls
     assert ("distance_to", "graphs.aperiodic") in calls
     assert ("annulus_rings", "graphs.annulus") in calls
-    assert ("annulus_rings", "graphs.annuli_covering_range") in calls
     assert ("annulus_rings", "hardy._size_table") in calls
     assert ("annulus_rings", "hardy.m0_norm") in calls
     assert ("level_set_depths", "tentspace.atomic_decompose") in calls
@@ -233,6 +234,41 @@ def test_calls_stay_in_their_home(callee, calls):
     stray = sorted({where for name, where in calls if name == callee
                     and where.split(".")[0] not in modules and where not in functions})
     assert stray == [], f"{callee}( called outside its home: {stray}"
+
+
+# module-level definitions with no caller in the package, each with why it
+# stays
+UNCALLED = {
+    "hardy.form_profile": "the forms profile with a horizon, which the tests build",
+}
+
+
+def _references(tree):
+    """Every name a module reads, bare or as an attribute, outside the
+    module-level definition of that same name (so recursion is no caller)."""
+    out = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name is not None and name != own:
+                out.add(name)
+    return out
+
+
+def test_every_definition_has_a_caller(trees):
+    # what nothing in the package reaches is not kept: every module-level
+    # function and class is read in the package, exported by it, or part
+    # of the fixtures (`zoo`) or the CLI, unless UNCALLED gives it a reason
+    reached = set().union(*map(_references, trees.values()))
+    reached |= {a.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    uncalled = {f"{module}.{node.name}" for module, tree in trees.items()
+                if module not in ("zoo", "cli") for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name not in reached}
+    assert uncalled == set(UNCALLED), (f"no caller: {sorted(uncalled - set(UNCALLED))}; "
+                                       f"called now: {sorted(set(UNCALLED) - uncalled)}")
 
 
 def test_steps_and_pipeline_have_one_definition():

@@ -23,7 +23,6 @@ from graphhardy.operators import (
     level_blocks,
     markov_matrix,
     markov_step,
-    powers,
     spectral_interval,
     weighted_powers,
 )
@@ -91,7 +90,7 @@ def test_walks_count_one_product_per_step():
     apply_P(g, f, 4)
     assert W.products == 4
     W.products = 0
-    assert len(list(powers(g, f, 9))) == 10 and W.products == 9
+    assert sum(len(b) for _, b in level_blocks(g, f, 9)) == 10 and W.products == 9
     W.products = 0
     assert sum(len(b) for _, b in chebyshev_blocks(g, f, 9)) == 10 and W.products == 9
 
@@ -177,7 +176,6 @@ def test_level_walk_consumers_are_bit_identical(monkeypatch, chunk, L, width):
         seen += list(rows)
     assert len(seen) == L + 1
     assert all(_same_bits(a, b) for a, b in zip(seen, want))
-    assert all(_same_bits(a, b) for a, b in zip(counted(lambda: list(powers(g, f, L))), want))
     weights = np.linspace(0.5, 2.0, L + 1)
     got = counted(lambda: weighted_powers(g, f, weights))
     assert got.shape == (g.n, L + 1) + shape[1:]
@@ -399,7 +397,6 @@ def test_chains_keep_the_index_type(index):
 def test_level_walk_yields_nothing_below_level_zero():
     g = zoo.lazy_cycle(8)
     assert list(level_blocks(g, np.ones(g.n), -1)) == []
-    assert list(powers(g, np.ones(g.n), -1)) == []
     assert weighted_powers(g, np.ones(g.n), []).shape == (g.n, 0)
     assert heat_sweep(g, np.ones(g.n), []).shape == (g.n, 0)
     assert list(chebyshev_blocks(g, np.ones(g.n), -1)) == []

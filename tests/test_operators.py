@@ -18,11 +18,11 @@ from graphhardy.operators import (
     kernel,
     kernel_compose,
     laplacian,
+    level_blocks,
     load_vertex_csv,
     lp_norm,
     lp_norm_forms,
     mean_project,
-    powers,
     random_mean_zero,
     run_parts,
     thread_cap,
@@ -41,14 +41,13 @@ def test_apply_P_stochastic(cycle16, rng):
         np.testing.assert_allclose(apply_P(cycle16, ones, k), ones)
 
 
-def test_powers_match_apply_P(cycle16, rng):
+def test_level_blocks_match_apply_P(cycle16, rng):
     for f in (rng.standard_normal(cycle16.n), rng.standard_normal((cycle16.n, 3))):
-        seq = list(powers(cycle16, f, 9))
+        seq = [row.copy() for _, rows in level_blocks(cycle16, f, 9) for row in rows]
         assert len(seq) == 10
         for l, u in enumerate(seq):
             assert u.shape == f.shape
             np.testing.assert_array_equal(u, apply_P(cycle16, f, l))
-    assert list(powers(cycle16, np.ones(cycle16.n), -1)) == []
 
 
 def test_edge_function_division(cycle8, rng):
