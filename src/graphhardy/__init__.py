@@ -14,17 +14,13 @@ from .calculus import (
     spectrum,
 )
 from .graphs import (
-    Annulus,
     Ball,
     GeometryReport,
     WeightedGraph,
-    annulus,
     ball,
     build_graph,
     geometry_report,
     read_graph,
-    vitali_cover,
-    write_graph,
 )
 from .hardy import (
     BmoReport,
@@ -34,19 +30,16 @@ from .hardy import (
     duality_pairing,
     form_molecular_decompose,
     make_molecule_from_tent_atom,
-    m0_norm,
     molecular_decompose,
     validate_molecule,
 )
 from .operators import (
     EdgeFunction,
-    KernelMatrix,
     apply_P,
     differential,
     divergence,
     gradient,
     inner,
-    kernel,
     laplacian,
     lp_norm,
     lp_norm_forms,
@@ -62,8 +55,8 @@ from .quadratic import (
     quad_norm_forms,
     tent_functional,
 )
-from .riesz import RieszResult, h2_project, riesz as riesz_transform, riesz_h1_experiment
-from .tentspace import TentAtom, TentDecomposition, atomic_decompose, pi_synthesis, tent
+from .riesz import RieszResult, riesz as riesz_transform, riesz_h1_experiment
+from .tentspace import TentAtom, TentDecomposition, atomic_decompose
 from . import zoo
 
 __all__ = [name for name in dir() if not name.startswith("_")]

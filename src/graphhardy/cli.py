@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: geometry, gaffney, quadnorm, decompose, bmo, riesz,
-selftest.  Graphs are either edge-list/JSON files or zoo names like
-`lazy_cycle_16`.  Exit codes: 1 validation failure, 2 I/O trouble,
-3 series non-convergence.
+Subcommands: geometry, gaffney, quadnorm, decompose, bmo, riesz; each
+prints one line of JSON unless `--format` or `--out` says otherwise.
+Graphs are either edge-list/JSON files or zoo names like
+`lazy_cycle_16`.  Exit codes: 1 validation failure, 2 usage error or I/O
+trouble, 3 series non-convergence.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ import numpy as np
 
 from . import calculus, graphs, hardy, operators, quadratic, zoo
 from .errors import GraphHardyError, NonConvergent
-from .riesz import (
-    gradient_matches_fiber_norms,
-    molecule_suite,
-    riesz as riesz_transform,
-    riesz_h1_experiment,
-)
+from .riesz import molecule_suite, riesz_h1_experiment
 
 
 def _resolve_graph(name: str) -> graphs.WeightedGraph:
@@ -142,10 +138,7 @@ def cmd_quadnorm(args):
     g = _resolve_graph(args.graph)
     f = operators.load_vertex_csv(g, args.f)
     value = quadratic.quad_norm(g, f, args.beta, args.lmax)
-    if args.out:
-        _emit(args, "quadnorm", json.dumps({"quad_norm": value}))
-    else:
-        print(value)
+    _emit(args, "quadnorm", json.dumps({"quad_norm": value}))
     return 0
 
 
@@ -180,108 +173,12 @@ def cmd_riesz(args):
     return 0
 
 
-def _check(name, fn):
-    try:
-        fn()
-        print(f"[PASS] {name}")
-        return True
-    except Exception as exc:  # noqa: BLE001 - report and count any failure
-        print(f"[FAIL] {name}: {exc}")
-        return False
-
-
-def cmd_selftest(args):
-    rng = np.random.default_rng(args.seed)
-    ok = True
-
-    def kernel_laws():
-        for g in (zoo.k2l(), zoo.lazy_cycle(16), zoo.lazy_torus_2d(8)):
-            K8 = operators.kernel(g, 8)
-            M = K8.matrix
-            assert abs(M - M.T).max() < 1e-12
-            assert M.toarray().min() >= -1e-15
-            assert np.abs(K8.row_mass() - 1.0).max() < 1e-12
-            K3, K5 = operators.kernel(g, 3), operators.kernel(g, 5)
-            comp = operators.kernel_compose(K3, K5)
-            assert abs(comp.matrix - M).max() < 1e-12
-
-    def operator_identities():
-        g = zoo.lazy_cycle(16)
-        f = rng.standard_normal(g.n)
-        lap = operators.laplacian(g, f)
-        ddf = operators.divergence(g, operators.differential(g, f))
-        assert np.abs(lap - ddf).max() < 1e-12
-        e1 = operators.lp_norm(g, operators.gradient(g, f), 2) ** 2
-        e2 = operators.inner(g, lap, f)
-        assert abs(e1 - e2) < 1e-9
-        assert gradient_matches_fiber_norms(g, f) < 1e-12
-
-    def series_vs_oracle():
-        # Delta^{1/2}, Delta^{-1/2} (the Riesz transform's) and a
-        # resolvent sweep
-        g = zoo.lazy_cycle(16)
-        f = operators.random_mean_zero(g, rng)
-        for beta in (0.5, -0.5):
-            exact = calculus.delta_power_apply(g, f, beta)
-            approx = calculus.series(g, calculus.DeltaPower(beta), None, 1e-10).apply(f)
-            assert operators.lp_norm(g, exact - approx, 2) < 1e-9
-        scales = [1, 4, 16, 64]
-        exact = calculus.resolvent_apply(g, f, scales)
-        for j, s in enumerate(scales):
-            approx = calculus.series(g, calculus.Resolvent(1.0), s, 1e-10).apply(f)
-            assert operators.lp_norm(g, exact[:, j] - approx, 2) < 1e-9
-
-    def k2l_values():
-        g = zoo.k2l()
-        f0 = np.array([1.0, -1.0])
-        L = quadratic.lusin(g, f0, 1.0, 8)
-        assert np.abs(L - 1.0).max() < 1e-12
-        assert abs(operators.lp_norm(g, L, 1) - 4.0) < 1e-12
-        res = riesz_transform(g, f0)
-        assert abs(res.norm_l2_output - 2.0) < 1e-12
-
-    def coverings():
-        for g in (zoo.k2l(), zoo.lazy_cycle(16), zoo.lazy_path(9)):
-            b = graphs.ball(g, 0, max(1, g.diameter // 4))
-            fam = graphs.vitali_cover(g, b, 4.0)
-            taken = np.zeros(g.n, dtype=bool)
-            for B in fam:
-                assert not np.any(taken & B.mask)
-                taken |= B.mask
-            target = b.scaled(4.0).mask
-            covered = np.zeros(g.n, dtype=bool)
-            for B in fam:
-                covered |= g.dist[B.center] < 3 * B.radius
-            assert np.all(covered[target])
-
-    def round_trip(form=False):
-        g = zoo.lazy_cycle(16)
-        f = operators.random_mean_zero(g, rng)
-        if form:
-            dec = hardy.form_molecular_decompose(g, operators.differential(g, f), 1, 1.0,
-                                                 tol=1e-8)
-        else:
-            dec = hardy.molecular_decompose(g, f, 1, 1.0, 1.0, tol=1e-8)
-        assert dec.l2_residual <= 1e-8
-        for lam, mol in dec.coefficients:
-            hardy.validate_molecule(mol)
-
-    ok &= _check("kernel laws (symmetry, mass, semigroup)", kernel_laws)
-    ok &= _check("operator identities (d*d, energy, fibers)", operator_identities)
-    ok &= _check("series agrees with spectral oracle", series_vs_oracle)
-    ok &= _check("two-point analytic values", k2l_values)
-    ok &= _check("covering algorithms", coverings)
-    ok &= _check("molecular round trip", round_trip)
-    ok &= _check("form molecular round trip", lambda: round_trip(form=True))
-    return 0 if ok else 1
-
-
 # The global options that only some subcommands read: (readers, default).
 # Given to any other subcommand, one is refused, not dropped.
 SCOPED_OPTIONS = {
     "lmax": (("quadnorm", "riesz"), None),
     "tol": (("decompose",), 1e-8),
-    "seed": (("bmo", "riesz", "selftest"), 0),
+    "seed": (("bmo", "riesz"), 0),
 }
 
 
@@ -293,7 +190,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                    help="reconstruction tolerance (decompose; default 1e-8)")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="random seed (bmo, riesz, selftest; default 0)")
+                   help="random seed (bmo, riesz; default 0)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     sub = p.add_subparsers(dest="command", required=True)
@@ -338,20 +235,17 @@ def build_parser():
     sp.add_argument("--suite", choices=("molecules", "random"), default="molecules")
     sp.add_argument("--n", type=int, default=8)
     sp.set_defaults(fn=cmd_riesz, formats=("json", "csv"))
-
-    sp = sub.add_parser("selftest")
-    sp.set_defaults(fn=cmd_selftest)
     return p
 
 
 def parse_args(argv=None):
     """The parsed command line; a SCOPED_OPTIONS option given to a
     subcommand that does not read it, or a `--format` it does not write
-    (gaffney writes csv and svg, riesz csv, every subcommand json), is a
-    usage error (exit 2).  A `--E`
-    or `--F` value that starts with one minus (a coordinate such as
-    `-1,3`, which argparse would take for an option) is joined to its
-    option as `--E=-1,3` is, so `_parse_vertices` names it."""
+    (gaffney writes csv and svg, riesz csv, every subcommand json), or a
+    riesz `--n` below 1, is a usage error (exit 2).  A `--E` or `--F`
+    value that starts with one minus (a coordinate such as `-1,3`, which
+    argparse would take for an option) is joined to its option as
+    `--E=-1,3` is, so `_parse_vertices` names it."""
     parser = build_parser()
     joined = []
     for arg in sys.argv[1:] if argv is None else argv:
@@ -366,6 +260,8 @@ def parse_args(argv=None):
         elif args.command not in readers:
             parser.error(f"--{name} is not read by {args.command} "
                          f"(only by {', '.join(readers)})")
+    if getattr(args, "n", 1) < 1:
+        parser.error(f"--n {args.n}: expected an integer >= 1")
     formats = getattr(args, "formats", ("json",))
     if args.format not in formats:
         parser.error(f"--format {args.format} is not written by {args.command} "

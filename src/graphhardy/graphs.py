@@ -1,4 +1,4 @@
-"""Weighted graphs, the path metric, balls/annuli and covering algorithms.
+"""Weighted graphs, the path metric, balls and annuli.
 
 A graph is a symmetric weight matrix mu_xy >= 0; the vertex measure is
 m(x) = sum_y mu_xy (a self loop counts once).  Every L^p quantity in the
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -316,21 +316,6 @@ def read_graph(path) -> WeightedGraph:
     return build_graph(edges)
 
 
-def write_graph(g: WeightedGraph, path, fmt="text"):
-    coo = sp.triu(g.adjacency).tocoo()
-    triples = [
-        (int(g.labels[i]), int(g.labels[j]), float(v))
-        for i, j, v in zip(coo.row, coo.col, coo.data)
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "json":
-            json.dump({"edges": [[x, y, mu] for x, y, mu in triples]}, fh)
-        else:
-            fh.write("# x y mu\n")
-            for x, y, mu in triples:
-                fh.write(f"{x} {y} {mu}\n")
-
-
 # -- balls and annuli --------------------------------------------------
 
 @dataclass
@@ -431,19 +416,6 @@ def ball_matrices(g: WeightedGraph, r_max: int):
                 B = grown
 
 
-@dataclass
-class Annulus:
-    """C_j(B) = 2^{j+1} B \\ 2^j B for j >= 2, and C_1(B) = 4B."""
-
-    base: Ball
-    j: int
-    mask: np.ndarray = field(repr=False)
-
-    @property
-    def members(self):
-        return np.where(self.mask)[0]
-
-
 def annulus_rings(g: WeightedGraph, balls):
     """The annuli C_j(B), j = 1..J_B, of every ball B of `balls`, J_B the
     first j where 2^{j+1} B is the whole graph, read from g.dist and
@@ -462,34 +434,6 @@ def annulus_rings(g: WeightedGraph, balls):
     j = np.arange(1, J.max() + 1)
     reach = np.minimum(np.ceil(2.0 ** j * R[:, None]) - 1, g.diameter).astype(np.intp)
     return ring, J, g.ball_volumes[centers[:, None], reach]
-
-
-def annulus(b: Ball, j: int) -> Annulus:
-    """C_j(B), from the ring table of `annulus_rings` (empty past J_B)."""
-    if j < 1:
-        raise ValueError("annulus index must be >= 1")
-    return Annulus(b, j, annulus_rings(b.graph, [b])[0][0] == j - 1)
-
-
-# -- covering algorithms -----------------------------------------------
-
-def vitali_cover(g: WeightedGraph, b: Ball, alpha) -> list:
-    """Greedy maximal family of disjoint radius-r balls inside alpha*B.
-
-    Scanning centers in ascending vertex order guarantees maximality,
-    hence the tripled balls cover alpha*B.
-    """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    big = b.scaled(alpha)
-    taken = np.zeros(g.n, dtype=bool)
-    out = []
-    for x in range(g.n):
-        cand = Ball(g, x, b.radius)
-        if np.all(big.mask[cand.mask]) and not np.any(taken & cand.mask):
-            taken |= cand.mask
-            out.append(cand)
-    return out
 
 
 # -- geometry diagnostics ----------------------------------------------

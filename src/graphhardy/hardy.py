@@ -374,14 +374,6 @@ def heat_profile(g: WeightedGraph, f, beta: float, l_max=None, *, reach=0,
     return _profile(g, delta_power_apply(g, f, beta), beta, l_max, lambda: f, beta, reach, tol)
 
 
-def form_profile(g: WeightedGraph, w, l_max=None, *, reach=0, tol=None) -> SpaceTimeFunction:
-    """F(., l) = sqrt(l+1) P^l w (w = d*G for the forms pipeline) for
-    l = 0..l_max, or for every l >= 0 without l_max (`_profile`), the
-    tail held by Delta^{-1} w; reach and tol are those of the tail
-    (`ProfileTail`)."""
-    return _profile(g, w, 0.5, l_max, lambda: delta_power_apply(g, w, -1.0), 1.0, reach, tol)
-
-
 def pipeline_l_max(g: WeightedGraph, eta: int, tol: float, ref_norm: float) -> int:
     """The horizon at which a truncated profile's reproducing sum meets
     tol / 2 for an input of norm ref_norm, at least default_l_max(g):
@@ -431,21 +423,22 @@ def _decompose(g: WeightedGraph, kind: str, target, profile, M: int, beta: float
                                   lp_norm(g, resid, 1), l2_res, tdec.t1_norm)
 
 
-def _require_orders(M: int, eps: float):
-    """ValueError unless M >= 1 and eps is finite and > 0."""
+def _require_orders(M: int, eps: float, tol: float):
+    """ValueError unless M >= 1, and eps and tol are finite and > 0."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, not {eps!r}")
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, not {value!r}")
 
 
 def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
                         tol=1e-8) -> MolecularDecomposition:
     """Molecular representation of a mean-zero f in L^2 from its heat
     profile, whose Lusin weight F(., l)^2 / (l+1) is that of f, so
-    quad_norm is ||L_beta f||_1.  M >= 1 and a finite eps > 0, or
-    ValueError at once."""
-    _require_orders(M, eps)
+    quad_norm is ||L_beta f||_1.  M >= 1, and a finite eps > 0 and
+    tol > 0, or ValueError at once."""
+    _require_orders(M, eps, tol)
     f = require_mean_zero(g, f)
     return _decompose(g, "bz2", f,
                       lambda reach, tail_tol: heat_profile(g, f, beta, reach=reach, tol=tail_tol),
@@ -461,9 +454,9 @@ def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
     it lies within tol (relative, at least absolute) of its projection
     d h onto the exact forms, NotExactForm otherwise; the potential
     h = Delta^{-1} w of that check is the one the profile's tail holds
-    (`form_profile`'s), solved once.  M >= 1 and a finite eps > 0, or
-    ValueError at once."""
-    _require_orders(M, eps)
+    (`_profile`'s), solved once.  M >= 1, and a finite eps > 0 and
+    tol > 0, or ValueError at once."""
+    _require_orders(M, eps, tol)
     w = divergence(g, F)
     h = delta_power_apply(g, w, -1.0)
     gap = lp_norm_forms(g, differential(g, h) - F, 2)
@@ -570,18 +563,6 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     return BmoReport(kind, M, *best, "+".join(
         f"{name} {f'{ss[0]}<=' if ss[0] > 1 else ''}s<={ss[-1]}"
         + (" (lower bound)" if name == "sampled" else "") for name, ss in scales.items()))
-
-
-def m0_norm(g: WeightedGraph, phi, M: int, eps: float, x0: int,
-            phi_tilde=None) -> float:
-    """Dual-test-class norm sup_j 2^{j eps} V(2^j B_0)^{1/2}
-    ||phi_tilde||_{L^2(C_j(B_0))} with B_0 = {x0} and phi = Delta^M phi_tilde."""
-    if phi_tilde is None:
-        phi_tilde = delta_power_apply(g, require_mean_zero(g, phi), -float(M))
-    ring, J, volumes = annulus_rings(g, [ball(g, x0, 1)])
-    mass = _annulus_l2(g, ring, J[0], np.asarray(phi_tilde, dtype=float)[:, None])
-    j = np.arange(1, J[0] + 1)
-    return float(np.max(2.0 ** (j * eps) * mass[0] * np.sqrt(volumes[0])))
 
 
 def duality_pairing(g: WeightedGraph, f, decomp: MolecularDecomposition) -> float:

@@ -1,5 +1,5 @@
-"""The Markov operator P, its kernel iterates, and the first-order
-calculus d, d*, gradient on a weighted graph.
+"""The Markov operator P, its walks P^l f, and the first-order calculus
+d, d*, gradient on a weighted graph.
 
 Conventions fixed here and used everywhere:
 
@@ -24,10 +24,6 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .graphs import ROW_BLOCK_ENTRIES, WeightedGraph
-
-# Kernel matrices densify once l exceeds the diameter; keep a cap so a
-# runaway l cannot exhaust memory on large graphs.
-KERNEL_L_CAP = 4096
 
 # Most levels (P^l f, or T_k(X) f) that a walk holds in its one reused
 # chunk (`_chain_blocks`); the chunk also stays within ROW_BLOCK_ENTRIES
@@ -524,52 +520,6 @@ def gradient(g: WeightedGraph, f):
     m = per_row(g.m, f)
     quad = A @ (f * f) - 2.0 * f * (A @ f) + f * f * m
     return np.sqrt(np.maximum(quad, 0.0) / (2.0 * m))
-
-
-# -- kernel iterates -----------------------------------------------------
-
-@dataclass
-class KernelMatrix:
-    """Entries p_l(x, y); symmetric, supported within distance l."""
-
-    graph: WeightedGraph
-    l: int
-    matrix: sp.csr_matrix = field(repr=False)
-
-    def row_mass(self):
-        """sum_y p_l(x, y) m(y) for every x; all ones by stochasticity."""
-        return np.asarray(self.matrix @ self.graph.m).ravel()
-
-    def validate(self) -> bool:
-        """Symmetry, nonnegativity, unit mass, support within distance l,
-        each to 1e-12."""
-        M, tol = self.matrix, 1e-12
-        if abs(M - M.T).max() > tol or np.abs(self.row_mass() - 1.0).max() > tol:
-            return False
-        if M.nnz and M.data.min() < -tol:
-            return False
-        stored = M.tocoo()
-        far = self.graph.dist[stored.row, stored.col] > self.l
-        return bool(np.all(stored.data[far] == 0.0))
-
-
-def kernel(g: WeightedGraph, l: int) -> KernelMatrix:
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if l > KERNEL_L_CAP:
-        raise ValueError(f"l = {l} exceeds the kernel cap {KERNEL_L_CAP}")
-    K = sp.diags(1.0 / g.m).tocsr()
-    W = markov_matrix(g)
-    for _ in range(l):
-        K = (W @ K).tocsr()
-    return KernelMatrix(g, l, K)
-
-
-def kernel_compose(a: KernelMatrix, b: KernelMatrix) -> KernelMatrix:
-    """(p_k * p_l)(x, y) = sum_z p_k(x, z) p_l(z, y) m(z)."""
-    g = a.graph
-    M = (a.matrix @ sp.diags(g.m) @ b.matrix).tocsr()
-    return KernelMatrix(g, a.l + b.l, M)
 
 
 # -- 1-forms --------------------------------------------------------------

@@ -121,7 +121,7 @@ class ProfileTail:
         (ValueError otherwise).  At power 0 it is their share of a
         molecule a = Delta^M X, at power -M with q and s that of its
         pre-image b = Q_s X (`hardy.synthesize_molecules`), and at power
-        order - beta that of pi_{eta, beta} (`tentspace.pi_synthesis`)."""
+        order - beta that of pi_{eta, beta}."""
         if beta != self.beta:
             raise ValueError(f"a tail of weight (l+1)^{self.beta} synthesized at beta = {beta}")
         h = self.potential
@@ -312,13 +312,15 @@ def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
     once each, at once on the pool (`_cone_columns`), in chunks of the
     levels that the whole block's walk would hold.  A periodic walk
     raises PeriodicWalk: its P^l f keeps oscillating, so the sum depends
-    on the horizon.
+    on the horizon.  A horizon l_max < 0 raises ValueError.
     """
     if not g.aperiodic:
         raise PeriodicWalk("the walk is periodic, so P^l f does not settle "
                            "and the cone sum depends on its horizon")
     if l_max is None:
         l_max = default_l_max(g)
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, not {l_max}")
     u = delta_power_apply(g, f, beta)
     starts = [rho * rho for rho in range(math.isqrt(l_max) + 1)]
     v = u.reshape(g.n, -1)

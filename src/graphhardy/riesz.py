@@ -1,5 +1,5 @@
-"""The Riesz transform d Delta^{-1/2}, the exact-form projector, and
-the H^1 -> L^1 experiment harness.
+"""The Riesz transform d Delta^{-1/2} and the H^1 -> L^1 experiment
+harness.
 
 On the mean-zero subspace the transform is an exact L^2 isometry onto
 the space of differentials, and its quadratic H^1 norm equals the
@@ -28,12 +28,10 @@ from .graphs import WeightedGraph, ball
 from .operators import (
     EdgeFunction,
     differential,
-    divergence,
     gradient,
     lp_norm,
     lp_norm_forms,
     thread_cap,  # noqa: F401  (re-exported: benchmark run metadata reads riesz.thread_cap)
-    tx_norms,
 )
 from .quadratic import form_potential, quad_norm
 
@@ -74,12 +72,6 @@ def riesz(g: WeightedGraph, f, l_max=None) -> RieszResult:
         norm_l1_gradient=lp_norm(g, grad, 1),
         h1_quad_input=quad_norm(g, f, 1.0, l_max),
     )
-
-
-def h2_project(g: WeightedGraph, F: EdgeFunction) -> EdgeFunction:
-    """d Delta^{-1} d* F: the orthogonal projector onto exact forms."""
-    u = delta_power_apply(g, divergence(g, F), -1.0)
-    return differential(g, u)
 
 
 @dataclass
@@ -158,9 +150,3 @@ def riesz_h1_experiment(g: WeightedGraph, suite, l_max=None) -> RieszSuiteReport
         min(ratios, default=0.0),
         max((e.chain_gap for e in entries), default=0.0),
     )
-
-
-def gradient_matches_fiber_norms(g: WeightedGraph, f) -> float:
-    """max_x | ||df(x,.)||_{T_x} - grad f(x) |."""
-    F = differential(g, f)
-    return float(np.abs(tx_norms(g, F) - gradient(g, f)).max(initial=0.0))

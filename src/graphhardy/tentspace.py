@@ -34,7 +34,7 @@ over the whole graph: the decomposition adds the tail's Lusin mass to
 that piece, and to A F(x)^2 over m(Gamma) at every x.  The scan reads
 stored levels only; what a synthesis makes of the tail is one bounded
 function of P applied to its potential (`ProfileTail.share`), added to
-the scan's output by `pi_synthesis` and by the molecule stage.
+the scan's output by the molecule stage.
 """
 
 from __future__ import annotations
@@ -56,18 +56,6 @@ def _tent_height(depth: np.ndarray, l_max: int) -> np.ndarray:
     """Number of tent levels at each vertex: d^2 > l iff l < ceil(d^2),
     clipped to the l_max + 1 levels there are."""
     return np.minimum(np.ceil(depth ** 2), l_max + 1).astype(np.int64)
-
-
-def tent_mask(g: WeightedGraph, set_mask: np.ndarray, l_max: int) -> np.ndarray:
-    """(y, k) membership of the tent over a vertex set O,
-    d(y, O^c)^2 > k, with d(y, emptyset) = +inf."""
-    d_out = level_set_depths(g, set_mask, [0])[0]
-    k = np.arange(l_max + 1)
-    return (d_out[:, None] ** 2) > k[None, :]
-
-
-def tent(b: Ball, l_max: int) -> np.ndarray:
-    return tent_mask(b.graph, b.mask, l_max)
 
 
 @dataclass
@@ -393,18 +381,3 @@ def horner_synthesis(g: WeightedGraph, atoms, eta: int, beta: float,
     for _ in range(eta):
         out += apply_P(g, out)
     return out
-
-
-def pi_synthesis(g: WeightedGraph, F: SpaceTimeFunction, eta: int,
-                 beta: float) -> np.ndarray:
-    """Synthesis sum_{l>=1} (c_l^eta / l^beta)
-    Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1): the stored levels by
-    `horner_synthesis`, and the levels of F's tail, whose beta must be
-    this beta, as its share at power order - beta (`ProfileTail.share`)."""
-    if eta < beta:
-        raise ValueError("eta must be >= beta")
-    out = horner_synthesis(g, [SpaceTimeEntries.of(F)], eta, beta, eta - beta)[:, 0]
-    if F.tail is not None:
-        out += F.tail.share(eta, beta, F.tail.order - beta)
-    return out
-

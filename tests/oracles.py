@@ -31,9 +31,18 @@ way the package once did, from one mask sum, one breadth-first search
 and the masks of the scaled balls: the references of the ball volumes
 read from `ball_volumes`, of `graphs.level_set_depths` and of
 `graphs.annulus_rings`.
+`kernels` reads the kernels p_l from the level walk, for the kernel laws.
+`tent_mask`, `annulus`, `vitali_cover`, `write_graph`, `form_profile`,
+`m0_norm`, `h2_project`, `gradient_matches_fiber_norms` and
+`pi_synthesis` are referees built on the package's public functions that
+no command or pipeline calls: dense tents and annuli, the Vitali
+covering, the inverse of `read_graph`, the forms profile, the dual test
+class norm, the exact-form projector, the fibre norms of df and the
+synthesis of one space-time function.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -45,13 +54,16 @@ from graphhardy.calculus import (SeriesOperator, binomial_coefficients, bz2_appl
                                  delta_power_apply, require_mean_zero, resolvent_apply,
                                  spectral, spectrum)
 from graphhardy.errors import NonConvergent
-from graphhardy.graphs import annulus, ball, build_graph, cached_geometry, vitali_cover
-from graphhardy.hardy import synthesize_molecules
-from graphhardy.operators import (EdgeFunction, apply_P, gradient, horner, lp_norm,
-                                  markov_step, mean_project)
+from graphhardy.graphs import (Ball, annulus_rings, ball, build_graph, cached_geometry,
+                               level_set_depths)
+from graphhardy.hardy import _profile, synthesize_molecules
+from graphhardy.operators import (EdgeFunction, apply_P, differential, divergence, gradient,
+                                  horner, level_blocks, lp_norm, markov_step, mean_project,
+                                  tx_norms)
 from graphhardy.quadratic import SpaceTimeFunction, form_potential, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
-from graphhardy.tentspace import TentAtom, TentDecomposition, tent_mask
+from graphhardy.tentspace import (SpaceTimeEntries, TentAtom, TentDecomposition,
+                                  horner_synthesis)
 
 
 GRAPH_BASES = {
@@ -758,17 +770,17 @@ def annulus_cover(g, b, j):
         raise ValueError("annulus index must be >= 1")
     r = int(b.radius)
     ring = annulus(b, j)
-    if not ring.mask.any():
+    if not ring.any():
         return []
     if r <= 2:
-        return [ball(g, int(x), r) for x in ring.members]
+        return [ball(g, int(x), r) for x in np.flatnonzero(ring)]
     s = r // 3
     seed = ball(g, b.center, s)
     family = vitali_cover(g, seed, (2 ** (j + 1) * r) / s)
     out = []
     for small in family:
         tripled = g.dist[small.center] < 3 * s
-        if np.any(tripled & ring.mask):
+        if np.any(tripled & ring):
             out.append(ball(g, small.center, r))
     return out
 
@@ -851,3 +863,102 @@ def make_form_molecule_from_tent_atom(A, M, eps, d0=None):
     tdec = TentDecomposition([(1.0, A)], 0.0, 1.0)
     [(_, mol)], _ = synthesize_molecules(g, tdec, "form", M, 0.5, eps, d0)
     return mol
+
+
+def kernels(g, L):
+    """The kernels p_0, ..., p_L as an (L + 1, n, n) array, p_l(x, y) =
+    P^l (delta_y / m(y))(x), from the level walk of diag(1 / m) that
+    every pipeline runs (`operators.level_blocks`)."""
+    out = np.empty((L + 1, g.n, g.n))
+    for lo, block in level_blocks(g, np.diag(1.0 / g.m), L):
+        out[lo:lo + len(block)] = block
+    return out
+
+
+def tent_mask(g, set_mask, l_max):
+    """(y, k) membership of the tent over a vertex set O,
+    d(y, O^c)^2 > k, with d(y, emptyset) = +inf."""
+    d_out = level_set_depths(g, set_mask, [0])[0]
+    k = np.arange(l_max + 1)
+    return (d_out[:, None] ** 2) > k[None, :]
+
+
+def annulus(b, j):
+    """The mask of C_j(B) = 2^{j+1} B \\ 2^j B for j >= 2, and C_1(B) = 4B,
+    from the ring table of `graphs.annulus_rings` (empty past J_B)."""
+    return annulus_rings(b.graph, [b])[0][0] == j - 1
+
+
+def vitali_cover(g, b, alpha):
+    """Greedy maximal family of disjoint radius-r balls inside alpha*B.
+
+    Scanning centers in ascending vertex order guarantees maximality,
+    hence the tripled balls cover alpha*B (alpha >= 1).
+    """
+    big = b.scaled(alpha)
+    taken = np.zeros(g.n, dtype=bool)
+    out = []
+    for x in range(g.n):
+        cand = Ball(g, x, b.radius)
+        if np.all(big.mask[cand.mask]) and not np.any(taken & cand.mask):
+            taken |= cand.mask
+            out.append(cand)
+    return out
+
+
+def write_graph(g, path, fmt="text"):
+    """g as the edge list (or, fmt="json", the JSON object) that
+    `graphs.read_graph` reads, one x y mu triple per undirected edge."""
+    coo = sp.triu(g.adjacency).tocoo()
+    triples = [
+        (int(g.labels[i]), int(g.labels[j]), float(v))
+        for i, j, v in zip(coo.row, coo.col, coo.data)
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        if fmt == "json":
+            json.dump({"edges": [[x, y, mu] for x, y, mu in triples]}, fh)
+        else:
+            fh.write("# x y mu\n")
+            for x, y, mu in triples:
+                fh.write(f"{x} {y} {mu}\n")
+
+
+def form_profile(g, w, l_max=None, *, reach=0, tol=None):
+    """F(., l) = sqrt(l+1) P^l w (w = d*G for the forms pipeline) for
+    l = 0..l_max, or for every l >= 0 without l_max, the tail held by
+    Delta^{-1} w: the profile `hardy.form_molecular_decompose` builds;
+    reach and tol are those of the tail (`ProfileTail`)."""
+    return _profile(g, w, 0.5, l_max, lambda: delta_power_apply(g, w, -1.0), 1.0, reach, tol)
+
+
+def m0_norm(g, phi, M, eps, x0, phi_tilde=None):
+    """Dual-test-class norm sup_j 2^{j eps} V(2^j B_0)^{1/2}
+    ||phi_tilde||_{L^2(C_j(B_0))} with B_0 = {x0} and phi = Delta^M phi_tilde."""
+    if phi_tilde is None:
+        phi_tilde = delta_power_apply(g, require_mean_zero(g, phi), -float(M))
+    ring, J, volumes = annulus_rings(g, [ball(g, x0, 1)])
+    mass = g.m * np.asarray(phi_tilde, dtype=float) ** 2
+    return max(2.0 ** (j * eps) * math.sqrt(mass[ring[0] == j - 1].sum() * volumes[0, j - 1])
+               for j in range(1, J[0] + 1))
+
+
+def h2_project(g, F):
+    """d Delta^{-1} d* F: the orthogonal projector onto exact forms."""
+    return differential(g, delta_power_apply(g, divergence(g, F), -1.0))
+
+
+def gradient_matches_fiber_norms(g, f):
+    """max_x | ||df(x,.)||_{T_x} - grad f(x) |."""
+    return float(np.abs(tx_norms(g, differential(g, f)) - gradient(g, f)).max(initial=0.0))
+
+
+def pi_synthesis(g, F, eta, beta):
+    """Synthesis sum_{l>=1} (c_l^eta / l^beta)
+    Delta^{eta-beta} (I+P)^eta P^{l-1} F(., l-1): the stored levels by
+    `tentspace.horner_synthesis`, and the levels of F's tail, whose beta
+    must be this beta, as its share at power order - beta
+    (`ProfileTail.share`); eta >= beta."""
+    out = horner_synthesis(g, [SpaceTimeEntries.of(F)], eta, beta, eta - beta)[:, 0]
+    if F.tail is not None:
+        out += F.tail.share(eta, beta, F.tail.order - beta)
+    return out

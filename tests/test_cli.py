@@ -55,8 +55,9 @@ def test_report_keys_follow_the_field_order(report):
 
 def test_quadnorm_k2l(capsys, f0_csv):
     assert main(["quadnorm", "k2l", "--f", f0_csv, "--beta", "1"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert float(out) == pytest.approx(4.0, abs=1e-11)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out)["quad_norm"] == pytest.approx(4.0, abs=1e-11)
 
 
 def test_gaffney_json_and_outputs(tmp_path, capsys):
@@ -126,10 +127,26 @@ def test_riesz_seed_reproduces_bytes(capsys):
     assert first == second
 
 
-def test_selftest(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-3"], ["--suite", "random", "--n", "0"]])
+def test_riesz_n_below_one_is_refused(capsys, argv):
+    # no centre step of zero, no silent run of every centre, no empty
+    # report: a usage error naming --n, and nothing runs
+    with pytest.raises(SystemExit) as exit_info:
+        main(["riesz", "lazy_cycle_16"] + argv)
+    assert exit_info.value.code == 2
+    assert f"--n {argv[-1]}: expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_decompose_refuses_a_bad_tol(capsys, f0_csv, tol):
+    assert main(["--tol", tol, "decompose", "k2l", "--f", f0_csv]) == 1
+    assert "tol must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["quadnorm", "k2l", "--f", "F"], ["riesz", "lazy_cycle_16"]])
+def test_a_negative_lmax_is_refused(capsys, f0_csv, argv):
+    assert main(["--lmax", "-1"] + [f0_csv if a == "F" else a for a in argv]) == 1
+    assert "l_max must be >= 0, not -1" in capsys.readouterr().err
 
 
 def test_missing_file_is_io_error(capsys):

@@ -6,22 +6,20 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from oracles import (annulus_cover, ball_matrix_dense, ball_volume_mask, cover_overlap_bound,
-                     geometry_report_masks, graphs as random_graphs)
+from oracles import (annulus, annulus_cover, ball_matrix_dense, ball_volume_mask,
+                     cover_overlap_bound, geometry_report_masks, graphs as random_graphs,
+                     vitali_cover, write_graph)
 
 from graphhardy import graphs, zoo
 from graphhardy.errors import DisconnectedGraph, NegativeWeight, ZeroMeasureVertex
 from graphhardy.graphs import (
     WeightedGraph,
-    annulus,
     ball,
     ball_matrices,
     build_graph,
     geometry_report,
     read_graph,
     set_distance,
-    vitali_cover,
-    write_graph,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -297,22 +295,22 @@ def test_set_distance_needs_both_sets(cycle16):
 def test_annuli_k2l(k2l):
     b = ball(k2l, 0, 1)
     rings = [annulus(b, j) for j in (1, 2)]
-    assert set(rings[0].members) == {0, 1}
-    assert rings[1].mask.sum() == 0
+    assert set(np.flatnonzero(rings[0])) == {0, 1}
+    assert not rings[1].any()
 
 
 def test_annuli_cycle8(cycle8):
     b = ball(cycle8, 0, 1)
     c1 = annulus(b, 1)
     expected = {y for y in range(8) if cycle8.dist[0, y] < 4}
-    assert set(c1.members) == expected
+    assert set(np.flatnonzero(c1)) == expected
     assert len(expected) == 7
 
 
 def test_annuli_empty_beyond_diameter(cycle16):
     b = ball(cycle16, 0, cycle16.diameter + 1)
     for j in range(2, 5):
-        assert annulus(b, j).mask.sum() == 0
+        assert not annulus(b, j).any()
 
 
 def _check_vitali(g, b, alpha):
@@ -347,21 +345,21 @@ def test_vitali_k2l(k2l):
 def _check_annulus_cover(g, b, j):
     fam = annulus_cover(g, b, j)
     ring = annulus(b, j)
-    if ring.mask.sum() == 0:
+    if not ring.any():
         assert fam == []
         return fam
     covered = np.zeros(g.n, dtype=bool)
     mult = np.zeros(g.n)
-    allowed = annulus(b, j).mask.copy()
+    allowed = annulus(b, j).copy()
     if j >= 2:
-        allowed |= annulus(b, j - 1).mask
-    allowed |= annulus(b, j + 1).mask
+        allowed |= annulus(b, j - 1)
+    allowed |= annulus(b, j + 1)
     for B in fam:
         assert B.radius == b.radius
         covered |= B.mask
         mult += B.mask
         assert np.all(allowed[B.mask])
-    assert np.all(covered[ring.mask])
+    assert np.all(covered[ring])
     doubling = geometry_report(g).doubling_constant
     assert mult.max() <= cover_overlap_bound(g, int(b.radius), doubling)
     return fam
@@ -370,7 +368,7 @@ def _check_annulus_cover(g, b, j):
 def test_annulus_cover_small_radius(cycle16):
     b = ball(cycle16, 0, 2)
     fam = _check_annulus_cover(cycle16, b, 1)
-    assert {B.center for B in fam} == set(annulus(b, 1).members)
+    assert {B.center for B in fam} == set(np.flatnonzero(annulus(b, 1)))
 
 
 def test_annulus_cover_cycle32(cycle32):
@@ -449,7 +447,7 @@ def test_annuli_union_covers_graph(cycle16, torus8):
         _, J, _ = graphs.annulus_rings(g, [b])
         union = np.zeros(g.n, dtype=bool)
         for j in range(1, J[0] + 1):
-            union |= annulus(b, j).mask
+            union |= annulus(b, j)
         assert np.all(union)
 
 

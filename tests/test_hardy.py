@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import (annuli_by_masks, ball_matrix_dense, cesaro_mean, delta_power_exact,
-                     horner_synthesis_levels_first, lusin_tail_mass_exact,
-                     make_form_molecule_from_tent_atom, top_level)
+                     form_profile, horner_synthesis_levels_first, lusin_tail_mass_exact,
+                     m0_norm, make_form_molecule_from_tent_atom, tent_mask, top_level)
 
 from graphhardy import calculus, graphs, hardy
 from graphhardy.calculus import bz1_product, bz2_apply, require_mean_zero
@@ -25,10 +25,8 @@ from graphhardy.hardy import (
     bmo_norm,
     duality_pairing,
     form_molecular_decompose,
-    m0_norm,
     make_molecule_from_tent_atom,
     molecular_decompose,
-    form_profile,
     heat_profile,
     pipeline_l_max,
     synthesis_eta,
@@ -49,7 +47,7 @@ from graphhardy.operators import (
 from graphhardy.quadratic import SpaceTimeFunction, default_l_max, lusin
 from graphhardy.riesz import molecule_suite, riesz as riesz_transform
 from graphhardy.tentspace import (TentAtom, TentDecomposition, atomic_decompose,
-                                  eta_coefficients, horner_synthesis, tent)
+                                  eta_coefficients, horner_synthesis)
 from graphhardy.zoo import by_name, lazy_cycle, lazy_torus_2d
 
 
@@ -137,7 +135,7 @@ def test_stage_raises_the_validators_error(monkeypatch, cycle32, kind):
 
 def _unit_tent_atom(g, center, radius, l_max):
     B = ball(g, center, radius)
-    mask = tent(B, l_max)
+    mask = tent_mask(g, B.mask, l_max)
     vals = np.zeros((g.n, l_max + 1))
     vals[mask] = 1.0
     stf = SpaceTimeFunction(g, vals)
@@ -241,7 +239,7 @@ def test_synthesis_truncation_invariant(cycle32, kind):
     # an atom over B(5, 3) lives at levels k < 9; padding its array with
     # zero levels (a larger l_max) must not change a single bit
     B = ball(cycle32, 5, 3)
-    live = tent(B, 8)
+    live = tent_mask(cycle32, B.mask, 8)
     rng = np.random.default_rng(7)
     base = np.where(live, rng.standard_normal(live.shape), 0.0)
     base /= SpaceTimeFunction(cycle32, base).t22_norm() * math.sqrt(B.volume)
@@ -400,8 +398,8 @@ def test_annulus_tables_match_the_annulus_masks(name):
     # the ring index, annulus count and volumes of every vertex and ball,
     # read from dist and ball_volumes by `annulus_rings`, are those of the
     # masks of the scaled balls and their mask sums, for j = 1..J + 1 (the
-    # annulus past J is empty); the graph's own annuli and the size
-    # table's bounds 2^{-j eps} V(2^j B)^{-1/2} are read from them
+    # annulus past J is empty); the size table's bounds
+    # 2^{-j eps} V(2^j B)^{-1/2} are read from them
     g = by_name(name)
     balls = [ball(g, x, r) for x in range(0, g.n, 7) for r in (1, 2, 2.5, 3, 5)]
     ring, J, volumes = graphs.annulus_rings(g, balls)
@@ -411,7 +409,6 @@ def test_annulus_tables_match_the_annulus_masks(name):
         assert count == want_J
         for j, mask in enumerate(masks, start=1):
             assert np.array_equal(row == j - 1, mask)
-            assert np.array_equal(graphs.annulus(B, j).mask, mask)
         assert not mask.any()
         assert np.array_equal(vols[:count], want_volumes[:count])
         j = np.arange(1, count + 1)
@@ -705,21 +702,38 @@ def test_bmo_norm_payload_matches_dense_balls(request, monkeypatch, name, s_max,
     assert got == bmo_norm(g, f, kind, M, s_max, seed=4).to_json()
 
 
-@pytest.mark.parametrize("M, eps", [(0, 1.0), (-1, 1.0), (1, 0.0), (1, -1.0), (1, math.inf),
-                                    (1, math.nan)])
-def test_pipelines_check_M_and_eps_first(cycle16, monkeypatch, M, eps):
-    # M < 1, or an eps that is not finite and > 0, fails on entry, before
-    # any of the pipeline runs
+@pytest.fixture
+def pipeline_refused(monkeypatch):
+    """Every step of both pipelines raises, so a check that passes lets
+    the test fail."""
     def ran(*_args, **_kwargs):
         raise AssertionError("the pipeline ran")
 
     for name in ("require_mean_zero", "divergence", "_decompose"):
         monkeypatch.setattr(hardy, name, ran)
+
+
+@pytest.mark.parametrize("M, eps", [(0, 1.0), (-1, 1.0), (1, 0.0), (1, -1.0), (1, math.inf),
+                                    (1, math.nan)])
+def test_pipelines_check_M_and_eps_first(cycle16, pipeline_refused, M, eps):
+    # M < 1, or an eps that is not finite and > 0, fails on entry, before
+    # any of the pipeline runs
     f = random_mean_zero(cycle16, np.random.default_rng(13))
     with pytest.raises(ValueError, match="M must|eps must"):
         molecular_decompose(cycle16, f, M, 1.0, eps)
     with pytest.raises(ValueError, match="M must|eps must"):
         form_molecular_decompose(cycle16, differential(cycle16, f), M, eps)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_pipelines_check_tol_first(cycle16, pipeline_refused, tol):
+    # a tol that is not finite and > 0 fails on entry too, not as an
+    # OverflowError of the horizon search or after the whole pipeline ran
+    f = random_mean_zero(cycle16, np.random.default_rng(13))
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        molecular_decompose(cycle16, f, 1, 1.0, 1.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        form_molecular_decompose(cycle16, differential(cycle16, f), 1, 1.0, tol=tol)
 
 
 @pytest.mark.parametrize("kind", ["bz1", "bz2"])

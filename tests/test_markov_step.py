@@ -8,11 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import chebyshev_terms, counting_markov, graphs
+from oracles import chebyshev_terms, counting_markov, form_profile, graphs
 
 from graphhardy import operators, zoo
 from graphhardy.graphs import build_graph
-from graphhardy.hardy import form_profile, heat_profile
+from graphhardy.hardy import heat_profile
 from graphhardy.operators import (
     LEVEL_CHUNK,
     apply_P,

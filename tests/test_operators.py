@@ -1,11 +1,10 @@
-import dataclasses
 import os
 import threading
 import time
 
 import numpy as np
 import pytest
-from oracles import save_edge_csv, save_vertex_csv, zero_form
+from oracles import kernels, save_edge_csv, save_vertex_csv, zero_form
 
 from graphhardy import riesz as riesz_module
 from graphhardy.operators import (
@@ -15,8 +14,6 @@ from graphhardy.operators import (
     divergence,
     gradient,
     inner,
-    kernel,
-    kernel_compose,
     laplacian,
     level_blocks,
     load_vertex_csv,
@@ -80,32 +77,28 @@ def test_laplacian_l1_bound(cycle16, rng):
 
 
 def test_kernel_k2l(k2l):
-    K0 = kernel(k2l, 0).matrix.toarray()
-    np.testing.assert_allclose(K0, np.diag([0.5, 0.5]))
-    K1 = kernel(k2l, 1).matrix.toarray()
-    np.testing.assert_allclose(K1, np.full((2, 2), 0.25))
-    K2 = kernel(k2l, 2).matrix.toarray()
-    np.testing.assert_allclose(K2, np.full((2, 2), 0.25))
+    p = kernels(k2l, 2)
+    np.testing.assert_allclose(p[0], np.diag([0.5, 0.5]))
+    np.testing.assert_allclose(p[1], np.full((2, 2), 0.25))
+    np.testing.assert_allclose(p[2], np.full((2, 2), 0.25))
 
 
 def test_kernel_laws(cycle16):
+    p = kernels(cycle16, 9)
     for l in (0, 1, 4, 9):
-        K = kernel(cycle16, l)
-        M = K.matrix
-        assert abs(M - M.T).max() < 1e-13
-        assert M.toarray().min() >= -1e-16
-        np.testing.assert_allclose(K.row_mass(), 1.0, atol=1e-13)
+        K = p[l]
+        assert np.abs(K - K.T).max() < 1e-13
+        assert K.min() >= -1e-16
+        np.testing.assert_allclose(K @ cycle16.m, 1.0, atol=1e-13)
         # support within distance l
-        dense = M.toarray()
-        assert np.all(dense[cycle16.dist > l] == 0.0)
+        assert np.all(K[cycle16.dist > l] == 0.0)
 
 
 def test_kernel_semigroup(cycle16, k2l, torus8):
     for g in (k2l, cycle16, torus8):
-        K3, K5 = kernel(g, 3), kernel(g, 5)
-        K8 = kernel(g, 8)
-        comp = kernel_compose(K3, K5)
-        assert abs(comp.matrix - K8.matrix).max() < 1e-13
+        p = kernels(g, 8)
+        comp = p[3] @ (g.m[:, None] * p[5])
+        assert np.abs(comp - p[8]).max() < 1e-13
 
 
 def test_first_order_ops_k2l(k2l):
@@ -202,15 +195,6 @@ def test_first_order_ops_take_blocks(torus8, rng):
         EdgeFunction(g, np.zeros((g.adjacency.nnz + 1, 2)))
 
 
-def test_kernel_cap():
-    import graphhardy.zoo as zoo
-    from graphhardy.operators import KERNEL_L_CAP
-
-    g = zoo.lazy_cycle(8)
-    with pytest.raises(ValueError):
-        kernel(g, KERNEL_L_CAP + 1)
-
-
 def test_csv_roundtrip(tmp_path, cycle8, rng):
     f = rng.standard_normal(cycle8.n)
     p = tmp_path / "f.csv"
@@ -230,11 +214,12 @@ def test_zero_form(cycle8):
 
 
 def test_kernel_matrix_validate(cycle16):
-    assert kernel(cycle16, 5).validate()
-    # p_5 claimed as p_2: symmetric with unit mass, but stored entries
-    # sit at distance 3..5 > 2
-    claimed = dataclasses.replace(kernel(cycle16, 2), matrix=kernel(cycle16, 5).matrix)
-    assert not claimed.validate()
+    # the support law tells p_5 from p_2: both are symmetric with unit
+    # mass, but p_5 has entries at distance 3..5 > 2
+    p = kernels(cycle16, 5)
+    assert not p[5][cycle16.dist > 5].any()
+    assert p[5][(cycle16.dist > 2) & (cycle16.dist <= 5)].all()
+    assert not p[2][cycle16.dist > 2].any()
 
 
 def test_thread_cap_counts_the_cores_this_process_may_use(monkeypatch):

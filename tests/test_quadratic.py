@@ -47,6 +47,14 @@ def test_lusin_k2l_hand_values(k2l, f0):
     assert lp_norm(k2l, L, 1) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_lusin_refuses_a_negative_horizon(cycle16):
+    f = np.ones(cycle16.n)
+    with pytest.raises(ValueError, match="l_max must be >= 0, not -1"):
+        lusin(cycle16, f, 1.0, -1)
+    with pytest.raises(ValueError, match="l_max must be >= 0"):
+        quad_norm(cycle16, f, 1.0, -1)
+
+
 def test_lusin_kills_constants(cycle16):
     c = np.full(cycle16.n, 2.0)
     assert lp_norm(cycle16, lusin(cycle16, c, 1.0, 32), np.inf) < 1e-13

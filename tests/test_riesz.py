@@ -3,8 +3,8 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import (counting_markov, delta_power_exact, inner_forms, isometry_defect,
-                     riesz_entries_per_input)
+from oracles import (counting_markov, delta_power_exact, gradient_matches_fiber_norms,
+                     h2_project, inner_forms, isometry_defect, riesz_entries_per_input)
 
 import graphhardy
 from graphhardy import riesz as riesz_module
@@ -20,13 +20,7 @@ from graphhardy.operators import (
     tx_norms,
 )
 from graphhardy.quadratic import default_l_max
-from graphhardy.riesz import (
-    gradient_matches_fiber_norms,
-    h2_project,
-    molecule_suite,
-    riesz,
-    riesz_h1_experiment,
-)
+from graphhardy.riesz import molecule_suite, riesz, riesz_h1_experiment
 from graphhardy.zoo import lazy_cycle, random_weights
 
 

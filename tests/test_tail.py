@@ -10,17 +10,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import lusin_tail_mass_exact, synthesis_tail_exact, tail_series_longdouble
+from oracles import (form_profile, lusin_tail_mass_exact, pi_synthesis, synthesis_tail_exact,
+                     tail_series_longdouble)
 
 from graphhardy import calculus, hardy
 from graphhardy.errors import NonConvergent
 from graphhardy.graphs import cached_geometry
-from graphhardy.hardy import (form_molecular_decompose, form_profile, heat_profile,
-                              molecular_decompose, synthesis_orders)
+from graphhardy.hardy import (form_molecular_decompose, heat_profile, molecular_decompose,
+                              synthesis_orders)
 from graphhardy.operators import (differential, divergence, inner, lp_norm, mean_project,
                                   random_mean_zero)
 from graphhardy.quadratic import ProfileTail, SpaceTimeFunction, default_l_max, tent_functional
-from graphhardy.tentspace import atomic_decompose, pi_synthesis
+from graphhardy.tentspace import atomic_decompose
 from graphhardy.zoo import binary_tree, by_name, lazy_torus_2d
 
 EPS = np.finfo(float).eps

@@ -8,11 +8,14 @@ import pytest
 from oracles import (
     atomic_decompose_dense,
     eta_coefficients_recurrence,
+    form_profile,
     graphs,
     naive_tent_members,
+    pi_synthesis,
     reproducing_l_max_mpmath,
     reproducing_l_max_spectrum,
     tent_depth_search,
+    tent_mask,
     tent_pieces_dense,
     top_level,
 )
@@ -20,7 +23,7 @@ from oracles import (
 from graphhardy import calculus, graphs as graphs_module, hardy, tentspace, zoo
 from graphhardy.calculus import reproducing_l_max
 from graphhardy.graphs import ball, level_set_depths
-from graphhardy.hardy import form_profile, heat_profile, pipeline_l_max, synthesis_eta
+from graphhardy.hardy import heat_profile, pipeline_l_max, synthesis_eta
 from graphhardy.graphs import cached_geometry
 from graphhardy.operators import (
     _kernel_step,
@@ -37,9 +40,6 @@ from graphhardy.tentspace import (
     TentAtom,
     atomic_decompose,
     eta_coefficients,
-    pi_synthesis,
-    tent,
-    tent_mask,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -114,7 +114,7 @@ def test_tent_height_past_the_uint8_square():
 
 
 def test_tent_k2l(k2l):
-    mask = tent(ball(k2l, 0, 1), 4)
+    mask = tent_mask(k2l, ball(k2l, 0, 1).mask, 4)
     pairs = {(y, k) for y, k in zip(*np.nonzero(mask))}
     assert pairs == {(0, 0)}
 
@@ -126,7 +126,7 @@ def test_tent_whole_graph(cycle16):
 
 def test_tent_matches_naive(cycle16):
     b = ball(cycle16, 0, 3)
-    mask = tent(b, 10)
+    mask = tent_mask(cycle16, b.mask, 10)
     got = {(int(y), int(k)) for y, k in zip(*np.nonzero(mask))}
     assert got == naive_tent_members(cycle16, b.mask, 10)
 
@@ -210,7 +210,7 @@ def test_decompose_zero(cycle16):
 
 def test_decompose_single_atom_idempotent(cycle16):
     b = ball(cycle16, 3, 2)
-    mask = tent(b, 8)
+    mask = tent_mask(cycle16, b.mask, 8)
     vals = np.zeros((cycle16.n, 9))
     vals[mask] = 1.0
     stf = SpaceTimeFunction(cycle16, vals)
@@ -513,7 +513,7 @@ def test_tent_atom_entries_round_trip(cycle16):
     # a dense atom is kept as its nonzero entries, row-major, and the
     # dense view gives the array back
     b = ball(cycle16, 3, 2)
-    vals = np.where(tent(b, 8), 0.25, 0.0)
+    vals = np.where(tent_mask(cycle16, b.mask, 8), 0.25, 0.0)
     vals[3, 1] = 0.0
     atom = TentAtom(b, SpaceTimeFunction(cycle16, vals), 1.0)
     e = atom.values
