@@ -7,7 +7,7 @@ vertex measure m."""
 from .calculus import (
     SpectralOracle,
     Spectrum,
-    bz1_product,
+    bz1_block,
     bz2_apply,
     gaffney_fit,
     spectral,

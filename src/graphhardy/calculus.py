@@ -35,7 +35,7 @@ applied after every product.  lambda_star is read from the graph's
 spectrum record (`spectrum`): the oracle's up to ORACLE_MAX_N, certified
 by spectrum slicing above it.  `delta_power_apply`, `resolvent_apply`,
 `bz2_apply`, `lusin_tail_apply` and `synthesis_tail_apply` each reach
-`phi_apply` with their symbol; `bz1_product` is a product of walks.
+`phi_apply` with their symbol; `bz1_block` combines stored powers of P.
 
 A sequence of scales (the sup over s of the BMO norm, the Davies-Gaffney
 decay curves) is evaluated as one block, one column per scale: the oracle
@@ -70,8 +70,8 @@ import scipy.sparse.linalg as spla
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk, UncertifiedSpectrum)
 from .graphs import WeightedGraph, set_distance
-from .operators import (apply_P, chebyshev_blocks, delta_steps, gradient, heat_sweep, lp_norm,
-                        mean_project, spectral_interval)
+from .operators import (chebyshev_blocks, delta_steps, gradient, heat_sweep, lp_norm, mean_project,
+                        spectral_interval)
 
 # Largest n the dense oracle is built for: its eigh costs 0.04 s at
 # n = 256 and 0.73 s at n = 1,024 (one BLAS thread), while the
@@ -612,11 +612,19 @@ def bz2_apply(g: WeightedGraph, f, s, M: int):
     return (f[:, None] if np.ndim(s) else f) + phi_apply(g, f, Bz2(M), s, GAFFNEY_TOL)
 
 
-def bz1_product(g: WeightedGraph, x, times):
-    """(I - P^{t_1}) ... (I - P^{t_M}) x for a float x, whatever the t_i."""
-    for t in times:
-        x = x - apply_P(g, x, t)
-    return x
+def bz1_block(table: np.ndarray, tuples) -> np.ndarray:
+    """(I - P^{s_1})...(I - P^{s_M}) f for each tuple (s_1, ..., s_M),
+    one column each, by inclusion-exclusion over the stored powers
+    table[:, k] = P^k f (`operators.heat_sweep`), which must reach
+    k = s_1 + ... + s_M."""
+    M = len(tuples[0])
+    T = np.array(tuples, dtype=int).reshape(len(tuples), M)
+    out = np.zeros((table.shape[0], len(tuples)))
+    for bits in range(1 << M):
+        chosen = [(bits >> i) & 1 for i in range(M)]
+        sign = -1.0 if sum(chosen) % 2 else 1.0
+        out += sign * table[:, T @ np.array(chosen, dtype=int)]
+    return out
 
 
 # -- the whole-graph tail of a profile -------------------------------------------

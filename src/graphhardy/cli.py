@@ -163,7 +163,8 @@ def cmd_bmo(args):
 def cmd_riesz(args):
     g = _resolve_graph(args.graph)
     if args.suite == "molecules":
-        suite = molecule_suite(g, centers=range(0, g.n, max(1, g.n // args.n)))
+        k = min(args.n, g.n)
+        suite = molecule_suite(g, centers=[i * g.n // k for i in range(k)])
     else:
         rng = np.random.default_rng(args.seed)
         suite = [(f"random{i}", operators.random_mean_zero(g, rng))

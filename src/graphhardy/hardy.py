@@ -45,22 +45,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (bz2_apply, delta_power_apply, reproducing_l_max, require_mean_zero,
-                       resolvent_apply, spectrum)
+from .calculus import (bz1_block, bz2_apply, delta_power_apply, reproducing_l_max,
+                       require_mean_zero, resolvent_apply, spectrum)
 from .errors import FactorizationMismatch, NonConvergent, NotExactForm, SizeBoundViolated
 from .graphs import (Ball, WeightedGraph, annulus_rings, ball, ball_matrices, cached_geometry,
                      row_blocks)
 from .operators import (
     EdgeFunction,
-    apply_P,
     delta_steps,
     differential,
     divergence,
+    heat_sweep,
     inner,
     lp_norm,
     lp_norm_forms,
     tx_norms,
-    weighted_powers,
 )
 from .quadratic import ProfileTail, SpaceTimeFunction, default_l_max
 from .tentspace import TentAtom, TentDecomposition, atomic_decompose, horner_synthesis
@@ -231,8 +230,7 @@ def _pre_images(g: WeightedGraph, kind: str, M: int, X: np.ndarray,
     if kind == "bz2":
         b = X
         for _ in range(M):
-            step = apply_P(g, b)
-            np.subtract(b, step, out=step)
+            step = delta_steps(g, b.copy(), 1)
             step *= s
             step += b
             step /= s
@@ -360,7 +358,8 @@ def _profile(g: WeightedGraph, u, beta: float, l_max, potential, order: float, r
     closed-form tail (`ProfileTail`) of the potential(), u = Delta^order
     potential(), with its reach and tol."""
     L = default_l_max(g) if l_max is None else l_max
-    values = weighted_powers(g, u, [(l + 1.0) ** beta for l in range(L + 1)])
+    values = heat_sweep(g, u, range(L + 1))
+    values *= [(l + 1.0) ** beta for l in range(L + 1)]
     if l_max is not None:
         return SpaceTimeFunction(g, values)
     return SpaceTimeFunction(g, values, ProfileTail(g, potential(), order, beta, L, reach, tol))
@@ -482,19 +481,6 @@ class BmoReport:
         return json.dumps(vars(self), default=vars)
 
 
-def _bz1_block(PK: np.ndarray, tuples) -> np.ndarray:
-    """(I - P^{s_1})...(I - P^{s_M}) f for each tuple, one column each,
-    from the precomputed P^k f columns of PK."""
-    M = len(tuples[0])
-    T = np.array(tuples, dtype=int).reshape(len(tuples), M)
-    out = np.zeros((PK.shape[0], len(tuples)))
-    for bits in range(1 << M):
-        chosen = [(bits >> i) & 1 for i in range(M)]
-        sign = -1.0 if sum(chosen) % 2 else 1.0
-        out += sign * PK[:, T @ np.array(chosen, dtype=int)]
-    return out
-
-
 TUPLE_EXHAUSTIVE_CAP = 4096
 
 
@@ -528,7 +514,7 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
     best = (-1.0, None)
     scales = {}  # the s of each enumeration, exhaustive ones first
     if kind == "bz1":
-        PK = weighted_powers(g, f, np.ones(2 * s_max * M + 1))
+        PK = heat_sweep(g, f, range(2 * s_max * M + 1))
     else:
         A = bz2_apply(g, f, range(1, s_max + 1), M)
     rng = np.random.default_rng(seed)
@@ -551,7 +537,7 @@ def bmo_norm(g: WeightedGraph, f, kind: str, M: int, s_max: int,
             for c in candidates:
                 first.setdefault(c, s)
         for chunk in row_blocks(list(first), g.n):
-            U = A[:, np.subtract(chunk, 1)] if kind == "bz2" else _bz1_block(PK, chunk)
+            U = A[:, np.subtract(chunk, 1)] if kind == "bz2" else bz1_block(PK, chunk)
             local = (B @ (U * U * g.m[:, None])) / vols[:, None]
             xs = np.argmax(local, axis=0)
             vals = np.sqrt(local[xs, np.arange(len(chunk))])

@@ -49,15 +49,15 @@ _COUNT_LOCK = threading.Lock()
 
 # -- the pool ------------------------------------------------------------
 
-def thread_cap(default=4) -> int:
-    """The cores this process may run on, up to `default`: the number of
-    parts `run_parts` runs at once, and of column groups in a block
+def thread_cap() -> int:
+    """The cores this process may run on, up to 4: the number of parts
+    `run_parts` runs at once, and of column groups in a block
     `quadratic.lusin`.  The caller still sets the BLAS thread count."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cores = os.cpu_count() or 1
-    return max(1, min(default, cores))
+    return max(1, min(4, cores))
 
 
 def _run_part(fn, part):
@@ -416,21 +416,6 @@ def heat_sweep(g: WeightedGraph, f, s_values):
     for lo, rows in level_blocks(g, f, int(steps.max(initial=-1))):
         hit = np.flatnonzero((steps >= lo) & (steps < lo + len(rows)))
         out[:, hit] = np.moveaxis(rows[steps[hit] - lo], 0, 1)
-    return out
-
-
-def weighted_powers(g: WeightedGraph, f, weights) -> np.ndarray:
-    """The (n, L + 1) array whose column l is weights[l] P^l f, L =
-    len(weights) - 1, with exactly L sparse products; an (n, k) block f
-    gives an (n, L + 1, k) array.  Each chunk of the walk is weighted in
-    place and written into its columns with one transposed copy."""
-    weights = np.asarray(weights, dtype=float)
-    f = np.asarray(f, dtype=float)
-    out = np.empty((g.n, len(weights)) + f.shape[1:])
-    for lo, rows in level_blocks(g, f, len(weights) - 1):
-        hi = lo + len(rows)
-        rows *= np.reshape(weights[lo:hi], (-1,) + (1,) * f.ndim)
-        out[:, lo:hi] = np.moveaxis(rows, 0, 1)
     return out
 
 

@@ -390,10 +390,6 @@ def tent_functional(g: WeightedGraph, F: SpaceTimeFunction) -> np.ndarray:
     return tent_functional_of_terms(g, lusin_terms(F), tail_mass(F))
 
 
-def t1_norm(g: WeightedGraph, F: SpaceTimeFunction) -> float:
-    return lp_norm(g, tent_functional(g, F), 1)
-
-
 def form_potential(g: WeightedGraph, F: EdgeFunction):
     """Delta^{-1/2} d* F, whose quadratic norm is that of the exact 1-form F;
     k forms give an (n, k) block.  d* F has zero mean by antisymmetry, so

@@ -23,12 +23,13 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .calculus import bz1_product, bz2_apply, delta_power_apply, require_mean_zero
+from .calculus import bz1_block, bz2_apply, delta_power_apply, require_mean_zero
 from .graphs import WeightedGraph, ball
 from .operators import (
     EdgeFunction,
     differential,
     gradient,
+    heat_sweep,
     lp_norm,
     lp_norm_forms,
     thread_cap,  # noqa: F401  (re-exported: benchmark run metadata reads riesz.thread_cap)
@@ -117,7 +118,7 @@ def molecule_suite(g: WeightedGraph, s_values=(1, 4, 16, 64), kind="bz1",
             B = ball(g, x, r)
             b = B.mask.astype(float) / B.volume
             if kind == "bz1":
-                a = bz1_product(g, b, (s,) * M)
+                a = bz1_block(heat_sweep(g, b, range(M * s + 1)), [(s,) * M])[:, 0]
             else:
                 a = bz2_apply(g, b, s, M)
             suite.append((f"{kind}(s={s},x={x})", a))

@@ -39,7 +39,6 @@ the scan's output by the molecule stage.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -163,17 +162,6 @@ class TentDecomposition:
     residual_t22: float
     sum_abs_lambda: float
     t1_norm: float = 0.0  # ||A F||_1 of the decomposed F
-
-    def to_json(self):
-        return json.dumps({
-            "atoms": [
-                {"lambda": lam, "center": int(atom.ball.center),
-                 "radius": float(atom.ball.radius), "t22_norm": atom.t22_norm}
-                for lam, atom in self.coefficients
-            ],
-            "residual_t22": self.residual_t22,
-            "sum_abs_lambda": self.sum_abs_lambda,
-        })
 
 
 def _whitney_balls(g: WeightedGraph, rho: np.ndarray):

@@ -25,7 +25,7 @@ def workers(monkeypatch):
     report them, for the rest of the test."""
     def pin(count):
         for module in (operators, quadratic):
-            monkeypatch.setattr(module, "thread_cap", lambda default=4: count)
+            monkeypatch.setattr(module, "thread_cap", lambda: count)
     return pin
 
 

@@ -12,6 +12,9 @@ how often the power sequence is walked.  `delta_power_exact` and
 any graph the oracle takes, the references the automatic-path functions
 and the certified series objects are compared against; `cesaro_mean` is
 the walk's Cesaro mean Q_s, which factors the bz1 product through bz2.
+`bz1` is the package's bz1 of one vector, a column of `calculus.bz1_block`
+on the `heat_sweep` table of its powers, as the Riesz suite takes it, and
+`bz1_walks` the same product by nested walks, its reference.
 `reproducing_l_max_mpmath` finds the reproducing horizon at 50 digits,
 the reference of `calculus.reproducing_l_max`.
 `chebyshev_terms` is the three-term recurrence one `markov_step` at a
@@ -50,7 +53,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from graphhardy import zoo
-from graphhardy.calculus import (SeriesOperator, binomial_coefficients, bz2_apply,
+from graphhardy.calculus import (SeriesOperator, binomial_coefficients, bz1_block, bz2_apply,
                                  delta_power_apply, require_mean_zero, resolvent_apply,
                                  spectral, spectrum)
 from graphhardy.errors import NonConvergent
@@ -58,8 +61,8 @@ from graphhardy.graphs import (Ball, annulus_rings, ball, build_graph, cached_ge
                                level_set_depths)
 from graphhardy.hardy import _profile, synthesize_molecules
 from graphhardy.operators import (EdgeFunction, apply_P, differential, divergence, gradient,
-                                  horner, level_blocks, lp_norm, markov_step, mean_project,
-                                  tx_norms)
+                                  heat_sweep, horner, level_blocks, lp_norm, markov_step,
+                                  mean_project, tx_norms)
 from graphhardy.quadratic import SpaceTimeFunction, form_potential, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import (SpaceTimeEntries, TentAtom, TentDecomposition,
@@ -124,6 +127,22 @@ def cesaro_mean(g, f, s):
     """Q_s f = (1/s) sum_{k<s} P^k f, the Cesaro mean of the walk over s
     levels."""
     return sum(step_powers(g, f, s - 1)) / s
+
+
+def bz1(g, f, times):
+    """(I - P^{t_1}) ... (I - P^{t_M}) f for a vector f, by
+    `calculus.bz1_block` on the table P^0 f, ..., P^{t_1 + ... + t_M} f of
+    one `heat_sweep`."""
+    return bz1_block(heat_sweep(g, f, range(sum(times) + 1)), [tuple(times)])[:, 0]
+
+
+def bz1_walks(g, f, times):
+    """(I - P^{t_1}) ... (I - P^{t_M}) f by nested walks, x <- x - P^t x
+    one `markov_step` at a time, for each t in turn."""
+    x = np.asarray(f, dtype=float)
+    for t in times:
+        x = x - step_powers(g, x, t)[-1]
+    return x
 
 
 def chebyshev_terms(g, f, N, interval=(-1.0, 1.0), deflate=False):

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import (binomial_series, cesaro_mean, delta_power_exact, exp_decay_bound,
-                     exp_decay_constants, family_per_s, gradient_gaffney_constant,
-                     reproducing_check, resolvent_exact, resolvent_frac_coefficients,
-                     taylor_delta_power)
+from oracles import (binomial_series, bz1, bz1_walks, cesaro_mean, delta_power_exact,
+                     exp_decay_bound, exp_decay_constants, family_per_s,
+                     gradient_gaffney_constant, reproducing_check, resolvent_exact,
+                     resolvent_frac_coefficients, taylor_delta_power)
 
 from graphhardy import calculus, zoo
 from graphhardy.calculus import (
@@ -13,7 +13,7 @@ from graphhardy.calculus import (
     DeltaPower,
     Resolvent,
     binomial_coefficients,
-    bz1_product,
+    bz1_block,
     bz2_apply,
     delta_power_apply,
     gaffney_fit,
@@ -33,12 +33,12 @@ from graphhardy.graphs import build_graph, geometry_report
 from graphhardy.operators import (
     apply_P,
     gradient,
+    heat_sweep,
     inner,
     laplacian,
     lp_norm,
     mean_project,
     random_mean_zero,
-    spectral_interval,
     spectral_interval,
 )
 from graphhardy.zoo import binary_tree, lazy_cycle, lazy_torus_2d
@@ -205,13 +205,43 @@ def test_resolvent_frac_series_matches_loop(cycle16, s, power):
 
 def test_a_s_kills_constants(cycle16):
     ones = np.ones(cycle16.n)
-    assert lp_norm(cycle16, bz1_product(cycle16, ones, (2, 3)), 2) < 1e-12
+    assert lp_norm(cycle16, bz1(cycle16, ones, (2, 3)), 2) < 1e-12
     assert lp_norm(cycle16, bz2_apply(cycle16, ones, 3, 2), 2) < 1e-12
 
 
 def test_a_s_k2l(k2l, f0):
-    np.testing.assert_allclose(bz1_product(k2l, f0, (1,)), f0, atol=1e-14)
+    np.testing.assert_allclose(bz1(k2l, f0, (1,)), f0, atol=1e-14)
     np.testing.assert_allclose(cesaro_mean(k2l, f0, 2), f0 / 2, atol=1e-14)
+
+
+BZ1_GRAPHS = {
+    "cycle16": lambda: zoo.lazy_cycle(16),
+    "path9": lambda: zoo.lazy_path(9),
+    "torus8": lambda: zoo.lazy_torus_2d(8),
+    "tree4": lambda: zoo.binary_tree(4),
+    "cycle12_random": lambda: zoo.random_weights(zoo.lazy_cycle(12), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BZ1_GRAPHS))
+def test_bz1_block_of_a_sweep_is_the_nested_walks(name):
+    # the one bz1 combines the stored powers P^k x of one walk by
+    # inclusion-exclusion: at M = 1 its column is x - P^s x bit for bit
+    # (the Riesz suite of the CLI and the benchmark), and at M = 2 and 3
+    # it is the nested walks x <- x - P^t x to rounding
+    g = BZ1_GRAPHS[name]()
+    x = np.random.default_rng(7).standard_normal(g.n)
+    table = heat_sweep(g, x, range(3 * 16 + 1))
+    singles = [(s,) for s in (1, 4, 16)]
+    got = bz1_block(table, singles)
+    for j, (s,) in enumerate(singles):
+        want = x - apply_P(g, x, s)
+        assert got[:, j].tobytes() == want.tobytes(), s
+    for tuples in ([(1, 1), (4, 4), (16, 16), (2, 5)], [(3, 3, 3), (16, 16, 16), (5, 1, 9)]):
+        got = bz1_block(table, tuples)
+        for j, times in enumerate(tuples):
+            want = bz1_walks(g, x, times)
+            assert np.max(np.abs(got[:, j] - want)) <= 1e-14 * np.max(np.abs(want)), times
 
 
 def test_bz2_matches_delta_resolvent_form(cycle16, rng):

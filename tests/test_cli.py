@@ -127,6 +127,21 @@ def test_riesz_seed_reproduces_bytes(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("n, centres", [
+    (5, [0, 3, 6, 9, 12]),
+    (6, [0, 2, 5, 8, 10, 13]),
+    (8, [0, 2, 4, 6, 8, 10, 12, 14]),
+    (20, list(range(16))),
+])
+def test_riesz_n_runs_n_centres(capsys, n, centres):
+    # --n N runs the min(N, n) centres i n // N, each at the suite's four
+    # scales; where N divides n they are the evenly spaced ones
+    assert main(["riesz", "lazy_cycle_16", "--n", str(n)]) == 0
+    labels = [e["label"] for e in json.loads(capsys.readouterr().out)["entries"]]
+    assert len(labels) == 4 * len(centres)
+    assert sorted({int(label.split("x=")[1].rstrip(")")) for label in labels}) == centres
+
+
 @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-3"], ["--suite", "random", "--n", "0"]])
 def test_riesz_n_below_one_is_refused(capsys, argv):
     # no centre step of zero, no silent run of every centre, no empty

@@ -6,12 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import (annuli_by_masks, ball_matrix_dense, cesaro_mean, delta_power_exact,
+from oracles import (annuli_by_masks, ball_matrix_dense, bz1, cesaro_mean, delta_power_exact,
                      form_profile, horner_synthesis_levels_first, lusin_tail_mass_exact,
                      m0_norm, make_form_molecule_from_tent_atom, tent_mask, top_level)
 
 from graphhardy import calculus, graphs, hardy
-from graphhardy.calculus import bz1_product, bz2_apply, require_mean_zero
+from graphhardy.calculus import bz2_apply, require_mean_zero
 from graphhardy.errors import (
     FactorizationMismatch,
     NotExactForm,
@@ -103,7 +103,7 @@ def test_validator_refuses_other_kinds(cycle16):
     # of the BMO sup and the Riesz suite, not a molecule kind
     B = ball(cycle16, 0, 1)
     b = B.mask / B.volume
-    mol = Molecule("bz1", 1, math.inf, 1, B, b, bz1_product(cycle16, b, (1,)))
+    mol = Molecule("bz1", 1, math.inf, 1, B, b, bz1(cycle16, b, (1,)))
     with pytest.raises(ValueError, match="'bz1'"):
         validate_molecule(mol)
 
@@ -791,14 +791,14 @@ def test_bmo_norm_evaluates_each_tuple_once_per_ball(monkeypatch, cycle16, M, co
     # their boxes is one local-mass column: at M = 1 the boxes [s, 2s] of
     # radius r cover [(r - 1)^2 + 1, 2 r^2], 2 + 7 + 14 + 23 tuples up to
     # s = 16, where a walk over s takes sum (s + 1)^M (152 and 1,784)
-    bz1_block = hardy._bz1_block
+    bz1_block = hardy.bz1_block
     received = []
 
     def counted(PK, tuples):
         received.append(len(tuples))
         return bz1_block(PK, tuples)
 
-    monkeypatch.setattr(hardy, "_bz1_block", counted)
+    monkeypatch.setattr(hardy, "bz1_block", counted)
     f = random_mean_zero(cycle16, np.random.default_rng(15))
     assert bmo_norm(cycle16, f, "bz1", M, 16).enumeration_policy == "exhaustive s<=16"
     assert sum(received) == columns
@@ -814,7 +814,7 @@ def test_bmo_norm_reports_a_shared_tuple_at_its_first_scale(monkeypatch, cycle16
         out[0, [t in ((11,), (12,)) for t in tuples]] = 1.0
         return out
 
-    monkeypatch.setattr(hardy, "_bz1_block", spike)
+    monkeypatch.setattr(hardy, "bz1_block", spike)
     monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", cycle16.n)
     rep = bmo_norm(cycle16, np.zeros(cycle16.n), "bz1", 1, 16)
     assert rep.argmax == {"s": 6, "times": [11], "center": 0, "radius": 3}
@@ -885,7 +885,7 @@ def test_bz1_product_equals_q_factored_bz2(cycle16, rng):
     # (I-P^{s1})...(I-P^{sM}) = prod[(s_i/s) Q_{s_i} + (I-P^{s_i})] (I-(I+sD)^{-1})^M
     f = rng.standard_normal(cycle16.n)
     s, times = 3, (3, 5)
-    lhs = bz1_product(cycle16, f, times)
+    lhs = bz1(cycle16, f, times)
     rhs = bz2_apply(cycle16, f, s, len(times))
     for si in times:
         rhs = (si / s) * cesaro_mean(cycle16, rhs, si) + (

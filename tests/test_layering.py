@@ -4,20 +4,21 @@ the level walk, the kernel chains, the chunked walk on them and scipy's
 kernels that run them, the Chebyshev walk and its certified interval,
 the Chebyshev interpolant and its column cache, the oracle/series
 choice, the spectral oracle, the spectrum record, the series object,
-the Horner scan, the weighted level walk, the tail's symbols, the
-reproducing error, the cone sum, the Lusin terms, the ball matrices, the
-breadth-first set search, the annulus ring table, the level-set depths,
-the bz1 product, the molecular pipeline body, the molecule validator's
-rederivation, size table and report, and the kernel error may be
-reached only from the modules and functions listed here; the exact
-Delta^k step, the pipeline body, the ring table and the depths are
-defined once; every operator reaches `phi_apply` as a symbol, never as
-a lambda; every module-level definition is read by a package module
-(the CLI and the fixtures included), an export being no caller, unless
-UNCALLED gives it a reason; scipy's private sparse kernels are imported
-by `operators` alone, so are threads, whose one pool only the square
-functions reach, `hardy` imports nothing of `riesz`, and no module
-imports a private name of another."""
+the Horner scan, the tail's symbols, the reproducing error, the cone
+sum, the Lusin terms, the ball matrices, the breadth-first set search,
+the annulus ring table, the level-set depths, the bz1 block, the
+molecular pipeline body, the molecule validator's rederivation, size
+table and report, and the kernel error may be reached only from the
+modules and functions listed here; the exact Delta^k step, the bz1
+block, the pipeline body, the ring table and the depths are defined
+once; every operator reaches `phi_apply` as a symbol, never as a
+lambda; every module-level definition is read by a package module (the
+CLI and the fixtures included) as a bare name or as an attribute of a
+module, `self` or `cls`, an export or a field of the same name being no
+caller, unless UNCALLED gives it a reason; scipy's private sparse
+kernels are imported by `operators` alone, so are threads, whose one
+pool only the square functions reach, `hardy` imports nothing of
+`riesz`, and no module imports a private name of another."""
 
 import ast
 from pathlib import Path
@@ -29,21 +30,19 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "graphhardy"
 # callee -> (modules where any call is allowed, "module.function" allowed)
 ALLOWED = {
     # every product with the matrix is counted: it is read by the counted
-    # step, by the chain builder of the level walk (which
-    # `weighted_powers` and the Horner scan consume) and of the Chebyshev
+    # step, by the chain builder of the level walk (which `heat_sweep`
+    # and the Horner scan consume) and of the Chebyshev
     # recurrence, and by the Gershgorin interval, which makes no product
     "markov_matrix": (set(), {"operators.markov_step", "operators._chain",
                               "operators.spectral_interval"}),
     "markov_step": ({"operators"}, set()),
-    # the square functions and the Riesz transform read every P^l f from
-    # the walks, and every exact Delta^k is `operators.delta_steps`; the
-    # other sites apply other polynomials in P: the bz1 product P^t, the
-    # bz2 pre-image (I + s Delta)/s and the synthesis factor (I + P)^eta
-    "apply_P": ({"operators"}, {"calculus.bz1_product", "hardy._pre_images",
-                                "tentspace.horner_synthesis"}),
-    # one bz1 product, for the Riesz molecule suite (the BMO sup combines
-    # its own P^k f table)
-    "bz1_product": (set(), {"riesz.molecule_suite"}),
+    # every stored P^l f is read from the walks and every exact Delta^k
+    # is `operators.delta_steps`; the one other site applies another
+    # polynomial in P, the synthesis factor (I + P)^eta
+    "apply_P": ({"operators"}, {"tentspace.horner_synthesis"}),
+    # one bz1, combining a table of stored powers, for the BMO sup and the
+    # Riesz molecule suite
+    "bz1_block": (set(), {"hardy.bmo_norm", "riesz.molecule_suite"}),
     # one molecular pipeline body for functions and forms
     "_decompose": (set(), {"hardy.molecular_decompose", "hardy.form_molecular_decompose"}),
     "_kernel_step": (set(), {"operators.markov_step"}),
@@ -94,11 +93,9 @@ ALLOWED = {
     # every cone sum runs its column groups through one function, which
     # the Lusin function feeds with the walk of each group
     "_cone_columns": (set(), {"quadratic.lusin", "quadratic._cone_accumulate"}),
-    # the Horner scan reads stored levels only, in the synthesis; the
-    # weighted level walk builds the profile and the bz1 table of the BMO
-    # sup, and no tail is walked
+    # the Horner scan reads stored levels only, in the synthesis, and no
+    # tail is walked
     "horner": (set(), {"tentspace.horner_synthesis"}),
-    "weighted_powers": ({"operators", "hardy"}, set()),
     # the tail's symbols are applied by the tail alone: its Lusin mass
     # and its share of a synthesis
     "lusin_tail_apply": (set(), {"quadratic.mass"}),
@@ -185,10 +182,9 @@ def test_scanner_sees_calls(calls):
     assert ("_column", "calculus.series") in calls
     assert ("markov_step", "operators.apply_P") in calls
     assert ("apply_P", "operators.delta_steps") in calls
-    assert ("apply_P", "calculus.bz1_product") in calls
-    assert ("apply_P", "hardy._pre_images") in calls
     assert ("apply_P", "tentspace.horner_synthesis") in calls
-    assert ("bz1_product", "riesz.molecule_suite") in calls
+    assert ("bz1_block", "hardy.bmo_norm") in calls
+    assert ("bz1_block", "riesz.molecule_suite") in calls
     assert ("_decompose", "hardy.molecular_decompose") in calls
     assert ("_decompose", "hardy.form_molecular_decompose") in calls
     assert ("has_oracle", "calculus.spectrum") in calls
@@ -213,8 +209,6 @@ def test_scanner_sees_calls(calls):
     assert ("ValidationReport", "hardy._validate_block") in calls
     assert ("KernelComponent", "calculus.require_mean_zero") in calls
     assert ("horner", "tentspace.horner_synthesis") in calls
-    assert ("weighted_powers", "hardy._profile") in calls
-    assert ("weighted_powers", "hardy.bmo_norm") in calls
     assert ("lusin_tail_apply", "quadratic.mass") in calls
     assert ("synthesis_tail_apply", "quadratic.share") in calls
     assert ("ThreadPoolExecutor", "operators.run_parts") in calls
@@ -236,6 +230,8 @@ UNCALLED = {
     "quadratic.lusin_tilde": "the paper's linear-cone square function (item 25)",
     "quadratic.g_littlewood": "the paper's Littlewood-Paley g-function (item 25)",
     "quadratic.quad_norm_forms": "the paper's quadratic norm of 1-forms",
+    "quadratic.tent_functional": "the paper's tent functional A F, whose L^1 norm is the "
+                                 "T^1 norm; the decomposition sums its Lusin terms itself",
     "operators.laplacian": "Delta = I - P, the operator every norm is built from",
     "hardy.duality_pairing": "the H^1-BMO pairing of a decomposition (item 21)",
     "hardy.form_molecular_decompose": "the molecular pipeline of 1-forms (item 20)",
@@ -246,15 +242,25 @@ UNCALLED = {
 }
 
 
-def _references(tree):
-    """Every name a module reads, bare or as an attribute, outside the
-    module-level definition of that same name (so recursion is no caller)."""
+def _references(tree, modules):
+    """Every name a module reads, as a bare name or as an attribute of a
+    package module, `self` or `cls`, outside the module-level definition
+    of that same name (so recursion is no caller).  An attribute of any
+    other object, a dataclass field such as `tdec.t1_norm` say, reads no
+    module-level name."""
+    owners = set(modules) | {"self", "cls"}
     out = set()
     for stmt in tree.body:
         own = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
-            name = getattr(node, "id", getattr(node, "attr", None))
-            if name is not None and name != own:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in owners):
+                name = node.attr
+            else:
+                continue
+            if name != own:
                 out.add(name)
     return out
 
@@ -264,7 +270,7 @@ def test_every_definition_has_a_caller(trees):
     # function and class is read by a package module (the CLI and the
     # fixtures of `zoo` included), unless UNCALLED gives it a reason; an
     # export in `__init__` is no caller
-    reached = set().union(*(_references(tree) for module, tree in trees.items()
+    reached = set().union(*(_references(tree, trees) for module, tree in trees.items()
                             if module != "__init__"))
     uncalled = {f"{module}.{node.name}" for module, tree in trees.items()
                 if module not in ("zoo", "cli") for node in tree.body
@@ -275,10 +281,10 @@ def test_every_definition_has_a_caller(trees):
 
 
 def test_steps_and_pipeline_have_one_definition():
-    # the exact step Delta^k, the bz1 product, the pipeline body, the
+    # the exact step Delta^k, the bz1 block, the pipeline body, the
     # annulus ring table and the level-set depths are each defined once,
     # in their home module
-    homes = {"delta_steps": "operators", "bz1_product": "calculus", "_decompose": "hardy",
+    homes = {"delta_steps": "operators", "bz1_block": "calculus", "_decompose": "hardy",
              "annulus_rings": "graphs", "level_set_depths": "graphs"}
     defined = sorted((node.name, path.stem) for path in sorted(SRC.glob("*.py"))
                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

@@ -12,6 +12,7 @@ from oracles import chebyshev_terms, counting_markov, form_profile, graphs
 
 from graphhardy import operators, zoo
 from graphhardy.graphs import build_graph
+from graphhardy.calculus import delta_power_apply
 from graphhardy.hardy import heat_profile
 from graphhardy.operators import (
     LEVEL_CHUNK,
@@ -24,7 +25,6 @@ from graphhardy.operators import (
     markov_matrix,
     markov_step,
     spectral_interval,
-    weighted_powers,
 )
 from graphhardy.quadratic import SpaceTimeFunction
 from graphhardy.tentspace import SpaceTimeEntries, horner_synthesis
@@ -80,7 +80,7 @@ def test_step_rejects_a_foreign_shape(cycle16):
         with pytest.raises(ValueError):
             next(level_blocks(cycle16, bad, 3))
         with pytest.raises(ValueError):
-            weighted_powers(cycle16, bad, [1.0, 1.0])
+            heat_sweep(cycle16, bad, [0, 1])
 
 
 def test_walks_count_one_product_per_step():
@@ -113,19 +113,20 @@ def test_delta_steps_work_in_place(k, shape):
 
 @pytest.mark.parametrize("levels", [1, 2, LEVEL_CHUNK, LEVEL_CHUNK + 1, 2 * LEVEL_CHUNK + 3])
 def test_weighted_powers_match_the_loop(levels):
-    # column l is weights[l] P^l f bit for bit, across chunk boundaries,
-    # with exactly levels - 1 products; f itself is left untouched
+    # the heat profile's stored level l is the weighted power
+    # (l + 1)^beta P^l u, u = Delta^beta f, bit for bit the loop, across
+    # chunk boundaries, with exactly levels - 1 products (Delta^beta is
+    # the oracle's, which makes none); f itself is left untouched
     g = zoo.random_weights(zoo.lazy_torus_2d(5), 4)
     f = np.random.default_rng(2).standard_normal(g.n)
     keep = f.copy()
-    weights = [(l + 1.0) ** 0.5 for l in range(levels)]
+    u = delta_power_apply(g, f, 0.5)
     W = counting_markov(g)
-    got = weighted_powers(g, f, weights)
+    got = heat_profile(g, f, 0.5, levels - 1).values
     assert W.products == levels - 1
     want = np.empty((g.n, levels))
-    u = f
-    for l, w in enumerate(weights):
-        want[:, l] = w * u
+    for l in range(levels):
+        want[:, l] = (l + 1.0) ** 0.5 * u
         u = markov_matrix(g) @ u
     assert _same_bits(got, want) and got.flags.c_contiguous
     assert np.array_equal(f, keep)
@@ -176,11 +177,10 @@ def test_level_walk_consumers_are_bit_identical(monkeypatch, chunk, L, width):
         seen += list(rows)
     assert len(seen) == L + 1
     assert all(_same_bits(a, b) for a, b in zip(seen, want))
-    weights = np.linspace(0.5, 2.0, L + 1)
-    got = counted(lambda: weighted_powers(g, f, weights))
+    got = counted(lambda: heat_sweep(g, f, range(L + 1)))
     assert got.shape == (g.n, L + 1) + shape[1:]
     for l in range(L + 1):
-        assert _same_bits(got[:, l], weights[l] * want[l])
+        assert _same_bits(got[:, l], want[l])
     s = [L, L // 2, 0, L, min(1, L), L // 2]  # unsorted, with repeats
     got = counted(lambda: heat_sweep(g, f, s))
     assert got.shape == (g.n, len(s)) + shape[1:]
@@ -397,7 +397,6 @@ def test_chains_keep_the_index_type(index):
 def test_level_walk_yields_nothing_below_level_zero():
     g = zoo.lazy_cycle(8)
     assert list(level_blocks(g, np.ones(g.n), -1)) == []
-    assert weighted_powers(g, np.ones(g.n), []).shape == (g.n, 0)
     assert heat_sweep(g, np.ones(g.n), []).shape == (g.n, 0)
     assert list(chebyshev_blocks(g, np.ones(g.n), -1)) == []
     assert g.matvec_calls == 0
@@ -447,15 +446,16 @@ def test_horner_synthesis_scan_makes_top_products():
 
 
 def test_profile_walk_keeps_one_profile():
-    # the walk writes into the profile it returns: no second
-    # (n, l_max + 1) array, only LEVEL_CHUNK rows beside it
+    # the walk writes into the profile it returns and the weights scale
+    # it in place: no second (n, l_max + 1) array, only LEVEL_CHUNK rows
+    # beside it (the spectral oracle of Delta^beta is built before)
     g = zoo.lazy_torus_2d(16)
     f = np.random.default_rng(6).standard_normal(g.n)
     l_max = 2000
-    weights = [(l + 1.0) ** 1.0 for l in range(l_max + 1)]
+    delta_power_apply(g, f, 1.0)
     tracemalloc.start()
     try:
-        weighted_powers(g, f, weights)
+        heat_profile(g, f, 1.0, l_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

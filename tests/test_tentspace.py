@@ -34,7 +34,7 @@ from graphhardy.operators import (
     markov_matrix,
     random_mean_zero,
 )
-from graphhardy.quadratic import SpaceTimeFunction, t1_norm
+from graphhardy.quadratic import SpaceTimeFunction, tent_functional
 from graphhardy.tentspace import (
     SpaceTimeEntries,
     TentAtom,
@@ -220,7 +220,7 @@ def test_decompose_single_atom_idempotent(cycle16):
     assert atom.validate()
     dec = atomic_decompose(cycle16, atom.values)
     assert dec.residual_t22 <= 1e-14
-    assert dec.sum_abs_lambda <= 4.0 * t1_norm(cycle16, atom.values)
+    assert dec.sum_abs_lambda <= 4.0 * lp_norm(cycle16, tent_functional(cycle16, atom.values), 1)
 
 
 def test_sum_abs_lambda_band(cycle32):
@@ -230,7 +230,7 @@ def test_sum_abs_lambda_band(cycle32):
         rng = np.random.default_rng(seed)
         F = _random_profile(cycle32, rng)
         dec = atomic_decompose(cycle32, F)
-        ratios.append(dec.sum_abs_lambda / t1_norm(cycle32, F))
+        ratios.append(dec.sum_abs_lambda / lp_norm(cycle32, tent_functional(cycle32, F), 1))
     assert max(ratios) / min(ratios) <= 20.0
 
 
