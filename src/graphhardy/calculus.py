@@ -33,9 +33,10 @@ the tail symbols, it is deflated: its column is the interpolant on
 spectrum on mean-zero functions), walked with the m-mean projection Pi
 applied after every product.  lambda_star is read from the graph's
 spectrum record (`spectrum`): the oracle's up to ORACLE_MAX_N, certified
-by spectrum slicing above it.  `delta_power_apply`, `resolvent_apply`,
-`bz2_apply`, `lusin_tail_apply` and `synthesis_tail_apply` each reach
-`phi_apply` with their symbol; `bz1_block` combines stored powers of P.
+by spectrum slicing above it.  `delta_power_apply`, `resolvent_apply`
+and `bz2_apply` each reach `phi_apply` with their symbol, and
+`quadratic.ProfileTail` hands it `LusinTail` and `SynthesisTail` itself;
+`bz1_block` combines stored powers of P.
 
 A sequence of scales (the sup over s of the BMO norm, the Davies-Gaffney
 decay curves) is evaluated as one block, one column per scale: the oracle
@@ -729,7 +730,8 @@ class LusinTail(Symbol):
     |lam| <= R, |1 - lam|^{2 order} is at most (1 + R)^{2 order} for
     order >= 0 and (1 - R)^{2 order} below, and the sum, whose
     coefficients in lam^2 are nonnegative, is at most its value at R,
-    which `_power_tail_bound` bounds."""
+    which `_power_tail_bound` bounds.  At a = 2 beta - 1 it gives the
+    Lusin mass of a profile's tail (`quadratic.ProfileTail.mass`)."""
 
     K: int
     a: float
@@ -751,15 +753,6 @@ class LusinTail(Symbol):
                 * _power_tail_bound(R, self.K, self.a))
 
 
-def lusin_tail_apply(g: WeightedGraph, h, beta: float, order: float, K: int):
-    """chi(P) h for a mean-zero potential h of u = Delta^order h, with
-    chi(lam) = (1 - lam)^{2 order} sum_{l>K} (l+1)^{2 beta - 1} lam^{2l}:
-    <chi(P) h, h>_m = sum_{l>K} (l+1)^{2 beta - 1} ||P^l u||_m^2 is the
-    Lusin mass of the levels past K of the profile (l+1)^beta P^l u.  The
-    series runs at TAIL_TOL."""
-    return phi_apply(g, h, LusinTail(K, 2.0 * beta - 1.0, order), None, TAIL_TOL)
-
-
 @dataclass(frozen=True)
 class SynthesisTail(Symbol):
     """phi(lam) = ((1 + s(1 - lam))/s)^q (1 - lam)^power E(lam) on
@@ -767,7 +760,9 @@ class SynthesisTail(Symbol):
     the disc as `LusinTail`.  On |lam| <= R, |1 - lam|^power is at most
     (1 + R)^power for power >= 0 and (1 - R)^power below,
     |1 + s(1 - lam)| <= 1 + s(1 + R), and |E| is at most its terms'
-    moduli, `_binomial_head` at p = 1 + R^2."""
+    moduli, `_binomial_head` at p = 1 + R^2.  It gives the share of a
+    profile's tail in a molecule and its pre-image
+    (`quadratic.ProfileTail.share`)."""
 
     K: int
     eta: int
@@ -788,27 +783,6 @@ class SynthesisTail(Symbol):
         front = (1.0 + R) ** self.power if self.power >= 0 else (1.0 - R) ** self.power
         return (((1.0 + s * (1.0 + R)) / s) ** self.q * front
                 * _binomial_head(1.0 + R * R, R, self.K, self.eta))
-
-
-def synthesis_tail_apply(g: WeightedGraph, h, K: int, eta: int, power: float, s: float,
-                         q: float, tol: float):
-    """phi(P) h for a mean-zero potential h, phi of `SynthesisTail`,
-    within tol on the series path: the levels j > K of a synthesis
-    sum_j c_{j+1} Delta^exp (I + P)^eta P^{2j} u of a profile
-    (j+1)^beta P^j u, u = Delta^order h, are Delta^{exp + order - eta}
-    E(P) h (`_reproducing_error`).  A molecule reads them at power 0
-    (a = Delta^M X) and through its pre-image ((I + s Delta)/s)^q at
-    power -M (b = Q_s X), both bounded, E being in [0, 1] and
-    s (1 - lambda_star) large for the whole-graph atom.
-
-    The oracle applies phi; the series truncates its column at tol for
-    the norm of h, rounded down to a power of two so that inputs share
-    columns."""
-    norm = lp_norm(g, h, 2)
-    if norm == 0.0:
-        return np.zeros(g.n)
-    col_tol = 2.0 ** math.floor(math.log2(tol / norm))
-    return phi_apply(g, h, SynthesisTail(K, eta, power, q), s, col_tol)
 
 
 # -- Davies-Gaffney decay fits ----------------------------------------------

@@ -113,7 +113,7 @@ class WeightedGraph:
     Parameters
     ----------
     adjacency:
-        Symmetric nonnegative sparse matrix of edge weights mu_xy.
+        Symmetric nonnegative sparse matrix of finite edge weights mu_xy.
         Diagonal entries are self loops.
     labels:
         Optional original vertex ids (for file round trips).
@@ -129,6 +129,8 @@ class WeightedGraph:
         A.sort_indices()
         if A.shape[0] != A.shape[1]:
             raise ValueError("adjacency must be square")
+        if not np.isfinite(A.data).all():
+            raise ValueError(f"edge weight {A.data[~np.isfinite(A.data)][0]} is not finite")
         if (A != A.T).nnz != 0:
             raise ValueError("adjacency must be symmetric")
         if A.nnz and A.data.min() < 0:
@@ -336,16 +338,6 @@ class Ball:
     @cached_property
     def mask(self) -> np.ndarray:
         return self.graph.dist[self.center] < self.radius
-
-    @property
-    def members(self):
-        return np.where(self.mask)[0]
-
-    def scaled(self, lam) -> "Ball":
-        return ball(self.graph, self.center, lam * self.radius)
-
-    def __contains__(self, vertex):
-        return bool(self.mask[vertex])
 
 
 def ball(g: WeightedGraph, x: int, r) -> Ball:

@@ -8,9 +8,8 @@ of radius sqrt(s).  The pipeline makes two kinds:
 * bz2:  a = [I - (I + s Delta)^{-1}]^M b
 * form: a = s^{M+1/2} d Delta^M (I + s Delta)^{-M-1/2} b   (a 1-form)
 
-with ||b||_{L^2(C_j(B))} <= 2^{-j eps} V(2^j B)^{-1/2} for every ring,
-and the atom case (eps = inf) replaced by supp b in B together with
-||b||_2 <= V(B)^{-1/2}.
+with ||b||_{L^2(C_j(B))} <= 2^{-j eps} V(2^j B)^{-1/2} for every ring
+at a finite eps > 0: validation knows that one size rule, the annuli.
 
 Functions and forms share one pipeline (`_decompose`): profile (its
 levels up to diam^2 + 1 stored, the rest as a closed-form tail) -> tent
@@ -71,7 +70,7 @@ from .tentspace import TentAtom, TentDecomposition, atomic_decompose, horner_syn
 class Molecule:
     kind: str                  # "bz2" | "form"
     M: int
-    eps: float                 # math.inf marks an atom
+    eps: float
     s: int
     ball: Ball
     b: np.ndarray = field(repr=False)
@@ -137,14 +136,7 @@ def _size_table(g: WeightedGraph, eps: float, balls, b):
     """(measured, bounds): two (k, J) tables of the pre-images b (n, k)
     over `balls`, ||b[:, i]||_{L^2(C_j)} at [i, j - 1] against the bound
     2^{-j eps} V(2^j B)^{-1/2}, on the annuli of `annulus_rings` (those
-    past J_B are empty).  Atoms (eps = inf) are checked on the ball
-    instead: column 0 is max |b| outside B against 0, column 1 is ||b||_2
-    against V(B)^{-1/2}."""
-    if math.isinf(eps):
-        stray = np.abs(np.where(np.array([B.mask for B in balls]).T, 0.0, b)).max(axis=0)
-        bound = np.array([B.volume for B in balls]) ** -0.5
-        return (np.column_stack([stray, lp_norm(g, b, 2)]),
-                np.column_stack([np.zeros_like(bound), bound]))
+    past J_B are empty)."""
     ring, _, volumes = annulus_rings(g, balls)
     j = np.arange(1, volumes.shape[1] + 1)
     return _annulus_l2(g, ring, len(j), b), 2.0 ** (-j * eps) * volumes ** -0.5
@@ -177,18 +169,24 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, balls, b
     over = np.argwhere(measured > bounds * (1.0 + SIZE_TOL))
     if len(over):
         i, c = over[0]
-        # atoms number their two checks 0 and 1, annuli C_j from j = 1
-        raise SizeBoundViolated(int(c) + (not math.isinf(eps)),
-                                float(measured[i, c]), float(bounds[i, c]))
+        raise SizeBoundViolated(int(c) + 1, float(measured[i, c]), float(bounds[i, c]))
     return [ValidationReport(float(err), float(l1))
             for err, l1 in zip(fact_err, lp_norm(g, level_a, 1))]
+
+
+def _require_positive(name: str, value: float):
+    """ValueError unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, not {value!r}")
 
 
 def validate_molecule(mol: Molecule) -> ValidationReport:
     """Check factorization (to FACT_TOL), annulus size bounds (to
     SIZE_TOL) and measure the L^1 mass of a bz2 or form molecule: the
     one-molecule block of `_validate_block`, which raises on the first
-    failure (ValueError for any other kind)."""
+    failure (ValueError for any other kind, or for an eps that is not
+    finite and > 0)."""
+    _require_positive("eps", mol.eps)
     a = mol.a.data if mol.kind == "form" else np.asarray(mol.a, dtype=float)
     return _validate_block(mol.graph, mol.kind, mol.M, mol.eps, [mol.s], [mol.ball],
                            np.asarray(mol.b, dtype=float)[:, None], a[:, None])[0]
@@ -276,8 +274,7 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     with the a of the scan; the first molecule that fails raises the
     validator's own ValidationFailed.
     """
-    if math.isinf(eps):
-        raise ValueError("synthesized molecules need a finite eps")
+    _require_positive("eps", eps)
     eta, beta, exp = synthesis_orders(kind, M, beta, eps, d0)
     width = g.adjacency.nnz if kind == "form" else g.n
     if not tdec.coefficients:
@@ -339,7 +336,7 @@ class MolecularDecomposition:
         return json.dumps({
             "molecules": [
                 {"lambda": lam, "kind": mol.kind, "M": mol.M,
-                 "eps": mol.eps if math.isfinite(mol.eps) else "inf", "s": mol.s,
+                 "eps": mol.eps, "s": mol.s,
                  "center": int(mol.ball.center), "radius": float(mol.ball.radius),
                  "norm_constant": mol.norm_constant}
                 for lam, mol in self.coefficients
@@ -393,7 +390,8 @@ def _decompose(g: WeightedGraph, kind: str, target, profile, M: int, beta: float
     quad_norm.
     The spectrum record (`spectrum`) is built first, so a periodic walk
     (PeriodicWalk) or an uncertified spectrum (UncertifiedSpectrum) is
-    refused, then a zero target returns before the geometry is built.
+    refused, then a non-finite target raises ValueError and a zero
+    target returns before the geometry is built.
     The profile stores the levels up to default_l_max(g) = diam^2 + 1 and
     holds the rest as its closed-form tail, which joins the whole-graph
     atom, so the reproducing sum is not truncated; the tent partition is
@@ -406,6 +404,8 @@ def _decompose(g: WeightedGraph, kind: str, target, profile, M: int, beta: float
     horizon_tol / 2."""
     spectrum(g)
     norm = lp_norm(g, _level(g, kind, target), 2)
+    if not math.isfinite(norm):
+        raise ValueError(f"the target must be finite, not of norm {norm}")
     if norm == 0.0:
         return MolecularDecomposition([], 0.0, 0.0, 0.0, 0.0)
     d0 = cached_geometry(g).d0_estimate
@@ -426,9 +426,8 @@ def _require_orders(M: int, eps: float, tol: float):
     """ValueError unless M >= 1, and eps and tol are finite and > 0."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    for name, value in (("eps", eps), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, not {value!r}")
+    _require_positive("eps", eps)
+    _require_positive("tol", tol)
 
 
 def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,

@@ -525,15 +525,6 @@ class EdgeFunction:
     def antisymmetry_defect(self) -> float:
         return float(np.abs(self.data + self.data[self.graph.rev_edges]).max(initial=0.0))
 
-    def value(self, x, y) -> float:
-        g = self.graph
-        row = slice(g.adjacency.indptr[x], g.adjacency.indptr[x + 1])
-        cols = g.adjacency.indices[row]
-        hit = np.where(cols == y)[0]
-        if len(hit) == 0:
-            raise KeyError(f"({x}, {y}) is not an edge")
-        return float(self.data[row][hit[0]])
-
     def __add__(self, other):
         return EdgeFunction(self.graph, self.data + other.data)
 
@@ -582,8 +573,9 @@ def lp_norm_forms(g: WeightedGraph, F: EdgeFunction, p=2) -> float:
 
 def load_vertex_csv(g: WeightedGraph, path):
     """A vertex function from a `vertex,value` CSV file, zero where it
-    lists no value; a malformed row, an unknown label or a vertex listed
-    twice raises ValueError naming the line."""
+    lists no value; a malformed row, a value that is not finite, an
+    unknown label or a vertex listed twice raises ValueError naming the
+    line."""
     label_index = g.label_index
     out, seen = np.zeros(g.n), set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -599,6 +591,8 @@ def load_vertex_csv(g: WeightedGraph, path):
             except ValueError:
                 raise ValueError(f"{path}, line {number}: expected `vertex,value`, "
                                  f"not {line.strip()!r}") from None
+            if not np.isfinite(value):
+                raise ValueError(f"{path}, line {number}: {value} is not finite")
             if label not in label_index or label in seen:
                 why = "is listed twice" if label in seen else "is no vertex label"
                 raise ValueError(f"{path}, line {number}: {label} {why}")

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (TAIL_TOL, delta_power_apply, lusin_tail_apply, require_mean_zero,
-                       synthesis_tail_apply)
+from .calculus import (TAIL_TOL, LusinTail, SynthesisTail, delta_power_apply, phi_apply,
+                       require_mean_zero)
 from .errors import PeriodicWalk
 from .graphs import WeightedGraph, row_blocks
 from .operators import (
@@ -106,28 +106,36 @@ class ProfileTail:
     @functools.cached_property
     def mass(self) -> float:
         """sum_{l > start} ||F(., l)||_m^2 / (l + 1) = <chi(P) h, h>_m /
-        scale^2 (`lusin_tail_apply`)."""
-        h = self.potential
-        chi_h = lusin_tail_apply(self.graph, h, self.beta, self.order, self.start)
-        return inner(self.graph, chi_h, h) / self.scale ** 2
+        scale^2, chi the symbol `LusinTail(start, 2 beta - 1, order)`:
+        chi(lam) = (1 - lam)^{2 order} sum_{l > start} (l+1)^{2 beta - 1}
+        lam^{2l}, applied by `phi_apply` at TAIL_TOL."""
+        g, h = self.graph, self.potential
+        chi = LusinTail(self.start, 2.0 * self.beta - 1.0, self.order)
+        return inner(g, phi_apply(g, h, chi, None, TAIL_TOL), h) / self.scale ** 2
 
     def share(self, eta: int, beta: float, power: float = 0.0, s: float = 1.0,
               q: float = 0.0) -> np.ndarray:
         """((I + s Delta)/s)^q Delta^power E(P) h / scale within tol / scale,
-        E(P) = (I - P^2)^eta sum_{l > start} c_{l+1}^eta P^{2l}
-        (`synthesis_tail_apply`): the levels' share of
+        E(P) = (I - P^2)^eta sum_{l > start} c_{l+1}^eta P^{2l}, the symbol
+        `SynthesisTail(start, eta, power, q)` at the scale s, applied by
+        `phi_apply` (0 for h = 0): the levels' share of
         Delta^{eta - order + power} (I + P)^eta sum_l (c_{l+1}^eta /
         (l+1)^beta) P^l F(., l), for a synthesis of this tail's beta
         (ValueError otherwise).  At power 0 it is their share of a
         molecule a = Delta^M X, at power -M with q and s that of its
         pre-image b = Q_s X (`hardy.synthesize_molecules`), and at power
-        order - beta that of pi_{eta, beta}."""
+        order - beta that of pi_{eta, beta}.  The series truncates its
+        column at tol for the norm of h, rounded down to a power of two so
+        that inputs share columns."""
         if beta != self.beta:
             raise ValueError(f"a tail of weight (l+1)^{self.beta} synthesized at beta = {beta}")
-        h = self.potential
-        tol = TAIL_TOL * lp_norm(self.graph, h, 2) if self.tol is None else self.tol
-        return synthesis_tail_apply(self.graph, h, self.start, eta, power, s, q,
-                                    tol) / self.scale
+        g, h = self.graph, self.potential
+        norm = lp_norm(g, h, 2)
+        if norm == 0.0:
+            return np.zeros(g.n)
+        tol = TAIL_TOL * norm if self.tol is None else self.tol
+        col_tol = 2.0 ** math.floor(math.log2(tol / norm))
+        return phi_apply(g, h, SynthesisTail(self.start, eta, power, q), s, col_tol) / self.scale
 
 
 def tail_mass(F) -> float:

@@ -64,9 +64,8 @@ class SpaceTimeEntries:
     for lo[j] <= l < hi[j], and 0 elsewhere, and, with a `tail`
     (ProfileTail), the levels past l_max that it holds.  The
     vertices increase and each run ends at a nonzero entry, so `top` is
-    the largest hi.  The nonzero entries F(ys[i], ls[i]) = vals[i] of the
-    stored levels, row-major with int32 indices, and the dense `values`
-    are built on access."""
+    the largest hi.  Its `rows` and the dense `values` are built on
+    access."""
 
     graph: WeightedGraph
     profile: np.ndarray = field(repr=False)
@@ -103,15 +102,6 @@ class SpaceTimeEntries:
         rows[(levels < self.lo[:, None]) | (levels >= self.hi[:, None])] = 0.0
         return rows
 
-    def _entries(self):
-        rows = self.rows()
-        i, ls = np.nonzero(rows)
-        return self.verts[i].astype(np.int32), ls.astype(np.int32), rows[i, ls]
-
-    ys = property(lambda self: self._entries()[0])
-    ls = property(lambda self: self._entries()[1])
-    vals = property(lambda self: self._entries()[2])
-
     @property
     def values(self) -> np.ndarray:
         """Dense (n, l_max + 1) view of the stored levels, built on each
@@ -121,9 +111,9 @@ class SpaceTimeEntries:
         return out
 
     def t22_norm(self) -> float:
-        ys, ls, vals = self._entries()
-        return math.sqrt(float(np.sum(vals ** 2 / (ls + 1.0) * self.graph.m[ys]))
-                         + tail_mass(self))
+        rows = self.rows()
+        terms = rows * rows / np.arange(1.0, rows.shape[1] + 1.0)
+        return math.sqrt(float(self.graph.m[self.verts] @ terms.sum(axis=1)) + tail_mass(self))
 
 
 @dataclass

@@ -577,8 +577,8 @@ def horner_synthesis_levels_first(g, atoms, eta, beta, exp):
     tops = [e.top for e in atoms]
     starts = np.cumsum(tops) - tops
     V = np.zeros((g.n, int(sum(tops))))
-    for e, lo in zip(atoms, starts):
-        V[e.ys, lo + e.ls] = e.vals
+    for e, lo, top in zip(atoms, starts, tops):
+        V[e.verts, lo:lo + top] = e.rows()
     for _ in range(eta):
         V += apply_P(g, V)
     if float(exp).is_integer():
@@ -914,7 +914,7 @@ def vitali_cover(g, b, alpha):
     Scanning centers in ascending vertex order guarantees maximality,
     hence the tripled balls cover alpha*B (alpha >= 1).
     """
-    big = b.scaled(alpha)
+    big = ball(g, b.center, alpha * b.radius)
     taken = np.zeros(g.n, dtype=bool)
     out = []
     for x in range(g.n):

@@ -335,7 +335,7 @@ def test_c12_covering_and_tail_bound():
             b = ball(g, 0, r)
             fam = vitali_cover(g, b, 4.0)
             taken = np.zeros(g.n, dtype=bool)
-            big = b.scaled(4.0)
+            big = ball(g, b.center, 4.0 * b.radius)
             for B in fam:
                 assert np.all(big.mask[B.mask])
                 assert not np.any(taken & B.mask)

@@ -188,6 +188,41 @@ def test_vertex_csv_names_a_bad_line(tmp_path, capsys):
         assert f"line 3: expected `vertex,value`, not {row!r}" in err
 
 
+@pytest.mark.parametrize("argv", [["quadnorm"], ["decompose"], ["bmo", "--smax", "2"]])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_value_is_refused_with_its_line(tmp_path, capsys, argv, value):
+    # a NaN or an infinity in `--f` is refused where it is read, with its
+    # line, as a validation failure: no NaN payload, no overflow
+    path = tmp_path / "f.csv"
+    path.write_text(f"vertex,value\n0,1.0\n1,{value}\n")
+    assert main([argv[0], "k2l", "--f", str(path)] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}, line 3: {value} is not finite" in captured.err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "lazy_cycle_16"],
+    ["gaffney", "lazy_cycle_16", "--E", "8", "--F", "0", "--s", "2,4,8"],
+    ["quadnorm", "lazy_cycle_16", "--f", "F"],
+    ["decompose", "lazy_cycle_16", "--f", "F"],
+    ["bmo", "lazy_cycle_16", "--f", "F", "--smax", "4"],
+    ["riesz", "lazy_cycle_16", "--n", "2"],
+])
+def test_every_payload_is_strict_json(tmp_path, capsys, argv):
+    # NaN and Infinity are no JSON: every subcommand's payload parses with
+    # a parse_constant that refuses them
+    g = lazy_cycle(16)
+    path = tmp_path / "f.csv"
+    save_vertex_csv(g, random_mean_zero(g, np.random.default_rng(0)), path)
+    assert main([str(path) if a == "F" else a for a in argv]) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+
+
 def test_vertex_arguments_are_labels(tmp_path, capsys):
     # --E and --F name vertices by label, as graph files and --f CSVs do,
     # and a label or coordinate the graph lacks is refused by name

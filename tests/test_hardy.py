@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -51,13 +52,21 @@ from graphhardy.tentspace import (TentAtom, TentDecomposition, atomic_decompose,
 from graphhardy.zoo import by_name, lazy_cycle, lazy_torus_2d
 
 
+def _normalized(mol):
+    # mol with b and a divided by the annulus excess of b at its eps, as
+    # `synthesize_molecules` normalizes its molecules
+    measured, bounds = hardy._size_table(mol.graph, mol.eps, [mol.ball], mol.b[:, None])
+    excess = max(1.0, float((measured / bounds).max()) * (1.0 + 1e-12))
+    return dataclasses.replace(mol, b=mol.b / excess, a=mol.a / excess, norm_constant=excess)
+
+
 def _delta_atom(g, y, M):
-    # the bz2 atom of delta_y / m(y) at s = 1 on B(y, 1) = {y}: ||b||_2 is
-    # V(B)^{-1/2}, and ||a||_1 <= 2^M since the resolvent is an L^1
-    # contraction
+    # the bz2 molecule of delta_y / m(y) at s = 1 on B(y, 1) = {y}, at
+    # eps = 1: ||b||_1 = 1 before its normalization, so ||a||_1 <= 2^M
+    # since the resolvent is an L^1 contraction
     b = np.zeros(g.n)
     b[y] = 1.0 / g.m[y]
-    return Molecule("bz2", M, math.inf, 1, ball(g, y, 1), b, bz2_apply(g, b, 1, M))
+    return _normalized(Molecule("bz2", M, 1.0, 1, ball(g, y, 1), b, bz2_apply(g, b, 1, M)))
 
 
 def test_delta_atom_validates(cycle16):
@@ -83,7 +92,7 @@ def test_indicator_bz2_molecules_bounded_l1():
         B = ball(g, 10, r)
         b = B.mask.astype(float) / B.volume
         a = bz2_apply(g, b, s, 1)
-        mol = Molecule("bz2", 1, math.inf, s, B, b, a)
+        mol = _normalized(Molecule("bz2", 1, 1.0, s, B, b, a))
         rep = validate_molecule(mol)
         assert rep.l1_norm <= 4.0
 
@@ -91,8 +100,8 @@ def test_indicator_bz2_molecules_bounded_l1():
 def test_validator_rejects_oversized_pre_image(cycle16):
     B = ball(cycle16, 0, 1)
     b = np.zeros(cycle16.n)
-    b[0] = 10.0  # far above V(B)^{-1/2}
-    mol = Molecule("bz2", 1, math.inf, 1, B, b, bz2_apply(cycle16, b, 1, 1))
+    b[0] = 10.0  # far above 2^{-1} V(2B)^{-1/2}, the bound on C_1(B) = 4B
+    mol = Molecule("bz2", 1, 1.0, 1, B, b, bz2_apply(cycle16, b, 1, 1))
     with pytest.raises(SizeBoundViolated) as err:
         validate_molecule(mol)
     assert err.value.j == 1
@@ -103,8 +112,17 @@ def test_validator_refuses_other_kinds(cycle16):
     # of the BMO sup and the Riesz suite, not a molecule kind
     B = ball(cycle16, 0, 1)
     b = B.mask / B.volume
-    mol = Molecule("bz1", 1, math.inf, 1, B, b, bz1(cycle16, b, (1,)))
+    mol = _normalized(Molecule("bz1", 1, 1.0, 1, B, b, bz1(cycle16, b, (1,))))
     with pytest.raises(ValueError, match="'bz1'"):
+        validate_molecule(mol)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+def test_validator_refuses_eps_outside_the_annuli(cycle16, eps):
+    # the annuli are the one size rule, at a finite eps > 0: an atom's
+    # eps = inf is refused as another kind is
+    mol = dataclasses.replace(_delta_atom(cycle16, 3, 1), eps=eps)
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
         validate_molecule(mol)
 
 
@@ -734,6 +752,17 @@ def test_pipelines_check_tol_first(cycle16, pipeline_refused, tol):
         molecular_decompose(cycle16, f, 1, 1.0, 1.0, tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         form_molecular_decompose(cycle16, differential(cycle16, f), 1, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_decompose_refuses_a_non_finite_target(cycle16, monkeypatch, value):
+    # a NaN or an infinity in the input is refused before the geometry
+    # and the horizon search, which would overflow on it
+    monkeypatch.setattr(hardy, "cached_geometry", _no_geometry)
+    f = random_mean_zero(cycle16, np.random.default_rng(13))
+    f[3] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="target must be finite"):
+        molecular_decompose(cycle16, f, 1, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("kind", ["bz1", "bz2"])

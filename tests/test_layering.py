@@ -98,8 +98,8 @@ ALLOWED = {
     "horner": (set(), {"tentspace.horner_synthesis"}),
     # the tail's symbols are applied by the tail alone: its Lusin mass
     # and its share of a synthesis
-    "lusin_tail_apply": (set(), {"quadratic.mass"}),
-    "synthesis_tail_apply": (set(), {"quadratic.share"}),
+    "LusinTail": (set(), {"quadratic.mass"}),
+    "SynthesisTail": (set(), {"quadratic.share"}),
     # the Lusin terms F^2 / (l + 1) are squared once: the tent functional
     # sums them over cones, and the decomposition also over its runs
     "lusin_terms": (set(), {"quadratic.tent_functional", "tentspace.atomic_decompose"}),
@@ -209,8 +209,8 @@ def test_scanner_sees_calls(calls):
     assert ("ValidationReport", "hardy._validate_block") in calls
     assert ("KernelComponent", "calculus.require_mean_zero") in calls
     assert ("horner", "tentspace.horner_synthesis") in calls
-    assert ("lusin_tail_apply", "quadratic.mass") in calls
-    assert ("synthesis_tail_apply", "quadratic.share") in calls
+    assert ("LusinTail", "quadratic.mass") in calls
+    assert ("SynthesisTail", "quadratic.share") in calls
     assert ("ThreadPoolExecutor", "operators.run_parts") in calls
     assert ("run_parts", "quadratic._cone_columns") in calls
     assert ("_cone_columns", "quadratic.lusin") in calls

@@ -4,6 +4,7 @@ infinity as bounded functions of P applied to the profile's potential
 (its Lusin mass, and its shares of a molecule and of the molecule's
 pre-image), and the molecular pipeline that stores no level past them."""
 
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -168,13 +169,17 @@ def test_series_columns_match_the_oracle_within_their_bound(monkeypatch, name, k
     F, beta, (eta, exp) = _profile(g, kind)
     tail, K = F.tail, F.l_max
     h, order, tol = tail.potential, tail.order, 1e-10
-    exact = (calculus.lusin_tail_apply(g, h, beta, order, K),
-             calculus.synthesis_tail_apply(g, h, K, eta, 0.0, 1.0, 0.0, tol))
+    chi = calculus.LusinTail(K, 2 * beta - 1, order)
+
+    def columns():
+        return (calculus.phi_apply(g, h, chi, None, calculus.TAIL_TOL),
+                dataclasses.replace(tail, tol=tol).share(eta, beta))
+
+    exact = columns()
     monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
-    op = calculus.series(g, calculus.LusinTail(K, 2 * beta - 1, order), None, calculus.TAIL_TOL)
+    op = calculus.series(g, chi, None, calculus.TAIL_TOL)
     coeffs, bound = op.coeffs, op.tail_bound
-    lusin = calculus.lusin_tail_apply(g, h, beta, order, K)
-    synthesis = calculus.synthesis_tail_apply(g, h, K, eta, 0.0, 1.0, 0.0, tol)
+    lusin, synthesis = columns()
     assert calculus.spectrum(g).source == "certified"
     rounding = len(coeffs) * EPS * np.abs(coeffs).sum()
     assert bound <= calculus.TAIL_TOL
@@ -221,7 +226,9 @@ def test_tail_mass_joins_the_whole_graph_atom():
     lam, A = held[0]
     assert A.ball.mask.all()
     e = A.values
-    stored = float(np.sum(e.vals ** 2 / (e.ls + 1.0) * g.m[e.ys])) * lam ** 2
+    rows = e.rows()
+    stored = float(g.m[e.verts] @ (rows ** 2 / np.arange(1.0, e.top + 1.0)).sum(axis=1))
+    stored *= lam ** 2
     assert lam ** 2 / A.ball.volume == pytest.approx(stored + F.tail.mass, rel=1e-12)
     assert all(atom.validate() for _, atom in tdec.coefficients)
 

@@ -415,7 +415,7 @@ def test_atomic_decompose_uncovered_entries_match_dense_reference():
     vals[5, 1] = 3e-162
     F = SpaceTimeFunction(g, vals)
     dec = atomic_decompose(g, F)
-    owned = sum(len(atom.values.vals) for _, atom in dec.coefficients)
+    owned = sum(np.count_nonzero(atom.values.rows()) for _, atom in dec.coefficients)
     assert owned < np.count_nonzero(vals)
     assert dec.residual_t22 > 0.0
     _assert_same_decomposition(dec, atomic_decompose_dense(g, F))
@@ -510,17 +510,16 @@ def test_atomic_decompose_memory_is_independent_of_atom_count():
 
 
 def test_tent_atom_entries_round_trip(cycle16):
-    # a dense atom is kept as its nonzero entries, row-major, and the
-    # dense view gives the array back
+    # a dense atom is kept as its runs, one row per vertex holding an
+    # entry, and the dense view gives the array back
     b = ball(cycle16, 3, 2)
     vals = np.where(tent_mask(cycle16, b.mask, 8), 0.25, 0.0)
     vals[3, 1] = 0.0
     atom = TentAtom(b, SpaceTimeFunction(cycle16, vals), 1.0)
     e = atom.values
     assert isinstance(e, SpaceTimeEntries)
-    assert e.ys.dtype == np.int32 and e.ls.dtype == np.int32
-    assert len(e.vals) == np.count_nonzero(vals)
-    assert np.all(np.diff(e.ys.astype(int) * (e.l_max + 1) + e.ls) > 0)
+    assert np.array_equal(e.verts, np.flatnonzero(vals.any(axis=1)))
+    assert np.count_nonzero(e.rows()) == np.count_nonzero(vals)
     assert np.array_equal(e.values, vals)
     assert e.top == top_level(vals)
     assert e.t22_norm() == pytest.approx(SpaceTimeFunction(cycle16, vals).t22_norm(),
