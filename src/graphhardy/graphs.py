@@ -153,7 +153,6 @@ class WeightedGraph:
         self._dist = None
         self._diameter = None
         self._ball_volumes = None
-        self._rev_edges = None
         self._oracle = None
         self._spectra = {}  # spectrum records by source, `calculus.spectrum`
         self._geometry = None
@@ -229,18 +228,6 @@ class WeightedGraph:
         return float(self.m.sum())
 
     # -- directed-edge bookkeeping (used by 1-forms) --------------------
-
-    @property
-    def rev_edges(self):
-        """Permutation sending the CSR slot of (x, y) to the slot of (y, x)."""
-        if self._rev_edges is None:
-            A = self.adjacency
-            coo = A.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            assert np.all(order == np.arange(A.nnz))
-            rev_order = np.lexsort((coo.row, coo.col))
-            self._rev_edges = rev_order
-        return self._rev_edges
 
     @property
     def edge_rows(self):

@@ -28,8 +28,10 @@ of every molecule come from the ring table of `graphs.annulus_rings`
 with one bincount, and its bounds from that table's volumes V(2^j B)
 and the factor 2^{-j eps}; and validation (`_validate_block`) rederives
 a from b once, checks the whole block and raises a ValidationFailed on
-the first failure.  `validate_molecule` and the one-atom synthesis
-calls are one-column blocks of the same code.
+the first failure, and returns the factorization errors, nothing more.
+`validate_molecule` and the one-atom synthesis calls are one-column
+blocks of the same code; the one report, with the molecule's L^1 mass,
+is `validate_molecule`'s.
 
 bz1, (I - P^{s_1}) ... (I - P^{s_M}), is a generator of the BMO sup and
 the Riesz suite only, never a molecule kind.
@@ -143,11 +145,11 @@ def _size_table(g: WeightedGraph, eps: float, balls, b):
 
 
 def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, balls, b, a,
-                    sizes=None) -> list:
-    """One ValidationReport per molecule of a block: k molecules of one
-    kind, M and eps, with scales s and balls, as the columns of their
-    pre-images b (n, k) and molecules a ((n, k), or (nnz, k) edge data
-    for forms).
+                    sizes=None) -> np.ndarray:
+    """The relative factorization error of each molecule of a block: k
+    molecules of one kind, M and eps, with scales s and balls, as the
+    columns of their pre-images b (n, k) and molecules a ((n, k), or
+    (nnz, k) edge data for forms).
 
     a is rederived once, by `rederive_molecules`, and the annulus masses
     of b come from one bincount (`_size_table`), unless the caller
@@ -156,10 +158,10 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, balls, b
     factorization error above FACT_TOL, NaN included
     (FactorizationMismatch), then the first (molecule, annulus) entry
     above its size bound (SizeBoundViolated)."""
-    level_a = _level(g, kind, a)
     gap = rederive_molecules(g, kind, M, s, b)
     gap -= a
-    fact_err = lp_norm(g, _level(g, kind, gap), 2) / np.maximum(1.0, lp_norm(g, level_a, 2))
+    fact_err = (lp_norm(g, _level(g, kind, gap), 2)
+                / np.maximum(1.0, lp_norm(g, _level(g, kind, a), 2)))
     failed = ~(fact_err <= FACT_TOL)
     if failed.any():
         raise FactorizationMismatch(f"relative factorization error "
@@ -170,8 +172,7 @@ def _validate_block(g: WeightedGraph, kind: str, M: int, eps: float, s, balls, b
     if len(over):
         i, c = over[0]
         raise SizeBoundViolated(int(c) + 1, float(measured[i, c]), float(bounds[i, c]))
-    return [ValidationReport(float(err), float(l1))
-            for err, l1 in zip(fact_err, lp_norm(g, level_a, 1))]
+    return fact_err
 
 
 def _require_positive(name: str, value: float):
@@ -187,9 +188,12 @@ def validate_molecule(mol: Molecule) -> ValidationReport:
     failure (ValueError for any other kind, or for an eps that is not
     finite and > 0)."""
     _require_positive("eps", mol.eps)
-    a = mol.a.data if mol.kind == "form" else np.asarray(mol.a, dtype=float)
-    return _validate_block(mol.graph, mol.kind, mol.M, mol.eps, [mol.s], [mol.ball],
-                           np.asarray(mol.b, dtype=float)[:, None], a[:, None])[0]
+    g = mol.graph
+    a = (mol.a.data if mol.kind == "form" else np.asarray(mol.a, dtype=float))[:, None]
+    [err] = _validate_block(g, mol.kind, mol.M, mol.eps, [mol.s], [mol.ball],
+                            np.asarray(mol.b, dtype=float)[:, None], a)
+    [l1] = lp_norm(g, _level(g, mol.kind, a), 1)
+    return ValidationReport(float(err), float(l1))
 
 
 # -- synthesized molecules from tent atoms ---------------------------------
@@ -199,18 +203,15 @@ def synthesis_eta(M: int, beta: float, eps: float, d0: float) -> int:
     return math.ceil(d0 / 4.0 + eps / 2.0 + beta) + M + 1
 
 
-def synthesis_eta_forms(M: int, eps: float, d0: float) -> int:
-    return math.ceil(d0 / 4.0 + eps / 2.0) + M + 2
-
-
 def synthesis_orders(kind: str, M: int, beta: float, eps: float, d0: float):
     """(eta, beta, exp) of the heat scan of `kind` molecules: beta and
-    exp = eta - beta - M for bz2, 1/2 and eta - 1 - M for forms."""
+    exp = eta - beta - M for bz2, with eta from `synthesis_eta`, and 1/2
+    and eta - 1 - M for forms, with eta >= d0/4 + eps/2 + M + 2 > eta - 1."""
     if kind == "bz2":
         eta = synthesis_eta(M, beta, eps, d0)
         return eta, beta, eta - beta - M
     if kind == "form":
-        eta = synthesis_eta_forms(M, eps, d0)
+        eta = math.ceil(d0 / 4.0 + eps / 2.0) + M + 2
         if eta - 1 - M < 0:
             raise ValueError("eta too small for the form pre-image")
         return eta, 0.5, eta - 1 - M
@@ -313,7 +314,7 @@ def make_molecule_from_tent_atom(A: TentAtom, M: int, beta: float, eps: float,
     g = A.ball.graph
     if d0 is None:
         d0 = cached_geometry(g).d0_estimate
-    tdec = TentDecomposition([(1.0, A)], 0.0, 1.0)
+    tdec = TentDecomposition([(1.0, A)])
     [(_, mol)], _ = synthesize_molecules(g, tdec, "bz2", M, beta, eps, d0)
     return mol
 
@@ -327,10 +328,6 @@ class MolecularDecomposition:
     l1_residual: float
     l2_residual: float
     quad_norm: float
-
-    @property
-    def quad_ratio(self):
-        return self.sum_abs_lambda / self.quad_norm if self.quad_norm else math.inf
 
     def to_json(self):
         return json.dumps({
@@ -348,26 +345,23 @@ class MolecularDecomposition:
         })
 
 
-def _profile(g: WeightedGraph, u, beta: float, l_max, potential, order: float, reach: int,
+def _profile(g: WeightedGraph, u, beta: float, potential, order: float, reach: int,
              tol) -> SpaceTimeFunction:
-    """F(., l) = (l+1)^beta P^l u for l = 0..l_max; for every l without
-    l_max: the levels up to default_l_max(g) stored, and past them the
-    closed-form tail (`ProfileTail`) of the potential(), u = Delta^order
-    potential(), with its reach and tol."""
-    L = default_l_max(g) if l_max is None else l_max
+    """F(., l) = (l+1)^beta P^l u for every l >= 0: the levels up to
+    default_l_max(g) stored, and past them the closed-form tail
+    (`ProfileTail`) of the potential, u = Delta^order potential, with its
+    reach and tol."""
+    L = default_l_max(g)
     values = heat_sweep(g, u, range(L + 1))
     values *= [(l + 1.0) ** beta for l in range(L + 1)]
-    if l_max is not None:
-        return SpaceTimeFunction(g, values)
-    return SpaceTimeFunction(g, values, ProfileTail(g, potential(), order, beta, L, reach, tol))
+    return SpaceTimeFunction(g, values, ProfileTail(g, potential, order, beta, L, reach, tol))
 
 
-def heat_profile(g: WeightedGraph, f, beta: float, l_max=None, *, reach=0,
-                 tol=None) -> SpaceTimeFunction:
-    """F(., l) = [(l+1) Delta]^beta P^l f for l = 0..l_max, or for every
-    l >= 0 without l_max (`_profile`), generated by u = Delta^beta f, the
-    tail held by f; reach and tol are those of the tail (`ProfileTail`)."""
-    return _profile(g, delta_power_apply(g, f, beta), beta, l_max, lambda: f, beta, reach, tol)
+def heat_profile(g: WeightedGraph, f, beta: float, *, reach=0, tol=None) -> SpaceTimeFunction:
+    """F(., l) = [(l+1) Delta]^beta P^l f for every l >= 0 (`_profile`),
+    generated by u = Delta^beta f, the tail held by f; reach and tol are
+    those of the tail (`ProfileTail`)."""
+    return _profile(g, delta_power_apply(g, f, beta), beta, f, beta, reach, tol)
 
 
 def pipeline_l_max(g: WeightedGraph, eta: int, tol: float, ref_norm: float) -> int:
@@ -453,16 +447,19 @@ def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
     d h onto the exact forms, NotExactForm otherwise; the potential
     h = Delta^{-1} w of that check is the one the profile's tail holds
     (`_profile`'s), solved once.  M >= 1, and a finite eps > 0 and
-    tol > 0, or ValueError at once."""
+    tol > 0, or ValueError at once; so is a form whose norm is not
+    finite, before the exactness test."""
     _require_orders(M, eps, tol)
+    norm = lp_norm_forms(g, F, 2)
+    if not math.isfinite(norm):
+        raise ValueError(f"the form must be finite, not of norm {norm}")
     w = divergence(g, F)
     h = delta_power_apply(g, w, -1.0)
     gap = lp_norm_forms(g, differential(g, h) - F, 2)
-    if not gap <= tol * max(1.0, lp_norm_forms(g, F, 2)):
+    if not gap <= tol * max(1.0, norm):
         raise NotExactForm("input form is not a differential")
     return _decompose(g, "form", F.data,
-                      lambda reach, tail_tol: _profile(g, w, 0.5, None, lambda: h, 1.0, reach,
-                                                       tail_tol),
+                      lambda reach, tail_tol: _profile(g, w, 0.5, h, 1.0, reach, tail_tol),
                       M, 0.5, eps, tol, tol / math.sqrt(2.0))
 
 

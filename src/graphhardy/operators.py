@@ -132,9 +132,8 @@ def mean_project(g: WeightedGraph, f):
     return f - inner(g, f, np.ones(g.n)) / g.total_volume()
 
 
-def random_mean_zero(g: WeightedGraph, rng, size=None):
-    shape = (g.n,) if size is None else (g.n, size)
-    f = rng.standard_normal(shape)
+def random_mean_zero(g: WeightedGraph, rng):
+    f = rng.standard_normal(g.n)
     mean = (g.m @ f) / g.total_volume()
     return f - mean
 
@@ -521,9 +520,6 @@ class EdgeFunction:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim > 2 or self.data.shape[:1] != (self.graph.adjacency.nnz,):
             raise ValueError("edge data must align with the adjacency slots")
-
-    def antisymmetry_defect(self) -> float:
-        return float(np.abs(self.data + self.data[self.graph.rev_edges]).max(initial=0.0))
 
     def __add__(self, other):
         return EdgeFunction(self.graph, self.data + other.data)

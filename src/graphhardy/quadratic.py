@@ -166,13 +166,6 @@ class SpaceTimeFunction:
     def l_max(self) -> int:
         return self.values.shape[1] - 1
 
-    def t22_norm(self) -> float:
-        g = self.graph
-        k = np.arange(self.values.shape[1])
-        return math.sqrt(float(np.sum(
-            (self.values ** 2 / (k + 1.0)[None, :]) * g.m[:, None]
-        )) + tail_mass(self))
-
 
 # A ball-volume profile shared by at least this many centres gets its own
 # tail table; the centres of rarer profiles are summed radius by radius,
@@ -380,7 +373,7 @@ def lusin_terms(F: SpaceTimeFunction) -> np.ndarray:
     return w
 
 
-def tent_functional_of_terms(g: WeightedGraph, w: np.ndarray, tau=0.0) -> np.ndarray:
+def tent_functional_of_terms(g: WeightedGraph, w: np.ndarray, tau: float) -> np.ndarray:
     """A F from the Lusin terms w of F's stored levels and the Lusin mass
     tau of its tail, whose levels lie past diam^2, where every cone is
     the whole graph: tau / m(Gamma) is added to every A F(x)^2."""

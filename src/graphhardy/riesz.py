@@ -80,7 +80,7 @@ class RieszSuiteEntry:
     label: str
     h1_quad_input: float
     grad_l1: float
-    ratio: float
+    ratio: float | None  # grad_l1 / h1_quad_input; None when that norm is 0
     chain_gap: float
 
 
@@ -127,9 +127,11 @@ def molecule_suite(g: WeightedGraph, s_values=(1, 4, 16, 64), kind="bz1",
 
 def riesz_h1_experiment(g: WeightedGraph, suite, l_max=None) -> RieszSuiteReport:
     """For each mean-zero input F: its quadratic H^1 norm (the output's
-    too), the L^1 mass of grad Delta^{-1/2} F as a ratio against it, and
-    the chain gap ||h - F||_2 / ||F||_2 (0 for a zero input) of the
-    h = Delta^{-1/2} d* d Delta^{-1/2} F that the exact-form chain makes F."""
+    too), the L^1 mass of grad Delta^{-1/2} F as a ratio against it
+    (None, a JSON null and an empty CSV cell, when the norm is 0; max_ratio
+    and min_ratio skip it), and the chain gap ||h - F||_2 / ||F||_2 (0 for
+    a zero input) of the h = Delta^{-1/2} d* d Delta^{-1/2} F that the
+    exact-form chain makes F."""
     block = min(RIESZ_BLOCK, RIESZ_TABLE_ENTRIES // (g.n * (g.diameter + 1)))
     entries = []
     items = iter(suite)
@@ -142,9 +144,8 @@ def riesz_h1_experiment(g: WeightedGraph, suite, l_max=None) -> RieszSuiteReport
         gaps = (lp_norm(g, h - F, 2) / np.where(norms > 0, norms, 1.0)).tolist()
         quad = quad_norm(g, F, 1.0, l_max).tolist()
         for (label, _), q, mass, gap in zip(chunk, quad, masses, gaps):
-            ratio = mass / q if q > 0 else math.inf
-            entries.append(RieszSuiteEntry(label, q, mass, ratio, gap))
-    ratios = [e.ratio for e in entries if math.isfinite(e.ratio)]
+            entries.append(RieszSuiteEntry(label, q, mass, mass / q if q > 0 else None, gap))
+    ratios = [e.ratio for e in entries if e.ratio is not None]
     return RieszSuiteReport(
         entries,
         max(ratios, default=0.0),

@@ -6,7 +6,9 @@ The decomposition is the standard one over dyadic level sets of the
 tent functional; tie-breaking is frozen (levels bottom-up, Whitney
 centers largest-ball-first then ascending vertex index) so runs are
 reproducible.  Every emitted atom satisfies the support and size
-conditions exactly, and the pieces partition the support of F, so the
+conditions by construction (its runs end inside the tent of its ball,
+and its scale is its T^2_2 norm times V(B)^{1/2}), so they are not
+checked again, and the pieces partition the support of F, so the
 reconstruction residual is at rounding level.
 
 At a vertex y the tent over O holds the levels l < h(y) = d(y, O^c)^2,
@@ -75,15 +77,6 @@ class SpaceTimeEntries:
     scale: float = 1.0
     tail: ProfileTail = None
 
-    @classmethod
-    def of(cls, F: SpaceTimeFunction) -> "SpaceTimeEntries":
-        """F as one run up to its last nonzero level per vertex, and its
-        tail (F.values is referenced, not copied)."""
-        live = F.values != 0.0
-        verts = np.flatnonzero(live.any(axis=1))
-        hi = live.shape[1] - np.argmax(live[verts, ::-1], axis=1)
-        return cls(F.graph, F.values, verts, np.zeros_like(hi), hi, 1.0, F.tail)
-
     @property
     def l_max(self) -> int:
         return self.profile.shape[1] - 1
@@ -110,47 +103,27 @@ class SpaceTimeEntries:
         out[self.verts, :self.top] = self.rows()
         return out
 
-    def t22_norm(self) -> float:
-        rows = self.rows()
-        terms = rows * rows / np.arange(1.0, rows.shape[1] + 1.0)
-        return math.sqrt(float(self.graph.m[self.verts] @ terms.sum(axis=1)) + tail_mass(self))
-
 
 @dataclass
 class TentAtom:
     """Space-time function supported in the tent of `ball` with
-    ||A||_{T^2_2}^2 <= 1/V(ball), kept as its runs (a dense
-    SpaceTimeFunction passed in is converted).  The ball's radius is an
-    integer: hop counts are, so a ball given radius r is the same vertex
-    set at ceil(r), and is held at that radius.  A molecule synthesized
-    from the atom keeps this ball and its scale s = r^2."""
+    ||A||_{T^2_2}^2 <= 1/V(ball), kept as its runs.  The ball's radius
+    is an integer: hop counts are, so a ball given radius r is the same
+    vertex set at ceil(r), and is held at that radius.  A molecule
+    synthesized from the atom keeps this ball and its scale s = r^2."""
 
     ball: Ball
     values: SpaceTimeEntries = field(repr=False)
-    t22_norm: float
 
     def __post_init__(self):
-        if isinstance(self.values, SpaceTimeFunction):
-            self.values = SpaceTimeEntries.of(self.values)
         r = math.ceil(self.ball.radius)
         if self.ball.radius != r:
             self.ball = replace(self.ball, radius=r)
-
-    def validate(self):
-        """Support in the tent of the ball (a run's last level is its
-        highest entry), and the size bound to a relative 1e-12."""
-        e = self.values
-        depth = level_set_depths(self.ball.graph, self.ball.mask, [0])[0]
-        support_ok = bool(np.all(depth[e.verts] ** 2 > e.hi - 1))
-        norm_ok = e.t22_norm() ** 2 <= (1.0 + 1e-12) / self.ball.volume
-        return support_ok and norm_ok
 
 
 @dataclass
 class TentDecomposition:
     coefficients: list  # (lambda_i, TentAtom)
-    residual_t22: float
-    sum_abs_lambda: float
     t1_norm: float = 0.0  # ||A F||_1 of the decomposed F
 
 
@@ -273,8 +246,7 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
             lam = math.sqrt(mass[i]) * math.sqrt(atom_ball.volume)
             entries = SpaceTimeEntries(g, vals, verts[runs], lo[runs], top[runs] + 1, lam,
                                        F.tail.scaled(lam) if holder else None)
-            coefficients.append((lam, TentAtom(atom_ball, entries,
-                                               1.0 / math.sqrt(atom_ball.volume))))
+            coefficients.append((lam, TentAtom(atom_ball, entries)))
     if tau > 0.0 and not held:
         raise NonConvergent(f"the tail of Lusin mass {tau:.3e} lies in no tent: "
                             "no level set of A F is the whole graph")
@@ -285,8 +257,7 @@ def atomic_decompose(g: WeightedGraph, F: SpaceTimeFunction,
         raise NonConvergent(
             f"tent decomposition residual {residual:.3e} above tol {tol:.3e}"
         )
-    sum_abs = float(sum(abs(lam) for lam, _ in coefficients))
-    return TentDecomposition(coefficients, residual, sum_abs, t1)
+    return TentDecomposition(coefficients, t1)
 
 
 # -- synthesis ----------------------------------------------------------------

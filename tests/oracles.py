@@ -42,6 +42,16 @@ no command or pipeline calls: dense tents and annuli, the Vitali
 covering, the inverse of `read_graph`, the forms profile, the dual test
 class norm, the exact-form projector, the fibre norms of df and the
 synthesis of one space-time function.
+`entries_of`, `tent_atom`, `t22_norm` and `is_tent_atom` are the tent
+layer's checks that the pipeline never runs, since it builds its atoms
+to satisfy them: a dense space-time function as its runs, the atom that
+holds them, the T^2_2 norm, and the paper's two atom conditions;
+`tent_residual` and `sum_abs_lambda` measure a decomposition,
+`truncated_profile` is the heat profile cut at l_max without its tail,
+and `rev_edges` and `antisymmetry_defect` check that a 1-form is one.
+`fourier_apply` applies any operator of the calculus exactly, at any n,
+on the lazy cycles, tori and paths of the zoo, by one FFT pair: the
+referee of the series path above the oracle cap.
 """
 
 import itertools
@@ -63,7 +73,7 @@ from graphhardy.hardy import _profile, synthesize_molecules
 from graphhardy.operators import (EdgeFunction, apply_P, differential, divergence, gradient,
                                   heat_sweep, horner, level_blocks, lp_norm, markov_step,
                                   mean_project, tx_norms)
-from graphhardy.quadratic import SpaceTimeFunction, form_potential, tent_functional
+from graphhardy.quadratic import SpaceTimeFunction, form_potential, tail_mass, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import (SpaceTimeEntries, TentAtom, TentDecomposition,
                                   horner_synthesis)
@@ -523,7 +533,7 @@ def riesz_entries_per_input(g, suite, l_max=None):
     for label, f in suite:
         res = riesz(g, f, l_max)
         denom = res.h1_quad_input
-        ratio = res.norm_l1_gradient / denom if denom > 0 else math.inf
+        ratio = res.norm_l1_gradient / denom if denom > 0 else None
         h = form_potential(g, res.output)
         gap = lp_norm(g, h - res.input, 2)
         entries.append(RieszSuiteEntry(label, denom, res.norm_l1_gradient, ratio,
@@ -702,7 +712,7 @@ def atomic_decompose_dense(g, F, tol=1e-8):
     AF = tent_functional(g, F)
     t1 = lp_norm(g, AF, 1)
     if not vals.any():
-        return TentDecomposition([], 0.0, 0.0, t1)
+        return TentDecomposition([], t1)
     coefficients = []
     reconstruction = np.zeros_like(vals)
     for center, radius, ys, ls in tent_pieces_dense(g, F):
@@ -719,17 +729,15 @@ def atomic_decompose_dense(g, F, tol=1e-8):
         lam = t22 * math.sqrt(atom_ball.volume)
         piece = np.zeros(vals.shape)
         piece[ys, ls] = v / lam
-        atom = TentAtom(atom_ball, SpaceTimeFunction(g, piece),
-                        1.0 / math.sqrt(atom_ball.volume))
+        atom = tent_atom(atom_ball, SpaceTimeFunction(g, piece))
         coefficients.append((lam, atom))
         reconstruction[ys, ls] += v
-    residual = SpaceTimeFunction(g, vals - reconstruction).t22_norm()
+    residual = t22_norm(SpaceTimeFunction(g, vals - reconstruction))
     if residual > tol:
         raise NonConvergent(
             f"tent decomposition residual {residual:.3e} above tol {tol:.3e}"
         )
-    sum_abs = float(sum(abs(lam) for lam, _ in coefficients))
-    return TentDecomposition(coefficients, float(residual), sum_abs, t1)
+    return TentDecomposition(coefficients, t1)
 
 
 def geometry_report_masks(g):
@@ -879,7 +887,7 @@ def make_form_molecule_from_tent_atom(A, M, eps, d0=None):
     g = A.ball.graph
     if d0 is None:
         d0 = cached_geometry(g).d0_estimate
-    tdec = TentDecomposition([(1.0, A)], 0.0, 1.0)
+    tdec = TentDecomposition([(1.0, A)])
     [(_, mol)], _ = synthesize_molecules(g, tdec, "form", M, 0.5, eps, d0)
     return mol
 
@@ -942,12 +950,28 @@ def write_graph(g, path, fmt="text"):
                 fh.write(f"{x} {y} {mu}\n")
 
 
+def _truncated(g, u, beta, l_max):
+    """F(., l) = (l+1)^beta P^l u for l = 0..l_max, without a tail: the
+    levels `hardy._profile` stores, cut at l_max."""
+    values = heat_sweep(g, u, range(l_max + 1))
+    values *= [(l + 1.0) ** beta for l in range(l_max + 1)]
+    return SpaceTimeFunction(g, values)
+
+
+def truncated_profile(g, f, beta, l_max):
+    """F(., l) = [(l+1) Delta]^beta P^l f for l = 0..l_max only: the heat
+    profile of `hardy.heat_profile` cut at l_max, its tail dropped."""
+    return _truncated(g, delta_power_apply(g, f, beta), beta, l_max)
+
+
 def form_profile(g, w, l_max=None, *, reach=0, tol=None):
     """F(., l) = sqrt(l+1) P^l w (w = d*G for the forms pipeline) for
     l = 0..l_max, or for every l >= 0 without l_max, the tail held by
     Delta^{-1} w: the profile `hardy.form_molecular_decompose` builds;
     reach and tol are those of the tail (`ProfileTail`)."""
-    return _profile(g, w, 0.5, l_max, lambda: delta_power_apply(g, w, -1.0), 1.0, reach, tol)
+    if l_max is not None:
+        return _truncated(g, w, 0.5, l_max)
+    return _profile(g, w, 0.5, delta_power_apply(g, w, -1.0), 1.0, reach, tol)
 
 
 def m0_norm(g, phi, M, eps, x0, phi_tilde=None):
@@ -977,7 +1001,118 @@ def pi_synthesis(g, F, eta, beta):
     `tentspace.horner_synthesis`, and the levels of F's tail, whose beta
     must be this beta, as its share at power order - beta
     (`ProfileTail.share`); eta >= beta."""
-    out = horner_synthesis(g, [SpaceTimeEntries.of(F)], eta, beta, eta - beta)[:, 0]
+    out = horner_synthesis(g, [entries_of(F)], eta, beta, eta - beta)[:, 0]
     if F.tail is not None:
         out += F.tail.share(eta, beta, F.tail.order - beta)
     return out
+
+
+def entries_of(F):
+    """F as `tentspace.SpaceTimeEntries`: one run up to its last nonzero
+    level per vertex, and its tail (F.values is referenced, not copied)."""
+    live = F.values != 0.0
+    verts = np.flatnonzero(live.any(axis=1))
+    hi = live.shape[1] - np.argmax(live[verts, ::-1], axis=1)
+    return SpaceTimeEntries(F.graph, F.values, verts, np.zeros_like(hi), hi, 1.0, F.tail)
+
+
+def tent_atom(b, F):
+    """The `tentspace.TentAtom` over the ball b holding the dense
+    space-time function F as its runs."""
+    return TentAtom(b, entries_of(F))
+
+
+def t22_norm(F):
+    """||F||_{T^2_2} = (sum_{y, l} m(y) F(y, l)^2 / (l + 1) + the Lusin
+    mass of F's tail)^{1/2}, of a dense `SpaceTimeFunction` or of
+    `SpaceTimeEntries` from its rows."""
+    if isinstance(F, SpaceTimeEntries):
+        rows = F.rows()
+        terms = rows * rows / np.arange(1.0, rows.shape[1] + 1.0)
+        return math.sqrt(float(F.graph.m[F.verts] @ terms.sum(axis=1)) + tail_mass(F))
+    k = np.arange(F.values.shape[1])
+    return math.sqrt(float(np.sum(
+        (F.values ** 2 / (k + 1.0)[None, :]) * F.graph.m[:, None]
+    )) + tail_mass(F))
+
+
+def is_tent_atom(A):
+    """The paper's two conditions on a T^1_2 atom A over B: support in
+    the tent of B (a run's last level is its highest entry), and
+    ||A||_{T^2_2}^2 <= 1/V(B), to a relative 1e-12."""
+    e = A.values
+    depth = level_set_depths(A.ball.graph, A.ball.mask, [0])[0]
+    support_ok = bool(np.all(depth[e.verts] ** 2 > e.hi - 1))
+    norm_ok = t22_norm(e) ** 2 <= (1.0 + 1e-12) / A.ball.volume
+    return support_ok and norm_ok
+
+
+def tent_residual(F, dec):
+    """The T^2_2 norm of the stored levels of F that no atom of the tent
+    decomposition dec holds: what the atoms leave out."""
+    owned = np.zeros(F.values.shape, dtype=bool)
+    for _, atom in dec.coefficients:
+        owned |= atom.values.values != 0.0
+    return t22_norm(SpaceTimeFunction(F.graph, np.where(owned, 0.0, F.values)))
+
+
+def sum_abs_lambda(dec):
+    """Sum of |lambda| over the coefficients of a decomposition."""
+    return float(sum(abs(lam) for lam, _ in dec.coefficients))
+
+
+def rev_edges(g):
+    """Permutation sending the CSR slot of (x, y) to the slot of (y, x)."""
+    A = g.adjacency
+    coo = A.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    assert np.all(order == np.arange(A.nnz))
+    return np.lexsort((coo.row, coo.col))
+
+
+def antisymmetry_defect(F):
+    """max over directed edges of |F(x, y) + F(y, x)| of an EdgeFunction."""
+    return float(np.abs(F.data + F.data[rev_edges(F.graph)]).max(initial=0.0))
+
+
+def _lazy_decay(n):
+    """1 - lam = sin^2(t / 2) at the n frequencies t = 2 pi k / n of the
+    lazy walk on Z_n, P = 1/2 + cos(t)/2, in long double: the gap is
+    formed without the cancellation of 1 - lam."""
+    return np.sin(np.pi * np.arange(n, dtype=np.longdouble) / n) ** 2
+
+
+def fourier_apply(g, f, op, s):
+    """op(P) at the scale s applied to f on `zoo.lazy_cycle`,
+    `zoo.lazy_torus_2d` or `zoo.lazy_path` (default loops), exact to
+    rounding at any n.  The cycle and the torus are Cayley graphs of Z_n
+    and Z_n^2 with uniform m, so P is diagonal in the discrete Fourier
+    basis, with symbols 1/2 + cos(t)/2 and 1/2 + (cos t_1 + cos t_2)/4;
+    op is evaluated there in long double and applied by one FFT pair.
+    The path is the reflection quotient of the cycle of 2n - 2 vertices:
+    its P is the cycle's on even extensions.  A deflated op acts on
+    mean-zero functions, so its zero mode is masked by index (near 1 a
+    nonzero mode of a long cycle lies within `isclose` of it)."""
+    kind, n = g.meta.get("kind"), g.meta.get("n")
+    f = np.asarray(f, dtype=float)
+    if kind == "lazy_path":
+        assert np.array_equal(g.m, np.r_[2.0, np.full(n - 2, 4.0), 2.0])
+        even = np.concatenate((f, f[-2:0:-1]))
+        return _fourier(even[:, None], _lazy_decay(2 * n - 2), op, s)[:n, 0]
+    if kind == "lazy_cycle":
+        assert np.all(g.m == 4.0)
+        return _fourier(f[:, None], _lazy_decay(n), op, s)[:, 0]
+    assert kind == "lazy_torus_2d" and np.all(g.m == 8.0)
+    d = _lazy_decay(n)
+    return _fourier(f.reshape(n, n), (d[:, None] + d[None, :]) / 2, op, s).ravel()
+
+
+def _fourier(f, decay, op, s):
+    """op(1 - decay) applied to f in the Fourier basis of its axes, the
+    zero mode of a deflated op masked."""
+    vals = np.asarray(op(1 - decay, s), dtype=np.longdouble)
+    if op.deflated:
+        vals.flat[0] = 0.0
+    vals = vals.astype(float).reshape(decay.shape + (1,) * (f.ndim - decay.ndim))
+    axes = tuple(range(decay.ndim))
+    return np.fft.ifftn(np.fft.fftn(f, axes=axes) * vals, axes=axes).real

@@ -711,7 +711,7 @@ def test_require_mean_zero_checks_each_column(cycle16):
     # a block is the column loop; a zero column passes; one column with a
     # constant part raises
     g = cycle16
-    F = random_mean_zero(g, np.random.default_rng(3), size=4)
+    F = mean_project(g, np.random.default_rng(3).standard_normal((g.n, 4)))
     F[:, 2] = 0.0
     out = require_mean_zero(g, F)
     assert out.shape == F.shape
@@ -734,7 +734,7 @@ def test_negative_powers_take_blocks(cycle16):
     # Delta^beta, beta < 0, applies to an (n, k) block as to each column,
     # on the oracle and on the series path
     g = cycle16
-    F = random_mean_zero(g, np.random.default_rng(4), size=3)
+    F = mean_project(g, np.random.default_rng(4).standard_normal((g.n, 3)))
     for beta in (-0.5, -1.0):
         U = delta_power_apply(g, F, beta)
         op = series(g, DeltaPower(beta), None, 1e-10)

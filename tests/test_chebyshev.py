@@ -8,8 +8,8 @@ functions for a fractional Delta^beta."""
 import numpy as np
 import pytest
 
-from oracles import (chebyshev_terms, counting_markov, delta_power_exact, resolvent_exact,
-                     taylor_resolvent_degree)
+from oracles import (chebyshev_terms, counting_markov, delta_power_exact, fourier_apply,
+                     resolvent_exact, taylor_resolvent_degree)
 
 from graphhardy import calculus, zoo
 from graphhardy.calculus import (
@@ -18,13 +18,14 @@ from graphhardy.calculus import (
     Resolvent,
     bz2_apply,
     chebyshev_series,
+    phi_apply,
     resolvent_apply,
     series,
 )
 from graphhardy.cli import _parse_s_range
 from graphhardy.errors import NonConvergent
 from graphhardy.operators import chebyshev_blocks, lp_norm, random_mean_zero, spectral_interval
-from graphhardy.zoo import binary_tree, lazy_cycle, lazy_torus_2d, random_weights
+from graphhardy.zoo import binary_tree, lazy_cycle, lazy_path, lazy_torus_2d, random_weights
 
 SCALES = (1, 3, 40, 512)
 POWERS = (-1.5, -0.5, 0.5, 1.0, 1.5, 2.0, 2.5)
@@ -368,3 +369,46 @@ def test_memoized_columns_keep_the_length_cap(monkeypatch):
     monkeypatch.setattr(calculus, "SERIES_MAX_N", N - 1)
     with pytest.raises(NonConvergent):
         calculus._column(*args, calculus.SERIES_MAX_N)
+
+
+# graphs above the oracle cap whose P the FFT diagonalizes exactly
+# (`oracles.fourier_apply`), each built once
+FOURIER_GRAPHS = {"cycle_512": lambda: lazy_cycle(512), "torus_20": lambda: lazy_torus_2d(20),
+                  "path_300": lambda: lazy_path(300)}
+FOURIER_SYMBOLS = [(DeltaPower(0.5), None), (DeltaPower(-0.5), None), (DeltaPower(-1.0), None),
+                   (Resolvent(1.0), 16.0), (Resolvent(1.5), 1e4), (Resolvent(2.5), 100.0),
+                   (Resolvent(2.5), 1e4), (Bz2(1), 64.0), (Bz2(2), 1e4)]
+
+# the deflated Delta^{-1} on the slowly mixing cycle and path lands 13
+# and 22 times its tail bound away: its coefficients sum to about 3e4 and
+# their rounding, which the bound leaves out, is what shows (the FOUND
+# line on `DeltaPower` at beta = -1 in CHANGES.md)
+MISSES_ITS_TAIL = {("cycle_512", DeltaPower(-1.0)), ("path_300", DeltaPower(-1.0))}
+FOURIER_CASES = [
+    pytest.param(name, op, s, id=f"{name}-{op}-{s}",
+                 marks=[pytest.mark.xfail(strict=True, reason="rounding of large coefficients")]
+                 if (name, op) in MISSES_ITS_TAIL else [])
+    for name in FOURIER_GRAPHS for op, s in FOURIER_SYMBOLS
+]
+
+
+@pytest.fixture(scope="module")
+def fourier_graphs():
+    return {name: build() for name, build in FOURIER_GRAPHS.items()}
+
+
+@pytest.mark.parametrize("name,op,s", FOURIER_CASES)
+def test_series_within_its_tail_of_the_fourier_referee(fourier_graphs, name, op, s):
+    # above the cap `phi_apply` takes the series path at the default
+    # ORACLE_MAX_N; on the abelian zoo families its result lands within
+    # its certified tail bound of the exact Fourier apply, plus a few
+    # ulps of ||f||
+    g = fourier_graphs[name]
+    assert g.n > calculus.ORACLE_MAX_N
+    f = random_mean_zero(g, np.random.default_rng(31))
+    tol = 1e-10
+    got = phi_apply(g, f, op, s, tol)
+    want = fourier_apply(g, f, op, s)
+    ser = series(g, op, s, tol)
+    norm = lp_norm(g, f, 2)
+    assert lp_norm(g, got - want, 2) <= (ser.tail_bound + 8 * EPS) * norm

@@ -15,7 +15,9 @@ once; every operator reaches `phi_apply` as a symbol, never as a
 lambda; every module-level definition is read by a package module (the
 CLI and the fixtures included) as a bare name or as an attribute of a
 module, `self` or `cls`, an export or a field of the same name being no
-caller, unless UNCALLED gives it a reason; scipy's private sparse
+caller, unless UNCALLED gives it a reason, and every method and
+property of a package class is read as an attribute by a package module
+unless UNREAD gives it a reason; scipy's private sparse
 kernels are imported by `operators` alone, so are threads, whose one
 pool only the square functions reach, `hardy` imports nothing of
 `riesz`, and no module imports a private name of another."""
@@ -114,12 +116,12 @@ ALLOWED = {
     "annulus_rings": (set(), {"hardy._size_table"}),
     # every tent depth d(., O^c) is read from one running minimum of `dist`
     "level_set_depths": ({"tentspace"}, set()),
-    # validation is one mode: the block validator rederives a, reads the
-    # size table (which the stage also reads for its excess) and makes
-    # every report
+    # validation is one mode: the block validator rederives a and reads
+    # the size table (which the stage also reads for its excess); the one
+    # report is made for the one molecule a caller validates
     "rederive_molecules": (set(), {"hardy._validate_block"}),
     "_size_table": (set(), {"hardy._validate_block", "hardy.synthesize_molecules"}),
-    "ValidationReport": (set(), {"hardy._validate_block"}),
+    "ValidationReport": (set(), {"hardy.validate_molecule"}),
     # the kernel rule has one check: symbols are finite on the spectrum,
     # so only the mean-zero test raises for a constant part
     "KernelComponent": (set(), {"calculus.require_mean_zero"}),
@@ -203,10 +205,9 @@ def test_scanner_sees_calls(calls):
     assert ("distance_to", "graphs.aperiodic") in calls
     assert ("annulus_rings", "hardy._size_table") in calls
     assert ("level_set_depths", "tentspace.atomic_decompose") in calls
-    assert ("level_set_depths", "tentspace.validate") in calls
     assert ("rederive_molecules", "hardy._validate_block") in calls
     assert ("_size_table", "hardy.synthesize_molecules") in calls
-    assert ("ValidationReport", "hardy._validate_block") in calls
+    assert ("ValidationReport", "hardy.validate_molecule") in calls
     assert ("KernelComponent", "calculus.require_mean_zero") in calls
     assert ("horner", "tentspace.horner_synthesis") in calls
     assert ("LusinTail", "quadratic.mass") in calls
@@ -278,6 +279,47 @@ def test_every_definition_has_a_caller(trees):
                 and node.name not in reached}
     assert uncalled == set(UNCALLED), (f"no caller: {sorted(uncalled - set(UNCALLED))}; "
                                        f"called now: {sorted(set(UNCALLED) - uncalled)}")
+
+
+# methods and properties of package classes that no package module reads,
+# each with why it stays
+UNREAD = {}
+
+
+def _members(tree):
+    """(class name, definition) of every method and property of the
+    module's classes, dunder methods (which Python calls itself) aside."""
+    return [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def test_every_member_is_read(trees):
+    # what nothing in the package reaches is not kept, members included:
+    # every method and property of a package class is loaded as an
+    # attribute, of any object, by some package module outside its own
+    # definition (so recursion is no reader), unless UNREAD gives it a
+    # reason; an export in `__init__` is no reader
+    loads = [node for module, tree in trees.items() if module != "__init__"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = set()
+    for module, tree in trees.items():
+        for cls, member in _members(tree):
+            own = {id(node) for node in ast.walk(member)}
+            if not any(node.attr == member.name and id(node) not in own for node in loads):
+                unread.add(f"{module}.{cls}.{member.name}")
+    assert unread == set(UNREAD), (f"never read: {sorted(unread - set(UNREAD))}; "
+                                   f"read now: {sorted(set(UNREAD) - unread)}")
+
+
+def test_member_scanner_sees_members(trees):
+    # the scan reaches methods, properties and cached properties, and
+    # leaves dunder methods to Python
+    found = {f"{cls}.{node.name}" for tree in trees.values() for cls, node in _members(tree)}
+    assert {"SpaceTimeEntries.rows", "SpaceTimeEntries.values", "WeightedGraph.dist",
+            "ProfileTail.mass", "ProfileTail.share", "Molecule.graph"} <= found
+    assert not any(name.endswith(".__post_init__") for name in found)
 
 
 def test_steps_and_pipeline_have_one_definition():

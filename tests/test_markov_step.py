@@ -8,7 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import chebyshev_terms, counting_markov, form_profile, graphs
+from oracles import (chebyshev_terms, counting_markov, entries_of, form_profile, graphs,
+                     truncated_profile)
 
 from graphhardy import operators, zoo
 from graphhardy.graphs import build_graph
@@ -26,8 +27,8 @@ from graphhardy.operators import (
     markov_step,
     spectral_interval,
 )
-from graphhardy.quadratic import SpaceTimeFunction
-from graphhardy.tentspace import SpaceTimeEntries, horner_synthesis
+from graphhardy.quadratic import SpaceTimeFunction, default_l_max
+from graphhardy.tentspace import horner_synthesis
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -122,7 +123,7 @@ def test_weighted_powers_match_the_loop(levels):
     keep = f.copy()
     u = delta_power_apply(g, f, 0.5)
     W = counting_markov(g)
-    got = heat_profile(g, f, 0.5, levels - 1).values
+    got = truncated_profile(g, f, 0.5, levels - 1).values
     assert W.products == levels - 1
     want = np.empty((g.n, levels))
     for l in range(levels):
@@ -421,12 +422,20 @@ def test_horner_matches_the_loop(K):
 @pytest.mark.parametrize("beta", [1.0, 0.5])
 def test_profiles_make_l_max_products(beta):
     # on the oracle path Delta^beta costs no product, so the profile walk
-    # makes exactly l_max
+    # makes exactly l_max: the stored levels of a profile with its tail
+    # (diam^2 + 1 = 65 here; the tail applies no product until it is
+    # read) and those of a truncated one
     g = zoo.lazy_cycle(16)
     f = np.random.default_rng(4).standard_normal(g.n)
     f -= f.mean()
     W = counting_markov(g)
-    heat_profile(g, f, beta, 57)
+    assert heat_profile(g, f, beta).l_max == default_l_max(g) == 65
+    assert W.products == 65
+    W.products = 0
+    form_profile(g, f)
+    assert W.products == 65
+    W.products = 0
+    truncated_profile(g, f, beta, 57)
     assert W.products == 57
     W.products = 0
     form_profile(g, f, 130)
@@ -437,7 +446,7 @@ def test_horner_synthesis_scan_makes_top_products():
     g = zoo.lazy_cycle(16)
     vals = np.zeros((g.n, 50))
     vals[:, :23] = np.random.default_rng(5).standard_normal((g.n, 23))
-    entries = SpaceTimeEntries.of(SpaceTimeFunction(g, vals))
+    entries = entries_of(SpaceTimeFunction(g, vals))
     assert entries.top == 23
     W = counting_markov(g)
     # eta = 3 factors of (I + P), exp = 2 of Delta, then top - 1 = 22
@@ -455,7 +464,7 @@ def test_profile_walk_keeps_one_profile():
     delta_power_apply(g, f, 1.0)
     tracemalloc.start()
     try:
-        heat_profile(g, f, 1.0, l_max)
+        truncated_profile(g, f, 1.0, l_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

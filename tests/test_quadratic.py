@@ -80,7 +80,7 @@ def test_lusin_radius_sums_at_every_horizon(cycle16, l_max, chunked, monkeypatch
     # column of a block matches its single-vector run
     if chunked:
         monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", 5 * 3 * cycle16.n)
-    F = random_mean_zero(cycle16, np.random.default_rng(l_max), size=3)
+    F = mean_project(cycle16, np.random.default_rng(l_max).standard_normal((cycle16.n, 3)))
     for beta in (1.0, 0.5):
         L = lusin(cycle16, F, beta, l_max)
         G = g_littlewood(cycle16, F, beta, l_max)
@@ -395,10 +395,9 @@ def test_series_path_matches_oracle_path(cycle32, rng, monkeypatch):
     # above the oracle cap Delta^beta runs through the truncated series;
     # at beta = 1 that series is exact, so both paths agree to rounding
     f = random_mean_zero(cycle32, rng)
-    l_max = default_l_max(cycle32)
 
     def run():
-        return (heat_profile(cycle32, f, 1.0, l_max).values,
+        return (heat_profile(cycle32, f, 1.0).values,
                 lusin(cycle32, f, 1.0), g_littlewood(cycle32, f, 1.0))
 
     oracle = run()
@@ -427,7 +426,7 @@ def test_block_quad_norm_equals_columns(cone_graph, horizon, path):
     # the vector call
     g, _ = cone_graph
     l_max = HORIZONS[horizon](g.diameter)
-    F = random_mean_zero(g, np.random.default_rng(6), size=4)
+    F = mean_project(g, np.random.default_rng(6).standard_normal((g.n, 4)))
     F[:, 1] = 0.0
     L = lusin(g, F, 1.0, l_max)
     Q = quad_norm(g, F, 1.0, l_max)
@@ -453,7 +452,7 @@ def test_square_functions_equal_on_any_worker_count(monkeypatch, workers, cone_g
         monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", rows * g.n)
     l_max = HORIZONS[horizon](g.diameter)
     rng = np.random.default_rng(9)
-    F = random_mean_zero(g, rng, size=5)
+    F = mean_project(g, rng.standard_normal((g.n, 5)))
     F[:, 3] = 0.0
     vals = rng.standard_normal((g.n, l_max + 1))
     results = []
@@ -472,7 +471,7 @@ def test_column_groups_walk_the_chunks_of_their_block(monkeypatch, workers):
     # levels for the block, its groups of 3 and 2 columns would otherwise
     # take chunks of 5 and 7 levels
     g = zoo.lazy_torus_2d(6)
-    F = random_mean_zero(g, np.random.default_rng(10), size=5)
+    F = mean_project(g, np.random.default_rng(10).standard_normal((g.n, 5)))
     monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", 3 * F.size)
     out = []
     for count in (1, 2):
@@ -487,7 +486,7 @@ def test_products_are_counted_exactly_on_the_pool(workers):
     # the interpreter allows; every run counts the Delta step, one walk
     # of l_max products per group, and the columns of the serial run
     g = zoo.lazy_torus_2d(32)
-    F = random_mean_zero(g, np.random.default_rng(11), size=3)
+    F = mean_project(g, np.random.default_rng(11).standard_normal((g.n, 3)))
     L = default_l_max(g)
     workers(1)
     calls, cols = g.matvec_calls, g.matvec_cols

@@ -1,10 +1,12 @@
+import json
 import math
 import sys
 
 import numpy as np
 import pytest
 from oracles import (counting_markov, delta_power_exact, gradient_matches_fiber_norms,
-                     h2_project, inner_forms, isometry_defect, riesz_entries_per_input)
+                     h2_project, inner_forms, isometry_defect, rev_edges,
+                     riesz_entries_per_input)
 
 import graphhardy
 from graphhardy import riesz as riesz_module
@@ -90,7 +92,7 @@ def test_h2_project_k2l_single_edge(k2l):
 
 def test_h2_project_idempotent_and_orthogonal(cycle16, rng):
     data = rng.standard_normal(cycle16.adjacency.nnz)
-    data = 0.5 * (data - data[cycle16.rev_edges])
+    data = 0.5 * (data - data[rev_edges(cycle16)])
     F = EdgeFunction(cycle16, data)
     P1 = h2_project(cycle16, F)
     P2 = h2_project(cycle16, P1)
@@ -105,7 +107,7 @@ def test_h2_project_idempotent_and_orthogonal(cycle16, rng):
 def test_h2_projection_basis_idempotent(cycle16):
     nnz = cycle16.adjacency.nnz
     rows, cols = cycle16.edge_rows, cycle16.edge_cols
-    rev = cycle16.rev_edges
+    rev = rev_edges(cycle16)
     seen = set()
     for e in range(nnz):
         x, y = int(rows[e]), int(cols[e])
@@ -125,7 +127,7 @@ def test_dstar_contraction(cycle32, rng):
     worst = {1: 0.0, 2: 0.0, np.inf: 0.0}
     for _ in range(10):
         data = rng.standard_normal(cycle32.adjacency.nnz)
-        data = 0.5 * (data - data[cycle32.rev_edges])
+        data = 0.5 * (data - data[rev_edges(cycle32)])
         F = EdgeFunction(cycle32, data)
         h = divergence(cycle32, F)
         for p in worst:
@@ -153,7 +155,7 @@ def test_package_riesz_is_the_module():
 def test_adjoint_isometry_on_exact_forms(cycle32, rng):
     # || Delta^{-1/2} d* F ||_2 = ||F||_{L^2(T)} on the range of the projector
     data = rng.standard_normal(cycle32.adjacency.nnz)
-    data = 0.5 * (data - data[cycle32.rev_edges])
+    data = 0.5 * (data - data[rev_edges(cycle32)])
     F = h2_project(cycle32, EdgeFunction(cycle32, data))
     u = delta_power_exact(cycle32, divergence(cycle32, F), -0.5)
     assert abs(lp_norm(cycle32, u, 2) - lp_norm_forms(cycle32, F, 2)) <= 1e-9
@@ -163,15 +165,20 @@ def _assert_matches_per_input(g, suite, l_max=None):
     rep = riesz_h1_experiment(g, suite, l_max)
     loop = riesz_entries_per_input(g, suite, l_max)
     assert [e.label for e in rep.entries] == [e.label for e in loop]
-    for name in ("h1_quad_input", "grad_l1", "ratio"):
+    # a zero input has no ratio on either side
+    assert [e.ratio is None for e in rep.entries] == [e.ratio is None for e in loop]
+    for name in ("h1_quad_input", "grad_l1"):
         np.testing.assert_allclose([getattr(e, name) for e in rep.entries],
                                    [getattr(e, name) for e in loop], rtol=1e-12,
                                    err_msg=name)
+    np.testing.assert_allclose([e.ratio for e in rep.entries if e.ratio is not None],
+                               [e.ratio for e in loop if e.ratio is not None], rtol=1e-12,
+                               err_msg="ratio")
     # the chain gap is a rounding-level L^2 distance of h from the input,
     # already relative to the input norm
     np.testing.assert_allclose([e.chain_gap for e in rep.entries],
                                [e.chain_gap for e in loop], rtol=0, atol=1e-12)
-    ratios = [e.ratio for e in rep.entries if math.isfinite(e.ratio)]
+    ratios = [e.ratio for e in rep.entries if e.ratio is not None]
     assert rep.max_ratio == max(ratios, default=0.0)
     assert rep.min_ratio == min(ratios, default=0.0)
     assert rep.max_chain_gap == max((e.chain_gap for e in rep.entries), default=0.0)
@@ -212,7 +219,7 @@ BLOCK_CAPS = [
 
 
 def _eleven_inputs(g):
-    """10 molecules of lazy_cycle(16) with a zero input (infinite ratio)
+    """10 molecules of lazy_cycle(16) with a zero input (no ratio)
     sixth."""
     suite = molecule_suite(g, (1, 4), centers=range(0, 16, 3))[:10]
     suite.insert(5, ("zero", np.zeros(g.n)))
@@ -228,14 +235,14 @@ def _report_numbers(rep):
 
 @pytest.mark.parametrize("cap,value,blocks", BLOCK_CAPS)
 def test_experiment_runs_in_blocks(monkeypatch, workers, cap, value, blocks):
-    # 11 inputs, a zero input (infinite ratio) among them, one power walk
+    # 11 inputs, a zero input (no ratio) among them, one power walk
     # per block on a single worker
     workers(1)
     monkeypatch.setattr(riesz_module, cap, value)
     g = lazy_cycle(16)
     suite = _eleven_inputs(g)
     rep = _assert_matches_per_input(g, suite)
-    assert len(rep.entries) == 11 and rep.entries[5].ratio == math.inf
+    assert len(rep.entries) == 11 and rep.entries[5].ratio is None
     W = counting_markov(g)
     riesz_h1_experiment(g, suite)
     assert W.products == blocks * default_l_max(g)
@@ -268,6 +275,24 @@ def test_experiment_explicit_horizon(cycle16, l_max):
     # below the default horizon, and far above it (radii past the diameter)
     suite = molecule_suite(cycle16, (1, 4, 16), centers=range(0, 16, 4))
     _assert_matches_per_input(cycle16, suite, l_max)
+
+
+def test_a_zero_input_has_no_ratio():
+    # a zero input has quadratic norm 0 and no ratio: a JSON null that
+    # strict JSON parses and an empty CSV cell, skipped by max and min
+    g = lazy_cycle(16)
+    f = molecule_suite(g, (4,), centers=[3])[0][1]
+    rep = riesz_h1_experiment(g, [("f", f), ("zero", np.zeros(g.n))])
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    payload = json.loads(rep.to_json(), parse_constant=refuse)
+    ratio = rep.entries[0].ratio
+    assert ratio > 0.0
+    assert [e["ratio"] for e in payload["entries"]] == [ratio, None]
+    assert payload["max_ratio"] == payload["min_ratio"] == ratio
+    assert rep.to_csv().splitlines()[2] == "zero,0.0,0.0,,0.0"
 
 
 def test_experiment_empty_suite(cycle16):

@@ -7,23 +7,31 @@ import pytest
 
 from oracles import (
     atomic_decompose_dense,
+    entries_of,
     eta_coefficients_recurrence,
     form_profile,
     graphs,
+    is_tent_atom,
     naive_tent_members,
     pi_synthesis,
     reproducing_l_max_mpmath,
     reproducing_l_max_spectrum,
+    sum_abs_lambda,
+    t22_norm,
+    tent_atom,
     tent_depth_search,
     tent_mask,
     tent_pieces_dense,
+    tent_residual,
     top_level,
+    truncated_profile,
 )
 
 from graphhardy import calculus, graphs as graphs_module, hardy, tentspace, zoo
 from graphhardy.calculus import reproducing_l_max
+from graphhardy.errors import NonConvergent
 from graphhardy.graphs import ball, level_set_depths
-from graphhardy.hardy import heat_profile, pipeline_l_max, synthesis_eta
+from graphhardy.hardy import pipeline_l_max, synthesis_eta
 from graphhardy.graphs import cached_geometry
 from graphhardy.operators import (
     _kernel_step,
@@ -35,12 +43,7 @@ from graphhardy.operators import (
     random_mean_zero,
 )
 from graphhardy.quadratic import SpaceTimeFunction, tent_functional
-from graphhardy.tentspace import (
-    SpaceTimeEntries,
-    TentAtom,
-    atomic_decompose,
-    eta_coefficients,
-)
+from graphhardy.tentspace import SpaceTimeEntries, atomic_decompose, eta_coefficients
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -133,18 +136,18 @@ def test_tent_matches_naive(cycle16):
 
 def _random_profile(g, rng, l_max=24):
     f = random_mean_zero(g, rng)
-    return heat_profile(g, f, 1.0, l_max)
+    return truncated_profile(g, f, 1.0, l_max)
 
 
 def test_atoms_validate_and_reconstruct(cycle32, rng):
     F = _random_profile(cycle32, rng)
     dec = atomic_decompose(cycle32, F)
-    assert dec.residual_t22 <= 1e-12
+    assert tent_residual(F, dec) <= 1e-12
     rec = np.zeros_like(F.values)
     for lam, atom in dec.coefficients:
-        assert atom.validate()
+        assert is_tent_atom(atom)
         rec += lam * atom.values.values
-    gap = SpaceTimeFunction(cycle32, F.values - rec).t22_norm()
+    gap = t22_norm(SpaceTimeFunction(cycle32, F.values - rec))
     assert gap <= 1e-12
 
 
@@ -156,14 +159,14 @@ def test_atom_coefficients_match_dense_norm(cycle32, torus8, rng):
         d0 = cached_geometry(g).d0_estimate
         eta = synthesis_eta(1, 1.0, 1.0, d0)
         l_max = pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2))
-        F = heat_profile(g, f, 1.0, l_max)
+        F = truncated_profile(g, f, 1.0, l_max)
         dec = atomic_decompose(g, F, tol=1e-8)
-        assert dec.residual_t22 <= 1e-8
+        assert tent_residual(F, dec) <= 1e-8
         covered = np.zeros(F.values.shape, dtype=int)
         for lam, atom in dec.coefficients:
             owned = atom.values.values != 0.0
             piece = np.where(owned, F.values, 0.0)
-            dense = SpaceTimeFunction(g, piece).t22_norm() * math.sqrt(atom.ball.volume)
+            dense = t22_norm(SpaceTimeFunction(g, piece)) * math.sqrt(atom.ball.volume)
             assert abs(lam - dense) <= 1e-12 * dense
             covered += owned
         assert covered.max() == 1
@@ -193,7 +196,7 @@ def test_horner_synthesis_stops_at_top_level(cycle16, rng):
     vals = np.zeros((cycle16.n, 30))
     vals[:, :6] = rng.standard_normal((cycle16.n, 6))
     assert top_level(vals) == 6
-    assert SpaceTimeEntries.of(SpaceTimeFunction(cycle16, vals)).top == 6
+    assert entries_of(SpaceTimeFunction(cycle16, vals)).top == 6
     out = pi_synthesis(cycle16, SpaceTimeFunction(cycle16, vals), 3, 1.0)
     assert np.array_equal(out, _full_scan_synthesis(cycle16, vals, 3, 1.0))
     zero = np.zeros((cycle16.n, 4))
@@ -205,7 +208,7 @@ def test_decompose_zero(cycle16):
     F = SpaceTimeFunction(cycle16, np.zeros((cycle16.n, 4)))
     dec = atomic_decompose(cycle16, F)
     assert dec.coefficients == []
-    assert dec.residual_t22 == 0.0
+    assert tent_residual(F, dec) == 0.0
 
 
 def test_decompose_single_atom_idempotent(cycle16):
@@ -214,13 +217,13 @@ def test_decompose_single_atom_idempotent(cycle16):
     vals = np.zeros((cycle16.n, 9))
     vals[mask] = 1.0
     stf = SpaceTimeFunction(cycle16, vals)
-    norm = stf.t22_norm()
+    norm = t22_norm(stf)
     lam0 = norm * math.sqrt(b.volume)
-    atom = TentAtom(b, SpaceTimeFunction(cycle16, vals / lam0), 1.0 / math.sqrt(b.volume))
-    assert atom.validate()
-    dec = atomic_decompose(cycle16, atom.values)
-    assert dec.residual_t22 <= 1e-14
-    assert dec.sum_abs_lambda <= 4.0 * lp_norm(cycle16, tent_functional(cycle16, atom.values), 1)
+    F = SpaceTimeFunction(cycle16, vals / lam0)
+    assert is_tent_atom(tent_atom(b, F))
+    dec = atomic_decompose(cycle16, F)
+    assert tent_residual(F, dec) <= 1e-14
+    assert sum_abs_lambda(dec) <= 4.0 * lp_norm(cycle16, tent_functional(cycle16, F), 1)
 
 
 def test_sum_abs_lambda_band(cycle32):
@@ -230,7 +233,7 @@ def test_sum_abs_lambda_band(cycle32):
         rng = np.random.default_rng(seed)
         F = _random_profile(cycle32, rng)
         dec = atomic_decompose(cycle32, F)
-        ratios.append(dec.sum_abs_lambda / lp_norm(cycle32, tent_functional(cycle32, F), 1))
+        ratios.append(sum_abs_lambda(dec) / lp_norm(cycle32, tent_functional(cycle32, F), 1))
     assert max(ratios) / min(ratios) <= 20.0
 
 
@@ -238,8 +241,8 @@ def test_lmax_doubling_stability(cycle16, rng):
     f = random_mean_zero(cycle16, rng)
     res = []
     for lmax in (64, 128):
-        F = heat_profile(cycle16, f, 1.0, lmax)
-        res.append(atomic_decompose(cycle16, F).residual_t22)
+        F = truncated_profile(cycle16, f, 1.0, lmax)
+        res.append(tent_residual(F, atomic_decompose(cycle16, F)))
     assert res[1] <= res[0] + 1e-14
 
 
@@ -281,7 +284,7 @@ def test_pi_synthesis_l2_bounded(cycle16, rng):
         vals = rng.standard_normal((cycle16.n, 40))
         F = SpaceTimeFunction(cycle16, vals)
         out = pi_synthesis(cycle16, F, 3, 1.0)
-        worst = max(worst, lp_norm(cycle16, out, 2) / F.t22_norm())
+        worst = max(worst, lp_norm(cycle16, out, 2) / t22_norm(F))
     assert math.isfinite(worst) and worst < 50.0
 
 
@@ -291,7 +294,7 @@ def test_pi_synthesis_reproduces(cycle16, rng):
     d0 = cached_geometry(cycle16).d0_estimate
     eta = synthesis_eta(1, 1.0, 1.0, d0)
     l_max = pipeline_l_max(cycle16, eta, 1e-6, lp_norm(cycle16, f, 2))
-    F = heat_profile(cycle16, f, 1.0, l_max)
+    F = truncated_profile(cycle16, f, 1.0, l_max)
     out = pi_synthesis(cycle16, F, eta, 1.0)
     assert lp_norm(cycle16, out - f, 2) <= 1e-6
 
@@ -370,8 +373,7 @@ def _assert_same_decomposition(got, want):
     # vertex), so lambda and what divides by it agree to rounding
     close = functools.partial(pytest.approx, rel=1e-14, abs=0.0)
     assert got.t1_norm == want.t1_norm
-    assert got.residual_t22 == close(want.residual_t22)
-    assert got.sum_abs_lambda == close(want.sum_abs_lambda)
+    assert sum_abs_lambda(got) == close(sum_abs_lambda(want))
     assert len(got.coefficients) == len(want.coefficients)
     for (lam, atom), (lam_ref, ref) in zip(got.coefficients, want.coefficients):
         assert lam == close(lam_ref)
@@ -379,7 +381,7 @@ def _assert_same_decomposition(got, want):
         assert atom.ball.radius == ref.ball.radius
         assert atom.ball.volume == ref.ball.volume
         assert np.array_equal(atom.ball.mask, ref.ball.mask)
-        assert atom.t22_norm == close(ref.t22_norm)
+        assert t22_norm(atom.values) == close(t22_norm(ref.values))
         values, ref_values = atom.values.values, ref.values.values
         assert np.array_equal(values != 0.0, ref_values != 0.0)
         np.testing.assert_allclose(values, ref_values, rtol=1e-14, atol=0.0)
@@ -396,7 +398,7 @@ def test_atomic_decompose_matches_dense_reference(name, profile):
     if profile == "form":
         F = form_profile(g, divergence(g, differential(g, f)), l_max)
     else:
-        F = heat_profile(g, f, 1.0 if profile == "heat_1" else 0.5, l_max)
+        F = truncated_profile(g, f, 1.0 if profile == "heat_1" else 0.5, l_max)
     dec = atomic_decompose(g, F)
     assert dec.coefficients
     _assert_same_decomposition(dec, atomic_decompose_dense(g, F))
@@ -417,22 +419,30 @@ def test_atomic_decompose_uncovered_entries_match_dense_reference():
     dec = atomic_decompose(g, F)
     owned = sum(np.count_nonzero(atom.values.rows()) for _, atom in dec.coefficients)
     assert owned < np.count_nonzero(vals)
-    assert dec.residual_t22 > 0.0
+    # each decomposition refuses a tol just below r, the T^2_2 norm of
+    # what its atoms leave out, and accepts one just above it
+    r = tent_residual(F, dec)
+    assert r > 0.0
+    for decompose in (atomic_decompose, atomic_decompose_dense):
+        with pytest.raises(NonConvergent, match="tent decomposition residual"):
+            decompose(g, F, tol=r * (1.0 - 1e-14))
+        decompose(g, F, tol=r * (1.0 + 1e-14))
     _assert_same_decomposition(dec, atomic_decompose_dense(g, F))
 
 
 def test_atomic_decompose_with_every_term_underflowing_is_all_residual():
     # a nonzero profile whose Lusin terms all underflow has A F = 0, so
-    # no level set: no atom, and the residual is F's own T^2_2 norm
+    # no level set: no atom, and the residual is F's own T^2_2 norm,
+    # which underflows to 0 too, so even tol = 0 passes
     g = zoo.lazy_path(12)
     vals = np.zeros((g.n, 6))
     vals[3, :3] = 1e-200
     F = SpaceTimeFunction(g, vals)
-    dec = atomic_decompose(g, F)
+    assert t22_norm(F) == 0.0
+    dec = atomic_decompose(g, F, tol=0.0)
     assert dec.coefficients == []
-    assert dec.residual_t22 == F.t22_norm()
     assert dec.t1_norm == 0.0
-    assert atomic_decompose_dense(g, F).coefficients == []
+    assert atomic_decompose_dense(g, F, tol=0.0).coefficients == []
 
 
 def _zeros_in_pieces(F):
@@ -478,7 +488,7 @@ def test_atomic_decompose_ball_sum_on_the_series_path_matches_dense_reference(mo
     f[g.dist[9] < 2] += 1.0
     f[g.dist[44] < 3] -= 1.0
     f -= (g.m @ f) / g.m.sum()
-    F = heat_profile(g, f, 1.0, 80)
+    F = truncated_profile(g, f, 1.0, 80)
     assert _zeros_in_pieces(F)[0]
     dec = atomic_decompose(g, F)
     assert dec.coefficients
@@ -493,7 +503,7 @@ def test_atomic_decompose_memory_is_independent_of_atom_count():
     g = zoo.lazy_cycle(64)
     f = random_mean_zero(g, np.random.default_rng(0))
     eta = synthesis_eta(1, 1.0, 1.0, cached_geometry(g).d0_estimate)
-    F = heat_profile(g, f, 1.0, pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2)))
+    F = truncated_profile(g, f, 1.0, pipeline_l_max(g, eta, 1e-8, lp_norm(g, f, 2)))
     atomic_decompose(g, F)  # fills the metric and volume caches
     tracemalloc.start()
     try:
@@ -515,24 +525,24 @@ def test_tent_atom_entries_round_trip(cycle16):
     b = ball(cycle16, 3, 2)
     vals = np.where(tent_mask(cycle16, b.mask, 8), 0.25, 0.0)
     vals[3, 1] = 0.0
-    atom = TentAtom(b, SpaceTimeFunction(cycle16, vals), 1.0)
+    atom = tent_atom(b, SpaceTimeFunction(cycle16, vals))
     e = atom.values
     assert isinstance(e, SpaceTimeEntries)
     assert np.array_equal(e.verts, np.flatnonzero(vals.any(axis=1)))
     assert np.count_nonzero(e.rows()) == np.count_nonzero(vals)
     assert np.array_equal(e.values, vals)
     assert e.top == top_level(vals)
-    assert e.t22_norm() == pytest.approx(SpaceTimeFunction(cycle16, vals).t22_norm(),
-                                         rel=1e-14)
-    # validate checks the support entry by entry; both are scaled to the
-    # size bound ||A||_{T^2_2}^2 = 1/V(B), so only the support differs
+    assert t22_norm(e) == pytest.approx(t22_norm(SpaceTimeFunction(cycle16, vals)), rel=1e-14)
+    # the atom conditions check the support entry by entry; both are
+    # scaled to the size bound ||A||_{T^2_2}^2 = 1/V(B), so only the
+    # support differs
     def normalized(v):
         F = SpaceTimeFunction(cycle16, v)
-        return SpaceTimeFunction(cycle16, v / (F.t22_norm() * math.sqrt(b.volume)))
-    assert TentAtom(b, normalized(vals), 1.0).validate()
+        return SpaceTimeFunction(cycle16, v / (t22_norm(F) * math.sqrt(b.volume)))
+    assert is_tent_atom(tent_atom(b, normalized(vals)))
     outside = vals.copy()
     outside[0, 0] = 1.0
-    assert not TentAtom(b, normalized(outside), 1.0).validate()
+    assert not is_tent_atom(tent_atom(b, normalized(outside)))
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
