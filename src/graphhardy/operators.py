@@ -14,9 +14,7 @@ and every L^p norm carries the vertex measure m.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,22 +35,11 @@ LEVEL_CHUNK = 64
 # single copy, so its walk costs what a call per level costs.
 CHAIN_ENTRIES = 1 << 14
 
-# The one pool of the package (`run_parts`), made on first use: one
-# executor per size, so a process that comes to see another core count
-# gets a pool of that size.  The thread-local flag marks a thread that is
-# running a part.
-_POOLS = {}
-_PART = threading.local()
-# Product counts are read-modify-writes on the graph, made from parts too.
-_COUNT_LOCK = threading.Lock()
-
-
-# -- the pool ------------------------------------------------------------
 
 def thread_cap() -> int:
-    """The cores this process may run on, up to 4: the number of parts
-    `run_parts` runs at once, and of column groups in a block
-    `quadratic.lusin`.  The caller still sets the BLAS thread count."""
+    """The cores this process may run on, up to 4.  The package runs on
+    the calling thread and reads no thread count; the benchmark records
+    this one in its run metadata (`riesz.thread_cap`)."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -60,43 +47,10 @@ def thread_cap() -> int:
     return max(1, min(4, cores))
 
 
-def _run_part(fn, part):
-    """fn(part) with the thread marked as running a part."""
-    busy, _PART.busy = getattr(_PART, "busy", False), True
-    try:
-        return fn(part)
-    finally:
-        _PART.busy = busy
-
-
-def run_parts(fn, parts):
-    """[fn(p) for p in parts], in order: the calling thread runs the
-    first part and a pool of thread_cap() - 1 worker threads the others.
-    Every part runs inline when there is one part or one core, and when
-    the call comes from inside a part, so parts never wait on the pool.
-    Each part must write only memory that no other part reads or writes.
-    The parts are awaited even when one raises; the first exception in
-    part order reaches the caller."""
-    parts = list(parts)
-    workers = thread_cap() - 1
-    if len(parts) < 2 or workers < 1 or getattr(_PART, "busy", False):
-        return [fn(p) for p in parts]
-    if workers not in _POOLS:
-        _POOLS[workers] = concurrent.futures.ThreadPoolExecutor(
-            workers, thread_name_prefix="graphhardy")
-    futures = [_POOLS[workers].submit(_run_part, fn, p) for p in parts[1:]]
-    try:
-        first = _run_part(fn, parts[0])
-    finally:
-        concurrent.futures.wait(futures)
-    return [first] + [f.result() for f in futures]
-
-
 def _count(g: WeightedGraph, calls: int, cols: int):
-    """Add products to g's counts; exact when parts count at once."""
-    with _COUNT_LOCK:
-        g.matvec_calls += calls
-        g.matvec_cols += cols
+    """Add products to g's counts."""
+    g.matvec_calls += calls
+    g.matvec_cols += cols
 
 
 # -- vertex functions ---------------------------------------------------
@@ -350,14 +304,13 @@ def _zero_fill(run, lo, block, start):
     run(start, len(block) - start)
 
 
-def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=_zero_fill, entries=None):
+def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=_zero_fill):
     """The chunked walk of `level_blocks`, `chebyshev_blocks` and
     `horner`: levels 0..N of a walk from u (a float vector or (n, k)
     block) on g's chain of the given kind, yielded as (lo, block),
     block[i] level lo + i, in one reused, level-major chunk of at most
-    min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES // entries) levels (entries =
-    u.size unless given).  The buffer holds the `_lag` levels before the
-    chunk (zeros before level 0).
+    min(LEVEL_CHUNK, ROW_BLOCK_ENTRIES // u.size) levels.  The buffer
+    holds the `_lag` levels before the chunk (zeros before level 0).
     Each pass puts u in level 0 (on the first pass) and makes
     block[start:] (start = 1 on the first pass, else 0) through
     fill(run, lo, block, start), by `_kernel` calls run(i, steps), which
@@ -370,8 +323,7 @@ def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=_zero_fill, ent
     yielded, so the consumer may overwrite block; the next pass
     overwrites it."""
     lag = _lag(kind)
-    entries = u.size if entries is None else entries
-    size = max(1, min(LEVEL_CHUNK, N + 1, ROW_BLOCK_ENTRIES // max(entries, 1)))
+    size = max(1, min(LEVEL_CHUNK, N + 1, ROW_BLOCK_ENTRIES // max(u.size, 1)))
     buf = np.zeros((size + lag,) + u.shape)
     run = _kernel(g, buf.reshape(-1), u.shape[1] if u.ndim == 2 else 1, kind)
     for lo in range(0, N + 1, size):
@@ -384,7 +336,7 @@ def _chain_blocks(g: WeightedGraph, u, N: int, kind="walk", fill=_zero_fill, ent
         yield lo, block
 
 
-def level_blocks(g: WeightedGraph, f, L: int, entries=None):
+def level_blocks(g: WeightedGraph, f, L: int):
     """Walk P^0 f, P^1 f, ..., P^L f with exactly L sparse products and
     yield them as (lo, block): block[i] = P^(lo + i) f for a vector or an
     (n, k) block f, each level a contiguous row of one reused,
@@ -394,27 +346,32 @@ def level_blocks(g: WeightedGraph, f, L: int, entries=None):
     before it, which the same chained kernel call (`_kernel`) has just
     written, so every level is bit-identical to repeated `markov_step`.
     block is overwritten by the next pass; the consumer may overwrite it
-    (the walk resumes from its own copy of the last level).  A walk of
-    some columns of a block passes entries = the block's size, so that
-    its chunks hold the levels the block's chunks hold."""
+    (the walk resumes from its own copy of the last level)."""
     if L < 0:
         return
-    yield from _chain_blocks(g, _operand(g, f), L, entries=entries)
+    yield from _chain_blocks(g, _operand(g, f), L)
 
 
 def heat_sweep(g: WeightedGraph, f, s_values):
     """P^s f for every integer time s as an (n, S) block (an (n, S, k)
     block for an (n, k) f) from one walk of the power sequence; no times
-    give an (n, 0) block."""
+    give an (n, 0) block.  Consecutive times (a profile's levels, a bz1
+    table) are copied a slice of each chunk at a time, any others
+    through an index."""
     steps = np.array([int(s) for s in s_values], dtype=int)
     if np.any(steps != np.asarray(s_values, dtype=float)):
         raise ValueError("heat families need integer times s")
     if np.any(steps < 0):
         raise ValueError("s must be >= 0")
     out = np.empty((g.n, len(steps)) + np.shape(f)[1:])
+    first = steps[0] if len(steps) and np.all(np.diff(steps) == 1) else None
     for lo, rows in level_blocks(g, f, int(steps.max(initial=-1))):
-        hit = np.flatnonzero((steps >= lo) & (steps < lo + len(rows)))
-        out[:, hit] = np.moveaxis(rows[steps[hit] - lo], 0, 1)
+        if first is None:
+            hit = np.flatnonzero((steps >= lo) & (steps < lo + len(rows)))
+            out[:, hit] = np.moveaxis(rows[steps[hit] - lo], 0, 1)
+        elif lo + len(rows) > first:
+            a, b = max(lo, first), min(lo + len(rows), first + len(steps))
+            out[:, a - first:b - first] = np.moveaxis(rows[a - lo:b - lo], 0, 1)
     return out
 
 

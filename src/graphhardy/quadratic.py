@@ -20,12 +20,9 @@ on the int32 index y * width + d(x, y); centres with a rare profile are
 summed radius by radius.  The naive double loops live in the test tree
 as oracles.
 
-Every cone sum runs on the package's one pool (`operators.run_parts`,
-`operators.thread_cap()` parts at once, `_cone_columns`): the column
-groups of a block at once, each walking its own levels for `lusin`, or
-the row blocks of one column's tail table.  Each part makes its numbers
-exactly as the serial sum makes them, so every result is the same bits
-for every core count.
+Every cone sum runs on the calling thread: a block of k inputs walks
+its levels once, and `_cone_columns` passes over its whole (n, R, k)
+table once, with one tail table per shared profile.
 """
 
 from __future__ import annotations
@@ -50,8 +47,6 @@ from .operators import (
     inner,
     level_blocks,
     lp_norm,
-    run_parts,
-    thread_cap,
 )
 
 
@@ -184,14 +179,6 @@ def _profile_groups(V: np.ndarray):
     return np.split(order, np.flatnonzero(np.any(S[1:] != S[:-1], axis=1)) + 1)
 
 
-def _runs(items, parts: int):
-    """items cut into min(parts, len(items)) contiguous runs whose lengths
-    differ by at most one."""
-    parts = min(parts, len(items))
-    return [items[len(items) * i // parts:len(items) * (i + 1) // parts]
-            for i in range(parts)]
-
-
 def _table_sums(g: WeightedGraph, W: np.ndarray, volumes, blocks, out: np.ndarray):
     """out[block] for row blocks of centres that share the ball volumes
     V(x, .) = volumes: the tail table T[y, r] = sum_{rho >= r} W[y, rho] /
@@ -226,9 +213,8 @@ def _masked_sums(g: WeightedGraph, W: np.ndarray, blocks, out: np.ndarray):
         out[block] = acc
 
 
-def _cone_columns(g: WeightedGraph, weights, k: int) -> np.ndarray:
-    """The (n, k) cone sums of (n, R, k) radius weights W, made column
-    group by column group: weights(c) is W[:, :, c] for a slice c, and
+def _cone_columns(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
+    """The (n, k) cone sums of (n, R, k) radius weights W,
 
         out[x, j] = sum over (y, rho) with d(x, y) <= rho of W[y, rho, j] / V(x, rho),
 
@@ -237,35 +223,23 @@ def _cone_columns(g: WeightedGraph, weights, k: int) -> np.ndarray:
     Radii past the diameter see the whole graph, so they are folded into
     the radius `diameter`.
 
-    The min(k, thread_cap()) column groups run on the pool
-    (`operators.run_parts`): each makes its weights and the sums of the
-    centres that share a tail table, for one column by runs of each
-    table's row blocks on the pool.  The rare centres are summed after,
-    from every column at once, by runs of whole row blocks, since a BLAS
-    product computes a column or a row differently in a block of another
-    shape.  Every part makes its numbers as the serial sum makes them."""
+    Each shared profile's centres read one tail table of the whole block,
+    a row block at a time (`_table_sums`); the rare centres are summed
+    after, from every column at once (`_masked_sums`)."""
     n, width = g.n, g.diameter + 1
+    if W.shape[1] > width:
+        W = np.concatenate((W[:, :width - 1], W[:, width - 1:].sum(axis=1, keepdims=True)),
+                           axis=1)
     V = g.ball_volumes
-    profiles = _profile_groups(V)
-    shared = [rows for rows in profiles if len(rows) >= SHARED_PROFILE_MIN]
-    rare = [rows for rows in profiles if len(rows) < SHARED_PROFILE_MIN]
-    out = np.empty((n, k))
-
-    def group(c):
-        W = weights(c)
-        if W.shape[1] > width:
-            W = np.concatenate((W[:, :width - 1], W[:, width - 1:].sum(axis=1, keepdims=True)),
-                               axis=1)
-        for rows in shared:
-            run_parts(lambda run: _table_sums(g, W, V[rows[0]], run, out[:, c]),
-                      _runs(row_blocks(rows, n), thread_cap()))
-        return W
-
-    parts = run_parts(group, [slice(r.start, r.stop) for r in _runs(range(k), thread_cap())])
-    if parts and rare:
-        W = np.concatenate(parts, axis=2)
-        run_parts(lambda blocks: _masked_sums(g, W, blocks, out),
-                  _runs(row_blocks(np.concatenate(rare), n), thread_cap()))
+    out = np.empty((n, W.shape[2]))
+    rare = []
+    for rows in _profile_groups(V):
+        if len(rows) >= SHARED_PROFILE_MIN:
+            _table_sums(g, W, V[rows[0]], row_blocks(rows, n), out)
+        else:
+            rare.append(rows)
+    if rare:
+        _masked_sums(g, W, row_blocks(np.concatenate(rare), n), out)
     return out
 
 
@@ -273,24 +247,21 @@ def _cone_accumulate(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
     """The cone sums (`_cone_columns`) of (n, R) radius weights W, or of
     the k columns of (n, R, k) weights as an (n, k) block."""
     cols = W.shape[2:]
-    W = W.reshape(g.n, W.shape[1], -1)
-    return _cone_columns(g, lambda c: W[:, :, c], W.shape[2]).reshape((g.n,) + cols)
+    return _cone_columns(g, W.reshape(g.n, W.shape[1], -1)).reshape((g.n,) + cols)
 
 
-def _level_square_sums(g: WeightedGraph, u, beta: float, L: int, starts,
-                       entries=None) -> np.ndarray:
+def _level_square_sums(g: WeightedGraph, u, beta: float, L: int, starts) -> np.ndarray:
     """S[i] = sum (l+1)^{2b-1} |P^l u|^2 over the levels l of
     [starts[i], starts[i+1]) (the last segment ends at L), for increasing
     starts from 0, with shape (len(starts),) + u.shape.  The walk hands
-    over a chunk of levels at a time, sized for `entries` operand
-    entries (u.size unless given; `operators.level_blocks`); it is
+    over a chunk of levels at a time (`operators.level_blocks`); it is
     squared in place and each segment it meets is added with one
     weighted row sum."""
     S = np.zeros((len(starts),) + np.shape(u))
     flat = S.reshape(len(starts), -1)
     weight = np.arange(1.0, L + 2) ** (2 * beta - 1)
     ends = list(starts[1:]) + [L + 1]
-    for lo, rows in level_blocks(g, u, L, entries):
+    for lo, rows in level_blocks(g, u, L):
         hi = lo + len(rows)
         rows = rows.reshape(len(rows), -1)
         np.square(rows, out=rows)
@@ -308,10 +279,8 @@ def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
 
     ||L_beta f||_1 is the quadratic H^1 norm.  The weights are summed per
     cone radius floor(sqrt(l)), one chunk of the power walk at a time; an
-    (n, k) block of inputs gives an (n, k) block, its min(k,
-    thread_cap()) contiguous column groups walking the power sequence
-    once each, at once on the pool (`_cone_columns`), in chunks of the
-    levels that the whole block's walk would hold.  A periodic walk
+    (n, k) block of inputs gives an (n, k) block from one walk of the
+    power sequence and one cone sum (`_cone_columns`).  A periodic walk
     raises PeriodicWalk: its P^l f keeps oscillating, so the sum depends
     on the horizon.  A horizon l_max < 0 raises ValueError.
     """
@@ -325,13 +294,9 @@ def lusin(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
     u = delta_power_apply(g, f, beta)
     starts = [rho * rho for rho in range(math.isqrt(l_max) + 1)]
     v = u.reshape(g.n, -1)
-
-    def radius_weights(c):
-        W = _level_square_sums(g, v[:, c], beta, l_max, starts, v.size)
-        W *= g.m[:, None]
-        return np.moveaxis(W, 0, 1)
-
-    return np.sqrt(_cone_columns(g, radius_weights, v.shape[1])).reshape(u.shape)
+    W = _level_square_sums(g, v, beta, l_max, starts)
+    W *= g.m[:, None]
+    return np.sqrt(_cone_columns(g, np.moveaxis(W, 0, 1))).reshape(u.shape)
 
 
 def quad_norm(g: WeightedGraph, f, beta: float = 1.0, l_max=None):

@@ -7,9 +7,8 @@ input's through the identity Delta^{-1/2} d* d Delta^{-1/2} = I.
 
 The experiment runs the primitives of `riesz` on (n, k) blocks of
 inputs F, checks h = Delta^{-1/2} d* d Delta^{-1/2} F against F in L^2,
-and one `quad_norm` of F walks the power sequence once per column group,
-the groups at once on the package's pool (`quadratic.lusin`); the report
-is the same bits for every core count.
+and one `quad_norm` of F walks the power sequence once for the block
+(`quadratic.lusin`).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from graphhardy import calculus, operators, quadratic, zoo
+from graphhardy import calculus, zoo
 
 
 @pytest.fixture(params=["oracle", "series"])
@@ -16,17 +16,6 @@ def path(request, monkeypatch):
     if request.param == "series":
         monkeypatch.setattr(calculus, "ORACLE_MAX_N", 0)
     return request.param
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """pin(count): from then on the pool (`operators.run_parts`) and the
-    square functions' splits see `count` cores, as `thread_cap` would
-    report them, for the rest of the test."""
-    def pin(count):
-        for module in (operators, quadratic):
-            monkeypatch.setattr(module, "thread_cap", lambda: count)
-    return pin
 
 
 @pytest.fixture(scope="session")

@@ -18,9 +18,9 @@ module, `self` or `cls`, an export or a field of the same name being no
 caller, unless UNCALLED gives it a reason, and every method and
 property of a package class is read as an attribute by a package module
 unless UNREAD gives it a reason; scipy's private sparse
-kernels are imported by `operators` alone, so are threads, whose one
-pool only the square functions reach, `hardy` imports nothing of
-`riesz`, and no module imports a private name of another."""
+kernels are imported by `operators` alone, no module imports threads,
+`hardy` imports nothing of `riesz`, and no module imports a private
+name of another."""
 
 import ast
 from pathlib import Path
@@ -92,8 +92,8 @@ ALLOWED = {
     "SeriesOperator": ({"calculus"}, set()),
     "_cone_accumulate": (set(), {"quadratic.lusin_tilde",
                                  "quadratic.tent_functional_of_terms"}),
-    # every cone sum runs its column groups through one function, which
-    # the Lusin function feeds with the walk of each group
+    # every cone sum runs through one function, which the Lusin function
+    # feeds with its one walk of the block
     "_cone_columns": (set(), {"quadratic.lusin", "quadratic._cone_accumulate"}),
     # the Horner scan reads stored levels only, in the synthesis, and no
     # tail is walked
@@ -125,11 +125,6 @@ ALLOWED = {
     # the kernel rule has one check: symbols are finite on the spectrum,
     # so only the mean-zero test raises for a constant part
     "KernelComponent": (set(), {"calculus.require_mean_zero"}),
-    # one pool, made by the helper that runs parts on it; the cone sum
-    # hands it a block's column groups (each walking its own levels for
-    # `lusin`) and runs of row blocks
-    "ThreadPoolExecutor": (set(), {"operators.run_parts"}),
-    "run_parts": (set(), {"quadratic._cone_columns"}),
 }
 
 
@@ -212,8 +207,6 @@ def test_scanner_sees_calls(calls):
     assert ("horner", "tentspace.horner_synthesis") in calls
     assert ("LusinTail", "quadratic.mass") in calls
     assert ("SynthesisTail", "quadratic.share") in calls
-    assert ("ThreadPoolExecutor", "operators.run_parts") in calls
-    assert ("run_parts", "quadratic._cone_columns") in calls
     assert ("_cone_columns", "quadratic.lusin") in calls
 
 
@@ -240,6 +233,8 @@ UNCALLED = {
                                "the benchmark traces it",
     "riesz.riesz": "the paper's Riesz transform of one function; the benchmark traces it",
     "hardy.make_molecule_from_tent_atom": "traced by the benchmark harness (item 2)",
+    "operators.thread_cap": "the benchmark's run metadata reads it as riesz.thread_cap "
+                            "(item 17)",
 }
 
 
@@ -399,15 +394,12 @@ def test_hardy_imports_nothing_of_riesz():
     assert stray == [], f"hardy imports from riesz: {stray}"
 
 
-def test_threads_have_one_home():
-    # the pool lives in `operators` (`run_parts`): no other module imports
-    # threads, so no second pool or lock can appear beside it
-    imported = _imports()
-    assert ("operators", "concurrent.futures") in imported
-    assert ("operators", "threading") in imported
-    stray = sorted((mod, name) for mod, name in imported if mod != "operators"
-                   and name.split(".")[0] in ("concurrent", "threading"))
-    assert stray == [], f"thread imports outside operators: {stray}"
+def test_no_module_imports_threads():
+    # the package runs on the calling thread: scipy's CSR kernels hold
+    # the GIL, so a pool of them would take turns on one core
+    stray = sorted((mod, name) for mod, name in _imports()
+                   if name.split(".")[0] in ("concurrent", "threading"))
+    assert stray == [], f"thread imports: {stray}"
 
 
 def test_no_private_names_cross_modules():

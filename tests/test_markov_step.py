@@ -189,17 +189,27 @@ def test_level_walk_consumers_are_bit_identical(monkeypatch, chunk, L, width):
         assert _same_bits(got[:, j], want[t])
 
 
-def test_a_walk_of_some_columns_takes_its_blocks_chunks(monkeypatch):
-    # with entries = the block's size, a walk of two of its five columns
-    # yields the levels in the block's chunks of 3, bit for bit its columns
-    g = zoo.lazy_torus_2d(4)
-    F = np.random.default_rng(12).standard_normal((g.n, 5))
-    monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", 3 * F.size)
-    block = [(lo, rows[:, :, 1:3].copy()) for lo, rows in level_blocks(g, F, 10)]
-    part = [(lo, rows.copy()) for lo, rows in level_blocks(g, F[:, 1:3], 10, F.size)]
-    assert [lo for lo, _ in block] == [lo for lo, _ in part] == [0, 3, 6, 9]
-    assert all(_same_bits(a, b) for (_, a), (_, b) in zip(block, part))
-    assert [lo for lo, _ in level_blocks(g, F[:, 1:3], 10)] == [0, 7]
+@pytest.mark.parametrize("width", [None, 3])
+@pytest.mark.parametrize("s", [range(3, 12), range(7, 8), range(8, 20),
+                               [11, 2, 7, 7, 0, 5], [9, 4]])
+def test_heat_sweep_copies_both_kinds_of_times(monkeypatch, width, s):
+    # consecutive times are copied a slice of each chunk at a time, others
+    # through an index; chunks of 5 levels, so a run of times may start
+    # past the first chunk or cross a chunk's end, and both kinds give
+    # repeated markov_step bit for bit from one walk to the last time
+    g = zoo.random_weights(zoo.lazy_torus_2d(4), 9)
+    shape = (g.n,) if width is None else (g.n, width)
+    monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", 5 * g.n * (width or 1))
+    f = np.random.default_rng(13).standard_normal(shape)
+    want = [f]
+    for _ in range(max(s)):
+        want.append(markov_step(g, want[-1]))
+    calls = g.matvec_calls
+    got = heat_sweep(g, f, s)
+    assert g.matvec_calls - calls == max(s)
+    assert got.shape == (g.n, len(s)) + shape[1:]
+    for j, t in enumerate(s):
+        assert _same_bits(got[:, j], want[t])
 
 
 def _unsorted_rows(g):

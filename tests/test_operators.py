@@ -1,6 +1,4 @@
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from graphhardy.operators import (
     lp_norm_forms,
     mean_project,
     random_mean_zero,
-    run_parts,
     thread_cap,
     tx_norms,
 )
@@ -234,59 +231,3 @@ def test_thread_cap_counts_the_cores_this_process_may_use(monkeypatch):
     assert thread_cap() == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert thread_cap() == 1
-
-
-def test_run_parts_keeps_the_order_of_its_parts(workers):
-    for count in (1, 2, 3):
-        workers(count)
-        assert run_parts(lambda p: p * p, range(7)) == [p * p for p in range(7)]
-        assert run_parts(lambda p: p, []) == []
-
-
-def test_run_parts_runs_the_first_part_on_the_caller(workers):
-    here = threading.get_ident()
-    workers(2)
-    threads = run_parts(lambda p: threading.get_ident(), range(2))
-    assert threads[0] == here and threads[1] != here
-    workers(1)
-    assert set(run_parts(lambda p: threading.get_ident(), range(3))) == {here}
-
-
-def test_a_part_that_calls_run_parts_runs_it_inline(workers):
-    # on a one-worker pool a part that submitted parts and waited for
-    # them could wait on itself for ever; the call runs in a thread of
-    # its own so that such a wait fails the test
-    workers(2)
-
-    def part(p):
-        inner = run_parts(lambda q: (p, q, threading.get_ident()), range(3))
-        assert {t for *_, t in inner} == {threading.get_ident()}
-        return [(a, b) for a, b, _ in inner]
-
-    got = []
-    caller = threading.Thread(target=lambda: got.append(run_parts(part, range(2))),
-                              daemon=True)
-    caller.start()
-    caller.join(30)
-    assert not caller.is_alive(), "a part waited on the pool it runs on"
-    assert got == [[[(p, q) for q in range(3)] for p in range(2)]]
-
-
-@pytest.mark.parametrize("bad", [0, 1, 2])
-def test_an_exception_in_a_part_reaches_the_caller(workers, bad):
-    # the caller's part or a worker's: the other parts are awaited first,
-    # and the pool still runs parts afterwards
-    workers(2)
-    done = []
-
-    def part(p):
-        if p == bad:
-            raise ValueError(f"part {p}")
-        time.sleep(0.01)
-        done.append(p)
-        return p
-
-    with pytest.raises(ValueError, match=f"part {bad}"):
-        run_parts(part, range(3))
-    assert sorted(done) == [p for p in range(3) if p != bad]
-    assert run_parts(lambda p: -p, range(3)) == [0, -1, -2]

@@ -1,5 +1,5 @@
 import math
-import sys
+import os
 import tracemalloc
 
 import numpy as np
@@ -441,68 +441,60 @@ def test_block_quad_norm_equals_columns(cone_graph, horizon, path):
 @pytest.mark.parametrize("path", ["oracle", "series"], indirect=True)
 @pytest.mark.parametrize("horizon", sorted(HORIZONS))
 @pytest.mark.parametrize("rows", [None, 2])
-def test_square_functions_equal_on_any_worker_count(monkeypatch, workers, cone_graph,
+def test_square_functions_equal_on_any_worker_count(monkeypatch, cone_graph,
                                                     horizon, path, rows):
-    # a block's column groups and a tail table's runs of row blocks run on
-    # the pool, but no column's arithmetic changes: the same bits on 1, 2
-    # and 3 workers, whichever paths the centres take (rows=2: row blocks
-    # of two centres, so a run holds several blocks)
+    # the square functions run on the calling thread, so the cores the
+    # process may use change no bit: the same results when 1, 2 or 3 are
+    # reported.  rows=2 takes row blocks of two centres: a row block of
+    # centres that share a profile reads the block's one tail table with
+    # no arithmetic of its own, so those centres get the bits of one
+    # block of every centre.  A rare centre's masked sum is a BLAS
+    # product, which rounds by the shape of its block, so it agrees to a
+    # few ulps
     g, _ = cone_graph
-    if rows:
-        monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", rows * g.n)
     l_max = HORIZONS[horizon](g.diameter)
     rng = np.random.default_rng(9)
     F = mean_project(g, rng.standard_normal((g.n, 5)))
     F[:, 3] = 0.0
     vals = rng.standard_normal((g.n, l_max + 1))
+    shared = [x for block in _profile_groups(g.ball_volumes)
+              if len(block) >= SHARED_PROFILE_MIN for x in block]
+
+    def sums():
+        return [lusin(g, F, 1.0, l_max), lusin(g, F[:, :2], 0.5, l_max),
+                lusin(g, F[:, 0], 1.0, l_max),
+                tent_functional(g, SpaceTimeFunction(g, vals)), quad_norm(g, F, 1.0, l_max)]
+
+    whole = sums()
+    assert len(graphs.row_blocks(range(g.n), g.n)) == 1
+    if rows:
+        monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", rows * g.n)
     results = []
     for count in (1, 2, 3):
-        workers(count)
-        results.append([lusin(g, F, 1.0, l_max), lusin(g, F[:, :2], 0.5, l_max),
-                        lusin(g, F[:, 0], 1.0, l_max), quad_norm(g, F, 1.0, l_max),
-                        tent_functional(g, SpaceTimeFunction(g, vals))])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=count: set(range(c)),
+                            raising=False)
+        assert operators.thread_cap() == count
+        results.append(sums())
     for other in results[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(results[0], other))
+    blocks = results[0]
+    for a, b in zip(whole[:4], blocks[:4]):
+        assert np.array_equal(a[shared], b[shared])
+    if len(shared) == g.n or not rows:
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocks))
+    for a, b in zip(whole, blocks):
+        np.testing.assert_allclose(b, a, rtol=1e-13, atol=0.0)
 
 
-def test_column_groups_walk_the_chunks_of_their_block(monkeypatch, workers):
-    # a group's walk is chunked as its whole block's is, so each segment
-    # of levels is added by the same weighted row sums: with chunks of 3
-    # levels for the block, its groups of 3 and 2 columns would otherwise
-    # take chunks of 5 and 7 levels
-    g = zoo.lazy_torus_2d(6)
-    F = mean_project(g, np.random.default_rng(10).standard_normal((g.n, 5)))
-    monkeypatch.setattr(operators, "ROW_BLOCK_ENTRIES", 3 * F.size)
-    out = []
-    for count in (1, 2):
-        workers(count)
-        out.append(lusin(g, F, 1.0, 3 * g.diameter ** 2))
-    assert np.array_equal(out[0], out[1])
-
-
-def test_products_are_counted_exactly_on_the_pool(workers):
-    # three column groups, more than the cores here, add their products
-    # to the graph's counts at once, with threads switching as often as
-    # the interpreter allows; every run counts the Delta step, one walk
-    # of l_max products per group, and the columns of the serial run
+def test_a_block_counts_one_walk_of_its_columns():
+    # a block of three columns takes the Delta step and one walk of
+    # l_max products, each of three columns
     g = zoo.lazy_torus_2d(32)
     F = mean_project(g, np.random.default_rng(11).standard_normal((g.n, 3)))
     L = default_l_max(g)
-    workers(1)
     calls, cols = g.matvec_calls, g.matvec_cols
     lusin(g, F, 1.0)
-    serial = (g.matvec_calls - calls, g.matvec_cols - cols)
-    assert serial == (1 + L, 3 + 3 * L)
-    workers(3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(50):
-            calls, cols = g.matvec_calls, g.matvec_cols
-            lusin(g, F, 1.0)
-            assert (g.matvec_calls - calls, g.matvec_cols - cols) == (1 + 3 * L, serial[1])
-    finally:
-        sys.setswitchinterval(interval)
+    assert (g.matvec_calls - calls, g.matvec_cols - cols) == (1 + L, 3 + 3 * L)
 
 
 def test_periodic_walk_is_refused():

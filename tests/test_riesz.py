@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from graphhardy.operators import (
     random_mean_zero,
     tx_norms,
 )
-from graphhardy.quadratic import default_l_max
+from graphhardy.quadratic import default_l_max, lusin
 from graphhardy.riesz import molecule_suite, riesz, riesz_h1_experiment
 from graphhardy.zoo import lazy_cycle, random_weights
 
@@ -226,48 +227,19 @@ def _eleven_inputs(g):
     return suite
 
 
-def _report_numbers(rep):
-    """Every number of a suite report, entries first, as one array."""
-    rows = [[e.h1_quad_input, e.grad_l1, e.ratio, e.chain_gap]
-            for e in rep.entries]
-    return np.append(np.ravel(rows), [rep.max_ratio, rep.min_ratio, rep.max_chain_gap])
-
-
 @pytest.mark.parametrize("cap,value,blocks", BLOCK_CAPS)
-def test_experiment_runs_in_blocks(monkeypatch, workers, cap, value, blocks):
-    # 11 inputs, a zero input (no ratio) among them, one power walk
-    # per block on a single worker
-    workers(1)
+def test_experiment_runs_in_blocks(monkeypatch, cap, value, blocks):
+    # 11 inputs, a zero input (no ratio) among them, one power walk per
+    # block, which walks each input's column once
     monkeypatch.setattr(riesz_module, cap, value)
     g = lazy_cycle(16)
     suite = _eleven_inputs(g)
     rep = _assert_matches_per_input(g, suite)
     assert len(rep.entries) == 11 and rep.entries[5].ratio is None
-    W = counting_markov(g)
+    W, cols = counting_markov(g), g.matvec_cols
     riesz_h1_experiment(g, suite)
     assert W.products == blocks * default_l_max(g)
-
-
-@pytest.mark.parametrize("cap,value,blocks", BLOCK_CAPS)
-def test_experiment_runs_its_column_groups_on_two_workers(monkeypatch, workers, cap,
-                                                          value, blocks):
-    # a block of several inputs walks as two column groups, twice the
-    # walks; a one-input block is one group, whose cone sums split by row
-    # blocks instead: the same product columns and the same report
-    monkeypatch.setattr(riesz_module, cap, value)
-    g = lazy_cycle(16)
-    suite = _eleven_inputs(g)
-    counts, reports = [], []
-    for count in (1, 2):
-        workers(count)
-        W, cols = counting_markov(g), g.matvec_cols
-        reports.append(riesz_h1_experiment(g, suite))
-        counts.append((W.products, g.matvec_cols - cols))
-    groups = 1 if blocks == len(suite) else 2
-    assert counts[1][0] == groups * blocks * default_l_max(g)
-    assert counts[1][1] == counts[0][1]
-    assert np.array_equal(_report_numbers(reports[1]), _report_numbers(reports[0]))
-    assert reports[1].to_json() == reports[0].to_json()
+    assert g.matvec_cols - cols == len(suite) * default_l_max(g)
 
 
 @pytest.mark.parametrize("l_max", [40, 200])
@@ -308,37 +280,33 @@ def test_experiment_rejects_a_non_mean_zero_input(cycle16):
         riesz_h1_experiment(cycle16, suite)
 
 
-def test_experiment_walks_the_power_sequence_once(workers):
+def test_experiment_walks_the_power_sequence_once():
     # on the oracle path the whole 32-input suite costs one power walk of
-    # the stacked inputs on a single worker, as one riesz call costs for
-    # its one input
-    workers(1)
+    # the stacked inputs, of 32 columns, as one riesz call costs for its
+    # one input
     g = lazy_cycle(32)
     suite = molecule_suite(g, (1, 4, 16, 64), centers=range(0, 32, 4))
-    W = counting_markov(g)
+    W, cols = counting_markov(g), g.matvec_cols
     riesz_h1_experiment(g, suite)
     assert len(suite) == 32
     assert W.products == default_l_max(g)
+    assert g.matvec_cols - cols == 32 * default_l_max(g)
     W = counting_markov(g)
     riesz(g, suite[0][1])
     assert W.products == default_l_max(g)
 
 
-def test_experiment_walks_once_per_column_group(workers):
-    # the square function takes the 32 inputs alone, not their h too; on
-    # two workers they walk as two groups of 16: two walks of the same
-    # columns in all, and the same report
-    g = lazy_cycle(32)
-    suite = molecule_suite(g, (1, 4, 16, 64), centers=range(0, 32, 4))
-    counts, reports = [], []
-    for count in (1, 2):
-        workers(count)
-        W, cols = counting_markov(g), g.matvec_cols
-        reports.append(riesz_h1_experiment(g, suite))
-        counts.append((W.products, g.matvec_cols - cols))
-    assert counts[1][0] == 2 * default_l_max(g)
-    assert counts[1][1] == counts[0][1] == 32 * default_l_max(g)
-    assert np.array_equal(_report_numbers(reports[1]), _report_numbers(reports[0]))
+def test_square_functions_start_no_threads():
+    # the package runs on the calling thread: the experiment and a
+    # five-column lusin leave the process's threads as they found them
+    g = lazy_cycle(16)
+    suite = _eleven_inputs(g)
+    F = mean_project(g, np.random.default_rng(14).standard_normal((g.n, 5)))
+    before = threading.enumerate()
+    riesz_h1_experiment(g, suite)
+    lusin(g, F, 1.0)
+    assert threading.active_count() == len(before)
+    assert threading.enumerate() == before
 
 
 def test_chain_gap_reads_a_perturbed_chain(monkeypatch, cycle16):
