@@ -64,13 +64,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk, UncertifiedSpectrum)
-from .graphs import WeightedGraph, set_distance
+from .graphs import WeightedGraph, set_distance, vertex_indices
 from .operators import (chebyshev_blocks, delta_steps, gradient, heat_sweep, lp_norm, mean_project,
                         spectral_interval)
 
@@ -102,6 +100,10 @@ class SpectralOracle:
             raise OracleCapExceeded(
                 f"n = {g.n} too large for the dense oracle (cap {ORACLE_MAX_N})"
             )
+        # LAPACK, like ARPACK and SuperLU below, is loaded on first use:
+        # importing the package loads numpy and scipy.sparse only
+        import scipy.linalg
+
         self.graph = g
         self.sqrt_m = np.sqrt(g.m)
         eigs, U = scipy.linalg.eigh(np.asarray(_symmetrized(g).todense()))
@@ -195,6 +197,8 @@ def _ritz(S, v, which: str) -> float:
     unit eigenvector v deflated, at tol 1e-12 from a fixed start, so the
     estimate is the same on every call; an ARPACK failure raises
     UncertifiedSpectrum."""
+    import scipy.sparse.linalg as spla
+
     n = S.shape[0]
     deflated = spla.LinearOperator((n, n), matvec=lambda x: S @ x - v * (v @ x), dtype=float)
     start = np.random.default_rng(0).standard_normal(n)
@@ -221,6 +225,8 @@ def _negative_pivots(A):
     forming it, gamma_w times the largest row sum of |L| |D| |L|^T, w the
     longest row of L.  A factorization that pivoted is not symmetric and
     raises UncertifiedSpectrum."""
+    import scipy.sparse.linalg as spla
+
     lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -867,10 +873,10 @@ def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit
     n eps).  Heat families take integer times only (ValueError
     otherwise); resolvent scales are used as given.  s_range may be any
     iterable (it is read once); all its scales are evaluated as one
-    block.
+    block.  A vertex of E or F outside [0, n) raises ValueError.
     """
-    E = np.asarray(list(E), dtype=int)
-    F = np.asarray(list(F), dtype=int)
+    E = vertex_indices(g, E, "E")
+    F = vertex_indices(g, F, "F")
     if np.intersect1d(E, F).size:
         raise OverlappingSets("E and F must be disjoint")
     if M < 1:

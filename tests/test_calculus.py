@@ -387,6 +387,19 @@ def test_gaffney_overlap_rejected(cycle16):
         gaffney_fit(cycle16, "heat", [0, 1], [1, 2], [4])
 
 
+@pytest.mark.parametrize("E,F,named", [
+    ([-8], [0], "E holds vertex -8"),
+    ([8], [0], "E holds vertex 8"),
+    ([0], [8], "F holds vertex 8"),
+    ([3], [2, -1], "F holds vertex -1"),
+])
+def test_gaffney_refuses_a_vertex_outside_the_graph(E, F, named):
+    # -8 would wrap onto vertex 0 of lazy_cycle_8, which is F, and pass the
+    # overlap check into a zero-norm fit; 8 would fail deep in numpy or scipy
+    with pytest.raises(ValueError, match=named):
+        gaffney_fit(lazy_cycle(8), "heat", E, F, [1, 2, 4])
+
+
 def test_exp_decay_values():
     assert exp_decay_bound(2.0, 5.0, 0) == pytest.approx((1 / 6) ** 2)
     assert exp_decay_bound(0.0, 1.0, 10) == pytest.approx(2.0 ** -10)

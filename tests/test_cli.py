@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from oracles import save_vertex_csv
 
 import graphhardy
@@ -335,9 +336,9 @@ def test_above_the_oracle_cap_exit_code(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
 
     def no_convergence(*args, **kwargs):
-        raise calculus.spla.ArpackNoConvergence("no convergence", [], [])
+        raise spla.ArpackNoConvergence("no convergence", [], [])
 
-    monkeypatch.setattr(calculus.spla, "eigsh", no_convergence)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
     assert main(["riesz", "lazy_cycle_16", "--n", "2"]) == 1
     assert "Lanczos estimate of lambda_star failed" in capsys.readouterr().err
 

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from oracles import (annulus, annulus_cover, ball_matrix_dense, ball_volume_mask,
                      cover_overlap_bound, geometry_report_masks, graphs as random_graphs,
@@ -304,6 +304,80 @@ def test_set_distance_needs_both_sets(cycle16):
     for E, F in (([], [0]), ([0], [])):
         with pytest.raises(ValueError):
             set_distance(cycle16, E, F)
+
+
+@pytest.mark.parametrize("E,F,named", [
+    ([-8], [0], "E holds vertex -8"),
+    ([8], [0], "E holds vertex 8"),
+    ([0], [8], "F holds vertex 8"),
+    ([0], [1, -9], "F holds vertex -9"),
+])
+def test_set_distance_refuses_a_vertex_outside_the_graph(E, F, named):
+    # a negative index would wrap onto a vertex of the graph and give a
+    # distance; a vertex past n would raise a bare IndexError
+    g = zoo.lazy_cycle(8)
+    with pytest.raises(ValueError, match=named):
+        set_distance(g, E, F)
+    g.dist
+    with pytest.raises(ValueError, match=named):
+        set_distance(g, E, F)
+
+
+def _assert_search_is_dijkstra(g):
+    # from both ends, from every vertex and from random sets, the search
+    # and, once `dist` is built, its rows give scipy's unweighted
+    # multi-source distances exactly
+    rng = np.random.default_rng(g.n)
+    sets = [[0], [g.n - 1], list(range(g.n))]
+    sets += [rng.choice(g.n, size=rng.integers(1, g.n + 1), replace=False) for _ in range(4)]
+    searched = [graphs.distance_to(g, F) for F in sets]
+    assert g._dist is None
+    g.dist
+    read = [graphs.distance_to(g, F) for F in sets]
+    for F, a, b in zip(sets, searched, read):
+        want = dijkstra(g.adjacency, indices=F, unweighted=True, min_only=True)
+        assert np.array_equal(a, want) and np.array_equal(b, want)
+        assert a.dtype == b.dtype == np.intp
+
+
+@pytest.mark.parametrize("build", [
+    zoo.k2l,
+    lambda: zoo.lazy_path(40),
+    lambda: zoo.lazy_cycle(33),
+    lambda: zoo.lazy_torus_2d(9),
+    lambda: zoo.binary_tree(5),
+    lambda: zoo.random_weights(zoo.lazy_torus_2d(7), 4),
+    lambda: zoo.random_weights(zoo.binary_tree(4), 9),
+    lambda: build_graph([(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 0, 0.5), (1, 3, 1.0)]),
+    lambda: build_graph([(v, v + 1, 1.0) for v in range(30)]),
+    lambda: build_graph([(0, 0, 1.0)] + [(0, v, 1.0) for v in range(1, 60)]
+                        + [(v, v + 1, 1.0) for v in range(59, 70)]),
+], ids=["k2l", "path40", "cycle33", "torus9", "tree5", "jittered_torus7", "jittered_tree4",
+        "loopfree_diamond", "loopfree_path31", "star_with_a_tail"])
+def test_distance_to_is_dijkstra(build):
+    _assert_search_is_dijkstra(build())
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(random_graphs())
+def test_distance_to_is_dijkstra_on_random_graphs(g):
+    _assert_search_is_dijkstra(g)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1.0), (2, 3, 1.0)],
+    [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (5, 5, 1.0)],
+    [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 3, 2.0)],
+    [(0, 0, 1.0), (1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0), (5, 6, 1.0)],
+], ids=["two", "three_with_a_loop_vertex", "isolated_loop_vertex", "three_from_a_loop"])
+def test_the_search_refuses_a_disconnected_graph(edges):
+    with pytest.raises(DisconnectedGraph, match="not reachable from vertex 0"):
+        build_graph(edges)
+
+
+def test_the_empty_graph_is_refused():
+    with pytest.raises(DisconnectedGraph, match="no vertices"):
+        WeightedGraph(np.zeros((0, 0)))
 
 
 def test_annuli_k2l(k2l):

@@ -107,10 +107,13 @@ ALLOWED = {
     "lusin_terms": (set(), {"quadratic.tent_functional", "tentspace.atomic_decompose"}),
     # ball matrices are grown one radius at a time by the BMO sup only
     "ball_matrices": (set(), {"hardy.bmo_norm"}),
-    # the breadth-first search serves the set distance (gaffney) and the
-    # parity test of a loop-free graph, neither of which builds `dist`;
-    # no tent depth is searched for
+    # the set distance serves gaffney and the parity test of a loop-free
+    # graph, and reads `dist` rows when the graph holds them; no tent depth
+    # is searched for
     "distance_to": (set(), {"graphs.set_distance", "graphs.aperiodic"}),
+    # one breadth-first search, run by the set distance when `dist` is not
+    # built and by the connectivity check of a new graph
+    "_search": (set(), {"graphs.distance_to", "graphs.__init__"}),
     # the 2^j R thresholds of the annuli have one reader: the size table
     # of `hardy`
     "annulus_rings": (set(), {"hardy._size_table"}),
@@ -198,6 +201,8 @@ def test_scanner_sees_calls(calls):
     assert ("ball_matrices", "hardy.bmo_norm") in calls
     assert ("distance_to", "graphs.set_distance") in calls
     assert ("distance_to", "graphs.aperiodic") in calls
+    assert ("_search", "graphs.distance_to") in calls
+    assert ("_search", "graphs.__init__") in calls
     assert ("annulus_rings", "hardy._size_table") in calls
     assert ("level_set_depths", "tentspace.atomic_decompose") in calls
     assert ("rederive_molecules", "hardy._validate_block") in calls

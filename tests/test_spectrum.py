@@ -8,6 +8,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from graphhardy import calculus, zoo
 from graphhardy.calculus import spectrum
@@ -89,9 +90,9 @@ def test_the_record_by_source(monkeypatch):
 
 def test_an_arpack_failure_is_typed(monkeypatch):
     def no_convergence(*args, **kwargs):
-        raise calculus.spla.ArpackNoConvergence("no convergence", [], [])
+        raise spla.ArpackNoConvergence("no convergence", [], [])
 
-    monkeypatch.setattr(calculus.spla, "eigsh", no_convergence)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(UncertifiedSpectrum, match="Lanczos estimate"):
         _certified(zoo.lazy_torus_2d(12))
 
