@@ -68,7 +68,7 @@ import scipy.sparse as sp
 
 from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
                      OverlappingSets, PeriodicWalk, UncertifiedSpectrum)
-from .graphs import WeightedGraph, set_distance, vertex_indices
+from .graphs import WeightedGraph, set_distance
 from .operators import (chebyshev_blocks, delta_steps, gradient, heat_sweep, lp_norm, mean_project,
                         spectral_interval)
 
@@ -875,8 +875,8 @@ def gaffney_fit(g: WeightedGraph, family: str, E, F, s_range, M=1) -> GaffneyFit
     iterable (it is read once); all its scales are evaluated as one
     block.  A vertex of E or F outside [0, n) raises ValueError.
     """
-    E = vertex_indices(g, E, "E")
-    F = vertex_indices(g, F, "F")
+    E = np.asarray(list(E), dtype=int)
+    F = np.asarray(list(F), dtype=int)
     if np.intersect1d(E, F).size:
         raise OverlappingSets("E and F must be disjoint")
     if M < 1:

@@ -1,8 +1,8 @@
 """What the package loads of scipy, each probe in a fresh interpreter.
 Start-up is mostly import time.  While `graphs` imported
 `scipy.sparse.csgraph`, whose `__init__` loads `scipy.sparse.linalg` and
-`scipy.linalg`, `import graphhardy, graphhardy.cli` took 0.170 s and left
-61.3 MB resident; without them it takes 0.152 s and 50.0 MB (medians of
+`scipy.linalg`, `import graphhardy, graphhardy.cli` took 0.163 s and left
+61.3 MB resident; without them it takes 0.144 s and 50.0 MB (medians of
 16 alternating fresh interpreters each, 2-core x86 VM).  A command
 needs neither package until it builds the oracle or certifies a spectrum.
 scipy.special alone costs 79 ms there, and the tail sums of `calculus`
