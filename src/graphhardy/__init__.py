@@ -40,7 +40,6 @@ from .operators import (
     divergence,
     gradient,
     inner,
-    laplacian,
     lp_norm,
     lp_norm_forms,
     mean_project,

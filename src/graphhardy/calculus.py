@@ -66,8 +66,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (BadTuple, KernelComponent, NonConvergent, OracleCapExceeded,
-                     OverlappingSets, PeriodicWalk, UncertifiedSpectrum)
+from .errors import (KernelComponent, NonConvergent, OracleCapExceeded, OverlappingSets,
+                     PeriodicWalk, UncertifiedSpectrum)
 from .graphs import WeightedGraph, set_distance
 from .operators import (chebyshev_blocks, delta_steps, gradient, heat_sweep, lp_norm, mean_project,
                         spectral_interval)
@@ -588,10 +588,12 @@ def phi_apply(g: WeightedGraph, f, op: Symbol, s, tol: float):
 
 
 def delta_power_apply(g: WeightedGraph, f, beta: float):
-    """Delta^beta f for any real beta, with automatic path choice, the
-    series at tol 1e-10.  A negative beta is defined on mean-zero
-    functions only, so f must have m-mean zero (KernelComponent
-    otherwise)."""
+    """Delta^beta f for any finite real beta (ValueError otherwise), with
+    automatic path choice, the series at tol 1e-10.  A negative beta is
+    defined on mean-zero functions only, so f must have m-mean zero
+    (KernelComponent otherwise)."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, not {beta!r}")
     if beta < 0:
         require_mean_zero(g, f)
     return phi_apply(g, f, DeltaPower(beta), None, 1e-10)
@@ -609,12 +611,12 @@ GAFFNEY_TOL = 1e-12
 
 
 def bz2_apply(g: WeightedGraph, f, s, M: int):
-    """[I - (I + s Delta)^{-1}]^M f, M >= 1 (BadTuple otherwise), its
+    """[I - (I + s Delta)^{-1}]^M f, M >= 1 (ValueError otherwise), its
     series at tol GAFFNEY_TOL; a sequence of scales gives an (n, S)
     block, one column per scale.  The identity part is added exactly, so
     where f vanishes the result is as accurate as R f."""
     if M < 1:
-        raise BadTuple(f"M = {M} < 1")
+        raise ValueError("M must be >= 1")
     f = np.asarray(f, dtype=float)
     return (f[:, None] if np.ndim(s) else f) + phi_apply(g, f, Bz2(M), s, GAFFNEY_TOL)
 

@@ -66,9 +66,15 @@ def _parse_s_range(text: str):
                      f"or a comma list of integers")
 
 
+def _refuse(constant):
+    raise ValueError(f"the result holds {constant}, not a finite number")
+
+
 def _emit(args, name, payload_json, payload_csv=None, payload_svg=None):
     """The payload of `--format` written to `--out`/NAME.FORMAT, its path
-    printed, or printed itself, ending in one newline, without `--out`."""
+    printed, or printed itself, ending in one newline, without `--out`;
+    ValueError first if the JSON payload holds NaN or an infinity."""
+    json.loads(payload_json, parse_constant=_refuse)
     data = {"json": payload_json, "csv": payload_csv, "svg": payload_svg}[args.format]
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -43,10 +43,6 @@ class PeriodicWalk(GraphHardyError):
     converges there."""
 
 
-class BadTuple(GraphHardyError):
-    """A molecule generator of order M < 1 (`calculus.bz2_apply`)."""
-
-
 class OverlappingSets(GraphHardyError):
     """Decay fit requested for sets E, F that intersect."""
 

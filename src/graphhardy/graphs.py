@@ -7,7 +7,7 @@ B(x, r) = {y : d(x, y) < r}.  The path metric counts hops: the dense
 metric `dist` holds them exactly as uint8 (diameter below 255) or uint16,
 so no float n x n array is ever formed.  It is built by one level sweep
 of all n breadth-first searches at once, 64 searches to a machine word:
-about diameter x max_degree x n^2/64 word operations, so long
+about diameter x nnz x n/64 word operations, so long
 one-dimensional graphs (diameter near n) pay more than n separate
 searches would.  Balls (`Ball`), annuli (`annulus_rings`) and tent
 depths (`level_set_depths`) are read from `dist` and `ball_volumes`.  The
@@ -84,20 +84,21 @@ def _hop_counts(adjacency):
 
     Bit y of row x of an (n, ceil(n/64)) uint64 array marks y as on the
     frontier of the search from x.  A search advances by OR-ing the
-    frontiers of its neighbours, one `np.take` per neighbour slot (the
-    lists are padded with the vertex itself), and keeps the bits it has
-    not nxt before; level r ORs them into the binary digits of r, one
-    bit plane per digit.  The planes are unpacked into the narrowest type
-    above the diameter, one `row_blocks` block at a time.  The sweep costs
-    about diameter x max_degree x n^2/64 word operations, so on long
-    one-dimensional graphs (a lazy path of 2048 vertices, diameter 2047)
-    it is slower than n separate searches would be."""
+    frontiers of its neighbours, one neighbour slot j at a time: one
+    `np.take` when every vertex has a j-th neighbour, else an OR into the
+    rows of the vertices that have one, so a hub pays its degree once.
+    It keeps the bits it has not reached before; level r ORs them into
+    the binary digits of r, one bit plane per digit.  The planes are
+    unpacked into the narrowest type above the diameter, one `row_blocks`
+    block at a time.  The sweep costs about diameter x nnz x n/64 word
+    operations, so on long one-dimensional graphs (a lazy path of 2048
+    vertices, diameter 2047) it is slower than n separate searches."""
     n = adjacency.shape[0]
-    degrees = np.diff(adjacency.indptr)
     ids = np.arange(n)
-    slots = np.tile(ids, (int(degrees.max()), 1))
-    owner = np.repeat(ids, degrees)
-    slots[np.arange(adjacency.nnz) - adjacency.indptr[owner], owner] = adjacency.indices
+    owner = np.repeat(ids, np.diff(adjacency.indptr))
+    slot = np.arange(adjacency.nnz) - adjacency.indptr[owner]
+    parts = np.split(np.argsort(slot, kind="stable"), np.cumsum(np.bincount(slot))[:-1])
+    slots = [(owner[part], adjacency.indices[part]) for part in parts]
     frontier = np.zeros((n, -(-n // 64)), np.uint64)
     # set through bytes, so vertex y is bit y % 8 of byte y // 8 of a row
     # whatever the byte order of the words
@@ -108,10 +109,12 @@ def _hop_counts(adjacency):
     planes = []
     diameter = 0
     while True:
-        np.take(frontier, slots[0], axis=0, out=nxt)
-        for column in slots[1:]:
-            np.take(frontier, column, axis=0, out=gathered)
-            nxt |= gathered
+        np.take(frontier, slots[0][1], axis=0, out=nxt)  # every vertex has a neighbour
+        for vertices, neighbours in slots[1:]:
+            if len(vertices) < n:
+                nxt[vertices] |= frontier[neighbours]
+            else:
+                nxt |= np.take(frontier, neighbours, axis=0, out=gathered)
         nxt &= unreached
         if not nxt.any():
             break
@@ -178,8 +181,7 @@ class WeightedGraph:
         self.meta = dict(meta or {})
         # degree counts every neighbour with mu_xy > 0, the vertex itself
         # included when it carries a loop
-        self.degrees = np.diff(A.indptr)
-        self.max_degree = int(self.degrees.max())
+        self.max_degree = int(np.diff(A.indptr).max())
         self._dist = None
         self._diameter = None
         self._ball_volumes = None
@@ -201,7 +203,7 @@ class WeightedGraph:
     def dist(self):
         """Dense all-pairs hop counts d(x, y), exact, as uint8 when the
         diameter is below 255 and uint16 otherwise, from the bitset level
-        sweep of `_hop_counts` (about diameter x max_degree x n^2/64 word
+        sweep of `_hop_counts` (about diameter x nnz x n/64 word
         operations; see there for where that loses to n searches).  Cast
         before arithmetic that can leave that range, such as squaring."""
         if self._dist is None:
@@ -220,8 +222,7 @@ class WeightedGraph:
     def ball_volumes(self):
         """V[x, r] = m({y : d(x, y) <= r}), the volume of B(x, r + 1), for
         r = 0..diameter (the last column is the total volume), built once
-        from shell masses with one bincount per block of rows.  Two
-        threads building it at once only repeat the same work."""
+        from shell masses with one bincount per block of rows."""
         if self._ball_volumes is None:
             width = self.diameter + 1
             V = np.empty((self.n, width))
@@ -295,8 +296,6 @@ def build_graph(edges, meta=None) -> WeightedGraph:
     n = len(ids)
     rows, cols, vals = [], [], []
     for (x, y), mu in seen.items():
-        if mu == 0.0:
-            continue
         i, j = index[x], index[y]
         rows.append(i)
         cols.append(j)

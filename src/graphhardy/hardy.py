@@ -249,7 +249,7 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     tent atom A of tdec, all synthesized, normalized and validated as one
     block; returns ([(lambda * norm_constant, Molecule)], a) with the
     molecules stacked as the columns of a ((n, k), or (nnz, k) edge data
-    for forms).
+    for forms), each Molecule's a and b views of the blocks' columns.
 
     The molecule of an atom over B(x, r) keeps that ball, whose radius is
     an integer (`TentAtom`), and the scale s = r^2.  With (eta, beta, exp)
@@ -298,11 +298,10 @@ def synthesize_molecules(g: WeightedGraph, tdec: TentDecomposition, kind: str,
     b /= excess
     a /= excess
     _validate_block(g, kind, M, eps, s, balls, b, a, (measured / excess[:, None], bounds))
-    rows_b, rows_a = np.ascontiguousarray(b.T), np.ascontiguousarray(a.T)
     coefficients = []
     for i, (lam, c) in enumerate(zip(lams, excess)):
-        a_i = EdgeFunction(g, rows_a[i]) if kind == "form" else rows_a[i]
-        mol = Molecule(kind, M, eps, s[i], balls[i], rows_b[i], a_i, float(c))
+        a_i = EdgeFunction(g, a[:, i]) if kind == "form" else a[:, i]
+        mol = Molecule(kind, M, eps, s[i], balls[i], b[:, i], a_i, float(c))
         coefficients.append((lam * mol.norm_constant, mol))
     return coefficients, a
 
@@ -416,10 +415,12 @@ def _decompose(g: WeightedGraph, kind: str, target, profile, M: int, beta: float
                                   lp_norm(g, resid, 1), l2_res, tdec.t1_norm)
 
 
-def _require_orders(M: int, eps: float, tol: float):
-    """ValueError unless M >= 1, and eps and tol are finite and > 0."""
+def _require_orders(M: int, beta: float, eps: float, tol: float):
+    """ValueError unless M >= 1, beta is finite, and eps and tol are finite > 0."""
     if M < 1:
         raise ValueError("M must be >= 1")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, not {beta!r}")
     _require_positive("eps", eps)
     _require_positive("tol", tol)
 
@@ -428,9 +429,9 @@ def molecular_decompose(g: WeightedGraph, f, M: int, beta: float, eps: float,
                         tol=1e-8) -> MolecularDecomposition:
     """Molecular representation of a mean-zero f in L^2 from its heat
     profile, whose Lusin weight F(., l)^2 / (l+1) is that of f, so
-    quad_norm is ||L_beta f||_1.  M >= 1, and a finite eps > 0 and
-    tol > 0, or ValueError at once."""
-    _require_orders(M, eps, tol)
+    quad_norm is ||L_beta f||_1.  M >= 1, a finite beta, and a finite
+    eps > 0 and tol > 0, or ValueError at once."""
+    _require_orders(M, beta, eps, tol)
     f = require_mean_zero(g, f)
     return _decompose(g, "bz2", f,
                       lambda reach, tail_tol: heat_profile(g, f, beta, reach=reach, tol=tail_tol),
@@ -449,7 +450,7 @@ def form_molecular_decompose(g: WeightedGraph, F: EdgeFunction, M: int,
     (`_profile`'s), solved once.  M >= 1, and a finite eps > 0 and
     tol > 0, or ValueError at once; so is a form whose norm is not
     finite, before the exactness test."""
-    _require_orders(M, eps, tol)
+    _require_orders(M, 0.5, eps, tol)
     norm = lp_norm_forms(g, F, 2)
     if not math.isfinite(norm):
         raise ValueError(f"the form must be finite, not of norm {norm}")

@@ -448,10 +448,6 @@ def chebyshev_blocks(g: WeightedGraph, f, N: int, interval=(-1.0, 1.0), deflate=
         yield lo, block.reshape((len(block),) + np.shape(f))
 
 
-def laplacian(g: WeightedGraph, f):
-    return delta_steps(g, np.array(f, dtype=float), 1)
-
-
 def gradient(g: WeightedGraph, f):
     """Length of the gradient,
     grad f(x) = ((1/2) sum_y p(x,y) |f(y)-f(x)|^2 m(y))^(1/2);
@@ -478,19 +474,8 @@ class EdgeFunction:
         if self.data.ndim > 2 or self.data.shape[:1] != (self.graph.adjacency.nnz,):
             raise ValueError("edge data must align with the adjacency slots")
 
-    def __add__(self, other):
-        return EdgeFunction(self.graph, self.data + other.data)
-
     def __sub__(self, other):
         return EdgeFunction(self.graph, self.data - other.data)
-
-    def __mul__(self, scalar):
-        return EdgeFunction(self.graph, self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return EdgeFunction(self.graph, self.data / scalar)
 
 
 def differential(g: WeightedGraph, f) -> EdgeFunction:

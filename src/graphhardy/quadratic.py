@@ -214,7 +214,8 @@ def _masked_sums(g: WeightedGraph, W: np.ndarray, blocks, out: np.ndarray):
 
 
 def _cone_columns(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
-    """The (n, k) cone sums of (n, R, k) radius weights W,
+    """The (n, k) cone sums of (n, R, k) radius weights W, or the (n,)
+    cone sums of (n, R) weights,
 
         out[x, j] = sum over (y, rho) with d(x, y) <= rho of W[y, rho, j] / V(x, rho),
 
@@ -227,6 +228,8 @@ def _cone_columns(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
     a row block at a time (`_table_sums`); the rare centres are summed
     after, from every column at once (`_masked_sums`)."""
     n, width = g.n, g.diameter + 1
+    cols = W.shape[2:]
+    W = W.reshape(n, W.shape[1], -1)
     if W.shape[1] > width:
         W = np.concatenate((W[:, :width - 1], W[:, width - 1:].sum(axis=1, keepdims=True)),
                            axis=1)
@@ -240,14 +243,7 @@ def _cone_columns(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
             rare.append(rows)
     if rare:
         _masked_sums(g, W, row_blocks(np.concatenate(rare), n), out)
-    return out
-
-
-def _cone_accumulate(g: WeightedGraph, W: np.ndarray) -> np.ndarray:
-    """The cone sums (`_cone_columns`) of (n, R) radius weights W, or of
-    the k columns of (n, R, k) weights as an (n, k) block."""
-    cols = W.shape[2:]
-    return _cone_columns(g, W.reshape(g.n, W.shape[1], -1)).reshape((g.n,) + cols)
+    return out.reshape((n,) + cols)
 
 
 def _level_square_sums(g: WeightedGraph, u, beta: float, L: int, starts) -> np.ndarray:
@@ -319,7 +315,7 @@ def lusin_tilde(g: WeightedGraph, f, beta: float, k_max=None) -> np.ndarray:
     U = heat_sweep(g, delta_power_apply(g, f, beta), k * k)
     scale = [float(max(j, 1)) ** (2 * beta) for j in k]
     # cone radius k, with 1/(k+1) folded into the weight
-    return np.sqrt(_cone_accumulate(g, (scale * U * g.m[:, None]) ** 2 / (k + 1.0)))
+    return np.sqrt(_cone_columns(g, (scale * U * g.m[:, None]) ** 2 / (k + 1.0)))
 
 
 def g_littlewood(g: WeightedGraph, f, beta: float, l_max=None) -> np.ndarray:
@@ -344,7 +340,7 @@ def tent_functional_of_terms(g: WeightedGraph, w: np.ndarray, tau: float) -> np.
     the whole graph: tau / m(Gamma) is added to every A F(x)^2."""
     # level k belongs to cone radius floor(sqrt(k))
     W = np.add.reduceat(w, np.arange(math.isqrt(w.shape[1] - 1) + 1) ** 2, axis=1)
-    AF2 = _cone_accumulate(g, W * g.m[:, None])
+    AF2 = _cone_columns(g, W * g.m[:, None])
     if tau:
         AF2 += tau / g.total_volume()
     return np.sqrt(AF2)

@@ -78,10 +78,6 @@ class SpaceTimeEntries:
     tail: ProfileTail = None
 
     @property
-    def l_max(self) -> int:
-        return self.profile.shape[1] - 1
-
-    @property
     def top(self) -> int:
         """One past the last level holding an entry (0 without entries)."""
         return int(self.hi.max(initial=0))
@@ -99,7 +95,7 @@ class SpaceTimeEntries:
     def values(self) -> np.ndarray:
         """Dense (n, l_max + 1) view of the stored levels, built on each
         access."""
-        out = np.zeros((self.graph.n, self.l_max + 1))
+        out = np.zeros((self.graph.n, self.profile.shape[1]))
         out[self.verts, :self.top] = self.rows()
         return out
 

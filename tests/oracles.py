@@ -49,6 +49,8 @@ holds them, the T^2_2 norm, and the paper's two atom conditions;
 `tent_residual` and `sum_abs_lambda` measure a decomposition,
 `truncated_profile` is the heat profile cut at l_max without its tail,
 and `rev_edges` and `antisymmetry_defect` check that a 1-form is one.
+`laplacian` is Delta f = f - P f by one exact step (`delta_steps`), the
+operator the first-order calculus and the spectral tests check against.
 `fourier_apply` applies any operator of the calculus exactly, at any n,
 on the lazy cycles, tori and paths of the zoo, by one FFT pair: the
 referee of the series path above the oracle cap.
@@ -70,9 +72,9 @@ from graphhardy.errors import NonConvergent
 from graphhardy.graphs import (Ball, annulus_rings, ball, build_graph, cached_geometry,
                                level_set_depths)
 from graphhardy.hardy import _profile, synthesize_molecules
-from graphhardy.operators import (EdgeFunction, apply_P, differential, divergence, gradient,
-                                  heat_sweep, horner, level_blocks, lp_norm, markov_step,
-                                  mean_project, tx_norms)
+from graphhardy.operators import (EdgeFunction, apply_P, delta_steps, differential, divergence,
+                                  gradient, heat_sweep, horner, level_blocks, lp_norm,
+                                  markov_step, mean_project, tx_norms)
 from graphhardy.quadratic import SpaceTimeFunction, form_potential, tail_mass, tent_functional
 from graphhardy.riesz import RieszSuiteEntry, riesz
 from graphhardy.tentspace import (SpaceTimeEntries, TentAtom, TentDecomposition,
@@ -122,6 +124,10 @@ def resolvent_exact(g, f, s, power=1.0):
     """(I + s Delta)^{-power} f by the spectral oracle, whatever
     ORACLE_MAX_N."""
     return spectral(g).apply(lambda lam: (1.0 + s * (1.0 - lam)) ** (-power), f)
+
+
+def laplacian(g, f):
+    return delta_steps(g, np.array(f, dtype=float), 1)
 
 
 def step_powers(g, f, L):

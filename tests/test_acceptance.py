@@ -17,6 +17,7 @@ from oracles import (
     h2_project,
     is_tent_atom,
     kernels,
+    laplacian,
     naive_g_littlewood,
     naive_lusin,
     naive_lusin_tilde,
@@ -51,7 +52,6 @@ from graphhardy.operators import (
     divergence,
     gradient,
     inner,
-    laplacian,
     lp_norm,
     lp_norm_forms,
     mean_project,

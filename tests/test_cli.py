@@ -1,6 +1,8 @@
+import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import scipy.sparse.linalg as spla
 from oracles import save_vertex_csv
 
 import graphhardy
-from graphhardy import calculus, graphs, hardy
+from graphhardy import calculus, cli, graphs, hardy
 from graphhardy.cli import main
 from graphhardy.operators import random_mean_zero
 from graphhardy.riesz import RieszSuiteEntry, riesz_h1_experiment
@@ -200,6 +202,45 @@ def test_a_non_finite_value_is_refused_with_its_line(tmp_path, capsys, argv, val
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{path}, line 3: {value} is not finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["quadnorm", "decompose"])
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_a_non_finite_beta_is_refused_by_name(tmp_path, capsys, command, beta):
+    # --beta nan printed {"quad_norm": NaN} (quadnorm) or exited on a NaN
+    # cast to an integer, and --beta inf ended in an OverflowError
+    # traceback (decompose)
+    g = lazy_cycle(16)
+    path = tmp_path / "f.csv"
+    save_vertex_csv(g, random_mean_zero(g, np.random.default_rng(0)), path)
+    assert main([command, "lazy_cycle_16", "--f", str(path), f"--beta={beta}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"beta must be finite, not {float(beta)!r}" in captured.err
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_a_non_finite_result_is_refused(tmp_path, capsys, out):
+    # a finite beta can still give a NaN cone sum (P^l f of Delta^1e308 f
+    # overflows): the payload is refused before it is printed or written
+    g = lazy_cycle(16)
+    path = tmp_path / "f.csv"
+    save_vertex_csv(g, random_mean_zero(g, np.random.default_rng(0)), path)
+    argv = ["quadnorm", "lazy_cycle_16", "--f", str(path), "--beta", "1e308"]
+    with np.errstate(all="ignore"):
+        assert main((["--out", str(tmp_path / "out")] if out else []) + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the result holds NaN, not a finite number" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_emit_refuses_every_non_finite_payload(capsys, value):
+    args = argparse.Namespace(format="json", out=None)
+    with pytest.raises(ValueError, match="the result holds"):
+        cli._emit(args, "x", json.dumps({"x": [1.0, value]}))
+    assert capsys.readouterr().out == ""
 
 
 def _refuse_constant(name):

@@ -489,6 +489,27 @@ def test_stage_peak_stays_near_its_block(name, kind):
     assert peak < 2.6 * block
 
 
+@pytest.mark.parametrize("kind", ["bz2", "form"])
+def test_molecules_are_columns_of_the_stage_blocks(monkeypatch, kind):
+    # each molecule's a and b are columns of the stage's (n, atoms)
+    # blocks, views of them: the stage keeps no second copy of either
+    g, tdec, d0 = _stage_input("lazy_cycle_64", kind)
+    original, blocks = hardy._pre_images, []
+
+    def pre_images(*args):
+        blocks.append(original(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(hardy, "_pre_images", pre_images)
+    coefficients, A = synthesize_molecules(g, tdec, kind, 1, 1.0, 1.0, d0)
+    [B] = blocks
+    assert len(coefficients) == A.shape[1] == B.shape[1] > 1
+    for i, (_, mol) in enumerate(coefficients):
+        a = _a_data(mol)
+        assert np.shares_memory(a, A) and np.array_equal(a, A[:, i])
+        assert np.shares_memory(mol.b, B) and np.array_equal(mol.b, B[:, i])
+
+
 def _lusin_without_horizon(g, f, beta, h, order):
     """||L_beta f||_1 with no horizon: the cone sums up to default_l_max,
     where every cone is the whole graph from the next level on, and past
@@ -741,6 +762,15 @@ def test_pipelines_check_M_and_eps_first(cycle16, pipeline_refused, M, eps):
         molecular_decompose(cycle16, f, M, 1.0, eps)
     with pytest.raises(ValueError, match="M must|eps must"):
         form_molecular_decompose(cycle16, differential(cycle16, f), M, eps)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_decompose_checks_beta_first(cycle16, pipeline_refused, beta):
+    # a beta that is not finite fails on entry by name, not as an
+    # OverflowError of the synthesis orders or as a NaN cast to an integer
+    f = random_mean_zero(cycle16, np.random.default_rng(13))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        molecular_decompose(cycle16, f, 1, beta, 1.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

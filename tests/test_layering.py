@@ -20,7 +20,17 @@ property of a package class is read as an attribute by a package module
 unless UNREAD gives it a reason; scipy's private sparse
 kernels are imported by `operators` alone, no module imports threads,
 `hardy` imports nothing of `riesz`, and no module imports a private
-name of another."""
+name of another.
+
+The member check has two blind spots.  It leaves dunder methods to
+Python, so an operator method that nothing uses (an
+`EdgeFunction.__truediv__`, say) passes it.  And it matches members by
+name alone, so a member counts as read when an attribute of that name
+is loaded from any object.  `SpaceTimeEntries.values` passes through
+the second: the package loads the `values` fields of
+`SpaceTimeFunction` and `TentAtom`, never that property.  It stays
+because the synthesis hook of `perfbench/tracing.py` and the tests
+read it."""
 
 import ast
 from pathlib import Path
@@ -90,11 +100,10 @@ ALLOWED = {
     # the series path is reached through `phi_apply` and the certified
     # series objects of `calculus.series`
     "SeriesOperator": ({"calculus"}, set()),
-    "_cone_accumulate": (set(), {"quadratic.lusin_tilde",
-                                 "quadratic.tent_functional_of_terms"}),
     # every cone sum runs through one function, which the Lusin function
     # feeds with its one walk of the block
-    "_cone_columns": (set(), {"quadratic.lusin", "quadratic._cone_accumulate"}),
+    "_cone_columns": (set(), {"quadratic.lusin", "quadratic.lusin_tilde",
+                              "quadratic.tent_functional_of_terms"}),
     # the Horner scan reads stored levels only, in the synthesis, and no
     # tail is walked
     "horner": (set(), {"tentspace.horner_synthesis"}),
@@ -196,7 +205,8 @@ def test_scanner_sees_calls(calls):
     assert ("spectral", "calculus.phi_apply") in calls
     assert ("SeriesOperator", "calculus.series") in calls
     assert ("level_blocks", "quadratic._level_square_sums") in calls
-    assert ("_cone_accumulate", "quadratic.lusin_tilde") in calls
+    assert ("_cone_columns", "quadratic.lusin_tilde") in calls
+    assert ("_cone_columns", "quadratic.tent_functional_of_terms") in calls
     assert ("lusin_terms", "tentspace.atomic_decompose") in calls
     assert ("ball_matrices", "hardy.bmo_norm") in calls
     assert ("distance_to", "graphs.set_distance") in calls
@@ -231,7 +241,6 @@ UNCALLED = {
     "quadratic.quad_norm_forms": "the paper's quadratic norm of 1-forms",
     "quadratic.tent_functional": "the paper's tent functional A F, whose L^1 norm is the "
                                  "T^1 norm; the decomposition sums its Lusin terms itself",
-    "operators.laplacian": "Delta = I - P, the operator every norm is built from",
     "hardy.duality_pairing": "the H^1-BMO pairing of a decomposition (item 21)",
     "hardy.form_molecular_decompose": "the molecular pipeline of 1-forms (item 20)",
     "hardy.validate_molecule": "the paper's molecule conditions on one molecule; "

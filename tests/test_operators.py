@@ -2,7 +2,8 @@ import os
 
 import numpy as np
 import pytest
-from oracles import antisymmetry_defect, kernels, save_edge_csv, save_vertex_csv, zero_form
+from oracles import (antisymmetry_defect, kernels, laplacian, save_edge_csv, save_vertex_csv,
+                     zero_form)
 
 from graphhardy import riesz as riesz_module
 from graphhardy.operators import (
@@ -12,7 +13,6 @@ from graphhardy.operators import (
     divergence,
     gradient,
     inner,
-    laplacian,
     level_blocks,
     load_vertex_csv,
     lp_norm,
@@ -42,11 +42,6 @@ def test_level_blocks_match_apply_P(cycle16, rng):
         for l, u in enumerate(seq):
             assert u.shape == f.shape
             np.testing.assert_array_equal(u, apply_P(cycle16, f, l))
-
-
-def test_edge_function_division(cycle8, rng):
-    F = differential(cycle8, rng.standard_normal(cycle8.n))
-    np.testing.assert_array_equal((F / 3.0).data, F.data / 3.0)
 
 
 def test_contraction(cycle16, torus8, rng):

@@ -7,13 +7,13 @@ skipped and counted, and most of every run must be checked."""
 
 import numpy as np
 import pytest
-from oracles import graphs
+from oracles import graphs, laplacian
 
 from graphhardy import calculus
 from graphhardy.calculus import delta_power_apply, spectrum
 from graphhardy.errors import UncertifiedSpectrum
 from graphhardy.hardy import bmo_norm
-from graphhardy.operators import (differential, divergence, laplacian, lp_norm, lp_norm_forms,
+from graphhardy.operators import (differential, divergence, lp_norm, lp_norm_forms,
                                   random_mean_zero)
 
 hypothesis = pytest.importorskip("hypothesis")

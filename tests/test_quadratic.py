@@ -56,6 +56,14 @@ def test_lusin_refuses_a_negative_horizon(cycle16):
         quad_norm(cycle16, f, 1.0, -1)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_quad_norm_refuses_a_non_finite_beta(cycle16, beta):
+    # quad_norm(g, f, nan) returned nan; Delta^beta now refuses it by name
+    f = random_mean_zero(cycle16, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        quad_norm(cycle16, f, beta)
+
+
 def test_lusin_kills_constants(cycle16):
     c = np.full(cycle16.n, 2.0)
     assert lp_norm(cycle16, lusin(cycle16, c, 1.0, 32), np.inf) < 1e-13
